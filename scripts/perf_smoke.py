@@ -81,13 +81,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import batch, pbitree as pt  # noqa: E402
 from repro.core.codec import available_codecs, get_codec  # noqa: E402
+from repro.core.execconfig import current, exec_scope  # noqa: E402
 from repro.experiments.harness import (  # noqa: E402
     Workbench,
     materialize,
     run_algorithm,
     run_lineup,
 )
-from repro.index import flat  # noqa: E402
 from repro.join.base import JoinReport, JoinSink  # noqa: E402
 from repro.join.inljn import (  # noqa: E402
     IndexNestedLoopJoin,
@@ -181,7 +181,7 @@ def fig6b_times() -> tuple[float, float, object]:
             buffer_pages=50,
             page_size=1024,
             single_height=False,
-            batch_size=batch_size,
+            exec=current().override(batch_size=batch_size),
         )
 
     lineup_run(0)  # warm both code paths once
@@ -212,10 +212,10 @@ def flat_section() -> tuple[dict[str, object], list[tuple[str, str, object]]]:
     descendants = materialize(
         bench.bufmgr, dataset.d_codes, dataset.tree_height, f"{FLAT_DATASET}.D"
     )
-    with flat.flat_scope(False):
+    with exec_scope(flat_index=False):
         d_pointer = build_start_index(descendants, bench.bufmgr, "D.start.ptr")
         a_pointer = build_interval_index(ancestors, bench.bufmgr, "A.iv.ptr")
-    with flat.flat_scope(True):
+    with exec_scope(flat_index=True):
         d_flat = build_start_index(descendants, bench.bufmgr, "D.start.flat")
         a_flat = build_interval_index(ancestors, bench.bufmgr, "A.iv.flat")
 
@@ -232,7 +232,7 @@ def flat_section() -> tuple[dict[str, object], list[tuple[str, str, object]]]:
         probe_stab(descendants, index, sink)
         return sink.count
 
-    with batch.batch_scope(batch.DEFAULT_BATCH_SIZE):
+    with exec_scope(batch_size=batch.DEFAULT_BATCH_SIZE):
         # differential sanity before timing anything
         if range_count(d_flat) != range_count(d_pointer):
             raise AssertionError("flat range probe changed the result count")
@@ -247,8 +247,9 @@ def flat_section() -> tuple[dict[str, object], list[tuple[str, str, object]]]:
     reports: dict[tuple[str, str], object] = {}
     for enabled, family in ((False, "pointer"), (True, "flat")):
         for outer in ("A", "D"):
-            with batch.batch_scope(batch.DEFAULT_BATCH_SIZE), \
-                    flat.flat_scope(enabled):
+            with exec_scope(
+                batch_size=batch.DEFAULT_BATCH_SIZE, flat_index=enabled
+            ):
                 report = run_algorithm(
                     IndexNestedLoopJoin(force_outer=outer),
                     ancestors,
@@ -308,7 +309,7 @@ def sanitize_section() -> tuple[dict[str, object], list[tuple[str, str, object]]
             buffer_pages=50,
             page_size=1024,
             single_height=False,
-            sanitize=sanitized,
+            exec=current().override(sanitize=sanitized),
         )
 
     plain = lineup_run(False)

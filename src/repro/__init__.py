@@ -26,18 +26,13 @@ Quickstart::
 from .core import pbitree
 from .core.binarize import binarize
 from .core.encoding import PBiTreeEncoding
+from .core.execconfig import ExecConfig, exec_scope
 from .datatree.builder import random_tree, tree_from_spec
 from .datatree.node import DataTree
 from .datatree.paths import PathQuery, brute_force_join, select_by_tag
 from .datatree.xml_parser import parse_xml
 from .datatree.xpath import XPath
-from .index.flat import (
-    FlatIntervalTree,
-    FlatStartIndex,
-    flat_enabled,
-    flat_scope,
-    set_flat_enabled,
-)
+from .index.flat import FlatIntervalTree, FlatStartIndex, flat_enabled
 from .join.ancdes_b import AncDesBPlusJoin
 from .join.base import JoinReport, JoinSink
 from .join.inljn import IndexNestedLoopJoin
@@ -115,8 +110,8 @@ __all__ = [
     "FlatIntervalTree",
     "FlatStartIndex",
     "flat_enabled",
-    "flat_scope",
-    "set_flat_enabled",
+    "ExecConfig",
+    "exec_scope",
     "UpdatableEncoding",
     "ContainmentDatabase",
     "CostBasedOptimizer",

@@ -284,6 +284,7 @@ def cmd_shard_build(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .core.execconfig import current
     from .experiments.harness import (
         REGION_ALGORITHMS,
         make_lineup,
@@ -321,9 +322,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         algorithm_workers=(
             args.workers if args.parallel_scope == "algorithm" else 1
         ),
-        batch_size=args.batch_size,
-        flat_index=args.flat_index,
-        sanitize=args.sanitize,
+        exec=current().override(
+            batch_size=args.batch_size,
+            flat_index=args.flat_index,
+            sanitize=args.sanitize,
+        ),
         shards=args.shards,
         shard_level=args.shard_level,
     )

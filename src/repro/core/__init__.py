@@ -13,6 +13,7 @@ from .codec import (
     register_codec,
 )
 from .encoding import EncodingError, PBiTreeEncoding
+from .execconfig import ExecConfig, exec_scope
 from .pbitree import Height, PBiCode, PrefixCode, RegionCode
 from .update import (
     ChangeEvent,
@@ -33,6 +34,8 @@ __all__ = [
     "placement_k",
     "PBiTreeEncoding",
     "EncodingError",
+    "ExecConfig",
+    "exec_scope",
     "UpdatableEncoding",
     "UpdateStats",
     "CodeSpaceError",

@@ -1,4 +1,4 @@
-"""Vectorized code-algebra kernels and the batch-size switch.
+"""Vectorized code-algebra kernels and the batch-size readers.
 
 Every join in the paper reduces to streaming codes off pages and
 applying pure integer algebra — ``F(n, h)`` rollups, Lemma 3/4
@@ -22,10 +22,11 @@ in 6 bits (``MAX_CODE_BITS = 63`` bounds them at 62) and the mapping
 
 Exactness contract: every kernel is a drop-in for the scalar loop it
 replaces — same results, in the same order.  The scalar path stays in
-the join operators as a differential oracle, selected by setting the
-batch size to 0 (:func:`set_batch_size`); tests drive both paths over
-the same inputs and assert identical output *and* identical I/O
-accounting (see docs/batched-execution.md).
+the join operators as a differential oracle, selected by a batch size
+of 0 in the execution configuration (:mod:`.execconfig`,
+``exec_scope(batch_size=0)``); tests drive both paths over the same
+inputs and assert identical output *and* identical I/O accounting (see
+docs/batched-execution.md).
 
 This module is the only place outside :mod:`.pbitree` allowed to spell
 the bit algebra: the ``code-domain`` checker confines ``<<``/``>>``/
@@ -35,19 +36,15 @@ these kernels by name.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, Optional, Sequence, cast
+from typing import Callable, Optional, Sequence, cast
 
+from .execconfig import DEFAULT_BATCH_SIZE, current
 from .pbitree import Height, PBiCode, PrefixCode, RegionCode
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "get_batch_size",
-    "set_batch_size",
-    "batch_scope",
     "batching_enabled",
     "heights",
     "rollup",
@@ -70,80 +67,16 @@ __all__ = [
     "height_class_probe",
 ]
 
-#: Default element count per batch.  Chosen from the batch-size sweep in
-#: ``benchmarks/bench_coding_micro.py``: per-element cost flattens out
-#: between 256 and 1024, and 1024 covers a whole 1 KiB page of codes.
-DEFAULT_BATCH_SIZE = 1024
-
 EmitFn = Callable[[int, int], None]
-
-_batch_default = DEFAULT_BATCH_SIZE
-
-#: per-context override set by :func:`batch_scope`.  A ``ContextVar``
-#: instead of a module global: one tenant's scope must not flip another
-#: in-flight query's execution mode (threads and asyncio tasks each see
-#: their own context), while the process-wide *default* set by the env
-#: var / CLI / :func:`set_batch_size` is preserved for every context
-#: that has no scope active.
-_batch_var: ContextVar[Optional[int]] = ContextVar("repro_batch_size", default=None)
-
-
-def _env_batch_size() -> Optional[int]:
-    raw = os.environ.get("REPRO_BATCH_SIZE", "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return max(0, value)
-
-
-_env_override = _env_batch_size()
-if _env_override is not None:
-    _batch_default = _env_override
 
 
 def get_batch_size() -> int:
     """Current batch size; 0 selects the scalar differential oracle."""
-    override = _batch_var.get()
-    return _batch_default if override is None else override
-
-
-def set_batch_size(size: int) -> None:
-    """Set the process-wide default batch size (0 disables batching).
-
-    This is startup configuration (CLI flags, env parsing); code that
-    needs a temporary or per-thread/per-task setting must use
-    :func:`batch_scope`, which only affects the calling context.
-    Worker processes under the ``spawn`` start method do not inherit
-    this module state — parallel tasks carry the batch size as an
-    explicit field instead (see :mod:`repro.parallel.tasks`).
-    """
-    if size < 0:
-        raise ValueError(f"batch size must be >= 0, got {size}")
-    global _batch_default
-    _batch_default = size
-
-
-@contextmanager
-def batch_scope(size: int) -> Iterator[None]:
-    """Pin the batch size for the calling context only.
-
-    Context-local (``contextvars``): two threads can run in opposing
-    scopes concurrently without seeing each other's setting.
-    """
-    if size < 0:
-        raise ValueError(f"batch size must be >= 0, got {size}")
-    token = _batch_var.set(size)
-    try:
-        yield
-    finally:
-        _batch_var.reset(token)
+    return current().batch_size
 
 
 def batching_enabled() -> bool:
-    return get_batch_size() > 0
+    return current().batch_size > 0
 
 
 # ---------------------------------------------------------------------------

@@ -303,28 +303,21 @@ class ContainmentDatabase:
         for tag in query.steps:
             self._shard_set(document, tag)
         reports: list[JoinReport] = []
+        codes: Optional[list[int]] = None
         with self.tracer.span("query.sharded", path=path):
-            current: "str | list[int]" = query.steps[0]
-            for step_index, tag in enumerate(query.steps[1:], start=1):
-                report, pairs = executor.run(
-                    "MHCJ+Rollup",
-                    current,
-                    tag,
-                    dataset=f"{document.name}.step{step_index}",
+            if len(query.steps) > 1:
+                reports, codes = executor.run_path(
+                    query.steps,
+                    document.name,
                     buffer_pages=self.bufmgr.num_pages,
                     page_size=self.disk.page_size,
-                    collect=True,
                     tracer=self.tracer,
                 )
-                reports.append(report)
-                assert pairs is not None
-                current = sorted({d_code for _a_code, d_code in pairs})
-        if isinstance(current, str):
-            codes: list[int] = sorted(
-                int(code) for code in self.element_set(document, current).scan()
+        if codes is None:  # a single step: the whole set, no join
+            codes = sorted(
+                int(code)
+                for code in self.element_set(document, query.steps[0]).scan()
             )
-        else:
-            codes = current
         if self.metrics is not None:
             for report in reports:
                 self.metrics.record_report(report, dataset=document.name)

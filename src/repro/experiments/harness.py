@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
-from ..core import batch
-from ..index import flat
-from ..storage import sanitize as sanitizer
+from ..core.execconfig import ExecConfig, current, exec_scope
 from ..join.ancdes_b import AncDesBPlusJoin
 from ..join.base import JoinAlgorithm, JoinReport, JoinSink
 from ..join.inljn import IndexNestedLoopJoin
@@ -38,6 +36,8 @@ from ..join.stacktree import StackTreeDescJoin
 from ..join.vpj import VerticalPartitionJoin
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
+from ..parallel.fanout import run_cold_joins
+from ..parallel.tasks import BenchGauges, SlotJoinTask, bench_gauges
 from ..storage.buffer import BufferManager
 from ..storage.disk import DiskManager
 from ..storage.elementset import ElementSet
@@ -262,9 +262,7 @@ def run_lineup(
     workers: int = 1,
     parallel_mode: Optional[str] = None,
     algorithm_workers: int = 1,
-    batch_size: Optional[int] = None,
-    flat_index: Optional[bool] = None,
-    sanitize: Optional[bool] = None,
+    exec: Optional[ExecConfig] = None,
     shards: int = 0,
     shard_level: Optional[int] = None,
 ) -> LineupResult:
@@ -279,7 +277,8 @@ def run_lineup(
     ``tracer`` collects one ``join.<name>`` span tree per algorithm;
     ``metrics`` accumulates per-algorithm counters (see
     :meth:`~repro.obs.metrics.MetricsRegistry.record_report`) plus the
-    final buffer-pool and fault gauges.
+    final buffer-pool and fault gauges, summed over every bench the
+    line-up ran on.
 
     ``workers > 1`` fans the per-algorithm runs out over a process
     pool; each worker builds its own cold workbench, so every report
@@ -290,23 +289,12 @@ def run_lineup(
     operators themselves (see :func:`make_algorithm`); the two scopes
     compose but are usually used one at a time.
 
-    ``batch_size`` pins the execution batch size for the whole line-up
-    (0 = scalar oracle); ``None`` keeps the process-wide setting.  The
-    effective size is recorded as the ``batch.size`` metrics gauge and
-    shipped to line-up workers explicitly.
-
-    ``flat_index`` pins the flat-index switch the same way (True =
-    flat static indexes, False = pointer oracle, ``None`` keeps the
-    process-wide :func:`~repro.index.flat.flat_enabled` setting); the
-    effective value is recorded as the ``flat.index`` gauge and shipped
-    to line-up workers explicitly.
-
-    ``sanitize`` pins the view-lifetime sanitizer
-    (:mod:`repro.storage.sanitize`) the same way; sanitized runs do no
-    extra I/O, so every report stays field-for-field identical — only
-    wall time changes.  The effective bit is recorded as the
-    ``sanitize.enabled`` gauge and shipped to line-up workers
-    explicitly.
+    ``exec`` pins the execution configuration (batch size, flat
+    indexes, sanitizer — :class:`~repro.core.execconfig.ExecConfig`)
+    for the whole line-up, workers included; ``None`` keeps the
+    caller's current one.  No value of it changes a report, only wall
+    time.  The effective values are recorded as the ``batch.size`` /
+    ``flat.index`` / ``sanitize.enabled`` gauges.
 
     ``shards > 0`` runs every algorithm scatter-gather over a
     :class:`~repro.shard.corpus.ShardedCorpus` partitioned at
@@ -321,34 +309,25 @@ def run_lineup(
         if single_height is None:
             raise ValueError("pass algorithms or single_height")
         algorithms = make_lineup(single_height)
-    if batch_size is None:
-        batch_size = batch.get_batch_size()
-    if flat_index is None:
-        flat_index = flat.flat_enabled()
-    if sanitize is None:
-        sanitize = sanitizer.sanitize_enabled()
+    for name in algorithms:
+        make_algorithm(name)  # reject unknown names before any work
+    cfg = current() if exec is None else exec
     if metrics is not None:
-        metrics.gauge("batch.size").set(float(batch_size))
-        metrics.gauge("flat.index").set(1.0 if flat_index else 0.0)
-        metrics.gauge("sanitize.enabled").set(1.0 if sanitize else 0.0)
-    if shards > 0:
-        return _run_lineup_sharded(
-            dataset_name, a_codes, d_codes, tree_height, buffer_pages,
-            page_size, algorithms, collect, faults, retry, tracer, metrics,
-            workers, parallel_mode, algorithm_workers, batch_size,
-            flat_index, sanitize, shards, shard_level,
+        metrics.gauge("batch.size").set(float(cfg.batch_size))
+        metrics.gauge("flat.index").set(1.0 if cfg.flat_index else 0.0)
+        metrics.gauge("sanitize.enabled").set(1.0 if cfg.sanitize else 0.0)
+    pooled = shards > 0 or workers > 1
+    if pooled and isinstance(faults, FaultInjector):
+        raise ValueError(
+            "a live FaultInjector cannot be shipped to workers; pass its "
+            "FaultConfig instead (each worker seeds a fresh injector, "
+            "matching a serial run on a fresh bench)"
         )
-    if workers > 1:
-        return _run_lineup_parallel(
-            dataset_name, a_codes, d_codes, tree_height, buffer_pages,
-            page_size, algorithms, collect, faults, retry, tracer, metrics,
-            workers, parallel_mode, algorithm_workers, batch_size,
-            flat_index, sanitize,
-        )
+    benches: list[BenchGauges] = []
 
-    with batch.batch_scope(batch_size), flat.flat_scope(
-        flat_index
-    ), sanitizer.sanitize_scope(sanitize):
+    # Each mode yields (name, report) in line-up order and leaves the
+    # final gauges of the benches it ran on in ``benches``.
+    def serial() -> Iterator[tuple[str, JoinReport]]:
         bench = Workbench.create(
             buffer_pages, page_size, faults=faults, retry=retry
         )
@@ -358,28 +337,90 @@ def run_lineup(
         descendants = materialize(
             bench.bufmgr, d_codes, tree_height, f"{dataset_name}.D"
         )
-
-        lineup = LineupResult(dataset=dataset_name)
-        counts = set()
         for name in algorithms:
             algorithm = make_algorithm(name, workers=algorithm_workers)
             sink = JoinSink("collect") if collect else None
-            report = run_algorithm(
+            yield name, run_algorithm(
                 algorithm, ancestors, descendants, sink, tracer=tracer
             )
+        benches.append(bench_gauges(bench))
+
+    def fanned() -> Iterator[tuple[str, JoinReport]]:
+        # a line-up run is a one-slot cold join labelled by the dataset
+        tasks = [
+            SlotJoinTask(
+                label=dataset_name,
+                algorithm=name,
+                a_codes=list(a_codes),
+                d_codes=list(d_codes),
+                tree_height=tree_height,
+                buffer_pages=buffer_pages,
+                page_size=page_size,
+                collect=collect,
+                faults=faults,  # type: ignore[arg-type]  # checked above
+                retry=retry,
+                traced=tracer is not None and tracer.enabled,
+                algorithm_workers=algorithm_workers,
+                exec=cfg,
+            )
+            for name in algorithms
+        ]
+        payloads = run_cold_joins(
+            tasks,
+            workers,
+            parallel_mode,
+            tracer,
+            "parallel.fanout",
+            tasks=len(tasks),
+            workers=workers,
+        )
+        benches.extend(payloads)
+        for task, payload in zip(tasks, payloads):
+            yield task.algorithm, payload["report"]
+
+    def sharded() -> Iterator[tuple[str, JoinReport]]:
+        # the corpus is built once and reused across algorithms (slot
+        # extraction happens per run, but its I/O is charged to the
+        # corpus engines, not the reports — see the executor's contract)
+        from ..shard.corpus import ShardedCorpus
+        from ..shard.executor import ShardedJoinExecutor
+
+        corpus = ShardedCorpus(
+            tree_height, shards, level=shard_level, page_size=page_size
+        )
+        corpus.add_set("A", list(a_codes))
+        corpus.add_set("D", list(d_codes))
+        executor = ShardedJoinExecutor(
+            corpus, workers=workers, parallel_mode=parallel_mode
+        )
+        for name in algorithms:
+            report, _pairs = executor.run(
+                name,
+                "A",
+                "D",
+                dataset=dataset_name,
+                buffer_pages=buffer_pages,
+                page_size=page_size,
+                collect=collect,
+                faults=faults,
+                retry=retry,
+                tracer=tracer,
+                algorithm_workers=algorithm_workers,
+                exec=cfg,
+            )
+            benches.extend(executor.slot_benches)
+            yield name, report
+
+    runs = sharded() if shards > 0 else fanned() if workers > 1 else serial()
+    lineup = LineupResult(dataset=dataset_name)
+    with exec_scope(cfg):
+        for name, report in runs:
             lineup.results.append(AlgorithmResult(name=name, report=report))
-            counts.add(report.result_count)
             if metrics is not None:
                 metrics.record_report(report, dataset=dataset_name)
-        if metrics is not None:
-            metrics.record_buffer(bench.bufmgr)
-            if bench.disk.faults is not None:
-                metrics.record_fault_stats(bench.disk.faults.stats)
-    _check_counts(dataset_name, lineup, counts)
-    return lineup
-
-
-def _check_counts(dataset_name: str, lineup: LineupResult, counts: set) -> None:
+    if metrics is not None:
+        _record_bench_gauges(metrics, benches)
+    counts = {result.report.result_count for result in lineup.results}
     if len(counts) != 1:
         raise AssertionError(
             f"algorithms disagree on {dataset_name}: "
@@ -388,221 +429,39 @@ def _check_counts(dataset_name: str, lineup: LineupResult, counts: set) -> None:
             )
         )
     lineup.result_count = counts.pop()
-
-
-def _run_lineup_parallel(
-    dataset_name: str,
-    a_codes: Sequence[int],
-    d_codes: Sequence[int],
-    tree_height: int,
-    buffer_pages: int,
-    page_size: int,
-    algorithms: Sequence[str],
-    collect: bool,
-    faults: "FaultInjector | FaultConfig | None",
-    retry: Optional[RetryPolicy],
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
-    workers: int,
-    parallel_mode: Optional[str],
-    algorithm_workers: int,
-    batch_size: int,
-    flat_index: bool,
-    sanitize: bool,
-) -> LineupResult:
-    """Fan the per-algorithm runs of one line-up over a worker pool.
-
-    Deterministic merge: results, metrics and trace roots are folded in
-    the caller's algorithm order, never in completion order.  Worker
-    span trees come back as JSON lines and are attached under one
-    ``parallel.fanout`` root on the parent tracer; a worker-side
-    :class:`StorageFault` is rebuilt typed in the parent and raised
-    from the first faulted algorithm in line-up order.
-    """
-    from ..obs.export import spans_from_jsonl
-    from ..parallel.pool import WorkerPool
-    from ..parallel.tasks import LineupTask, fault_from_payload, run_lineup_task
-
-    if isinstance(faults, FaultInjector):
-        raise ValueError(
-            "a live FaultInjector cannot be shipped to line-up workers; "
-            "pass its FaultConfig instead (each worker seeds a fresh "
-            "injector, matching a serial run on a fresh bench)"
-        )
-    for name in algorithms:
-        make_algorithm(name)  # reject unknown names before spawning
-    traced = tracer is not None and tracer.enabled
-    tasks = [
-        LineupTask(
-            dataset=dataset_name,
-            algorithm=name,
-            a_codes=list(a_codes),
-            d_codes=list(d_codes),
-            tree_height=tree_height,
-            buffer_pages=buffer_pages,
-            page_size=page_size,
-            collect=collect,
-            faults=faults,
-            retry=retry,
-            traced=traced,
-            algorithm_workers=algorithm_workers,
-            batch_size=batch_size,
-            flat_index=flat_index,
-            sanitize=sanitize,
-        )
-        for name in algorithms
-    ]
-    pool = WorkerPool(workers, mode=parallel_mode)
-    try:
-        futures = [(task, pool.submit(run_lineup_task, task)) for task in tasks]
-        payloads = [
-            pool.resolve(future, run_lineup_task, task)
-            for task, future in futures
-        ]
-    finally:
-        pool.close()
-
-    lineup = LineupResult(dataset=dataset_name)
-    counts = set()
-    fan_span = None
-    if traced:
-        fan_span = tracer.span(
-            "parallel.fanout", tasks=len(tasks), workers=workers
-        )
-        fan_span.__enter__()
-    try:
-        for task, payload in zip(tasks, payloads):
-            if payload["fault"] is not None:
-                raise fault_from_payload(payload["fault"])
-            report = payload["report"]
-            if payload["trace"]:
-                roots = spans_from_jsonl(payload["trace"])
-                if fan_span is not None:
-                    fan_span.children.extend(roots)
-                if roots:
-                    report.trace = roots[0]
-            lineup.results.append(
-                AlgorithmResult(name=task.algorithm, report=report)
-            )
-            counts.add(report.result_count)
-            if metrics is not None:
-                metrics.record_report(report, dataset=dataset_name)
-    finally:
-        if fan_span is not None:
-            fan_span.__exit__(None, None, None)
-    if metrics is not None:
-        _record_merged_gauges(metrics, payloads)
-    _check_counts(dataset_name, lineup, counts)
     return lineup
 
 
-def _run_lineup_sharded(
-    dataset_name: str,
-    a_codes: Sequence[int],
-    d_codes: Sequence[int],
-    tree_height: int,
-    buffer_pages: int,
-    page_size: int,
-    algorithms: Sequence[str],
-    collect: bool,
-    faults: "FaultInjector | FaultConfig | None",
-    retry: Optional[RetryPolicy],
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
-    workers: int,
-    parallel_mode: Optional[str],
-    algorithm_workers: int,
-    batch_size: int,
-    flat_index: bool,
-    sanitize: bool,
-    shards: int,
-    shard_level: Optional[int],
-) -> LineupResult:
-    """Run the line-up scatter-gather over a sharded corpus.
+def _record_bench_gauges(
+    metrics: MetricsRegistry, benches: Sequence[BenchGauges]
+) -> None:
+    """Sum the benches' final buffer/fault gauges into the registry.
 
-    Each algorithm runs slot-by-slot through one
-    :class:`~repro.shard.executor.ShardedJoinExecutor`; the corpus is
-    built once and reused across algorithms (slot extraction happens
-    per run, but its I/O is charged to the corpus engines, not the
-    reports — see the executor's accounting contract).
+    A serial line-up shares one bench; fanned out, each algorithm (or
+    slot) ran on its own, so the line-up-level gauges are the sums, with
+    the hit rate recomputed over the summed accesses.
     """
-    from ..shard.corpus import ShardedCorpus
-    from ..shard.executor import ShardedJoinExecutor
-
-    if isinstance(faults, FaultInjector):
-        raise ValueError(
-            "a live FaultInjector cannot be shipped to slot workers; "
-            "pass its FaultConfig instead (each worker seeds a fresh "
-            "injector, matching a serial run on a fresh bench)"
-        )
-    corpus = ShardedCorpus(
-        tree_height, shards, level=shard_level, page_size=page_size
+    buffer = {
+        key: sum(bench["buffer"][key] for bench in benches)
+        for key in ("hits", "misses", "resident", "pinned")
+    }
+    for key, value in buffer.items():
+        metrics.gauge(f"buffer.{key}").set(value)
+    accesses = buffer["hits"] + buffer["misses"]
+    metrics.gauge("buffer.hit_rate").set(
+        buffer["hits"] / accesses if accesses else 0.0
     )
-    corpus.add_set("A", list(a_codes))
-    corpus.add_set("D", list(d_codes))
-    executor = ShardedJoinExecutor(
-        corpus, workers=workers, parallel_mode=parallel_mode
-    )
-    lineup = LineupResult(dataset=dataset_name)
-    counts = set()
-    for name in algorithms:
-        report, _pairs = executor.run(
-            name,
-            "A",
-            "D",
-            dataset=dataset_name,
-            buffer_pages=buffer_pages,
-            page_size=page_size,
-            collect=collect,
-            faults=faults,
-            retry=retry,
-            tracer=tracer,
-            algorithm_workers=algorithm_workers,
-            batch_size=batch_size,
-            flat_index=flat_index,
-            sanitize=sanitize,
-        )
-        lineup.results.append(AlgorithmResult(name=name, report=report))
-        counts.add(report.result_count)
-        if metrics is not None:
-            metrics.record_report(report, dataset=dataset_name)
-    _check_counts(dataset_name, lineup, counts)
-    return lineup
-
-
-def _record_merged_gauges(metrics: MetricsRegistry, payloads) -> None:
-    """Sum worker-bench buffer/fault gauges into the parent registry.
-
-    The serial path records the shared bench's final state; here each
-    algorithm ran on its own bench, so the line-up-level gauges are the
-    sums (with the hit rate recomputed over the summed accesses).
-    """
-    hits = sum(p["buffer"]["hits"] for p in payloads)
-    misses = sum(p["buffer"]["misses"] for p in payloads)
-    accesses = hits + misses
-    metrics.gauge("buffer.hits").set(hits)
-    metrics.gauge("buffer.misses").set(misses)
-    metrics.gauge("buffer.hit_rate").set(hits / accesses if accesses else 0.0)
-    metrics.gauge("buffer.resident").set(
-        sum(p["buffer"]["resident"] for p in payloads)
-    )
-    metrics.gauge("buffer.pinned").set(
-        sum(p["buffer"]["pinned"] for p in payloads)
-    )
-    fault_stats = [p["fault_stats"] for p in payloads if p["fault_stats"]]
+    fault_stats = [b["fault_stats"] for b in benches if b["fault_stats"]]
     if fault_stats:
-        read_errors = sum(s["read_errors"] for s in fault_stats)
-        write_errors = sum(s["write_errors"] for s in fault_stats)
-        torn = sum(s["torn_reads"] for s in fault_stats)
-        latency = sum(s["latency_events"] for s in fault_stats)
+        faults = {
+            key: sum(stats[key] for stats in fault_stats)
+            for key in ("read_errors", "write_errors", "torn_reads", "latency_events")
+        }
         # mirrors FaultStats.total_injected (scheduled faults are
         # already counted under their kind)
-        metrics.gauge("faults.injected").set(
-            read_errors + write_errors + torn + latency
-        )
-        metrics.gauge("faults.read_errors").set(read_errors)
-        metrics.gauge("faults.write_errors").set(write_errors)
-        metrics.gauge("faults.torn_reads").set(torn)
+        metrics.gauge("faults.injected").set(sum(faults.values()))
+        for key in ("read_errors", "write_errors", "torn_reads"):
+            metrics.gauge(f"faults.{key}").set(faults[key])
 
 
 _T = TypeVar("_T")

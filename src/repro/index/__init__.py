@@ -1,13 +1,7 @@
 """Disk-based indexes: B+-tree, static interval tree, and flat variants."""
 
 from .bptree import BPlusTree
-from .flat import (
-    FlatIntervalTree,
-    FlatStartIndex,
-    flat_enabled,
-    flat_scope,
-    set_flat_enabled,
-)
+from .flat import FlatIntervalTree, FlatStartIndex, flat_enabled
 from .interval_tree import IntervalTree
 from .rtree import Rect, RTree
 from .staleness import StaleGuard, StaleIndexError
@@ -24,6 +18,4 @@ __all__ = [
     "StaleIndexError",
     "XRTree",
     "flat_enabled",
-    "flat_scope",
-    "set_flat_enabled",
 ]

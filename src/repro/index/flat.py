@@ -33,22 +33,21 @@ pages the pointer oracle would, in the same order — a flat cache hit
 still costs one real buffer access, and an evicted page is re-read
 from disk exactly as the pointer path would.  ``JoinReport`` therefore
 stays field-for-field equal; only the Python-level decode work is
-removed.  The switch below mirrors :mod:`repro.core.batch`: flat
-indexes are built only while :func:`flat_enabled` is true (set
-programmatically, via :func:`flat_scope`, or the ``REPRO_FLAT_INDEX``
-environment variable), and the pointer indexes remain the oracle the
-differential suite (tests/test_flat_index.py) compares against.
+removed.  Flat indexes are built only while :func:`flat_enabled` is
+true — the ``flat_index`` value of the execution configuration
+(:mod:`repro.core.execconfig`: ``exec_scope(flat_index=True)`` or the
+``REPRO_FLAT_INDEX`` environment variable) — and the pointer indexes
+remain the oracle the differential suite (tests/test_flat_index.py)
+compares against.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator, Optional, cast
+from typing import Iterator, cast
 
+from ..core.execconfig import current
 from ..storage import sanitize
 from ..storage.buffer import BufferManager
 from ..storage.faults import StorageFault
@@ -60,69 +59,12 @@ __all__ = [
     "FlatStartIndex",
     "FlatIntervalTree",
     "flat_enabled",
-    "set_flat_enabled",
-    "flat_scope",
 ]
-
-
-# ---------------------------------------------------------------------------
-# the oracle switch (mirrors repro.core.batch's batch-size switch)
-# ---------------------------------------------------------------------------
-_flat_default = False
-
-#: per-context override set by :func:`flat_scope` — a ``ContextVar`` so
-#: one tenant's scope cannot flip another in-flight query's index mode
-#: (see :mod:`repro.core.batch` for the full rationale).
-_flat_var: ContextVar[Optional[bool]] = ContextVar("repro_flat_index", default=None)
-
-
-def _env_flat_enabled() -> Optional[bool]:
-    raw = os.environ.get("REPRO_FLAT_INDEX", "").strip().lower()
-    if not raw:
-        return None
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    return None
-
-
-_env_override = _env_flat_enabled()
-if _env_override is not None:
-    _flat_default = _env_override
 
 
 def flat_enabled() -> bool:
     """Whether index builders produce flat static indexes (default off)."""
-    override = _flat_var.get()
-    return _flat_default if override is None else override
-
-
-def set_flat_enabled(enabled: bool) -> None:
-    """Set the process-wide default for flat vs pointer-oracle builds.
-
-    Startup configuration only; use :func:`flat_scope` for a temporary
-    or per-thread/per-task setting.  Worker processes under the
-    ``spawn`` start method do not inherit this module state — parallel
-    tasks carry the flag as an explicit field instead (see
-    :mod:`repro.parallel.tasks`).
-    """
-    global _flat_default
-    _flat_default = bool(enabled)
-
-
-@contextmanager
-def flat_scope(enabled: bool) -> Iterator[None]:
-    """Pin the flat-index switch for the calling context only.
-
-    Context-local (``contextvars``): concurrent threads in opposing
-    scopes never see each other's setting.
-    """
-    token = _flat_var.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _flat_var.reset(token)
+    return current().flat_index
 
 
 # ---------------------------------------------------------------------------

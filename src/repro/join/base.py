@@ -97,14 +97,7 @@ class JoinReport:
 
     @property
     def total_io(self) -> IOSnapshot:
-        return IOSnapshot(
-            reads=self.prep_io.reads + self.join_io.reads,
-            writes=self.prep_io.writes + self.join_io.writes,
-            random_reads=self.prep_io.random_reads + self.join_io.random_reads,
-            allocations=self.prep_io.allocations + self.join_io.allocations,
-            retries=self.prep_io.retries + self.join_io.retries,
-            giveups=self.prep_io.giveups + self.join_io.giveups,
-        )
+        return self.prep_io + self.join_io
 
     @property
     def total_pages(self) -> int:

@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from ..join.base import JoinReport
     from ..storage.buffer import BufferManager
     from ..storage.disk import DiskManager
-    from ..storage.faults import FaultStats
 
 __all__ = ["Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry"]
 
@@ -232,13 +231,6 @@ class MetricsRegistry:
         self.gauge(f"{prefix}.relabelled_per_insert").set(
             stats.relabelled_per_insert
         )
-
-    def record_fault_stats(self, stats: "FaultStats") -> None:
-        """Injected-fault tallies (idempotent: gauges, not counters)."""
-        self.gauge("faults.injected").set(stats.total_injected)
-        self.gauge("faults.read_errors").set(stats.read_errors)
-        self.gauge("faults.write_errors").set(stats.write_errors)
-        self.gauge("faults.torn_reads").set(stats.torn_reads)
 
     def record_report(self, report: "JoinReport", dataset: str = "") -> None:
         """Per-operator output cardinality and I/O from a join report."""

@@ -16,35 +16,36 @@ through :class:`~repro.join.vpj.VerticalPartitionJoin`,
 ``--workers`` flag.
 """
 
-from .fanout import Fanout, open_fanout
+from .fanout import Fanout, open_fanout, run_cold_joins
 from .pool import PARALLEL_MODE_ENV, WorkerPool, split_chunks
 from .tasks import (
     HeightProbeTask,
-    LineupTask,
-    LineupTaskResult,
     MemJoinTask,
+    SlotJoinTask,
+    SlotTaskResult,
     TaskResult,
     fault_from_payload,
     fault_to_payload,
     run_height_probe_task,
-    run_lineup_task,
     run_memjoin_task,
+    run_slot_join_task,
 )
 
 __all__ = [
     "Fanout",
     "open_fanout",
+    "run_cold_joins",
     "PARALLEL_MODE_ENV",
     "WorkerPool",
     "split_chunks",
     "HeightProbeTask",
-    "LineupTask",
-    "LineupTaskResult",
     "MemJoinTask",
+    "SlotJoinTask",
+    "SlotTaskResult",
     "TaskResult",
     "fault_from_payload",
     "fault_to_payload",
     "run_height_probe_task",
-    "run_lineup_task",
     "run_memjoin_task",
+    "run_slot_join_task",
 ]

@@ -10,31 +10,32 @@ work — their kernels are pure CPU over the shipped lists — so all
 storage I/O, buffer hits/misses, retries and injected faults happen in
 the parent, in serial order.
 
-Line-up tasks (:class:`LineupTask`) are the one exception: each worker
-builds its *own complete workbench* (disk + buffer pool) from the
-shipped codes, because a line-up run is defined as "this algorithm,
-cold, on a fresh bench".  The worker sends the finished
+Cold-join tasks (:class:`SlotJoinTask`) are the one exception: each
+worker builds its *own complete workbench* (disk + buffer pool) from the
+shipped codes, because both of their users — one algorithm of a
+line-up, one level-``l`` slot of a sharded join — are defined as "this
+algorithm, cold, on a fresh bench".  The worker sends the finished
 :class:`~repro.join.base.JoinReport` back (trace detached and shipped
 as JSON lines, which survive pickling losslessly), plus structured
 fault payloads — :class:`~repro.storage.faults.StorageFault` instances
 themselves use keyword-only constructors and do not round-trip through
 pickle.
 
-Every task dataclass here is frozen and built from ints, strings and
-lists of ints — safe for both ``fork`` and ``spawn`` start methods.
+Every task dataclass here is frozen and built from ints, strings,
+lists of ints and frozen configs — safe for both ``fork`` and ``spawn``
+start methods.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, TypedDict
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Callable, Optional, TypedDict
 
 from ..core import batch, pbitree
+from ..core.execconfig import ExecConfig, exec_scope
 from ..core.pbitree import PBiCode
-from ..index import flat
 from ..obs.export import trace_to_jsonl
-from ..storage import sanitize as sanitize_module
 from ..obs.tracer import Tracer
 from ..storage.faults import (
     FaultConfig,
@@ -44,18 +45,20 @@ from ..storage.faults import (
     TransientIOError,
 )
 
+if TYPE_CHECKING:
+    from ..experiments.harness import Workbench
+
 __all__ = [
     "TaskResult",
-    "LineupTaskResult",
+    "BenchGauges",
     "SlotTaskResult",
     "MemJoinTask",
     "HeightProbeTask",
-    "LineupTask",
     "SlotJoinTask",
     "run_memjoin_task",
     "run_height_probe_task",
-    "run_lineup_task",
     "run_slot_join_task",
+    "bench_gauges",
     "fault_to_payload",
     "fault_from_payload",
 ]
@@ -74,42 +77,53 @@ class TaskResult(TypedDict):
     trace: Optional[str]
 
 
-class LineupTaskResult(TypedDict):
+class BenchGauges(TypedDict):
+    """Final state of one workbench (see :func:`bench_gauges`)."""
+
+    #: buffer-pool hits / misses / resident / pinned
+    buffer: dict[str, float]
+    #: injected-fault tallies, or ``None`` when no injector is attached
+    fault_stats: Optional[dict[str, int]]
+
+
+class SlotTaskResult(BenchGauges):
     """One algorithm's cold run on a worker-private workbench."""
 
     #: finished report (``trace`` detached), or ``None`` when faulted
     report: Optional[Any]
-    #: structured :func:`fault_to_payload` payload, or ``None``
-    fault: Optional[dict[str, Any]]
-    #: worker tracer output as JSON lines, or ``None`` when untraced
-    trace: Optional[str]
-    #: final buffer-pool gauges of the worker's bench
-    buffer: dict[str, float]
-    #: injected-fault tallies of the worker's bench, or ``None``
-    fault_stats: Optional[dict[str, int]]
-
-
-class SlotTaskResult(TypedDict):
-    """One level-``l`` slot's cold run inside a sharded join.
-
-    Identical to :class:`LineupTaskResult` plus the emitted pairs —
-    the gather half of scatter-gather ships results back when the
-    parent collects (the line-up path never does; the sharded query
-    path in :mod:`repro.db` and the service tier do).
-    """
-
-    #: finished report (``trace`` detached), or ``None`` when faulted
-    report: Optional[Any]
-    #: emitted pairs, or ``None`` when the parent only counts
+    #: emitted pairs when the task collects, else ``None``
     pairs: Optional[list[tuple[int, int]]]
     #: structured :func:`fault_to_payload` payload, or ``None``
     fault: Optional[dict[str, Any]]
     #: worker tracer output as JSON lines, or ``None`` when untraced
     trace: Optional[str]
-    #: final buffer-pool gauges of the worker's bench
-    buffer: dict[str, float]
-    #: injected-fault tallies of the worker's bench, or ``None``
-    fault_stats: Optional[dict[str, int]]
+
+
+def _run_kernel(
+    task: Any,
+    kernel: Callable[[Any, Callable[[int, int], None]], int],
+    **span_attributes: object,
+) -> TaskResult:
+    """Run one partition kernel (which returns its false-hit count)
+    into a counting/collecting sink, under a local tracer if traced."""
+    pairs: Optional[list[tuple[int, int]]] = [] if task.collect else None
+    count = 0
+
+    def emit(a_code: int, d_code: int) -> None:
+        nonlocal count
+        count += 1
+        if pairs is not None:
+            pairs.append((a_code, d_code))
+
+    trace: Optional[str] = None
+    if task.traced:
+        tracer = Tracer()
+        with tracer.span(task.label, **span_attributes):
+            false_hits = kernel(task, emit)
+        trace = trace_to_jsonl(tracer)
+    else:
+        false_hits = kernel(task, emit)
+    return TaskResult(count=count, false_hits=false_hits, pairs=pairs, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +142,9 @@ class MemJoinTask:
     ancestor stream when it is ``None`` (the dedup set must see the
     whole stream).
 
-    ``batch_size`` is shipped explicitly because ``spawn`` workers do
-    not inherit the parent's :mod:`repro.core.batch` module state; 0
-    selects the scalar kernel (the differential oracle).
+    ``batch_size`` is shipped explicitly because workers do not share
+    the parent's execution-configuration context; 0 selects the scalar
+    kernel (the differential oracle).
     """
 
     label: str
@@ -143,7 +157,7 @@ class MemJoinTask:
     batch_size: int = batch.DEFAULT_BATCH_SIZE
 
 
-def _memjoin_kernel(task: MemJoinTask, emit: Callable[[int, int], None]) -> None:
+def _memjoin_kernel(task: MemJoinTask, emit: Callable[[int, int], None]) -> int:
     if task.batch_size > 0:
         if task.d_fits:
             batch.region_probe(
@@ -159,7 +173,7 @@ def _memjoin_kernel(task: MemJoinTask, emit: Callable[[int, int], None]) -> None
             batch.height_probe(
                 tables, sorted(tables, reverse=True), task.d_codes, emit
             )
-        return
+        return 0  # Algorithm 6 verifies nothing: no false hits
     region_of = pbitree.region_of
     height_of = pbitree.height_of
     f_ancestor = pbitree.f_ancestor
@@ -192,32 +206,17 @@ def _memjoin_kernel(task: MemJoinTask, emit: Callable[[int, int], None]) -> None
                 anc = f_ancestor(PBiCode(d_code), height)
                 if anc in by_height[height]:
                     emit(anc, d_code)
+    return 0
 
 
 def run_memjoin_task(task: MemJoinTask) -> TaskResult:
     """Execute one VPJ memory-join kernel; pure CPU, no storage."""
-    pairs: Optional[list[tuple[int, int]]] = [] if task.collect else None
-    count = 0
-
-    def emit(a_code: int, d_code: int) -> None:
-        nonlocal count
-        count += 1
-        if pairs is not None:
-            pairs.append((a_code, d_code))
-
-    trace: Optional[str] = None
-    if task.traced:
-        tracer = Tracer()
-        with tracer.span(
-            task.label,
-            a_records=len(task.a_codes),
-            d_records=len(task.d_codes),
-        ):
-            _memjoin_kernel(task, emit)
-        trace = trace_to_jsonl(tracer)
-    else:
-        _memjoin_kernel(task, emit)
-    return TaskResult(count=count, false_hits=0, pairs=pairs, trace=trace)
+    return _run_kernel(
+        task,
+        _memjoin_kernel,
+        a_records=len(task.a_codes),
+        d_records=len(task.d_codes),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,67 +279,19 @@ def _height_probe_kernel(
 
 def run_height_probe_task(task: HeightProbeTask) -> TaskResult:
     """Execute one MHCJ height-class probe; pure CPU, no storage."""
-    pairs: Optional[list[tuple[int, int]]] = [] if task.collect else None
-    count = 0
-
-    def emit(a_code: int, d_code: int) -> None:
-        nonlocal count
-        count += 1
-        if pairs is not None:
-            pairs.append((a_code, d_code))
-
-    trace: Optional[str] = None
-    if task.traced:
-        tracer = Tracer()
-        with tracer.span(
-            task.label,
-            height=task.height,
-            a_records=len(task.a_pairs),
-            d_records=len(task.d_codes),
-        ):
-            false_hits = _height_probe_kernel(task, emit)
-        trace = trace_to_jsonl(tracer)
-    else:
-        false_hits = _height_probe_kernel(task, emit)
-    return TaskResult(count=count, false_hits=false_hits, pairs=pairs, trace=trace)
+    return _run_kernel(
+        task,
+        _height_probe_kernel,
+        height=task.height,
+        a_records=len(task.a_pairs),
+        d_records=len(task.d_codes),
+    )
 
 
 # ---------------------------------------------------------------------------
-# harness: one algorithm's cold line-up run
+# one algorithm, cold, on a worker-private bench (line-up runs and
+# sharded-join slots)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class LineupTask:
-    """One algorithm of a line-up, run cold on a worker-private bench.
-
-    ``faults`` must be a (picklable, frozen) :class:`FaultConfig`, not
-    a live injector: the worker builds a fresh seeded injector from it,
-    so a parallel line-up's fault schedule per algorithm equals a
-    serial run of that algorithm on a fresh bench with the same config.
-    """
-
-    dataset: str
-    algorithm: str
-    a_codes: list[int]
-    d_codes: list[int]
-    tree_height: int
-    buffer_pages: int
-    page_size: int
-    collect: bool
-    faults: Optional[FaultConfig]
-    retry: Optional[RetryPolicy]
-    traced: bool
-    algorithm_workers: int = 1
-    #: the parent's batch size, shipped explicitly (``spawn`` workers
-    #: do not inherit module state); applied to the worker's whole run
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
-    #: the parent's flat-index switch, shipped the same way: on-the-fly
-    #: index builds in the worker must match the parent's serial run
-    flat_index: bool = False
-    #: the parent's view-lifetime sanitizer bit, shipped the same way —
-    #: a sanitized parallel run must sanitize every worker bench too
-    sanitize: bool = False
-
-
 def fault_to_payload(fault: StorageFault) -> dict[str, Any]:
     """Flatten a fault for the trip back to the parent process.
 
@@ -385,96 +336,38 @@ def fault_from_payload(payload: dict[str, Any]) -> StorageFault:
     return fault
 
 
-def run_lineup_task(task: LineupTask) -> LineupTaskResult:
-    """Run one algorithm cold on a fresh workbench (worker side)."""
-    # imported lazily: the harness imports the join operators, which
-    # import this package — a module-level import would be circular
-    from ..experiments.harness import (
-        Workbench,
-        make_algorithm,
-        materialize,
-        run_algorithm,
-    )
-    from ..join.base import JoinSink
-
-    # worker processes start with the module defaults; mirror the
-    # parent's configured batch size, flat-index switch and sanitizer
-    # bit before any operator runs
-    batch.set_batch_size(task.batch_size)
-    flat.set_flat_enabled(task.flat_index)
-    sanitize_module.set_sanitize_enabled(task.sanitize)
-    bench = Workbench.create(
-        task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
-    )
-    ancestors = materialize(
-        bench.bufmgr, task.a_codes, task.tree_height, f"{task.dataset}.A"
-    )
-    descendants = materialize(
-        bench.bufmgr, task.d_codes, task.tree_height, f"{task.dataset}.D"
-    )
-    algorithm = make_algorithm(task.algorithm, workers=task.algorithm_workers)
-    sink = JoinSink("collect" if task.collect else "count")
-    tracer = Tracer() if task.traced else None
-
-    def buffer_gauges() -> dict[str, float]:
-        return {
+def bench_gauges(bench: "Workbench") -> BenchGauges:
+    """Snapshot a bench's buffer-pool and injected-fault tallies."""
+    injector = bench.disk.faults
+    return BenchGauges(
+        buffer={
             "hits": float(bench.bufmgr.hits),
             "misses": float(bench.bufmgr.misses),
             "resident": float(bench.bufmgr.num_resident),
             "pinned": float(bench.bufmgr.num_pinned),
-        }
-
-    def fault_stats() -> Optional[dict[str, int]]:
-        injector = bench.disk.faults
-        if injector is None:
-            return None
-        stats = injector.stats
-        return {
-            "read_errors": stats.read_errors,
-            "write_errors": stats.write_errors,
-            "torn_reads": stats.torn_reads,
-            "latency_events": stats.latency_events,
-            "scheduled_fired": stats.scheduled_fired,
-        }
-
-    try:
-        report = run_algorithm(
-            algorithm, ancestors, descendants, sink, tracer=tracer
-        )
-    except StorageFault as fault:
-        return LineupTaskResult(
-            report=None,
-            fault=fault_to_payload(fault),
-            trace=trace_to_jsonl(tracer) if tracer is not None else None,
-            buffer=buffer_gauges(),
-            fault_stats=fault_stats(),
-        )
-    # the trace is shipped as JSON lines (span objects hold a tracer
-    # reference, which drags the whole workbench into the pickle)
-    report.trace = None
-    return LineupTaskResult(
-        report=report,
-        fault=None,
-        trace=trace_to_jsonl(tracer) if tracer is not None else None,
-        buffer=buffer_gauges(),
-        fault_stats=fault_stats(),
+        },
+        fault_stats=None if injector is None else asdict(injector.stats),
     )
 
 
-# ---------------------------------------------------------------------------
-# sharded joins: one level-l slot, cold, on a worker-private bench
-# ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SlotJoinTask:
-    """One level-``l`` slot of a sharded scatter-gather join.
+    """One cold join: an algorithm of a line-up, or one level-``l`` slot
+    of a sharded scatter-gather join.
 
-    Same contract as :class:`LineupTask` — the worker builds its own
-    complete workbench from the shipped slot codes, mirrors the
-    parent's batch/flat/sanitize switches, and sends structured fault
-    payloads — plus the emitted pairs travel back when ``collect`` is
-    set.  ``label`` feeds heap names and the trace span; it must be
+    The worker builds its own complete workbench from the shipped
+    codes, runs under ``exec`` (the parent's execution configuration,
+    shipped because workers do not share the parent's context), and
+    sends back structured fault payloads plus — when ``collect`` is
+    set — the emitted pairs.  ``label`` feeds heap names and the trace
+    span: the dataset name for a line-up run; for a slot it must be
     derived from the *slot* alone (never the shard or worker), so the
     slot's report is identical however slots are grouped or scheduled.
+
+    ``faults`` must be a (picklable, frozen) :class:`FaultConfig`, not
+    a live injector: the worker builds a fresh seeded injector from it,
+    so a task's fault schedule equals a serial run of that algorithm on
+    a fresh bench with the same config.
     """
 
     label: str
@@ -489,14 +382,13 @@ class SlotJoinTask:
     retry: Optional[RetryPolicy]
     traced: bool
     algorithm_workers: int = 1
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
-    flat_index: bool = False
-    sanitize: bool = False
+    exec: ExecConfig = ExecConfig()
 
 
 def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
-    """Run one slot's join cold on a fresh workbench (worker side)."""
-    # imported lazily for the same circularity reason as run_lineup_task
+    """Run one cold join on a fresh workbench (worker side)."""
+    # imported lazily: the harness imports the join operators, which
+    # import this package — a module-level import would be circular
     from ..experiments.harness import (
         Workbench,
         make_algorithm,
@@ -505,65 +397,38 @@ def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
     )
     from ..join.base import JoinSink
 
-    batch.set_batch_size(task.batch_size)
-    flat.set_flat_enabled(task.flat_index)
-    sanitize_module.set_sanitize_enabled(task.sanitize)
-    bench = Workbench.create(
-        task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
-    )
-    ancestors = materialize(
-        bench.bufmgr, task.a_codes, task.tree_height, f"{task.label}.A"
-    )
-    descendants = materialize(
-        bench.bufmgr, task.d_codes, task.tree_height, f"{task.label}.D"
-    )
-    algorithm = make_algorithm(task.algorithm, workers=task.algorithm_workers)
     sink = JoinSink("collect" if task.collect else "count")
     tracer = Tracer() if task.traced else None
-
-    def buffer_gauges() -> dict[str, float]:
-        return {
-            "hits": float(bench.bufmgr.hits),
-            "misses": float(bench.bufmgr.misses),
-            "resident": float(bench.bufmgr.num_resident),
-            "pinned": float(bench.bufmgr.num_pinned),
-        }
-
-    def fault_stats() -> Optional[dict[str, int]]:
-        injector = bench.disk.faults
-        if injector is None:
-            return None
-        stats = injector.stats
-        return {
-            "read_errors": stats.read_errors,
-            "write_errors": stats.write_errors,
-            "torn_reads": stats.torn_reads,
-            "latency_events": stats.latency_events,
-            "scheduled_fired": stats.scheduled_fired,
-        }
-
-    try:
-        report = run_algorithm(
-            algorithm, ancestors, descendants, sink, tracer=tracer
+    report = None
+    fault: Optional[dict[str, Any]] = None
+    with exec_scope(task.exec):
+        bench = Workbench.create(
+            task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
         )
-    except StorageFault as fault:
-        return SlotTaskResult(
-            report=None,
-            pairs=None,
-            fault=fault_to_payload(fault),
-            trace=trace_to_jsonl(tracer) if tracer is not None else None,
-            buffer=buffer_gauges(),
-            fault_stats=fault_stats(),
+        ancestors = materialize(
+            bench.bufmgr, task.a_codes, task.tree_height, f"{task.label}.A"
         )
-    report.trace = None
+        descendants = materialize(
+            bench.bufmgr, task.d_codes, task.tree_height, f"{task.label}.D"
+        )
+        algorithm = make_algorithm(task.algorithm, workers=task.algorithm_workers)
+        try:
+            report = run_algorithm(
+                algorithm, ancestors, descendants, sink, tracer=tracer
+            )
+        except StorageFault as exc:
+            fault = fault_to_payload(exc)
     pairs: Optional[list[tuple[int, int]]] = None
-    if task.collect:
-        pairs = [(int(a_code), int(d_code)) for a_code, d_code in sink.pairs]
+    if report is not None:
+        # the trace is shipped as JSON lines (span objects hold a tracer
+        # reference, which drags the whole workbench into the pickle)
+        report.trace = None
+        if task.collect:
+            pairs = [(int(a_code), int(d_code)) for a_code, d_code in sink.pairs]
     return SlotTaskResult(
         report=report,
         pairs=pairs,
-        fault=None,
+        fault=fault,
         trace=trace_to_jsonl(tracer) if tracer is not None else None,
-        buffer=buffer_gauges(),
-        fault_stats=fault_stats(),
+        **bench_gauges(bench),
     )

@@ -72,13 +72,12 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
-from ..core import batch as batch_module
+from ..core.execconfig import current
 from ..datatree.paths import PathQuery
 from ..db import ContainmentDatabase, Document
-from ..index import flat as flat_module
 from ..index.bptree import BPlusTree
 from ..index.interval_tree import IntervalTree
 from ..join.base import JoinAlgorithm, JoinReport
@@ -290,8 +289,7 @@ class QueryService:
             document.name,
             path,
             self.db.codec.name,
-            batch_module.batching_enabled(),
-            flat_module.flat_enabled(),
+            current(),
             document.store.version,
             fingerprints,
             cells,
@@ -439,7 +437,7 @@ class QueryService:
                     key,
                     PlanEntry(
                         direction=result.direction,
-                        cells=key[7],
+                        cells=key[-1],
                         estimated_cost=result.estimated_cost,
                     ),
                 )
@@ -489,50 +487,30 @@ class QueryService:
             corpus = self.db.shard_corpus(doc)
             for tag in query.steps:
                 self.db._shard_set(doc, tag)
+            # slot benches are worker-private and run inline (the
+            # service's own thread pool is the concurrency layer — the
+            # library never spawns processes behind the caller)
+            executor = ShardedJoinExecutor(corpus, workers=1)
             single_codes: Optional[list[int]] = None
-            anchor: Optional[SlotInputs] = None
-            descendant_inputs: list[SlotInputs] = []
+            sides: list[SlotInputs] = []
             if len(query.steps) == 1:
                 single_codes = sorted(
                     int(code)
                     for code in doc.store.element_set(query.steps[0]).scan()
                 )
             else:
-                anchor = SlotInputs(
-                    tuple(
-                        tuple(corpus.slot_ancestor_codes(query.steps[0], slot))
-                        for slot in range(corpus.num_slots)
-                    )
-                )
-                descendant_inputs = [
-                    SlotInputs(
-                        tuple(
-                            tuple(corpus.slot_descendant_codes(tag, slot))
-                            for slot in range(corpus.num_slots)
-                        )
-                    )
-                    for tag in query.steps[1:]
+                sides = [
+                    executor.extract(tag, ancestor=index == 0)
+                    for index, tag in enumerate(query.steps)
                 ]
             gate.reader_enter()
 
-        chaos_base: Optional[FaultConfig] = None
-        if self.chaos is not None:
-            chaos_base = FaultConfig(
-                seed=_derived_seed(self.chaos.seed, document, path),
-                read_error_rate=self.chaos.read_error_rate,
-                write_error_rate=self.chaos.write_error_rate,
-                torn_page_rate=self.chaos.torn_page_rate,
-                latency_rate=self.chaos.latency_rate,
-                latency_seconds=self.chaos.latency_seconds,
-            )
+        chaos = self._session_chaos(document, path)
 
         try:
-            # -- execute: slot benches are worker-private; inline here
-            # (the service's own thread pool is the concurrency layer —
-            # the library never spawns processes behind the caller)
+            # -- execute: touches no shared pages at all --------------
             tracer = Tracer()
             reports: list[JoinReport] = []
-            executor = ShardedJoinExecutor(corpus, workers=1)
             try:
                 with tracer.span(
                     "service.query", tenant=tenant, path=path, sharded=True
@@ -540,30 +518,14 @@ class QueryService:
                     if single_codes is not None:
                         codes = single_codes
                     else:
-                        assert anchor is not None
-                        survivors: list[int] = []
-                        current: "SlotInputs | list[int]" = anchor
-                        for step_index, descendants in enumerate(
-                            descendant_inputs, start=1
-                        ):
-                            report, pairs = executor.run(
-                                "MHCJ+Rollup",
-                                current,
-                                descendants,
-                                dataset=f"{document}.step{step_index}",
-                                buffer_pages=self.session_pages,
-                                page_size=self.db.disk.page_size,
-                                collect=True,
-                                faults=chaos_base,
-                                tracer=tracer,
-                            )
-                            reports.append(report)
-                            assert pairs is not None
-                            survivors = sorted(
-                                {d_code for _a_code, d_code in pairs}
-                            )
-                            current = survivors
-                        codes = survivors
+                        reports, codes = executor.run_path(
+                            sides,
+                            document,
+                            buffer_pages=self.session_pages,
+                            page_size=self.db.disk.page_size,
+                            faults=chaos,
+                            tracer=tracer,
+                        )
             except BufferPoolExhaustedError as exc:
                 raise BackpressureRejection(
                     f"slot bench pool exhausted mid-join ({exc.num_pages} "
@@ -590,19 +552,18 @@ class QueryService:
             tracer=tracer,
         )
 
+    def _session_chaos(self, document: str, path: str) -> Optional[FaultConfig]:
+        """The service chaos config re-seeded for one (document, path)."""
+        if self.chaos is None:
+            return None
+        return replace(
+            self.chaos, seed=_derived_seed(self.chaos.seed, document, path)
+        )
+
     def _open_session(self, document: str, path: str) -> BufferManager:
         """A session-private buffer pool over a view of the shared disk."""
-        faults: Optional[FaultInjector] = None
-        if self.chaos is not None:
-            config = FaultConfig(
-                seed=_derived_seed(self.chaos.seed, document, path),
-                read_error_rate=self.chaos.read_error_rate,
-                write_error_rate=self.chaos.write_error_rate,
-                torn_page_rate=self.chaos.torn_page_rate,
-                latency_rate=self.chaos.latency_rate,
-                latency_seconds=self.chaos.latency_seconds,
-            )
-            faults = FaultInjector(config)
+        chaos = self._session_chaos(document, path)
+        faults = FaultInjector(chaos) if chaos is not None else None
         view = self.db.disk.session_view(faults=faults)
         return BufferManager(
             view,

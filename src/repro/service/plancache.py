@@ -13,8 +13,8 @@ al.'s revisit of containment-join selection):
 
 * the document and path;
 * the containment **codec** backing the document;
-* the **batch / flat execution switches** (they change the operators'
-  access patterns, hence the cost picture);
+* the **execution configuration** (batch size and flat indexes change
+  the operators' access patterns, hence the cost picture);
 * the **document-store version** — bumped every time buffered updates
   apply to pages (``DocumentStore.pending_updates`` draining), which is
   exactly when cached statistics go stale;
@@ -39,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..core.execconfig import ExecConfig
 from ..join.planner import SetProperties
 from ..obs.metrics import MetricsRegistry
 from ..storage.elementset import ElementSet
@@ -59,8 +60,7 @@ PlanKey = Tuple[
     str,  # document name
     str,  # path
     str,  # codec name
-    bool,  # batching enabled
-    bool,  # flat indexes enabled
+    ExecConfig,  # execution configuration the plan was made under
     int,  # document-store version
     Tuple[StepFingerprint, ...],
     Tuple[str, ...],  # per-step Table-1 cells

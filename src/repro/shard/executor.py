@@ -38,17 +38,13 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
+from ..core.execconfig import ExecConfig, current
 from ..join.base import JoinReport
 from ..obs.tracer import Tracer
-from ..parallel.pool import WorkerPool
-from ..parallel.tasks import (
-    SlotJoinTask,
-    SlotTaskResult,
-    fault_from_payload,
-    run_slot_join_task,
-)
+from ..parallel.fanout import run_cold_joins
+from ..parallel.tasks import BenchGauges, SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from ..storage.stats import IOSnapshot
 from .corpus import ShardedCorpus
@@ -91,17 +87,6 @@ def slot_fault_config(
     return replace(base, seed=zlib.crc32(token.encode("utf-8")))
 
 
-def _sum_io(snapshots: Sequence[IOSnapshot]) -> IOSnapshot:
-    return IOSnapshot(
-        reads=sum(s.reads for s in snapshots),
-        writes=sum(s.writes for s in snapshots),
-        random_reads=sum(s.random_reads for s in snapshots),
-        allocations=sum(s.allocations for s in snapshots),
-        retries=sum(s.retries for s in snapshots),
-        giveups=sum(s.giveups for s in snapshots),
-    )
-
-
 class ShardedJoinExecutor:
     """Scatter-gather any line-up join algorithm over corpus slots."""
 
@@ -116,6 +101,9 @@ class ShardedJoinExecutor:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.parallel_mode = parallel_mode
+        #: bench gauges of the most recent run's slots, in slot order
+        #: (what a caller folds into line-up-level buffer/fault metrics)
+        self.slot_benches: Sequence[BenchGauges] = ()
 
     # ------------------------------------------------------------------
     def _side_inputs(self, side: SideInput, ancestor: bool) -> list[list[int]]:
@@ -149,6 +137,14 @@ class ShardedJoinExecutor:
             ]
         return owned
 
+    def extract(self, tag: str, ancestor: bool) -> SlotInputs:
+        """Pre-extract one registered set's per-slot inputs (this reads
+        slot files through the shard pools — call it where those may be
+        touched, e.g. the service's prepare phase)."""
+        return SlotInputs(
+            tuple(tuple(codes) for codes in self._side_inputs(tag, ancestor))
+        )
+
     def run(
         self,
         algorithm: str,
@@ -162,23 +158,18 @@ class ShardedJoinExecutor:
         retry: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         algorithm_workers: int = 1,
-        batch_size: Optional[int] = None,
-        flat_index: Optional[bool] = None,
-        sanitize: Optional[bool] = None,
+        exec: Optional[ExecConfig] = None,
     ) -> tuple[JoinReport, Optional[list[tuple[int, int]]]]:
         """Run ``algorithm`` shard-parallel; returns (merged report, pairs).
 
         ``pairs`` is the gathered result set when ``collect`` is set
-        (concatenated in slot order), else ``None``.  Every switch
-        defaults to the parent's current module state, mirroring the
-        line-up harness.
+        (concatenated in slot order), else ``None``.  ``exec`` defaults
+        to the caller's current execution configuration, mirroring the
+        line-up harness; every slot bench runs under it.
         """
         # imported lazily: the harness imports the join operators,
         # which import repro.parallel — same cycle as parallel.tasks
-        from ..core import batch
         from ..experiments.harness import make_algorithm
-        from ..index import flat
-        from ..storage import sanitize as sanitize_module
 
         if isinstance(faults, FaultInjector):
             raise ValueError(
@@ -187,117 +178,98 @@ class ShardedJoinExecutor:
                 "fresh injector from a slot-derived seed)"
             )
         make_algorithm(algorithm)  # reject unknown names before spawning
-        if batch_size is None:
-            batch_size = batch.get_batch_size()
-        if flat_index is None:
-            flat_index = flat.flat_enabled()
-        if sanitize is None:
-            sanitize = sanitize_module.sanitize_enabled()
 
         corpus = self.corpus
         a_slots = self._side_inputs(ancestors, ancestor=True)
         d_slots = self._side_inputs(descendants, ancestor=False)
+        prefix = f"{dataset}." if dataset else ""
         traced = tracer is not None and tracer.enabled
+        cfg = current() if exec is None else exec
         started = time.perf_counter()
-        tasks: list[SlotJoinTask] = []
-        for slot in range(corpus.num_slots):
-            if not a_slots[slot] or not d_slots[slot]:
-                continue  # an empty side joins to nothing; purge (VPJ-style)
-            tasks.append(
-                SlotJoinTask(
-                    label=f"{dataset}.slot{slot:03d}" if dataset
-                    else f"slot{slot:03d}",
-                    algorithm=algorithm,
-                    a_codes=a_slots[slot],
-                    d_codes=d_slots[slot],
-                    tree_height=corpus.tree_height,
-                    buffer_pages=buffer_pages,
-                    page_size=page_size,
-                    collect=collect,
-                    faults=slot_fault_config(faults, dataset, algorithm, slot),
-                    retry=retry,
-                    traced=traced,
-                    algorithm_workers=algorithm_workers,
-                    batch_size=batch_size,
-                    flat_index=flat_index,
-                    sanitize=sanitize,
-                )
+        tasks = [
+            SlotJoinTask(
+                label=f"{prefix}slot{slot:03d}",
+                algorithm=algorithm,
+                a_codes=a_slots[slot],
+                d_codes=d_slots[slot],
+                tree_height=corpus.tree_height,
+                buffer_pages=buffer_pages,
+                page_size=page_size,
+                collect=collect,
+                faults=slot_fault_config(faults, dataset, algorithm, slot),
+                retry=retry,
+                traced=traced,
+                algorithm_workers=algorithm_workers,
+                exec=cfg,
             )
-
-        pool = WorkerPool(self.workers, mode=self.parallel_mode)
-        try:
-            futures = [
-                (task, pool.submit(run_slot_join_task, task)) for task in tasks
-            ]
-            payloads = [
-                pool.resolve(future, run_slot_join_task, task)
-                for task, future in futures
-            ]
-        finally:
-            pool.close()
-
-        return self._merge(
-            algorithm, tasks, payloads, collect, tracer, traced,
-            time.perf_counter() - started,
+            for slot in range(corpus.num_slots)
+            # an empty side joins to nothing; purge (VPJ-style)
+            if a_slots[slot] and d_slots[slot]
+        ]
+        payloads = run_cold_joins(
+            tasks,
+            self.workers,
+            self.parallel_mode,
+            tracer,
+            "shard.fanout",
+            slots=len(tasks),
+            total_slots=corpus.num_slots,
+            level=corpus.map.level,
         )
-
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        algorithm: str,
-        tasks: "list[SlotJoinTask]",
-        payloads: "list[SlotTaskResult]",
-        collect: bool,
-        tracer: Optional[Tracer],
-        traced: bool,
-        elapsed: float,
-    ) -> tuple[JoinReport, Optional[list[tuple[int, int]]]]:
-        """Fold slot payloads deterministically, in slot order."""
-        from ..obs.export import spans_from_jsonl
-
-        reports: list[JoinReport] = []
-        pairs: Optional[list[tuple[int, int]]] = [] if collect else None
-        fan_span = None
-        if traced and tracer is not None:
-            fan_span = tracer.span(
-                "shard.fanout",
-                slots=len(tasks),
-                total_slots=self.corpus.num_slots,
-                level=self.corpus.map.level,
-            )
-            fan_span.__enter__()
-        try:
-            for _task, payload in zip(tasks, payloads):
-                fault = payload["fault"]
-                if fault is not None:
-                    raise fault_from_payload(fault)
-                report = payload["report"]
-                assert isinstance(report, JoinReport)
-                trace_lines = payload["trace"]
-                if trace_lines and fan_span is not None:
-                    fan_span.children.extend(spans_from_jsonl(trace_lines))
-                reports.append(report)
-                if pairs is not None:
-                    task_pairs = payload["pairs"]
-                    assert task_pairs is not None
-                    pairs.extend(task_pairs)
-        finally:
-            if fan_span is not None:
-                fan_span.__exit__(None, None, None)
-
+        self.slot_benches = [
+            BenchGauges(buffer=p["buffer"], fault_stats=p["fault_stats"])
+            for p in payloads
+        ]
+        reports: list[JoinReport] = [payload["report"] for payload in payloads]
         merged = JoinReport(
             algorithm=algorithm,
             result_count=sum(r.result_count for r in reports),
-            prep_io=_sum_io([r.prep_io for r in reports]),
-            join_io=_sum_io([r.join_io for r in reports]),
+            prep_io=sum((r.prep_io for r in reports), IOSnapshot()),
+            join_io=sum((r.join_io for r in reports), IOSnapshot()),
             false_hits=sum(r.false_hits for r in reports),
-            wall_seconds=elapsed,
+            wall_seconds=time.perf_counter() - started,
             partitions=sum(r.partitions for r in reports),
             notes=(
                 f"shard scatter-gather: {len(tasks)} active of "
-                f"{self.corpus.num_slots} level-{self.corpus.map.level} slots"
+                f"{corpus.num_slots} level-{corpus.map.level} slots"
             ),
             buffer_hits=sum(r.buffer_hits for r in reports),
             buffer_misses=sum(r.buffer_misses for r in reports),
         )
+        pairs: Optional[list[tuple[int, int]]] = None
+        if collect:
+            pairs = [pair for payload in payloads for pair in payload["pairs"]]
         return merged, pairs
+
+    def run_path(
+        self,
+        sides: Sequence[SideInput],
+        dataset: str,
+        **run_options: Any,
+    ) -> tuple[list[JoinReport], list[int]]:
+        """Evaluate a descendant chain top-down, one sharded join per step.
+
+        ``sides[0]`` joins ``sides[1]``; each later step joins the
+        previous step's surviving descendants (scattered transiently)
+        against the next side.  Returns the per-step merged reports and
+        the final survivors, sorted.  ``run_options`` are forwarded to
+        :meth:`run` (pool sizing, faults, tracer).
+        """
+        if len(sides) < 2:
+            raise ValueError("a path needs an anchor and at least one step")
+        reports: list[JoinReport] = []
+        survivors: list[int] = []
+        ancestors: SideInput = sides[0]
+        for step_index, descendants in enumerate(sides[1:], start=1):
+            report, pairs = self.run(
+                "MHCJ+Rollup",
+                ancestors,
+                descendants,
+                dataset=f"{dataset}.step{step_index}",
+                collect=True,
+                **run_options,
+            )
+            reports.append(report)
+            assert pairs is not None
+            ancestors = survivors = sorted({d for _a, d in pairs})
+        return reports, survivors

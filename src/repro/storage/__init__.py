@@ -29,8 +29,6 @@ from .sanitize import (
     ViewRegistry,
     ViewSanitizerError,
     sanitize_enabled,
-    sanitize_scope,
-    set_sanitize_enabled,
 )
 from .stats import IOSnapshot, IOStats
 
@@ -70,8 +68,6 @@ __all__ = [
     "LiveViewAtEvictError",
     "ViewRegistry",
     "sanitize_enabled",
-    "set_sanitize_enabled",
-    "sanitize_scope",
     "IOStats",
     "IOSnapshot",
 ]

@@ -34,10 +34,10 @@ static side is :mod:`repro.analysis.view_escape`):
   loud garbage instead of codes that happen to join.
 
 The mode is off by default and adds one predicate call per unpin when
-off.  Enable it with ``REPRO_SANITIZE=1``, :func:`set_sanitize_enabled`
-or the :func:`sanitize_scope` context manager (the switch trio mirrors
-:mod:`repro.core.batch` / :mod:`repro.index.flat`; spawn workers do not
-inherit module state, so parallel tasks carry the bit explicitly).
+off.  It is the ``sanitize`` value of the execution configuration
+(:mod:`repro.core.execconfig`): enable it with ``REPRO_SANITIZE=1`` or
+``exec_scope(sanitize=True)``; parallel tasks carry the configuration
+explicitly, so worker benches are sanitized too.
 Sanitized runs do no extra disk I/O, so ``JoinReport`` accounting stays
 field-for-field identical to unsanitized runs — the differential
 oracles (scalar-vs-batched, pointer-vs-flat) run unchanged under it.
@@ -50,10 +50,10 @@ fault-tolerance layer.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
+
+from ..core.execconfig import current
 
 __all__ = [
     "POISON_BYTE",
@@ -62,8 +62,6 @@ __all__ = [
     "LiveViewAtEvictError",
     "ViewRegistry",
     "sanitize_enabled",
-    "set_sanitize_enabled",
-    "sanitize_scope",
     "borrowed",
     "check_unpin_to_zero",
     "check_evict",
@@ -119,75 +117,9 @@ class LiveViewAtEvictError(ViewSanitizerError):
         self.labels = tuple(labels)
 
 
-# ---------------------------------------------------------------------------
-# the mode switch (mirrors repro.core.batch / repro.index.flat)
-# ---------------------------------------------------------------------------
-# Two layers, same as the batch-size and flat-index switches: a
-# process-wide *default* (set at startup from the environment or via
-# :func:`set_sanitize_enabled`) and a :class:`~contextvars.ContextVar`
-# *override* that only :func:`sanitize_scope` writes.  Each thread and
-# asyncio task carries its own context, so one tenant's sanitized scope
-# never flips another in-flight query's mode.
-_sanitize_default = False
-
-_sanitize_var: ContextVar[Optional[bool]] = ContextVar(
-    "repro_sanitize_enabled", default=None
-)
-
-
-def _env_sanitize_enabled() -> Optional[bool]:
-    raw = os.environ.get("REPRO_SANITIZE", "").strip().lower()
-    if not raw:
-        return None
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    return None
-
-
-_env_override = _env_sanitize_enabled()
-if _env_override is not None:
-    _sanitize_default = _env_override
-
-
 def sanitize_enabled() -> bool:
-    """Whether the view-lifetime sanitizer is active (default off).
-
-    A live :func:`sanitize_scope` override in the current context wins;
-    otherwise the process-wide default applies.
-    """
-    override = _sanitize_var.get()
-    if override is not None:
-        return override
-    return _sanitize_default
-
-
-def set_sanitize_enabled(enabled: bool) -> None:
-    """Set the process-wide sanitizer default (startup configuration).
-
-    Per-context overrides from :func:`sanitize_scope` are unaffected.
-    Worker processes under the ``spawn`` start method do not inherit
-    this module state — parallel tasks carry the flag as an explicit
-    field instead (see :mod:`repro.parallel.tasks`).
-    """
-    global _sanitize_default
-    _sanitize_default = bool(enabled)
-
-
-@contextmanager
-def sanitize_scope(enabled: bool) -> Iterator[None]:
-    """Pin the sanitizer switch for the current context only.
-
-    The override is context-local: threads and asyncio tasks running
-    concurrently keep their own setting (or the process default), so a
-    sanitized query can share the process with unsanitized ones.
-    """
-    token = _sanitize_var.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _sanitize_var.reset(token)
+    """Whether the view-lifetime sanitizer is active (default off)."""
+    return current().sanitize
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,16 @@ class IOSnapshot:
     def sequential_reads(self) -> int:
         return self.reads - self.random_reads
 
+    def __add__(self, other: "IOSnapshot") -> "IOSnapshot":
+        return IOSnapshot(
+            reads=self.reads + other.reads,
+            writes=self.writes + other.writes,
+            random_reads=self.random_reads + other.random_reads,
+            allocations=self.allocations + other.allocations,
+            retries=self.retries + other.retries,
+            giveups=self.giveups + other.giveups,
+        )
+
     def __sub__(self, other: "IOSnapshot") -> "IOSnapshot":
         return IOSnapshot(
             reads=self.reads - other.reads,

@@ -12,7 +12,6 @@ the height-62 root of a maximal tree) ride along in every random array
 so the 63-bit packing tricks are exercised at their edges.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -26,14 +25,14 @@ from repro import (
     FaultInjector,
     JoinSink,
     RetryPolicy,
-    binarize,
-    random_tree,
 )
 from repro.core import batch, pbitree as pt
-from repro.experiments.harness import make_lineup, run_lineup
-from repro.storage import sanitize
+from repro.core.execconfig import ExecConfig, exec_scope
+from repro.experiments.harness import run_lineup
 from repro.join.cursor import SetCursor
 from repro.storage.record import CODE, MAX_CODE_BITS, PAIR, RecordCodec
+
+from .differential import lineup_inputs
 
 MAX_CODE = (1 << MAX_CODE_BITS) - 1
 
@@ -260,7 +259,7 @@ class TestBatchedCursor:
             elements = ElementSet.from_codes(bufmgr, codes, 62, "F")
             bufmgr.flush_all()
             bufmgr.evict_all()
-            with batch.batch_scope(batch_size):
+            with exec_scope(batch_size=batch_size):
                 cursor = SetCursor(elements)
                 out = []
                 while True:
@@ -287,7 +286,7 @@ class TestFrameRecycling:
         # Buffer recycling only exists with the view sanitizer off:
         # under REPRO_SANITIZE=1 evicted buffers are poisoned and
         # retired instead of reused, so pin the mode explicitly.
-        with sanitize.sanitize_scope(False):
+        with exec_scope(sanitize=False):
             disk = DiskManager(page_size=64)
             bufmgr = BufferManager(disk, 2)
             pages = []
@@ -331,53 +330,8 @@ class TestFrameRecycling:
 # ----------------------------------------------------------------------
 # end-to-end: JoinReports are field-for-field identical
 # ----------------------------------------------------------------------
-def normalize(report):
-    return dataclasses.replace(report, wall_seconds=0.0, trace=None)
-
-
-def lineup_inputs(single_height):
-    tree = random_tree(300, max_fanout=5, seed=23)
-    encoding = binarize(tree)
-    rng = random.Random(9)
-    a_codes = rng.sample(tree.codes, 160)
-    d_codes = rng.sample(tree.codes, 200)
-    if single_height:
-        heights = batch.heights(a_codes)
-        modal = max(set(heights), key=heights.count)
-        a_codes = [c for c in a_codes if pt.height_of(c) == modal]
-    return a_codes, d_codes, encoding.tree_height
-
-
+# (the whole-line-up report equality lives in tests/test_exec_matrix.py)
 class TestLineupDifferential:
-    @pytest.mark.parametrize("single_height", [True, False])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_scalar_and_batched_reports_identical(
-        self, single_height, workers
-    ):
-        a_codes, d_codes, tree_height = lineup_inputs(single_height)
-        runs = {}
-        for batch_size in (0, batch.DEFAULT_BATCH_SIZE):
-            lineup = run_lineup(
-                "diff",
-                a_codes,
-                d_codes,
-                tree_height,
-                buffer_pages=8,
-                page_size=128,
-                algorithms=make_lineup(single_height),
-                collect=True,
-                workers=workers,
-                batch_size=batch_size,
-            )
-            runs[batch_size] = lineup
-        scalar, batched = runs[0], runs[batch.DEFAULT_BATCH_SIZE]
-        assert batched.result_count == scalar.result_count
-        for s_result, b_result in zip(scalar.results, batched.results):
-            assert b_result.name == s_result.name
-            assert normalize(b_result.report) == normalize(s_result.report), (
-                f"{s_result.name} diverges between scalar and batched runs"
-            )
-
     def test_result_pairs_identical_in_order(self):
         """Emit *order*, not just the multiset, matches the scalar run."""
         a_codes, d_codes, tree_height = lineup_inputs(False)
@@ -396,7 +350,7 @@ class TestLineupDifferential:
         ):
             pairs = {}
             for batch_size in (0, batch.DEFAULT_BATCH_SIZE):
-                with batch.batch_scope(batch_size):
+                with exec_scope(batch_size=batch_size):
                     elements_a = make_set(a_codes, tree_height, name="A")
                     elements_d = ElementSet.from_codes(
                         elements_a.heap.bufmgr, d_codes, tree_height, "D"
@@ -413,9 +367,9 @@ class TestLineupDifferential:
 class TestBatchSwitch:
     def test_scope_nesting_restores(self):
         outer = batch.get_batch_size()
-        with batch.batch_scope(0):
+        with exec_scope(batch_size=0):
             assert not batch.batching_enabled()
-            with batch.batch_scope(64):
+            with exec_scope(batch_size=64):
                 assert batch.get_batch_size() == 64
             assert batch.get_batch_size() == 0
         assert batch.get_batch_size() == outer
@@ -434,6 +388,6 @@ class TestBatchSwitch:
             page_size=128,
             algorithms=("STACKTREE",),
             metrics=metrics,
-            batch_size=256,
+            exec=ExecConfig(batch_size=256),
         )
         assert metrics.gauge("batch.size").value == 256.0

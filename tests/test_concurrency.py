@@ -6,11 +6,11 @@ Each class pins one fix:
   histograms were plain ``+=`` read-modify-write; N threads hammering
   one registry must produce *exact* totals, not approximately-right
   ones that pass on a lucky interleaving.
-* :class:`TestScopeIsolation` — ``batch_scope`` / ``flat_scope`` /
-  ``sanitize_scope`` used to mutate module globals, so one thread's
-  scope leaked into every other thread mid-query.  They are
-  contextvars now: two threads holding *opposing* scopes must each see
-  their own value, and the process default must survive both.
+* :class:`TestScopeIsolation` — the execution switches used to be
+  module globals, so one thread's scope leaked into every other thread
+  mid-query.  ``exec_scope`` is a contextvar: two threads holding
+  *opposing* configurations must each see their own, and the process
+  default must survive both.
 * :class:`TestStaleGuardAtomicity` — retire/probe had a TOCTOU: a
   probe could pass ``_check_fresh`` and then read pre-update answers
   after a concurrent ``mark_stale``.  Check-and-probe is now one
@@ -25,14 +25,15 @@ import threading
 
 import pytest
 
-from repro.core.batch import batch_scope, get_batch_size
+from repro.core.batch import get_batch_size
+from repro.core.execconfig import ExecConfig, current, exec_scope
 from repro.index.bptree import BPlusTree
-from repro.index.flat import FlatStartIndex, flat_enabled, flat_scope
+from repro.index.flat import FlatStartIndex, flat_enabled
 from repro.index.staleness import StaleGuard, StaleIndexError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskManager
-from repro.storage.sanitize import sanitize_enabled, sanitize_scope
+from repro.storage.sanitize import sanitize_enabled
 
 THREADS = 8
 ROUNDS = 2_000
@@ -124,78 +125,43 @@ class TestMetricsHammer:
 
 
 class TestScopeIsolation:
-    def test_opposing_batch_scopes(self):
-        default = get_batch_size()
+    def test_opposing_scopes(self):
+        default = current()
+        low_cfg = ExecConfig(batch_size=1, flat_index=True, sanitize=True)
+        high_cfg = ExecConfig(batch_size=512, flat_index=False, sanitize=False)
         barrier = threading.Barrier(2)
         observed = {}
 
-        def low():
-            with batch_scope(1):
-                barrier.wait()  # both threads are now inside their scope
-                observed["low"] = get_batch_size()
-                barrier.wait()
+        def hold(key, cfg):
+            def body():
+                with exec_scope(cfg):
+                    barrier.wait()  # both threads are now inside their scope
+                    observed[key] = (
+                        current(),
+                        get_batch_size(),
+                        flat_enabled(),
+                        sanitize_enabled(),
+                    )
+                    barrier.wait()
 
-        def high():
-            with batch_scope(512):
-                barrier.wait()
-                observed["high"] = get_batch_size()
-                barrier.wait()
+            return body
 
-        run_threads([low, high])
-        assert observed == {"low": 1, "high": 512}
-        assert get_batch_size() == default
-
-    def test_opposing_flat_scopes(self):
-        default = flat_enabled()
-        barrier = threading.Barrier(2)
-        observed = {}
-
-        def on():
-            with flat_scope(True):
-                barrier.wait()
-                observed["on"] = flat_enabled()
-                barrier.wait()
-
-        def off():
-            with flat_scope(False):
-                barrier.wait()
-                observed["off"] = flat_enabled()
-                barrier.wait()
-
-        run_threads([on, off])
-        assert observed == {"on": True, "off": False}
-        assert flat_enabled() == default
-
-    def test_opposing_sanitize_scopes(self):
-        default = sanitize_enabled()
-        barrier = threading.Barrier(2)
-        observed = {}
-
-        def on():
-            with sanitize_scope(True):
-                barrier.wait()
-                observed["on"] = sanitize_enabled()
-                barrier.wait()
-
-        def off():
-            with sanitize_scope(False):
-                barrier.wait()
-                observed["off"] = sanitize_enabled()
-                barrier.wait()
-
-        run_threads([on, off])
-        assert observed == {"on": True, "off": False}
-        assert sanitize_enabled() == default
+        run_threads([hold("low", low_cfg), hold("high", high_cfg)])
+        assert observed == {
+            "low": (low_cfg, 1, True, True),
+            "high": (high_cfg, 512, False, False),
+        }
+        assert current() == default
 
     def test_scope_does_not_leak_to_spawned_default(self):
         # a thread started *outside* any scope sees the process default
-        default = get_batch_size()
+        default = current()
         observed = {}
 
         def probe():
-            observed["value"] = get_batch_size()
+            observed["value"] = current()
 
-        with batch_scope(3):
+        with exec_scope(batch_size=3, sanitize=not default.sanitize):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()

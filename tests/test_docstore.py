@@ -7,11 +7,12 @@ import pytest
 
 from repro.core import pbitree as pt
 from repro.core.codec import NestedIntervalCodec, PBiTreeCodec
+from repro.core.execconfig import exec_scope
 from repro.datatree.builder import random_tree, tree_from_spec
 from repro.experiments.harness import run_lineup
 from repro.index import StaleIndexError
 from repro.index.bptree import BPlusTree
-from repro.index.flat import FlatStartIndex, flat_scope
+from repro.index.flat import FlatStartIndex
 from repro.obs import MetricsRegistry
 from repro.storage import (
     BufferManager,
@@ -201,7 +202,7 @@ class TestIndexMaintenance:
 
     def test_flat_start_index_retired_on_any_update(self):
         tree, encoding, store = make_store(PBiTreeCodec())
-        with flat_scope(True):
+        with exec_scope(flat_index=True):
             index = store.start_index("a")
             assert isinstance(index, FlatStartIndex)
             encoding.insert_child(tree.root, "a")

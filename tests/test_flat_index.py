@@ -11,8 +11,8 @@ pins the contract from both directions:
   order as the pointer index over hypothesis-generated corpora;
 * **accounting** — INLJN runs and whole Figure 6(b) line-ups produce
   field-for-field identical :class:`JoinReport` objects (I/O counters,
-  buffer hits/misses, result counts) with flat indexes on or off,
-  serially and with ``workers=2``;
+  buffer hits/misses, result counts) with flat indexes on or off (the
+  line-up half lives in tests/test_exec_matrix.py);
 * **faults** — chaos-seed transient read faults replay identically
   through flat probes (retries absorbed, results unchanged);
 * **discipline** — flat probes leave nothing pinned, even when a lazy
@@ -20,7 +20,6 @@ pins the contract from both directions:
   violations in the module's source.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -33,17 +32,10 @@ from repro import (
     FaultInjector,
     JoinSink,
     RetryPolicy,
-    binarize,
-    random_tree,
 )
-from repro.core import batch, pbitree as pt
-from repro.experiments.harness import (
-    Workbench,
-    make_lineup,
-    materialize,
-    run_algorithm,
-    run_lineup,
-)
+from repro.core import pbitree as pt
+from repro.core.execconfig import exec_scope
+from repro.experiments.harness import Workbench, materialize, run_algorithm
 from repro.index import flat
 from repro.index.bptree import BPlusTree
 from repro.index.flat import FlatIntervalTree, FlatStartIndex
@@ -54,6 +46,8 @@ from repro.join.inljn import (
     build_start_index,
 )
 from repro.storage.record import MAX_CODE_BITS
+
+from .differential import assert_reports_equal, lineup_inputs
 
 MAX_CODE = (1 << MAX_CODE_BITS) - 1
 
@@ -102,36 +96,24 @@ class TestSwitch:
         assert flat.flat_enabled() is False
 
     def test_scope_nesting_restores(self):
-        with flat.flat_scope(True):
+        with exec_scope(flat_index=True):
             assert flat.flat_enabled() is True
-            with flat.flat_scope(False):
+            with exec_scope(flat_index=False):
                 assert flat.flat_enabled() is False
             assert flat.flat_enabled() is True
         assert flat.flat_enabled() is False
 
     def test_scope_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with flat.flat_scope(True):
+            with exec_scope(flat_index=True):
                 raise RuntimeError("boom")
         assert flat.flat_enabled() is False
-
-    @pytest.mark.parametrize(
-        ("raw", "expected"),
-        [
-            ("1", True), ("true", True), ("ON", True), ("yes", True),
-            ("0", False), ("false", False), ("off", False), ("No", False),
-            ("", None), ("maybe", None),
-        ],
-    )
-    def test_env_parsing(self, raw, expected, monkeypatch):
-        monkeypatch.setenv("REPRO_FLAT_INDEX", raw)
-        assert flat._env_flat_enabled() is expected
 
     def test_builders_follow_switch(self):
         bufmgr = make_bufmgr()
         wb = Workbench.create(16, 256)
         elements = materialize(wb.bufmgr, [1, 2, 3], 62, "E")
-        with flat.flat_scope(True):
+        with exec_scope(flat_index=True):
             assert isinstance(
                 build_start_index(elements, wb.bufmgr, "s"), FlatStartIndex
             )
@@ -139,7 +121,7 @@ class TestSwitch:
                 build_interval_index(elements, wb.bufmgr, "i"),
                 FlatIntervalTree,
             )
-        with flat.flat_scope(False):
+        with exec_scope(flat_index=False):
             d_index = build_start_index(elements, wb.bufmgr, "s2")
             a_index = build_interval_index(elements, wb.bufmgr, "i2")
             assert type(d_index) is BPlusTree
@@ -254,24 +236,11 @@ class TestFlatIntervalTreeDifferential:
 # ----------------------------------------------------------------------
 # INLJN reports are field-for-field identical
 # ----------------------------------------------------------------------
-def normalize(report):
-    return dataclasses.replace(report, wall_seconds=0.0, trace=None)
-
-
-def corpus_codes():
-    tree = random_tree(300, max_fanout=5, seed=23)
-    encoding = binarize(tree)
-    rng = random.Random(9)
-    a_codes = rng.sample(tree.codes, 160)
-    d_codes = rng.sample(tree.codes, 200)
-    return a_codes, d_codes, encoding.tree_height
-
-
 class TestINLJNDifferential:
     @pytest.mark.parametrize("force_outer", ["A", "D"])
     @pytest.mark.parametrize("batch_size", [0, 1024])
     def test_reports_identical(self, force_outer, batch_size):
-        a_codes, d_codes, tree_height = corpus_codes()
+        a_codes, d_codes, tree_height = lineup_inputs()
         reports = {}
         pairs = {}
         for enabled in (False, True):
@@ -279,7 +248,7 @@ class TestINLJNDifferential:
             ancestors = materialize(wb.bufmgr, a_codes, tree_height, "A")
             descendants = materialize(wb.bufmgr, d_codes, tree_height, "D")
             sink = JoinSink("collect")
-            with batch.batch_scope(batch_size), flat.flat_scope(enabled):
+            with exec_scope(batch_size=batch_size, flat_index=enabled):
                 reports[enabled] = run_algorithm(
                     IndexNestedLoopJoin(force_outer=force_outer),
                     ancestors,
@@ -288,38 +257,8 @@ class TestINLJNDifferential:
                 )
             pairs[enabled] = sink.pairs
             assert wb.bufmgr.num_pinned == 0
-        assert normalize(reports[True]) == normalize(reports[False])
+        assert_reports_equal(reports[True], reports[False])
         assert pairs[True] == pairs[False]
-
-
-# ----------------------------------------------------------------------
-# whole line-up, serial and parallel
-# ----------------------------------------------------------------------
-class TestLineupDifferential:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_flat_lineup_reports_identical(self, workers):
-        a_codes, d_codes, tree_height = corpus_codes()
-        runs = {}
-        for enabled in (False, True):
-            runs[enabled] = run_lineup(
-                "flatdiff",
-                a_codes,
-                d_codes,
-                tree_height,
-                buffer_pages=8,
-                page_size=128,
-                algorithms=make_lineup(False),
-                collect=True,
-                workers=workers,
-                flat_index=enabled,
-            )
-        oracle, flatrun = runs[False], runs[True]
-        assert flatrun.result_count == oracle.result_count
-        for o_result, f_result in zip(oracle.results, flatrun.results):
-            assert f_result.name == o_result.name
-            assert normalize(f_result.report) == normalize(o_result.report), (
-                f"{o_result.name} diverges between pointer and flat runs"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +267,7 @@ class TestLineupDifferential:
 class TestFaultReplay:
     @pytest.mark.parametrize("force_outer", ["A", "D"])
     def test_flat_probes_absorb_transient_faults(self, force_outer):
-        a_codes, d_codes, tree_height = corpus_codes()
+        a_codes, d_codes, tree_height = lineup_inputs()
 
         def run(enabled, faults):
             # a whole join reads far more pages than the cursor-scan
@@ -340,7 +279,7 @@ class TestFaultReplay:
             ancestors = materialize(wb.bufmgr, a_codes, tree_height, "A")
             descendants = materialize(wb.bufmgr, d_codes, tree_height, "D")
             sink = JoinSink("collect")
-            with batch.batch_scope(1024), flat.flat_scope(enabled):
+            with exec_scope(batch_size=1024, flat_index=enabled):
                 report = run_algorithm(
                     IndexNestedLoopJoin(force_outer=force_outer),
                     ancestors,

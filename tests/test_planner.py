@@ -26,7 +26,7 @@ from repro import (
     random_tree,
 )
 from repro.core import pbitree as pt
-from repro.index import flat
+from repro.core.execconfig import exec_scope
 from repro.join.inljn import build_interval_index, build_start_index
 from repro.workloads import synthetic as syn
 
@@ -252,9 +252,9 @@ class TestFlatIndexPlanning:
         d_codes = rng.sample(tree.codes, 100)
         return make_sets(a_codes, d_codes, encoding.tree_height, frames=32)
 
-    def test_flat_scope_builds_flat_and_planner_probes_it(self):
+    def test_flat_config_builds_flat_and_planner_probes_it(self):
         a_set, d_set = self.fixtures()
-        with flat.flat_scope(True):
+        with exec_scope(flat_index=True):
             d_index = build_start_index(d_set, d_set.bufmgr)
         assert isinstance(d_index, FlatStartIndex)
         algorithm = choose_algorithm(
@@ -266,7 +266,7 @@ class TestFlatIndexPlanning:
 
     def test_flat_stab_index_pins_outer_to_d(self):
         a_set, d_set = self.fixtures()
-        with flat.flat_scope(True):
+        with exec_scope(flat_index=True):
             a_index = build_interval_index(a_set, a_set.bufmgr)
         assert isinstance(a_index, FlatIntervalTree)
         algorithm = choose_algorithm(
@@ -278,7 +278,7 @@ class TestFlatIndexPlanning:
 
     def test_switch_off_builds_the_pointer_oracle(self):
         a_set, d_set = self.fixtures()
-        with flat.flat_scope(False):
+        with exec_scope(flat_index=False):
             d_index = build_start_index(d_set, d_set.bufmgr)
             a_index = build_interval_index(a_set, a_set.bufmgr)
         assert not isinstance(d_index, FlatStartIndex)
@@ -289,7 +289,7 @@ class TestFlatIndexPlanning:
         planner must take the unindexed cell, not an INLJN that would
         rebuild indexes inside the operator."""
         a_set, d_set = self.fixtures()
-        with flat.flat_scope(True):
+        with exec_scope(flat_index=True):
             a_start = build_start_index(a_set, a_set.bufmgr)
             d_stab = build_interval_index(d_set, d_set.bufmgr)
         algorithm = choose_algorithm(
@@ -309,7 +309,7 @@ class TestFlatIndexPlanning:
         d_codes = rng.sample(tree.codes, 120)
         a_set, d_set = make_sets(a_codes, d_codes, encoding.tree_height,
                                  frames=32)
-        with flat.flat_scope(True):
+        with exec_scope(flat_index=True):
             d_index = build_start_index(d_set, d_set.bufmgr)
         algorithm = choose_algorithm(
             a_set, d_set, SetProperties(), SetProperties(start_index=d_index)

@@ -9,19 +9,16 @@ pins both directions of the contract:
   build silently survives the same leak reading recycled bytes — the
   exact bug class the sanitizer exists for);
 * every green path is unaffected: clean scans raise nothing, poisoning
-  never fires while pins are held, and sanitized ``run_lineup`` output
-  is field-for-field identical to unsanitized output.
+  never fires while pins are held (that sanitized ``run_lineup`` output
+  is field-for-field identical to unsanitized output is pinned by
+  tests/test_exec_matrix.py).
 """
-
-import dataclasses
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import BufferManager, DiskManager, ElementSet
-from repro.experiments.harness import make_lineup, run_lineup
-from repro.obs.metrics import MetricsRegistry
+from repro.core.execconfig import exec_scope
 from repro.storage import page as page_layout
 from repro.storage import sanitize
 from repro.storage.heapfile import HeapFile
@@ -108,24 +105,12 @@ class TestViewRegistry:
 class TestSwitch:
     def test_scope_restores_previous_state(self):
         before = sanitize.sanitize_enabled()
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             assert sanitize.sanitize_enabled()
-            with sanitize.sanitize_scope(False):
+            with exec_scope(sanitize=False):
                 assert not sanitize.sanitize_enabled()
             assert sanitize.sanitize_enabled()
         assert sanitize.sanitize_enabled() == before
-
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [
-            ("1", True), ("true", True), ("ON", True), ("yes", True),
-            ("0", False), ("false", False), ("off", False), ("no", False),
-            ("", None), ("maybe", None),
-        ],
-    )
-    def test_env_parse(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_SANITIZE", raw)
-        assert sanitize._env_sanitize_enabled() is expected
 
     def test_errors_are_not_storage_faults(self):
         from repro.storage.faults import StorageFault
@@ -140,7 +125,7 @@ class TestSwitch:
 # ----------------------------------------------------------------------
 class TestDeclaredBorrows:
     def test_unpin_to_zero_with_live_borrow_raises(self):
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 2)
             frame = bufmgr.new_page()
             bufmgr.views.register(frame.page_id, "stray-borrow")
@@ -150,7 +135,7 @@ class TestDeclaredBorrows:
             assert "stray-borrow" in excinfo.value.labels
 
     def test_nested_pin_tolerates_borrow_until_last_unpin(self):
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 2)
             frame = bufmgr.new_page()
             bufmgr.pin(frame.page_id)  # second pin
@@ -167,7 +152,7 @@ class TestDeclaredBorrows:
         # the frame buffer: it survives the exporter's release, but the
         # buffer probe refuses to retire the frame under it.
         bufmgr, heap = build_heap(3, 2)
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             kept = []
             with pytest.raises(LiveViewAtEvictError):
                 for fields in heap.scan_page_arrays():
@@ -182,7 +167,7 @@ class TestLeakedViewDetection:
     @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_leaked_view_raises_on_eviction(self, policy):
         bufmgr, heap = build_heap(5, 2, policy=policy)
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             view = leak_view(bufmgr, heap, 0)
             with pytest.raises(LiveViewAtEvictError) as excinfo:
                 churn(bufmgr, heap, skip_index=0)
@@ -204,7 +189,7 @@ class TestLeakedViewDetection:
             pool_size = num_pages - 1
         leak_index %= num_pages
         bufmgr, heap = build_heap(num_pages, pool_size, policy=policy)
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             view = leak_view(bufmgr, heap, leak_index)
             with pytest.raises(LiveViewAtEvictError):
                 churn(bufmgr, heap, skip_index=leak_index)
@@ -215,7 +200,7 @@ class TestLeakedViewDetection:
         # sanitizer the same leak raises nothing — the view survives
         # and reads another page's codes out of the recycled buffer.
         bufmgr, heap = build_heap(5, 2)
-        with sanitize.sanitize_scope(False):
+        with exec_scope(sanitize=False):
             view = leak_view(bufmgr, heap, 0)
             original = list(view)
             assert original[0] == 1
@@ -233,7 +218,7 @@ class TestLeakedViewDetection:
 
     def test_sanitized_view_is_revoked_on_generator_resume(self):
         bufmgr, heap = build_heap(3, 2)
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             leaked = None
             for fields in heap.scan_page_arrays():
                 if leaked is None:
@@ -248,7 +233,7 @@ class TestLeakedViewDetection:
 # ----------------------------------------------------------------------
 class TestPoisoning:
     def test_retired_buffer_is_poisoned(self):
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 2)
             frame = bufmgr.new_page()
             frame.data[:] = bytes([7]) * PAGE_SIZE
@@ -258,7 +243,7 @@ class TestPoisoning:
             assert set(alias) == {POISON_BYTE}
 
     def test_recycle_path_poisons_and_never_reuses(self):
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             bufmgr, heap = build_heap(4, 2)
             bufmgr.pin(heap.page_ids[0])
             alias = bufmgr._frames[heap.page_ids[0]].data
@@ -277,7 +262,7 @@ class TestPoisoning:
         # A clean sanitized scan: every page decodes to its true codes,
         # nothing ever reads poison, and the pool drains without error.
         bufmgr, heap = build_heap(4, 2)
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             seen = []
             for fields in heap.scan_page_arrays():
                 seen.extend(fields)
@@ -285,7 +270,7 @@ class TestPoisoning:
             bufmgr.evict_all()
 
     def test_poison_noop_when_disabled(self):
-        with sanitize.sanitize_scope(False):
+        with exec_scope(sanitize=False):
             data = bytearray(b"\x01" * 8)
             sanitize.poison(data)
             assert data == b"\x01" * 8
@@ -298,7 +283,7 @@ class TestCopyEscapeHatch:
     @pytest.mark.parametrize("enabled", [False, True])
     def test_copied_pages_outlive_the_scan(self, enabled):
         bufmgr, heap = build_heap(4, 2)
-        with sanitize.sanitize_scope(enabled):
+        with exec_scope(sanitize=enabled):
             pages = list(heap.scan_page_arrays(copy=True))
             bufmgr.evict_all()  # no live views: clean drain
             flat = [value for fields in pages for value in fields]
@@ -308,70 +293,8 @@ class TestCopyEscapeHatch:
         bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 3)
         codes = [(1 << 40) + 2 * i + 1 for i in range(3 * CAPACITY)]
         elements = ElementSet.from_codes(bufmgr, codes, 62, "T")
-        with sanitize.sanitize_scope(True):
+        with exec_scope(sanitize=True):
             pages = list(elements.scan_code_arrays(copy=True))
             bufmgr.flush_all()
             bufmgr.evict_all()
             assert [c for page in pages for c in page] == codes
-
-
-# ----------------------------------------------------------------------
-# end-to-end: sanitized runs are observationally identical
-# ----------------------------------------------------------------------
-def normalize(report):
-    return dataclasses.replace(report, wall_seconds=0.0, trace=None)
-
-
-def lineup_inputs():
-    from repro import binarize, random_tree
-
-    tree = random_tree(240, max_fanout=5, seed=31)
-    encoding = binarize(tree)
-    rng = random.Random(17)
-    a_codes = rng.sample(tree.codes, 120)
-    d_codes = rng.sample(tree.codes, 150)
-    return a_codes, d_codes, encoding.tree_height
-
-
-class TestLineupEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sanitized_reports_field_for_field_identical(self, workers):
-        a_codes, d_codes, tree_height = lineup_inputs()
-        runs = {}
-        for sanitized in (False, True):
-            runs[sanitized] = run_lineup(
-                "sanitize-diff",
-                a_codes,
-                d_codes,
-                tree_height,
-                buffer_pages=8,
-                page_size=128,
-                algorithms=make_lineup(False),
-                collect=True,
-                workers=workers,
-                sanitize=sanitized,
-            )
-        plain, sanitized = runs[False], runs[True]
-        assert sanitized.result_count == plain.result_count
-        for p_result, s_result in zip(plain.results, sanitized.results):
-            assert s_result.name == p_result.name
-            assert normalize(s_result.report) == normalize(p_result.report), (
-                f"{p_result.name} diverges under the sanitizer"
-            )
-
-    def test_sanitize_gauge_recorded(self):
-        a_codes, d_codes, tree_height = lineup_inputs()
-        for sanitized, expected in ((False, 0.0), (True, 1.0)):
-            metrics = MetricsRegistry()
-            run_lineup(
-                "gauge",
-                a_codes,
-                d_codes,
-                tree_height,
-                buffer_pages=8,
-                page_size=128,
-                algorithms=make_lineup(False)[:1],
-                metrics=metrics,
-                sanitize=sanitized,
-            )
-            assert metrics.as_dict()["sanitize.enabled"] == expected

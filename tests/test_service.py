@@ -27,7 +27,6 @@ Coverage map:
   rejects tenant names that could forge metric keys.
 """
 
-import dataclasses
 import os
 import threading
 
@@ -51,6 +50,8 @@ from repro.service import (
 from repro.service.plancache import table1_cell
 from repro.storage.faults import FaultConfig
 
+from .differential import normalize
+
 #: chaos seed rotates in CI like the fault-injection suite's
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -69,11 +70,6 @@ def make_db(metrics=None, checksums=False, nodes=800, seed=7):
 def counter_value(metrics, name):
     metric = metrics.get(name)
     return metric.value if metric is not None else 0
-
-
-def normalize(report):
-    """Strip the only fields legitimately run-dependent."""
-    return dataclasses.replace(report, wall_seconds=0.0, trace=None)
 
 
 def run_threads(targets):

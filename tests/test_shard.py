@@ -15,7 +15,6 @@ slot), routing-table unit coverage, save/load round-trips, and the
 database/service integration points.
 """
 
-import dataclasses
 import os
 
 import pytest
@@ -38,16 +37,13 @@ from repro.shard.executor import slot_fault_config
 from repro.storage.faults import FaultConfig
 from repro.workloads.synthetic import generate, spec_by_name
 
+from .differential import assert_lineups_equal, assert_reports_equal, normalize
+
 #: chaos seed rotates in CI like the fault-injection suite's
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 #: the Figure 6(b) line-up names (multi-height datasets)
 LINEUP = ["INLJN", "STACKTREE", "ADB+", "MHCJ+Rollup", "VPJ"]
-
-
-def normalize(report):
-    """Strip the only field legitimately run-dependent."""
-    return dataclasses.replace(report, wall_seconds=0.0, trace=None)
 
 
 def dataset(name="MSSL", large=1500, small=300, seed=0):
@@ -330,7 +326,7 @@ class TestExecutor:
             dataset="x",
             collect=True,
         )
-        assert normalize(by_codes) == normalize(by_tag)
+        assert_reports_equal(by_codes, by_tag)
         assert pairs_codes == pairs_tag
 
     def test_slot_inputs_preextracted(self):
@@ -353,7 +349,7 @@ class TestExecutor:
         )
         via_tags, _ = executor.run("VPJ", "A", "D", dataset="x")
         via_inputs, _ = executor.run("VPJ", anchors, descendants, dataset="x")
-        assert normalize(via_inputs) == normalize(via_tags)
+        assert_reports_equal(via_inputs, via_tags)
         with pytest.raises(ValueError, match="SlotInputs covers"):
             executor.run("VPJ", SlotInputs(((1,),)), "D")
 
@@ -428,6 +424,4 @@ class TestShardedHarnessOnXml:
         four = run_lineup(
             "doc", a_codes, d_codes, encoding.tree_height, shards=4, **kwargs
         )
-        assert one.result_count == four.result_count
-        for r_one, r_four in zip(one.results, four.results):
-            assert normalize(r_one.report) == normalize(r_four.report)
+        assert_lineups_equal(four, one)
