@@ -1,8 +1,9 @@
 """Table 1: the algorithm-selection matrix of the framework.
 
-Runs the planner over the four (indexed?, sorted?) input combinations
-and verifies each cell picks the algorithm the paper prescribes; each
-cell's plan is also executed and must produce the same result.
+Runs :func:`repro.join.planner.plan` over the four (indexed?, sorted?)
+input combinations and verifies each cell picks the algorithm the paper
+prescribes; each cell's plan is also executed, must produce the same
+result, and is tabulated with its predicted and measured page I/O.
 """
 
 import pytest
@@ -10,17 +11,16 @@ import pytest
 from repro import (
     AncDesBPlusJoin,
     IndexNestedLoopJoin,
-    JoinSink,
     SetProperties,
     SingleHeightJoin,
     StackTreeDescJoin,
     VerticalPartitionJoin,
-    choose_algorithm,
 )
-from repro.experiments.harness import Workbench, materialize
+from repro.experiments.harness import Workbench, materialize, run_algorithm
 from repro.experiments.report import format_table
 from repro.join.inljn import build_start_index
 from repro.join.mhcj import MultiHeightRollupJoin
+from repro.join.planner import plan
 from repro.workloads import synthetic as syn
 
 from .common import SEED, save_result
@@ -65,23 +65,23 @@ def test_planner_cell(benchmark, label, indexed, sorted_, expected):
         sorted=sorted_, start_index=env["d_index"] if indexed else None
     )
 
-    algorithm = choose_algorithm(env["a_set"], env["d_set"], a_props, d_props)
-    assert isinstance(algorithm, expected), label
-
     a_input = env["a_set"]
     d_input = env["d_set"]
     if sorted_:
         a_input = a_input.sorted_copy()
         d_input = d_input.sorted_copy()
+    chosen = plan(a_input, d_input, a_props, d_props)
+    algorithm = chosen.instantiate()
+    assert isinstance(algorithm, expected), label
 
-    def run():
-        sink = JoinSink("count")
-        algorithm.run(a_input, d_input, sink)
-        return sink.count
-
-    count = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert count == env["ds"].num_results
-    ROWS.append([label, type(algorithm).__name__, count])
+    report = benchmark.pedantic(
+        run_algorithm, (algorithm, a_input, d_input), rounds=1, iterations=1
+    )
+    assert report.result_count == env["ds"].num_results
+    ROWS.append(
+        [label, chosen.cell, chosen.algorithm_name,
+         round(chosen.estimate.total), report.total_pages, report.result_count]
+    )
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -91,7 +91,8 @@ def emit_table():
         save_result(
             "table1_planner_matrix",
             format_table(
-                ["inputs", "chosen algorithm", "#results"],
+                ["inputs", "cell", "chosen", "predicted io", "measured io",
+                 "#results"],
                 ROWS,
                 title="Table 1: containment-join algorithm selection",
             ),

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""The extended toolkit: cost-based planning and in-place updates.
+"""The extended toolkit: EXPLAIN and in-place updates.
 
 Demonstrates the two Section-6 "future work" directions this library
 implements beyond the paper's evaluated core:
 
-1. the **cost-based optimizer** — EXPLAIN-style ranking of all
-   candidate join algorithms from PBiTree statistics;
+1. **EXPLAIN** — the plan ``db.query`` follows for each join step:
+   Table 1's cell, the cost model's ranking of the candidates inside
+   it, and every other algorithm's estimate with why it was not
+   considered;
 2. **updates through virtual nodes** — inserting new publications into
    a live document without rebuilding the coding, then re-running the
    same query.
@@ -16,7 +18,7 @@ from repro.workloads import dblp
 
 
 def main() -> None:
-    db = ContainmentDatabase(buffer_pages=32, optimizer="cost")
+    db = ContainmentDatabase(buffer_pages=32)
     tree = dblp.generate_tree(num_publications=3000, seed=11)
     doc = db.load_tree(tree, name="dblp")
     print(f"loaded {doc}: {len(tree):,} nodes\n")

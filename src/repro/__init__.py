@@ -44,7 +44,6 @@ from .join.shcj import SingleHeightJoin
 from .join.stacktree import StackTreeAncJoin, StackTreeDescJoin
 from .core.update import UpdatableEncoding
 from .db import ContainmentDatabase
-from .join.optimizer import CostBasedOptimizer
 from .join.spatial import RTreeProbeJoin, SynchronizedRTreeJoin
 from .join.statistics import SetStatistics, estimate_join_cardinality
 from .join.vpj import VerticalPartitionJoin
@@ -114,7 +113,6 @@ __all__ = [
     "exec_scope",
     "UpdatableEncoding",
     "ContainmentDatabase",
-    "CostBasedOptimizer",
     "RTreeProbeJoin",
     "SynchronizedRTreeJoin",
     "SetStatistics",

@@ -4,7 +4,7 @@ Commands:
 
 * ``encode FILE.xml`` — parse + binarize, print the code table;
 * ``query FILE.xml //a//b`` — evaluate a path query, print matches;
-* ``explain FILE.xml //a//b`` — print the cost-based plan ranking;
+* ``explain FILE.xml //a//b`` — print the plan of every join step;
 * ``stats FILE.xml`` — document and coding-space statistics;
 * ``save FILE.xml IMAGE`` — encode and persist element sets to a
   disk image;
@@ -129,7 +129,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry() if args.metrics_out else None
     db = ContainmentDatabase(
         buffer_pages=args.buffer_pages,
-        optimizer="cost" if args.cost_based else "rule",
         faults=faults,
         tracer=tracer,
         metrics=metrics,
@@ -558,7 +557,6 @@ def main(argv: list[str] | None = None) -> int:
     qry.add_argument("file")
     qry.add_argument("path")
     qry.add_argument("--buffer-pages", type=int, default=64)
-    qry.add_argument("--cost-based", action="store_true")
     qry.add_argument(
         "--fault-seed", type=int, default=0,
         help="seed for the storage fault injector",
@@ -577,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     qry.set_defaults(func=cmd_query)
 
-    exp = sub.add_parser("explain", help="rank the candidate join plans")
+    exp = sub.add_parser("explain", help="show the plan of every join step")
     exp.add_argument("file")
     exp.add_argument("path")
     exp.add_argument("--buffer-pages", type=int, default=64)

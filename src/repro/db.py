@@ -6,7 +6,8 @@ planner and join operators together by hand:
 
 * load XML text or a pre-built :class:`DataTree`;
 * run descendant-axis path queries (``//a//b//c``) as chains of
-  containment joins, planned rule-based (Table 1) or cost-based;
+  containment joins, each step planned by :mod:`repro.join.planner`
+  (Table 1 picks the cell, the cost model picks inside it);
 * create persistent indexes (B+-tree / interval tree / R-tree) that the
   planner then exploits;
 * apply updates (insert/delete elements) through the configured
@@ -40,8 +41,7 @@ from .index.bptree import BPlusTree
 from .index.interval_tree import IntervalTree
 from .index.rtree import RTree
 from .join.base import JoinReport
-from .join.optimizer import CostBasedOptimizer
-from .join.planner import PBiTreeJoinFramework, SetProperties
+from .join.planner import SetProperties, choose_algorithm, explain
 from .join.spatial import build_point_rtree
 from .obs.metrics import MetricsRegistry
 from .obs.tracer import NULL_TRACER, Tracer
@@ -104,7 +104,6 @@ class ContainmentDatabase:
         page_size: int = 1024,
         buffer_pages: int = 64,
         policy: str = "lru",
-        optimizer: str = "rule",
         faults: "FaultInjector | FaultConfig | None" = None,
         retry: Optional[RetryPolicy] = None,
         checksums: Optional[bool] = None,
@@ -114,11 +113,7 @@ class ContainmentDatabase:
         shards: int = 0,
         shard_level: Optional[int] = None,
     ) -> None:
-        """``optimizer`` selects the default planning mode: ``"rule"``
-        (the paper's Table 1) or ``"cost"`` (the Section 6 cost-based
-        optimizer).
-
-        ``codec`` selects the containment encoding backend used by
+        """``codec`` selects the containment encoding backend used by
         :meth:`load_tree` — a registry name
         (:func:`~repro.core.codec.available_codecs`) or a codec
         instance; every join algorithm runs unchanged on any backend.
@@ -144,8 +139,6 @@ class ContainmentDatabase:
         :func:`repro.experiments.harness.run_lineup` or the service
         tier for shard-parallel execution.
         """
-        if optimizer not in ("rule", "cost"):
-            raise ValueError(f"unknown optimizer mode {optimizer!r}")
         if isinstance(faults, FaultConfig):
             faults = FaultInjector(faults)
         if checksums is None:
@@ -157,10 +150,7 @@ class ContainmentDatabase:
         self.metrics = metrics
         if metrics is not None:
             metrics.attach_disk(self.disk)
-        self.optimizer_mode = optimizer
         self.codec = get_codec(codec) if isinstance(codec, str) else codec
-        self._framework = PBiTreeJoinFramework()
-        self._cost_optimizer = CostBasedOptimizer()
         self._documents: dict[str, Document] = {}
         self._rtree_indexes: dict[tuple[str, str], RTree] = {}
         if shards < 0:
@@ -242,17 +232,23 @@ class ContainmentDatabase:
             )
         return self._rtree_indexes[key]
 
-    def _properties(self, document: Document, tag: str) -> SetProperties:
-        elements = self.element_set(document, tag)
-        single = None
-        if elements.known_heights and len(elements.known_heights) == 1:
-            single = next(iter(elements.known_heights))
-        return SetProperties(
-            sorted=False,
-            start_index=document.store.peek_start_index(tag),
-            interval_index=document.store.peek_interval_index(tag),
-            single_height=single,
-        )
+    def step_inputs(
+        self, document: Document, tags: list[str]
+    ) -> tuple[list[ElementSet], list[SetProperties]]:
+        """The element set of each tag and what the planner may know
+        about it: its metadata plus whichever persistent indexes exist
+        right now (peeked, never built)."""
+        store = document.store
+        steps = [store.element_set(tag) for tag in tags]
+        props = [
+            SetProperties.of(
+                step,
+                store.peek_start_index(tag),
+                store.peek_interval_index(tag),
+            )
+            for tag, step in zip(tags, steps)
+        ]
+        return steps, props
 
     # ------------------------------------------------------------------
     # sharded layout
@@ -354,29 +350,14 @@ class ContainmentDatabase:
             # explicit bottom-up request falls through to the
             # single-engine pipeline
             return self._query_sharded(document, path)
-        query = PathQuery(path)
-        steps = [self.element_set(document, tag) for tag in query.steps]
+        steps, props = self.step_inputs(document, PathQuery(path).steps)
         if len(steps) == 1:
             codes = sorted(steps[0].scan())
             nodes = self._decode(document, codes)
             return QueryResult(nodes=nodes)
 
-        tags = dict(zip((id(s) for s in steps), query.steps))
-
-        def factory(ancestors: ElementSet, descendants: ElementSet):
-            return self._plan(
-                document,
-                ancestors,
-                tags.get(id(ancestors)),
-                descendants,
-                tags.get(id(descendants)),
-            )
-
         pipeline = PathPipeline(
-            self.bufmgr,
-            algorithm_factory=factory,
-            direction=direction,
-            tracer=self.tracer,
+            self.bufmgr, props, direction=direction, tracer=self.tracer
         )
         with self.tracer.span("query", path=path):
             result = pipeline.execute(steps)
@@ -412,7 +393,7 @@ class ContainmentDatabase:
                 self.bufmgr, d_codes, document.tree_height, "xq.D"
             )
             sink = JoinSink("collect")
-            algorithm = self._plan(document, a_set, None, d_set, None)
+            algorithm = choose_algorithm(a_set, d_set)
             report = algorithm.run(a_set, d_set, sink, tracer=self.tracer)
             reports.append(report)
             if self.metrics is not None:
@@ -435,35 +416,36 @@ class ContainmentDatabase:
                 out.append(document.tree.node(node))
         return out
 
-    def _plan(self, document, ancestors, anc_tag, descendants, desc_tag):
-        if self.optimizer_mode == "cost":
-            algorithm, _plan = self._cost_optimizer.choose(ancestors, descendants)
-            return algorithm
-        a_props = (
-            self._properties(document, anc_tag)
-            if anc_tag is not None
-            else SetProperties()
-        )
-        d_props = (
-            self._properties(document, desc_tag)
-            if desc_tag is not None
-            else SetProperties()
-        )
-        return self._framework.plan(ancestors, descendants, a_props, d_props)
-
     def explain(self, document: Document, path: str) -> str:
-        """Ranked cost-based plans for every step of a path query."""
-        query = PathQuery(path)
+        """The plan of every step of a path, listed top-down.
+
+        Each step is planned over its two *base* sets exactly as
+        :meth:`query` plans a join of those two sets (same properties,
+        same pool, no I/O) and rendered by
+        :func:`repro.join.planner.explain`.  Only the first join a query
+        runs sees two base sets: step 1 when it runs top-down, the last
+        step listed when :meth:`query` (``direction=None``) estimates
+        bottom-up to be cheaper.  Every later join takes a shrunken
+        intermediate on one side and is re-planned at run time from its
+        metadata (fewer pages, maybe a single height, no index), so it
+        can run a different plan than the one listed; those steps are
+        marked.
+        """
+        tags = PathQuery(path).steps
+        sides = list(zip(tags, *self.step_inputs(document, tags)))
         chunks = []
-        for anc_tag, desc_tag in zip(query.steps, query.steps[1:]):
-            ancestors = self.element_set(document, anc_tag)
-            descendants = self.element_set(document, desc_tag)
-            plans = self._cost_optimizer.explain(ancestors, descendants)
+        for (a_tag, a_set, a_props), (d_tag, d_set, d_props) in zip(
+            sides, sides[1:]
+        ):
+            note = " (base sets; re-planned at run time)" if chunks else ""
             chunks.append(
-                f"step //{anc_tag} <| //{desc_tag}:\n"
-                + CostBasedOptimizer.format_explain(plans)
+                f"step //{a_tag} <| //{d_tag}{note}: "
+                + explain(a_set, d_set, a_props, d_props)
             )
-        return "\n\n".join(chunks)
+        return (
+            "top-down order; a bottom-up run starts from the last step\n"
+            + "\n\n".join(chunks)
+        )
 
     # ------------------------------------------------------------------
     # updates

@@ -27,13 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 from ..core.execconfig import ExecConfig, current, exec_scope
-from ..join.ancdes_b import AncDesBPlusJoin
 from ..join.base import JoinAlgorithm, JoinReport, JoinSink
-from ..join.inljn import IndexNestedLoopJoin
-from ..join.mhcj import MultiHeightRollupJoin
-from ..join.shcj import SingleHeightJoin
-from ..join.stacktree import StackTreeDescJoin
-from ..join.vpj import VerticalPartitionJoin
+from ..join.planner import PARALLEL_ALGORITHMS, make_algorithm
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
@@ -59,35 +54,6 @@ __all__ = [
 
 #: factory list for the region-code side of every comparison
 REGION_ALGORITHMS = ("INLJN", "STACKTREE", "ADB+")
-
-
-#: algorithms that can fan partition tasks out over a worker pool
-PARALLEL_ALGORITHMS = ("MHCJ+Rollup", "VPJ")
-
-
-def make_algorithm(name: str, workers: int = 1) -> JoinAlgorithm:
-    """Instantiate an algorithm by its paper name.
-
-    ``workers`` is forwarded to the partitioned algorithms that can fan
-    independent partition tasks out over a worker pool
-    (:data:`PARALLEL_ALGORITHMS`); the other operators have no
-    independent partitions and ignore it.
-    """
-    factories = {
-        "INLJN": IndexNestedLoopJoin,
-        "STACKTREE": StackTreeDescJoin,
-        "ADB+": AncDesBPlusJoin,
-        "SHCJ": SingleHeightJoin,
-        "MHCJ+Rollup": MultiHeightRollupJoin,
-        "VPJ": VerticalPartitionJoin,
-    }
-    try:
-        factory = factories[name]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {name!r}") from None
-    if workers > 1 and name in PARALLEL_ALGORITHMS:
-        return factory(workers=workers)
-    return factory()
 
 
 def make_lineup(single_height: bool) -> list[str]:
@@ -286,7 +252,8 @@ def run_lineup(
     injection then requires a picklable :class:`FaultConfig`, not a
     live injector — each worker seeds a fresh one from it).
     ``algorithm_workers`` is instead forwarded to the partitioned
-    operators themselves (see :func:`make_algorithm`); the two scopes
+    operators themselves (see :func:`~repro.join.planner.
+    make_algorithm`); the two scopes
     compose but are usually used one at a time.
 
     ``exec`` pins the execution configuration (batch size, flat

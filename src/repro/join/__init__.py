@@ -13,11 +13,18 @@ from .proximity import common_ancestor_join, sibling_pairs, window_join
 from .mhcj import MultiHeightJoin, MultiHeightRollupJoin, choose_rollup_height
 from .mpmgjn import MPMGJoin
 from .nested_loop import BlockNestedLoopJoin
-from .planner import PBiTreeJoinFramework, SetProperties, choose_algorithm
+from .planner import (
+    PBiTreeJoinFramework,
+    Plan,
+    SetProperties,
+    choose_algorithm,
+    explain,
+    make_algorithm,
+    plan,
+)
 from .shcj import SingleHeightJoin, single_height_of
 from .stacktree import StackTreeAncJoin, StackTreeDescJoin
 from .costmodel import CostEstimate, CostInputs, CostModel
-from .optimizer import CostBasedOptimizer, Plan
 from .spatial import RTreeProbeJoin, SynchronizedRTreeJoin, build_point_rtree
 from .statistics import SetStatistics, estimate_join_cardinality
 from .vpj import VerticalPartitionJoin, memory_containment_join
@@ -53,6 +60,10 @@ __all__ = [
     "PBiTreeJoinFramework",
     "SetProperties",
     "choose_algorithm",
+    "plan",
+    "explain",
+    "Plan",
+    "make_algorithm",
     "RTreeProbeJoin",
     "SynchronizedRTreeJoin",
     "build_point_rtree",
@@ -61,6 +72,4 @@ __all__ = [
     "CostModel",
     "CostInputs",
     "CostEstimate",
-    "CostBasedOptimizer",
-    "Plan",
 ]

@@ -7,12 +7,14 @@ index-based ones, ``3(||A|| + ||D||)`` for the partitioning joins with
 a Grace/partition pass, and ``||A|| + ||D||`` when one input fits the
 pool.  Section 6 names "a cost-based query optimizer ... using a more
 precise disk access model" as future work; this module provides that
-model (including an optional random-I/O penalty) and the optimizer in
-:mod:`repro.join.optimizer` uses it.
+model and :mod:`repro.join.planner` ranks the candidates of a Table-1
+cell with it.
 
-All costs are *page transfers*; they intentionally mirror what the
-measured ``JoinReport.total_pages`` counts, and a benchmark validates
-the predicted-vs-measured ordering.
+Every input is a scalar the caller can read off set metadata without
+touching a page, so an estimate never costs I/O.  All costs are *page
+transfers*; they intentionally mirror what the measured
+``JoinReport.total_pages`` counts, and a benchmark validates the
+predicted-vs-measured ordering.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from ..sort.external_sort import merge_cost_estimate
-from .statistics import SetStatistics, estimate_join_cardinality
 
 __all__ = ["CostInputs", "CostModel", "CostEstimate"]
 
@@ -33,21 +34,17 @@ class CostInputs:
     a_pages: int
     d_pages: int
     buffer_pages: int
-    a_stats: SetStatistics
-    d_stats: SetStatistics
+    a_count: int
+    d_count: int
+    #: pages A occupies as rollup's ``(effective, original)`` pair
+    #: records (:func:`repro.join.mhcj.rolled_pair_pages`)
+    a_pair_pages: int
+    #: distinct node heights among the ancestors
+    a_heights: int = 1
     a_sorted: bool = False
     d_sorted: bool = False
     a_indexed: bool = False
     d_indexed: bool = False
-    records_per_page: int = 127
-
-    @property
-    def a_count(self) -> int:
-        return self.a_stats.count
-
-    @property
-    def d_count(self) -> int:
-        return self.d_stats.count
 
 
 @dataclass(frozen=True)
@@ -55,23 +52,14 @@ class CostEstimate:
     algorithm: str
     prep_pages: float
     join_pages: float
-    random_pages: float = 0.0
 
     @property
     def total(self) -> float:
         return self.prep_pages + self.join_pages
 
-    def weighted(self, random_penalty: float = 1.0) -> float:
-        return self.total + (random_penalty - 1.0) * self.random_pages
-
 
 class CostModel:
     """Per-algorithm page-I/O estimates (Sections 3.1-3.4)."""
-
-    def __init__(self, random_penalty: float = 1.0) -> None:
-        if random_penalty < 1.0:
-            raise ValueError("random I/O cannot be cheaper than sequential")
-        self.random_penalty = random_penalty
 
     # -- shared helpers ---------------------------------------------------
     @staticmethod
@@ -84,6 +72,15 @@ class CostModel:
             return 1
         return max(1, math.ceil(math.log(count, fanout)))
 
+    @staticmethod
+    def _partition_rounds(build_pages: int, budget: int) -> int:
+        """Partitioning passes until a ``build_pages`` side fits the
+        pool: each pass is one read+write of both inputs and shrinks a
+        bucket ``budget``-fold."""
+        if budget <= 1:
+            return 1
+        return max(1, math.ceil(math.log(build_pages / budget, budget)))
+
     # -- algorithms --------------------------------------------------------
     def stack_tree(self, inputs: CostInputs) -> CostEstimate:
         prep = self._sort_cost(
@@ -94,7 +91,7 @@ class CostModel:
     def mpmgjn(self, inputs: CostInputs) -> CostEstimate:
         base = self.stack_tree(inputs)
         # re-scanning of descendant segments: grows with ancestor nesting
-        nesting = max(1, inputs.a_stats.num_heights)
+        nesting = max(1, inputs.a_heights)
         rescan = (nesting - 1) * 0.5 * inputs.d_pages
         return CostEstimate("MPMGJN", base.prep_pages, base.join_pages + rescan)
 
@@ -116,8 +113,7 @@ class CostModel:
             inner_indexed=inputs.a_indexed,
             buffer_pages=inputs.buffer_pages,
         )
-        best = min(a_outer, d_outer, key=lambda e: e.weighted(self.random_penalty))
-        return CostEstimate("INLJN", best.prep_pages, best.join_pages, best.random_pages)
+        return min(a_outer, d_outer, key=lambda e: e.total)
 
     def _inljn_one_direction(
         self, outer_pages, outer_count, inner_pages, inner_count,
@@ -131,9 +127,7 @@ class CostModel:
         probes = outer_count * height
         # a warm pool absorbs upper index levels: charge a fraction
         effective = probes * max(0.1, 1.0 - buffer_pages / max(1, inner_pages))
-        return CostEstimate(
-            "INLJN", prep, outer_pages + effective, random_pages=effective
-        )
+        return CostEstimate("INLJN", prep, outer_pages + effective)
 
     def adb(self, inputs: CostInputs) -> CostEstimate:
         prep = 0.0
@@ -145,22 +139,20 @@ class CostModel:
             prep += merge_cost_estimate(
                 inputs.d_pages, inputs.buffer_pages
             ) + inputs.d_pages
-        # leaf scans bounded by a full pass; skips only help below that
-        selectivity = estimate_join_cardinality(inputs.a_stats, inputs.d_stats)
-        dense = min(1.0, selectivity / max(1, inputs.d_count) + 0.25)
-        join = dense * (inputs.a_pages + inputs.d_pages)
-        return CostEstimate("ADB+", prep, join)
+        # leaf scans are bounded by a full pass; how far skipping gets
+        # below that depends on a selectivity set metadata does not carry
+        return CostEstimate("ADB+", prep, inputs.a_pages + inputs.d_pages)
 
     def shcj(self, inputs: CostInputs) -> CostEstimate:
-        return self._equijoin_cost("SHCJ", inputs, partitions=1, pair_records=False)
+        return self._equijoin_cost("SHCJ", inputs, inputs.a_pages)
 
     def mhcj(self, inputs: CostInputs) -> CostEstimate:
         """MHCJ always pays the height-partitioning pass over A (pair
         records double its width), then one SHCJ per height class —
         roughly the paper's ``5||A|| + 3k||D||`` with the in-memory
         shortcut per class."""
-        k = max(1, inputs.a_stats.num_heights)
-        pair_pages = 2 * inputs.a_pages
+        k = max(1, inputs.a_heights)
+        pair_pages = inputs.a_pair_pages
         scatter = inputs.a_pages + pair_pages      # read A, write pairs
         read_back = pair_pages
         budget = max(1, inputs.buffer_pages - 2)
@@ -172,21 +164,28 @@ class CostModel:
         return CostEstimate("MHCJ", 0.0, join)
 
     def mhcj_rollup(self, inputs: CostInputs) -> CostEstimate:
-        return self._equijoin_cost(
-            "MHCJ+Rollup", inputs, partitions=1, pair_records=True
-        )
+        return self._equijoin_cost("MHCJ+Rollup", inputs, inputs.a_pair_pages)
 
     def _equijoin_cost(
-        self, name: str, inputs: CostInputs, partitions: int, pair_records: bool
+        self, name: str, inputs: CostInputs, build_pages: int
     ) -> CostEstimate:
-        a_pages = inputs.a_pages * (2 if pair_records else 1)
-        if (
-            min(a_pages, inputs.d_pages)
-            <= max(1, inputs.buffer_pages - 2)
-        ):
+        """Hash equijoin of A (``build_pages`` wide as the operator
+        stores it) with D: one pass when either side fits the pool —
+        the operators' own test — else Grace partitioning.  The Grace
+        passes are charged per round exactly as VPJ's are, so the two
+        partitioning families stay comparable when a bucket still
+        overflows a tiny pool."""
+        budget = max(1, inputs.buffer_pages - 2)
+        smaller = min(build_pages, inputs.d_pages)
+        if smaller <= budget:
             return CostEstimate(name, 0.0, inputs.a_pages + inputs.d_pages)
+        rounds = self._partition_rounds(smaller, budget)
         return CostEstimate(
-            name, 0.0, 2 * a_pages + inputs.a_pages + 3 * inputs.d_pages
+            name,
+            0.0,
+            inputs.a_pages
+            + 2 * rounds * build_pages
+            + (2 * rounds + 1) * inputs.d_pages,
         )
 
     def vpj(self, inputs: CostInputs) -> CostEstimate:
@@ -195,10 +194,7 @@ class CostModel:
         budget = max(1, inputs.buffer_pages - 2)
         if smaller <= budget:
             return CostEstimate("VPJ", 0.0, pages)
-        # each partitioning round is one read+write of both inputs; the
-        # number of rounds grows with how far the smaller side overshoots
-        # the pool
-        rounds = max(1, math.ceil(math.log(smaller / budget, budget))) if budget > 1 else 1
+        rounds = self._partition_rounds(smaller, budget)
         return CostEstimate("VPJ", 0.0, (2 * rounds + 1) * pages)
 
     def block_nested_loop(self, inputs: CostInputs) -> CostEstimate:
@@ -219,6 +215,6 @@ class CostModel:
             self.vpj(inputs),
             self.block_nested_loop(inputs),
         ]
-        if inputs.a_stats.num_heights == 1:
+        if inputs.a_heights == 1:
             estimates.append(self.shcj(inputs))
         return estimates

@@ -36,7 +36,20 @@ from .hash_join import grace_hash_join, in_memory_hash_join
 #: the no-op tracer's, so untraced callers pay nothing
 TraceFn = Callable[..., Span]
 
-__all__ = ["MultiHeightJoin", "MultiHeightRollupJoin", "choose_rollup_height"]
+__all__ = [
+    "MultiHeightJoin",
+    "MultiHeightRollupJoin",
+    "choose_rollup_height",
+    "rolled_pair_pages",
+]
+
+
+def rolled_pair_pages(ancestors: ElementSet) -> int:
+    """Pages ``ancestors`` occupies as ``(effective, original)`` pair
+    records — the size the rollup join's in-memory test compares with
+    the pool, which the planner's cost model must agree with."""
+    pair_capacity = ancestors.heap.capacity // 2 or 1
+    return -(-len(ancestors) // pair_capacity)
 
 
 def choose_rollup_height(heights: Sequence[int], strategy: str = "max") -> int:
@@ -412,7 +425,6 @@ class MultiHeightRollupJoin(JoinAlgorithm):
                 # intermediate file, which is what makes the
                 # 3(||A|| + ||D||) cost hold.
                 report.partitions = 1
-                pair_capacity = ancestors.heap.capacity // 2 or 1
 
                 def rolled_pages():
                     if batch.batching_enabled():
@@ -433,7 +445,7 @@ class MultiHeightRollupJoin(JoinAlgorithm):
                             for code in codes
                         ]
 
-                pair_pages = -(-len(ancestors) // pair_capacity)
+                pair_pages = rolled_pair_pages(ancestors)
                 with self.trace("mhcj.rollup", target_height=target):
                     if fanout is None or not _fanout_height_class(
                         fanout, rolled_pages, pair_pages, descendants,

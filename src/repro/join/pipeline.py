@@ -26,18 +26,19 @@ consume them without re-sorting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
-from .base import JoinAlgorithm, JoinReport, JoinSink
-from .planner import choose_algorithm
+from .base import JoinReport, JoinSink
+from .planner import SetProperties, choose_algorithm
 from .statistics import SetStatistics, estimate_join_cardinality
 
 __all__ = ["PathPipeline", "PipelineResult", "plan_direction"]
 
-AlgorithmFactory = Callable[[ElementSet, ElementSet], JoinAlgorithm]
+#: per-step planner properties; ``None`` = infer from set metadata
+StepProperties = Sequence[Optional[SetProperties]]
 
 
 @dataclass
@@ -119,21 +120,23 @@ class PathPipeline:
     def __init__(
         self,
         bufmgr: BufferManager,
-        algorithm_factory: Optional[AlgorithmFactory] = None,
+        props: Optional[StepProperties] = None,
         direction: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        """``algorithm_factory(ancestors, descendants)`` supplies the
-        operator per step (defaults to the Table 1 planner);
-        ``direction`` forces ``"top-down"``/``"bottom-up"`` instead of
-        cost-based planning; ``tracer`` threads a span tree through
-        planning and every join step."""
+        """``props`` parallels the ``steps`` later passed to
+        :meth:`execute` with what the caller knows about each base set
+        beyond its metadata (its indexes): every join step is planned
+        by :func:`~repro.join.planner.choose_algorithm` from them, and
+        from metadata alone for the intermediate sets the pipeline
+        materialises itself.  ``direction`` forces ``"top-down"``/
+        ``"bottom-up"`` instead of estimating the cheaper order;
+        ``tracer`` threads a span tree through planning and every join
+        step."""
         if direction not in (None, "top-down", "bottom-up"):
             raise ValueError(f"unknown direction {direction!r}")
         self.bufmgr = bufmgr
-        self.algorithm_factory = algorithm_factory or (
-            lambda a_set, d_set: choose_algorithm(a_set, d_set)
-        )
+        self.props = props
         self.forced_direction = direction
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind(bufmgr)
@@ -145,6 +148,9 @@ class PathPipeline:
         the whole ancestor chain."""
         if not steps:
             raise ValueError("empty path")
+        props = self.props if self.props is not None else [None] * len(steps)
+        if len(props) != len(steps):
+            raise ValueError("props must parallel steps")
         if len(steps) == 1:
             return PipelineResult(
                 codes=sorted(steps[0].scan()), direction="top-down"
@@ -164,9 +170,9 @@ class PathPipeline:
         estimated = td_cost if direction == "top-down" else bu_cost
 
         if direction == "top-down":
-            codes, reports = self._run_top_down(steps)
+            codes, reports = self._run_top_down(steps, props)
         else:
-            codes, reports = self._run_bottom_up(steps)
+            codes, reports = self._run_bottom_up(steps, props)
         return PipelineResult(
             codes=codes,
             direction=direction,
@@ -177,10 +183,14 @@ class PathPipeline:
 
     # ------------------------------------------------------------------
     def _join_step(
-        self, ancestors: ElementSet, descendants: ElementSet
+        self,
+        ancestors: ElementSet,
+        descendants: ElementSet,
+        a_props: Optional[SetProperties] = None,
+        d_props: Optional[SetProperties] = None,
     ) -> tuple[JoinReport, JoinSink]:
         sink = JoinSink("collect")
-        algorithm = self.algorithm_factory(ancestors, descendants)
+        algorithm = choose_algorithm(ancestors, descendants, a_props, d_props)
         report = algorithm.run(ancestors, descendants, sink, tracer=self.tracer)
         return report, sink
 
@@ -189,12 +199,17 @@ class PathPipeline:
             self.bufmgr, sorted(codes), tree_height, name=name, sorted_by="code"
         )
 
-    def _run_top_down(self, steps: Sequence[ElementSet]):
+    def _run_top_down(self, steps: Sequence[ElementSet], props: StepProperties):
         reports = []
         current = steps[0]
         temporary = False
         for index, descendants in enumerate(steps[1:], 1):
-            report, sink = self._join_step(current, descendants)
+            report, sink = self._join_step(
+                current,
+                descendants,
+                None if temporary else props[0],
+                props[index],
+            )
             reports.append(report)
             matched = {d for _a, d in sink.pairs}
             if temporary:
@@ -208,45 +223,37 @@ class PathPipeline:
             current.destroy()
         return codes, reports
 
-    def _run_bottom_up(self, steps: Sequence[ElementSet]):
+    def _run_bottom_up(self, steps: Sequence[ElementSet], props: StepProperties):
         reports = []
-        # phase 1: shrink ancestor sets right-to-left
+        # phase 1: shrink ancestor sets right-to-left; a shrunken set is
+        # the pipeline's own, so its slot in ``props`` goes back to None
         survivors: list[ElementSet] = list(steps)
-        temporary = [False] * len(steps)
+        props = list(props)
         for index in range(len(steps) - 2, -1, -1):
-            report, sink = self._join_step(survivors[index], survivors[index + 1])
+            report, sink = self._join_step(
+                survivors[index],
+                survivors[index + 1],
+                props[index],
+                props[index + 1],
+            )
             reports.append(report)
             matched = {a for a, _d in sink.pairs}
             survivors[index] = self._materialize(
                 matched, steps[index].tree_height, f"pipe.bu.{index}"
             )
-            temporary[index] = True
+            props[index] = None
         # phase 2: recover the final-step elements with a top-down sweep
         # through the shrunken sets (for a 2-step path phase 1 already
         # produced the only join needed, so this is a single join)
         if len(steps) == 2:
-            report, sink = self._join_step(survivors[0], steps[-1])
+            report, sink = self._join_step(
+                survivors[0], steps[-1], props[0], props[-1]
+            )
             reports.append(report)
             codes = sorted({d for _a, d in sink.pairs})
         else:
-            current = survivors[0]
-            current_temp = False
-            for index in range(1, len(steps)):
-                step_report, step_sink = self._join_step(
-                    current, survivors[index]
-                )
-                reports.append(step_report)
-                matched = {d for _a, d in step_sink.pairs}
-                if current_temp:
-                    current.destroy()
-                current = self._materialize(
-                    matched, steps[index].tree_height, f"pipe.bu.down.{index}"
-                )
-                current_temp = True
-            codes = sorted(current.scan())
-            if current_temp:
-                current.destroy()
-        for index, is_temp in enumerate(temporary):
-            if is_temp:
-                survivors[index].destroy()
+            codes, sweep_reports = self._run_top_down(survivors, props)
+            reports += sweep_reports
+        for shrunken in survivors[:-1]:
+            shrunken.destroy()
         return codes, reports

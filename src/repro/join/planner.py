@@ -1,24 +1,36 @@
-"""Algorithm selection framework (Table 1 / Section 3.5).
+"""Join planning: the one place that decides how a join step runs.
 
-Given the physical properties of the two input element sets — sorted?
-indexed? — pick the containment-join algorithm the paper's framework
-prescribes:
+Table 1 / Section 3.5 of the paper selects a containment-join algorithm
+from the physical properties of the two input element sets — sorted?
+indexed? — and this module realises it as *estimate-then-choose*: the
+observable properties pick the **cell** (the candidate set), and the
+analytic cost model (:mod:`repro.join.costmodel`) ranks the candidates
+inside it from set metadata alone (``num_pages``, ``len``,
+``known_heights`` — no page is read to plan):
 
-====================  =======  ============================
-indexed               sorted   algorithm
-====================  =======  ============================
-yes                   no       INLJN
-no                    yes      Stack-Tree
-yes                   yes      Anc_Des_B+
-no                    no       MHCJ+Rollup or VPJ
-====================  =======  ============================
+====================  ======================  ==========================
+cell                  requires                candidates (tie order)
+====================  ======================  ==========================
+sorted+indexed        both sorted + indexed   Anc_Des_B+
+sorted                both sorted             Stack-Tree
+indexed               a usable probe index    INLJN
+single-height         single-height A         SHCJ, MHCJ+Rollup, VPJ
+unsorted-unindexed    —                       MHCJ+Rollup, VPJ
+====================  ======================  ==========================
 
-For the neither-sorted-nor-indexed cell the planner chooses between the
-two partitioning algorithms with a simple cost model: both cost about
-``3(||A|| + ||D||)``; rollup is preferred when the ancestor set spans a
-single height (it degenerates to SHCJ with no false hits) or when one
-input fits in memory, VPJ when the data is large on both sides (its
-recursive partitioning bounds memory exactly).
+The first cell whose requirement holds wins.  In the two partitioning
+cells the model reproduces the paper's reasoning — SHCJ has no false
+hits and never loses; rollup wins while one side of its equijoin fits
+the pool (its ancestors are *pair* records, twice as wide as codes);
+VPJ wins when the data is large on both sides — instead of restating it
+as a second rule.
+
+:func:`plan` returns the :class:`Plan`, :func:`choose_algorithm`
+instantiates its winner, :func:`explain` renders the plan plus every
+out-of-cell algorithm's estimate with the reason it was not considered.
+The name -> operator registry (:data:`ALGORITHMS`,
+:func:`make_algorithm`) lives here too: nothing else maps a plan or a
+paper name to an operator class.
 """
 
 from __future__ import annotations
@@ -31,14 +43,61 @@ from ..index.bptree import BPlusTree
 from ..index.interval_tree import IntervalTree
 from ..storage.elementset import ElementSet, SortOrder
 from .ancdes_b import AncDesBPlusJoin
-from .base import JoinAlgorithm, JoinReport
+from .base import JoinAlgorithm, JoinReport, JoinSink
+from .costmodel import CostEstimate, CostInputs, CostModel
 from .inljn import IndexNestedLoopJoin
-from .mhcj import MultiHeightRollupJoin
+from .mhcj import MultiHeightJoin, MultiHeightRollupJoin, rolled_pair_pages
+from .mpmgjn import MPMGJoin
+from .nested_loop import BlockNestedLoopJoin
 from .shcj import SingleHeightJoin
 from .stacktree import StackTreeDescJoin
 from .vpj import VerticalPartitionJoin
 
-__all__ = ["SetProperties", "choose_algorithm", "PBiTreeJoinFramework"]
+__all__ = [
+    "ALGORITHMS",
+    "PARALLEL_ALGORITHMS",
+    "make_algorithm",
+    "SetProperties",
+    "Plan",
+    "cell_of",
+    "plan",
+    "choose_algorithm",
+    "explain",
+    "PBiTreeJoinFramework",
+]
+
+#: paper name -> operator class
+ALGORITHMS: dict[str, type[JoinAlgorithm]] = {
+    "STACKTREE": StackTreeDescJoin,
+    "MPMGJN": MPMGJoin,
+    "INLJN": IndexNestedLoopJoin,
+    "ADB+": AncDesBPlusJoin,
+    "SHCJ": SingleHeightJoin,
+    "MHCJ": MultiHeightJoin,
+    "MHCJ+Rollup": MultiHeightRollupJoin,
+    "VPJ": VerticalPartitionJoin,
+    "BNL": BlockNestedLoopJoin,
+}
+
+#: algorithms that can fan partition tasks out over a worker pool
+PARALLEL_ALGORITHMS = ("MHCJ+Rollup", "VPJ")
+
+
+def make_algorithm(name: str, workers: int = 1) -> JoinAlgorithm:
+    """Instantiate an algorithm by its paper name.
+
+    ``workers`` is forwarded to the partitioned algorithms that can fan
+    independent partition tasks out over a worker pool
+    (:data:`PARALLEL_ALGORITHMS`); the other operators have no
+    independent partitions and ignore it.
+    """
+    try:
+        factory = ALGORITHMS[name]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {name!r}") from None
+    if workers > 1 and name in PARALLEL_ALGORITHMS:
+        return factory(workers=workers)  # type: ignore[call-arg]
+    return factory()
 
 
 @dataclass
@@ -54,6 +113,155 @@ class SetProperties:
     def indexed(self) -> bool:
         return self.start_index is not None or self.interval_index is not None
 
+    @classmethod
+    def of(
+        cls,
+        elements: ElementSet,
+        start_index: Optional[BPlusTree] = None,
+        interval_index: Optional[IntervalTree] = None,
+    ) -> "SetProperties":
+        """What ``elements``' metadata says, plus any indexes the caller
+        holds on it (an element set does not know its indexes)."""
+        heights = elements.known_heights
+        return cls(
+            sorted=elements.sorted_by == SortOrder.START,
+            start_index=start_index,
+            interval_index=interval_index,
+            single_height=(
+                next(iter(heights))
+                if heights is not None and len(heights) == 1
+                else None
+            ),
+        )
+
+
+_MODEL = CostModel()
+
+#: Table 1 in priority order — the first cell whose requirement holds
+#: wins: cell -> (what it requires, candidates in tie-break order, each
+#: with the model's formula for it)
+_CELLS = {
+    "sorted+indexed": ("both inputs sorted and indexed", {"ADB+": _MODEL.adb}),
+    "sorted": ("both inputs sorted", {"STACKTREE": _MODEL.stack_tree}),
+    "indexed": (
+        "a Start index on D or a stab index on A",
+        {"INLJN": _MODEL.inljn},
+    ),
+    "single-height": (
+        "single-height ancestors",
+        {
+            "SHCJ": _MODEL.shcj,
+            "MHCJ+Rollup": _MODEL.mhcj_rollup,
+            "VPJ": _MODEL.vpj,
+        },
+    ),
+    "unsorted-unindexed": (
+        "nothing",
+        {"MHCJ+Rollup": _MODEL.mhcj_rollup, "VPJ": _MODEL.vpj},
+    ),
+}
+
+
+def cell_of(a_props: SetProperties, d_props: SetProperties) -> str:
+    """The Table-1 cell two inputs' properties select."""
+    both_sorted = a_props.sorted and d_props.sorted
+    if both_sorted and a_props.indexed and d_props.indexed:
+        return "sorted+indexed"
+    if both_sorted:
+        return "sorted"
+    # INLJN probes a Start B+-tree on D (outer = A) or a stab structure
+    # on A's regions (outer = D).  An input "indexed" only by the wrong
+    # index type for its side contributes nothing — picking INLJN on
+    # that evidence would run an index join with no usable index, so
+    # only a usable probe-side index counts.
+    if d_props.start_index is not None or a_props.interval_index is not None:
+        return "indexed"
+    # neither sorted nor usably indexed: the paper's new territory
+    if a_props.single_height is not None:
+        return "single-height"
+    return "unsorted-unindexed"
+
+
+@dataclass(frozen=True)
+class Plan:
+    """One planned join step.
+
+    ``estimates`` holds the cell's candidates cheapest first (Table-1
+    order on ties); the first is the plan, the rest are what it beat.
+    """
+
+    cell: str
+    estimates: tuple[CostEstimate, ...]
+    inputs: CostInputs
+    a_props: SetProperties
+    d_props: SetProperties
+
+    @property
+    def estimate(self) -> CostEstimate:
+        return self.estimates[0]
+
+    @property
+    def algorithm_name(self) -> str:
+        return self.estimates[0].algorithm
+
+    def instantiate(self) -> JoinAlgorithm:
+        """A fresh operator for the winning candidate."""
+        name = self.algorithm_name
+        a_props, d_props = self.a_props, self.d_props
+        if name == "ADB+":
+            return AncDesBPlusJoin(
+                a_index=a_props.start_index, d_index=d_props.start_index
+            )
+        if name == "INLJN":
+            # the outer relation is pinned to the side the one existing
+            # index can serve; with both, the operator picks
+            d_start, a_stab = d_props.start_index, a_props.interval_index
+            pinned = None
+            if d_start is None or a_stab is None:
+                pinned = "A" if d_start is not None else "D"
+            return IndexNestedLoopJoin(
+                d_index=d_start, a_index=a_stab, force_outer=pinned
+            )
+        if name == "SHCJ":
+            return SingleHeightJoin(height=a_props.single_height)
+        return make_algorithm(name)
+
+
+def plan(
+    ancestors: ElementSet,
+    descendants: ElementSet,
+    a_props: Optional[SetProperties] = None,
+    d_props: Optional[SetProperties] = None,
+    buffer_pages: Optional[int] = None,
+) -> Plan:
+    """Plan one join step without reading a page.
+
+    Missing properties are inferred from set metadata
+    (:meth:`SetProperties.of`); ``buffer_pages`` defaults to the pool
+    the ancestors live in.
+    """
+    a_props = a_props or SetProperties.of(ancestors)
+    d_props = d_props or SetProperties.of(descendants)
+    heights = ancestors.known_heights
+    inputs = CostInputs(
+        a_pages=ancestors.num_pages,
+        d_pages=descendants.num_pages,
+        buffer_pages=buffer_pages or ancestors.bufmgr.num_pages,
+        a_count=len(ancestors),
+        d_count=len(descendants),
+        a_heights=len(heights) if heights else 1,
+        a_sorted=a_props.sorted,
+        d_sorted=d_props.sorted,
+        a_indexed=a_props.indexed,
+        d_indexed=d_props.indexed,
+        a_pair_pages=rolled_pair_pages(ancestors),
+    )
+    cell = cell_of(a_props, d_props)
+    estimates = [formula(inputs) for formula in _CELLS[cell][1].values()]
+    # the sort is stable, so equal totals keep the cell's tie order
+    estimates.sort(key=lambda estimate: estimate.total)
+    return Plan(cell, tuple(estimates), inputs, a_props, d_props)
+
 
 def choose_algorithm(
     ancestors: ElementSet,
@@ -62,49 +270,62 @@ def choose_algorithm(
     d_props: Optional[SetProperties] = None,
     buffer_pages: Optional[int] = None,
 ) -> JoinAlgorithm:
-    """Instantiate the algorithm Table 1 prescribes for these inputs."""
-    a_props = a_props or _infer(ancestors)
-    d_props = d_props or _infer(descendants)
-    both_sorted = a_props.sorted and d_props.sorted
-    both_indexed = a_props.indexed and d_props.indexed
+    """Instantiate the algorithm :func:`plan` picks for these inputs."""
+    return plan(
+        ancestors, descendants, a_props, d_props, buffer_pages
+    ).instantiate()
 
-    if both_sorted and both_indexed:
-        return AncDesBPlusJoin(
-            a_index=a_props.start_index, d_index=d_props.start_index
+
+def explain(
+    ancestors: ElementSet,
+    descendants: ElementSet,
+    a_props: Optional[SetProperties] = None,
+    d_props: Optional[SetProperties] = None,
+    buffer_pages: Optional[int] = None,
+) -> str:
+    """EXPLAIN for one join step, as text.
+
+    The first lines are :func:`plan`'s own — the chosen candidate and
+    the in-cell candidates it beat; below them every other algorithm
+    the model can price, with why Table 1 did not consider it.  Those
+    plans are listed, never chosen: their estimates count pages only,
+    and the cheapest of them on large inputs (BNL, on-the-fly sorts)
+    pay in CPU or in preparation an existing sort order or index makes
+    unnecessary.
+    """
+    chosen = plan(ancestors, descendants, a_props, d_props, buffer_pages)
+    cells = list(_CELLS)
+    here = cells.index(chosen.cell)
+    rows = [(chosen.estimate, "chosen")]
+    rows += [(estimate, "in cell, not cheaper") for estimate in chosen.estimates[1:]]
+    in_cell = {estimate.algorithm for estimate in chosen.estimates}
+    for estimate in _MODEL.all_estimates(chosen.inputs):
+        name = estimate.algorithm
+        if name in in_cell:
+            continue
+        home = next(
+            (index for index, cell in enumerate(cells) if name in _CELLS[cell][1]),
+            None,
         )
-    if both_sorted:
-        return StackTreeDescJoin()
-    # INLJN probes a Start B+-tree on D (outer = A) or a stab structure
-    # on A's regions (outer = D).  An input "indexed" only by the wrong
-    # index type for its side contributes nothing — picking INLJN on
-    # that evidence would run an index join with no usable index, so
-    # only a usable probe-side index counts, and the outer relation is
-    # pinned to the side the existing index can serve.
-    d_start = d_props.start_index
-    a_stab = a_props.interval_index
-    if d_start is not None and a_stab is not None:
-        return IndexNestedLoopJoin(d_index=d_start, a_index=a_stab)
-    if d_start is not None:
-        return IndexNestedLoopJoin(d_index=d_start, force_outer="A")
-    if a_stab is not None:
-        return IndexNestedLoopJoin(a_index=a_stab, force_outer="D")
-    # neither sorted nor usably indexed: the paper's new territory
-    if a_props.single_height is not None:
-        return SingleHeightJoin(height=a_props.single_height)
-    budget = buffer_pages or ancestors.bufmgr.num_pages
-    if min(ancestors.num_pages, descendants.num_pages) <= max(1, budget - 2):
-        return MultiHeightRollupJoin()
-    return VerticalPartitionJoin()
-
-
-def _infer(elements: ElementSet) -> SetProperties:
-    single_height = None
-    if elements.known_heights is not None and len(elements.known_heights) == 1:
-        single_height = next(iter(elements.known_heights))
-    return SetProperties(
-        sorted=elements.sorted_by == SortOrder.START,
-        single_height=single_height,
-    )
+        if home is None:
+            reason = "not in Table 1"
+        elif home < here:
+            # a higher-priority cell that did not match: its test failed
+            reason = f"needs {_CELLS[cells[home]][0]}"
+        else:
+            reason = f"Table 1 prefers the {chosen.cell} cell"
+        rows.append((estimate, reason))
+    lines = [
+        f"cell {chosen.cell} -> {chosen.algorithm_name}",
+        f"{'plan':<12} {'prep':>8} {'join':>8} {'total':>8}",
+        "-" * 39,
+    ]
+    for estimate, verdict in rows:
+        lines.append(
+            f"{estimate.algorithm:<12} {estimate.prep_pages:>8.0f} "
+            f"{estimate.join_pages:>8.0f} {estimate.total:>8.0f}  {verdict}"
+        )
+    return "\n".join(lines)
 
 
 class PBiTreeJoinFramework:
@@ -136,8 +357,6 @@ class PBiTreeJoinFramework:
         d_props: Optional[SetProperties] = None,
         collect: bool = True,
     ) -> tuple[JoinReport, list[tuple[int, int]]]:
-        from .base import JoinSink
-
         algorithm = self.plan(ancestors, descendants, a_props, d_props)
         sink = JoinSink("collect" if collect else "count")
         report = algorithm.run(ancestors, descendants, sink)

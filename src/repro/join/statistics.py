@@ -18,7 +18,7 @@ turn exploited in query processing."  This module realises that remark:
   captures placement correlation (e.g. all ancestors living in one
   subtree) that span-level statistics cannot see.
 
-The cost-based optimizer (:mod:`repro.join.optimizer`) consumes these.
+:mod:`repro.join.pipeline` consumes these to order a chain of joins.
 """
 
 from __future__ import annotations

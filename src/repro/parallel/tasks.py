@@ -387,15 +387,12 @@ class SlotJoinTask:
 
 def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
     """Run one cold join on a fresh workbench (worker side)."""
-    # imported lazily: the harness imports the join operators, which
-    # import this package — a module-level import would be circular
-    from ..experiments.harness import (
-        Workbench,
-        make_algorithm,
-        materialize,
-        run_algorithm,
-    )
+    # imported lazily: the harness and the planner import the join
+    # operators, which import this package — a module-level import
+    # would be circular
+    from ..experiments.harness import Workbench, materialize, run_algorithm
     from ..join.base import JoinSink
+    from ..join.planner import make_algorithm
 
     sink = JoinSink("collect" if task.collect else "count")
     tracer = Tracer() if task.traced else None

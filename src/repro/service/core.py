@@ -78,18 +78,16 @@ from typing import Iterator, Optional
 from ..core.execconfig import current
 from ..datatree.paths import PathQuery
 from ..db import ContainmentDatabase, Document
-from ..index.bptree import BPlusTree
-from ..index.interval_tree import IntervalTree
-from ..join.base import JoinAlgorithm, JoinReport
+from ..join.base import JoinReport
 from ..join.pipeline import PathPipeline
-from ..join.planner import SetProperties, choose_algorithm
+from ..join.planner import SetProperties, cell_of
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..storage.buffer import BufferManager, BufferPoolExhaustedError
-from ..storage.elementset import ElementSet, SortOrder
+from ..storage.elementset import ElementSet
 from ..storage.faults import FaultConfig, FaultInjector
 from .admission import AdmissionController, BackpressureRejection, TenantQuota
-from .plancache import PlanCache, PlanEntry, PlanKey, step_fingerprint, table1_cell
+from .plancache import PlanCache, PlanEntry, PlanKey, step_fingerprint
 
 __all__ = ["QueryOutcome", "QueryService"]
 
@@ -258,22 +256,6 @@ class QueryService:
             yield self.db.document(document)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _step_properties(
-        elements: ElementSet,
-        start_index: Optional[BPlusTree] = None,
-        interval_index: Optional[IntervalTree] = None,
-    ) -> SetProperties:
-        single = None
-        if elements.known_heights is not None and len(elements.known_heights) == 1:
-            single = next(iter(elements.known_heights))
-        return SetProperties(
-            sorted=elements.sorted_by == SortOrder.START,
-            start_index=start_index,
-            interval_index=interval_index,
-            single_height=single,
-        )
-
     def _plan_key(
         self,
         document: Document,
@@ -282,9 +264,7 @@ class QueryService:
         props: list[SetProperties],
     ) -> PlanKey:
         fingerprints = tuple(step_fingerprint(step) for step in steps)
-        cells = tuple(
-            table1_cell(a, d) for a, d in zip(props, props[1:])
-        )
+        cells = tuple(cell_of(a, d) for a, d in zip(props, props[1:]))
         return (
             document.name,
             path,
@@ -354,20 +334,10 @@ class QueryService:
                 # its sessions must finish first (new ones are held
                 # off by the storage lock we already hold)
                 gate.await_drained()
-            base_steps = [
-                doc.store.element_set(tag) for tag in query.steps
-            ]
-            # the pending log is drained by now, so the peeks are pure
-            # cache reads: they surface whichever persistent indexes
-            # survived the updates, never build one
-            base_props = [
-                self._step_properties(
-                    step,
-                    start_index=doc.store.peek_start_index(tag),
-                    interval_index=doc.store.peek_interval_index(tag),
-                )
-                for tag, step in zip(query.steps, base_steps)
-            ]
+            # the element-set access drains the pending log, so the
+            # index peeks behind it are pure cache reads: they surface
+            # whichever persistent indexes survived the updates
+            base_steps, base_props = self.db.step_inputs(doc, query.steps)
             # session pools read the disk page table directly, so any
             # corpus page still dirty in the shared pool must hit the
             # table first (write-back is charged to the shared ledger,
@@ -380,33 +350,22 @@ class QueryService:
             # probing the base index would pin pages in the shared pool
             # from a concurrent execute phase (and charge the wrong
             # ledger).  Views delegate staleness to the base index.
-            props_by_id = {
-                id(step): SetProperties(
-                    sorted=props.sorted,
-                    start_index=(
-                        props.start_index.session_view(session)
-                        if props.start_index is not None
-                        else None
-                    ),
-                    interval_index=(
-                        props.interval_index.session_view(session)
-                        if props.interval_index is not None
-                        else None
-                    ),
-                    single_height=props.single_height,
+            def rebound(index):
+                return None if index is None else index.session_view(session)
+
+            props = [
+                replace(
+                    base,
+                    start_index=rebound(base.start_index),
+                    interval_index=rebound(base.interval_index),
                 )
-                for step, props in zip(steps, base_props)
-            }
+                for base in base_props
+            ]
             gate.reader_enter()
 
-        def _factory(a_set: ElementSet, d_set: ElementSet) -> JoinAlgorithm:
-            return choose_algorithm(
-                a_set,
-                d_set,
-                props_by_id.get(id(a_set)),
-                props_by_id.get(id(d_set)),
-            )
-
+        # a single step has no join to plan: no lookup, no entry, so the
+        # hit/miss counters describe planned queries only
+        use_cache = use_cache and len(steps) > 1
         try:
             cached: Optional[PlanEntry] = None
             if use_cache:
@@ -416,7 +375,7 @@ class QueryService:
             tracer = Tracer()
             pipeline = PathPipeline(
                 session,
-                algorithm_factory=_factory,
+                props,
                 direction=cached.direction if cached is not None else None,
                 tracer=tracer,
             )
@@ -432,7 +391,7 @@ class QueryService:
             finally:
                 session.evict_all()
 
-            if use_cache and cached is None and len(steps) > 1:
+            if use_cache and cached is None:
                 self.plan_cache.put(
                     key,
                     PlanEntry(

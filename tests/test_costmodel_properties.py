@@ -11,31 +11,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import pbitree as pt
 from repro.join.costmodel import CostInputs, CostModel
-from repro.join.statistics import SetStatistics
 
 
-def make_inputs(a_count, d_count, buffer_pages, a_heights=(6,), d_heights=(2,)):
-    rng = random.Random(a_count * 7 + d_count)
-    tree_height = 24
-
-    def codes(n, heights):
-        out = set()
-        while len(out) < n:
-            height = rng.choice(heights)
-            level = tree_height - height - 1
-            out.add(pt.g_code(rng.randrange(1 << level), level, tree_height))
-        return list(out)
-
-    a_codes = codes(a_count, a_heights)
-    d_codes = codes(d_count, d_heights)
+def make_inputs(a_count, d_count, buffer_pages, a_heights=1):
     return CostInputs(
         a_pages=max(1, a_count // 127),
         d_pages=max(1, d_count // 127),
         buffer_pages=buffer_pages,
-        a_stats=SetStatistics.from_codes(a_codes, tree_height),
-        d_stats=SetStatistics.from_codes(d_codes, tree_height),
+        a_count=a_count,
+        d_count=d_count,
+        a_pair_pages=2 * max(1, a_count // 127),
+        a_heights=a_heights,
     )
 
 

@@ -32,10 +32,6 @@ class TestLoading:
         with pytest.raises(ValueError):
             db.load_xml(XML, name="lib")
 
-    def test_bad_optimizer_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ContainmentDatabase(optimizer="magic")
-
 
 class TestElementSets:
     def test_sets_are_cached(self):
@@ -92,12 +88,6 @@ class TestQueries:
         assert sorted(n.code for n in top_down) == sorted(
             n.code for n in bottom_up
         )
-
-    def test_cost_based_mode(self):
-        db = ContainmentDatabase(optimizer="cost")
-        doc = db.load_xml(XML, name="lib")
-        result = db.query(doc, "//shelf//book")
-        assert len(result) == 3
 
     def test_indexes_steer_the_planner(self):
         db = ContainmentDatabase()

@@ -217,7 +217,10 @@ class TestNavigation:
 
 
 class TestSubtreeEnumeration:
-    @given(code_in_tree(min_height=3, max_height=20))
+    # every code under the drawn node is checked, ~2**(height+1) of
+    # them: a 12-level tree keeps the worst draw (its root) at ~8k
+    # checks, far inside hypothesis' deadline
+    @given(code_in_tree(min_height=3, max_height=12))
     def test_subtree_codes_at_height(self, ct):
         code, _th = ct
         own = pt.height_of(code)
@@ -229,6 +232,23 @@ class TestSubtreeEnumeration:
             for child in codes:
                 assert pt.height_of(child) == height
                 assert pt.is_ancestor(code, child)
+
+    def test_tall_root_by_arithmetic(self):
+        """A height-20 tree's root without enumerating 2**20 codes per
+        level: count, first and last code of every level."""
+        root = pt.root_code(20)
+        own = pt.height_of(root)
+        assert (root, own) == (524288, 19)
+        start, end = pt.region_of(root)
+        for height in range(own):
+            codes = pt.subtree_codes_at_height(root, height)
+            assert len(codes) == 1 << (own - height)
+            # the level's outermost nodes hug the region's two ends
+            assert codes[0] == start + (1 << height) - 1
+            assert codes[-1] == end - (1 << height) + 1
+            for child in (codes[0], codes[-1]):
+                assert pt.height_of(child) == height
+                assert pt.is_ancestor(root, child)
 
     def test_subtree_codes_rejects_own_height(self):
         with pytest.raises(ValueError):

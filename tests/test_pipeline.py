@@ -89,22 +89,27 @@ class TestPathPipeline:
         stats = [SetStatistics.from_codes([4])]
         assert plan_direction(stats)[0] == "top-down"
 
-    def test_custom_algorithm_factory(self):
-        from repro import StackTreeDescJoin
+    def test_step_props_steer_the_planner(self):
+        """What the caller knows about a base set (here: an index)
+        reaches every join that set takes part in; the parallel list
+        must match the steps."""
+        from repro import SetProperties
+        from repro.join.inljn import build_start_index
 
         tree = random_tree(300, seed=3, tags=("a", "b"))
         encoding = binarize(tree)
         query = PathQuery("//a//b")
         bufmgr, sets = build_sets(tree, encoding, query.steps)
-        used = []
-
-        def factory(a_set, d_set):
-            used.append((a_set.name, d_set.name))
-            return StackTreeDescJoin()
-
-        result = PathPipeline(bufmgr, algorithm_factory=factory).execute(sets)
-        assert used
+        assert PathPipeline(bufmgr).execute(sets).reports[0].algorithm != "INLJN"
+        props = [
+            SetProperties.of(sets[0]),
+            SetProperties.of(sets[1], start_index=build_start_index(sets[1], bufmgr)),
+        ]
+        result = PathPipeline(bufmgr, props).execute(sets)
+        assert {report.algorithm for report in result.reports} == {"INLJN"}
         assert result.codes == sorted(query.evaluate_navigational(tree))
+        with pytest.raises(ValueError):
+            PathPipeline(bufmgr, props[:1]).execute(sets)
 
 
 class TestCommonAncestorJoin:

@@ -1,8 +1,11 @@
-"""Tests for the algorithm-selection framework (Table 1)."""
+"""Tests for the one planner: Table 1 picks the cell, the cost model
+picks inside it, and every caller plans through it."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     AncDesBPlusJoin,
@@ -25,9 +28,14 @@ from repro import (
     choose_algorithm,
     random_tree,
 )
+from repro import ContainmentDatabase, QueryService
 from repro.core import pbitree as pt
 from repro.core.execconfig import exec_scope
+from repro.experiments.harness import Workbench, materialize, run_algorithm
+from repro.join.costmodel import CostModel
 from repro.join.inljn import build_interval_index, build_start_index
+from repro.join.mhcj import rolled_pair_pages
+from repro.join.planner import explain, make_algorithm, plan
 from repro.workloads import synthetic as syn
 
 
@@ -318,3 +326,276 @@ class TestFlatIndexPlanning:
         sink = JoinSink("collect")
         algorithm.run(a_set, d_set, sink)
         assert sorted(sink.pairs) == sorted(brute_force_join(a_codes, d_codes))
+
+
+class TestCells:
+    """``Plan.cell`` is the Table-1 row; the service's plan-cache key
+    carries it."""
+
+    def cell(self, a_props, d_props):
+        a_set, d_set = make_sets([4, 12], [1, 3], 4)
+        return plan(a_set, d_set, a_props, d_props).cell
+
+    def test_cells_from_properties(self):
+        plain = SetProperties(sorted=False)
+        sorted_ = SetProperties(sorted=True)
+        single = SetProperties(sorted=False, single_height=3)
+        assert self.cell(sorted_, sorted_) == "sorted"
+        assert self.cell(plain, plain) == "unsorted-unindexed"
+        assert self.cell(single, plain) == "single-height"
+        assert self.cell(sorted_, plain) == "unsorted-unindexed"
+
+    def test_indexed_cells_need_a_usable_index(self):
+        a_set, d_set = make_sets([4, 12], [1, 3], 4)
+        d_start = build_start_index(d_set, d_set.bufmgr)
+        a_start = build_start_index(a_set, a_set.bufmgr)
+        sorted_a = SetProperties(sorted=True, start_index=a_start)
+        sorted_d = SetProperties(sorted=True, start_index=d_start)
+        assert plan(a_set, d_set, sorted_a, sorted_d).cell == "sorted+indexed"
+        assert plan(
+            a_set, d_set, SetProperties(), SetProperties(start_index=d_start)
+        ).cell == "indexed"
+        assert plan(
+            a_set, d_set, SetProperties(start_index=a_start), SetProperties()
+        ).cell == "unsorted-unindexed"
+
+    def test_properties_of_reads_metadata_and_keeps_indexes(self):
+        a_set, _d_set = make_sets([4, 12, 20], [1], 5)
+        index = build_start_index(a_set, a_set.bufmgr)
+        props = SetProperties.of(a_set, start_index=index)
+        assert props.single_height == 2 and not props.sorted
+        assert props.start_index is index and props.interval_index is None
+        a_set.sorted_by = SortOrder.START
+        assert SetProperties.of(a_set).sorted
+
+
+TREE_HEIGHT = 16
+
+
+def codes_at(count, heights):
+    """``count`` distinct codes spread round-robin over ``heights``."""
+    heights = sorted(heights)
+    return [
+        pt.g_code(
+            index // len(heights),
+            TREE_HEIGHT - heights[index % len(heights)] - 1,
+            TREE_HEIGHT,
+        )
+        for index in range(count)
+    ]
+
+
+class TestInCellRanking:
+    """Inside the two partitioning cells the pick is the model's
+    arg-min, ties resolved in Table-1 order — and the model's "fits in
+    memory" is the operator's own test, not a second opinion."""
+
+    @given(
+        a_count=st.integers(1, 300),
+        d_count=st.integers(1, 300),
+        frames=st.integers(3, 12),
+        heights=st.sets(st.integers(1, 6), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pick_is_model_argmin_with_table1_ties(
+        self, a_count, d_count, frames, heights
+    ):
+        bench = Workbench.create(buffer_pages=frames, page_size=128)
+        a_set = materialize(bench.bufmgr, codes_at(a_count, heights), TREE_HEIGHT, "A")
+        d_set = materialize(bench.bufmgr, codes_at(d_count, [0]), TREE_HEIGHT, "D")
+        chosen = plan(a_set, d_set)
+
+        candidates = ["MHCJ+Rollup", "VPJ"]
+        single = min(a_count, len(heights)) == 1
+        if single:
+            candidates.insert(0, "SHCJ")
+        assert chosen.cell == ("single-height" if single else "unsorted-unindexed")
+        model = CostModel()
+        priced = {e.algorithm: e.total for e in model.all_estimates(chosen.inputs)}
+        totals = [priced[name] for name in candidates]
+        # list.index finds the first minimum: Table-1 order on ties
+        assert chosen.algorithm_name == candidates[totals.index(min(totals))]
+        ranked = [estimate.total for estimate in chosen.estimates]
+        assert ranked == sorted(totals)
+        assert sorted(e.algorithm for e in chosen.estimates) == sorted(candidates)
+
+        # the model says "one pass" exactly when the rollup operator's
+        # in-memory branch fires, and then the operator does read each
+        # input once
+        one_pass = a_set.num_pages + d_set.num_pages
+        fits = (
+            rolled_pair_pages(a_set) <= frames - 2
+            or d_set.num_pages <= frames - 2
+        )
+        assert (model.mhcj_rollup(chosen.inputs).total == one_pass) == fits
+        measured = run_algorithm(make_algorithm("MHCJ+Rollup"), a_set, d_set)
+        assert (measured.total_pages == one_pass) == fits
+
+    def test_measured_disagreement_is_settled_for_the_model(self):
+        """5-page multi-height A x 48-page D on 8 frames: A fits the
+        pool as codes but not as rolled pair records, so the old rule's
+        MHCJ+Rollup went Grace (173 pages) where VPJ reads each input
+        once (53)."""
+        ds = syn.generate(syn.spec_by_name("MSLL", large=6000, small=600), seed=2003)
+        bench = Workbench.create(buffer_pages=8)
+        a_set = materialize(bench.bufmgr, ds.a_codes, ds.tree_height, "A")
+        d_set = materialize(bench.bufmgr, ds.d_codes, ds.tree_height, "D")
+        assert (a_set.num_pages, d_set.num_pages) == (5, 48)
+        assert a_set.num_pages <= 8 - 2 < rolled_pair_pages(a_set)
+
+        chosen = plan(a_set, d_set)
+        assert [e.algorithm for e in chosen.estimates] == ["VPJ", "MHCJ+Rollup"]
+        algorithm = choose_algorithm(a_set, d_set)
+        assert isinstance(algorithm, VerticalPartitionJoin)
+        picked = run_algorithm(algorithm, a_set, d_set)
+        rejected = run_algorithm(make_algorithm("MHCJ+Rollup"), a_set, d_set)
+        assert picked.result_count == rejected.result_count == ds.num_results
+        assert picked.total_pages <= 60
+        assert picked.total_pages <= rejected.total_pages
+        assert picked.false_hits == 0 < rejected.false_hits
+        # the estimates called it
+        assert chosen.estimate.total == picked.total_pages
+        assert abs(chosen.estimates[1].total - rejected.total_pages) <= 10
+
+
+class TestExplain:
+    def fixtures(self):
+        ds = syn.generate(syn.spec_by_name("MSSL", large=3000, small=300), seed=1)
+        bench = Workbench.create(buffer_pages=50)
+        a_set = materialize(bench.bufmgr, ds.a_codes, ds.tree_height, "A")
+        d_set = materialize(bench.bufmgr, ds.d_codes, ds.tree_height, "D")
+        return ds, a_set, d_set
+
+    def test_explain_is_the_plan_plus_rejected_plans(self):
+        _ds, a_set, d_set = self.fixtures()
+        before = a_set.bufmgr.disk.stats.snapshot()
+        chosen = plan(a_set, d_set)
+        text = explain(a_set, d_set)
+        assert a_set.bufmgr.disk.stats.delta(before).total == 0  # no I/O
+        lines = text.splitlines()
+        assert lines[0] == f"cell {chosen.cell} -> {chosen.algorithm_name}"
+        verdicts = {line.split()[0]: line for line in lines[3:]}
+        assert verdicts[chosen.algorithm_name].endswith("chosen")
+        for estimate in chosen.estimates[1:]:
+            assert verdicts[estimate.algorithm].endswith("in cell, not cheaper")
+        assert verdicts["STACKTREE"].endswith("needs both inputs sorted")
+        assert verdicts["BNL"].endswith("not in Table 1")
+        assert len(verdicts) == len(lines) - 3  # every algorithm listed once
+
+    def test_lower_priority_cells_are_named_as_such(self):
+        _ds, a_set, d_set = self.fixtures()
+        text = explain(
+            a_set, d_set, SetProperties(sorted=True), SetProperties(sorted=True)
+        )
+        assert text.startswith("cell sorted -> STACKTREE")
+        assert "ADB+" in text and "needs both inputs sorted and indexed" in text
+        assert "Table 1 prefers the sorted cell" in text
+
+    def test_planned_algorithm_runs_and_matches_count(self):
+        ds, a_set, d_set = self.fixtures()
+        chosen = plan(a_set, d_set)
+        report = run_algorithm(chosen.instantiate(), a_set, d_set)
+        assert report.result_count == ds.num_results
+        assert chosen.instantiate() is not chosen.instantiate()
+
+    def test_prediction_orders_main_rivals_correctly(self):
+        """The model must rank the partitioning algorithms vs the
+        sort-based ones the same way measurement does."""
+        ds = syn.generate(syn.spec_by_name("SLSH", large=20000, small=200), 1)
+        bench = Workbench.create(buffer_pages=50)
+        a_set = materialize(bench.bufmgr, ds.a_codes, ds.tree_height, "A")
+        d_set = materialize(bench.bufmgr, ds.d_codes, ds.tree_height, "D")
+        inputs = plan(a_set, d_set).inputs
+        model = CostModel()
+        measured = {
+            name: run_algorithm(make_algorithm(name), a_set, d_set).total_pages
+            for name in ("STACKTREE", "MHCJ+Rollup")
+        }
+        predicted_better = (
+            model.mhcj_rollup(inputs).total < model.stack_tree(inputs).total
+        )
+        assert predicted_better == (measured["MHCJ+Rollup"] < measured["STACKTREE"])
+
+
+#: the perf ledger's path mix (benchmarks/ledger/corpus.py)
+LEDGER_PATHS = ["//a//b", "//a//b//c", "//b//d", "//c//d", "//a//c//d"]
+
+
+class TestEveryCallerPlansTheSameWay:
+    """``db.query``, the service and ``db.explain`` all go through
+    :func:`repro.join.planner.plan` with the same properties."""
+
+    def make_db(self, indexed):
+        db = ContainmentDatabase(buffer_pages=64)
+        doc = db.load_tree(
+            random_tree(1500, max_fanout=5, seed=2003, tags=("a", "b", "c", "d")),
+            name="corpus",
+        )
+        if indexed:
+            db.create_start_index(doc, "d")
+            db.create_interval_index(doc, "a")
+        return db, doc
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+    @pytest.mark.parametrize("path", LEDGER_PATHS)
+    def test_db_service_and_explain_agree(self, path, indexed):
+        db, doc = self.make_db(indexed)
+        service = QueryService(db)
+        explained = re.findall(
+            r"^(\S+) .* chosen$", db.explain(doc, path), re.MULTILINE
+        )
+        result = db.query(doc, path, direction="top-down")
+        ran = [report.algorithm for report in result.reports]
+        assert len(explained) == len(ran) == path.count("//") - 1
+        if indexed:
+            # an index on a base set steers only the joins that set
+            # itself takes part in: the first step sees //a's stab
+            # index, every step into //d its Start index
+            assert ran[0] == "INLJN" or not path.startswith("//a")
+            assert ran[-1] == "INLJN" or not path.endswith("//d")
+        # on these paths every step runs the plan explain lists for it
+        assert explained == ran
+        # ... and explain marks the ones it cannot promise
+        assert db.explain(doc, path).count("re-planned at run time") == len(ran) - 1
+
+        # the service (cold cache, session views of the same indexes)
+        # runs the same algorithm sequence as the library, whichever
+        # direction the pipeline picks
+        outcome = service.execute("t", "corpus", path, use_cache=False)
+        library = db.query(doc, path, direction=outcome.direction)
+        assert [r.algorithm for r in outcome.reports] == [
+            r.algorithm for r in library.reports
+        ]
+        assert outcome.count == len(library) == len(result)
+
+    def test_bottom_up_starts_from_the_last_listed_step(self):
+        """explain's contract: the first join a query runs joins two
+        base sets and follows the listed plan — top-down that is step 1,
+        bottom-up the last step."""
+        db, doc = self.make_db(indexed=True)
+        explained = re.findall(
+            r"^(\S+) .* chosen$", db.explain(doc, "//a//b//c"), re.MULTILINE
+        )
+        assert explained[0] == "INLJN" != explained[-1]
+        ran = db.query(doc, "//a//b//c", direction="bottom-up").reports
+        assert ran[0].algorithm == explained[-1]
+
+    def test_intermediate_sets_keep_their_single_height(self):
+        """Both callers infer an intermediate's properties from its own
+        metadata; the library used to plan it with bare properties and
+        lose the single-height degeneration."""
+        from repro.datatree.builder import tree_from_spec
+
+        leaf = ("c", [])
+        tree = tree_from_spec(
+            ("r", [("a", [("b", [leaf, leaf]), ("b", [leaf])]), ("b", [leaf])])
+        )
+        db = ContainmentDatabase(buffer_pages=16)
+        doc = db.load_tree(tree, name="t")
+        result = db.query(doc, "//a//b//c", direction="top-down")
+        outcome = QueryService(db).execute("t", "t", "//a//b//c", use_cache=False)
+        assert len(result) == 3
+        # //b spans two heights, the //b under //a only one
+        assert len(db.element_set(doc, "b").known_heights) == 2
+        for reports in (result.reports, outcome.reports):
+            assert [r.algorithm for r in reports] == ["SHCJ", "SHCJ"]

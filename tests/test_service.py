@@ -33,7 +33,6 @@ import threading
 import pytest
 
 from repro import ContainmentDatabase, random_tree
-from repro.join.planner import SetProperties
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     AdmissionController,
@@ -47,7 +46,6 @@ from repro.service import (
     ServiceRejection,
     TenantQuota,
 )
-from repro.service.plancache import table1_cell
 from repro.storage.faults import FaultConfig
 
 from .differential import normalize
@@ -181,15 +179,6 @@ class TestPlanCacheUnit:
         assert cache.get(self.KEY_A) is None
         assert len(cache) == 0
 
-    def test_table1_cells(self):
-        plain = SetProperties(sorted=False)
-        sorted_ = SetProperties(sorted=True)
-        single = SetProperties(sorted=False, single_height=3)
-        assert table1_cell(sorted_, sorted_) == "sorted"
-        assert table1_cell(plain, plain) == "unsorted-unindexed"
-        assert table1_cell(single, plain) == "single-height"
-        assert table1_cell(sorted_, plain) == "unsorted-unindexed"
-
 
 # ----------------------------------------------------------------------
 class TestQueryService:
@@ -226,6 +215,23 @@ class TestQueryService:
             [r.algorithm for r in cold.reports]
         assert counter_value(metrics, "service.plan_cache.hits") == 1
         assert counter_value(metrics, "service.plan_cache.misses") == 1
+
+    def test_single_step_paths_leave_cache_counters_alone(self):
+        """Regression: a one-step path has no join to plan and never
+        stored an entry, yet every such query was counted as a miss."""
+        metrics = MetricsRegistry()
+        db = make_db(metrics=metrics)
+        service = QueryService(db, metrics=metrics)
+        service.execute("t", "corpus", "//a//b")
+        service.execute("t", "corpus", "//a//b")
+        counters = ("service.plan_cache.hits", "service.plan_cache.misses")
+        before = [counter_value(metrics, name) for name in counters]
+        assert before == [1, 1]
+        for _ in range(5):
+            outcome = service.execute("t", "corpus", "//a")
+            assert not outcome.cache_hit and outcome.count
+        assert [counter_value(metrics, name) for name in counters] == before
+        assert len(service.plan_cache) == 1
 
     def test_cache_invalidated_when_updates_apply(self):
         metrics = MetricsRegistry()
@@ -374,6 +380,54 @@ class TestWireProtocol:
                 assert second["retry_after"] > 0
                 # the connection survives a rejection
                 assert client.ping() is True
+
+    def test_mixed_tenant_load_over_sockets(self):
+        """Concurrent socket clients against a saturated service: every
+        reply is ``ok`` or a typed rejection (never ``error``, never a
+        dropped connection), the per-tenant counters account for every
+        request issued, and the warmed plan cache serves hits."""
+        metrics = MetricsRegistry()
+        db = make_db(metrics=metrics)
+        service = QueryService(db, max_in_flight=2, metrics=metrics)
+        clients, requests, tenants = 4, 6, 3
+        issued = {}
+        statuses = []
+        lock = threading.Lock()
+
+        def client_loop(client_id, port):
+            def inner():
+                with ServiceClient(port=port) as client:
+                    for i in range(requests):
+                        tenant = f"tenant{(client_id + i) % tenants}"
+                        reply = client.query(
+                            "corpus", PATHS[(client_id + i) % len(PATHS)],
+                            tenant=tenant,
+                        )
+                        with lock:
+                            issued[tenant] = issued.get(tenant, 0) + 1
+                            statuses.append(reply["status"])
+                        if reply["status"] == "rejected":
+                            assert reply["code"] in ("backpressure", "quota")
+                            assert reply["retry_after"] > 0
+
+            return inner
+
+        with ServerThread(service) as server:
+            with ServiceClient(port=server.port) as warm:
+                for path in PATHS:
+                    assert warm.query("corpus", path, tenant="warmup")["status"] == "ok"
+            run_threads([client_loop(i, server.port) for i in range(clients)])
+
+        assert len(statuses) == clients * requests
+        assert set(statuses) <= {"ok", "rejected"} and "ok" in statuses
+        for tenant, count in issued.items():
+            accounted = sum(
+                counter_value(metrics, f"service.tenant.{tenant}.{kind}")
+                for kind in ("completed", "rejected", "errors")
+            )
+            assert accounted == count, tenant
+            assert counter_value(metrics, f"service.tenant.{tenant}.errors") == 0
+        assert counter_value(metrics, "service.plan_cache.hits") > 0
 
     def test_protocol_errors_keep_connection_usable(self):
         db = make_db()
