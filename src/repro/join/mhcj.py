@@ -18,7 +18,7 @@ pipeline, and failures are counted as **false hits** (Table 2(f)).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from ..core import batch, pbitree
 from ..obs.tracer import NULL_TRACER, Span
@@ -40,16 +40,23 @@ __all__ = [
     "MultiHeightJoin",
     "MultiHeightRollupJoin",
     "choose_rollup_height",
+    "pair_pages",
     "rolled_pair_pages",
+    "rollup_buckets",
 ]
+
+
+def pair_pages(count: int, code_capacity: int) -> int:
+    """Pages ``count`` ``(effective, original)`` pair records occupy
+    where a page holds ``code_capacity`` single codes."""
+    return -(-count // (code_capacity // 2 or 1))
 
 
 def rolled_pair_pages(ancestors: ElementSet) -> int:
     """Pages ``ancestors`` occupies as ``(effective, original)`` pair
     records — the size the rollup join's in-memory test compares with
     the pool, which the planner's cost model must agree with."""
-    pair_capacity = ancestors.heap.capacity // 2 or 1
-    return -(-len(ancestors) // pair_capacity)
+    return pair_pages(len(ancestors), ancestors.heap.capacity)
 
 
 def choose_rollup_height(heights: Sequence[int], strategy: str = "max") -> int:
@@ -69,6 +76,17 @@ def choose_rollup_height(heights: Sequence[int], strategy: str = "max") -> int:
     if strategy == "median":
         return ordered[len(ordered) // 2]
     raise ValueError(f"unknown rollup strategy {strategy!r}")
+
+
+def rollup_buckets(heights: Optional[Collection[int]], tree_height: int) -> int:
+    """Distinct join keys of the default rollup's equijoin: the PBiTree
+    nodes at the height it rolls to, ``2^(H-1-h)``.  Candidate pairs
+    spread over that many buckets, so this is what the planner's cost
+    model divides ``|A|·|D|`` by to estimate verifications; unrecorded
+    heights count as one bucket (the root's — the worst case)."""
+    if not heights:
+        return 1
+    return 1 << max(0, tree_height - 1 - choose_rollup_height(list(heights)))
 
 
 def _join_height_class(

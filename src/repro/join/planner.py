@@ -6,7 +6,7 @@ indexed? — and this module realises it as *estimate-then-choose*: the
 observable properties pick the **cell** (the candidate set), and the
 analytic cost model (:mod:`repro.join.costmodel`) ranks the candidates
 inside it from set metadata alone (``num_pages``, ``len``,
-``known_heights`` — no page is read to plan):
+``known_heights``, ``tree_height`` — no page is read to plan):
 
 ====================  ======================  ==========================
 cell                  requires                candidates (tie order)
@@ -14,29 +14,40 @@ cell                  requires                candidates (tie order)
 sorted+indexed        both sorted + indexed   Anc_Des_B+
 sorted                both sorted             Stack-Tree
 indexed               a usable probe index    INLJN
-single-height         single-height A         SHCJ, MHCJ+Rollup, VPJ
+single-height         single-height A         SHCJ
 unsorted-unindexed    —                       MHCJ+Rollup, VPJ
 ====================  ======================  ==========================
 
-The first cell whose requirement holds wins.  In the two partitioning
-cells the model reproduces the paper's reasoning — SHCJ has no false
-hits and never loses; rollup wins while one side of its equijoin fits
-the pool (its ancestors are *pair* records, twice as wide as codes);
-VPJ wins when the data is large on both sides — instead of restating it
-as a second rule.
+The first cell whose requirement holds wins.  Inside a cell the
+candidates are ranked by ``(total pages, cpu)``, lexicographically, and
+by the table's order only on a full tie.  Pages stay the paper's
+primary metric: rollup wins while one side of its equijoin fits the
+pool (its ancestors are *pair* records, twice as wide as codes) and VPJ
+wins when the data is large on both sides.  Where both read each input
+exactly once the estimated elementary operations decide: rollup pays
+one Lemma-1 verification per co-bucket ``(a, d)`` pair, which is
+nothing on the paper's datasets and everything when an ancestor sits
+near the root (a path step over document tags: hundreds of false hits
+per result), where VPJ's Algorithm 6 reads the same pages and verifies
+no pair at all.  There is no pages-per-operation exchange rate to
+guess, because ``cpu`` never outvotes a page.  SHCJ is alone in its
+cell: no false hits, never more pages than rollup or VPJ, one probe per
+descendant — nothing could beat it, so nothing else is priced.
 
-:func:`plan` returns the :class:`Plan`, :func:`choose_algorithm`
-instantiates its winner, :func:`explain` renders the plan plus every
-out-of-cell algorithm's estimate with the reason it was not considered.
-The name -> operator registry (:data:`ALGORITHMS`,
-:func:`make_algorithm`) lives here too: nothing else maps a plan or a
-paper name to an operator class.
+:func:`plan` returns the :class:`Plan` for two element sets,
+:func:`plan_from_metadata` is the same decision fed the scalars
+directly (a sharded corpus plans once from its summed slot sizes),
+:func:`choose_algorithm` instantiates the winner, :func:`explain`
+renders the plan plus every out-of-cell algorithm's estimate with the
+reason it was not considered.  The name -> operator registry
+(:data:`ALGORITHMS`, :func:`make_algorithm`) lives here too: nothing
+else maps a plan or a paper name to an operator class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 from ..core.pbitree import Height
 from ..index.bptree import BPlusTree
@@ -46,7 +57,12 @@ from .ancdes_b import AncDesBPlusJoin
 from .base import JoinAlgorithm, JoinReport, JoinSink
 from .costmodel import CostEstimate, CostInputs, CostModel
 from .inljn import IndexNestedLoopJoin
-from .mhcj import MultiHeightJoin, MultiHeightRollupJoin, rolled_pair_pages
+from .mhcj import (
+    MultiHeightJoin,
+    MultiHeightRollupJoin,
+    rolled_pair_pages,
+    rollup_buckets,
+)
 from .mpmgjn import MPMGJoin
 from .nested_loop import BlockNestedLoopJoin
 from .shcj import SingleHeightJoin
@@ -61,6 +77,7 @@ __all__ = [
     "Plan",
     "cell_of",
     "plan",
+    "plan_from_metadata",
     "choose_algorithm",
     "explain",
     "PBiTreeJoinFramework",
@@ -122,17 +139,19 @@ class SetProperties:
     ) -> "SetProperties":
         """What ``elements``' metadata says, plus any indexes the caller
         holds on it (an element set does not know its indexes)."""
-        heights = elements.known_heights
         return cls(
             sorted=elements.sorted_by == SortOrder.START,
             start_index=start_index,
             interval_index=interval_index,
-            single_height=(
-                next(iter(heights))
-                if heights is not None and len(heights) == 1
-                else None
-            ),
+            single_height=_only_height(elements.known_heights),
         )
+
+
+def _only_height(heights: Optional[Collection[int]]) -> Optional[Height]:
+    """The one recorded height of a single-height set, else ``None``."""
+    if heights is not None and len(heights) == 1:
+        return Height(next(iter(heights)))
+    return None
 
 
 _MODEL = CostModel()
@@ -147,14 +166,9 @@ _CELLS = {
         "a Start index on D or a stab index on A",
         {"INLJN": _MODEL.inljn},
     ),
-    "single-height": (
-        "single-height ancestors",
-        {
-            "SHCJ": _MODEL.shcj,
-            "MHCJ+Rollup": _MODEL.mhcj_rollup,
-            "VPJ": _MODEL.vpj,
-        },
-    ),
+    # SHCJ ties VPJ on pages at every input, never reads more than
+    # rollup, and has no false hits to verify: a one-candidate cell
+    "single-height": ("single-height ancestors", {"SHCJ": _MODEL.shcj}),
     "unsorted-unindexed": (
         "nothing",
         {"MHCJ+Rollup": _MODEL.mhcj_rollup, "VPJ": _MODEL.vpj},
@@ -186,8 +200,9 @@ def cell_of(a_props: SetProperties, d_props: SetProperties) -> str:
 class Plan:
     """One planned join step.
 
-    ``estimates`` holds the cell's candidates cheapest first (Table-1
-    order on ties); the first is the plan, the rest are what it beat.
+    ``estimates`` holds the cell's candidates cheapest first — fewest
+    pages, then least ``cpu``, then Table-1 order; the first is the
+    plan, the rest are what it beat.
     """
 
     cell: str
@@ -240,26 +255,59 @@ def plan(
     (:meth:`SetProperties.of`); ``buffer_pages`` defaults to the pool
     the ancestors live in.
     """
-    a_props = a_props or SetProperties.of(ancestors)
-    d_props = d_props or SetProperties.of(descendants)
-    heights = ancestors.known_heights
-    inputs = CostInputs(
-        a_pages=ancestors.num_pages,
-        d_pages=descendants.num_pages,
-        buffer_pages=buffer_pages or ancestors.bufmgr.num_pages,
+    return plan_from_metadata(
         a_count=len(ancestors),
+        a_pages=ancestors.num_pages,
+        a_pair_pages=rolled_pair_pages(ancestors),
+        a_heights=ancestors.known_heights,
         d_count=len(descendants),
-        a_heights=len(heights) if heights else 1,
+        d_pages=descendants.num_pages,
+        tree_height=ancestors.tree_height,
+        buffer_pages=buffer_pages or ancestors.bufmgr.num_pages,
+        a_props=a_props or SetProperties.of(ancestors),
+        d_props=d_props or SetProperties.of(descendants),
+    )
+
+
+def plan_from_metadata(
+    *,
+    a_count: int,
+    a_pages: int,
+    a_pair_pages: int,
+    a_heights: Optional[Collection[int]],
+    d_count: int,
+    d_pages: int,
+    tree_height: int,
+    buffer_pages: int,
+    a_props: Optional[SetProperties] = None,
+    d_props: Optional[SetProperties] = None,
+) -> Plan:
+    """:func:`plan`'s decision from the scalars it reads off two sets.
+
+    ``a_heights`` is the set of ancestor node heights (``None`` when
+    not recorded); without properties both inputs count as unsorted
+    and unindexed, single-height if ``a_heights`` says so.
+    """
+    a_props = a_props or SetProperties(single_height=_only_height(a_heights))
+    d_props = d_props or SetProperties()
+    inputs = CostInputs(
+        a_pages=a_pages,
+        d_pages=d_pages,
+        buffer_pages=buffer_pages,
+        a_count=a_count,
+        d_count=d_count,
+        a_heights=len(a_heights) if a_heights else 1,
+        rollup_buckets=rollup_buckets(a_heights, tree_height),
         a_sorted=a_props.sorted,
         d_sorted=d_props.sorted,
         a_indexed=a_props.indexed,
         d_indexed=d_props.indexed,
-        a_pair_pages=rolled_pair_pages(ancestors),
+        a_pair_pages=a_pair_pages,
     )
     cell = cell_of(a_props, d_props)
     estimates = [formula(inputs) for formula in _CELLS[cell][1].values()]
-    # the sort is stable, so equal totals keep the cell's tie order
-    estimates.sort(key=lambda estimate: estimate.total)
+    # the sort is stable, so a full tie keeps the cell's own order
+    estimates.sort(key=lambda estimate: (estimate.total, estimate.cpu))
     return Plan(cell, tuple(estimates), inputs, a_props, d_props)
 
 
@@ -286,12 +334,11 @@ def explain(
     """EXPLAIN for one join step, as text.
 
     The first lines are :func:`plan`'s own — the chosen candidate and
-    the in-cell candidates it beat; below them every other algorithm
-    the model can price, with why Table 1 did not consider it.  Those
-    plans are listed, never chosen: their estimates count pages only,
-    and the cheapest of them on large inputs (BNL, on-the-fly sorts)
-    pay in CPU or in preparation an existing sort order or index makes
-    unnecessary.
+    the in-cell candidates it beat (on pages, or on ``cpu`` at equal
+    pages); below them every other algorithm the model can price, with
+    why Table 1 did not consider it.  Those plans are listed, never
+    chosen: the properties gate, the estimate ranks only inside the
+    gate.
     """
     chosen = plan(ancestors, descendants, a_props, d_props, buffer_pages)
     cells = list(_CELLS)
@@ -317,13 +364,14 @@ def explain(
         rows.append((estimate, reason))
     lines = [
         f"cell {chosen.cell} -> {chosen.algorithm_name}",
-        f"{'plan':<12} {'prep':>8} {'join':>8} {'total':>8}",
-        "-" * 39,
+        f"{'plan':<12} {'prep':>8} {'join':>8} {'total':>8} {'cpu':>12}",
+        "-" * 52,
     ]
     for estimate, verdict in rows:
         lines.append(
             f"{estimate.algorithm:<12} {estimate.prep_pages:>8.0f} "
-            f"{estimate.join_pages:>8.0f} {estimate.total:>8.0f}  {verdict}"
+            f"{estimate.join_pages:>8.0f} {estimate.total:>8.0f} "
+            f"{estimate.cpu:>12.0f}  {verdict}"
         )
     return "\n".join(lines)
 

@@ -40,13 +40,17 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence, Union
 
+from ..core import batch
 from ..core.execconfig import ExecConfig, current
 from ..join.base import JoinReport
-from ..join.planner import make_algorithm
+from ..join.mhcj import pair_pages
+from ..join.planner import make_algorithm, plan_from_metadata
 from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
 from ..parallel.tasks import BenchGauges, SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
+from ..storage.page import page_capacity
+from ..storage.record import CODE
 from ..storage.stats import IOSnapshot
 from .corpus import ShardedCorpus
 
@@ -64,7 +68,7 @@ class SlotInputs:
     and cover every slot of the corpus.
     """
 
-    slots: tuple[tuple[int, ...], ...]
+    slots: Sequence[Sequence[int]]
 
 
 #: a join side: a tag registered on the corpus, raw codes to scatter
@@ -242,15 +246,19 @@ class ShardedJoinExecutor:
         self,
         sides: Sequence[SideInput],
         dataset: str,
+        buffer_pages: int = 50,
+        page_size: int = 1024,
         **run_options: Any,
     ) -> tuple[list[JoinReport], list[int]]:
         """Evaluate a descendant chain top-down, one sharded join per step.
 
         ``sides[0]`` joins ``sides[1]``; each later step joins the
         previous step's surviving descendants (scattered transiently)
-        against the next side.  Returns the per-step merged reports and
-        the final survivors, sorted.  ``run_options`` are forwarded to
-        :meth:`run` (pool sizing, faults, tracer).
+        against the next side.  Every step is planned **once for the
+        whole corpus** (:meth:`plan_step`) and that one algorithm runs
+        on every slot.  Returns the per-step merged reports and the
+        final survivors, sorted.  ``run_options`` are forwarded to
+        :meth:`run` (faults, tracer).
         """
         if len(sides) < 2:
             raise ValueError("a path needs an anchor and at least one step")
@@ -258,11 +266,15 @@ class ShardedJoinExecutor:
         survivors: list[int] = []
         ancestors: SideInput = sides[0]
         for step_index, descendants in enumerate(sides[1:], start=1):
+            a_slots = self._side_inputs(ancestors, ancestor=True)
+            d_slots = self._side_inputs(descendants, ancestor=False)
             report, pairs = self.run(
-                "MHCJ+Rollup",
-                ancestors,
-                descendants,
+                self.plan_step(a_slots, d_slots, buffer_pages, page_size),
+                SlotInputs(a_slots),
+                SlotInputs(d_slots),
                 dataset=f"{dataset}.step{step_index}",
+                buffer_pages=buffer_pages,
+                page_size=page_size,
                 collect=True,
                 **run_options,
             )
@@ -270,3 +282,33 @@ class ShardedJoinExecutor:
             assert pairs is not None
             ancestors = survivors = sorted({d for _a, d in pairs})
         return reports, survivors
+
+    def plan_step(
+        self,
+        a_slots: Sequence[Sequence[int]],
+        d_slots: Sequence[Sequence[int]],
+        buffer_pages: int,
+        page_size: int,
+    ) -> str:
+        """The algorithm the planner picks for one step of the corpus.
+
+        Planned from corpus-level metadata — record counts and pages
+        summed over the slots, the union of the ancestor heights, one
+        slot bench's pool — which is a function of the slot structure
+        alone, so ``shards=1`` and ``shards=N`` run the same plan;
+        planning slot by slot would not keep that.
+        """
+        capacity = page_capacity(page_size, CODE.record_size)
+        heights: set[int] = set()
+        for codes in a_slots:
+            heights.update(batch.heights(codes))
+        return plan_from_metadata(
+            a_count=sum(map(len, a_slots)),
+            a_pages=sum(-(-len(codes) // capacity) for codes in a_slots),
+            a_pair_pages=sum(pair_pages(len(codes), capacity) for codes in a_slots),
+            a_heights=heights,
+            d_count=sum(map(len, d_slots)),
+            d_pages=sum(-(-len(codes) // capacity) for codes in d_slots),
+            tree_height=self.corpus.tree_height,
+            buffer_pages=buffer_pages,
+        ).algorithm_name

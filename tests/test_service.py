@@ -33,6 +33,9 @@ import threading
 import pytest
 
 from repro import ContainmentDatabase, random_tree
+from repro.experiments.harness import Workbench, materialize
+from repro.join.base import JoinSink
+from repro.join.planner import make_algorithm, plan
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     AdmissionController,
@@ -820,9 +823,17 @@ class TestSessionIndexViews:
         outcome = service.execute("t", "corpus", "//a//b")
         assert [r.algorithm for r in outcome.reports] == ["INLJN"]
 
-        plain = QueryService(make_db())
-        baseline = plain.execute("t", "corpus", "//a//b")
-        assert [r.algorithm for r in baseline.reports] == ["MHCJ+Rollup"]
+        # without the indexes the same step is the unindexed cell's
+        # arg-min of (pages, cpu) — whatever plan() says of the two sets
+        plain_db = make_db()
+        doc = plain_db.document("corpus")
+        unindexed = plan(plain_db.element_set(doc, "a"), plain_db.element_set(doc, "b"))
+        assert unindexed.cell == "unsorted-unindexed"
+        assert [(e.total, e.cpu) for e in unindexed.estimates] == sorted(
+            (e.total, e.cpu) for e in unindexed.estimates
+        )
+        baseline = QueryService(plain_db).execute("t", "corpus", "//a//b")
+        assert [r.algorithm for r in baseline.reports] == [unindexed.algorithm_name]
         assert sorted(outcome.codes) == sorted(baseline.codes)
 
     def test_concurrent_indexed_queries_match_serial(self):
@@ -868,6 +879,57 @@ class TestSessionIndexViews:
         baseline = plain.execute("t", "corpus", "//a//b")
         assert len(after.codes) >= len(baseline.codes)
         assert set(baseline.codes) <= set(after.codes)
+
+
+# ----------------------------------------------------------------------
+class TestPathStepsVerifyNoFalseHits:
+    """The ledger's corpus shape: 2,000 nodes, four balanced tags, so
+    every tag reaches the top of the tree.  Rolled up, each step is one
+    bucket and verifies hundreds of false hits per result; the planner
+    prices that and runs the same pages through Algorithm 6."""
+
+    LEDGER_PATHS = ["//a//b", "//a//b//c", "//b//d", "//c//d", "//a//c//d"]
+
+    @staticmethod
+    def rollup_chain(db, doc, path):
+        """The path top-down with MHCJ+Rollup forced on every step —
+        the plan every step ran before the planner priced cpu."""
+        tags = path.strip("/").split("//")
+        bench = Workbench.create(buffer_pages=64)
+        codes = list(db.element_set(doc, tags[0]).scan())
+        reports = []
+        for tag in tags[1:]:
+            a_set = materialize(bench.bufmgr, codes, doc.tree_height, "A")
+            d_set = materialize(
+                bench.bufmgr, list(db.element_set(doc, tag).scan()),
+                doc.tree_height, "D",
+            )
+            sink = JoinSink("collect")
+            reports.append(make_algorithm("MHCJ+Rollup").run(a_set, d_set, sink))
+            codes = sorted({d for _a, d in sink.pairs})
+        return codes, reports
+
+    @pytest.mark.parametrize("path", LEDGER_PATHS)
+    def test_every_path_answers_as_before_without_the_false_hits(self, path):
+        db = ContainmentDatabase(buffer_pages=64)
+        doc = db.load_tree(
+            random_tree(2000, max_fanout=5, seed=2003, tags=("a", "b", "c", "d")),
+            name="corpus",
+        )
+        expect, forced = self.rollup_chain(db, doc, path)
+        assert sum(r.false_hits for r in forced) > 10 * sum(
+            r.result_count for r in forced
+        )
+
+        result = db.query(doc, path)
+        outcome = QueryService(db).execute("t", "corpus", path)
+        node_of = doc.updatable.node_of
+        assert sorted(n.id for n in result.nodes) == sorted(map(node_of, expect))
+        assert sorted(outcome.codes) == expect
+        for reports in (result.reports, outcome.reports):
+            assert sum(r.false_hits for r in reports) <= sum(
+                r.result_count for r in reports
+            )
 
 
 # ----------------------------------------------------------------------

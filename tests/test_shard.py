@@ -388,6 +388,20 @@ class TestShardedDatabase:
             got = sorted(n.id for n in sharded.query(doc_s, path).nodes)
             assert got == expect, path
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_sharded_path_runs_the_unsharded_plan(self, shards):
+        """Each step is planned once for the whole corpus, from the
+        same kind of metadata the unsharded planner reads — so the two
+        report the same algorithm sequence, at any shard count."""
+        plain, sharded = self.make_pair(shards=shards)
+        doc_p = plain.document("corpus")
+        doc_s = sharded.document("corpus")
+        for path in ("//a//b", "//a//b//c", "//b//d", "//c//d", "//a//c//d"):
+            expect = plain.query(doc_p, path, direction="top-down").reports
+            got = sharded.query(doc_s, path).reports
+            assert [r.algorithm for r in got] == [r.algorithm for r in expect]
+            assert [r.result_count for r in got] == [r.result_count for r in expect]
+
     def test_update_invalidates_corpus(self):
         plain, sharded = self.make_pair(shards=2)
         doc_s = sharded.document("corpus")
