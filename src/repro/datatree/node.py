@@ -9,7 +9,7 @@ flat arrays (parent pointers and children lists).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 __all__ = ["DataTree", "NodeView"]
 
@@ -24,7 +24,12 @@ class DataTree:
     ``codes[node_id]`` holds the node's PBiTree code.
     """
 
-    __slots__ = ("tags", "texts", "parents", "children", "codes")
+    __slots__ = ("tags", "texts", "parents", "children", "codes", "root")
+
+    #: id of the root node (always 0); set by :meth:`add_root`.  A slot,
+    #: not a property: traversals and callers filtering node lists read
+    #: it once per node
+    root: int
 
     def __init__(self) -> None:
         self.tags: list[str] = []
@@ -57,19 +62,23 @@ class DataTree:
         self.codes.append(0)
         if parent >= 0:
             self.children[parent].append(node_id)
+        else:
+            self.root = node_id
         return node_id
+
+    if not TYPE_CHECKING:  # keeps the type checker strict on attribute names
+
+        def __getattr__(self, name):
+            # reached only through an unset slot: ``root`` before add_root
+            if name == "root":
+                raise ValueError("empty tree")
+            raise AttributeError(name)
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.tags)
-
-    @property
-    def root(self) -> int:
-        if not self.tags:
-            raise ValueError("empty tree")
-        return 0
 
     def node(self, node_id: int) -> "NodeView":
         """A lightweight read view of one node."""

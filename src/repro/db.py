@@ -81,7 +81,6 @@ class QueryResult:
 
     nodes: list[NodeView]
     reports: list[JoinReport] = field(default_factory=list)
-    planning_io: int = 0
 
     def __iter__(self) -> Iterator[NodeView]:
         return iter(self.nodes)
@@ -91,7 +90,7 @@ class QueryResult:
 
     @property
     def total_io(self) -> int:
-        return self.planning_io + sum(
+        return sum(
             report.total_pages for report in self.reports
         )
 
@@ -368,7 +367,6 @@ class ContainmentDatabase:
         return QueryResult(
             nodes=self._decode(document, result.codes),
             reports=result.reports,
-            planning_io=result.planning_io,
         )
 
     @staticmethod

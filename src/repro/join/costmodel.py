@@ -53,11 +53,10 @@ class CostInputs:
     a_pair_pages: int
     #: distinct node heights among the ancestors
     a_heights: int = 1
-    #: distinct keys of rollup's equijoin — PBiTree nodes at the height
-    #: it rolls to (:func:`repro.join.mhcj.rollup_buckets`); 1 = every
-    #: pair shares the one bucket (a root-height ancestor, or heights
-    #: not recorded)
-    rollup_buckets: int = 1
+    #: expected ``(a, d)`` pairs that share a bucket of rollup's
+    #: equijoin, from the two sets' positional histograms
+    #: (:func:`repro.join.mhcj.rollup_candidate_pairs`)
+    rollup_pairs: float = 0.0
     a_sorted: bool = False
     d_sorted: bool = False
     a_indexed: bool = False
@@ -232,11 +231,11 @@ class CostModel:
     def mhcj_rollup(self, inputs: CostInputs) -> CostEstimate:
         """Rollup to the top ancestor height makes one equijoin of it —
         and a candidate of every ``(a, d)`` pair that shares a bucket:
-        ``|A|·|D| / buckets`` expected Lemma-1 verifications, nearly
-        all of them false hits when the bucket is the root."""
-        verified = inputs.a_count * inputs.d_count / max(1, inputs.rollup_buckets)
+        ``rollup_pairs`` Lemma-1 verifications, nearly all of them
+        false hits when the buckets are few or the data crowds into
+        some of them."""
         return self._equijoin_cost(
-            "MHCJ+Rollup", inputs, inputs.a_pair_pages, verified
+            "MHCJ+Rollup", inputs, inputs.a_pair_pages, inputs.rollup_pairs
         )
 
     def _equijoin_cost(

@@ -18,7 +18,7 @@ pipeline, and failures are counted as **false hits** (Table 2(f)).
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..core import batch, pbitree
 from ..obs.tracer import NULL_TRACER, Span
@@ -28,6 +28,7 @@ from ..parallel.tasks import HeightProbeTask, run_height_probe_task
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from ..storage.heapfile import HeapFile
+from ..storage.histogram import PositionHistogram, slice_shift
 from ..storage.record import CODE, PAIR
 from .base import JoinAlgorithm, JoinReport, JoinSink
 from .hash_join import grace_hash_join, in_memory_hash_join
@@ -42,7 +43,7 @@ __all__ = [
     "choose_rollup_height",
     "pair_pages",
     "rolled_pair_pages",
-    "rollup_buckets",
+    "rollup_candidate_pairs",
 ]
 
 
@@ -78,15 +79,43 @@ def choose_rollup_height(heights: Sequence[int], strategy: str = "max") -> int:
     raise ValueError(f"unknown rollup strategy {strategy!r}")
 
 
-def rollup_buckets(heights: Optional[Collection[int]], tree_height: int) -> int:
-    """Distinct join keys of the default rollup's equijoin: the PBiTree
-    nodes at the height it rolls to, ``2^(H-1-h)``.  Candidate pairs
-    spread over that many buckets, so this is what the planner's cost
-    model divides ``|A|·|D|`` by to estimate verifications; unrecorded
-    heights count as one bucket (the root's — the worst case)."""
-    if not heights:
-        return 1
-    return 1 << max(0, tree_height - 1 - choose_rollup_height(list(heights)))
+def rollup_candidate_pairs(
+    ancestors: PositionHistogram, descendants: PositionHistogram
+) -> float:
+    """Expected ``(a, d)`` pairs the default rollup verifies, from the
+    two sets' positional histograms.
+
+    The ``max`` strategy rolls every ancestor to the top height ``t``;
+    the equijoin's buckets are the PBiTree nodes at ``t``, and every
+    pair of an ancestor and a descendant below ``t`` under the same
+    bucket node is a candidate: ``Σ_b |A_b|·|D_b, height < t|``.  A
+    bucket spans ``2^(t+1)`` codes.  While that is at least a slice
+    (at most 64 buckets) each bucket is a run of whole slices and the
+    sum is exact; a finer bucket splits a slice, and the slice's
+    product is divided by the buckets in it (pairs spread evenly inside
+    one slice).
+    """
+    if ancestors.tree_height != descendants.tree_height:
+        raise ValueError(
+            "cannot price a join of sets from different PBiTrees "
+            f"(H={ancestors.tree_height} vs H={descendants.tree_height})"
+        )
+    if not ancestors.counts:
+        return 0.0
+    target = choose_rollup_height(list(ancestors.heights()))
+    # log2 of the slices one bucket spans; negative when it splits one
+    spread = target + 1 - slice_shift(ancestors.tree_height)
+    merge = max(0, spread)
+    a_buckets: dict[int, int] = {}
+    for (_height, position), count in ancestors.counts.items():
+        bucket = position >> merge
+        a_buckets[bucket] = a_buckets.get(bucket, 0) + count
+    pairs = sum(
+        a_buckets.get(position >> merge, 0) * count
+        for (height, position), count in descendants.counts.items()
+        if height < target
+    )
+    return pairs / (1 << max(0, -spread))
 
 
 def _join_height_class(
@@ -428,7 +457,7 @@ class MultiHeightRollupJoin(JoinAlgorithm):
         if not len(ancestors) or not len(descendants):
             return report
 
-        # Pass 1: discover heights and pick the target.
+        # The heights are set metadata; pick the target.
         heights = ancestors.heights()
         target = self.target_height
         if target is None:

@@ -13,14 +13,9 @@ workloads).  The joins can be evaluated in different orders:
 Both are semijoin programs with the same answer; their costs differ by
 the intermediate cardinalities, which :mod:`repro.join.statistics` can
 estimate before running anything.  :class:`PathPipeline` plans the
-direction from the estimates and executes the chain, reporting each
-step.
-
-This also exercises the property the paper highlights about stack-tree
-joins producing output "in either A or D sorted order, which is
-favorable for further containment joins": intermediate results here are
-materialised in code order, so downstream merge-based algorithms can
-consume them without re-sorting.
+direction from the estimates — built from the positional histograms
+the element sets carry, so planning reads no page — and executes the
+chain, reporting each step.
 """
 
 from __future__ import annotations
@@ -49,14 +44,10 @@ class PipelineResult:
     direction: str
     reports: list[JoinReport] = field(default_factory=list)
     estimated_cost: float = 0.0
-    #: pages read while collecting statistics for direction planning
-    planning_io: int = 0
 
     @property
     def total_io(self) -> int:
-        return self.planning_io + sum(
-            report.total_pages for report in self.reports
-        )
+        return sum(report.total_pages for report in self.reports)
 
 
 def plan_direction(step_stats: Sequence[SetStatistics]) -> tuple[str, float, float]:
@@ -156,17 +147,14 @@ class PathPipeline:
                 codes=sorted(steps[0].scan()), direction="top-down"
             )
 
-        planning_io = 0
         if self.forced_direction is not None:
             direction = self.forced_direction
             td_cost = bu_cost = 0.0
         else:
-            io_stats = self.bufmgr.disk.stats
-            before = io_stats.snapshot()
             with self.tracer.span("pipeline.plan", steps=len(steps)):
-                stats = [SetStatistics.from_set(step) for step in steps]
-            planning_io = io_stats.delta(before).total
-            direction, td_cost, bu_cost = plan_direction(stats)
+                direction, td_cost, bu_cost = plan_direction(
+                    [SetStatistics.from_histogram(step.histogram) for step in steps]
+                )
         estimated = td_cost if direction == "top-down" else bu_cost
 
         if direction == "top-down":
@@ -178,7 +166,6 @@ class PathPipeline:
             direction=direction,
             reports=reports,
             estimated_cost=estimated,
-            planning_io=planning_io,
         )
 
     # ------------------------------------------------------------------

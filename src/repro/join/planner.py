@@ -5,8 +5,8 @@ from the physical properties of the two input element sets — sorted?
 indexed? — and this module realises it as *estimate-then-choose*: the
 observable properties pick the **cell** (the candidate set), and the
 analytic cost model (:mod:`repro.join.costmodel`) ranks the candidates
-inside it from set metadata alone (``num_pages``, ``len``,
-``known_heights``, ``tree_height`` — no page is read to plan):
+inside it from set metadata alone (``num_pages``, ``len`` and the
+positional histogram every set carries — no page is read to plan):
 
 ====================  ======================  ==========================
 cell                  requires                candidates (tie order)
@@ -25,18 +25,22 @@ primary metric: rollup wins while one side of its equijoin fits the
 pool (its ancestors are *pair* records, twice as wide as codes) and VPJ
 wins when the data is large on both sides.  Where both read each input
 exactly once the estimated elementary operations decide: rollup pays
-one Lemma-1 verification per co-bucket ``(a, d)`` pair, which is
-nothing on the paper's datasets and everything when an ancestor sits
-near the root (a path step over document tags: hundreds of false hits
-per result), where VPJ's Algorithm 6 reads the same pages and verifies
-no pair at all.  There is no pages-per-operation exchange rate to
-guess, because ``cpu`` never outvotes a page.  SHCJ is alone in its
+one Lemma-1 verification per co-bucket ``(a, d)`` pair, counted from
+the two sets' ``(height, slice)`` histograms.  That is nothing on the
+paper's datasets and everything when an ancestor sits near the root
+(a path step over document tags: hundreds of false hits per result)
+or when the data crowds into a few of many buckets (a document grown
+by inserts under a hot parent), where VPJ's Algorithm 6 reads the
+same pages and verifies no pair at all.  There is no
+pages-per-operation exchange rate to guess, because ``cpu`` never
+outvotes a page.  SHCJ is alone in its
 cell: no false hits, never more pages than rollup or VPJ, one probe per
 descendant — nothing could beat it, so nothing else is priced.
 
 :func:`plan` returns the :class:`Plan` for two element sets,
-:func:`plan_from_metadata` is the same decision fed the scalars
-directly (a sharded corpus plans once from its summed slot sizes),
+:func:`plan_from_metadata` is the same decision fed the metadata
+directly (a sharded corpus plans once from its summed slot sizes and
+corpus-level histograms),
 :func:`choose_algorithm` instantiates the winner, :func:`explain`
 renders the plan plus every out-of-cell algorithm's estimate with the
 reason it was not considered.  The name -> operator registry
@@ -53,6 +57,7 @@ from ..core.pbitree import Height
 from ..index.bptree import BPlusTree
 from ..index.interval_tree import IntervalTree
 from ..storage.elementset import ElementSet, SortOrder
+from ..storage.histogram import PositionHistogram
 from .ancdes_b import AncDesBPlusJoin
 from .base import JoinAlgorithm, JoinReport, JoinSink
 from .costmodel import CostEstimate, CostInputs, CostModel
@@ -61,7 +66,7 @@ from .mhcj import (
     MultiHeightJoin,
     MultiHeightRollupJoin,
     rolled_pair_pages,
-    rollup_buckets,
+    rollup_candidate_pairs,
 )
 from .mpmgjn import MPMGJoin
 from .nested_loop import BlockNestedLoopJoin
@@ -147,9 +152,9 @@ class SetProperties:
         )
 
 
-def _only_height(heights: Optional[Collection[int]]) -> Optional[Height]:
-    """The one recorded height of a single-height set, else ``None``."""
-    if heights is not None and len(heights) == 1:
+def _only_height(heights: Collection[int]) -> Optional[Height]:
+    """The one height of a single-height set, else ``None``."""
+    if len(heights) == 1:
         return Height(next(iter(heights)))
     return None
 
@@ -259,10 +264,10 @@ def plan(
         a_count=len(ancestors),
         a_pages=ancestors.num_pages,
         a_pair_pages=rolled_pair_pages(ancestors),
-        a_heights=ancestors.known_heights,
+        a_histogram=ancestors.histogram,
         d_count=len(descendants),
         d_pages=descendants.num_pages,
-        tree_height=ancestors.tree_height,
+        d_histogram=descendants.histogram,
         buffer_pages=buffer_pages or ancestors.bufmgr.num_pages,
         a_props=a_props or SetProperties.of(ancestors),
         d_props=d_props or SetProperties.of(descendants),
@@ -274,20 +279,21 @@ def plan_from_metadata(
     a_count: int,
     a_pages: int,
     a_pair_pages: int,
-    a_heights: Optional[Collection[int]],
+    a_histogram: PositionHistogram,
     d_count: int,
     d_pages: int,
-    tree_height: int,
+    d_histogram: PositionHistogram,
     buffer_pages: int,
     a_props: Optional[SetProperties] = None,
     d_props: Optional[SetProperties] = None,
 ) -> Plan:
-    """:func:`plan`'s decision from the scalars it reads off two sets.
+    """:func:`plan`'s decision from the metadata it reads off two sets.
 
-    ``a_heights`` is the set of ancestor node heights (``None`` when
-    not recorded); without properties both inputs count as unsorted
-    and unindexed, single-height if ``a_heights`` says so.
+    The histograms give the ancestor heights and rollup's co-bucket
+    pairs; without properties both inputs count as unsorted and
+    unindexed, single-height if ``a_histogram`` says so.
     """
+    a_heights = a_histogram.heights()
     a_props = a_props or SetProperties(single_height=_only_height(a_heights))
     d_props = d_props or SetProperties()
     inputs = CostInputs(
@@ -296,8 +302,8 @@ def plan_from_metadata(
         buffer_pages=buffer_pages,
         a_count=a_count,
         d_count=d_count,
-        a_heights=len(a_heights) if a_heights else 1,
-        rollup_buckets=rollup_buckets(a_heights, tree_height),
+        a_heights=len(a_heights) or 1,
+        rollup_pairs=rollup_candidate_pairs(a_histogram, d_histogram),
         a_sorted=a_props.sorted,
         d_sorted=d_props.sorted,
         a_indexed=a_props.indexed,

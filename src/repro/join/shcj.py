@@ -33,11 +33,8 @@ __all__ = ["SingleHeightJoin", "single_height_of"]
 
 
 def single_height_of(elements: ElementSet) -> Optional[int]:
-    """The unique height of the set's nodes, or None if mixed/empty.
-
-    Costs one scan — callers that already know the height pass it to
-    :class:`SingleHeightJoin` directly.
-    """
+    """The unique height of the set's nodes, or None if mixed/empty
+    (read off the set's histogram: no scan)."""
     heights = elements.heights()
     if len(heights) == 1:
         return heights.pop()
@@ -51,7 +48,7 @@ class SingleHeightJoin(JoinAlgorithm):
 
     def __init__(self, height: Optional[int] = None) -> None:
         """``height`` is the (single) height of the ancestor set; when
-        omitted it is discovered with one extra scan of ``A``."""
+        omitted it is read off ``A``'s histogram."""
         self.height = height
 
     def _prepare(self, ancestors, descendants, bufmgr):

@@ -9,7 +9,12 @@ turn exploited in query processing."  This module realises that remark:
   per (height, top-level slice) where a slice is one of 64 equal
   divisions of the coding space.  Because the coding space is shared by
   every set of the same document, slices align across sets — the
-  property an arbitrary region coding does not give you;
+  property an arbitrary region coding does not give you.  Its source is
+  the histogram every element set carries and every writer keeps exact
+  (:class:`~repro.storage.histogram.PositionHistogram`), read by
+  :meth:`SetStatistics.from_histogram` in O(cells) with no I/O;
+  :meth:`SetStatistics.from_set`, a full scan, survives as the oracle
+  that maintained histogram is tested against;
 * :func:`estimate_join_cardinality` — containment-join selectivity
   estimation.  Nodes of one height form an arithmetic progression of
   known density inside any slice, so "how many ancestors at height h
@@ -18,7 +23,9 @@ turn exploited in query processing."  This module realises that remark:
   captures placement correlation (e.g. all ancestors living in one
   subtree) that span-level statistics cannot see.
 
-:mod:`repro.join.pipeline` consumes these to order a chain of joins.
+:mod:`repro.join.pipeline` consumes these to order a chain of joins;
+the planner prices rollup's co-bucket pairs from the same histograms
+(:func:`repro.join.mhcj.rollup_candidate_pairs`).
 """
 
 from __future__ import annotations
@@ -29,11 +36,9 @@ from typing import Iterable, Optional
 from ..core import pbitree
 from ..core.pbitree import Height, PBiCode
 from ..storage.elementset import ElementSet
+from ..storage.histogram import NUM_SLICES, PositionHistogram, slice_shift
 
 __all__ = ["SetStatistics", "estimate_join_cardinality", "NUM_SLICES"]
-
-#: top-level divisions of the coding space for the positional histogram
-NUM_SLICES = 64
 
 
 @dataclass
@@ -43,6 +48,8 @@ class SetStatistics:
 
     count: int = 0
     height_counts: dict[Height, int] = field(default_factory=dict)
+    #: lowest and highest code, read only by the span fallback (set by
+    #: :meth:`from_codes`, unset by :meth:`from_histogram`)
     min_code: int = 0
     max_code: int = 0
     tree_height: Optional[int] = None
@@ -56,9 +63,7 @@ class SetStatistics:
         stats = cls(tree_height=tree_height)
         height_of = pbitree.height_of
         space_slice = pbitree.coding_space_slice
-        slice_shift = None
-        if tree_height is not None:
-            slice_shift = max(0, tree_height - NUM_SLICES.bit_length() + 1)
+        shift = None if tree_height is None else slice_shift(tree_height)
         lo = None
         hi = 0
         counts: dict[Height, int] = {}
@@ -72,8 +77,8 @@ class SetStatistics:
                 lo = code
             if code > hi:
                 hi = code
-            if slice_shift is not None:
-                key = (height, space_slice(code, slice_shift))
+            if shift is not None:
+                key = (height, space_slice(code, shift))
                 positions[key] = positions.get(key, 0) + 1
         stats.count = n
         stats.height_counts = counts
@@ -84,7 +89,24 @@ class SetStatistics:
 
     @classmethod
     def from_set(cls, elements: ElementSet) -> "SetStatistics":
+        """One full scan — the oracle for :meth:`from_histogram`."""
         return cls.from_codes(elements.scan(), elements.tree_height)
+
+    @classmethod
+    def from_histogram(cls, histogram: PositionHistogram) -> "SetStatistics":
+        """The same summary read off a maintained histogram in O(cells).
+        The code span stays unset: with a tree height every estimate
+        takes the positional path, which never reads it."""
+        counts: dict[Height, int] = {}
+        for (height, _slice), count in histogram.counts.items():
+            key = Height(height)
+            counts[key] = counts.get(key, 0) + count
+        return cls(
+            count=sum(counts.values()),
+            height_counts=counts,
+            tree_height=histogram.tree_height,
+            position_counts=dict(histogram.counts),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -159,7 +181,9 @@ def estimate_join_cardinality(
     ``s`` below ``h`` has exactly one ancestor slot at ``h`` (``F`` is
     a function); that slot lies in the same slice (slices are wider
     than any realistic subtree stride) and is occupied with probability
-    ``|A_{h,s}| / slots_h(s)``.  Without positional data, falls back to
+    ``|A_{h,s}| / slots_h(s)``.  Without positional data — statistics
+    built by :meth:`SetStatistics.from_codes` without a tree height,
+    never the planner's, which come from the histograms — falls back to
     the span-overlap model.
     """
     if not a_stats.count or not d_stats.count:
@@ -179,8 +203,8 @@ def _positional_estimate(
 ) -> float:
     tree_height = a_stats.tree_height
     assert tree_height is not None
-    slice_shift = max(0, tree_height - NUM_SLICES.bit_length() + 1)
-    slice_size = 1 << slice_shift
+    shift = slice_shift(tree_height)
+    slice_size = 1 << shift
 
     # group A's positional counts by height
     a_by_height: dict[int, dict[int, int]] = {}
@@ -192,7 +216,7 @@ def _positional_estimate(
         d_slices = d_stats.slice_counts_below(height)
         if not d_slices:
             continue
-        if height < slice_shift:
+        if height < shift:
             # the ancestor slot of a descendant stays inside its slice
             slots = _slots_at_height(slice_size, height)
             for slice_index, a_count in slices.items():
@@ -205,7 +229,7 @@ def _positional_estimate(
             # codes shifted right, and F commutes with the shift here)
             for slice_index, d_count in d_slices.items():
                 anchor_slice = pbitree.f_ancestor(
-                    slice_index, height - slice_shift
+                    slice_index, height - shift
                 )
                 a_count = slices.get(anchor_slice, 0)
                 expected += min(1.0, float(a_count)) * d_count

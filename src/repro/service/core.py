@@ -35,7 +35,7 @@ through an update.  Overload and tenant limits are handled by the
 :class:`~repro.storage.buffer.BufferPoolExhaustedError` that still
 escapes a session pool is converted into a typed
 :class:`~repro.service.admission.BackpressureRejection` rather than
-crashing the connection.  Warm paths skip the planning scan through
+crashing the connection.  Warm paths skip direction planning through
 the :class:`~repro.service.plancache.PlanCache`.
 
 Chaos testing: a service built with a ``chaos`` fault config derives
@@ -102,6 +102,8 @@ class QueryOutcome:
     codes: list[int]
     direction: str
     cache_hit: bool
+    #: pages read to plan: always 0 (planning reads the sets'
+    #: histograms); a field of the wire reply
     planning_io: int
     reports: list[JoinReport] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -415,7 +417,7 @@ class QueryService:
             codes=codes,
             direction=result.direction,
             cache_hit=cached is not None,
-            planning_io=result.planning_io,
+            planning_io=0,
             reports=result.reports,
             tracer=tracer,
         )

@@ -1,11 +1,11 @@
 """Plan cache for the query service: skip re-planning warm paths.
 
-Planning a path pipeline costs real I/O — the direction decision scans
-every step's element set to collect :class:`~repro.join.statistics.
-SetStatistics` (charged as ``planning_io`` under the ``pipeline.plan``
-span).  For a service answering the same handful of paths thousands of
-times over a corpus that changes rarely, that scan is pure waste: the
-statistics cannot have changed unless the data did.
+A miss now costs microseconds and no I/O: the direction decision reads
+:class:`~repro.join.statistics.SetStatistics` off the positional
+histograms every element set carries (the ``pipeline.plan`` span;
+``planning_io`` is 0 whether the plan was cached or not).  What a hit
+still saves is that arithmetic, for a service answering the same
+handful of paths thousands of times over a corpus that changes rarely.
 
 The cache therefore keys on everything the plan depends on, following
 the stats-driven selection discipline of Table 1 (and of Bouros et
@@ -26,8 +26,8 @@ al.'s revisit of containment-join selection):
   was index-free is never replayed after an index appears.
 
 A hit replays the cached pipeline *direction*, which makes the
-pipeline skip the statistics scan entirely: no ``pipeline.plan`` span,
-``planning_io == 0``.  Per-step operator selection is re-derived from
+pipeline skip direction planning entirely: no ``pipeline.plan`` span.
+Per-step operator selection is re-derived from
 set metadata at execution time (it is I/O-free), so the cache never
 stores live algorithm objects — those carry per-run tracer state and
 must not be shared across queries.
@@ -47,7 +47,7 @@ from ..storage.elementset import ElementSet
 __all__ = ["PlanKey", "PlanEntry", "PlanCache", "step_fingerprint"]
 
 #: one step's cheap statistics fingerprint (no I/O to compute)
-StepFingerprint = Tuple[int, int, Optional[str], Optional[frozenset[int]]]
+StepFingerprint = Tuple[int, int, Optional[str], frozenset[int]]
 
 #: full cache key — see module docstring for the fields
 PlanKey = Tuple[

@@ -38,9 +38,9 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Any, Optional, Sequence, Union
 
-from ..core import batch
 from ..core.execconfig import ExecConfig, current
 from ..join.base import JoinReport
 from ..join.mhcj import pair_pages
@@ -49,6 +49,7 @@ from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
 from ..parallel.tasks import BenchGauges, SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
+from ..storage.histogram import PositionHistogram
 from ..storage.page import page_capacity
 from ..storage.record import CODE
 from ..storage.stats import IOSnapshot
@@ -293,22 +294,26 @@ class ShardedJoinExecutor:
         """The algorithm the planner picks for one step of the corpus.
 
         Planned from corpus-level metadata — record counts and pages
-        summed over the slots, the union of the ancestor heights, one
-        slot bench's pool — which is a function of the slot structure
-        alone, so ``shards=1`` and ``shards=N`` run the same plan;
-        planning slot by slot would not keep that.
+        summed over the slots, one slot bench's pool, and the histograms
+        of the whole sets (a replicated ancestor counted once, so they
+        equal the unsharded sets') — which is a function of the slot
+        structure alone, so ``shards=1`` and ``shards=N`` run the same
+        plan, and the plan the unsharded planner picks; planning slot
+        by slot would not keep that.
         """
         capacity = page_capacity(page_size, CODE.record_size)
-        heights: set[int] = set()
-        for codes in a_slots:
-            heights.update(batch.heights(codes))
+        tree_height = self.corpus.tree_height
         return plan_from_metadata(
             a_count=sum(map(len, a_slots)),
             a_pages=sum(-(-len(codes) // capacity) for codes in a_slots),
             a_pair_pages=sum(pair_pages(len(codes), capacity) for codes in a_slots),
-            a_heights=heights,
+            a_histogram=PositionHistogram.of_codes(
+                list(set(chain.from_iterable(a_slots))), tree_height
+            ),
             d_count=sum(map(len, d_slots)),
             d_pages=sum(-(-len(codes) // capacity) for codes in d_slots),
-            tree_height=self.corpus.tree_height,
+            d_histogram=PositionHistogram.of_codes(
+                list(chain.from_iterable(d_slots)), tree_height
+            ),
             buffer_pages=buffer_pages,
         ).algorithm_name

@@ -206,7 +206,8 @@ def external_sort_set(
     """Sort an element set into document (start) order.
 
     This is the "custom sorting routine" of Section 3.1: codes are
-    converted to region order on the fly inside the sort key.
+    converted to region order on the fly inside the sort key.  The
+    output holds the same codes, so it inherits the input's histogram.
     """
     batched = batch.batching_enabled()
     sorted_heap = external_sort(
@@ -219,7 +220,7 @@ def external_sort_set(
     )
     return ElementSet(
         sorted_heap,
-        elements.tree_height,
+        elements.histogram.copy(),
         name=f"{elements.name}[sorted]",
         sorted_by="start",
     )

@@ -20,9 +20,10 @@ page patches:
   file-wide search instead of an O(1) tail write).
 * **relabel** — a batched subtree relabel overwrites each moved code
   in place at its ``(page, slot)`` — the patch set touches exactly the
-  pages holding the affected subtree's records.  All old codes leave
-  the directory before any new one enters (intra-batch collisions are
-  legal, see :class:`~repro.core.update.ChangeEvent`).
+  pages holding the affected subtree's records.  Once every page is
+  patched, all old codes leave the directory before any new one enters
+  (intra-batch collisions are legal, see
+  :class:`~repro.core.update.ChangeEvent`).
 * **grow** — a global relabel is a *streamed rewrite*: every page is
   patched once, each record shifted by ``delta`` via the core kernels
   (:func:`~repro.core.batch.grow_codes`) — one pass, one shift per
@@ -32,6 +33,17 @@ page patches:
 A per-tag **directory** ``code -> (page position, slot)`` makes every
 patch O(affected records); it mirrors exactly what the pages hold, so
 tests can cross-check it against a raw scan.
+
+**Statistics.**  Each set's
+:class:`~repro.storage.histogram.PositionHistogram` (``(height,
+slice) -> count``, the planner's only statistic) is kept exact in
+place: an insert or delete moves one count, a relabel moves one per
+code, and a grow maps every ``(h, s)`` to ``(h + delta, s)`` — a left
+shift by ``delta`` leaves a code's top six bits, its slice, where they
+were.  Like the directory, and like popping a log record, the
+histogram moves only after its page patch succeeded, so a fault
+mid-apply leaves it describing exactly the records applied so far,
+and the retried drain applies the rest once.
 
 **Index maintenance.**  The pointer B+-tree start index is maintained
 incrementally (``insert``/``delete``/relabel as delete+insert); tree
@@ -56,6 +68,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from . import page as page_layout
 from .buffer import BufferManager
 from .elementset import ElementSet
+from .histogram import PositionHistogram
 
 if TYPE_CHECKING:
     from ..core.codec import MutableEncoding
@@ -86,8 +99,8 @@ class _TagStore:
     """Persisted state of one tag: pages, directory, log, indexes."""
 
     __slots__ = (
-        "tag", "elements", "directory", "page_counts", "heights",
-        "pending", "grow_done", "start_index", "interval_index",
+        "tag", "elements", "directory", "page_counts", "pending",
+        "grow_done", "start_index", "interval_index",
     )
 
     def __init__(self, tag: str, elements: ElementSet) -> None:
@@ -97,8 +110,6 @@ class _TagStore:
         self.directory: dict[int, tuple[int, int]] = {}
         #: per-page record counts (mirror of the on-page headers)
         self.page_counts: list[int] = []
-        #: height -> live record count (keeps ``known_heights`` exact)
-        self.heights: dict[int, int] = {}
         self.pending: deque[UpdateLogRecord] = deque()
         #: pages already rewritten of an in-progress grow (resume point)
         self.grow_done = 0
@@ -229,8 +240,6 @@ class DocumentStore:
             if slot == 0:
                 store.page_counts.append(0)
             store.page_counts[page_index] += 1
-            height = pbitree.height_of(PBiCode(code))
-            store.heights[height] = store.heights.get(height, 0) + 1
         if self.metrics is not None:
             self.metrics.counter("docstore.materialized").inc()
         return store
@@ -274,26 +283,25 @@ class DocumentStore:
                         f"docstore.applied.{record.op}"
                     ).inc()
         if applied:
-            store.elements.known_heights = frozenset(store.heights)
             self.version += 1
         return applied
 
     def _apply_insert(self, store: _TagStore, code: int) -> None:
         heap = store.elements.heap
-        if store.page_counts and store.page_counts[-1] < heap.capacity:
-            page_index = len(store.page_counts) - 1
-        else:
-            page_index = len(store.page_counts)
-            store.page_counts.append(0)
         writer = heap.open_writer(resume=True)
         try:
             writer.append((code,))
         finally:
             writer.close()
+        if store.page_counts and store.page_counts[-1] < heap.capacity:
+            page_index = len(store.page_counts) - 1
+        else:
+            page_index = len(store.page_counts)
+            store.page_counts.append(0)
         slot = store.page_counts[page_index]
         store.page_counts[page_index] += 1
         store.directory[code] = (page_index, slot)
-        self._height_delta(store, code, +1)
+        store.elements.histogram.add(code)
         index = store.start_index
         if index is not None:
             if self._incremental_index(index):
@@ -303,13 +311,14 @@ class DocumentStore:
         self._retire_interval_index(store, "insert")
 
     def _apply_delete(self, store: _TagStore, code: int) -> None:
-        location = store.directory.pop(code, None)
+        location = store.directory.get(code)
         if location is None:
             return  # already superseded (e.g. compaction raced the log)
         page_index, slot = location
         heap = store.elements.heap
         codec = heap.codec
         size = codec.record_size
+        moved: Optional[tuple[int, ...]] = None
         frame = self.bufmgr.pin(heap.page_ids[page_index])
         try:
             count = store.page_counts[page_index]
@@ -325,13 +334,15 @@ class DocumentStore:
                     page_layout.PAGE_HEADER_SIZE + slot * size,
                     moved,
                 )
-                store.directory[moved[0]] = (page_index, slot)
             page_layout.set_record_count(frame.data, last)
         finally:
             self.bufmgr.unpin(heap.page_ids[page_index], dirty=True)
+        del store.directory[code]
+        if moved is not None:
+            store.directory[moved[0]] = (page_index, slot)
         store.page_counts[page_index] = count - 1
         heap.num_records -= 1
-        self._height_delta(store, code, -1)
+        store.elements.histogram.add(code, -1)
         index = store.start_index
         if index is not None:
             if self._incremental_index(index):
@@ -346,9 +357,7 @@ class DocumentStore:
         heap = store.elements.heap
         codec = heap.codec
         size = codec.record_size
-        # free every old code first: within one batch a new code may
-        # equal another entry's old code (see ChangeEvent)
-        locations = [store.directory.pop(old) for old, _new in moves]
+        locations = [store.directory[old] for old, _new in moves]
         patches: list[tuple[int, int, int]] = [  # (page, slot, new code)
             (page_index, slot, new_code)
             for (page_index, slot), (_old, new_code) in zip(locations, moves)
@@ -367,11 +376,15 @@ class DocumentStore:
                     )
             finally:
                 self.bufmgr.unpin(heap.page_ids[page_index], dirty=True)
+        # free every old code first: within one batch a new code may
+        # equal another entry's old code (see ChangeEvent)
+        histogram = store.elements.histogram
+        for old_code, _new in moves:
+            del store.directory[old_code]
+            histogram.add(old_code, -1)
         for page_index, slot, new_code in patches:
             store.directory[new_code] = (page_index, slot)
-        for old_code, new_code in moves:
-            self._height_delta(store, old_code, -1)
-            self._height_delta(store, new_code, +1)
+            histogram.add(new_code)
         index = store.start_index
         if index is not None:
             if self._incremental_index(index):
@@ -414,22 +427,10 @@ class DocumentStore:
             pbitree.grown_code(PBiCode(code), delta): location
             for code, location in store.directory.items()
         }
-        store.heights = {
-            height + delta: count for height, count in store.heights.items()
-        }
-        store.elements.tree_height += delta
+        store.elements.histogram.grow(delta)  # also grows tree_height
         # every key of the start index shifted: growth rebuilds
         self._retire_start_index(store, f"tree growth by {delta}")
         self._retire_interval_index(store, "tree growth")
-
-    @staticmethod
-    def _height_delta(store: _TagStore, code: int, delta: int) -> None:
-        height = pbitree.height_of(PBiCode(code))
-        count = store.heights.get(height, 0) + delta
-        if count > 0:
-            store.heights[height] = count
-        else:
-            store.heights.pop(height, None)
 
     # ------------------------------------------------------------------
     # index maintenance
@@ -519,11 +520,11 @@ class DocumentStore:
                 self.metrics.counter("docstore.compactions").inc()
 
     def verify(self, tag: str) -> None:
-        """Cross-check pages, directory and height stats (tests/chaos).
+        """Cross-check pages, directory and histogram (tests/chaos).
 
         Raises ``AssertionError`` on any divergence between what the
-        pages hold, what the directory claims, and what the live
-        encoding says this tag's codes are.
+        pages hold, what the directory and the histogram claim, and
+        what the live encoding says this tag's codes are.
         """
         store = self._fresh_store(tag)
         scanned: dict[int, tuple[int, int]] = {}
@@ -544,12 +545,10 @@ class DocumentStore:
         assert sorted(scanned) == expected, (
             f"tag {tag!r}: persisted codes diverged from the encoding"
         )
-        heights: dict[int, int] = {}
-        for code in scanned:
-            height = pbitree.height_of(PBiCode(code))
-            heights[height] = heights.get(height, 0) + 1
-        assert heights == store.heights, "height stats diverged"
         assert store.elements.tree_height == self.encoding.tree_height
+        assert store.elements.histogram == PositionHistogram.of_codes(
+            scanned, self.encoding.tree_height
+        ), "positional histogram diverged from the pages"
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,12 @@
 """Element sets: the inputs and outputs of containment joins.
 
 An :class:`ElementSet` is a heap file of PBiTree codes plus the
-metadata the planner needs (Table 1): whether the set is sorted (in
-region-``Start`` order) and whether an index exists on it.  Helper
-constructors build sets from raw code lists or from an encoded data
-tree by tag.
+metadata the planner needs: whether the set is sorted (in
+region-``Start`` order, Table 1) and its positional histogram
+(:class:`~repro.storage.histogram.PositionHistogram`), which every
+constructor fills in while it writes or carries over from its source.
+Helper constructors build sets from raw code lists or from an encoded
+data tree by tag.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from ..core.pbitree import Height, PBiCode
 from ..datatree.node import DataTree
 from .buffer import BufferManager
 from .heapfile import HeapFile
+from .histogram import PositionHistogram
 from .record import CODE
 
 __all__ = ["ElementSet", "SortOrder"]
@@ -39,18 +42,26 @@ class ElementSet:
     def __init__(
         self,
         heap: HeapFile,
-        tree_height: int,
+        histogram: PositionHistogram,
         name: str = "",
         sorted_by: Optional[str] = SortOrder.NONE,
-        known_heights: Optional[frozenset[int]] = None,
     ) -> None:
         self.heap = heap
-        self.tree_height = tree_height
+        #: (height, slice) -> count of the stored codes: the catalog
+        #: statistic every writer keeps exact, and the source of
+        #: ``tree_height`` and ``known_heights``
+        self.histogram = histogram
         self.name = name or heap.name
         self.sorted_by = sorted_by
-        #: node heights present, when recorded at load time (catalog
-        #: statistics — saves algorithms a discovery scan)
-        self.known_heights = known_heights
+
+    @property
+    def tree_height(self) -> int:
+        return self.histogram.tree_height
+
+    @property
+    def known_heights(self) -> frozenset[int]:
+        """Node heights present (read off the histogram: no scan)."""
+        return self.histogram.heights()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -70,29 +81,24 @@ class ElementSet:
                 "storage code space (Section 2.3.3: pathologically deep trees "
                 "need a wider record format)"
             )
-        heights: set[Height] = set()
-
-        def records() -> Iterator[tuple[int]]:
-            for code in codes:
-                heights.add(pbitree.height_of(code))
-                yield (code,)
-
         if batch.batching_enabled():
             # materialised list → bulk page packing in the heap writer
             code_list = list(codes)
-            heights.update(batch.heights(code_list))
+            histogram = PositionHistogram.of_codes(code_list, tree_height)
             heap = HeapFile.from_records(
                 bufmgr, CODE, [(code,) for code in code_list], name=name
             )
         else:
+            streamed: list[PBiCode] = []
+
+            def records() -> Iterator[tuple[int]]:
+                for code in codes:
+                    streamed.append(code)
+                    yield (code,)
+
             heap = HeapFile.from_records(bufmgr, CODE, records(), name=name)
-        return cls(
-            heap,
-            tree_height,
-            name=name,
-            sorted_by=sorted_by,
-            known_heights=frozenset(heights),
-        )
+            histogram = PositionHistogram.of_codes(streamed, tree_height)
+        return cls(heap, histogram, name=name, sorted_by=sorted_by)
 
     @classmethod
     def from_tree_tag(
@@ -121,15 +127,14 @@ class ElementSet:
         corpus sets to its private buffer pool (over a
         :class:`~repro.storage.disk.SessionDiskView`), so concurrent
         queries read the same pages with isolated I/O accounting.
-        Metadata (sort order, known heights) carries over; the view
-        must not be destroyed.
+        Metadata (sort order, the histogram) carries over, copied like
+        the page-id list; the view must not be destroyed.
         """
         return ElementSet(
             self.heap.view(bufmgr),
-            self.tree_height,
+            self.histogram.copy(),
             name=self.name,
             sorted_by=self.sorted_by,
-            known_heights=self.known_heights,
         )
 
     # ------------------------------------------------------------------
@@ -185,10 +190,8 @@ class ElementSet:
 
     # ------------------------------------------------------------------
     def heights(self) -> set[Height]:
-        """Distinct node heights present (catalog statistic, or one scan)."""
-        if self.known_heights is not None:
-            return {Height(h) for h in self.known_heights}
-        return {pbitree.height_of(code) for code in self.scan()}
+        """Distinct node heights present, as a fresh set."""
+        return {Height(h) for h in self.known_heights}
 
     def sorted_copy(self, order: str = SortOrder.START) -> "ElementSet":
         """In-memory sorted copy — tests/examples only.

@@ -10,7 +10,8 @@ the element sets, reopen later.  Image format::
 The header records the page size, every allocated page id and an
 optional catalog: named element sets with their page-id lists,
 tree heights and sort order.  CRCs of every page are stored and
-verified on load.
+verified on load; each set's positional histogram is rebuilt from its
+verified payloads rather than stored.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .buffer import BufferManager
 from .disk import DiskManager
 from .elementset import ElementSet
 from .faults import FaultInjector, RetryPolicy
+from . import page as page_layout
 from .heapfile import HeapFile
+from .histogram import PositionHistogram
 from .record import CODE
 
 __all__ = ["save_image", "load_image", "ImageFormatError", "LoadedImage"]
@@ -62,7 +65,6 @@ def save_image(
             "num_records": elements.heap.num_records,
             "tree_height": elements.tree_height,
             "sorted_by": elements.sorted_by,
-            "heights": sorted(elements.known_heights or []),
         }
     header = {
         "page_size": disk.page_size,
@@ -136,11 +138,22 @@ def load_image(
         heap = HeapFile(image.bufmgr, CODE, name=name)
         heap.page_ids = list(meta["page_ids"])
         heap.num_records = meta["num_records"]
+        missing = [page_id for page_id in heap.page_ids if page_id not in disk._pages]
+        if missing:
+            raise ImageFormatError(
+                f"catalog set {name!r} names missing page {missing[0]}"
+            )
+        # the histogram comes from the CRC-checked payloads in hand, so
+        # it cannot disagree with the pages (and no page I/O is charged)
+        codes = [
+            code
+            for page_id in heap.page_ids
+            for code in page_layout.read_record_array(disk._pages[page_id], CODE)
+        ]
         image.element_sets[name] = ElementSet(
             heap,
-            meta["tree_height"],
+            PositionHistogram.of_codes(codes, meta["tree_height"]),
             name=name,
             sorted_by=meta.get("sorted_by"),
-            known_heights=frozenset(meta.get("heights", [])) or None,
         )
     return image

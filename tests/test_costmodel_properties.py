@@ -99,7 +99,7 @@ class TestCpuTerm:
         page estimate, so it is monotone per direction."""
         base = replace(
             make_inputs(a_count, d_count, buffer_pages, a_heights),
-            rollup_buckets=1 << bucket_bits,
+            rollup_pairs=a_count * d_count / (1 << bucket_bits),
             a_sorted=sorted_, d_sorted=sorted_,
             a_indexed=indexed, d_indexed=indexed,
         )
@@ -133,12 +133,14 @@ class TestCpuTerm:
         assert math.isfinite(cpu) and cpu >= 0
 
     def test_rollup_pays_for_co_bucket_pairs(self):
-        """One bucket verifies every pair; 2^18 buckets nearly none —
-        the two regimes the ledger measures (service 250,000 estimated
-        vs 248,365 false hits; MLSH 95 vs 127)."""
+        """One bucket verifies every pair; 2^18 evenly filled buckets
+        nearly none — the two regimes the ledger measures (service
+        250,000 estimated vs 248,365 false hits; MLSH 95 vs 127)."""
         model = CostModel()
-        service = replace(make_inputs(500, 500, 64), rollup_buckets=1)
-        lineup = replace(make_inputs(50_000, 500, 50), rollup_buckets=1 << 18)
+        service = replace(make_inputs(500, 500, 64), rollup_pairs=500 * 500)
+        lineup = replace(
+            make_inputs(50_000, 500, 50), rollup_pairs=50_000 * 500 / (1 << 18)
+        )
         assert model.mhcj_rollup(service).cpu == 1000 + 250_000
         assert round(model.mhcj_rollup(lineup).cpu - 50_500) == 95
         assert model.shcj(service).cpu == 1000  # no false hits to verify

@@ -95,12 +95,6 @@ class TestElementSet:
         assert elements.known_heights == {pt.height_of(c) for c in codes}
         assert elements.heights() == {1, 2}
 
-    def test_heights_scan_fallback(self):
-        _disk, bufmgr = make_env()
-        elements = ElementSet.from_codes(bufmgr, [4, 6], 5)
-        elements.known_heights = None
-        assert elements.heights() == {1, 2}
-
     def test_from_tree_tag(self):
         from repro.core.binarize import binarize
         from repro.datatree.builder import tree_from_spec

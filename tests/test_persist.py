@@ -37,6 +37,17 @@ class TestImageRoundTrip:
         assert anc.tree_height == 5
         assert anc.known_heights == frozenset({3, 4})
 
+    def test_histograms_round_trip(self, tmp_path):
+        """The positional histogram is rebuilt from the verified
+        payloads: equal to the saved sets', with no page I/O charged."""
+        disk, _bufmgr, sets = build_disk_with_sets()
+        path = tmp_path / "db.pbit"
+        save_image(disk, path, sets)
+        image = load_image(path)
+        for name, elements in sets.items():
+            assert image.element_sets[name].histogram == elements.histogram
+        assert image.disk.stats.snapshot().total == 0
+
     def test_joins_work_after_reload(self, tmp_path):
         from repro import JoinSink, StackTreeDescJoin, brute_force_join
 
@@ -93,6 +104,27 @@ class TestImageValidation:
         blob[14] ^= 0xFF  # inside the JSON header
         path.write_bytes(bytes(blob))
         with pytest.raises(ImageFormatError):
+            load_image(path)
+
+    def test_catalog_naming_a_missing_page_rejected(self, tmp_path):
+        import json
+        import struct
+
+        disk, _bufmgr, sets = build_disk_with_sets()
+        path = tmp_path / "db.pbit"
+        save_image(disk, path, sets)
+        blob = path.read_bytes()
+        prefix = struct.Struct("<4sII")
+        magic, version, length = prefix.unpack_from(blob)
+        header = json.loads(blob[prefix.size:prefix.size + length])
+        header["catalog"]["anc"]["page_ids"].append(10_000)
+        tampered = json.dumps(header).encode("utf-8")
+        path.write_bytes(
+            prefix.pack(magic, version, len(tampered))
+            + tampered
+            + blob[prefix.size + length:]
+        )
+        with pytest.raises(ImageFormatError, match="missing page 10000"):
             load_image(path)
 
 

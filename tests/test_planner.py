@@ -513,6 +513,38 @@ class TestInCellRanking:
         assert chosen.estimates[0].total == chosen.estimates[1].total
         assert isinstance(chosen.instantiate(), MultiHeightRollupJoin)
 
+    def test_grown_document_prices_rollup_from_the_histogram(self):
+        """Twelve inserts under the root overflow its sibling level:
+        the tree grows two levels and the relabel moves the root's
+        subtrees down with it, so //b keeps its top height and rollup
+        has 32 buckets instead of 8.  Spread evenly over them, |A|·|D|
+        priced rollup at a few thousand verifications and kept it; the
+        elements crowd into a few of those buckets, and the two
+        histograms count the pairs that share one."""
+        tree = random_tree(2000, max_fanout=5, seed=2003, tags=("a", "b", "c", "d"))
+        db = ContainmentDatabase(buffer_pages=64)
+        doc = db.load_tree(tree, name="grown")
+        before = doc.tree_height
+        for index in range(12):
+            db.insert_element(doc, tree.root, "abcd"[index % 4])
+        a_set, d_set = db.element_set(doc, "b"), db.element_set(doc, "d")
+        assert doc.tree_height > before
+
+        chosen = plan(a_set, d_set)
+        assert_cell_argmin(chosen, "unsorted-unindexed", PARTITIONING)
+        assert chosen.algorithm_name == "VPJ"
+        rollup = run_algorithm(make_algorithm("MHCJ+Rollup"), a_set, d_set)
+        verified = rollup.false_hits + rollup.result_count
+        estimated = CostModel().mhcj_rollup(chosen.inputs).cpu
+        assert verified / 2 <= estimated <= verified * 2
+        buckets = 2 ** (doc.tree_height - 1 - max(a_set.known_heights))
+        assert len(a_set) * len(d_set) / buckets * 10 < verified
+        picked = run_algorithm(chosen.instantiate(), a_set, d_set)
+        assert picked.false_hits == 0
+        assert picked.result_count == rollup.result_count
+        assert picked.total_pages == rollup.total_pages
+        assert [r.algorithm for r in db.query(doc, "//b//d").reports] == ["VPJ"]
+
     def test_measured_disagreement_is_settled_for_the_model(self):
         """5-page multi-height A x 48-page D on 8 frames: A fits the
         pool as codes but not as rolled pair records, so the old rule's

@@ -5,8 +5,8 @@ Coverage map:
 * admission control — in-flight bounds, per-tenant quotas, typed
   rejections with retry hints, exact rejection accounting;
 * plan cache — Table-1 cell classification, LRU bounds, warm hits
-  that *provably* skip planning (``planning_io == 0`` and no
-  ``pipeline.plan`` span), invalidation when buffered updates apply;
+  that *provably* skip planning (no ``pipeline.plan`` span; cold or
+  warm, ``planning_io == 0``), invalidation when buffered updates apply;
 * the service itself — result parity with the single-threaded
   ``ContainmentDatabase.query`` path, per-tenant counter exactness
   (every issued query lands in exactly one of completed / rejected /
@@ -203,7 +203,8 @@ class TestQueryService:
 
         cold = service.execute("t", "corpus", "//a//b//c")
         assert not cold.cache_hit
-        assert cold.planning_io > 0
+        # planning reads the sets' histograms, never a page
+        assert cold.planning_io == 0
         assert "pipeline.plan" in cold.span_names()
 
         warm = service.execute("t", "corpus", "//a//b//c")
@@ -211,7 +212,7 @@ class TestQueryService:
         assert warm.planning_io == 0
         assert "pipeline.plan" not in warm.span_names()
 
-        # same answers, same per-step algorithms, cheaper
+        # same answers, same per-step algorithms
         assert warm.codes == cold.codes
         assert warm.direction == cold.direction
         assert [r.algorithm for r in warm.reports] == \

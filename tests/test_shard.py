@@ -371,12 +371,19 @@ class TestExecutor:
 # database + service integration
 # ---------------------------------------------------------------------------
 class TestShardedDatabase:
-    def make_pair(self, shards):
-        tree = random_tree(700, max_fanout=5, seed=11)
+    def make_pair(self, shards, grown=False):
+        """The same document unsharded and sharded.  ``grown`` inserts
+        twelve children under the root of each (their own tree copy):
+        the sibling level overflows, the tree grows, and the tags crowd
+        into a few of rollup's buckets — where pricing rollup needs the
+        positional histograms."""
         plain = ContainmentDatabase(buffer_pages=64)
-        plain.load_tree(tree, name="corpus")
         sharded = ContainmentDatabase(buffer_pages=64, shards=shards)
-        sharded.load_tree(tree, name="corpus")
+        for db in (plain, sharded):
+            tree = random_tree(700, max_fanout=5, seed=11)
+            doc = db.load_tree(tree, name="corpus")
+            for index in range(12 if grown else 0):
+                db.insert_element(doc, tree.root, "abcd"[index % 4])
         return plain, sharded
 
     def test_query_parity(self):
@@ -391,16 +398,21 @@ class TestShardedDatabase:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_sharded_path_runs_the_unsharded_plan(self, shards):
         """Each step is planned once for the whole corpus, from the
-        same kind of metadata the unsharded planner reads — so the two
-        report the same algorithm sequence, at any shard count."""
-        plain, sharded = self.make_pair(shards=shards)
-        doc_p = plain.document("corpus")
-        doc_s = sharded.document("corpus")
-        for path in ("//a//b", "//a//b//c", "//b//d", "//c//d", "//a//c//d"):
-            expect = plain.query(doc_p, path, direction="top-down").reports
-            got = sharded.query(doc_s, path).reports
-            assert [r.algorithm for r in got] == [r.algorithm for r in expect]
-            assert [r.result_count for r in got] == [r.result_count for r in expect]
+        same metadata the unsharded planner reads (the histograms count
+        a replicated ancestor once) — so the two report the same
+        algorithm sequence, at any shard count, on the document as
+        loaded and after a tree-growing insert storm."""
+        for grown in (False, True):
+            plain, sharded = self.make_pair(shards=shards, grown=grown)
+            doc_p = plain.document("corpus")
+            doc_s = sharded.document("corpus")
+            for path in ("//a//b", "//a//b//c", "//b//d", "//c//d", "//a//c//d"):
+                expect = plain.query(doc_p, path, direction="top-down").reports
+                got = sharded.query(doc_s, path).reports
+                assert [r.algorithm for r in got] == [r.algorithm for r in expect]
+                assert [r.result_count for r in got] == [
+                    r.result_count for r in expect
+                ]
 
     def test_update_invalidates_corpus(self):
         plain, sharded = self.make_pair(shards=2)

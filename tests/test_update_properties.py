@@ -190,6 +190,31 @@ def _join_pairs(bufmgr, a_codes, d_codes, tree_height):
     return sorted(sink.pairs)
 
 
+def tagged_storm(updatable, tree, rng, hot, steps, tags=("a", "b", "c")):
+    """``hot`` inserts under one parent — its sibling level overflows,
+    forcing local relabels and growths — then a random insert/delete
+    mix, every new node carrying one of ``tags``."""
+    live = [n for n in range(len(tree)) if updatable.is_alive(n)]
+    parent = rng.choice(live)
+    for _ in range(hot):
+        updatable.insert_child(parent, rng.choice(tags))
+    for _ in range(steps):
+        live = [n for n in range(len(tree)) if updatable.is_alive(n)]
+        if rng.random() < 0.7 or len(live) < 3:
+            updatable.insert_child(rng.choice(live), rng.choice(tags))
+        else:
+            non_root = [n for n in live if tree.parents[n] >= 0]
+            if non_root:
+                updatable.delete_subtree(rng.choice(non_root))
+
+
+def assert_histogram_is_fresh(elements):
+    """The maintained positional histogram equals a full scan's."""
+    from repro.join.statistics import SetStatistics
+
+    assert elements.histogram.counts == SetStatistics.from_set(elements).position_counts
+
+
 @pytest.mark.parametrize(
     "codec", [PBiTreeCodec(), NestedIntervalCodec()], ids=lambda c: c.name
 )
@@ -275,13 +300,89 @@ class TestStorageBackedStorm:
         encoding.validate()
         for tag in ("a", "b"):
             store.verify(tag)
-            assert sorted(store.element_set(tag).scan()) == sorted(
+            elements = store.element_set(tag)
+            assert sorted(elements.scan()) == sorted(
                 tree.codes[n]
                 for n in tree.iter_by_tag(tag)
                 if encoding.is_alive(n)
             )
+            assert_histogram_is_fresh(elements)
         assert injector.stats.total_injected > 0, (
             f"chaos run injected nothing (seed {CHAOS_SEED + 17})"
         )
         assert disk.stats.retries > 0
         assert disk.stats.giveups == 0
+
+    @given(
+        seed=st.integers(0, 10_000),
+        initial=st.integers(3, 30),
+        hot=st.integers(0, 20),
+        steps=st.integers(5, 60),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_maintained_histogram_equals_a_fresh_scan(
+        self, codec, seed, initial, hot, steps
+    ):
+        """Inserts, deletes, and the relabels and growths a hot parent
+        forces (small trees start below six levels, where a grow moves
+        slices too): every tag's maintained histogram equals the one a
+        full scan recomputes."""
+        from repro.storage import BufferManager, DiskManager, DocumentStore
+
+        tree = random_tree(initial, seed=seed, tags=("a", "b", "c"))
+        encoding = codec.encode(tree)
+        store = DocumentStore(
+            BufferManager(DiskManager(page_size=128), 16), encoding, name="hist"
+        )
+        for tag in ("a", "b", "c"):
+            store.element_set(tag)
+        rng = random.Random(seed)
+        tagged_storm(encoding, tree, rng, hot, steps)
+        encoding.validate()
+        for tag in ("a", "b", "c"):
+            store.verify(tag)
+            assert_histogram_is_fresh(store.element_set(tag))
+
+    def test_histogram_moves_only_after_its_page_patch(self, codec):
+        """A permanent fault stops a drain mid-log.  The histogram moves
+        with the directory, after a record's page patch succeeded, so
+        the two still agree at the fault; the retried drain applies the
+        rest exactly once and every statistic matches a fresh scan."""
+        from repro.storage import (
+            BufferManager,
+            DiskManager,
+            DocumentStore,
+            FaultInjector,
+            StorageFault,
+        )
+        from repro.storage.histogram import PositionHistogram
+
+        tree = random_tree(40, seed=23, tags=("a", "b"))
+        encoding = codec.encode(tree, min_height=8)
+        injector = FaultInjector(seed=CHAOS_SEED + 23)
+        # tiny pages, tiny pool: a drain pins pages the pool evicted
+        disk = DiskManager(page_size=64)
+        store = DocumentStore(BufferManager(disk, 4), encoding, name="mid-apply")
+        for tag in ("a", "b"):
+            store.element_set(tag)
+        rng = random.Random(CHAOS_SEED + 23)
+        interrupted = 0
+        for burst in range(8):
+            tagged_storm(encoding, tree, rng, hot=4, steps=15, tags=("a", "b"))
+            injector.schedule("read-error", at=1 + burst % 3, permanent=True)
+            disk.set_faults(injector)
+            try:
+                store.flush()
+            except StorageFault:
+                interrupted += 1
+            disk.set_faults(None)
+            for tag in ("a", "b"):
+                state = store._tags[tag]
+                assert state.elements.histogram == PositionHistogram.of_codes(
+                    state.directory, state.elements.tree_height
+                )
+            store.flush()
+            for tag in ("a", "b"):
+                store.verify(tag)
+                assert_histogram_is_fresh(store.element_set(tag))
+        assert interrupted > 0, "no drain was interrupted"
