@@ -308,27 +308,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     tracer = _make_tracer(args)
     metrics = MetricsRegistry()
-    lineup = run_lineup(
-        args.dataset,
-        data.a_codes,
-        data.d_codes,
-        data.tree_height,
-        buffer_pages=args.buffer_pages,
-        algorithms=algorithms,
-        tracer=tracer,
-        metrics=metrics,
-        workers=args.workers if args.parallel_scope == "lineup" else 1,
-        algorithm_workers=(
-            args.workers if args.parallel_scope == "algorithm" else 1
-        ),
-        exec=current().override(
-            batch_size=args.batch_size,
-            flat_index=args.flat_index,
-            sanitize=args.sanitize,
-        ),
-        shards=args.shards,
-        shard_level=args.shard_level,
-    )
+    try:
+        lineup = run_lineup(
+            args.dataset,
+            data.a_codes,
+            data.d_codes,
+            data.tree_height,
+            buffer_pages=args.buffer_pages,
+            algorithms=algorithms,
+            tracer=tracer,
+            metrics=metrics,
+            workers=args.workers,
+            exec=current().override(
+                batch_size=args.batch_size,
+                flat_index=args.flat_index,
+                sanitize=args.sanitize,
+            ),
+            shards=args.shards,
+            shard_level=args.shard_level,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     have_baseline = any(
         result.name in REGION_ALGORITHMS for result in lineup.results
@@ -645,13 +646,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     bch.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for parallel execution (default 1 = serial)",
-    )
-    bch.add_argument(
-        "--parallel-scope", choices=("lineup", "algorithm"), default="lineup",
-        help="what --workers fans out: whole per-algorithm line-up runs "
-        "(lineup) or each partitioned algorithm's internal partition "
-        "tasks (algorithm); see docs/parallel.md",
+        help="worker processes: one cold join per algorithm (or per "
+        "slot with --shards) on each; default 1 = serial",
     )
     bch.add_argument(
         "--batch-size", type=int, default=None,

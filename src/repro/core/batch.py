@@ -245,8 +245,7 @@ def count_matches(anc: int, codes: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# join kernels (pure CPU; shared by the serial operators and the
-# parallel task payloads in repro.parallel.tasks)
+# join kernels (pure CPU; the operators' batched hot path)
 # ---------------------------------------------------------------------------
 def region_probe(
     a_codes: Sequence[int],

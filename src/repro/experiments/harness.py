@@ -28,10 +28,11 @@ from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 from ..core.execconfig import ExecConfig, current, exec_scope
 from ..join.base import JoinAlgorithm, JoinReport, JoinSink
-from ..join.planner import PARALLEL_ALGORITHMS, make_algorithm
+from ..join.planner import make_algorithm
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
+from ..parallel.pool import check_pool_args
 from ..parallel.tasks import BenchGauges, SlotJoinTask, bench_gauges
 from ..storage.buffer import BufferManager
 from ..storage.disk import DiskManager
@@ -40,7 +41,6 @@ from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
 
 __all__ = [
     "REGION_ALGORITHMS",
-    "PARALLEL_ALGORITHMS",
     "materialize",
     "run_algorithm",
     "AlgorithmResult",
@@ -227,7 +227,6 @@ def run_lineup(
     metrics: Optional[MetricsRegistry] = None,
     workers: int = 1,
     parallel_mode: Optional[str] = None,
-    algorithm_workers: int = 1,
     exec: Optional[ExecConfig] = None,
     shards: int = 0,
     shard_level: Optional[int] = None,
@@ -247,14 +246,13 @@ def run_lineup(
     line-up ran on.
 
     ``workers > 1`` fans the per-algorithm runs out over a process
-    pool; each worker builds its own cold workbench, so every report
-    equals that algorithm's serial report on a fresh bench (fault
-    injection then requires a picklable :class:`FaultConfig`, not a
-    live injector — each worker seeds a fresh one from it).
-    ``algorithm_workers`` is instead forwarded to the partitioned
-    operators themselves (see :func:`~repro.join.planner.
-    make_algorithm`); the two scopes
-    compose but are usually used one at a time.
+    pool (``parallel_mode``: ``"process"`` or ``"inline"``, see
+    :class:`~repro.parallel.pool.WorkerPool`); each worker builds its
+    own cold workbench, so every report equals that algorithm's serial
+    report on a fresh bench (fault injection then requires a picklable
+    :class:`FaultConfig`, not a live injector — each worker seeds a
+    fresh one from it).  ``workers < 1`` or an unknown mode name raises
+    :class:`ValueError` before any work.
 
     ``exec`` pins the execution configuration (batch size, flat
     indexes, sanitizer — :class:`~repro.core.execconfig.ExecConfig`)
@@ -276,6 +274,7 @@ def run_lineup(
         if single_height is None:
             raise ValueError("pass algorithms or single_height")
         algorithms = make_lineup(single_height)
+    check_pool_args(workers, parallel_mode)
     for name in algorithms:
         make_algorithm(name)  # reject unknown names before any work
     cfg = current() if exec is None else exec
@@ -305,7 +304,7 @@ def run_lineup(
             bench.bufmgr, d_codes, tree_height, f"{dataset_name}.D"
         )
         for name in algorithms:
-            algorithm = make_algorithm(name, workers=algorithm_workers)
+            algorithm = make_algorithm(name)
             sink = JoinSink("collect") if collect else None
             yield name, run_algorithm(
                 algorithm, ancestors, descendants, sink, tracer=tracer
@@ -327,7 +326,6 @@ def run_lineup(
                 faults=faults,  # type: ignore[arg-type]  # checked above
                 retry=retry,
                 traced=tracer is not None and tracer.enabled,
-                algorithm_workers=algorithm_workers,
                 exec=cfg,
             )
             for name in algorithms
@@ -372,7 +370,6 @@ def run_lineup(
                 faults=faults,
                 retry=retry,
                 tracer=tracer,
-                algorithm_workers=algorithm_workers,
                 exec=cfg,
             )
             benches.extend(executor.slot_benches)

@@ -55,27 +55,6 @@ class JoinSink:
         else:
             self.count += sum(1 for _ in pairs)
 
-    @property
-    def collects(self) -> bool:
-        """True when the sink keeps pairs (parallel tasks ship them back)."""
-        return self._collect
-
-    def absorb(
-        self, count: int, pairs: Optional[list[tuple[PBiCode, PBiCode]]] = None
-    ) -> None:
-        """Fold one worker task's output into this sink (parallel merge).
-
-        A collecting sink requires the pairs themselves; a counting
-        sink accepts (and ignores) them.
-        """
-        if self._collect:
-            if pairs is None:
-                raise ValueError(
-                    "collecting sink cannot absorb a count-only task result"
-                )
-            self.pairs.extend(pairs)
-        self.count += count
-
 
 @dataclass
 class JoinReport:

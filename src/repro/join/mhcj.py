@@ -22,9 +22,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..core import batch, pbitree
 from ..obs.tracer import NULL_TRACER, Span
-from ..parallel.fanout import Fanout, open_fanout
-from ..parallel.pool import split_chunks
-from ..parallel.tasks import HeightProbeTask, run_height_probe_task
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from ..storage.heapfile import HeapFile
@@ -236,60 +233,6 @@ def _join_height_class(
         )
 
 
-def _fanout_height_class(
-    fanout: Fanout,
-    a_pages_fn: Callable[[], Iterable[Sequence[tuple[int, ...]]]],
-    a_num_pages: int,
-    descendants: ElementSet,
-    height: int,
-    bufmgr: BufferManager,
-    collect: bool,
-    traced: bool,
-) -> bool:
-    """Extract one memory-joinable height class and submit its probes.
-
-    Mirrors ``_join_height_class``'s branch choice and its page-access
-    order exactly — build side first, probe side second — while only
-    *extracting* the records; the hash build and probe run as pure CPU
-    in the workers (the streamed side is chunked ``fanout.workers``
-    ways).  Returns False for the Grace branch, which stays serial: its
-    partition files must be written through the parent's buffer pool.
-    """
-    budget = bufmgr.num_pages
-
-    def extract_d_codes() -> list[int]:
-        if batch.batching_enabled():
-            flat: list[int] = []
-            for fields in descendants.heap.scan_page_arrays():
-                flat.extend(fields)
-            return flat
-        return [r[0] for page in descendants.heap.scan_pages() for r in page]
-
-    if a_num_pages <= budget - 2:
-        a_pairs = [(r[0], r[1]) for page in a_pages_fn() for r in page]
-        d_codes = extract_d_codes()
-        chunked_d = True
-    elif descendants.num_pages <= budget - 2:
-        d_codes = extract_d_codes()
-        a_pairs = [(r[0], r[1]) for page in a_pages_fn() for r in page]
-        chunked_d = False
-    else:
-        return False
-    streamed: "Sequence[tuple[int, int]] | Sequence[int]"
-    streamed = d_codes if chunked_d else a_pairs
-    for index, chunk in enumerate(split_chunks(streamed, fanout.workers)):
-        fanout.submit(run_height_probe_task, HeightProbeTask(
-            label=f"mhcj.h{height}.task[{index}]",
-            height=height,
-            a_pairs=chunk if not chunked_d else a_pairs,
-            d_codes=chunk if chunked_d else d_codes,
-            collect=collect,
-            traced=traced,
-            batch_size=batch.get_batch_size(),
-        ))
-    return True
-
-
 def _partition_by_height(
     records,
     bufmgr: BufferManager,
@@ -345,8 +288,6 @@ def _join_partitions(
     bufmgr: BufferManager,
     report: JoinReport,
     trace: TraceFn = NULL_TRACER.span,
-    fanout: Optional[Fanout] = None,
-    traced: bool = False,
 ) -> None:
     try:
         for height in sorted(partitions, reverse=True):
@@ -358,11 +299,6 @@ def _join_partitions(
 
             num_pages = sum(heap.num_pages for heap in files)
             with trace("mhcj.join_height", height=height):
-                if fanout is not None and _fanout_height_class(
-                    fanout, pages, num_pages, descendants, height,
-                    bufmgr, sink.collects, traced,
-                ):
-                    continue
                 _join_height_class(
                     pages(),
                     num_pages,
@@ -379,23 +315,9 @@ def _join_partitions(
 
 
 class MultiHeightJoin(JoinAlgorithm):
-    """MHCJ: one height-partitioning pass, then SHCJ per partition.
-
-    ``workers > 1`` fans the memory-joinable height classes out over a
-    process pool (the Grace branch stays serial); the parent performs
-    all page I/O in serial order and ships code arrays, so the merged
-    accounting equals the serial run's (see docs/parallel.md).
-    """
+    """MHCJ: one height-partitioning pass, then SHCJ per partition."""
 
     name = "MHCJ"
-
-    def __init__(
-        self, workers: int = 1, parallel_mode: Optional[str] = None
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.parallel_mode = parallel_mode
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         ancestors, descendants = prepared
@@ -410,43 +332,22 @@ class MultiHeightJoin(JoinAlgorithm):
             )
             part_span.set("partitions", len(partitions))
         report.partitions = len(partitions)
-        fanout = open_fanout(self.workers, self.parallel_mode)
-        try:
-            _join_partitions(
-                partitions, descendants, sink, bufmgr, report,
-                trace=self.trace, fanout=fanout, traced=self._tracer.enabled,
-            )
-            if fanout is not None:
-                fanout.drain_traced(sink, report, self._tracer)
-        finally:
-            if fanout is not None:
-                fanout.close()
+        _join_partitions(
+            partitions, descendants, sink, bufmgr, report, trace=self.trace
+        )
         return report
 
 
 class MultiHeightRollupJoin(JoinAlgorithm):
-    """MHCJ+Rollup: roll ancestors up to a target height, then join + filter.
-
-    ``workers`` fans the per-height probes out as in
-    :class:`MultiHeightJoin`; with the default ``max`` rollup strategy
-    the single streamed height class is chunked across the pool.
-    """
+    """MHCJ+Rollup: roll ancestors up to a target height, then join + filter."""
 
     name = "MHCJ+Rollup"
 
     def __init__(
-        self,
-        strategy: str = "max",
-        target_height: Optional[int] = None,
-        workers: int = 1,
-        parallel_mode: Optional[str] = None,
+        self, strategy: str = "max", target_height: Optional[int] = None
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.strategy = strategy
         self.target_height = target_height
-        self.workers = workers
-        self.parallel_mode = parallel_mode
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         ancestors, descendants = prepared
@@ -463,77 +364,59 @@ class MultiHeightRollupJoin(JoinAlgorithm):
         if target is None:
             target = choose_rollup_height(sorted(heights), self.strategy)
         report.notes = f"rolled to height {target}"
-        fanout = open_fanout(self.workers, self.parallel_mode)
 
-        try:
-            if target >= max(heights):
-                # Everything rolls into one height class: stream the
-                # rolled pair records straight into the equijoin — no
-                # intermediate file, which is what makes the
-                # 3(||A|| + ||D||) cost hold.
-                report.partitions = 1
+        if target >= max(heights):
+            # Everything rolls into one height class: stream the rolled
+            # pair records straight into the equijoin — no intermediate
+            # file, which is what makes the 3(||A|| + ||D||) cost hold.
+            report.partitions = 1
 
-                def rolled_pages():
-                    if batch.batching_enabled():
-                        # one rollup_pairs kernel call per page over the
-                        # zero-copy code view (consumed within the
-                        # iteration, so the pin lifetime holds)
-                        for codes in ancestors.scan_code_arrays():
-                            yield batch.rollup_pairs(codes, target)
-                        return
-                    for codes in ancestors.scan_pages():
-                        yield [
-                            (
-                                f_ancestor(code, target)
-                                if height_of(code) < target
-                                else code,
-                                code,
-                            )
-                            for code in codes
-                        ]
-
-                pair_pages = rolled_pair_pages(ancestors)
-                with self.trace("mhcj.rollup", target_height=target):
-                    if fanout is None or not _fanout_height_class(
-                        fanout, rolled_pages, pair_pages, descendants,
-                        target, bufmgr, sink.collects, self._tracer.enabled,
-                    ):
-                        _join_height_class(
-                            rolled_pages(),
-                            pair_pages,
-                            descendants,
-                            target,
-                            sink,
-                            bufmgr,
-                            report,
+            def rolled_pages():
+                if batch.batching_enabled():
+                    # one rollup_pairs kernel call per page over the
+                    # zero-copy code view (consumed within the
+                    # iteration, so the pin lifetime holds)
+                    for codes in ancestors.scan_code_arrays():
+                        yield batch.rollup_pairs(codes, target)
+                    return
+                for codes in ancestors.scan_pages():
+                    yield [
+                        (
+                            f_ancestor(code, target)
+                            if height_of(code) < target
+                            else code,
+                            code,
                         )
-            else:
-                # General case: write rolled pair records, partitioned
-                # by effective height (nodes above the target keep
-                # their own height).
-                def effective_height(code: int) -> tuple[int, int]:
-                    height = height_of(code)
-                    if height < target:
-                        return target, f_ancestor(code, target)
-                    return height, code
+                        for code in codes
+                    ]
 
-                with self.trace(
-                    "mhcj.partition", target_height=target
-                ) as part_span:
-                    partitions = _partition_by_height(
-                        ancestors.scan_pages(), bufmgr, "rollup.A",
-                        effective_height,
-                    )
-                    part_span.set("partitions", len(partitions))
-                report.partitions = len(partitions)
-                _join_partitions(
-                    partitions, descendants, sink, bufmgr, report,
-                    trace=self.trace, fanout=fanout,
-                    traced=self._tracer.enabled,
+            with self.trace("mhcj.rollup", target_height=target):
+                _join_height_class(
+                    rolled_pages(),
+                    rolled_pair_pages(ancestors),
+                    descendants,
+                    target,
+                    sink,
+                    bufmgr,
+                    report,
                 )
-            if fanout is not None:
-                fanout.drain_traced(sink, report, self._tracer)
-        finally:
-            if fanout is not None:
-                fanout.close()
+        else:
+            # General case: write rolled pair records, partitioned by
+            # effective height (nodes above the target keep their own
+            # height).
+            def effective_height(code: int) -> tuple[int, int]:
+                height = height_of(code)
+                if height < target:
+                    return target, f_ancestor(code, target)
+                return height, code
+
+            with self.trace("mhcj.partition", target_height=target) as part_span:
+                partitions = _partition_by_height(
+                    ancestors.scan_pages(), bufmgr, "rollup.A", effective_height
+                )
+                part_span.set("partitions", len(partitions))
+            report.partitions = len(partitions)
+            _join_partitions(
+                partitions, descendants, sink, bufmgr, report, trace=self.trace
+            )
         return report

@@ -76,7 +76,6 @@ from .vpj import VerticalPartitionJoin
 
 __all__ = [
     "ALGORITHMS",
-    "PARALLEL_ALGORITHMS",
     "make_algorithm",
     "SetProperties",
     "Plan",
@@ -101,25 +100,12 @@ ALGORITHMS: dict[str, type[JoinAlgorithm]] = {
     "BNL": BlockNestedLoopJoin,
 }
 
-#: algorithms that can fan partition tasks out over a worker pool
-PARALLEL_ALGORITHMS = ("MHCJ+Rollup", "VPJ")
-
-
-def make_algorithm(name: str, workers: int = 1) -> JoinAlgorithm:
-    """Instantiate an algorithm by its paper name.
-
-    ``workers`` is forwarded to the partitioned algorithms that can fan
-    independent partition tasks out over a worker pool
-    (:data:`PARALLEL_ALGORITHMS`); the other operators have no
-    independent partitions and ignore it.
-    """
+def make_algorithm(name: str) -> JoinAlgorithm:
+    """Instantiate an algorithm by its paper name."""
     try:
-        factory = ALGORITHMS[name]
+        return ALGORITHMS[name]()
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}") from None
-    if workers > 1 and name in PARALLEL_ALGORITHMS:
-        return factory(workers=workers)  # type: ignore[call-arg]
-    return factory()
 
 
 @dataclass

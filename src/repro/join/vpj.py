@@ -32,9 +32,6 @@ from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from ..core import batch, pbitree
-from ..parallel.fanout import Fanout, open_fanout
-from ..parallel.pool import split_chunks
-from ..parallel.tasks import MemJoinTask, run_memjoin_task
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from ..storage.heapfile import HeapFile
@@ -150,22 +147,6 @@ def _as_files(elements: "ElementSet | list[HeapFile]") -> list[HeapFile]:
     return list(elements)
 
 
-def _extract_codes(files: list[HeapFile]) -> list[int]:
-    """Flatten single-code heap files into one list, in page order.
-
-    The batched path extends straight from each page's zero-copy field
-    view (one C-level loop per page); both paths read the same pages in
-    the same order.
-    """
-    if batch.batching_enabled():
-        out: list[int] = []
-        for heap in files:
-            for fields in heap.scan_page_arrays():
-                out.extend(fields)
-        return out
-    return [r[0] for heap in files for r in heap.scan()]
-
-
 class _Partition:
     """One co-partition pair, possibly spanning merged anchor ranges."""
 
@@ -198,56 +179,27 @@ class _Partition:
 
 
 class VerticalPartitionJoin(JoinAlgorithm):
-    """V-Partition-Join (Algorithm 5).
-
-    ``workers > 1`` fans the memory-joinable co-partitions (after
-    purging and merging) out over a process pool: the parent still
-    performs every page access in serial order while extracting each
-    partition's code arrays, and the workers run the Algorithm 6 kernel
-    as pure CPU — so the merged accounting is byte-identical to a
-    serial run (see docs/parallel.md).  Partitioning itself and the
-    rollup fallback stay in the parent.
-    """
+    """V-Partition-Join (Algorithm 5)."""
 
     name = "VPJ"
 
-    def __init__(
-        self,
-        max_recursion: int = 16,
-        workers: int = 1,
-        parallel_mode: Optional[str] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    def __init__(self, max_recursion: int = 16) -> None:
         self.max_recursion = max_recursion
-        self.workers = workers
-        self.parallel_mode = parallel_mode
-        #: fanout of the current run; None while serial / between runs
-        self._fanout: Optional[Fanout] = None
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         ancestors, descendants = prepared
         report = JoinReport(algorithm=self.name, result_count=0)
-        fanout = open_fanout(self.workers, self.parallel_mode)
-        self._fanout = fanout
-        try:
-            self._join(
-                ancestors,
-                descendants,
-                base_level=0,
-                dedup_above_height=None,
-                sink=sink,
-                bufmgr=bufmgr,
-                report=report,
-                tree_height=ancestors.tree_height,
-                depth=0,
-            )
-            if fanout is not None:
-                fanout.drain_traced(sink, report, self._tracer)
-        finally:
-            self._fanout = None
-            if fanout is not None:
-                fanout.close()
+        self._join(
+            ancestors,
+            descendants,
+            base_level=0,
+            dedup_above_height=None,
+            sink=sink,
+            bufmgr=bufmgr,
+            report=report,
+            tree_height=ancestors.tree_height,
+            depth=0,
+        )
         return report
 
     # ------------------------------------------------------------------
@@ -271,7 +223,7 @@ class VerticalPartitionJoin(JoinAlgorithm):
 
         if min(a_pages, d_pages) <= max(1, budget - 2):
             with self.trace("vpj.memjoin", depth=depth):
-                self._memjoin(a_files, d_files, sink, dedup_above_height)
+                memory_containment_join(a_files, d_files, sink, dedup_above_height)
             return
         if depth >= self.max_recursion or base_level >= tree_height - 1:
             # cannot split further (pathologically deep or duplicated
@@ -302,7 +254,7 @@ class VerticalPartitionJoin(JoinAlgorithm):
             for partition in self._merge_small(partitions, budget):
                 if min(partition.a_pages, partition.d_pages) <= max(1, budget - 2):
                     with self.trace("vpj.memjoin", depth=depth):
-                        self._memjoin(
+                        memory_containment_join(
                             partition.a_files,
                             partition.d_files,
                             sink,
@@ -323,65 +275,6 @@ class VerticalPartitionJoin(JoinAlgorithm):
         finally:
             for partition in partitions.values():
                 partition.destroy()
-
-    def _memjoin(
-        self,
-        a_files: list[HeapFile],
-        d_files: list[HeapFile],
-        sink: JoinSink,
-        dedup_above_height: Optional[int],
-    ) -> None:
-        """Join one memory-sized co-partition, serially or fanned out."""
-        fanout = self._fanout
-        if fanout is None:
-            memory_containment_join(a_files, d_files, sink, dedup_above_height)
-            return
-        # Parallel path: replay the exact serial page-access order while
-        # extracting the partition's code arrays, then ship the pure-CPU
-        # Algorithm 6 kernel to the pool.  All storage I/O stays on this
-        # side of the fan-out, so the merged accounting equals serial.
-        a_pages = sum(f.num_pages for f in a_files)
-        d_pages = sum(f.num_pages for f in d_files)
-        d_fits = d_pages <= a_pages
-        if d_fits:
-            d_codes = _extract_codes(d_files)
-            a_codes = _extract_codes(a_files)
-        else:
-            a_codes = _extract_codes(a_files)
-            d_codes = _extract_codes(d_files)
-        if not a_codes or not d_codes:
-            return
-        traced = self._tracer.enabled
-        collect = sink.collects
-        if d_fits and dedup_above_height is not None:
-            # replicated-ancestor de-duplication must see the whole
-            # ancestor stream: one task for the whole co-partition
-            fanout.submit(run_memjoin_task, MemJoinTask(
-                label="vpj.memjoin.task",
-                a_codes=a_codes,
-                d_codes=d_codes,
-                d_fits=True,
-                dedup_above_height=dedup_above_height,
-                collect=collect,
-                traced=traced,
-                batch_size=batch.get_batch_size(),
-            ))
-            return
-        # chunk the streamed side (the in-memory side ships whole);
-        # the A-fits branch de-duplicates replicas per worker by
-        # construction, so chunking its descendant stream is safe
-        streamed = a_codes if d_fits else d_codes
-        for index, chunk in enumerate(split_chunks(streamed, fanout.workers)):
-            fanout.submit(run_memjoin_task, MemJoinTask(
-                label=f"vpj.memjoin.task[{index}]",
-                a_codes=chunk if d_fits else a_codes,
-                d_codes=d_codes if d_fits else chunk,
-                d_fits=d_fits,
-                dedup_above_height=None,
-                collect=collect,
-                traced=traced,
-                batch_size=batch.get_batch_size(),
-            ))
 
     def _fallback(self, a_files, d_files, sink, bufmgr, report, tree_height):
         """Join a partition that cannot be vertically split further."""

@@ -1,51 +1,34 @@
-"""Parallel execution of independent partition tasks.
+"""Process-pool execution of independent cold joins.
 
-The partitioning algorithms of Sections 3.2–3.3 are embarrassingly
-parallel by construction: MHCJ's height classes and VPJ's purged
-co-partition pairs are joined independently and their outputs are
-disjoint.  This package fans those tasks — plus the harness's
-per-algorithm line-up runs — out over a process pool while keeping the
-parent's page-I/O accounting *byte-identical* to a serial run: the
-parent performs all storage I/O in serial order and ships only code
-arrays; workers run pure-CPU kernels (see docs/parallel.md).
-
-Everything defaults to serial (``workers=1``); the knob is threaded
-through :class:`~repro.join.vpj.VerticalPartitionJoin`,
-:class:`~repro.join.mhcj.MultiHeightRollupJoin`,
-:func:`~repro.experiments.harness.run_lineup` and the CLI's
-``--workers`` flag.
+The one pooled unit is a :class:`~repro.parallel.tasks.SlotJoinTask`:
+one algorithm, cold, on a worker-private workbench.  The line-up
+harness ships one task per algorithm
+(:func:`~repro.experiments.harness.run_lineup` with ``workers > 1``) and
+the shard executor one task per level-``l`` slot;
+:func:`~repro.parallel.fanout.run_cold_joins` merges the results in
+submission order.  Each task's report equals the same algorithm run
+serially on a fresh bench, so reports are identical for every worker
+count (see docs/parallel.md).  Everything defaults to serial
+(``workers=1``); the CLI's ``--workers`` flag sets the width.
 """
 
-from .fanout import Fanout, open_fanout, run_cold_joins
-from .pool import PARALLEL_MODE_ENV, WorkerPool, split_chunks
+from .fanout import run_cold_joins
+from .pool import PARALLEL_MODE_ENV, WorkerPool
 from .tasks import (
-    HeightProbeTask,
-    MemJoinTask,
     SlotJoinTask,
     SlotTaskResult,
-    TaskResult,
     fault_from_payload,
     fault_to_payload,
-    run_height_probe_task,
-    run_memjoin_task,
     run_slot_join_task,
 )
 
 __all__ = [
-    "Fanout",
-    "open_fanout",
     "run_cold_joins",
     "PARALLEL_MODE_ENV",
     "WorkerPool",
-    "split_chunks",
-    "HeightProbeTask",
-    "MemJoinTask",
     "SlotJoinTask",
     "SlotTaskResult",
-    "TaskResult",
     "fault_from_payload",
     "fault_to_payload",
-    "run_height_probe_task",
-    "run_memjoin_task",
     "run_slot_join_task",
 ]

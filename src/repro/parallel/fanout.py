@@ -1,103 +1,35 @@
-"""Deterministic fan-out: ordered task registry + merge into one run.
+"""Deterministic fan-out of cold joins: submission-order merge.
 
-A parallel join operator submits partition tasks *in the order the
-serial algorithm would have executed them* and drains results in that
-same submission order.  Workers may finish in any order — the merge
-never observes completion order, so the parent's
-:class:`~repro.join.base.JoinSink` contents, ``false_hits`` tally and
-attached span forest are identical run to run (and, for the sorted
-pair set, identical to serial).
-
-Worker spans come back as JSON lines and are attached as children of a
-single ``parallel.fanout`` span.  The fanout span is opened on the
-parent tracer *after* the operator's own storage work, so its I/O delta
-is zero and the root ``join.<name>`` span's I/O delta remains exactly
-the serial accounting; the worker spans under it carry wall time only
-(their kernels, by construction, perform no I/O).
-
-:func:`run_cold_joins` is the same discipline one level up: whole cold
-joins (:class:`~repro.parallel.tasks.SlotJoinTask`) fanned over a pool
-and merged in submission order — the one pooled path shared by the
+:func:`run_cold_joins` fans whole cold joins
+(:class:`~repro.parallel.tasks.SlotJoinTask`) over a pool and merges
+them in *submission order*.  It is the one pooled path, shared by the
 line-up harness (one task per algorithm) and the shard executor (one
-task per slot).
+task per slot).  Workers may finish in any order — the merge never
+observes completion order, so the returned payloads, the first raised
+fault and the attached span forest are identical run to run.
+
+Worker spans come back as JSON lines and are attached as children of
+one root span on the parent tracer; each worker ran on its own bench,
+so the root's I/O delta in the parent is zero and each report carries
+its own accounting.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from contextlib import nullcontext
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..join.base import JoinReport, JoinSink
 from ..obs.export import spans_from_jsonl
-from ..obs.tracer import Span, Tracer
+from ..obs.tracer import Tracer
 from .pool import WorkerPool
 from .tasks import (
     SlotJoinTask,
     SlotTaskResult,
-    TaskResult,
     fault_from_payload,
     run_slot_join_task,
 )
 
-__all__ = ["Fanout", "open_fanout", "run_cold_joins"]
-
-_TaskFn = Callable[[Any], TaskResult]
-
-
-def open_fanout(workers: int, mode: Optional[str] = None) -> "Optional[Fanout]":
-    """A :class:`Fanout` for ``workers > 1``, else ``None`` (serial)."""
-    if workers <= 1:
-        return None
-    return Fanout(WorkerPool(workers, mode=mode))
-
-
-class Fanout:
-    """Ordered registry of one join run's in-flight partition tasks."""
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self.pool = pool
-        self._items: list[tuple[_TaskFn, Any, "Future[TaskResult]"]] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def workers(self) -> int:
-        """Fan-out width producers should chunk for."""
-        return self.pool.workers
-
-    def submit(self, fn: _TaskFn, task: Any) -> None:
-        """Schedule one task; its merge slot is this call's position."""
-        self._items.append((fn, task, self.pool.submit(fn, task)))
-
-    def drain(
-        self,
-        sink: JoinSink,
-        report: JoinReport,
-        span: Optional[Span] = None,
-    ) -> None:
-        """Merge all results, in submission order, into the parent run."""
-        items, self._items = self._items, []
-        for fn, task, future in items:
-            result = self.pool.resolve(future, fn, task)
-            sink.absorb(result["count"], result["pairs"])
-            report.false_hits += result["false_hits"]
-            if span is not None and result["trace"]:
-                span.children.extend(spans_from_jsonl(result["trace"]))
-
-    def drain_traced(
-        self, sink: JoinSink, report: JoinReport, tracer: Tracer
-    ) -> None:
-        """Drain under a ``parallel.fanout`` span on ``tracer``."""
-        with tracer.span(
-            "parallel.fanout", tasks=len(self), workers=self.pool.workers
-        ) as span:
-            self.drain(sink, report, span if tracer.enabled else None)
-
-    def close(self) -> None:
-        """Release the pool (idempotent; does not drain)."""
-        self.pool.close()
+__all__ = ["run_cold_joins"]
 
 
 def run_cold_joins(

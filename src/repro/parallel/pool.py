@@ -1,14 +1,14 @@
-"""Worker pool: fan pure-CPU partition tasks out over processes.
+"""Worker pool: fan cold-join tasks out over processes.
 
 The pool is deliberately small and boring.  Tasks are *pure functions
-of picklable payloads* — the parallel subsystem never ships buffer
-pages, heap files or fault injectors across process boundaries (see
-:mod:`repro.parallel.tasks`), so a task can always be re-run inline
-with an identical result.  That purity is what the graceful-degradation
-story leans on: if the process pool cannot start (restricted
-containers) or dies mid-flight (a worker is OOM-killed), every affected
-task is simply executed in the parent, and the join's output and
-accounting are unchanged.
+of picklable payloads* — a task ships codes and frozen configs, never
+buffer pages, heap files or live fault injectors, and builds its own
+bench (see :mod:`repro.parallel.tasks`) — so a task can always be
+re-run inline with an identical result.  That purity is what the
+graceful-degradation story leans on: if the process pool cannot start
+(restricted containers) or dies mid-flight (a worker is OOM-killed),
+every affected task is simply executed in the parent, and the join's
+output and accounting are unchanged.
 
 Two modes:
 
@@ -28,9 +28,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, TypeVar
 
-__all__ = ["WorkerPool", "split_chunks", "PARALLEL_MODE_ENV"]
+__all__ = ["WorkerPool", "PARALLEL_MODE_ENV", "check_pool_args"]
 
 _TaskT = TypeVar("_TaskT")
 _ResultT = TypeVar("_ResultT")
@@ -41,27 +41,18 @@ PARALLEL_MODE_ENV = "REPRO_PARALLEL_MODE"
 _MODES = ("process", "inline")
 
 
-def split_chunks(items: Sequence[_TaskT], parts: int) -> list[list[_TaskT]]:
-    """Split ``items`` into at most ``parts`` contiguous, near-even runs.
+def check_pool_args(workers: int, mode: Optional[str]) -> None:
+    """Reject a worker count below 1 or an unknown mode name.
 
-    Deterministic: chunk boundaries depend only on ``len(items)`` and
-    ``parts``, never on timing, so a parallel join always decomposes
-    the same way.  Empty input yields no chunks.
+    ``mode=None`` passes: it means "``REPRO_PARALLEL_MODE``, else
+    process", resolved when a pool is built.
     """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    total = len(items)
-    if total == 0:
-        return []
-    parts = min(parts, total)
-    size, extra = divmod(total, parts)
-    chunks: list[list[_TaskT]] = []
-    start = 0
-    for index in range(parts):
-        stop = start + size + (1 if index < extra else 0)
-        chunks.append(list(items[start:stop]))
-        start = stop
-    return chunks
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if mode is not None and mode not in _MODES:
+        raise ValueError(
+            f"unknown parallel mode {mode!r} (expected one of {_MODES})"
+        )
 
 
 def _immediate(
@@ -77,23 +68,17 @@ def _immediate(
 
 
 class WorkerPool:
-    """A fixed-size pool executing pure, picklable partition tasks.
+    """A fixed-size pool executing pure, picklable tasks.
 
-    ``workers`` is the fan-out width task producers should chunk for;
-    ``workers == 1`` always runs inline.  The underlying executor is
-    created lazily on first submit, so a parallel-capable operator that
-    happens to produce no tasks costs nothing.
+    ``workers`` is the process count; ``workers == 1`` always runs
+    inline.  The underlying executor is created lazily on first submit,
+    so a pool that receives no task costs nothing.
     """
 
     def __init__(self, workers: int, mode: Optional[str] = None) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if mode is None:
             mode = os.environ.get(PARALLEL_MODE_ENV) or "process"
-        if mode not in _MODES:
-            raise ValueError(
-                f"unknown parallel mode {mode!r} (expected one of {_MODES})"
-            )
+        check_pool_args(workers, mode)
         self.workers = workers
         self.mode = "inline" if workers == 1 else mode
         self._executor: Optional[ProcessPoolExecutor] = None

@@ -1,40 +1,28 @@
-"""Picklable partition tasks and their pure-CPU worker kernels.
+"""Cold-join tasks: one algorithm, cold, on a worker-private bench.
 
-The accounting contract of the parallel subsystem (docs/parallel.md)
-is that a parallel run's merged page-I/O equals the serial run's
-*exactly*.  The design that makes this trivial rather than heroic: the
-parent replays the exact serial page-access order while extracting
-each partition's code arrays, and ships only those arrays.  Workers
-never open a :class:`~repro.storage.disk.DiskManager` for partition
-work — their kernels are pure CPU over the shipped lists — so all
-storage I/O, buffer hits/misses, retries and injected faults happen in
-the parent, in serial order.
-
-Cold-join tasks (:class:`SlotJoinTask`) are the one exception: each
-worker builds its *own complete workbench* (disk + buffer pool) from the
-shipped codes, because both of their users — one algorithm of a
-line-up, one level-``l`` slot of a sharded join — are defined as "this
-algorithm, cold, on a fresh bench".  The worker sends the finished
+A :class:`SlotJoinTask` is the only unit of pooled work.  Both of its
+users — one algorithm of a line-up, one level-``l`` slot of a sharded
+join — are defined as "this algorithm, cold, on a fresh bench", so each
+worker builds its *own complete workbench* (disk + buffer pool) from
+the shipped codes and runs the ordinary serial operator on it.  A
+task's page I/O is therefore exactly what the same run in the parent
+would charge (docs/parallel.md).  The worker sends the finished
 :class:`~repro.join.base.JoinReport` back (trace detached and shipped
 as JSON lines, which survive pickling losslessly), plus structured
 fault payloads — :class:`~repro.storage.faults.StorageFault` instances
 themselves use keyword-only constructors and do not round-trip through
 pickle.
 
-Every task dataclass here is frozen and built from ints, strings,
-lists of ints and frozen configs — safe for both ``fork`` and ``spawn``
-start methods.
+Every task is frozen and built from ints, strings, lists of ints and
+frozen configs — safe for both ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, TypedDict
+from typing import TYPE_CHECKING, Any, Optional, TypedDict
 
-from ..core import batch, pbitree
 from ..core.execconfig import ExecConfig, exec_scope
-from ..core.pbitree import PBiCode
 from ..obs.export import trace_to_jsonl
 from ..obs.tracer import Tracer
 from ..storage.faults import (
@@ -49,32 +37,14 @@ if TYPE_CHECKING:
     from ..experiments.harness import Workbench
 
 __all__ = [
-    "TaskResult",
     "BenchGauges",
     "SlotTaskResult",
-    "MemJoinTask",
-    "HeightProbeTask",
     "SlotJoinTask",
-    "run_memjoin_task",
-    "run_height_probe_task",
     "run_slot_join_task",
     "bench_gauges",
     "fault_to_payload",
     "fault_from_payload",
 ]
-
-
-class TaskResult(TypedDict):
-    """What every partition-task worker sends back to the parent."""
-
-    #: pairs emitted by this task's kernel
-    count: int
-    #: candidates that failed Lemma-1 verification (MHCJ rollup path)
-    false_hits: int
-    #: the emitted pairs, or ``None`` when the parent sink only counts
-    pairs: Optional[list[tuple[int, int]]]
-    #: worker-side span tree as JSON lines, or ``None`` when untraced
-    trace: Optional[str]
 
 
 class BenchGauges(TypedDict):
@@ -99,199 +69,6 @@ class SlotTaskResult(BenchGauges):
     trace: Optional[str]
 
 
-def _run_kernel(
-    task: Any,
-    kernel: Callable[[Any, Callable[[int, int], None]], int],
-    **span_attributes: object,
-) -> TaskResult:
-    """Run one partition kernel (which returns its false-hit count)
-    into a counting/collecting sink, under a local tracer if traced."""
-    pairs: Optional[list[tuple[int, int]]] = [] if task.collect else None
-    count = 0
-
-    def emit(a_code: int, d_code: int) -> None:
-        nonlocal count
-        count += 1
-        if pairs is not None:
-            pairs.append((a_code, d_code))
-
-    trace: Optional[str] = None
-    if task.traced:
-        tracer = Tracer()
-        with tracer.span(task.label, **span_attributes):
-            false_hits = kernel(task, emit)
-        trace = trace_to_jsonl(tracer)
-    else:
-        false_hits = kernel(task, emit)
-    return TaskResult(count=count, false_hits=false_hits, pairs=pairs, trace=trace)
-
-
-# ---------------------------------------------------------------------------
-# VPJ: memory containment join over one co-partition
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class MemJoinTask:
-    """Algorithm 6 kernel over extracted code arrays.
-
-    ``d_fits`` selects the branch the parent chose from *page* counts
-    (the serial criterion — record counts could disagree with it):
-    True sorts the descendant codes and binary-searches each ancestor's
-    region; False builds per-height ancestor hash sets and probes each
-    descendant with ``F``.  ``dedup_above_height`` carries VPJ's
-    replicated-ancestor de-duplication; the parent only chunks the
-    ancestor stream when it is ``None`` (the dedup set must see the
-    whole stream).
-
-    ``batch_size`` is shipped explicitly because workers do not share
-    the parent's execution-configuration context; 0 selects the scalar
-    kernel (the differential oracle).
-    """
-
-    label: str
-    a_codes: list[int]
-    d_codes: list[int]
-    d_fits: bool
-    dedup_above_height: Optional[int]
-    collect: bool
-    traced: bool
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
-
-
-def _memjoin_kernel(task: MemJoinTask, emit: Callable[[int, int], None]) -> int:
-    if task.batch_size > 0:
-        if task.d_fits:
-            batch.region_probe(
-                task.a_codes,
-                sorted(task.d_codes),
-                emit,
-                task.dedup_above_height,
-                set(),
-            )
-        else:
-            tables: dict[int, set[int]] = {}
-            batch.build_height_tables(task.a_codes, tables)
-            batch.height_probe(
-                tables, sorted(tables, reverse=True), task.d_codes, emit
-            )
-        return 0  # Algorithm 6 verifies nothing: no false hits
-    region_of = pbitree.region_of
-    height_of = pbitree.height_of
-    f_ancestor = pbitree.f_ancestor
-    if task.d_fits:
-        d_codes = sorted(task.d_codes)
-        dedup = task.dedup_above_height
-        seen_high: set[int] = set()
-        for a_code in task.a_codes:
-            if dedup is not None and height_of(PBiCode(a_code)) > dedup:
-                if a_code in seen_high:
-                    continue
-                seen_high.add(a_code)
-            start, end = region_of(PBiCode(a_code))
-            lo = bisect_left(d_codes, start)
-            hi = bisect_right(d_codes, end)
-            for d_code in d_codes[lo:hi]:
-                if a_code != d_code:
-                    emit(a_code, d_code)
-    else:
-        # hash sets de-duplicate replicated ancestors by construction
-        by_height: dict[int, set[int]] = {}
-        for a_code in task.a_codes:
-            by_height.setdefault(height_of(PBiCode(a_code)), set()).add(a_code)
-        heights = sorted(by_height, reverse=True)
-        for d_code in task.d_codes:
-            d_height = height_of(PBiCode(d_code))
-            for height in heights:
-                if height <= d_height:
-                    break
-                anc = f_ancestor(PBiCode(d_code), height)
-                if anc in by_height[height]:
-                    emit(anc, d_code)
-    return 0
-
-
-def run_memjoin_task(task: MemJoinTask) -> TaskResult:
-    """Execute one VPJ memory-join kernel; pure CPU, no storage."""
-    return _run_kernel(
-        task,
-        _memjoin_kernel,
-        a_records=len(task.a_codes),
-        d_records=len(task.d_codes),
-    )
-
-
-# ---------------------------------------------------------------------------
-# MHCJ: one height class's hash probe
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class HeightProbeTask:
-    """One (chunk of one) height class of MHCJ / MHCJ+Rollup.
-
-    ``a_pairs`` are ``(effective, original)`` records — ``effective``
-    is the (possibly rolled) code at ``height``.  Matches through
-    rolled records are verified with Lemma 1 against the original code;
-    failures count as false hits, exactly as the serial
-    ``_join_height_class``.  Either side may be the chunked one; the
-    kernel's output is identical regardless of which side streams.
-    """
-
-    label: str
-    height: int
-    a_pairs: list[tuple[int, int]]
-    d_codes: list[int]
-    collect: bool
-    traced: bool
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
-
-
-def _height_probe_kernel(
-    task: HeightProbeTask, emit: Callable[[int, int], None]
-) -> int:
-    if task.batch_size > 0:
-        table: dict[int, list[int]] = {}
-        for effective, original in task.a_pairs:
-            bucket = table.get(effective)
-            if bucket is None:
-                table[effective] = [original]
-            else:
-                bucket.append(original)
-        return batch.height_class_probe(table, task.height, task.d_codes, emit)
-    height_of = pbitree.height_of
-    f_ancestor = pbitree.f_ancestor
-    is_ancestor = pbitree.is_ancestor
-    height = task.height
-    false_hits = 0
-    table: dict[int, list[tuple[int, int]]] = {}
-    for pair in task.a_pairs:
-        table.setdefault(pair[0], []).append(pair)
-    for d_code in task.d_codes:
-        if height_of(PBiCode(d_code)) >= height:
-            continue
-        anc = f_ancestor(PBiCode(d_code), height)
-        for effective, original in table.get(anc, ()):
-            if effective == original:
-                emit(original, d_code)
-            elif is_ancestor(PBiCode(original), PBiCode(d_code)):
-                emit(original, d_code)
-            else:
-                false_hits += 1
-    return false_hits
-
-
-def run_height_probe_task(task: HeightProbeTask) -> TaskResult:
-    """Execute one MHCJ height-class probe; pure CPU, no storage."""
-    return _run_kernel(
-        task,
-        _height_probe_kernel,
-        height=task.height,
-        a_records=len(task.a_pairs),
-        d_records=len(task.d_codes),
-    )
-
-
-# ---------------------------------------------------------------------------
-# one algorithm, cold, on a worker-private bench (line-up runs and
-# sharded-join slots)
-# ---------------------------------------------------------------------------
 def fault_to_payload(fault: StorageFault) -> dict[str, Any]:
     """Flatten a fault for the trip back to the parent process.
 
@@ -381,15 +158,13 @@ class SlotJoinTask:
     faults: Optional[FaultConfig]
     retry: Optional[RetryPolicy]
     traced: bool
-    algorithm_workers: int = 1
     exec: ExecConfig = ExecConfig()
 
 
 def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
     """Run one cold join on a fresh workbench (worker side)."""
-    # imported lazily: the harness and the planner import the join
-    # operators, which import this package — a module-level import
-    # would be circular
+    # imported lazily: the harness imports this module (through
+    # fanout), so a module-level import would be circular
     from ..experiments.harness import Workbench, materialize, run_algorithm
     from ..join.base import JoinSink
     from ..join.planner import make_algorithm
@@ -408,7 +183,7 @@ def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
         descendants = materialize(
             bench.bufmgr, task.d_codes, task.tree_height, f"{task.label}.D"
         )
-        algorithm = make_algorithm(task.algorithm, workers=task.algorithm_workers)
+        algorithm = make_algorithm(task.algorithm)
         try:
             report = run_algorithm(
                 algorithm, ancestors, descendants, sink, tracer=tracer

@@ -15,8 +15,8 @@ The merged accounting is *shard-count-invariant*: the unit of work is
 the level-``l`` slot, whose population depends only on the tree
 height, the partitioning level and the data — never on how slots are
 grouped onto shards or how many workers run them.  ``shards=1`` vs
-``shards=N`` is therefore a differential oracle, exactly like
-``workers=`` today.
+``shards=N`` (and ``workers=1`` vs ``workers=N``) is therefore a
+differential oracle.
 """
 
 from .corpus import SHARDMAP_FORMAT, ShardedCorpus, ShardMap, default_shard_level

@@ -15,8 +15,7 @@ Accounting contract (the differential oracle):
   their scan order are pure functions of ``(tree_height, level,
   data)`` — see :mod:`repro.shard.corpus` — so every summed report
   field is identical for ``shards=1`` and ``shards=N``, serial or
-  parallel, exactly like ``workers=`` today.  Only ``wall_seconds``
-  (real elapsed time) varies.
+  parallel.  Only ``wall_seconds`` (real elapsed time) varies.
 * per-slot chaos seeds derive from ``(base seed, dataset, algorithm,
   slot)`` via CRC-32, so a fault schedule is reproducible and
   grouping-invariant too.
@@ -47,6 +46,7 @@ from ..join.mhcj import pair_pages
 from ..join.planner import make_algorithm, plan_from_metadata
 from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
+from ..parallel.pool import check_pool_args
 from ..parallel.tasks import BenchGauges, SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from ..storage.histogram import PositionHistogram
@@ -104,8 +104,7 @@ class ShardedJoinExecutor:
     ) -> None:
         self.corpus = corpus
         self.workers = corpus.num_shards if workers is None else workers
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check_pool_args(self.workers, parallel_mode)
         self.parallel_mode = parallel_mode
         #: bench gauges of the most recent run's slots, in slot order
         #: (what a caller folds into line-up-level buffer/fault metrics)
@@ -163,7 +162,6 @@ class ShardedJoinExecutor:
         faults: "FaultInjector | FaultConfig | None" = None,
         retry: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        algorithm_workers: int = 1,
         exec: Optional[ExecConfig] = None,
     ) -> tuple[JoinReport, Optional[list[tuple[int, int]]]]:
         """Run ``algorithm`` shard-parallel; returns (merged report, pairs).
@@ -201,7 +199,6 @@ class ShardedJoinExecutor:
                 faults=slot_fault_config(faults, dataset, algorithm, slot),
                 retry=retry,
                 traced=traced,
-                algorithm_workers=algorithm_workers,
                 exec=cfg,
             )
             for slot in range(corpus.num_slots)

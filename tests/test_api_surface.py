@@ -185,6 +185,31 @@ class TestExecutionConfigSurface:
                 ["repro.experiments.harness"],
                 ["_run_lineup" + "_parallel", "_run_lineup" + "_sharded"],
             ),
+            # the operator-scope fan-out (one parallel scope left)
+            (
+                ["repro.parallel", "repro.parallel.fanout"],
+                ["Fan" + "out", "open" + "_fanout"],
+            ),
+            (["repro.parallel", "repro.parallel.pool"], ["split" + "_chunks"]),
+            (
+                ["repro.parallel", "repro.parallel.tasks"],
+                [
+                    "Task" + "Result",
+                    "_run" + "_kernel",
+                    "MemJoin" + "Task",
+                    "run_memjoin" + "_task",
+                    "_memjoin" + "_kernel",
+                    "HeightProbe" + "Task",
+                    "run_height_probe" + "_task",
+                    "_height_probe" + "_kernel",
+                ],
+            ),
+            (
+                ["repro.join.planner", "repro.experiments.harness"],
+                ["PARALLEL" + "_ALGORITHMS"],
+            ),
+            (["repro.join.vpj"], ["_extract" + "_codes"]),
+            (["repro.join.mhcj"], ["_fanout" + "_height_class"]),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
@@ -221,6 +246,51 @@ class TestExecutionConfigSurface:
             {field.name for field in dataclasses.fields(SlotJoinTask)},
         ):
             assert "exec" in params and not params & gone
+
+
+class TestOneParallelScope:
+    """Cold slot joins are the only pooled path: no operator, factory or
+    task carries an operator-scope worker count any more."""
+
+    GONE = {"workers", "parallel_mode", "algorithm" + "_workers"}
+
+    def test_operators_take_no_worker_arguments(self):
+        import inspect
+
+        from repro.join.mhcj import _join_partitions
+        from repro.join.planner import ALGORITHMS, make_algorithm
+
+        for operator in ALGORITHMS.values():
+            params = set(inspect.signature(operator).parameters)
+            assert not params & self.GONE, operator
+        assert set(inspect.signature(make_algorithm).parameters) == {"name"}
+        params = set(inspect.signature(_join_partitions).parameters)
+        assert not params & {"fanout", "traced"}
+
+    def test_cold_join_plumbing_takes_no_operator_workers(self):
+        import dataclasses
+        import inspect
+
+        from repro.experiments.harness import run_lineup
+        from repro.parallel.tasks import SlotJoinTask
+        from repro.shard import ShardedJoinExecutor
+
+        run_params = set(inspect.signature(ShardedJoinExecutor.run).parameters)
+        task_fields = {field.name for field in dataclasses.fields(SlotJoinTask)}
+        assert not (run_params | task_fields) & self.GONE
+        # the line-up scope keeps its own width and mode, nothing more
+        lineup = set(inspect.signature(run_lineup).parameters)
+        assert lineup & self.GONE == {"workers", "parallel_mode"}
+
+    def test_sink_merge_hooks_are_gone(self):
+        for name in ("collects", "absorb"):
+            assert not hasattr(JoinSink, name)
+
+    def test_cli_scope_flag_is_gone(self):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["bench", "--parallel" + "-scope", "lineup"])
 
 
 class TestOnePlannerSurface:

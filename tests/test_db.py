@@ -263,6 +263,25 @@ class TestCLI:
         assert main(["update-bench", "--codec", "nope"]) == 1
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--workers", "-2", "--shards", "2"], "workers must be >= 1"),
+            (["--algorithms", "SHCJ"], "SHCJ requires a single-height"),
+        ],
+    )
+    def test_bench_bad_arguments_fail_cleanly(self, extra, message, capsys):
+        """A bad value is an ``error:`` line and exit 1, not a traceback
+        and not a silent serial run."""
+        from repro.__main__ import main
+
+        argv = ["bench", "--dataset", "MSSL", "--large", "300", "--small", "60"]
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
 
 class TestIOVisibility:
     def test_io_stats_property(self):

@@ -1,13 +1,16 @@
-"""Differential suite for the parallel execution layer.
+"""Unit and differential coverage of the parallel execution layer.
 
-The contract of ``repro.parallel`` is *exact equivalence*: a run with
-``workers > 1`` must produce the identical sorted pair set AND the
-identical page-I/O accounting as the serial run, because the parent
-performs every storage access in serial order and ships only pure-CPU
-kernels to the pool.  These tests enforce that bit-for-bit — pairs,
-``prep_io``/``join_io`` snapshots, buffer hits/misses and false-hit
-counts — over synthetic and XMark workloads, with and without fault
-injection, plus unit coverage of the pool/chunking/payload machinery.
+The one pooled path is a cold join per task (``run_cold_joins`` over
+``SlotJoinTask``): a ``run_lineup(workers=N)`` line-up ships one task
+per algorithm, and every report must equal the serial line-up's.  The
+contract is *exact equivalence*: each pooled task returns the identical
+sorted pair set AND the identical page-I/O accounting as the same
+operator run serially on a fresh bench.  These tests enforce that
+bit-for-bit — pairs, ``prep_io``/``join_io`` snapshots, buffer
+hits/misses and false-hit counts — over synthetic and XMark workloads,
+with and without fault injection.  The suite also covers the pool, the
+fault payloads that carry worker faults back typed, and the line-up
+scope itself, including its argument checks.
 """
 
 import os
@@ -21,25 +24,24 @@ from repro import (
     FaultConfig,
     FaultInjector,
     JoinSink,
-    MultiHeightJoin,
-    MultiHeightRollupJoin,
     PermanentIOError,
     RetryPolicy,
     StorageFault,
     TransientIOError,
-    VerticalPartitionJoin,
     binarize,
 )
 from repro.datatree.paths import select_by_tag
 from repro.experiments.harness import run_lineup
+from repro.join.planner import make_algorithm
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.parallel import (
     PARALLEL_MODE_ENV,
+    SlotJoinTask,
     WorkerPool,
     fault_from_payload,
     fault_to_payload,
-    split_chunks,
+    run_cold_joins,
 )
 from repro.workloads.synthetic import generate, spec_by_name
 from repro.workloads.xmark import generate_tree
@@ -47,22 +49,11 @@ from repro.workloads.xmark import generate_tree
 #: chaos seed rotates in CI like the fault-injection suite's
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
-#: (name, factory) — factory(workers, mode) builds the operator
-PARALLEL_ALGORITHMS = [
-    (
-        "VPJ",
-        lambda w, m: VerticalPartitionJoin(workers=w, parallel_mode=m),
-    ),
-    (
-        "MHCJ+Rollup",
-        lambda w, m: MultiHeightRollupJoin(workers=w, parallel_mode=m),
-    ),
-    (
-        "MHCJ",
-        lambda w, m: MultiHeightJoin(workers=w, parallel_mode=m),
-    ),
-]
-ALGORITHM_IDS = [name for name, _ in PARALLEL_ALGORITHMS]
+#: the partitioning joins, shipped together as one pooled line-up
+ALGORITHMS = ["VPJ", "MHCJ+Rollup", "MHCJ"]
+
+#: page size of every bench in the differential tests
+PAGE_SIZE = 128
 
 
 def dataset(name="MLLL", large=2500, small=400, seed=7):
@@ -71,7 +62,7 @@ def dataset(name="MLLL", large=2500, small=400, seed=7):
 
 
 def run_cold(
-    algorithm,
+    name,
     a_codes,
     d_codes,
     tree_height,
@@ -80,8 +71,11 @@ def run_cold(
     retry=None,
     tracer=None,
 ):
-    """Fresh cold bench, collect pairs; returns (pairs, report, bufmgr)."""
-    disk = DiskManager(page_size=128, checksums=faults is not None, faults=faults)
+    """Serial operator on a fresh cold bench; returns (pairs, report, bufmgr)."""
+    injector = None if faults is None else FaultInjector(faults)
+    disk = DiskManager(
+        page_size=PAGE_SIZE, checksums=faults is not None, faults=injector
+    )
     bufmgr = BufferManager(disk, frames, retry=retry)
     a_set = ElementSet.from_codes(bufmgr, a_codes, tree_height, "A")
     d_set = ElementSet.from_codes(bufmgr, d_codes, tree_height, "D")
@@ -89,46 +83,64 @@ def run_cold(
     bufmgr.evict_all()
     disk.stats.reset()
     sink = JoinSink("collect")
-    report = algorithm.run(a_set, d_set, sink, tracer=tracer)
+    report = make_algorithm(name).run(a_set, d_set, sink, tracer=tracer)
     return sorted(sink.pairs), report, bufmgr
 
 
-def assert_equivalent(serial, parallel):
+def run_pooled(
+    a_codes,
+    d_codes,
+    tree_height,
+    workers,
+    mode,
+    frames=10,
+    faults=None,
+    retry=None,
+    tracer=None,
+):
+    """Every algorithm of :data:`ALGORITHMS` as one cold task, pooled;
+    returns the payloads keyed by algorithm, after checking that they
+    came back in submission order."""
+    tasks = [
+        SlotJoinTask(
+            label="cold",
+            algorithm=name,
+            a_codes=list(a_codes),
+            d_codes=list(d_codes),
+            tree_height=tree_height,
+            buffer_pages=frames,
+            page_size=PAGE_SIZE,
+            collect=True,
+            faults=faults,
+            retry=retry,
+            traced=tracer is not None,
+        )
+        for name in ALGORITHMS
+    ]
+    payloads = run_cold_joins(tasks, workers, mode, tracer, "parallel.fanout")
+    assert [p["report"].algorithm for p in payloads] == [
+        make_algorithm(name).name for name in ALGORITHMS
+    ]
+    return dict(zip(ALGORITHMS, payloads))
+
+
+def assert_equivalent(serial, payload):
     """The whole contract: identical pairs AND identical accounting."""
     s_pairs, s_report, s_buf = serial
-    p_pairs, p_report, p_buf = parallel
-    assert p_pairs == s_pairs
+    p_report = payload["report"]
+    assert sorted(payload["pairs"]) == s_pairs
     assert p_report.prep_io == s_report.prep_io
     assert p_report.join_io == s_report.join_io
     assert p_report.false_hits == s_report.false_hits
     assert p_report.result_count == s_report.result_count
-    assert (p_buf.hits, p_buf.misses) == (s_buf.hits, s_buf.misses)
+    assert (payload["buffer"]["hits"], payload["buffer"]["misses"]) == (
+        s_buf.hits, s_buf.misses
+    )
 
 
 # ----------------------------------------------------------------------
-# unit coverage: chunking, pool, sink absorption, fault payloads
+# unit coverage: pool, fault payloads
 # ----------------------------------------------------------------------
-class TestSplitChunks:
-    def test_concatenation_preserves_order(self):
-        items = list(range(17))
-        for parts in (1, 2, 3, 5, 17, 40):
-            chunks = split_chunks(items, parts)
-            assert [x for chunk in chunks for x in chunk] == items
-            assert all(chunk for chunk in chunks)  # no empty chunks
-
-    def test_near_even(self):
-        chunks = split_chunks(list(range(10)), 3)
-        sizes = sorted(len(chunk) for chunk in chunks)
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_empty_input(self):
-        assert split_chunks([], 4) == []
-
-    def test_invalid_parts(self):
-        with pytest.raises(ValueError):
-            split_chunks([1], 0)
-
-
 class TestWorkerPool:
     def test_single_worker_is_inline(self):
         pool = WorkerPool(1)
@@ -155,24 +167,6 @@ class TestWorkerPool:
         pool.close()
 
 
-class TestSinkAbsorb:
-    def test_counting_sink_ignores_missing_pairs(self):
-        sink = JoinSink("count")
-        assert not sink.collects
-        sink.absorb(5, None)
-        assert sink.count == 5
-
-    def test_collecting_sink_extends_pairs(self):
-        sink = JoinSink("collect")
-        sink.absorb(2, [(1, 2), (3, 4)])
-        assert sink.count == 2 and sink.pairs == [(1, 2), (3, 4)]
-
-    def test_collecting_sink_rejects_count_only_result(self):
-        sink = JoinSink("collect")
-        with pytest.raises(ValueError):
-            sink.absorb(2, None)
-
-
 class TestFaultPayloads:
     @pytest.mark.parametrize("cls", [TransientIOError, PermanentIOError])
     def test_round_trip_preserves_type_and_annotations(self, cls):
@@ -194,90 +188,88 @@ class TestFaultPayloads:
 
 
 # ----------------------------------------------------------------------
-# the tentpole contract: parallel == serial, pairs and accounting
+# the pooled contract: each cold task == the serial operator, pairs and
+# accounting
 # ----------------------------------------------------------------------
 class TestDifferentialSynthetic:
-    @pytest.mark.parametrize("name,factory", PARALLEL_ALGORITHMS, ids=ALGORITHM_IDS)
+    @pytest.mark.parametrize("name", ALGORITHMS)
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_multi_height_workload(self, name, factory, workers):
+    def test_multi_height_workload(self, name, workers):
         data = dataset("MLLL")
-        serial = run_cold(
-            factory(1, None), data.a_codes, data.d_codes, data.tree_height
+        serial = run_cold(name, data.a_codes, data.d_codes, data.tree_height)
+        pooled = run_pooled(
+            data.a_codes, data.d_codes, data.tree_height, workers, "inline"
         )
-        parallel = run_cold(
-            factory(workers, "inline"),
-            data.a_codes, data.d_codes, data.tree_height,
-        )
-        assert_equivalent(serial, parallel)
+        assert_equivalent(serial, pooled[name])
 
-    @pytest.mark.parametrize("name,factory", PARALLEL_ALGORITHMS, ids=ALGORITHM_IDS)
-    def test_tiny_buffer_forces_partitioning(self, name, factory):
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_tiny_buffer_forces_partitioning(self, name):
         """Small pool → VPJ recursion / MHCJ grace branches exercised."""
         data = dataset("MSSL", large=1800, small=350, seed=11)
         serial = run_cold(
-            factory(1, None), data.a_codes, data.d_codes, data.tree_height,
+            name, data.a_codes, data.d_codes, data.tree_height, frames=6
+        )
+        pooled = run_pooled(
+            data.a_codes, data.d_codes, data.tree_height, 3, "inline",
             frames=6,
         )
-        parallel = run_cold(
-            factory(3, "inline"), data.a_codes, data.d_codes, data.tree_height,
-            frames=6,
-        )
-        assert_equivalent(serial, parallel)
+        assert_equivalent(serial, pooled[name])
 
-    @pytest.mark.parametrize("name,factory", PARALLEL_ALGORITHMS[:2], ids=ALGORITHM_IDS[:2])
-    def test_process_pool_smoke(self, name, factory):
+    @pytest.mark.parametrize("name", ALGORITHMS[:2])
+    def test_process_pool_smoke(self, name):
         """Real process pool (not inline) reaches the same answer."""
         data = dataset("MLLL", large=1200, small=250, seed=5)
-        serial = run_cold(
-            factory(1, None), data.a_codes, data.d_codes, data.tree_height
+        serial = run_cold(name, data.a_codes, data.d_codes, data.tree_height)
+        pooled = run_pooled(
+            data.a_codes, data.d_codes, data.tree_height, 2, "process"
         )
-        parallel = run_cold(
-            factory(2, "process"), data.a_codes, data.d_codes, data.tree_height
-        )
-        assert_equivalent(serial, parallel)
+        assert_equivalent(serial, pooled[name])
 
 
 class TestDifferentialXMark:
+    @pytest.fixture(scope="class")
     def joins(self):
         tree = generate_tree(scale=0.45, seed=CHAOS_SEED)
         encoding = binarize(tree)
         # B8: description//text — multi-height on both sides
         a_codes = select_by_tag(tree, "description")
         d_codes = select_by_tag(tree, "text")
-        return a_codes, d_codes, encoding.tree_height
+        pooled = run_pooled(a_codes, d_codes, encoding.tree_height, 4, "inline")
+        return a_codes, d_codes, encoding.tree_height, pooled
 
-    @pytest.mark.parametrize("name,factory", PARALLEL_ALGORITHMS, ids=ALGORITHM_IDS)
-    def test_description_text_join(self, name, factory):
-        a_codes, d_codes, tree_height = self.joins()
-        serial = run_cold(factory(1, None), a_codes, d_codes, tree_height)
-        parallel = run_cold(factory(4, "inline"), a_codes, d_codes, tree_height)
-        assert_equivalent(serial, parallel)
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_description_text_join(self, name, joins):
+        a_codes, d_codes, tree_height, pooled = joins
+        serial = run_cold(name, a_codes, d_codes, tree_height)
+        assert_equivalent(serial, pooled[name])
 
 
 class TestDifferentialUnderFaults:
-    """Transient chaos: the fault schedule replays identically because
-    the parallel parent issues the exact same page-operation sequence."""
+    """Transient chaos: each worker seeds a fresh injector from the
+    shipped config, so its fault schedule replays the serial run's."""
 
     FAULTS = dict(read_error_rate=0.04, write_error_rate=0.02,
                   torn_page_rate=0.02)
 
-    @pytest.mark.parametrize("name,factory", PARALLEL_ALGORITHMS[:2], ids=ALGORITHM_IDS[:2])
-    def test_transient_schedule_replays(self, name, factory):
+    @pytest.mark.parametrize("name", ALGORITHMS[:2])
+    def test_transient_schedule_replays(self, name):
         data = dataset("MLLL", large=1500, small=300, seed=CHAOS_SEED + 3)
         retry = RetryPolicy(max_attempts=6)
+        config = FaultConfig(seed=CHAOS_SEED, **self.FAULTS)
         serial = run_cold(
-            factory(1, None), data.a_codes, data.d_codes, data.tree_height,
-            faults=FaultInjector(FaultConfig(seed=CHAOS_SEED, **self.FAULTS)),
-            retry=retry,
+            name, data.a_codes, data.d_codes, data.tree_height,
+            faults=config, retry=retry,
         )
-        parallel = run_cold(
-            factory(3, "inline"), data.a_codes, data.d_codes, data.tree_height,
-            faults=FaultInjector(FaultConfig(seed=CHAOS_SEED, **self.FAULTS)),
-            retry=retry,
+        pooled = run_pooled(
+            data.a_codes, data.d_codes, data.tree_height, 3, "inline",
+            faults=config, retry=retry,
         )
-        assert_equivalent(serial, parallel)
+        assert_equivalent(serial, pooled[name])
         # the schedule really fired: retries are visible in both
-        assert parallel[1].total_io.retries == serial[1].total_io.retries
+        assert (
+            pooled[name]["report"].total_io.retries
+            == serial[1].total_io.retries
+        )
 
 
 # ----------------------------------------------------------------------
@@ -288,25 +280,28 @@ class TestParallelTracing:
         data = dataset("MLLL", large=1500, small=300, seed=9)
         serial_tracer = Tracer()
         serial = run_cold(
-            VerticalPartitionJoin(), data.a_codes, data.d_codes,
-            data.tree_height, tracer=serial_tracer,
+            "VPJ", data.a_codes, data.d_codes, data.tree_height,
+            tracer=serial_tracer,
         )
-        parallel_tracer = Tracer()
-        parallel = run_cold(
-            VerticalPartitionJoin(workers=2, parallel_mode="inline"),
-            data.a_codes, data.d_codes, data.tree_height,
-            tracer=parallel_tracer,
+        pooled_tracer = Tracer()
+        pooled = run_pooled(
+            data.a_codes, data.d_codes, data.tree_height, 2, "inline",
+            tracer=pooled_tracer,
         )
-        assert_equivalent(serial, parallel)
+        assert_equivalent(serial, pooled["VPJ"])
         s_root = serial_tracer.roots[-1]
-        p_root = parallel_tracer.roots[-1]
+        p_root = pooled["VPJ"]["report"].trace
+        assert p_root is not None and p_root.name == s_root.name
         assert p_root.io == s_root.io
-        fanout = p_root.find("parallel.fanout")
-        assert fanout is not None
-        # the fanout span opens after all storage work: no I/O on it
+        fanout = pooled_tracer.roots[-1]
+        assert fanout.name == "parallel.fanout"
+        # the fanout span opens after every worker finished: no I/O on it
         assert fanout.io.total == 0
-        assert fanout.children, "worker spans must be attached"
-        assert all("task" in child.name for child in fanout.children)
+        # one worker root per task, in submission order
+        assert [child.name for child in fanout.children] == [
+            payload["report"].trace.name for payload in pooled.values()
+        ]
+        assert p_root in fanout.children
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +332,22 @@ class TestParallelLineup:
         serial = self.lineups()
         parallel = self.lineups(workers=2, parallel_mode="process")
         assert parallel.result_count == serial.result_count
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(workers=0), "workers must be >= 1"),
+            (dict(workers=-3), "workers must be >= 1"),
+            (dict(workers=2, parallel_mode="bogus"), "unknown parallel mode"),
+            (dict(parallel_mode="bogus"), "unknown parallel mode"),
+            (dict(workers=-2, shards=2), "workers must be >= 1"),
+        ],
+    )
+    def test_bad_pool_arguments_rejected_at_entry(self, kwargs, match):
+        """Checked before any work, whichever path would have run —
+        never a silent serial run or a traceback from deep inside."""
+        with pytest.raises(ValueError, match=match):
+            self.lineups(**kwargs)
 
     def test_live_injector_rejected(self):
         with pytest.raises(ValueError, match="FaultConfig"):
