@@ -43,19 +43,6 @@ and start refusing deep inserts at the 63-bit budget).  Also
 informational only: the numbers characterise a codec trade-off, not a
 hot path this repo could regress, so no ``speedup_`` key is emitted.
 
-A sixth section measures the sharded scatter-gather layer
-(:mod:`repro.shard`): the Figure 6(b) line-up runs with ``shards=2``
-and ``shards=1`` and every merged JoinReport is asserted
-field-for-field identical between the two (the shard-count-invariance
-oracle), then MHCJ+Rollup runs monolithic vs 2-shard on an
-unclustered corpus whose working set overflows the buffer pool.  The
-resulting ``shards_wall_speedup`` is written to ``BENCH_shard.json``
-and enforced against a hard ``SHARD_MIN_SPEEDUP`` floor — the metric
-deliberately does *not* carry the ``speedup_`` prefix, so it is never
-baseline-gated (wall ratios of an I/O-bound path are machine-specific;
-the floor is the contract).  ``--shard-only`` runs just this section —
-CI's non-blocking ``shard-smoke`` job uses it.
-
 Usage::
 
     PYTHONPATH=src python scripts/perf_smoke.py --out BENCH_batched.json
@@ -127,11 +114,6 @@ SANITIZE_REPEATS = 3
 UPDATE_NODES = 300
 UPDATE_OPS = 600
 UPDATE_SEED = 2003
-SHARD_HEIGHT = 20
-SHARD_SIZE = 10_000
-SHARD_REPEATS = 2
-#: hard floor on the 2-shard speedup over the monolithic join
-SHARD_MIN_SPEEDUP = 1.3
 
 
 def _time_best(fn, repeats: int) -> float:
@@ -374,93 +356,6 @@ def updates_section() -> tuple[dict[str, object], list[tuple[str, str, object]]]
     return metrics, rows
 
 
-def shard_section() -> tuple[dict[str, object], list[tuple[str, str, object]]]:
-    """Sharded scatter-gather: invariance oracle plus wall speedup.
-
-    Two legs.  First the Figure 6(b) line-up (every algorithm) runs
-    over a 2-shard and a 1-shard corpus and each merged JoinReport is
-    asserted field-for-field identical (modulo wall time) — shard
-    grouping must be invisible to the merged accounting.  Then
-    MHCJ+Rollup runs monolithic vs 2-shard on an unclustered corpus
-    (uniform draws over the full code space) where the monolithic
-    multi-heap join overflows the 50-page pool; the wall ratio is the
-    ``shards_wall_speedup`` metric, floored at
-    :data:`SHARD_MIN_SPEEDUP` by the caller.
-    """
-    from repro.core.pbitree import max_code
-
-    spec = syn.spec_by_name(FIG6B_DATASET, large=FIG6B_LARGE, small=FIG6B_SMALL)
-    dataset = syn.generate(spec, seed=2003)
-
-    def fig6b_sharded(shards: int):
-        return run_lineup(
-            FIG6B_DATASET,
-            dataset.a_codes,
-            dataset.d_codes,
-            dataset.tree_height,
-            buffer_pages=50,
-            page_size=1024,
-            single_height=False,
-            shards=shards,
-        )
-
-    one_shard = fig6b_sharded(1)
-    two_shards = fig6b_sharded(2)
-    for lhs, rhs in zip(one_shard.results, two_shards.results):
-        lhs_report = dataclasses.replace(
-            lhs.report, wall_seconds=0.0, trace=None
-        )
-        rhs_report = dataclasses.replace(
-            rhs.report, wall_seconds=0.0, trace=None
-        )
-        if lhs_report != rhs_report:
-            raise AssertionError(
-                f"{lhs.name} JoinReport differs between 1 and 2 shards"
-            )
-
-    rng = random.Random(2003)
-    top = int(max_code(SHARD_HEIGHT))
-    a_codes = sorted(rng.sample(range(1, top + 1), SHARD_SIZE))
-    d_codes = sorted(rng.sample(range(1, top + 1), SHARD_SIZE))
-
-    def mhcj_run(shards: int) -> JoinReport:
-        return run_lineup(
-            "U-unclustered",
-            a_codes,
-            d_codes,
-            SHARD_HEIGHT,
-            buffer_pages=50,
-            page_size=1024,
-            algorithms=["MHCJ+Rollup"],
-            shards=shards,
-        ).results[0].report
-
-    mono_report = mhcj_run(0)
-    sharded_report = mhcj_run(2)
-    if sharded_report.result_count != mono_report.result_count:
-        raise AssertionError(
-            "sharded MHCJ+Rollup changed the result count: "
-            f"{sharded_report.result_count} vs {mono_report.result_count}"
-        )
-    mono_wall = _time_best(lambda: mhcj_run(0), SHARD_REPEATS)
-    sharded_wall = _time_best(lambda: mhcj_run(2), SHARD_REPEATS)
-
-    metrics: dict[str, object] = {
-        "shard_dataset": FIG6B_DATASET,
-        "shard_unclustered_size": SHARD_SIZE,
-        "shard_mono_seconds": round(mono_wall, 6),
-        "shard_sharded_seconds": round(sharded_wall, 6),
-        "shards_wall_speedup": round(mono_wall / sharded_wall, 3),
-    }
-    rows: list[tuple[str, str, object]] = [
-        (f"{result.name}[2 shards]", FIG6B_DATASET, result.report)
-        for result in two_shards.results
-    ]
-    rows.append(("MHCJ+Rollup[mono]", "U-unclustered", mono_report))
-    rows.append(("MHCJ+Rollup[2 shards]", "U-unclustered", sharded_report))
-    return metrics, rows
-
-
 def check_regressions(
     metrics: dict[str, object], baseline_path: Path, tolerance: float
 ) -> list[str]:
@@ -496,14 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-codec update-storm summary (informational, never gated)",
     )
     parser.add_argument(
-        "--shard-out", default="BENCH_shard.json",
-        help="sharded scatter-gather summary (hard floor, never baseline-gated)",
-    )
-    parser.add_argument(
-        "--shard-only", action="store_true",
-        help="run only the shard section (CI's non-blocking shard-smoke job)",
-    )
-    parser.add_argument(
         "--tolerance", type=float, default=0.10,
         help="allowed fractional speedup regression vs baseline (default 0.10)",
     )
@@ -513,30 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.shard_only:
-        shard_metrics, shard_rows = shard_section()
-        shard_summary = bench_summary("shard", shard_rows, metrics=shard_metrics)
-        shard_out_path = write_bench_summary(shard_summary, args.shard_out)
-        ratio = shard_metrics["shards_wall_speedup"]
-        print(f"shard:  mono {shard_metrics['shard_mono_seconds']}s  "
-              f"2-shard {shard_metrics['shard_sharded_seconds']}s  "
-              f"{ratio}x")
-        print(f"[wrote {shard_out_path}]")
-        if not isinstance(ratio, (int, float)) or ratio < SHARD_MIN_SPEEDUP:
-            print(
-                f"REGRESSION: shards_wall_speedup {ratio} is below the hard "
-                f"floor {SHARD_MIN_SPEEDUP}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
     micro_scalar, micro_batched = micro_times()
     fig_scalar, fig_batched, lineup = fig6b_times()
     flat_metrics, flat_rows = flat_section()
     sanitize_metrics, sanitize_rows = sanitize_section()
     updates_metrics, updates_rows = updates_section()
-    shard_metrics, shard_rows = shard_section()
 
     metrics: dict[str, object] = {
         "batch_size": batch.DEFAULT_BATCH_SIZE,
@@ -563,12 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     updates_summary = bench_summary(
         "updates", updates_rows, metrics=updates_metrics
     )
-    shard_summary = bench_summary("shard", shard_rows, metrics=shard_metrics)
     out_path = write_bench_summary(summary, args.out)
     flat_out_path = write_bench_summary(flat_summary, args.flat_out)
     sanitize_out_path = write_bench_summary(sanitize_summary, args.sanitize_out)
     updates_out_path = write_bench_summary(updates_summary, args.updates_out)
-    shard_out_path = write_bench_summary(shard_summary, args.shard_out)
     print(f"micro:  {micro_scalar * 1e3:8.2f} ms scalar  "
           f"{micro_batched * 1e3:8.2f} ms batched  "
           f"{metrics['speedup_micro']}x")
@@ -590,14 +456,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{updates_metrics[f'updates.{name}.skipped_inserts']:.0f} skipped "
             f"(informational)"
         )
-    print(f"shard:  mono {shard_metrics['shard_mono_seconds']}s  "
-          f"2-shard {shard_metrics['shard_sharded_seconds']}s  "
-          f"{shard_metrics['shards_wall_speedup']}x")
     print(f"[wrote {out_path}]")
     print(f"[wrote {flat_out_path}]")
     print(f"[wrote {sanitize_out_path}]")
     print(f"[wrote {updates_out_path}]")
-    print(f"[wrote {shard_out_path}]")
 
     baseline_path = Path(args.baseline)
     flat_baseline_path = Path(args.flat_baseline)
@@ -607,12 +469,6 @@ def main(argv: list[str] | None = None) -> int:
         problems.append(
             f"speedup_flat_probe {combined} is below the hard floor "
             f"{FLAT_MIN_SPEEDUP}"
-        )
-    shard_ratio = shard_metrics["shards_wall_speedup"]
-    if not isinstance(shard_ratio, (int, float)) or shard_ratio < SHARD_MIN_SPEEDUP:
-        problems.append(
-            f"shards_wall_speedup {shard_ratio} is below the hard floor "
-            f"{SHARD_MIN_SPEEDUP}"
         )
     if args.update_baseline:
         if problems:

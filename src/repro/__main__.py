@@ -15,7 +15,8 @@ Commands:
 * ``bench`` — run an algorithm line-up over a synthetic Table-2
   dataset and (optionally) emit a ``BENCH_*.json`` summary;
   ``--shards N`` runs it scatter-gather over a level-``l`` sharded
-  layout instead;
+  layout instead (shards are a line-up tier: ``query`` and ``serve``
+  run every path through the one pipeline);
 * ``serve`` — run the multi-tenant query server over a loaded corpus
   (see docs/service.md);
 * ``remote-query`` — send one path query to a running server.
@@ -456,12 +457,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service import ContainmentServer, QueryService, TenantQuota
 
     metrics = MetricsRegistry()
-    db = ContainmentDatabase(
-        buffer_pages=args.buffer_pages,
-        metrics=metrics,
-        shards=args.shards,
-        shard_level=args.shard_level,
-    )
+    db = ContainmentDatabase(buffer_pages=args.buffer_pages, metrics=metrics)
     if args.file:
         db.load_tree(_load(args.file), name=args.name)
     else:
@@ -739,15 +735,6 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument(
         "--plan-cache", type=int, default=128,
         help="plan cache capacity (0 disables)",
-    )
-    srv.add_argument(
-        "--shards", type=int, default=0,
-        help="serve queries scatter-gather over a sharded layout "
-        "(0 = session pipelines)",
-    )
-    srv.add_argument(
-        "--shard-level", type=int, default=None,
-        help="VPJ partitioning level l for --shards (default: auto)",
     )
     srv.set_defaults(func=cmd_serve)
 

@@ -6,8 +6,10 @@ planner and join operators together by hand:
 
 * load XML text or a pre-built :class:`DataTree`;
 * run descendant-axis path queries (``//a//b//c``) as chains of
-  containment joins, each step planned by :mod:`repro.join.planner`
-  (Table 1 picks the cell, the cost model picks inside it);
+  containment joins through one :class:`~repro.join.pipeline.
+  PathPipeline` over the document's element sets, each step planned by
+  :mod:`repro.join.planner` (Table 1 picks the cell, the cost model
+  picks inside it);
 * create persistent indexes (B+-tree / interval tree / R-tree) that the
   planner then exploits;
 * apply updates (insert/delete elements) through the configured
@@ -28,10 +30,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .shard.corpus import ShardedCorpus
+from typing import Iterator, Optional
 
 from .core.codec import ContainmentCodec, MutableEncoding, get_codec
 from .datatree.node import DataTree, NodeView
@@ -109,8 +108,6 @@ class ContainmentDatabase:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         codec: "str | ContainmentCodec" = "pbitree",
-        shards: int = 0,
-        shard_level: Optional[int] = None,
     ) -> None:
         """``codec`` selects the containment encoding backend used by
         :meth:`load_tree` — a registry name
@@ -127,16 +124,6 @@ class ContainmentDatabase:
         ``metrics`` attaches live disk counters and accumulates one
         set of join counters per executed operator.  Both default to
         disabled (no overhead).
-
-        ``shards > 0`` lays each queried document's element sets out
-        as a level-``shard_level`` :class:`~repro.shard.corpus.
-        ShardedCorpus` (built lazily per tag, invalidated by updates)
-        and evaluates pure descendant chains scatter-gather through a
-        :class:`~repro.shard.executor.ShardedJoinExecutor` instead of
-        the single-engine pipeline.  Slot joins run inline here — the
-        library never spawns processes behind a caller's back; use
-        :func:`repro.experiments.harness.run_lineup` or the service
-        tier for shard-parallel execution.
         """
         if isinstance(faults, FaultConfig):
             faults = FaultInjector(faults)
@@ -152,14 +139,6 @@ class ContainmentDatabase:
         self.codec = get_codec(codec) if isinstance(codec, str) else codec
         self._documents: dict[str, Document] = {}
         self._rtree_indexes: dict[tuple[str, str], RTree] = {}
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
-        self.shards = shards
-        self.shard_level = shard_level
-        #: per-document sharded layouts, built lazily and dropped
-        #: wholesale on update (rebuild-on-next-query; incremental
-        #: shard maintenance is future work)
-        self._shard_corpora: dict[str, "ShardedCorpus"] = {}
 
     # ------------------------------------------------------------------
     # loading
@@ -250,78 +229,6 @@ class ContainmentDatabase:
         return steps, props
 
     # ------------------------------------------------------------------
-    # sharded layout
-    # ------------------------------------------------------------------
-    def shard_corpus(self, document: Document) -> "ShardedCorpus":
-        """The document's sharded layout, built lazily (``shards > 0``).
-
-        Element sets are scattered per tag on first use; an update to
-        the document drops the whole corpus (rebuilt on next query).
-        """
-        from .shard.corpus import ShardedCorpus
-
-        if self.shards <= 0:
-            raise ValueError("database was not opened with shards > 0")
-        corpus = self._shard_corpora.get(document.name)
-        if corpus is None:
-            corpus = ShardedCorpus(
-                document.tree_height,
-                self.shards,
-                level=self.shard_level,
-                page_size=self.disk.page_size,
-                buffer_pages=self.bufmgr.num_pages,
-                policy=self.bufmgr.policy,
-            )
-            self._shard_corpora[document.name] = corpus
-        return corpus
-
-    def _shard_set(self, document: Document, tag: str) -> str:
-        """Ensure ``tag``'s element set is scattered; returns the tag."""
-        corpus = self.shard_corpus(document)
-        if tag not in corpus.tags:
-            elements = self.element_set(document, tag)
-            corpus.add_set(tag, [int(code) for code in elements.scan()])
-        return tag
-
-    def _query_sharded(self, document: Document, path: str) -> QueryResult:
-        """Evaluate a descendant chain scatter-gather over the shards.
-
-        Top-down only: each step joins the previous step's matches
-        (scattered transiently) against the next tag's sharded set;
-        the merged per-step reports are shard-count-invariant.
-        """
-        from .shard.executor import ShardedJoinExecutor
-
-        query = PathQuery(path)
-        corpus = self.shard_corpus(document)
-        executor = ShardedJoinExecutor(corpus, workers=1)
-        for tag in query.steps:
-            self._shard_set(document, tag)
-        reports: list[JoinReport] = []
-        codes: Optional[list[int]] = None
-        with self.tracer.span("query.sharded", path=path):
-            if len(query.steps) > 1:
-                reports, codes = executor.run_path(
-                    query.steps,
-                    document.name,
-                    buffer_pages=self.bufmgr.num_pages,
-                    page_size=self.disk.page_size,
-                    tracer=self.tracer,
-                )
-        if codes is None:  # a single step: the whole set, no join
-            codes = sorted(
-                int(code)
-                for code in self.element_set(document, query.steps[0]).scan()
-            )
-        if self.metrics is not None:
-            for report in reports:
-                self.metrics.record_report(report, dataset=document.name)
-        return QueryResult(
-            nodes=self._decode(document, codes),
-            reports=reports,
-        )
-
-    # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
     def query(
@@ -344,11 +251,6 @@ class ContainmentDatabase:
 
         if self._is_extended_path(path):
             return self._query_extended(document, path)
-        if self.shards > 0 and direction in (None, "top-down"):
-            # sharded evaluation is top-down by construction; an
-            # explicit bottom-up request falls through to the
-            # single-engine pipeline
-            return self._query_sharded(document, path)
         steps, props = self.step_inputs(document, PathQuery(path).steps)
         if len(steps) == 1:
             codes = sorted(steps[0].scan())
@@ -387,17 +289,21 @@ class ContainmentDatabase:
             a_set = ElementSet.from_codes(
                 self.bufmgr, a_codes, document.tree_height, "xq.A"
             )
-            d_set = ElementSet.from_codes(
-                self.bufmgr, d_codes, document.tree_height, "xq.D"
-            )
-            sink = JoinSink("collect")
-            algorithm = choose_algorithm(a_set, d_set)
-            report = algorithm.run(a_set, d_set, sink, tracer=self.tracer)
+            try:
+                d_set = ElementSet.from_codes(
+                    self.bufmgr, d_codes, document.tree_height, "xq.D"
+                )
+                try:
+                    sink = JoinSink("collect")
+                    algorithm = choose_algorithm(a_set, d_set)
+                    report = algorithm.run(a_set, d_set, sink, tracer=self.tracer)
+                finally:
+                    d_set.destroy()
+            finally:
+                a_set.destroy()
             reports.append(report)
             if self.metrics is not None:
                 self.metrics.record_report(report, dataset=document.name)
-            a_set.destroy()
-            d_set.destroy()
             return sink.pairs
 
         xpath = XPath(path)
@@ -465,22 +371,17 @@ class ContainmentDatabase:
         """
         node = document.updatable.insert_child(parent, tag, text)
         self._invalidate_rtrees(document)
-        self._invalidate_shards(document)
         return node
 
     def delete_element(self, document: Document, node: int) -> int:
         removed = document.updatable.delete_subtree(node)
         if removed:
             self._invalidate_rtrees(document)
-            self._invalidate_shards(document)
         return removed
 
     def _invalidate_rtrees(self, document: Document) -> None:
         for key in [k for k in self._rtree_indexes if k[0] == document.name]:
             del self._rtree_indexes[key]
-
-    def _invalidate_shards(self, document: Document) -> None:
-        self._shard_corpora.pop(document.name, None)
 
     # ------------------------------------------------------------------
     @property

@@ -38,23 +38,17 @@ __all__ = [
     "MultiHeightJoin",
     "MultiHeightRollupJoin",
     "choose_rollup_height",
-    "pair_pages",
     "rolled_pair_pages",
     "rollup_candidate_pairs",
 ]
 
 
-def pair_pages(count: int, code_capacity: int) -> int:
-    """Pages ``count`` ``(effective, original)`` pair records occupy
-    where a page holds ``code_capacity`` single codes."""
-    return -(-count // (code_capacity // 2 or 1))
-
-
 def rolled_pair_pages(ancestors: ElementSet) -> int:
     """Pages ``ancestors`` occupies as ``(effective, original)`` pair
-    records — the size the rollup join's in-memory test compares with
-    the pool, which the planner's cost model must agree with."""
-    return pair_pages(len(ancestors), ancestors.heap.capacity)
+    records, each twice as wide as a code — the size the rollup join's
+    in-memory test compares with the pool, which the planner's cost
+    model must agree with."""
+    return -(-len(ancestors) // (ancestors.heap.capacity // 2 or 1))
 
 
 def choose_rollup_height(heights: Sequence[int], strategy: str = "max") -> int:

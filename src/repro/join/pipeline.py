@@ -186,28 +186,34 @@ class PathPipeline:
             self.bufmgr, sorted(codes), tree_height, name=name, sorted_by="code"
         )
 
+    # Intermediates are destroyed in ``finally``: a step that raises (a
+    # permanent fault, an exhausted pool) must not leave them allocated
+    # on a disk that outlives the query — a service session's scratch
+    # pages live in the shared page table.
     def _run_top_down(self, steps: Sequence[ElementSet], props: StepProperties):
         reports = []
         current = steps[0]
         temporary = False
-        for index, descendants in enumerate(steps[1:], 1):
-            report, sink = self._join_step(
-                current,
-                descendants,
-                None if temporary else props[0],
-                props[index],
-            )
-            reports.append(report)
-            matched = {d for _a, d in sink.pairs}
+        try:
+            for index, descendants in enumerate(steps[1:], 1):
+                report, sink = self._join_step(
+                    current,
+                    descendants,
+                    None if temporary else props[0],
+                    props[index],
+                )
+                reports.append(report)
+                matched = {d for _a, d in sink.pairs}
+                if temporary:
+                    current.destroy()
+                current = self._materialize(
+                    matched, descendants.tree_height, f"pipe.td.{index}"
+                )
+                temporary = True
+            codes = sorted(current.scan())
+        finally:
             if temporary:
                 current.destroy()
-            current = self._materialize(
-                matched, descendants.tree_height, f"pipe.td.{index}"
-            )
-            temporary = True
-        codes = sorted(current.scan())
-        if temporary:
-            current.destroy()
         return codes, reports
 
     def _run_bottom_up(self, steps: Sequence[ElementSet], props: StepProperties):
@@ -216,31 +222,35 @@ class PathPipeline:
         # the pipeline's own, so its slot in ``props`` goes back to None
         survivors: list[ElementSet] = list(steps)
         props = list(props)
-        for index in range(len(steps) - 2, -1, -1):
-            report, sink = self._join_step(
-                survivors[index],
-                survivors[index + 1],
-                props[index],
-                props[index + 1],
-            )
-            reports.append(report)
-            matched = {a for a, _d in sink.pairs}
-            survivors[index] = self._materialize(
-                matched, steps[index].tree_height, f"pipe.bu.{index}"
-            )
-            props[index] = None
-        # phase 2: recover the final-step elements with a top-down sweep
-        # through the shrunken sets (for a 2-step path phase 1 already
-        # produced the only join needed, so this is a single join)
-        if len(steps) == 2:
-            report, sink = self._join_step(
-                survivors[0], steps[-1], props[0], props[-1]
-            )
-            reports.append(report)
-            codes = sorted({d for _a, d in sink.pairs})
-        else:
-            codes, sweep_reports = self._run_top_down(survivors, props)
-            reports += sweep_reports
-        for shrunken in survivors[:-1]:
-            shrunken.destroy()
+        try:
+            for index in range(len(steps) - 2, -1, -1):
+                report, sink = self._join_step(
+                    survivors[index],
+                    survivors[index + 1],
+                    props[index],
+                    props[index + 1],
+                )
+                reports.append(report)
+                matched = {a for a, _d in sink.pairs}
+                survivors[index] = self._materialize(
+                    matched, steps[index].tree_height, f"pipe.bu.{index}"
+                )
+                props[index] = None
+            # phase 2: recover the final-step elements with a top-down
+            # sweep through the shrunken sets (for a 2-step path phase 1
+            # already produced the only join needed, so this is a single
+            # join)
+            if len(steps) == 2:
+                report, sink = self._join_step(
+                    survivors[0], steps[-1], props[0], props[-1]
+                )
+                reports.append(report)
+                codes = sorted({d for _a, d in sink.pairs})
+            else:
+                codes, sweep_reports = self._run_top_down(survivors, props)
+                reports += sweep_reports
+        finally:
+            for survivor, step in zip(survivors, steps):
+                if survivor is not step:
+                    survivor.destroy()
         return codes, reports

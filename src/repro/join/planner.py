@@ -38,9 +38,6 @@ cell: no false hits, never more pages than rollup or VPJ, one probe per
 descendant — nothing could beat it, so nothing else is priced.
 
 :func:`plan` returns the :class:`Plan` for two element sets,
-:func:`plan_from_metadata` is the same decision fed the metadata
-directly (a sharded corpus plans once from its summed slot sizes and
-corpus-level histograms),
 :func:`choose_algorithm` instantiates the winner, :func:`explain`
 renders the plan plus every out-of-cell algorithm's estimate with the
 reason it was not considered.  The name -> operator registry
@@ -57,7 +54,6 @@ from ..core.pbitree import Height
 from ..index.bptree import BPlusTree
 from ..index.interval_tree import IntervalTree
 from ..storage.elementset import ElementSet, SortOrder
-from ..storage.histogram import PositionHistogram
 from .ancdes_b import AncDesBPlusJoin
 from .base import JoinAlgorithm, JoinReport, JoinSink
 from .costmodel import CostEstimate, CostInputs, CostModel
@@ -81,7 +77,6 @@ __all__ = [
     "Plan",
     "cell_of",
     "plan",
-    "plan_from_metadata",
     "choose_algorithm",
     "explain",
     "PBiTreeJoinFramework",
@@ -244,57 +239,26 @@ def plan(
 
     Missing properties are inferred from set metadata
     (:meth:`SetProperties.of`); ``buffer_pages`` defaults to the pool
-    the ancestors live in.
+    the ancestors live in.  The positional histograms give the ancestor
+    heights and rollup's co-bucket pairs.
     """
-    return plan_from_metadata(
-        a_count=len(ancestors),
-        a_pages=ancestors.num_pages,
-        a_pair_pages=rolled_pair_pages(ancestors),
-        a_histogram=ancestors.histogram,
-        d_count=len(descendants),
-        d_pages=descendants.num_pages,
-        d_histogram=descendants.histogram,
-        buffer_pages=buffer_pages or ancestors.bufmgr.num_pages,
-        a_props=a_props or SetProperties.of(ancestors),
-        d_props=d_props or SetProperties.of(descendants),
-    )
-
-
-def plan_from_metadata(
-    *,
-    a_count: int,
-    a_pages: int,
-    a_pair_pages: int,
-    a_histogram: PositionHistogram,
-    d_count: int,
-    d_pages: int,
-    d_histogram: PositionHistogram,
-    buffer_pages: int,
-    a_props: Optional[SetProperties] = None,
-    d_props: Optional[SetProperties] = None,
-) -> Plan:
-    """:func:`plan`'s decision from the metadata it reads off two sets.
-
-    The histograms give the ancestor heights and rollup's co-bucket
-    pairs; without properties both inputs count as unsorted and
-    unindexed, single-height if ``a_histogram`` says so.
-    """
-    a_heights = a_histogram.heights()
-    a_props = a_props or SetProperties(single_height=_only_height(a_heights))
-    d_props = d_props or SetProperties()
+    a_props = a_props or SetProperties.of(ancestors)
+    d_props = d_props or SetProperties.of(descendants)
     inputs = CostInputs(
-        a_pages=a_pages,
-        d_pages=d_pages,
-        buffer_pages=buffer_pages,
-        a_count=a_count,
-        d_count=d_count,
-        a_heights=len(a_heights) or 1,
-        rollup_pairs=rollup_candidate_pairs(a_histogram, d_histogram),
+        a_pages=ancestors.num_pages,
+        d_pages=descendants.num_pages,
+        buffer_pages=buffer_pages or ancestors.bufmgr.num_pages,
+        a_count=len(ancestors),
+        d_count=len(descendants),
+        a_heights=len(ancestors.known_heights) or 1,
+        rollup_pairs=rollup_candidate_pairs(
+            ancestors.histogram, descendants.histogram
+        ),
         a_sorted=a_props.sorted,
         d_sorted=d_props.sorted,
         a_indexed=a_props.indexed,
         d_indexed=d_props.indexed,
-        a_pair_pages=a_pair_pages,
+        a_pair_pages=rolled_pair_pages(ancestors),
     )
     cell = cell_of(a_props, d_props)
     estimates = [formula(inputs) for formula in _CELLS[cell][1].values()]

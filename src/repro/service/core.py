@@ -53,17 +53,12 @@ index — so index probes never pin through the owning document's
 shared pool and are session-safe.  (This closes the v1 limitation of
 planning from set metadata only.)
 
-Sharded mode: when the underlying database was opened with
-``shards > 0``, queries run scatter-gather over the document's
-:class:`~repro.shard.corpus.ShardedCorpus` instead of a session
-pipeline.  Slot inputs are extracted from the per-shard engines
-during the *prepare* phase (under the storage lock — the shard pools
-are shared state like everything else touched there) and each slot
-then joins on a cold worker-private bench, so the execute phase
-needs no shared pages at all: sessions route probes to the owning
-shards by construction.  Chaos seeds derive per (document, path)
-first and per slot second, keeping fault streams replayable and
-shard-count-invariant.
+Every query runs the one path :meth:`ContainmentDatabase.query
+<repro.db.ContainmentDatabase.query>` runs — a
+:class:`~repro.join.pipeline.PathPipeline` over the document's element
+sets — so the service and the library execute identical algorithm
+sequences.  Shard-parallel execution lives in the line-up tier
+(:mod:`repro.shard`), not here.
 """
 
 from __future__ import annotations
@@ -321,8 +316,6 @@ class QueryService:
     def _run(
         self, tenant: str, document: str, path: str, use_cache: bool
     ) -> QueryOutcome:
-        if self.db.shards > 0:
-            return self._run_sharded(tenant, document, path)
         doc = self.db.document(document)
         query = PathQuery(path)
         gate = self._doc_gate(document)
@@ -422,109 +415,17 @@ class QueryService:
             tracer=tracer,
         )
 
-    def _run_sharded(self, tenant: str, document: str, path: str) -> QueryOutcome:
-        """Scatter-gather execution when the database is sharded.
-
-        The prepare phase extracts every slot input from the per-shard
-        engines under the storage lock (the shard pools are shared
-        state, exactly like the main pool); each slot then joins on a
-        cold worker-private bench, so the execute phase needs no
-        shared pages at all.  The reader slot is still held: the final
-        liveness filter reads the document's live updatable tree.
-        """
-        from ..shard.executor import ShardedJoinExecutor, SlotInputs
-
-        doc = self.db.document(document)
-        query = PathQuery(path)
-        gate = self._doc_gate(document)
-
-        # -- prepare: shared-state access under the storage lock -------
-        with self._storage_lock:
-            if doc.store.pending_updates():
-                gate.await_drained()
-            # scattering a tag reads its element set through the
-            # shared pool; updates already dropped any stale corpus
-            self.db.bufmgr.flush_all()
-            corpus = self.db.shard_corpus(doc)
-            for tag in query.steps:
-                self.db._shard_set(doc, tag)
-            # slot benches are worker-private and run inline (the
-            # service's own thread pool is the concurrency layer — the
-            # library never spawns processes behind the caller)
-            executor = ShardedJoinExecutor(corpus, workers=1)
-            single_codes: Optional[list[int]] = None
-            sides: list[SlotInputs] = []
-            if len(query.steps) == 1:
-                single_codes = sorted(
-                    int(code)
-                    for code in doc.store.element_set(query.steps[0]).scan()
-                )
-            else:
-                sides = [
-                    executor.extract(tag, ancestor=index == 0)
-                    for index, tag in enumerate(query.steps)
-                ]
-            gate.reader_enter()
-
-        chaos = self._session_chaos(document, path)
-
-        try:
-            # -- execute: touches no shared pages at all --------------
-            tracer = Tracer()
-            reports: list[JoinReport] = []
-            try:
-                with tracer.span(
-                    "service.query", tenant=tenant, path=path, sharded=True
-                ):
-                    if single_codes is not None:
-                        codes = single_codes
-                    else:
-                        reports, codes = executor.run_path(
-                            sides,
-                            document,
-                            buffer_pages=self.session_pages,
-                            page_size=self.db.disk.page_size,
-                            faults=chaos,
-                            tracer=tracer,
-                        )
-            except BufferPoolExhaustedError as exc:
-                raise BackpressureRejection(
-                    f"slot bench pool exhausted mid-join ({exc.num_pages} "
-                    "pages); retry with less concurrency",
-                    retry_after=self.admission.retry_after,
-                ) from exc
-
-            codes = [
-                code
-                for code in codes
-                if doc.updatable.node_of(code) is not None
-            ]
-        finally:
-            gate.reader_exit()
-        return QueryOutcome(
-            tenant=tenant,
-            document=document,
-            path=path,
-            codes=codes,
-            direction="top-down",
-            cache_hit=False,
-            planning_io=0,
-            reports=reports,
-            tracer=tracer,
-        )
-
-    def _session_chaos(self, document: str, path: str) -> Optional[FaultConfig]:
-        """The service chaos config re-seeded for one (document, path)."""
-        if self.chaos is None:
-            return None
-        return replace(
-            self.chaos, seed=_derived_seed(self.chaos.seed, document, path)
-        )
-
     def _open_session(self, document: str, path: str) -> BufferManager:
-        """A session-private buffer pool over a view of the shared disk."""
-        chaos = self._session_chaos(document, path)
-        faults = FaultInjector(chaos) if chaos is not None else None
+        """A session-private buffer pool over a view of the shared disk;
+        with ``chaos`` its injector is seeded per (document, path)."""
+        faults = None
+        if self.chaos is not None:
+            faults = FaultInjector(
+                replace(
+                    self.chaos,
+                    seed=_derived_seed(self.chaos.seed, document, path),
+                )
+            )
         view = self.db.disk.session_view(faults=faults)
         return BufferManager(
             view,

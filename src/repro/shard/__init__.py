@@ -20,13 +20,12 @@ differential oracle.
 """
 
 from .corpus import SHARDMAP_FORMAT, ShardedCorpus, ShardMap, default_shard_level
-from .executor import ShardedJoinExecutor, SlotInputs
+from .executor import ShardedJoinExecutor
 
 __all__ = [
     "SHARDMAP_FORMAT",
     "ShardMap",
     "ShardedCorpus",
     "ShardedJoinExecutor",
-    "SlotInputs",
     "default_shard_level",
 ]

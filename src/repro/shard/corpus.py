@@ -104,9 +104,8 @@ def default_shard_level(tree_height: int, num_shards: int) -> int:
 class ShardMap:
     """Pure routing table: code -> slot -> shard.
 
-    Frozen and arithmetic-only, so the corpus (laying files out), the
-    executor (scattering transient intermediates) and the tests (the
-    exactly-once property) all share one rule.
+    Frozen and arithmetic-only, so the corpus (laying files out) and
+    the tests (the exactly-once property) share one rule.
     """
 
     tree_height: int
@@ -250,14 +249,12 @@ class ShardedCorpus:
         level: Optional[int] = None,
         page_size: int = 1024,
         buffer_pages: int = 64,
-        policy: str = "lru",
     ) -> None:
         if level is None:
             level = default_shard_level(tree_height, num_shards)
         self.map = ShardMap(tree_height, level, num_shards)
         self.page_size = page_size
         self.buffer_pages = buffer_pages
-        self.policy = policy
         self.shards: list[ShardStore] = [
             self._new_store() for _ in range(num_shards)
         ]
@@ -265,7 +262,7 @@ class ShardedCorpus:
 
     def _new_store(self) -> ShardStore:
         disk = DiskManager(self.page_size)
-        return ShardStore(disk, BufferManager(disk, self.buffer_pages, self.policy))
+        return ShardStore(disk, BufferManager(disk, self.buffer_pages))
 
     # -- convenience ----------------------------------------------------
     @property
@@ -324,10 +321,6 @@ class ShardedCorpus:
             bufmgr, CODE, [(code,) for code in codes], name=name
         )
 
-    def drop_set(self, tag: str) -> None:
-        """Forget a set's layout (files stay on disk; rebuild replaces)."""
-        self._sets.pop(tag, None)
-
     # -- slot extraction ------------------------------------------------
     def set_size(self, tag: str) -> int:
         return self._sets[tag].num_records
@@ -374,7 +367,8 @@ class ShardedCorpus:
             "map": self.map.to_dict(),
             "page_size": self.page_size,
             "buffer_pages": self.buffer_pages,
-            "policy": self.policy,
+            # shard pools are always LRU; the key keeps the v1 layout
+            "policy": "lru",
             "sets": sets_payload,
         }
         with open(target / "shardmap.json", "w", encoding="utf-8") as handle:
@@ -385,9 +379,9 @@ class ShardedCorpus:
         cls,
         directory: "str | Path",
         buffer_pages: Optional[int] = None,
-        policy: Optional[str] = None,
     ) -> "ShardedCorpus":
-        """Reconstruct a corpus saved by :meth:`save`."""
+        """Reconstruct a corpus saved by :meth:`save` (the stored
+        ``policy`` is ignored: shard pools are LRU)."""
         source = Path(directory)
         with open(source / "shardmap.json", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -403,13 +397,11 @@ class ShardedCorpus:
         corpus.buffer_pages = (
             int(payload["buffer_pages"]) if buffer_pages is None else buffer_pages
         )
-        corpus.policy = str(payload["policy"]) if policy is None else policy
         corpus.shards = []
         for index in range(shard_map.num_shards):
             image = load_image(
                 source / f"shard-{index:03d}.img",
                 buffer_pages=corpus.buffer_pages,
-                policy=corpus.policy,
             )
             corpus.shards.append(ShardStore(image.disk, image.bufmgr))
         corpus._sets = {}

@@ -7,7 +7,10 @@ workbench built from that slot's ancestor input (owned + replicated
 codes) and descendant input (owned codes) — fanned over the existing
 :class:`~repro.parallel.pool.WorkerPool`.  The per-slot
 :class:`~repro.join.base.JoinReport`s are merged field-wise in slot
-order.
+order.  Both sides are sets registered on the corpus by tag; the
+callers are the line-up harness (``run_lineup(shards=)``, ``bench
+--shards``) and the perf ledger.  Path queries do not shard: they run
+the one :class:`~repro.join.pipeline.PathPipeline` (:mod:`repro.db`).
 
 Accounting contract (the differential oracle):
 
@@ -36,46 +39,21 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Any, Optional, Sequence, Union
+from dataclasses import replace
+from typing import Optional, Sequence
 
 from ..core.execconfig import ExecConfig, current
 from ..join.base import JoinReport
-from ..join.mhcj import pair_pages
-from ..join.planner import make_algorithm, plan_from_metadata
+from ..join.planner import make_algorithm
 from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
 from ..parallel.pool import check_pool_args
 from ..parallel.tasks import BenchGauges, SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
-from ..storage.histogram import PositionHistogram
-from ..storage.page import page_capacity
-from ..storage.record import CODE
 from ..storage.stats import IOSnapshot
 from .corpus import ShardedCorpus
 
-__all__ = ["ShardedJoinExecutor", "SlotInputs", "slot_fault_config"]
-
-
-@dataclass(frozen=True)
-class SlotInputs:
-    """Pre-extracted per-slot input lists for one join side.
-
-    The query service extracts slot inputs during its *prepare* phase
-    (under the storage lock — the shard pools are shared state) and
-    hands the executor this wrapper so the concurrent *execute* phase
-    touches no shared pages at all.  ``slots`` must be in slot order
-    and cover every slot of the corpus.
-    """
-
-    slots: Sequence[Sequence[int]]
-
-
-#: a join side: a tag registered on the corpus, raw codes to scatter
-#: transiently in memory (query intermediates), or pre-extracted
-#: per-slot inputs (the service's prepare phase)
-SideInput = Union[str, "SlotInputs", Sequence[int]]
+__all__ = ["ShardedJoinExecutor", "slot_fault_config"]
 
 
 def slot_fault_config(
@@ -111,50 +89,11 @@ class ShardedJoinExecutor:
         self.slot_benches: Sequence[BenchGauges] = ()
 
     # ------------------------------------------------------------------
-    def _side_inputs(self, side: SideInput, ancestor: bool) -> list[list[int]]:
-        """Per-slot input lists for one join side, in slot order."""
-        corpus = self.corpus
-        if isinstance(side, SlotInputs):
-            if len(side.slots) != corpus.num_slots:
-                raise ValueError(
-                    f"SlotInputs covers {len(side.slots)} slots, corpus "
-                    f"has {corpus.num_slots}"
-                )
-            return [list(codes) for codes in side.slots]
-        if isinstance(side, str):
-            if ancestor:
-                return [
-                    corpus.slot_ancestor_codes(side, slot)
-                    for slot in range(corpus.num_slots)
-                ]
-            return [
-                corpus.slot_descendant_codes(side, slot)
-                for slot in range(corpus.num_slots)
-            ]
-        # raw codes (query intermediates): scatter transiently in
-        # memory — equivalent to materialised slot files because
-        # extraction I/O is outside the merged accounting anyway
-        owned, replica = corpus.map.scatter(side)
-        if ancestor:
-            return [
-                owned[slot] + replica[slot]
-                for slot in range(corpus.num_slots)
-            ]
-        return owned
-
-    def extract(self, tag: str, ancestor: bool) -> SlotInputs:
-        """Pre-extract one registered set's per-slot inputs (this reads
-        slot files through the shard pools — call it where those may be
-        touched, e.g. the service's prepare phase)."""
-        return SlotInputs(
-            tuple(tuple(codes) for codes in self._side_inputs(tag, ancestor))
-        )
-
     def run(
         self,
         algorithm: str,
-        ancestors: SideInput,
-        descendants: SideInput,
+        ancestors: str,
+        descendants: str,
         dataset: str = "",
         buffer_pages: int = 50,
         page_size: int = 1024,
@@ -164,9 +103,13 @@ class ShardedJoinExecutor:
         tracer: Optional[Tracer] = None,
         exec: Optional[ExecConfig] = None,
     ) -> tuple[JoinReport, Optional[list[tuple[int, int]]]]:
-        """Run ``algorithm`` shard-parallel; returns (merged report, pairs).
+        """Join two sets registered on the corpus (by tag) shard-parallel;
+        returns (merged report, pairs).
 
-        ``pairs`` is the gathered result set when ``collect`` is set
+        Each slot joins its owned + replicated ``ancestors`` codes
+        against its owned ``descendants`` codes, read back through the
+        owning shard's pool.  ``pairs`` is the gathered result set when
+        ``collect`` is set
         (concatenated in slot order), else ``None``.  ``exec`` defaults
         to the caller's current execution configuration, mirroring the
         line-up harness; every slot bench runs under it.
@@ -180,8 +123,9 @@ class ShardedJoinExecutor:
         make_algorithm(algorithm)  # reject unknown names before spawning
 
         corpus = self.corpus
-        a_slots = self._side_inputs(ancestors, ancestor=True)
-        d_slots = self._side_inputs(descendants, ancestor=False)
+        slots = range(corpus.num_slots)
+        a_slots = [corpus.slot_ancestor_codes(ancestors, slot) for slot in slots]
+        d_slots = [corpus.slot_descendant_codes(descendants, slot) for slot in slots]
         prefix = f"{dataset}." if dataset else ""
         traced = tracer is not None and tracer.enabled
         cfg = current() if exec is None else exec
@@ -239,78 +183,3 @@ class ShardedJoinExecutor:
         if collect:
             pairs = [pair for payload in payloads for pair in payload["pairs"]]
         return merged, pairs
-
-    def run_path(
-        self,
-        sides: Sequence[SideInput],
-        dataset: str,
-        buffer_pages: int = 50,
-        page_size: int = 1024,
-        **run_options: Any,
-    ) -> tuple[list[JoinReport], list[int]]:
-        """Evaluate a descendant chain top-down, one sharded join per step.
-
-        ``sides[0]`` joins ``sides[1]``; each later step joins the
-        previous step's surviving descendants (scattered transiently)
-        against the next side.  Every step is planned **once for the
-        whole corpus** (:meth:`plan_step`) and that one algorithm runs
-        on every slot.  Returns the per-step merged reports and the
-        final survivors, sorted.  ``run_options`` are forwarded to
-        :meth:`run` (faults, tracer).
-        """
-        if len(sides) < 2:
-            raise ValueError("a path needs an anchor and at least one step")
-        reports: list[JoinReport] = []
-        survivors: list[int] = []
-        ancestors: SideInput = sides[0]
-        for step_index, descendants in enumerate(sides[1:], start=1):
-            a_slots = self._side_inputs(ancestors, ancestor=True)
-            d_slots = self._side_inputs(descendants, ancestor=False)
-            report, pairs = self.run(
-                self.plan_step(a_slots, d_slots, buffer_pages, page_size),
-                SlotInputs(a_slots),
-                SlotInputs(d_slots),
-                dataset=f"{dataset}.step{step_index}",
-                buffer_pages=buffer_pages,
-                page_size=page_size,
-                collect=True,
-                **run_options,
-            )
-            reports.append(report)
-            assert pairs is not None
-            ancestors = survivors = sorted({d for _a, d in pairs})
-        return reports, survivors
-
-    def plan_step(
-        self,
-        a_slots: Sequence[Sequence[int]],
-        d_slots: Sequence[Sequence[int]],
-        buffer_pages: int,
-        page_size: int,
-    ) -> str:
-        """The algorithm the planner picks for one step of the corpus.
-
-        Planned from corpus-level metadata — record counts and pages
-        summed over the slots, one slot bench's pool, and the histograms
-        of the whole sets (a replicated ancestor counted once, so they
-        equal the unsharded sets') — which is a function of the slot
-        structure alone, so ``shards=1`` and ``shards=N`` run the same
-        plan, and the plan the unsharded planner picks; planning slot
-        by slot would not keep that.
-        """
-        capacity = page_capacity(page_size, CODE.record_size)
-        tree_height = self.corpus.tree_height
-        return plan_from_metadata(
-            a_count=sum(map(len, a_slots)),
-            a_pages=sum(-(-len(codes) // capacity) for codes in a_slots),
-            a_pair_pages=sum(pair_pages(len(codes), capacity) for codes in a_slots),
-            a_histogram=PositionHistogram.of_codes(
-                list(set(chain.from_iterable(a_slots))), tree_height
-            ),
-            d_count=sum(map(len, d_slots)),
-            d_pages=sum(-(-len(codes) // capacity) for codes in d_slots),
-            d_histogram=PositionHistogram.of_codes(
-                list(chain.from_iterable(d_slots)), tree_height
-            ),
-            buffer_pages=buffer_pages,
-        ).algorithm_name

@@ -210,13 +210,44 @@ class TestExecutionConfigSurface:
             ),
             (["repro.join.vpj"], ["_extract" + "_codes"]),
             (["repro.join.mhcj"], ["_fanout" + "_height_class"]),
+            # one query path: the inline sharded fork of the database
+            # and the service, and what only it used
+            (
+                ["repro.db:ContainmentDatabase"],
+                [
+                    "shard" + "_corpus",
+                    "_shard_set",
+                    "_query" + "_sharded",
+                    "_invalidate_shards",
+                ],
+            ),
+            (
+                ["repro.service.core:QueryService"],
+                ["_run" + "_sharded", "_session_chaos"],
+            ),
+            (
+                ["repro.shard", "repro.shard.executor"],
+                ["Slot" + "Inputs", "SideInput"],
+            ),
+            (
+                ["repro.shard.executor:ShardedJoinExecutor"],
+                ["_side_inputs", "extract", "run" + "_path", "plan" + "_step"],
+            ),
+            (["repro.shard.corpus:ShardedCorpus"], ["drop_set"]),
+            (["repro.join.planner"], ["plan_from" + "_metadata"]),
+            (["repro.join.mhcj"], ["pair_pages"]),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
+        """``modules`` are module paths, or ``module:Class`` for
+        removed members of a class."""
         import importlib
 
         for module in modules:
-            loaded = importlib.import_module(module)
+            path, _, member = module.partition(":")
+            loaded = importlib.import_module(path)
+            if member:
+                loaded = getattr(loaded, member)
             for name in names:
                 assert not hasattr(loaded, name), f"{module}.{name}"
                 assert name not in getattr(loaded, "__all__", ())
@@ -291,6 +322,36 @@ class TestOneParallelScope:
 
         with pytest.raises(SystemExit):
             main(["bench", "--parallel" + "-scope", "lineup"])
+
+
+class TestOneQueryPath:
+    """Path queries run one pipeline; shards are a line-up tier only."""
+
+    def test_database_and_server_take_no_shard_settings(self, tmp_path):
+        import inspect
+
+        from repro import ContainmentDatabase
+        from repro.__main__ import main
+
+        params = set(inspect.signature(ContainmentDatabase.__init__).parameters)
+        assert not params & {"shards", "shard_level"}
+        # a missing --file would raise from the loader if the flags parsed
+        missing = str(tmp_path / "missing.xml")
+        for flag in ("--shards", "--shard-level"):
+            with pytest.raises(SystemExit):
+                main(["serve", "--file", missing, flag, "2"])
+
+    def test_executor_joins_registered_tags_only(self):
+        import inspect
+
+        from repro.shard import ShardedCorpus, ShardedJoinExecutor
+
+        for name in ("run" + "_path", "extract", "plan" + "_step"):
+            assert not hasattr(ShardedJoinExecutor, name)
+        run = inspect.signature(ShardedJoinExecutor.run).parameters
+        assert run["ancestors"].annotation == run["descendants"].annotation == "str"
+        assert "policy" not in inspect.signature(ShardedCorpus).parameters
+        assert "policy" not in inspect.signature(ShardedCorpus.load).parameters
 
 
 class TestOnePlannerSurface:

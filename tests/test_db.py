@@ -257,6 +257,30 @@ class TestCLI:
         assert validate_bench_summary(summary) == []
         assert summary["metrics"]["updates.pbitree.operations"] == 120.0
 
+    def test_sharded_bench_is_shard_count_invariant(self, tmp_path, capsys):
+        """``bench --shards`` end to end: the BENCH file validates and
+        every per-algorithm row but wall time matches ``--shards 1``."""
+        import json
+
+        from repro.__main__ import main
+        from repro.obs.__main__ import main as validate
+
+        rows = {}
+        for shards in (1, 2):
+            out_path = tmp_path / f"BENCH_s{shards}.json"
+            assert main([
+                "bench", "--dataset", "MLLH", "--large", "2000", "--small", "40",
+                "--shards", str(shards), "--bench-out", str(out_path),
+            ]) == 0
+            assert validate([str(out_path)]) == 0
+            summary = json.loads(out_path.read_text())
+            rows[shards] = [
+                {key: value for key, value in row.items() if key != "wall_seconds"}
+                for row in summary["algorithms"]
+            ]
+        capsys.readouterr()
+        assert rows[2] == rows[1] and len(rows[1]) == 5
+
     def test_update_bench_unknown_codec(self, capsys):
         from repro.__main__ import main
 

@@ -23,6 +23,7 @@ import pytest
 from repro import (
     AncDesBPlusJoin,
     BufferManager,
+    ContainmentDatabase,
     DiskManager,
     ElementSet,
     FaultConfig,
@@ -479,3 +480,95 @@ class TestVpjFallbackCleanup:
                 f"fallback leaked {disk.num_allocated - baseline} pages "
                 f"when faulted at read {at}"
             )
+
+
+# ----------------------------------------------------------------------
+# regression: a failed path query must not leak its intermediates
+# ----------------------------------------------------------------------
+#: (forced direction, document, three-tag path, the tag step 2 reads
+#: first — step 1 never touches it, so a fault on its first page lands
+#: in step 2 while step 1's intermediate is alive)
+LEAK_CASES = {
+    "top-down": (
+        "<a>" + "<b><c/><d><c/></d></b>" * 60 + "</a>",
+        "//a//b//c",
+        "c",
+    ),
+    "bottom-up": (
+        "<r>" + "<b><c><x/></c><c/></b>" * 60 + "<b><c><e/></c></b></r>",
+        "//b//c//e",
+        "b",
+    ),
+}
+
+
+class TestQueryIntermediateCleanup:
+    """``PathPipeline`` used to destroy its intermediate sets only when
+    every step succeeded, and ``db.query``'s extended-syntax joins their
+    ``xq.A`` / ``xq.D`` sets likewise.  A permanent fault mid-path then
+    left those pages allocated for good — on the database disk itself
+    when the query ran in a service session, whose scratch pages live in
+    the shared page table."""
+
+    def make_db(self, xml, path, faults=None):
+        db = ContainmentDatabase(page_size=128, buffer_pages=4, faults=faults)
+        doc = db.load_xml(xml, name="doc")
+        for tag in path.strip("/").split("//"):
+            db.element_set(doc, tag)
+        db.bufmgr.flush_all()
+        db.bufmgr.evict_all()
+        return db, doc
+
+    @pytest.mark.parametrize("direction", sorted(LEAK_CASES))
+    def test_db_query_releases_intermediates(self, direction):
+        xml, path, target = LEAK_CASES[direction]
+        injector = FaultInjector(seed=CHAOS_SEED)
+        db, doc = self.make_db(xml, path, faults=injector)
+        baseline = db.disk.num_allocated
+        page = db.element_set(doc, target).heap.page_ids[0]
+        injector.schedule("read-error", page_id=page, permanent=True)
+        with pytest.raises(PermanentIOError):
+            db.query(doc, path, direction=direction)
+        assert injector.stats.scheduled_fired == 1
+        assert db.disk.num_allocated == baseline
+
+    @pytest.mark.parametrize("direction", sorted(LEAK_CASES))
+    def test_service_session_releases_intermediates(self, direction):
+        from repro.service import QueryService
+
+        xml, path, target = LEAK_CASES[direction]
+        db, doc = self.make_db(xml, path)
+        service = QueryService(db)
+        # the planner's own pick, so the service runs the forced order
+        assert service.execute("t", "doc", path, use_cache=False).direction == (
+            direction
+        )
+        baseline = db.disk.num_allocated
+        page = db.element_set(doc, target).heap.page_ids[0]
+        injector = FaultInjector(seed=CHAOS_SEED)
+        injector.schedule("read-error", page_id=page, permanent=True)
+        open_session = service._open_session
+
+        def faulty_session(document, query_path):
+            session = open_session(document, query_path)
+            session.disk.set_faults(injector)
+            return session
+
+        service._open_session = faulty_session
+        with pytest.raises(PermanentIOError):
+            service.execute("t", "doc", path, use_cache=False)
+        assert injector.stats.scheduled_fired == 1
+        assert db.disk.num_allocated == baseline
+
+    def test_extended_query_releases_join_inputs(self):
+        xml, _path, _target = LEAK_CASES["top-down"]
+        injector = FaultInjector(seed=CHAOS_SEED)
+        db, doc = self.make_db(xml, "//b//c", faults=injector)
+        baseline = db.disk.num_allocated
+        # the first page read from here on is a join input read back
+        # after the 4-frame pool spilled it
+        injector.schedule("read-error", permanent=True)
+        with pytest.raises(PermanentIOError):
+            db.query(doc, "//b/c")
+        assert injector.stats.scheduled_fired == 1
+        assert db.disk.num_allocated == baseline

@@ -931,83 +931,3 @@ class TestPathStepsVerifyNoFalseHits:
             assert sum(r.false_hits for r in reports) <= sum(
                 r.result_count for r in reports
             )
-
-
-# ----------------------------------------------------------------------
-class TestShardedService:
-    """Sharded execution through the service tier."""
-
-    def make_sharded(self, shards, **kwargs):
-        db = ContainmentDatabase(buffer_pages=64, shards=shards)
-        db.load_tree(random_tree(800, max_fanout=5, seed=7), name="corpus")
-        return QueryService(db, **kwargs)
-
-    def test_parity_with_unsharded_service(self):
-        plain = QueryService(make_db())
-        sharded = self.make_sharded(2)
-        for path in PATHS + ["//a"]:
-            expect = sorted(plain.execute("t", "corpus", path).codes)
-            got = sorted(sharded.execute("t", "corpus", path).codes)
-            assert got == expect, path
-
-    def test_reports_invariant_across_shard_counts(self):
-        two = self.make_sharded(2)
-        four = self.make_sharded(4)
-        for path in PATHS:
-            a = two.execute("t", "corpus", path)
-            b = four.execute("t", "corpus", path)
-            assert a.codes == b.codes
-            assert [normalize(r) for r in a.reports] == [
-                normalize(r) for r in b.reports
-            ]
-
-    def test_concurrent_sharded_queries_match_serial(self):
-        service = self.make_sharded(2, max_in_flight=8)
-        serial = {
-            path: service.execute("serial", "corpus", path) for path in PATHS
-        }
-        outcomes = {}
-        lock = threading.Lock()
-
-        def worker(path):
-            def run():
-                outcome = service.execute("conc", "corpus", path)
-                with lock:
-                    outcomes[path] = outcome
-
-            return run
-
-        run_threads([worker(path) for path in PATHS] * 2)
-        for path in PATHS:
-            assert outcomes[path].codes == serial[path].codes
-            assert [normalize(r) for r in outcomes[path].reports] == [
-                normalize(r) for r in serial[path].reports
-            ]
-
-    def test_sharded_chaos_is_replayable(self):
-        chaos = FaultConfig(seed=CHAOS_SEED, read_error_rate=0.01)
-        service = self.make_sharded(4, chaos=chaos)
-        first = service.execute("t", "corpus", "//a//b")
-        second = service.execute("t", "corpus", "//a//b")
-        assert first.codes == second.codes
-        assert [normalize(r) for r in first.reports] == [
-            normalize(r) for r in second.reports
-        ]
-
-    def test_sharded_update_then_query(self):
-        service = self.make_sharded(2)
-        before = service.execute("t", "corpus", "//a").count
-        with service.exclusive("corpus") as doc:
-            service.db.insert_element(doc, doc.tree.root, "a")
-        after = service.execute("t", "corpus", "//a")
-        assert after.count == before + 1
-
-    def test_sharded_queries_over_the_wire(self):
-        service = self.make_sharded(2)
-        plain = QueryService(make_db())
-        with ServerThread(service) as server:
-            with ServiceClient(port=server.port) as client:
-                response = client.query_all("corpus", "//a//b")
-                assert response["status"] == "ok"
-        expect = sorted(plain.execute("t", "corpus", "//a//b").codes)
-        assert sorted(response["codes"]) == expect

@@ -12,7 +12,9 @@ and under chaos seeds.
 Plus: a hypothesis property pinning the exactly-once pair coverage of
 the VPJ scatter rule (every containment pair meets in exactly one
 slot), routing-table unit coverage, save/load round-trips, and the
-database/service integration points.
+line-up harness over real document tags.  Path queries do not shard
+(``db.query`` and the service run the one pipeline), so there is no
+database or service integration to test here.
 """
 
 import os
@@ -20,7 +22,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import ContainmentDatabase, binarize, random_tree
+from repro import binarize, random_tree
 from repro.core.pbitree import is_ancestor, max_code
 from repro.datatree.paths import select_by_tag
 from repro.experiments.harness import run_lineup
@@ -30,14 +32,13 @@ from repro.shard import (
     ShardedCorpus,
     ShardedJoinExecutor,
     ShardMap,
-    SlotInputs,
     default_shard_level,
 )
 from repro.shard.executor import slot_fault_config
 from repro.storage.faults import FaultConfig
 from repro.workloads.synthetic import generate, spec_by_name
 
-from .differential import assert_lineups_equal, assert_reports_equal, normalize
+from .differential import assert_lineups_equal, normalize
 
 #: chaos seed rotates in CI like the fault-injection suite's
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -205,6 +206,21 @@ class TestShardedCorpus:
                     tag, slot
                 ) == corpus.slot_descendant_codes(tag, slot)
 
+    def test_stored_policy_is_ignored_on_load(self, tmp_path):
+        """Shard pools are LRU; maps saved when the pool policy was a
+        setting still load, whatever policy they name."""
+        corpus = ShardedCorpus(10, 2)
+        corpus.add_set("A", [1, 2, 3])
+        corpus.save(tmp_path / "c")
+        shardmap = tmp_path / "c" / "shardmap.json"
+        assert '"policy": "lru"' in shardmap.read_text()
+        shardmap.write_text(
+            shardmap.read_text().replace('"policy": "lru"', '"policy": "clock"')
+        )
+        loaded = ShardedCorpus.load(tmp_path / "c")
+        assert loaded.set_size("A") == 3
+        assert {store.bufmgr.policy for store in loaded.shards} == {"lru"}
+
     def test_load_rejects_wrong_format(self, tmp_path):
         corpus = ShardedCorpus(10, 1)
         corpus.save(tmp_path / "c")
@@ -310,49 +326,6 @@ class TestExecutor:
                 "VPJ", "A", "D", faults=FaultInjector(FaultConfig(seed=1))
             )
 
-    def test_transient_intermediates_match_materialized_sets(self):
-        data = dataset()
-        corpus = ShardedCorpus(data.tree_height, 2)
-        corpus.add_set("A", data.a_codes)
-        corpus.add_set("D", data.d_codes)
-        executor = ShardedJoinExecutor(corpus, workers=1)
-        by_tag, pairs_tag = executor.run(
-            "MHCJ+Rollup", "A", "D", dataset="x", collect=True
-        )
-        by_codes, pairs_codes = executor.run(
-            "MHCJ+Rollup",
-            list(data.a_codes),
-            "D",
-            dataset="x",
-            collect=True,
-        )
-        assert_reports_equal(by_codes, by_tag)
-        assert pairs_codes == pairs_tag
-
-    def test_slot_inputs_preextracted(self):
-        data = dataset()
-        corpus = ShardedCorpus(data.tree_height, 2)
-        corpus.add_set("A", data.a_codes)
-        corpus.add_set("D", data.d_codes)
-        executor = ShardedJoinExecutor(corpus, workers=1)
-        anchors = SlotInputs(
-            tuple(
-                tuple(corpus.slot_ancestor_codes("A", slot))
-                for slot in range(corpus.num_slots)
-            )
-        )
-        descendants = SlotInputs(
-            tuple(
-                tuple(corpus.slot_descendant_codes("D", slot))
-                for slot in range(corpus.num_slots)
-            )
-        )
-        via_tags, _ = executor.run("VPJ", "A", "D", dataset="x")
-        via_inputs, _ = executor.run("VPJ", anchors, descendants, dataset="x")
-        assert_reports_equal(via_inputs, via_tags)
-        with pytest.raises(ValueError, match="SlotInputs covers"):
-            executor.run("VPJ", SlotInputs(((1,),)), "D")
-
     def test_fanout_span_records_slots(self):
         data = dataset(large=400, small=100)
         corpus = ShardedCorpus(data.tree_height, 2)
@@ -368,74 +341,8 @@ class TestExecutor:
 
 
 # ---------------------------------------------------------------------------
-# database + service integration
+# the line-up harness on document tags
 # ---------------------------------------------------------------------------
-class TestShardedDatabase:
-    def make_pair(self, shards, grown=False):
-        """The same document unsharded and sharded.  ``grown`` inserts
-        twelve children under the root of each (their own tree copy):
-        the sibling level overflows, the tree grows, and the tags crowd
-        into a few of rollup's buckets — where pricing rollup needs the
-        positional histograms."""
-        plain = ContainmentDatabase(buffer_pages=64)
-        sharded = ContainmentDatabase(buffer_pages=64, shards=shards)
-        for db in (plain, sharded):
-            tree = random_tree(700, max_fanout=5, seed=11)
-            doc = db.load_tree(tree, name="corpus")
-            for index in range(12 if grown else 0):
-                db.insert_element(doc, tree.root, "abcd"[index % 4])
-        return plain, sharded
-
-    def test_query_parity(self):
-        plain, sharded = self.make_pair(shards=2)
-        doc_p = plain.document("corpus")
-        doc_s = sharded.document("corpus")
-        for path in ("//a//b", "//a//b//c", "//b//d", "//a"):
-            expect = sorted(n.id for n in plain.query(doc_p, path).nodes)
-            got = sorted(n.id for n in sharded.query(doc_s, path).nodes)
-            assert got == expect, path
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_path_runs_the_unsharded_plan(self, shards):
-        """Each step is planned once for the whole corpus, from the
-        same metadata the unsharded planner reads (the histograms count
-        a replicated ancestor once) — so the two report the same
-        algorithm sequence, at any shard count, on the document as
-        loaded and after a tree-growing insert storm."""
-        for grown in (False, True):
-            plain, sharded = self.make_pair(shards=shards, grown=grown)
-            doc_p = plain.document("corpus")
-            doc_s = sharded.document("corpus")
-            for path in ("//a//b", "//a//b//c", "//b//d", "//c//d", "//a//c//d"):
-                expect = plain.query(doc_p, path, direction="top-down").reports
-                got = sharded.query(doc_s, path).reports
-                assert [r.algorithm for r in got] == [r.algorithm for r in expect]
-                assert [r.result_count for r in got] == [
-                    r.result_count for r in expect
-                ]
-
-    def test_update_invalidates_corpus(self):
-        plain, sharded = self.make_pair(shards=2)
-        doc_s = sharded.document("corpus")
-        before = len(sharded.query(doc_s, "//a").nodes)
-        sharded.insert_element(doc_s, doc_s.tree.root, "a")
-        after = len(sharded.query(doc_s, "//a").nodes)
-        assert after == before + 1
-
-    def test_negative_shards_rejected(self):
-        with pytest.raises(ValueError):
-            ContainmentDatabase(shards=-1)
-
-    def test_explicit_bottom_up_bypasses_shards(self):
-        _, sharded = self.make_pair(shards=2)
-        doc_s = sharded.document("corpus")
-        result = sharded.query(doc_s, "//a//b", direction="bottom-up")
-        top_down = sharded.query(doc_s, "//a//b")
-        assert sorted(n.id for n in result.nodes) == sorted(
-            n.id for n in top_down.nodes
-        )
-
-
 class TestShardedHarnessOnXml:
     def test_lineup_on_document_tags(self):
         """run_lineup over real document tag sets, sharded vs not."""
