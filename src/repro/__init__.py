@@ -32,7 +32,6 @@ from .datatree.node import DataTree
 from .datatree.paths import PathQuery, brute_force_join, select_by_tag
 from .datatree.xml_parser import parse_xml
 from .datatree.xpath import XPath
-from .index.flat import FlatIntervalTree, FlatStartIndex, flat_enabled
 from .join.ancdes_b import AncDesBPlusJoin
 from .join.base import JoinReport, JoinSink
 from .join.inljn import IndexNestedLoopJoin
@@ -106,9 +105,6 @@ __all__ = [
     "PBiTreeJoinFramework",
     "SetProperties",
     "choose_algorithm",
-    "FlatIntervalTree",
-    "FlatStartIndex",
-    "flat_enabled",
     "ExecConfig",
     "exec_scope",
     "UpdatableEncoding",

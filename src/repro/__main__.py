@@ -320,11 +320,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             tracer=tracer,
             metrics=metrics,
             workers=args.workers,
-            exec=current().override(
-                batch_size=args.batch_size,
-                flat_index=args.flat_index,
-                sanitize=args.sanitize,
-            ),
+            exec=current().override(sanitize=args.sanitize),
             shards=args.shards,
             shard_level=args.shard_level,
         )
@@ -644,16 +640,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=1,
         help="worker processes: one cold join per algorithm (or per "
         "slot with --shards) on each; default 1 = serial",
-    )
-    bch.add_argument(
-        "--batch-size", type=int, default=None,
-        help="execution batch size for the vectorized hot path "
-        "(0 = scalar oracle; default: REPRO_BATCH_SIZE or 1024)",
-    )
-    bch.add_argument(
-        "--flat-index", action="store_true", default=None,
-        help="probe flat-array static indexes instead of the pointer "
-        "oracle (default: REPRO_FLAT_INDEX or off)",
     )
     bch.add_argument(
         "--sanitize", action="store_true", default=None,

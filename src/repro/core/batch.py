@@ -1,4 +1,4 @@
-"""Vectorized code-algebra kernels and the batch-size readers.
+"""Vectorized code-algebra kernels: the join operators' only hot path.
 
 Every join in the paper reduces to streaming codes off pages and
 applying pure integer algebra — ``F(n, h)`` rollups, Lemma 3/4
@@ -20,13 +20,12 @@ order-equivalent to the tuple ``(start, -height)`` because heights fit
 in 6 bits (``MAX_CODE_BITS = 63`` bounds them at 62) and the mapping
 ``-h -> 63 - h`` is strictly increasing.
 
-Exactness contract: every kernel is a drop-in for the scalar loop it
-replaces — same results, in the same order.  The scalar path stays in
-the join operators as a differential oracle, selected by a batch size
-of 0 in the execution configuration (:mod:`.execconfig`,
-``exec_scope(batch_size=0)``); tests drive both paths over the same
-inputs and assert identical output *and* identical I/O accounting (see
-docs/batched-execution.md).
+Exactness contract: every kernel applies the scalar identities of
+:mod:`.pbitree` (Property 1/2, Lemmas 1, 3 and 4) — same results, in
+the same order, as mapping the scalar function over the array.  The
+scalar functions are the paper's reference and the oracle the kernels
+are tested against (``tests/test_batch.py``); the operators call only
+the kernels (see docs/batched-execution.md).
 
 This module is the only place outside :mod:`.pbitree` allowed to spell
 the bit algebra: the ``code-domain`` checker confines ``<<``/``>>``/
@@ -39,13 +38,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Callable, Optional, Sequence, cast
 
-from .execconfig import DEFAULT_BATCH_SIZE, current
 from .pbitree import Height, PBiCode, PrefixCode, RegionCode
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "get_batch_size",
-    "batching_enabled",
     "heights",
     "rollup",
     "rollup_pairs",
@@ -68,15 +63,6 @@ __all__ = [
 ]
 
 EmitFn = Callable[[int, int], None]
-
-
-def get_batch_size() -> int:
-    """Current batch size; 0 selects the scalar differential oracle."""
-    return current().batch_size
-
-
-def batching_enabled() -> bool:
-    return current().batch_size > 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +246,8 @@ def region_probe(
     form a contiguous code range (Lemma 3) found with two binary
     searches.  ``dedup_above_height`` skips repeated replicated
     ancestors via the caller-owned ``seen_high`` set (shared across
-    batches so the dedup window spans the whole stream, exactly like
-    the serial loop).  Emission order equals the serial loop's:
-    ancestors in input order, descendants ascending.
+    batches so the dedup window spans the whole stream).  Emission
+    order: ancestors in input order, descendants ascending.
     """
     if dedup_above_height is None:
         for a in a_codes:
@@ -294,8 +279,7 @@ def build_height_tables(
 ) -> None:
     """Fold one ancestor batch into per-height hash sets (Algorithm 6).
 
-    The sets de-duplicate replicated ancestors by construction, exactly
-    like the serial A-fits branch.
+    The sets de-duplicate replicated ancestors by construction.
     """
     get = tables.get
     for c in codes:
@@ -315,8 +299,8 @@ def height_probe(
 ) -> None:
     """Algorithm 6, A-fits branch, over one descendant batch.
 
-    ``order`` is the probe order of the heights (descending, as in the
-    serial loop); probing stops at the descendant's own height.  The
+    ``order`` is the probe order of the heights (descending); probing
+    stops at the descendant's own height.  The
     per-height ``F`` masks are precomputed once per batch.
     """
     masks = [(h, -(1 << (h + 1)), 1 << h) for h in order]
@@ -340,8 +324,8 @@ def height_class_probe(
 
     ``table`` maps an effective (possibly rolled) code at ``height`` to
     the original codes rolled into it.  A match through a rolled record
-    is verified against the original; failures are counted and returned
-    as false hits, exactly as the serial ``_join_height_class``.
+    is verified against the original (Lemma 1); failures are counted and
+    returned as false hits.
     """
     keep = -(1 << (height + 1))
     bit = 1 << height

@@ -1,19 +1,19 @@
-"""The one execution configuration: batch size, flat indexes, sanitizer.
+"""The one execution configuration: the view-lifetime sanitizer.
 
 The paper runs every algorithm under one fixed set-up (Section 4: same
-pool, same page size, every algorithm cold); the three execution
-switches this reproduction grew on top — the vectorized batch size
-(:mod:`repro.core.batch`), flat-array static indexes
-(:mod:`repro.index.flat`) and the view-lifetime sanitizer
-(:mod:`repro.storage.sanitize`) — are likewise *one* configuration of a
-run, not three independent pieces of module state.  :class:`ExecConfig`
-is that configuration; none of its values may change a result or a
-page-I/O count, only wall time (the differential suites hold every
-``JoinReport`` field-for-field equal across it).
+pool, same page size, every algorithm cold), and so does this
+reproduction: every join runs the batched kernels (:mod:`repro.core.
+batch`) over one probe path per index.  What is left to configure is
+a debugging mode, the view-lifetime sanitizer
+(:mod:`repro.storage.sanitize`), and :class:`ExecConfig` carries it as
+*one* configuration of a run rather than a piece of module state.  It
+may not change a result or a page-I/O count, only wall time (the
+execution matrix holds every ``JoinReport`` field-for-field equal
+across it).
 
-* the process default is parsed once from ``REPRO_BATCH_SIZE`` /
-  ``REPRO_FLAT_INDEX`` / ``REPRO_SANITIZE`` at import; a malformed
-  value is a :class:`ValueError`, never a silent fallback;
+* the process default is parsed once from ``REPRO_SANITIZE`` at
+  import; a malformed value is a :class:`ValueError`, never a silent
+  fallback;
 * :func:`exec_scope` pins a configuration for the calling *context*
   only (``contextvars``): threads and asyncio tasks each see their own,
   so one tenant's scope cannot flip another in-flight query's mode;
@@ -34,27 +34,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, Mapping, Optional
 
-__all__ = ["DEFAULT_BATCH_SIZE", "ExecConfig", "current", "exec_scope"]
-
-#: Default element count per batch.  Chosen from the batch-size sweep in
-#: ``benchmarks/bench_coding_micro.py``: per-element cost flattens out
-#: between 256 and 1024, and 1024 covers a whole 1 KiB page of codes.
-DEFAULT_BATCH_SIZE = 1024
+__all__ = ["ExecConfig", "current", "exec_scope"]
 
 _TRUE = ("1", "true", "on", "yes")
 _FALSE = ("0", "false", "off", "no")
-
-
-def _parse_size(name: str, raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(
-            f"{name}={raw!r}: expected an integer >= 0 (0 = scalar oracle)"
-        )
-    return value
 
 
 def _parse_switch(name: str, raw: str) -> bool:
@@ -71,19 +54,10 @@ def _parse_switch(name: str, raw: str) -> bool:
 class ExecConfig:
     """How a run executes — never *what* it computes or reads.
 
-    ``batch_size`` is the element count per vectorized batch (0 selects
-    the scalar differential oracle); ``flat_index`` makes on-the-fly
-    index builds produce flat-array static indexes instead of the
-    pointer oracle; ``sanitize`` arms the view-lifetime sanitizer.
+    ``sanitize`` arms the view-lifetime sanitizer.
     """
 
-    batch_size: int = DEFAULT_BATCH_SIZE
-    flat_index: bool = False
     sanitize: bool = False
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 0:
-            raise ValueError(f"batch size must be >= 0, got {self.batch_size}")
 
     def override(self, **changes: Any) -> "ExecConfig":
         """A copy with the given fields replaced; ``None`` keeps a field
@@ -102,17 +76,10 @@ class ExecConfig:
         """
         if environ is None:
             environ = os.environ
-        parsers = (
-            ("batch_size", "REPRO_BATCH_SIZE", _parse_size),
-            ("flat_index", "REPRO_FLAT_INDEX", _parse_switch),
-            ("sanitize", "REPRO_SANITIZE", _parse_switch),
-        )
-        values: dict[str, Any] = {}
-        for field_name, variable, parse in parsers:
-            raw = environ.get(variable, "").strip()
-            if raw:
-                values[field_name] = parse(variable, raw)
-        return cls(**values)
+        raw = environ.get("REPRO_SANITIZE", "").strip()
+        if raw:
+            return cls(sanitize=_parse_switch("REPRO_SANITIZE", raw))
+        return cls()
 
 
 #: the process default is the context variable's default, so a context
@@ -134,9 +101,9 @@ def exec_scope(
     """Pin ``cfg`` (default: the current configuration) with
     ``overrides`` applied, for the calling context only.
 
-    ``exec_scope(batch_size=0)`` selects the scalar oracle and keeps the
-    other two values; ``exec_scope(task.exec)`` is how a worker adopts
-    the configuration its task was built under.
+    ``exec_scope(sanitize=True)`` arms the sanitizer;
+    ``exec_scope(task.exec)`` is how a worker adopts the configuration
+    its task was built under.
     """
     chosen = (current() if cfg is None else cfg).override(**overrides)
     token = _current.set(chosen)

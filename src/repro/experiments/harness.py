@@ -254,12 +254,11 @@ def run_lineup(
     fresh one from it).  ``workers < 1`` or an unknown mode name raises
     :class:`ValueError` before any work.
 
-    ``exec`` pins the execution configuration (batch size, flat
-    indexes, sanitizer — :class:`~repro.core.execconfig.ExecConfig`)
-    for the whole line-up, workers included; ``None`` keeps the
-    caller's current one.  No value of it changes a report, only wall
-    time.  The effective values are recorded as the ``batch.size`` /
-    ``flat.index`` / ``sanitize.enabled`` gauges.
+    ``exec`` pins the execution configuration (the sanitizer —
+    :class:`~repro.core.execconfig.ExecConfig`) for the whole line-up,
+    workers included; ``None`` keeps the caller's current one.  No
+    value of it changes a report, only wall time.  The effective value
+    is recorded as the ``sanitize.enabled`` gauge.
 
     ``shards > 0`` runs every algorithm scatter-gather over a
     :class:`~repro.shard.corpus.ShardedCorpus` partitioned at
@@ -279,8 +278,6 @@ def run_lineup(
         make_algorithm(name)  # reject unknown names before any work
     cfg = current() if exec is None else exec
     if metrics is not None:
-        metrics.gauge("batch.size").set(float(cfg.batch_size))
-        metrics.gauge("flat.index").set(1.0 if cfg.flat_index else 0.0)
         metrics.gauge("sanitize.enabled").set(1.0 if cfg.sanitize else 0.0)
     pooled = shards > 0 or workers > 1
     if pooled and isinstance(faults, FaultInjector):

@@ -1,7 +1,6 @@
-"""Disk-based indexes: B+-tree, static interval tree, and flat variants."""
+"""Disk-based indexes: B+-tree, static interval tree, R-tree, XR-tree."""
 
 from .bptree import BPlusTree
-from .flat import FlatIntervalTree, FlatStartIndex, flat_enabled
 from .interval_tree import IntervalTree
 from .rtree import Rect, RTree
 from .staleness import StaleGuard, StaleIndexError
@@ -9,13 +8,10 @@ from .xrtree import XRTree
 
 __all__ = [
     "BPlusTree",
-    "FlatIntervalTree",
-    "FlatStartIndex",
     "IntervalTree",
     "RTree",
     "Rect",
     "StaleGuard",
     "StaleIndexError",
     "XRTree",
-    "flat_enabled",
 ]

@@ -26,7 +26,6 @@ import struct
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
-from ..core import batch as batch_module
 from ..storage.buffer import BufferManager
 from .staleness import StaleGuard
 
@@ -57,11 +56,10 @@ class _Node:
 class BPlusTree(StaleGuard):
     """A B+-tree whose nodes live on buffer-managed pages.
 
-    The pointer tree is incrementally maintainable (:meth:`insert`,
-    :meth:`delete`) and so never goes stale under the update pipeline;
-    the :class:`~repro.index.staleness.StaleGuard` base serves the
-    static :class:`~repro.index.flat.FlatStartIndex` subclass, whose
-    level-order descent arithmetic a top-down mutation would break.
+    The tree is incrementally maintainable (:meth:`insert`,
+    :meth:`delete`); tree growth shifts every key, so the update
+    pipeline retires it then through the
+    :class:`~repro.index.staleness.StaleGuard` base and rebuilds.
     """
 
     def __init__(self, bufmgr: BufferManager, name: str = "") -> None:
@@ -75,24 +73,16 @@ class BPlusTree(StaleGuard):
         self.root_page: int | None = None
         self.height = 0
         self.num_entries = 0
-        self.num_nodes = 0
-        #: decoded-node cache, populated only while batching is enabled.
-        #: Every hit still pins/unpins the page, so buffer and I/O
-        #: accounting stay identical to the uncached path; only the
-        #: repeated per-entry decode is skipped.  Writes invalidate.
+        #: every node page, in allocation order (what :meth:`destroy` frees)
+        self._page_ids: list[int] = []
+        #: decoded-node cache.  Every hit still pins/unpins the page, so
+        #: buffer and I/O accounting are those of a fresh decode; only
+        #: the repeated per-entry decode is skipped.  Writes invalidate.
         self._node_cache: dict[int, _Node] = {}
-        #: bulk-load layout record: page ids of each level in build
-        #: order — ``level_pages[0]`` is the leaf chain left to right,
-        #: each following list one internal level, the last the root.
-        #: With the uniform grouping of :meth:`_build_internal_level`
-        #: the children of node ``i`` of a level sit at positions
-        #: ``i * bulk_fanout ..`` of the level below, which is what the
-        #: flat static variant (:mod:`repro.index.flat`) descends by
-        #: instead of stored child pointers.  Top-down :meth:`insert`
-        #: invalidates the record (it splits nodes out of level order).
-        self.level_pages: list[list[int]] = []
-        #: children grouped under each bulk-built internal node
-        self.bulk_fanout = 0
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self._page_ids)
 
     # ------------------------------------------------------------------
     # session views
@@ -111,12 +101,22 @@ class BPlusTree(StaleGuard):
         view = copy.copy(self)
         view.bufmgr = bufmgr
         view._stale_source = self
-        view._reset_session_caches()
+        # decode through the view's own pool
+        view._node_cache = {}
         return view
 
-    def _reset_session_caches(self) -> None:
-        """Drop decoded-page caches so a view decodes via its own pool."""
+    def destroy(self) -> None:
+        """Free every node page (no I/O charged, like
+        :meth:`~repro.storage.heapfile.HeapFile.destroy`); the tree is
+        empty afterwards.  Never destroy a session view."""
+        for page_id in self._page_ids:
+            self.bufmgr.discard_page(page_id)
+            self.bufmgr.disk.deallocate(page_id)
+        self._page_ids = []
         self._node_cache = {}
+        self.root_page = None
+        self.height = 0
+        self.num_entries = 0
 
     # ------------------------------------------------------------------
     # node (de)serialisation
@@ -133,42 +133,23 @@ class BPlusTree(StaleGuard):
             data = frame.data
             node_type, count, link = _HEADER.unpack_from(data, 0)
             node = _Node(page_id, node_type == _LEAF)
-            batched = batch_module.batching_enabled()
+            # one bulk unpack + extended slices instead of a per-entry
+            # loop; formats are explicitly "<" so the decode stays
+            # endianness-faithful
             if node.is_leaf:
                 node.next_leaf = None if link == _NO_PAGE else link
-                if batched and count:
-                    # one bulk unpack + extended slices instead of a
-                    # per-entry loop; formats are explicitly "<" so the
-                    # decode stays endianness-faithful
-                    flat = struct.unpack_from(
-                        "<" + "Q" * (2 * count), data, _HEADER_SIZE
-                    )
-                    node.keys = list(flat[0::2])
-                    node.values = list(flat[1::2])
-                else:
-                    offset = _HEADER_SIZE
-                    for _ in range(count):
-                        key, value = _LEAF_ENTRY.unpack_from(data, offset)
-                        node.keys.append(key)
-                        node.values.append(value)
-                        offset += _LEAF_ENTRY.size
+                flat = struct.unpack_from(
+                    "<" + "Q" * (2 * count), data, _HEADER_SIZE
+                )
+                node.keys = list(flat[0::2])
+                node.values = list(flat[1::2])
             else:
-                node.children.append(link)
-                if batched and count:
-                    flat = struct.unpack_from(
-                        "<" + "QII" * count, data, _HEADER_SIZE
-                    )
-                    node.keys = list(flat[0::3])
-                    node.children.extend(flat[1::3])
-                else:
-                    offset = _HEADER_SIZE
-                    for _ in range(count):
-                        key, child, _pad = _INT_ENTRY.unpack_from(data, offset)
-                        node.keys.append(key)
-                        node.children.append(child)
-                        offset += _INT_ENTRY.size
-            if batched:
-                self._node_cache[page_id] = node
+                flat = struct.unpack_from(
+                    "<" + "QII" * count, data, _HEADER_SIZE
+                )
+                node.keys = list(flat[0::3])
+                node.children = [link, *flat[1::3]]
+            self._node_cache[page_id] = node
             return node
         finally:
             self.bufmgr.unpin(page_id)
@@ -197,7 +178,7 @@ class BPlusTree(StaleGuard):
     def _new_node(self, is_leaf: bool) -> _Node:
         frame = self.bufmgr.new_page()
         try:
-            self.num_nodes += 1
+            self._page_ids.append(frame.page_id)
             return _Node(frame.page_id, is_leaf)
         finally:
             self.bufmgr.unpin(frame.page_id, dirty=True)
@@ -243,12 +224,9 @@ class BPlusTree(StaleGuard):
             return tree
         tree.height = 1
         level = leaves
-        tree.level_pages.append([page_id for _key, page_id in leaves])
         per_internal = max(2, int(tree.internal_capacity * fill_factor))
-        tree.bulk_fanout = per_internal + 1
         while len(level) > 1:
             level = tree._build_internal_level(level, per_internal)
-            tree.level_pages.append([page_id for _key, page_id in level])
             tree.height += 1
         tree.root_page = level[0][1]
         return tree
@@ -272,10 +250,6 @@ class BPlusTree(StaleGuard):
     # ------------------------------------------------------------------
     def insert(self, key: int, value: int) -> None:
         """Insert one entry (duplicates allowed)."""
-        # splits allocate pages out of level order: the bulk-load
-        # layout record no longer describes the tree
-        self.level_pages = []
-        self.bulk_fanout = 0
         if self.root_page is None:
             root = self._new_node(is_leaf=True)
             root.keys.append(key)

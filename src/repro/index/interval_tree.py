@@ -14,17 +14,30 @@ twice — once sorted by ascending ``start`` (scanned when the query point
 lies left of the midpoint) and once by descending ``end`` (scanned when
 it lies right).  A stabbing query costs ``O(log n)`` node-page accesses
 plus the pages of the reported list prefixes.
+
+Probes run over decoded columns: each node-directory page is decoded
+once into its node tuples, each interval-list page once into
+``(start, end, payload)`` list columns (one ``memcpy`` out of the pin,
+then three extended slices), and a list prefix is cut with one binary
+search per page — ``bisect_right`` over the ascending start column, a
+descending-order cut over the end column — instead of a tuple decode
+and comparison per stored interval.  A cached page still costs one
+real buffer access (pin and release), and an evicted one is re-read
+from disk, so a probe's I/O and buffer accounting is that of decoding
+every visited page afresh.
 """
 
 from __future__ import annotations
 
 import copy
 import struct
+from bisect import bisect_right
 from operator import itemgetter
 from typing import Iterator, Sequence, cast
 
 from ..core.pbitree import PBiCode, RegionCode
 from ..storage.buffer import BufferManager
+from ..storage.faults import StorageFault
 from ..storage.heapfile import HeapFile
 from ..storage.record import TRIPLE
 from .staleness import StaleGuard
@@ -39,6 +52,34 @@ Interval = tuple[RegionCode, RegionCode, PBiCode]
 _NODE = struct.Struct("<QiiIIII")
 _NO_CHILD = -1
 _NODE_HEADER = 8  # reuse record-page header layout: count + reserved
+
+#: one interval-list page decoded: start, end and payload columns
+_Columns = tuple[list[int], list[int], list[int]]
+
+
+def _touch(bufmgr: BufferManager, page_id: int) -> None:
+    """Pin and immediately release one page (a decoded-cache hit).
+
+    The hit must still cost exactly one buffer access, so cached probes
+    keep the hit/miss and I/O accounting of a fresh decode.  The pin is
+    real: an evicted page is re-read from disk here.
+    """
+    bufmgr.pin(page_id)
+    try:
+        pass  # nothing can fail between pin and release
+    finally:
+        bufmgr.unpin(page_id)
+
+
+def _descending_cut(ends: list[int], point: int, lo: int, hi: int) -> int:
+    """First index in ``[lo, hi)`` with ``ends[i] < point`` (column descending)."""
+    while lo < hi:
+        middle = (lo + hi) // 2
+        if ends[middle] >= point:
+            lo = middle + 1
+        else:
+            hi = middle
+    return lo
 
 
 class IntervalTree(StaleGuard):
@@ -63,6 +104,10 @@ class IntervalTree(StaleGuard):
         # interval lists: one heap file, each node's lists stored as
         # contiguous record runs (start, end, payload)
         self._lists: HeapFile | None = None
+        #: node-directory page id -> decoded node tuples of that page
+        self._node_cache: dict[int, list[tuple[int, ...]]] = {}
+        #: list-heap page position -> decoded columns of that page
+        self._list_cache: dict[int, _Columns] = {}
 
     # ------------------------------------------------------------------
     # session views
@@ -81,11 +126,26 @@ class IntervalTree(StaleGuard):
         view._stale_source = self
         if self._lists is not None:
             view._lists = self._lists.view(bufmgr)
-        view._reset_session_caches()
+        # decode through the view's own pool
+        view._node_cache = {}
+        view._list_cache = {}
         return view
 
-    def _reset_session_caches(self) -> None:
-        """Hook for static subclasses with decoded-page caches."""
+    def destroy(self) -> None:
+        """Free the node directory and the interval lists (no I/O
+        charged); the tree is empty afterwards.  Never destroy a
+        session view."""
+        for page_id in self._node_pages:
+            self.bufmgr.discard_page(page_id)
+            self.bufmgr.disk.deallocate(page_id)
+        if self._lists is not None:
+            self._lists.destroy()
+        self._node_pages = []
+        self._lists = None
+        self._node_cache = {}
+        self._list_cache = {}
+        self._root = _NO_CHILD
+        self.num_intervals = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -168,14 +228,42 @@ class IntervalTree(StaleGuard):
                 self.bufmgr.unpin(frame.page_id, dirty=True)
             self._node_pages.append(frame.page_id)
 
-    def _read_node(self, index: int) -> tuple:
+    def _read_node(self, index: int) -> tuple[int, ...]:
         page_index, slot = divmod(index, self._nodes_per_page)
         page_id = self._node_pages[page_index]
+        nodes = self._node_cache.get(page_id)
+        if nodes is not None:
+            _touch(self.bufmgr, page_id)
+            return nodes[slot]
         frame = self.bufmgr.pin(page_id)
         try:
-            return _NODE.unpack_from(frame.data, _NODE_HEADER + slot * _NODE.size)
+            data = frame.data
+            (count,) = struct.unpack_from("<I", data, 0)
+            view = memoryview(data)[
+                _NODE_HEADER : _NODE_HEADER + count * _NODE.size
+            ]
+            nodes = list(_NODE.iter_unpack(view))
         finally:
             self.bufmgr.unpin(page_id)
+        self._node_cache[page_id] = nodes
+        return nodes[slot]
+
+    def _list_columns(self, page_index: int) -> _Columns:
+        heap = self._lists
+        assert heap is not None
+        cached = self._list_cache.get(page_index)
+        if cached is not None:
+            try:
+                _touch(heap.bufmgr, heap.page_ids[page_index])
+            except StorageFault as fault:
+                # the annotation an uncached read_page_array adds
+                fault.add_context(f"heap file {heap.name!r} page {page_index}")
+                raise
+            return cached
+        flat = heap.read_page_array(page_index)
+        columns = (flat[0::3].tolist(), flat[1::3].tolist(), flat[2::3].tolist())
+        self._list_cache[page_index] = columns
+        return columns
 
     # ------------------------------------------------------------------
     # query
@@ -184,61 +272,76 @@ class IntervalTree(StaleGuard):
         """Every interval ``(start, end, payload)`` containing ``point``.
 
         The whole probe runs under :meth:`probe_guard` — materialized
-        eagerly (every caller consumes the stab fully, so the page
-        accesses are identical) so a concurrent ``mark_stale`` cannot
-        slip in mid-walk and let stale answers escape.
+        eagerly, so a concurrent ``mark_stale`` cannot slip in mid-walk
+        and let stale answers escape.
         """
         with self.probe_guard():
-            return iter(list(self._stab_walk(point)))
+            out: list[Interval] = []
+            for (starts, ends, payloads), lo, hi in self._cuts(point):
+                # stored triples carry the build()-time domain types
+                out.extend(
+                    cast(
+                        "Iterator[Interval]",
+                        zip(starts[lo:hi], ends[lo:hi], payloads[lo:hi]),
+                    )
+                )
+            return iter(out)
 
-    def _stab_walk(self, point: RegionCode) -> Iterator[Interval]:
-        if self._root == _NO_CHILD:
-            return
+    def stab_codes(self, point: RegionCode) -> list[PBiCode]:
+        """Payload codes of every interval containing ``point``.
+
+        The INLJN probe: the same page accesses as :meth:`stab`, but
+        each visited list page contributes one payload-column slice
+        instead of a tuple per interval.
+        """
+        with self.probe_guard():
+            out: list[int] = []
+            for (_starts, _ends, payloads), lo, hi in self._cuts(point):
+                out.extend(payloads[lo:hi])
+            return cast("list[PBiCode]", out)
+
+    def _cuts(self, point: int) -> Iterator[tuple[_Columns, int, int]]:
+        """Walk root to leaf, yielding ``(columns, lo, hi)`` for every
+        list-page slice of intervals containing ``point``.
+
+        A left (start-ascending) list is cut where ``start > point``, a
+        right (end-descending) one where ``end < point``.  The next list
+        page is read only when the cut falls at the end of the current
+        one, so a probe reads exactly the pages of the reported prefixes
+        plus at most one past each.
+        """
         index = self._root
         while index != _NO_CHILD:
             mid, left, right, l_off, l_len, r_off, r_len = self._read_node(index)
-            if point < mid:
-                yield from self._scan_left_list(l_off, l_len, point)
+            if point <= mid:
+                yield from self._cut_list(l_off, l_len, point, left_list=True)
+                if point == mid:
+                    return
                 index = left
-            elif point > mid:
-                yield from self._scan_right_list(r_off, r_len, point)
-                index = right
             else:
-                yield from self._scan_left_list(l_off, l_len, point)
-                return
+                yield from self._cut_list(r_off, r_len, point, left_list=False)
+                index = right
 
-    def _scan_left_list(
-        self, offset: int, length: int, point: int
-    ) -> Iterator[Interval]:
-        """Scan a start-ascending list while ``start <= point``."""
-        for interval in self._scan_list(offset, length):
-            if interval[0] > point:
-                return
-            yield interval
-
-    def _scan_right_list(
-        self, offset: int, length: int, point: int
-    ) -> Iterator[Interval]:
-        """Scan an end-descending list while ``end >= point``."""
-        for interval in self._scan_list(offset, length):
-            if interval[1] < point:
-                return
-            yield interval
-
-    def _scan_list(self, offset: int, length: int) -> Iterator[Interval]:
-        assert self._lists is not None
+    def _cut_list(
+        self, offset: int, length: int, point: int, left_list: bool
+    ) -> Iterator[tuple[_Columns, int, int]]:
         heap = self._lists
+        assert heap is not None
         per_page = heap.capacity
-        remaining = length
-        position = offset
-        while remaining > 0:
-            page_index, slot = divmod(position, per_page)
-            records = heap.read_page(page_index)
-            take = records[slot:slot + remaining]
-            # stored triples carry the build()-time domain types
-            yield from cast("list[Interval]", take)
-            position += len(take)
-            remaining -= len(take)
+        while length > 0:
+            page_index, slot = divmod(offset, per_page)
+            columns = self._list_columns(page_index)
+            starts, ends, _payloads = columns
+            limit = min(slot + length, len(starts))
+            if left_list:
+                cut = bisect_right(starts, point, slot, limit)
+            else:
+                cut = _descending_cut(ends, point, slot, limit)
+            yield columns, slot, cut
+            if cut < limit:
+                return
+            offset += limit - slot
+            length -= limit - slot
 
     # ------------------------------------------------------------------
     @property

@@ -1,13 +1,12 @@
 """Staleness guard for static indexes.
 
-The interval trees and the flat-array index variants are *static by
-contract*: they are bulk-built over a snapshot of an element set and
-have no incremental maintenance path (top-down insertion would splits
-nodes out of the level order the flat descent arithmetic relies on,
-and the interval tree's node directory is position-encoded).  When the
-underlying element set changes, the storage-backed update pipeline
-(:mod:`repro.storage.docstore`) marks such an index stale instead of
-patching it; the owner rebuilds on next access.
+The interval tree is *static by contract*: it is bulk-built over a
+snapshot of an element set and has no incremental maintenance path
+(its node directory is position-encoded).  When the underlying element
+set changes, the storage-backed update pipeline
+(:mod:`repro.storage.docstore`) marks it stale instead of patching it
+— and retires the B+-tree start index the same way when tree growth
+shifts every key; the owner rebuilds on next access.
 
 The guard exists for everyone *else*: a caller holding a reference to
 the pre-update index must get :class:`StaleIndexError` — loudly, on

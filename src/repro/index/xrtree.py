@@ -153,6 +153,10 @@ class XRTree:
             if end >= point and code not in reported:
                 yield RegionCode(node.keys[index]), end, code
 
+    def stab_codes(self, point: RegionCode) -> list[PBiCode]:
+        """Codes of every element containing ``point`` (the INLJN probe)."""
+        return [code for _start, _end, code in self.stab(point)]
+
     # ------------------------------------------------------------------
     def ancestors_of(self, code: PBiCode) -> list[PBiCode]:
         """All stored elements that are proper ancestors of ``code``."""
@@ -167,6 +171,15 @@ class XRTree:
         """Delegate Start-range scans to the underlying B+-tree."""
         assert self._btree is not None
         return self._btree.range_scan(lo, hi)
+
+    def destroy(self) -> None:
+        """Free the key tree and every stab list (no I/O charged)."""
+        if self._btree is not None:
+            self._btree.destroy()
+        for heap in self._stab_lists.values():
+            heap.destroy()
+        self._btree = None
+        self._stab_lists = {}
 
     @property
     def height(self) -> int:

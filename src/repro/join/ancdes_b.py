@@ -18,7 +18,8 @@ many leaf pages; on low-selectivity inputs the I/O drops well below
 ``||A|| + ||D||``, which is the point of the algorithm.
 
 When indexes are missing they are built on the fly (sort + bulk load),
-charged as preparation — the Section 4 experimental setting.
+charged as preparation — the Section 4 experimental setting — and
+freed after the join.
 """
 
 from __future__ import annotations
@@ -141,4 +142,7 @@ class AncDesBPlusJoin(JoinAlgorithm):
         return report
 
     def _cleanup(self, prepared, ancestors, descendants) -> None:
+        # on-the-fly indexes are scratch space: free their pages
+        for index in self._built:
+            index.destroy()
         self._built.clear()

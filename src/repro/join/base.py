@@ -134,6 +134,7 @@ class JoinAlgorithm:
         # The root span covers exactly what the report charges (prepare
         # + join, not cleanup), so its I/O delta equals ``total_pages``.
         root = tracer.span(f"join.{self.name}")
+        prepared = None
         try:
             with root:
                 with tracer.span("prepare"):
@@ -143,6 +144,18 @@ class JoinAlgorithm:
                 before_join = stats.snapshot()
                 with tracer.span("execute"):
                     report = self._execute(prepared, sink, bufmgr)
+            report.join_io = stats.delta(before_join)
+            report.prep_io = prep_io
+            report.wall_seconds = time.perf_counter() - start
+            report.result_count = sink.count
+            report.buffer_hits = bufmgr.hits - hits_before
+            report.buffer_misses = bufmgr.misses - misses_before
+            if tracer.enabled:
+                root.set("results", report.result_count)
+                if report.false_hits:
+                    root.set("false_hits", report.false_hits)
+                report.trace = root
+            return report
         except StorageFault as fault:
             # Fail fast, never return a silently truncated result: the
             # sink may hold partial output, so annotate the fault with
@@ -155,19 +168,10 @@ class JoinAlgorithm:
             raise
         finally:
             self._tracer = NULL_TRACER
-        report.join_io = stats.delta(before_join)
-        report.prep_io = prep_io
-        report.wall_seconds = time.perf_counter() - start
-        report.result_count = sink.count
-        report.buffer_hits = bufmgr.hits - hits_before
-        report.buffer_misses = bufmgr.misses - misses_before
-        if tracer.enabled:
-            root.set("results", report.result_count)
-            if report.false_hits:
-                root.set("false_hits", report.false_hits)
-            report.trace = root
-        self._cleanup(prepared, ancestors, descendants)
-        return report
+            # intermediates are freed on every path once prepared, so a
+            # fault mid-join leaks no sorted copy or on-the-fly index
+            if prepared is not None:
+                self._cleanup(prepared, ancestors, descendants)
 
     def trace(self, name: str, **attributes: object) -> Span:
         """Open a sub-span on the current run's tracer (no-op untraced)."""
@@ -184,7 +188,9 @@ class JoinAlgorithm:
         raise NotImplementedError
 
     def _cleanup(self, prepared, ancestors, descendants) -> None:
-        """Drop intermediates not part of the original inputs."""
+        """Free intermediates not part of the original inputs (sorted
+        copies, on-the-fly indexes); runs after ``_execute`` whether it
+        returned or raised."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -6,17 +6,17 @@ over (page index, slot) positions.  Restoring to a page that has been
 evicted re-reads it through the buffer pool — which is precisely how the
 re-scanning cost of MPMGJN becomes visible in the I/O counters.
 
-Batched extensions (``next_batch``/``iter_batches``/``seek`` plus the
-cached per-page ``page_starts``/``page_doc_keys`` arrays) consume runs
-of codes without the per-element ``advance()`` call.  They load pages
-through exactly the same ``_load_page`` path, in exactly the order the
-scalar loop would, so I/O and buffer accounting are identical; only the
-Python-level per-element overhead disappears.
+The merge joins consume runs of codes with ``seek`` over the cached
+per-page ``page_starts``/``page_doc_keys`` arrays instead of one
+``advance()`` call per element.  Every page is loaded through the one
+``_load_page`` path, in scan order, so I/O and buffer accounting are
+those of an element-at-a-time scan; only the Python-level per-element
+overhead disappears.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, cast
+from typing import Optional, Sequence, cast
 
 from ..core import batch
 from ..core.pbitree import PBiCode
@@ -56,28 +56,16 @@ class SetCursor:
         self._doc_keys = None
         if self._page_index < heap.num_pages:
             try:
-                if batch.batching_enabled():
-                    # element-set heaps store single-code rows, so the
-                    # page's flat field array (copied out of the pin by
-                    # read_page_array) is its code array; the cursor
-                    # caches it past the unpin, which is legal only
-                    # because read_page_array returns an owned copy —
-                    # its borrow of the raw view is registered with the
-                    # sanitizer inside the pin window
-                    self._page = cast(
-                        "Sequence[PBiCode]",
-                        heap.read_page_array(self._page_index),
-                    )
-                else:
-                    # one cast per page: record[0] is a PBiCode by
-                    # construction
-                    self._page = cast(
-                        "list[PBiCode]",
-                        [
-                            record[0]
-                            for record in heap.read_page(self._page_index)
-                        ],
-                    )
+                # element-set heaps store single-code rows, so the
+                # page's flat field array (copied out of the pin by
+                # read_page_array) is its code array; the cursor caches
+                # it past the unpin, which is legal only because
+                # read_page_array returns an owned copy — its borrow of
+                # the raw view is registered with the sanitizer inside
+                # the pin window
+                self._page = cast(
+                    "Sequence[PBiCode]", heap.read_page_array(self._page_index)
+                )
             except StorageFault as fault:
                 # Leave the cursor in a defined (exhausted) state and
                 # fail fast — a half-loaded page must never be scanned.
@@ -95,19 +83,11 @@ class SetCursor:
         """Move to the next code; returns it (or None at end)."""
         if self._page is None and self._page_index == 0 and self._slot == -1:
             self._load_page()  # first touch
-        self._slot += 1
-        while self._page is not None and self._slot >= len(self._page):
-            self._page_index += 1
-            self._slot = 0
-            self._load_page()
-        if self._page is None:
-            self.current = None
-        else:
-            self.current = self._page[self._slot]
+        self.seek(self._slot + 1)
         return self.current
 
     # ------------------------------------------------------------------
-    # batched access
+    # run access
     # ------------------------------------------------------------------
     @property
     def page(self) -> Optional[Sequence[PBiCode]]:
@@ -145,11 +125,9 @@ class SetCursor:
     def seek(self, slot: int) -> None:
         """Jump to ``slot`` on the current page (rolls to later pages).
 
-        Equivalent to calling :meth:`advance` ``slot - self.slot``
-        times when the intervening codes are on the current page;
         ``slot == len(page)`` rolls forward through empty pages to the
-        next code exactly as :meth:`advance` would, loading the same
-        pages in the same order.
+        next code, loading each page once, in scan order;
+        :meth:`advance` is ``seek(slot + 1)``.
         """
         self._slot = slot
         while self._page is not None and self._slot >= len(self._page):
@@ -160,45 +138,6 @@ class SetCursor:
             self.current = None
         else:
             self.current = self._page[self._slot]
-
-    def next_batch(self, limit: int) -> list[PBiCode]:
-        """Consume up to ``limit`` codes starting with ``current``.
-
-        Returns the codes in scan order and leaves the cursor on the
-        first unconsumed code — byte-identical page access to ``limit``
-        :meth:`advance` calls collecting ``current`` each time.
-        """
-        out: list[PBiCode] = []
-        while limit > 0 and self._page is not None:
-            page = self._page
-            end = min(self._slot + limit, len(page))
-            taken = end - self._slot
-            out.extend(page[self._slot : end])
-            limit -= taken
-            self._slot = end
-            while self._page is not None and self._slot >= len(self._page):
-                self._page_index += 1
-                self._slot = 0
-                self._load_page()
-        if self._page is None:
-            self.current = None
-        else:
-            self.current = self._page[self._slot]
-        return out
-
-    def iter_batches(
-        self, size: Optional[int] = None
-    ) -> Iterator[list[PBiCode]]:
-        """Yield successive :meth:`next_batch` chunks until exhausted.
-
-        ``size=None`` uses the configured batch size; a non-positive
-        size falls back to one chunk per remaining page.
-        """
-        if size is None:
-            size = batch.get_batch_size()
-        while self._page is not None:
-            limit = size if size > 0 else len(self._page) - self._slot
-            yield self.next_batch(limit)
 
     # ------------------------------------------------------------------
     def save(self) -> tuple[int, int]:

@@ -16,7 +16,7 @@ random index probes) and probes an index on the larger set:
 When the required index does not exist, it is built on the fly (the
 "naive" setting of Section 4): external sort + B+-tree bulk load, or
 interval-tree bulk build.  That preparation I/O is reported separately
-in the join report.
+in the join report, and the index's pages are freed after the join.
 """
 
 from __future__ import annotations
@@ -26,13 +26,8 @@ from typing import TYPE_CHECKING
 from ..core import batch, pbitree
 from ..core.pbitree import PBiCode, RegionCode
 from ..index.bptree import BPlusTree
-from ..index.flat import FlatIntervalTree, FlatStartIndex, flat_enabled
 from ..index.interval_tree import IntervalTree
-from ..sort.external_sort import (
-    bulk_doc_order_keys,
-    external_sort,
-    sort_codes_doc_order,
-)
+from ..sort.external_sort import external_sort_set
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from .base import JoinAlgorithm, JoinReport, JoinSink
@@ -51,60 +46,31 @@ __all__ = [
 def build_start_index(
     elements: ElementSet, bufmgr: BufferManager, name: str = ""
 ) -> BPlusTree:
-    """B+-tree on region ``Start`` (value = code), built by sort + bulk load.
+    """B+-tree on region ``Start`` (value = code), built by sort + bulk load."""
+    sorted_set = external_sort_set(elements)
 
-    While :func:`~repro.index.flat.flat_enabled` is true the bulk load
-    produces a :class:`~repro.index.flat.FlatStartIndex` — identical
-    pages and build I/O, flat-array probe path — otherwise the pointer
-    B+-tree (the differential oracle).
-    """
-    batched = batch.batching_enabled()
-    sorted_heap = external_sort(
-        elements.heap,
-        key=lambda record: pbitree.doc_order_key(PBiCode(record[0])),
-        run_sort=sort_codes_doc_order if batched else None,
-        bulk_key=bulk_doc_order_keys if batched else None,
+    def entries():
+        # one starts() kernel call per page; the zipped ints are
+        # materialised while the page is pinned
+        for fields in sorted_set.scan_code_arrays():
+            yield from zip(batch.starts(fields), fields)
+
+    index = BPlusTree.bulk_load(
+        bufmgr, entries(), name=name or f"{elements.name}.start"
     )
-    if batch.batching_enabled():
-
-        def bulk_entries():
-            # one starts() kernel call per page; the zipped ints are
-            # materialised while the page is pinned
-            for fields in sorted_heap.scan_page_arrays():
-                yield from zip(batch.starts(fields), fields)
-
-        entries = bulk_entries()
-    else:
-        entries = (
-            (pbitree.start_of(PBiCode(record[0])), record[0])
-            for record in sorted_heap.scan()
-        )
-    index_cls: type[BPlusTree] = FlatStartIndex if flat_enabled() else BPlusTree
-    index = index_cls.bulk_load(
-        bufmgr, entries, name=name or f"{elements.name}.start"
-    )
-    sorted_heap.destroy()
+    sorted_set.destroy()
     return index
 
 
 def build_interval_index(
     elements: ElementSet, bufmgr: BufferManager, name: str = ""
 ) -> IntervalTree:
-    """Interval tree over the regions of an element set.
-
-    While :func:`~repro.index.flat.flat_enabled` is true the build
-    produces a :class:`~repro.index.flat.FlatIntervalTree` — identical
-    pages and build I/O, flat-array stab path — otherwise the pointer
-    interval tree (the differential oracle).
-    """
+    """Interval tree over the regions of an element set."""
     intervals: list[tuple[RegionCode, RegionCode, PBiCode]] = []
     for code in elements.scan():
         start, end = pbitree.region_of(code)
         intervals.append((start, end, code))
-    index_cls: type[IntervalTree] = (
-        FlatIntervalTree if flat_enabled() else IntervalTree
-    )
-    return index_cls.build(
+    return IntervalTree.build(
         bufmgr, intervals, name=name or f"{elements.name}.intervals"
     )
 
@@ -135,8 +101,9 @@ class IndexNestedLoopJoin(JoinAlgorithm):
         """Pre-built indexes may be supplied; otherwise they are built on
         the fly during ``_prepare`` (and torn down afterwards).
 
-        ``a_index`` is any object with a ``stab(point)`` method yielding
-        ``(start, end, code)`` — an :class:`IntervalTree` or an
+        ``a_index`` is any object with a ``stab_codes(point)`` method
+        listing the codes whose regions contain ``point`` — an
+        :class:`IntervalTree` or an
         :class:`~repro.index.xrtree.XRTree`; ``ancestor_probe``
         ("interval" or "xr") picks what to build on the fly.
         ``force_outer`` pins the outer relation to ``'A'`` or ``'D'``
@@ -186,76 +153,29 @@ class IndexNestedLoopJoin(JoinAlgorithm):
     def _probe_descendant_index(
         ancestors: ElementSet, index: BPlusTree, sink: JoinSink
     ) -> None:
+        """Bulk-collect each range scan's candidates, then verify them
+        with one ``descendants_in`` kernel call per ancestor."""
         emit = sink.emit
-        is_ancestor = pbitree.is_ancestor
-        region_of = pbitree.region_of
-        if batch.batching_enabled():
-            if isinstance(index, FlatStartIndex):
-                # flat fast path: one bulk range_values probe per
-                # ancestor (same pages and pins as the range scan,
-                # array-slice extraction instead of generator steps)
-                for a_page in ancestors.scan_pages():
-                    for a_code, (start, end) in zip(
-                        a_page, batch.regions(a_page)
-                    ):
-                        for d_code in batch.descendants_in(
-                            a_code, index.range_values(start, end)
-                        ):
-                            emit(a_code, d_code)
-                return
-            # bulk-collect each range scan's candidates, then verify
-            # them with one descendants_in kernel call per ancestor
-            for a_page in ancestors.scan_pages():
-                for a_code, (start, end) in zip(
-                    a_page, batch.regions(a_page)
-                ):
-                    candidates = [
-                        value for _key, value in index.range_scan(start, end)
-                    ]
-                    for d_code in batch.descendants_in(a_code, candidates):
-                        emit(a_code, d_code)
-            return
-        for a_code in ancestors.scan():
-            start, end = region_of(a_code)
-            for _key, value in index.range_scan(start, end):
-                d_code = PBiCode(value)
-                if is_ancestor(a_code, d_code):
+        for a_page in ancestors.scan_pages():
+            for a_code, (start, end) in zip(a_page, batch.regions(a_page)):
+                candidates = [value for _key, value in index.range_scan(start, end)]
+                for d_code in batch.descendants_in(a_code, candidates):
                     emit(a_code, d_code)
 
     @staticmethod
     def _probe_ancestor_index(
-        descendants: ElementSet, index, sink: JoinSink
+        descendants: ElementSet, index: IntervalTree | XRTree, sink: JoinSink
     ) -> None:
-        """``index`` is any stab-capable structure (interval or XR tree)."""
+        """Bulk starts per page; each descendant's stab candidates are
+        verified with one ``ancestors_in`` kernel call."""
         emit = sink.emit
-        is_ancestor = pbitree.is_ancestor
-        start_of = pbitree.start_of
-        if batch.batching_enabled():
-            if isinstance(index, FlatIntervalTree):
-                # flat fast path: one bulk stab_codes probe per
-                # descendant (same pages and pins as the stab,
-                # payload-slice extraction instead of interval tuples)
-                for d_page in descendants.scan_pages():
-                    for d_code, point in zip(d_page, batch.starts(d_page)):
-                        for a_code in batch.ancestors_in(
-                            d_code, index.stab_codes(point)
-                        ):
-                            emit(a_code, d_code)
-                return
-            # bulk starts per page, stab candidates verified with one
-            # ancestors_in kernel call per descendant
-            for d_page in descendants.scan_pages():
-                for d_code, point in zip(d_page, batch.starts(d_page)):
-                    candidates = [a for _s, _e, a in index.stab(point)]
-                    for a_code in batch.ancestors_in(d_code, candidates):
-                        emit(a_code, d_code)
-            return
-        for d_code in descendants.scan():
-            point = start_of(d_code)
-            for _s, _e, a_code in index.stab(point):
-                if is_ancestor(a_code, d_code):
+        for d_page in descendants.scan_pages():
+            for d_code, point in zip(d_page, batch.starts(d_page)):
+                for a_code in batch.ancestors_in(d_code, index.stab_codes(point)):
                     emit(a_code, d_code)
 
     def _cleanup(self, prepared, ancestors, descendants) -> None:
-        # index pages of an on-the-fly index are scratch space
-        self._built_index = None
+        # an on-the-fly index is scratch space: free its pages
+        if self._built_index is not None:
+            self._built_index.destroy()
+            self._built_index = None

@@ -28,7 +28,7 @@ from ..storage.heapfile import HeapFile
 from ..storage.histogram import PositionHistogram, slice_shift
 from ..storage.record import CODE, PAIR
 from .base import JoinAlgorithm, JoinReport, JoinSink
-from .hash_join import grace_hash_join, in_memory_hash_join
+from .hash_join import grace_hash_join
 
 #: span factory threaded into the module-level helpers; the default is
 #: the no-op tracer's, so untraced callers pay nothing
@@ -148,70 +148,51 @@ def _join_height_class(
         else:
             report.false_hits += 1
 
-    batched = batch.batching_enabled()
     if a_num_pages <= bufmgr.num_pages - 2:
-        if batched:
-            # build effective -> originals (bucket insertion order =
-            # scan order, as in the scalar build), then probe each
-            # descendant page with one verified-kernel call
-            table: dict[int, list[int]] = {}
-            for page in a_pages:
-                for effective, original in page:
-                    bucket = table.get(effective)
-                    if bucket is None:
-                        table[effective] = [original]
-                    else:
-                        bucket.append(original)
-            for d_codes in descendants.scan_code_arrays():
-                report.false_hits += batch.height_class_probe(
-                    table, height, d_codes, emit
-                )
-        else:
-            in_memory_hash_join(
-                a_pages,
-                descendants.heap.scan_pages(),
-                build_key,
-                probe_key,
-                emit_pair,
+        # build effective -> originals (bucket insertion order = scan
+        # order), then probe each descendant page with one
+        # verified-kernel call
+        table: dict[int, list[int]] = {}
+        for page in a_pages:
+            for effective, original in page:
+                bucket = table.get(effective)
+                if bucket is None:
+                    table[effective] = [original]
+                else:
+                    bucket.append(original)
+        for d_codes in descendants.scan_code_arrays():
+            report.false_hits += batch.height_class_probe(
+                table, height, d_codes, emit
             )
     elif descendants.num_pages <= bufmgr.num_pages - 2:
-        if batched:
-            # build F-key -> descendants with one bulk-key call per
-            # page, probe with the ancestor pairs; rolled matches are
-            # verified a whole bucket at a time
-            d_table: dict[int, list[int]] = {}
-            for d_codes in descendants.scan_code_arrays():
-                keys = batch.probe_keys(d_codes, height)
-                for key, d_code in zip(keys, d_codes):
-                    if not key:
-                        continue
-                    d_bucket = d_table.get(key)
-                    if d_bucket is None:
-                        d_table[key] = [d_code]
-                    else:
-                        d_bucket.append(d_code)
-            get = d_table.get
-            for page in a_pages:
-                for effective, original in page:
-                    d_bucket = get(effective)
-                    if d_bucket is None:
-                        continue
-                    if effective == original:
-                        for d_code in d_bucket:
-                            emit(original, d_code)
-                    else:
-                        matched = batch.descendants_in(original, d_bucket)
-                        for d_code in matched:
-                            emit(original, d_code)
-                        report.false_hits += len(d_bucket) - len(matched)
-        else:
-            in_memory_hash_join(
-                descendants.heap.scan_pages(),
-                a_pages,
-                probe_key,
-                build_key,
-                lambda d_record, a_record: emit_pair(a_record, d_record),
-            )
+        # build F-key -> descendants with one bulk-key call per page,
+        # probe with the ancestor pairs; rolled matches are verified a
+        # whole bucket at a time
+        d_table: dict[int, list[int]] = {}
+        for d_codes in descendants.scan_code_arrays():
+            keys = batch.probe_keys(d_codes, height)
+            for key, d_code in zip(keys, d_codes):
+                if not key:
+                    continue
+                d_bucket = d_table.get(key)
+                if d_bucket is None:
+                    d_table[key] = [d_code]
+                else:
+                    d_bucket.append(d_code)
+        get = d_table.get
+        for page in a_pages:
+            for effective, original in page:
+                d_bucket = get(effective)
+                if d_bucket is None:
+                    continue
+                if effective == original:
+                    for d_code in d_bucket:
+                        emit(original, d_code)
+                else:
+                    matched = batch.descendants_in(original, d_bucket)
+                    for d_code in matched:
+                        emit(original, d_code)
+                    report.false_hits += len(d_bucket) - len(matched)
     else:
         grace_hash_join(
             bufmgr,
@@ -365,28 +346,16 @@ class MultiHeightRollupJoin(JoinAlgorithm):
             # file, which is what makes the 3(||A|| + ||D||) cost hold.
             report.partitions = 1
 
-            def rolled_pages():
-                if batch.batching_enabled():
-                    # one rollup_pairs kernel call per page over the
-                    # zero-copy code view (consumed within the
-                    # iteration, so the pin lifetime holds)
-                    for codes in ancestors.scan_code_arrays():
-                        yield batch.rollup_pairs(codes, target)
-                    return
-                for codes in ancestors.scan_pages():
-                    yield [
-                        (
-                            f_ancestor(code, target)
-                            if height_of(code) < target
-                            else code,
-                            code,
-                        )
-                        for code in codes
-                    ]
-
+            # one rollup_pairs kernel call per page over the zero-copy
+            # code view (consumed within the iteration, so the pin
+            # lifetime holds)
+            rolled_pages = (
+                batch.rollup_pairs(codes, target)
+                for codes in ancestors.scan_code_arrays()
+            )
             with self.trace("mhcj.rollup", target_height=target):
                 _join_height_class(
-                    rolled_pages(),
+                    rolled_pages,
                     rolled_pair_pages(ancestors),
                     descendants,
                     target,

@@ -13,10 +13,8 @@ external merge sort (preparation I/O reported separately).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable
 
-from ..core import batch, pbitree
-from ..core.pbitree import PBiCode
+from ..core import batch
 from ..sort.external_sort import external_sort_set
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet, SortOrder
@@ -52,78 +50,47 @@ class MPMGJoin(JoinAlgorithm):
         return sorted_a, temp_a, sorted_d, temp_d
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
-        sorted_a, _temp_a, sorted_d, _temp_d = prepared
-        emit = sink.emit
-        is_ancestor = pbitree.is_ancestor
-        start_of = pbitree.start_of
-        end_of = pbitree.end_of
-
-        with self.trace("mpmgjn.merge"):
-            d_cursor = SetCursor(sorted_d)
-            if batch.batching_enabled():
-                self._merge_batched(sorted_a, d_cursor, emit)
-            else:
-                for a_code in sorted_a.scan():
-                    a_start = start_of(a_code)
-                    a_end = end_of(a_code)
-                    # skip descendants that start strictly before this
-                    # ancestor: later ancestors start no earlier, so
-                    # these can never match
-                    while (
-                        d_cursor.current is not None
-                        and start_of(d_cursor.current) < a_start
-                    ):
-                        d_cursor.advance()
-                    mark = d_cursor.save()
-                    while d_cursor.current is not None:
-                        d_code = d_cursor.current
-                        if start_of(d_code) > a_end:
-                            break
-                        if is_ancestor(a_code, d_code):
-                            emit(a_code, d_code)
-                        d_cursor.advance()
-                    # rewind: the next ancestor may contain this segment
-                    d_cursor.restore(mark)
-        return JoinReport(algorithm=self.name, result_count=sink.count)
-
-    @staticmethod
-    def _merge_batched(
-        sorted_a: ElementSet,
-        d_cursor: SetCursor,
-        emit: Callable[[PBiCode, PBiCode], None],
-    ) -> None:
         """Merge via per-page binary search instead of per-code stepping.
 
         The skip phase bisects each descendant page's cached ``Start``
-        array for the first code not strictly before the ancestor; the
+        array for the first code not strictly before the ancestor (later
+        ancestors start no earlier, so skipped codes never match); the
         scan phase bisects for the first code past the ancestor's region
         end and verifies the window with one ``descendants_in`` kernel
-        call.  ``seek`` rolls across page boundaries exactly where the
-        scalar ``advance`` loop would, so page loads (and therefore the
-        re-scan I/O that defines MPMGJN's cost profile) are identical.
+        call.  ``seek`` rolls across page boundaries one page at a time,
+        so each rewind re-reads exactly the pages of the re-scanned
+        segment — the I/O that defines MPMGJN's cost profile.
         """
-        for a_page in sorted_a.scan_pages():
-            for a_code, (a_start, a_end) in zip(a_page, batch.regions(a_page)):
-                while d_cursor.current is not None:
-                    starts = d_cursor.page_starts()
-                    skip_to = bisect_left(starts, a_start, lo=d_cursor.slot)
-                    d_cursor.seek(skip_to)
-                    if skip_to < len(starts):
-                        break
-                mark = d_cursor.save()
-                while d_cursor.current is not None:
-                    page = d_cursor.page
-                    assert page is not None
-                    starts = d_cursor.page_starts()
-                    lo = d_cursor.slot
-                    hi = bisect_right(starts, a_end, lo=lo)
-                    for d_code in batch.descendants_in(a_code, page[lo:hi]):
-                        emit(a_code, d_code)
-                    d_cursor.seek(hi)
-                    if hi < len(starts):
-                        break
-                # rewind: the next ancestor may contain this segment
-                d_cursor.restore(mark)
+        sorted_a, _temp_a, sorted_d, _temp_d = prepared
+        emit = sink.emit
+
+        with self.trace("mpmgjn.merge"):
+            d_cursor = SetCursor(sorted_d)
+            for a_page in sorted_a.scan_pages():
+                for a_code, (a_start, a_end) in zip(
+                    a_page, batch.regions(a_page)
+                ):
+                    while d_cursor.current is not None:
+                        starts = d_cursor.page_starts()
+                        skip_to = bisect_left(starts, a_start, lo=d_cursor.slot)
+                        d_cursor.seek(skip_to)
+                        if skip_to < len(starts):
+                            break
+                    mark = d_cursor.save()
+                    while d_cursor.current is not None:
+                        page = d_cursor.page
+                        assert page is not None
+                        starts = d_cursor.page_starts()
+                        lo = d_cursor.slot
+                        hi = bisect_right(starts, a_end, lo=lo)
+                        for d_code in batch.descendants_in(a_code, page[lo:hi]):
+                            emit(a_code, d_code)
+                        d_cursor.seek(hi)
+                        if hi < len(starts):
+                            break
+                    # rewind: the next ancestor may contain this segment
+                    d_cursor.restore(mark)
+        return JoinReport(algorithm=self.name, result_count=sink.count)
 
     def _cleanup(self, prepared, ancestors, descendants) -> None:
         sorted_a, temp_a, sorted_d, temp_d = prepared

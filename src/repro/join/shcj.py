@@ -23,11 +23,7 @@ from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from ..storage.record import CODE
 from .base import JoinAlgorithm, JoinReport, JoinSink
-from .hash_join import (
-    grace_hash_join,
-    in_memory_hash_join,
-    in_memory_hash_join_codes,
-)
+from .hash_join import grace_hash_join, in_memory_hash_join_codes
 
 __all__ = ["SingleHeightJoin", "single_height_of"]
 
@@ -84,8 +80,6 @@ class SingleHeightJoin(JoinAlgorithm):
         def emit_pair(a_record, d_record) -> None:
             emit(a_record[0], d_record[0])
 
-        batched = batch.batching_enabled()
-
         def identity_keys(codes):
             return codes
 
@@ -93,50 +87,30 @@ class SingleHeightJoin(JoinAlgorithm):
             return batch.probe_keys(codes, height)
 
         # The build side is A (conventionally the smaller); if either
-        # side fits in the pool an in-memory join avoids partitioning.
-        # The grace branch stays scalar in both modes: partitioning is
-        # writer-bound, and the bucket joins reuse the scalar key
-        # functions over pair records unchanged.
+        # side fits in the pool an in-memory join over whole code pages
+        # avoids partitioning.  The grace branch keys records one at a
+        # time: partitioning is writer-bound, and the bucket joins reuse
+        # the per-record key functions over the partition files.
         if ancestors.num_pages <= bufmgr.num_pages - 2:
             with self.trace("shcj.probe", mode="in-memory", build="A"):
-                if batched:
-                    in_memory_hash_join_codes(
-                        ancestors.scan_code_arrays(),
-                        descendants.scan_code_arrays(),
-                        identity_keys,
-                        bulk_probe_keys,
-                        emit,
-                    )
-                else:
-                    in_memory_hash_join(
-                        ancestors.heap.scan_pages(),
-                        descendants.heap.scan_pages(),
-                        build_key,
-                        probe_key,
-                        emit_pair,
-                    )
+                in_memory_hash_join_codes(
+                    ancestors.scan_code_arrays(),
+                    descendants.scan_code_arrays(),
+                    identity_keys,
+                    bulk_probe_keys,
+                    emit,
+                )
             report.notes = "in-memory (A fits)"
         elif descendants.num_pages <= bufmgr.num_pages - 2:
             # build over D's F-keys, probe with A
             with self.trace("shcj.probe", mode="in-memory", build="D"):
-                if batched:
-                    in_memory_hash_join_codes(
-                        descendants.scan_code_arrays(),
-                        ancestors.scan_code_arrays(),
-                        bulk_probe_keys,
-                        identity_keys,
-                        lambda d_code, a_code: emit(a_code, d_code),
-                    )
-                else:
-                    in_memory_hash_join(
-                        descendants.heap.scan_pages(),
-                        ancestors.heap.scan_pages(),
-                        probe_key,
-                        build_key,
-                        lambda d_record, a_record: emit(
-                            a_record[0], d_record[0]
-                        ),
-                    )
+                in_memory_hash_join_codes(
+                    descendants.scan_code_arrays(),
+                    ancestors.scan_code_arrays(),
+                    bulk_probe_keys,
+                    identity_keys,
+                    lambda d_code, a_code: emit(a_code, d_code),
+                )
             report.notes = "in-memory (D fits)"
         else:
             with self.trace("shcj.grace") as grace_span:

@@ -16,6 +16,9 @@ Two variants, as in the original paper:
 PBiTree adaptation: ``Start``/``End`` are computed on the fly from the
 codes (Lemma 3) and the document-order tie (equal starts on a leftmost
 chain) is broken by height so ancestors are consumed first.
+Stack-Tree-Desc consumes runs through the batched kernels;
+Stack-Tree-Anc, whose per-entry lists make the bookkeeping per
+element anyway, steps one element at a time.
 """
 
 from __future__ import annotations
@@ -56,60 +59,28 @@ class StackTreeDescJoin(_StackTreeBase):
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         sorted_a, _ta, sorted_d, _td = prepared
-        emit = sink.emit
-        doc_key = pbitree.doc_order_key
-        end_of = pbitree.end_of
-        start_of = pbitree.start_of
-
         with self.trace("stacktree.merge"):
-            a_cursor = SetCursor(sorted_a)
-            d_cursor = SetCursor(sorted_d)
-            # (end, code), top = innermost
-            stack: list[tuple[RegionCode, PBiCode]] = []
-
-            if batch.batching_enabled():
-                self._merge_batched(a_cursor, d_cursor, stack, emit)
-            else:
-                while d_cursor.current is not None:
-                    a_code = a_cursor.current
-                    d_code = d_cursor.current
-                    if a_code is not None and doc_key(a_code) <= doc_key(
-                        d_code
-                    ):
-                        a_start = start_of(a_code)
-                        while stack and stack[-1][0] < a_start:
-                            stack.pop()
-                        stack.append((end_of(a_code), a_code))
-                        a_cursor.advance()
-                    else:
-                        d_start = start_of(d_code)
-                        while stack and stack[-1][0] < d_start:
-                            stack.pop()
-                        for _end, s_code in stack:
-                            if s_code != d_code:
-                                emit(s_code, d_code)
-                        d_cursor.advance()
+            self._merge(SetCursor(sorted_a), SetCursor(sorted_d), sink.emit)
         return JoinReport(algorithm=self.name, result_count=sink.count)
 
     @staticmethod
-    def _merge_batched(
+    def _merge(
         a_cursor: SetCursor,
         d_cursor: SetCursor,
-        stack: list[tuple[RegionCode, PBiCode]],
         emit: Callable[[PBiCode, PBiCode], None],
     ) -> None:
         """Consume ancestor/descendant *runs* instead of single elements.
 
-        The scalar loop alternates one comparison per element; here each
-        iteration bisects the cached packed doc-key arrays to find the
-        whole run of ancestors at or before the current descendant (one
-        push loop over zipped code/start/end slices) or the whole run of
-        descendants before the next ancestor (one drain loop).  Packed
-        keys are order- and tie-equivalent to ``doc_order_key`` tuples,
-        so run boundaries fall exactly where the scalar comparisons
-        would flip, and emit order, stack contents and page loads are
-        all identical.
+        Each iteration bisects the cached packed doc-key arrays to find
+        the whole run of ancestors at or before the current descendant
+        (one push loop over zipped code/start/end slices) or the whole
+        run of descendants before the next ancestor (one drain loop).
+        Packed keys are order- and tie-equivalent to ``doc_order_key``
+        tuples, so run boundaries fall exactly where element-at-a-time
+        comparisons would flip.
         """
+        # (end, code), top = innermost
+        stack: list[tuple[RegionCode, PBiCode]] = []
         while d_cursor.current is not None:
             if a_cursor.current is not None:
                 d_key = d_cursor.page_doc_keys()[d_cursor.slot]

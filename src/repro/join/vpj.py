@@ -28,7 +28,6 @@ read of both inputs = ``3(||A|| + ||D||)``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from ..core import batch, pbitree
@@ -68,77 +67,30 @@ def memory_containment_join(
     a_pages = sum(f.num_pages for f in a_files)
     d_pages = sum(f.num_pages for f in d_files)
     emit = sink.emit
-    region_of = pbitree.region_of
-    height_of = pbitree.height_of
-    f_ancestor = pbitree.f_ancestor
-
-    if batch.batching_enabled():
-        # same branch choice, page order and emission order as the
-        # scalar loops below, with the per-element algebra delegated to
-        # the verified kernels (one call per page)
-        if d_pages <= a_pages:
-            d_list: list[int] = []
-            for heap in d_files:
-                for fields in heap.scan_page_arrays():
-                    d_list.extend(fields)
-            d_sorted = sorted(d_list)
-            seen_high: set[int] = set()
-            for heap in a_files:
-                for fields in heap.scan_page_arrays():
-                    batch.region_probe(
-                        fields, d_sorted, emit, dedup_above_height, seen_high
-                    )
-        else:
-            by_height_sets: dict[int, set[int]] = {}
-            for heap in a_files:
-                for fields in heap.scan_page_arrays():
-                    batch.build_height_tables(fields, by_height_sets)
-            order = sorted(by_height_sets, reverse=True)
-            for heap in d_files:
-                for fields in heap.scan_page_arrays():
-                    batch.height_probe(by_height_sets, order, fields, emit)
-        return
-
+    # the per-element algebra is delegated to the verified kernels, one
+    # call per page
     if d_pages <= a_pages:
-        d_codes = sorted(
-            record[0] for heap in d_files for record in heap.scan()
-        )
+        d_list: list[int] = []
+        for heap in d_files:
+            for fields in heap.scan_page_arrays():
+                d_list.extend(fields)
+        d_sorted = sorted(d_list)
         seen_high: set[int] = set()
         for heap in a_files:
-            for records in heap.scan_pages():
-                for record in records:
-                    a_code = record[0]
-                    if (
-                        dedup_above_height is not None
-                        and height_of(a_code) > dedup_above_height
-                    ):
-                        if a_code in seen_high:
-                            continue
-                        seen_high.add(a_code)
-                    start, end = region_of(a_code)
-                    lo = bisect_left(d_codes, start)
-                    hi = bisect_right(d_codes, end)
-                    for d_code in d_codes[lo:hi]:
-                        if a_code != d_code:
-                            emit(a_code, d_code)
+            for fields in heap.scan_page_arrays():
+                batch.region_probe(
+                    fields, d_sorted, emit, dedup_above_height, seen_high
+                )
     else:
         # hash sets de-duplicate replicated ancestors by construction
         by_height: dict[int, set[int]] = {}
         for heap in a_files:
-            for record in heap.scan():
-                by_height.setdefault(height_of(record[0]), set()).add(record[0])
-        heights = sorted(by_height, reverse=True)
+            for fields in heap.scan_page_arrays():
+                batch.build_height_tables(fields, by_height)
+        order = sorted(by_height, reverse=True)
         for heap in d_files:
-            for records in heap.scan_pages():
-                for record in records:
-                    d_code = record[0]
-                    d_height = height_of(d_code)
-                    for height in heights:
-                        if height <= d_height:
-                            break
-                        anc = f_ancestor(d_code, height)
-                        if anc in by_height[height]:
-                            emit(anc, d_code)
+            for fields in heap.scan_page_arrays():
+                batch.height_probe(by_height, order, fields, emit)
 
 
 def _as_files(elements: "ElementSet | list[HeapFile]") -> list[HeapFile]:

@@ -70,7 +70,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
-from ..core.execconfig import current
 from ..datatree.paths import PathQuery
 from ..db import ContainmentDatabase, Document
 from ..join.base import JoinReport
@@ -266,7 +265,6 @@ class QueryService:
             document.name,
             path,
             self.db.codec.name,
-            current(),
             document.store.version,
             fingerprints,
             cells,

@@ -13,8 +13,6 @@ al.'s revisit of containment-join selection):
 
 * the document and path;
 * the containment **codec** backing the document;
-* the **execution configuration** (batch size and flat indexes change
-  the operators' access patterns, hence the cost picture);
 * the **document-store version** — bumped every time buffered updates
   apply to pages (``DocumentStore.pending_updates`` draining), which is
   exactly when cached statistics go stale;
@@ -40,7 +38,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.execconfig import ExecConfig
 from ..obs.metrics import MetricsRegistry
 from ..storage.elementset import ElementSet
 
@@ -54,7 +51,6 @@ PlanKey = Tuple[
     str,  # document name
     str,  # path
     str,  # codec name
-    ExecConfig,  # execution configuration the plan was made under
     int,  # document-store version
     Tuple[StepFingerprint, ...],
     Tuple[str, ...],  # per-step Table-1 cells

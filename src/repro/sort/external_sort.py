@@ -208,15 +208,15 @@ def external_sort_set(
     This is the "custom sorting routine" of Section 3.1: codes are
     converted to region order on the fly inside the sort key.  The
     output holds the same codes, so it inherits the input's histogram.
+    Runs are sorted and merged through the packed doc-order kernels.
     """
-    batched = batch.batching_enabled()
     sorted_heap = external_sort(
         elements.heap,
         key=lambda record: pbitree.doc_order_key(record[0]),
         buffer_pages=buffer_pages,
         destroy_input=destroy_input,
-        run_sort=sort_codes_doc_order if batched else None,
-        bulk_key=bulk_doc_order_keys if batched else None,
+        run_sort=sort_codes_doc_order,
+        bulk_key=bulk_doc_order_keys,
     )
     return ElementSet(
         sorted_heap,

@@ -45,12 +45,12 @@ histogram moves only after its page patch succeeded, so a fault
 mid-apply leaves it describing exactly the records applied so far,
 and the retried drain applies the rest once.
 
-**Index maintenance.**  The pointer B+-tree start index is maintained
+**Index maintenance.**  The B+-tree start index is maintained
 incrementally (``insert``/``delete``/relabel as delete+insert); tree
-growth shifts every key, so growth rebuilds it.  The interval tree and
-the flat-array variants are *static by contract* — any update marks
-them stale (:class:`~repro.index.staleness.StaleIndexError` on probe)
-and the store rebuilds on next access.  Invalidate-and-rebuild is
+growth shifts every key, so growth rebuilds it.  The interval tree is
+*static by contract* — any update marks it stale
+(:class:`~repro.index.staleness.StaleIndexError` on probe) and the
+store rebuilds it on next access.  Invalidate-and-rebuild is
 behind the same accessor, so callers always receive a fresh index.
 """
 
@@ -302,12 +302,8 @@ class DocumentStore:
         store.page_counts[page_index] += 1
         store.directory[code] = (page_index, slot)
         store.elements.histogram.add(code)
-        index = store.start_index
-        if index is not None:
-            if self._incremental_index(index):
-                index.insert(pbitree.start_of(PBiCode(code)), code)
-            else:
-                self._retire_start_index(store, "insert under a static index")
+        if store.start_index is not None:
+            store.start_index.insert(pbitree.start_of(PBiCode(code)), code)
         self._retire_interval_index(store, "insert")
 
     def _apply_delete(self, store: _TagStore, code: int) -> None:
@@ -343,12 +339,8 @@ class DocumentStore:
         store.page_counts[page_index] = count - 1
         heap.num_records -= 1
         store.elements.histogram.add(code, -1)
-        index = store.start_index
-        if index is not None:
-            if self._incremental_index(index):
-                index.delete(pbitree.start_of(PBiCode(code)), code)
-            else:
-                self._retire_start_index(store, "delete under a static index")
+        if store.start_index is not None:
+            store.start_index.delete(pbitree.start_of(PBiCode(code)), code)
         self._retire_interval_index(store, "delete")
 
     def _apply_relabel(
@@ -387,12 +379,9 @@ class DocumentStore:
             histogram.add(new_code)
         index = store.start_index
         if index is not None:
-            if self._incremental_index(index):
-                for old_code, new_code in moves:
-                    index.delete(pbitree.start_of(PBiCode(old_code)), old_code)
-                    index.insert(pbitree.start_of(PBiCode(new_code)), new_code)
-            else:
-                self._retire_start_index(store, "relabel under a static index")
+            for old_code, new_code in moves:
+                index.delete(pbitree.start_of(PBiCode(old_code)), old_code)
+                index.insert(pbitree.start_of(PBiCode(new_code)), new_code)
         self._retire_interval_index(store, "relabel")
 
     def _apply_grow(self, store: _TagStore, delta: int) -> None:
@@ -435,13 +424,6 @@ class DocumentStore:
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-    @staticmethod
-    def _incremental_index(index: "BPlusTree") -> bool:
-        """True for the pointer B+-tree (patchable); False for static."""
-        from ..index.flat import FlatStartIndex
-
-        return not isinstance(index, FlatStartIndex)
-
     def _retire_start_index(self, store: _TagStore, reason: str) -> None:
         if store.start_index is not None:
             store.start_index.mark_stale(reason)

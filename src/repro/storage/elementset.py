@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence, cast
 
-from ..core import batch, pbitree
+from ..core import pbitree
 from ..core.pbitree import Height, PBiCode
 from ..datatree.node import DataTree
 from .buffer import BufferManager
@@ -81,23 +81,12 @@ class ElementSet:
                 "storage code space (Section 2.3.3: pathologically deep trees "
                 "need a wider record format)"
             )
-        if batch.batching_enabled():
-            # materialised list → bulk page packing in the heap writer
-            code_list = list(codes)
-            histogram = PositionHistogram.of_codes(code_list, tree_height)
-            heap = HeapFile.from_records(
-                bufmgr, CODE, [(code,) for code in code_list], name=name
-            )
-        else:
-            streamed: list[PBiCode] = []
-
-            def records() -> Iterator[tuple[int]]:
-                for code in codes:
-                    streamed.append(code)
-                    yield (code,)
-
-            heap = HeapFile.from_records(bufmgr, CODE, records(), name=name)
-            histogram = PositionHistogram.of_codes(streamed, tree_height)
+        # materialised list → bulk page packing in the heap writer
+        code_list = list(codes)
+        histogram = PositionHistogram.of_codes(code_list, tree_height)
+        heap = HeapFile.from_records(
+            bufmgr, CODE, [(code,) for code in code_list], name=name
+        )
         return cls(heap, histogram, name=name, sorted_by=sorted_by)
 
     @classmethod
@@ -157,19 +146,12 @@ class ElementSet:
     def scan_pages(self) -> Iterator[list[PBiCode]]:
         """Yield the code list of each page.
 
-        With batching enabled the list is built in one pass from the
-        page's zero-copy field view (a single C-level loop) instead of
-        materialising a tuple per record; contents and page-access
-        order are identical either way.
+        The list is built in one pass from the page's zero-copy field
+        view (a single C-level loop), not a tuple per record; stored
+        codes are PBiCode by the from_codes invariant.
         """
-        if batch.batching_enabled():
-            for fields in self.heap.scan_page_arrays():
-                yield cast("list[PBiCode]", list(fields))
-            return
-        for records in self.heap.scan_pages():
-            # one cast per page, not one constructor per record: stored
-            # codes are PBiCode by the from_codes invariant
-            yield cast("list[PBiCode]", [record[0] for record in records])
+        for fields in self.heap.scan_page_arrays():
+            yield cast("list[PBiCode]", list(fields))
 
     def scan_code_arrays(self, copy: bool = False) -> Iterator[Sequence[PBiCode]]:
         """Yield each page's codes as a zero-copy ``Q``-cast view.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from ..core import batch as batch_module
 from . import page as page_layout
 from . import sanitize
 from .buffer import BufferManager
@@ -319,14 +318,13 @@ class HeapFileWriter:
         same page roll order, same links, same write accounting — but
         each page's worth of records is encoded with one
         :meth:`RecordCodec.pack_many` plus a single slice assignment.
-        With batching disabled this *is* the scalar loop (differential
-        oracle).  Takes a sequence, not a lazy iterable: a source that
-        performed page I/O mid-append would see a different access
-        interleaving than the scalar path.
+        Takes a sequence, not a lazy iterable: a source that performed
+        page I/O mid-append would see a different access interleaving
+        than per-record appends.
         """
         # tiny lists (common for per-node index lists) don't amortise
         # the bulk path's setup; the layout is identical either way
-        if len(records) < 8 or not batch_module.batching_enabled():
+        if len(records) < 8:
             for record in records:
                 self.append(record)
             return

@@ -1,7 +1,7 @@
 """View-lifetime sanitizer for the zero-copy page-decode hot path.
 
-The batched execution path (PR 5) hands out ``memoryview("Q")`` arrays
-that alias pinned buffer frames, and the flat indexes (PR 6) decode
+The batched execution path hands out ``memoryview("Q")`` arrays that
+alias pinned buffer frames, and the indexes' column caches decode
 whole pages through the same views.  The borrow contract is one
 sentence — *a page view is valid only while its frame stays pinned* —
 but nothing enforced it: a view that leaks past its pin aliases a
@@ -39,8 +39,8 @@ off.  It is the ``sanitize`` value of the execution configuration
 ``exec_scope(sanitize=True)``; parallel tasks carry the configuration
 explicitly, so worker benches are sanitized too.
 Sanitized runs do no extra disk I/O, so ``JoinReport`` accounting stays
-field-for-field identical to unsanitized runs — the differential
-oracles (scalar-vs-batched, pointer-vs-flat) run unchanged under it.
+field-for-field identical to unsanitized runs (the execution matrix
+holds them equal).
 
 The errors are deliberately *not* :class:`~repro.storage.faults.
 StorageFault` subclasses: they diagnose programming errors, not

@@ -169,10 +169,7 @@ class TestExecutionConfigSurface:
                 ["repro.core.batch"],
                 ["batch" + "_scope", "set_" + "batch_size"],
             ),
-            (
-                ["repro", "repro.index", "repro.index.flat"],
-                ["flat" + "_scope", "set_" + "flat_enabled"],
-            ),
+            (["repro", "repro.index"], ["flat" + "_scope", "set_" + "flat_enabled"]),
             (
                 ["repro.storage", "repro.storage.sanitize"],
                 ["sanitize" + "_scope", "set_" + "sanitize_enabled"],
@@ -236,6 +233,39 @@ class TestExecutionConfigSurface:
             (["repro.shard.corpus:ShardedCorpus"], ["drop_set"]),
             (["repro.join.planner"], ["plan_from" + "_metadata"]),
             (["repro.join.mhcj"], ["pair_pages"]),
+            # one execution mode: the batch and flat-index switches, the
+            # scalar loops and the second probe path of each index
+            (
+                ["repro.core.execconfig"],
+                ["DEFAULT_" + "BATCH_SIZE", "_parse" + "_size"],
+            ),
+            (
+                ["repro.core.batch"],
+                [
+                    "DEFAULT_" + "BATCH_SIZE",
+                    "get_" + "batch_size",
+                    "batching" + "_enabled",
+                ],
+            ),
+            (
+                ["repro", "repro.index"],
+                ["Flat" + "StartIndex", "Flat" + "IntervalTree", "flat" + "_enabled"],
+            ),
+            (["repro.join.cursor:SetCursor"], ["next" + "_batch", "iter" + "_batches"]),
+            (
+                ["repro.index.interval_tree:IntervalTree"],
+                [
+                    "_scan" + "_list",
+                    "_scan_left_list",
+                    "_scan_right_list",
+                    "_stab_walk",
+                    "_reset_session_caches",
+                ],
+            ),
+            (["repro.index.bptree:BPlusTree"], ["_reset_session_caches"]),
+            (["repro.join.mpmgjn:MPMGJoin"], ["_merge_batched"]),
+            (["repro.join.stacktree:StackTreeDescJoin"], ["_merge_batched"]),
+            (["repro.storage.docstore:DocumentStore"], ["_incremental" + "_index"]),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
@@ -252,15 +282,17 @@ class TestExecutionConfigSurface:
                 assert not hasattr(loaded, name), f"{module}.{name}"
                 assert name not in getattr(loaded, "__all__", ())
 
+    def test_flat_index_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.index." + "flat") is None
+
     def test_readers_kept(self):
         from repro import exec_scope
-        from repro.core.batch import batching_enabled, get_batch_size
-        from repro.index.flat import flat_enabled
         from repro.storage.sanitize import sanitize_enabled
 
-        with exec_scope(batch_size=0, flat_index=True, sanitize=True):
-            assert (get_batch_size(), batching_enabled()) == (0, False)
-            assert flat_enabled() and sanitize_enabled()
+        with exec_scope(sanitize=True):
+            assert sanitize_enabled()
 
     def test_one_exec_parameter_replaces_three(self):
         import dataclasses
@@ -270,7 +302,7 @@ class TestExecutionConfigSurface:
         from repro.parallel.tasks import SlotJoinTask
         from repro.shard import ShardedJoinExecutor
 
-        gone = {"batch_size", "flat_index", "sanitize"}
+        gone = {"batch" + "_size", "flat" + "_index", "sanitize"}
         for params in (
             set(inspect.signature(run_lineup).parameters),
             set(inspect.signature(ShardedJoinExecutor.run).parameters),

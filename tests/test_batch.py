@@ -1,11 +1,11 @@
-"""Differential tests for the batched execution hot path.
+"""Tests for the batched execution hot path.
 
-The batched kernels (:mod:`repro.core.batch`), the zero-copy page
-decode (:meth:`RecordCodec.unpack_array`, ``scan_code_arrays``) and the
-batched cursor API (``next_batch`` / ``iter_batches`` / ``seek``) all
-keep their scalar counterparts alive as a differential oracle.  This
-suite pins the contract: *identical* results — same values, same order,
-same JoinReport accounting — whether batching is on or off.
+The batched kernels (:mod:`repro.core.batch`) are checked against the
+paper's scalar functions (:mod:`repro.core.pbitree`), the zero-copy
+page decode (:meth:`RecordCodec.unpack_array`, ``scan_code_arrays``)
+against the per-record decode, and the cursor's run access (``seek``)
+against element-at-a-time ``advance``: same values, same order.  The
+join operators' I/O accounting is pinned in tests/test_exec_matrix.py.
 
 Boundary codes (height 0 leaves at the far right of the coding space,
 the height-62 root of a maximal tree) ride along in every random array
@@ -23,16 +23,12 @@ from repro import (
     ElementSet,
     FaultConfig,
     FaultInjector,
-    JoinSink,
     RetryPolicy,
 )
 from repro.core import batch, pbitree as pt
-from repro.core.execconfig import ExecConfig, exec_scope
-from repro.experiments.harness import run_lineup
+from repro.core.execconfig import exec_scope
 from repro.join.cursor import SetCursor
 from repro.storage.record import CODE, MAX_CODE_BITS, PAIR, RecordCodec
-
-from .differential import lineup_inputs
 
 MAX_CODE = (1 << MAX_CODE_BITS) - 1
 
@@ -180,7 +176,7 @@ class TestPageDecode:
 
 
 # ----------------------------------------------------------------------
-# batched cursor vs scalar advance()
+# cursor run access (seek) vs element-at-a-time advance()
 # ----------------------------------------------------------------------
 def cursor_inputs():
     return st.tuples(
@@ -189,53 +185,28 @@ def cursor_inputs():
     )
 
 
+def take(cursor, limit):
+    """Consume up to ``limit`` codes starting with ``current``."""
+    out = []
+    while limit > 0 and cursor.current is not None:
+        out.append(cursor.current)
+        cursor.advance()
+        limit -= 1
+    return out
+
+
 class TestBatchedCursor:
-    @given(inputs=cursor_inputs())
-    @settings(max_examples=30, deadline=None)
-    def test_next_batch_matches_advance(self, inputs):
-        codes, size = inputs
-        elements = make_set(codes, 62)
-        scalar, batched = SetCursor(elements), SetCursor(elements)
-        while True:
-            expected = []
-            for _ in range(size):
-                if scalar.current is None:
-                    break
-                expected.append(scalar.current)
-                scalar.advance()
-            got = batched.next_batch(size)
-            assert got == expected
-            assert batched.current == scalar.current
-            assert batched.exhausted == scalar.exhausted
-            if not got:
-                break
-
-    @given(inputs=cursor_inputs())
-    @settings(max_examples=30, deadline=None)
-    def test_iter_batches_covers_the_set(self, inputs):
-        codes, size = inputs
-        elements = make_set(codes, 62)
-        flat = [
-            c for chunk in SetCursor(elements).iter_batches(size) for c in chunk
-        ]
-        assert flat == codes
-        # size 0 falls back to page-at-a-time chunks
-        flat = [
-            c for chunk in SetCursor(elements).iter_batches(0) for c in chunk
-        ]
-        assert flat == codes
-
     @given(inputs=cursor_inputs(), skip=st.integers(0, 70))
     @settings(max_examples=30, deadline=None)
     def test_save_restore_mid_batch(self, inputs, skip):
         codes, size = inputs
         elements = make_set(codes, 62)
         cursor = SetCursor(elements)
-        cursor.next_batch(skip)
+        take(cursor, skip)
         mark = cursor.save()
-        first = cursor.next_batch(size)
+        first = take(cursor, size)
         cursor.restore(mark)
-        assert cursor.next_batch(size) == first
+        assert take(cursor, size) == first
 
     @given(codes=st.lists(st.integers(1, MAX_CODE), max_size=60))
     @settings(max_examples=20, deadline=None)
@@ -247,9 +218,8 @@ class TestBatchedCursor:
             seeking.seek(seeking.slot + 1)
             assert seeking.current == scalar.current
 
-    @pytest.mark.parametrize("batch_size", [0, 3, 1024])
-    def test_fault_replay_through_batched_cursor(self, batch_size):
-        """Transient read faults replay identically under batching."""
+    def test_fault_replay_through_batched_cursor(self):
+        """Transient read faults replay identically through the cursor."""
         rng = random.Random(11)
         codes = [rng.randrange(1, MAX_CODE) for _ in range(300)]
 
@@ -259,14 +229,13 @@ class TestBatchedCursor:
             elements = ElementSet.from_codes(bufmgr, codes, 62, "F")
             bufmgr.flush_all()
             bufmgr.evict_all()
-            with exec_scope(batch_size=batch_size):
-                cursor = SetCursor(elements)
-                out = []
-                while True:
-                    chunk = cursor.next_batch(7)
-                    if not chunk:
-                        return out, disk
-                    out.extend(chunk)
+            cursor = SetCursor(elements)
+            out = []
+            while True:
+                chunk = take(cursor, 7)
+                if not chunk:
+                    return out, disk
+                out.extend(chunk)
 
         quiet, _ = scan(None)
         noisy, disk = scan(
@@ -325,69 +294,3 @@ class TestFrameRecycling:
             frame = bufmgr.pin(pages[fill])
             assert frame.data == bytes([fill]) * 64
             bufmgr.unpin(pages[fill])
-
-
-# ----------------------------------------------------------------------
-# end-to-end: JoinReports are field-for-field identical
-# ----------------------------------------------------------------------
-# (the whole-line-up report equality lives in tests/test_exec_matrix.py)
-class TestLineupDifferential:
-    def test_result_pairs_identical_in_order(self):
-        """Emit *order*, not just the multiset, matches the scalar run."""
-        a_codes, d_codes, tree_height = lineup_inputs(False)
-        from repro import (
-            MPMGJoin,
-            MultiHeightRollupJoin,
-            StackTreeDescJoin,
-            VerticalPartitionJoin,
-        )
-
-        for cls in (
-            MPMGJoin,
-            StackTreeDescJoin,
-            MultiHeightRollupJoin,
-            VerticalPartitionJoin,
-        ):
-            pairs = {}
-            for batch_size in (0, batch.DEFAULT_BATCH_SIZE):
-                with exec_scope(batch_size=batch_size):
-                    elements_a = make_set(a_codes, tree_height, name="A")
-                    elements_d = ElementSet.from_codes(
-                        elements_a.heap.bufmgr, d_codes, tree_height, "D"
-                    )
-                    sink = JoinSink("collect")
-                    cls().run(elements_a, elements_d, sink)
-                    pairs[batch_size] = list(sink.pairs)
-            assert pairs[batch.DEFAULT_BATCH_SIZE] == pairs[0], cls.__name__
-
-
-# ----------------------------------------------------------------------
-# batch-size switch plumbing
-# ----------------------------------------------------------------------
-class TestBatchSwitch:
-    def test_scope_nesting_restores(self):
-        outer = batch.get_batch_size()
-        with exec_scope(batch_size=0):
-            assert not batch.batching_enabled()
-            with exec_scope(batch_size=64):
-                assert batch.get_batch_size() == 64
-            assert batch.get_batch_size() == 0
-        assert batch.get_batch_size() == outer
-
-    def test_lineup_records_batch_size_gauge(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        a_codes, d_codes, tree_height = lineup_inputs(False)
-        metrics = MetricsRegistry()
-        run_lineup(
-            "gauge",
-            a_codes,
-            d_codes,
-            tree_height,
-            buffer_pages=8,
-            page_size=128,
-            algorithms=("STACKTREE",),
-            metrics=metrics,
-            exec=ExecConfig(batch_size=256),
-        )
-        assert metrics.gauge("batch.size").value == 256.0

@@ -25,10 +25,9 @@ import threading
 
 import pytest
 
-from repro.core.batch import get_batch_size
 from repro.core.execconfig import ExecConfig, current, exec_scope
 from repro.index.bptree import BPlusTree
-from repro.index.flat import FlatStartIndex, flat_enabled
+from repro.index.interval_tree import IntervalTree
 from repro.index.staleness import StaleGuard, StaleIndexError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.buffer import BufferManager
@@ -127,8 +126,8 @@ class TestMetricsHammer:
 class TestScopeIsolation:
     def test_opposing_scopes(self):
         default = current()
-        low_cfg = ExecConfig(batch_size=1, flat_index=True, sanitize=True)
-        high_cfg = ExecConfig(batch_size=512, flat_index=False, sanitize=False)
+        on_cfg = ExecConfig(sanitize=True)
+        off_cfg = ExecConfig(sanitize=False)
         barrier = threading.Barrier(2)
         observed = {}
 
@@ -136,21 +135,13 @@ class TestScopeIsolation:
             def body():
                 with exec_scope(cfg):
                     barrier.wait()  # both threads are now inside their scope
-                    observed[key] = (
-                        current(),
-                        get_batch_size(),
-                        flat_enabled(),
-                        sanitize_enabled(),
-                    )
+                    observed[key] = (current(), sanitize_enabled())
                     barrier.wait()
 
             return body
 
-        run_threads([hold("low", low_cfg), hold("high", high_cfg)])
-        assert observed == {
-            "low": (low_cfg, 1, True, True),
-            "high": (high_cfg, 512, False, False),
-        }
+        run_threads([hold("on", on_cfg), hold("off", off_cfg)])
+        assert observed == {"on": (on_cfg, True), "off": (off_cfg, False)}
         assert current() == default
 
     def test_scope_does_not_leak_to_spawned_default(self):
@@ -161,7 +152,7 @@ class TestScopeIsolation:
         def probe():
             observed["value"] = current()
 
-        with exec_scope(batch_size=3, sanitize=not default.sanitize):
+        with exec_scope(sanitize=not default.sanitize):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()
@@ -266,36 +257,35 @@ class TestLazyScanRetire:
 
     ENTRIES = 500  # page_size=128 -> ~7 leaf entries/page, many leaves
 
-    def _indexes(self):
+    def _index(self):
         bufmgr = BufferManager(DiskManager(page_size=128), 32)
         entries = [(i, i * 10) for i in range(self.ENTRIES)]
-        yield BPlusTree.bulk_load(bufmgr, entries, name="ptr")
-        yield FlatStartIndex.bulk_load(bufmgr, entries, name="flat")
+        return BPlusTree.bulk_load(bufmgr, entries, name="ptr")
 
     def test_retire_mid_scan_raises_at_next_leaf(self):
-        for index in self._indexes():
-            scan = index.range_scan(0, 1 << 62)
-            consumed = [next(scan)]
-            index.mark_stale("element set changed mid-scan")
-            with pytest.raises(StaleIndexError):
-                for entry in scan:
-                    consumed.append(entry)
-            # the scan died at the next leaf boundary — everything it
-            # produced was read while the index was still fresh
-            assert 0 < len(consumed) < self.ENTRIES, type(index).__name__
+        index = self._index()
+        scan = index.range_scan(0, 1 << 62)
+        consumed = [next(scan)]
+        index.mark_stale("element set changed mid-scan")
+        with pytest.raises(StaleIndexError):
+            for entry in scan:
+                consumed.append(entry)
+        # the scan died at the next leaf boundary — everything it
+        # produced was read while the index was still fresh
+        assert 0 < len(consumed) < self.ENTRIES
 
     def test_scan_started_after_retire_raises_on_first_pull(self):
-        for index in self._indexes():
-            index.mark_stale("retired before the scan ran")
-            scan = index.range_scan(0, 1 << 62)
-            with pytest.raises(StaleIndexError):
-                next(scan)
-
-    def test_flat_bulk_probe_after_retire_raises(self):
-        bufmgr = BufferManager(DiskManager(page_size=128), 32)
-        entries = [(i, i * 10) for i in range(self.ENTRIES)]
-        flat = FlatStartIndex.bulk_load(bufmgr, entries, name="flat")
-        assert flat.range_values(0, 50)
-        flat.mark_stale("element set changed")
+        index = self._index()
+        index.mark_stale("retired before the scan ran")
+        scan = index.range_scan(0, 1 << 62)
         with pytest.raises(StaleIndexError):
-            flat.range_values(0, 50)
+            next(scan)
+
+    def test_bulk_stab_probe_after_retire_raises(self):
+        bufmgr = BufferManager(DiskManager(page_size=128), 32)
+        intervals = [(i, i + 40, i) for i in range(self.ENTRIES)]
+        index = IntervalTree.build(bufmgr, intervals, name="stab")
+        assert index.stab_codes(50)
+        index.mark_stale("element set changed")
+        with pytest.raises(StaleIndexError):
+            index.stab_codes(50)

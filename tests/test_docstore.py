@@ -7,12 +7,10 @@ import pytest
 
 from repro.core import pbitree as pt
 from repro.core.codec import NestedIntervalCodec, PBiTreeCodec
-from repro.core.execconfig import exec_scope
 from repro.datatree.builder import random_tree, tree_from_spec
 from repro.experiments.harness import run_lineup
 from repro.index import StaleIndexError
 from repro.index.bptree import BPlusTree
-from repro.index.flat import FlatStartIndex
 from repro.obs import MetricsRegistry
 from repro.storage import (
     BufferManager,
@@ -199,17 +197,6 @@ class TestIndexMaintenance:
         # the rebuilt index covers the new element
         start = pt.start_of(tree.codes[node])
         assert any(p == tree.codes[node] for _s, _e, p in fresh.stab(start))
-
-    def test_flat_start_index_retired_on_any_update(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
-        with exec_scope(flat_index=True):
-            index = store.start_index("a")
-            assert isinstance(index, FlatStartIndex)
-            encoding.insert_child(tree.root, "a")
-            fresh = store.start_index("a")
-            assert fresh is not index
-            with pytest.raises(StaleIndexError):
-                index.search(0)
 
     def test_rebuild_counters_recorded(self):
         metrics = MetricsRegistry()

@@ -4,27 +4,41 @@ No value of :class:`~repro.core.execconfig.ExecConfig` and no fan-out
 mode may change what a join computes or what it reads — only how fast.
 Every cell of
 
-    {batch 0 | 1024} x {flat off | on} x {sanitize off | on}
+    {sanitize off | on} x {Figure 6(b) | Figure 6(a) line-up}
         x {serial, workers=2, shards=2}
 
-runs the Figure 6(b) line-up and is held field-for-field equal to the
-scalar, pointer-index, unsanitized serial reference; the Figure 6(a)
-single-height line-up (SHCJ in place of MHCJ+Rollup) rides along on the
-batch axis, the only one with SHCJ-specific code.  (Sharded
-reports are comparable only to sharded ones — each slot runs cold on a
-private bench — so those cells compare against ``shards=1`` under the
-reference configuration.)  This replaces the per-feature copies of the
-same test in the batch / flat-index / sanitizer suites.
+is held field-for-field equal to the unsanitized serial reference.
+(Sharded reports are comparable only to sharded ones — each slot runs
+cold on a private bench — so those cells compare against ``shards=1``
+under the reference configuration.)
+
+The reference itself is pinned by a golden table: per algorithm, the
+prepare and join I/O, buffer hits and misses, false hits and result
+count, as literals.  With one execution path left there is no second
+path to compare against, so the table is what keeps the I/O model —
+the paper's metric — from drifting under a refactor.  Further tables
+pin the same row in a pool large enough for the in-memory arms, for the
+registered operators no line-up runs, and each operator's emit order.
 """
 
 import functools
+import hashlib
 import itertools
+import struct
 
 import pytest
 
+from repro import IndexNestedLoopJoin, JoinSink
 from repro.core.execconfig import ExecConfig, current, exec_scope
 from repro.experiments import harness
-from repro.experiments.harness import make_lineup, run_lineup
+from repro.experiments.harness import (
+    Workbench,
+    make_lineup,
+    materialize,
+    run_algorithm,
+    run_lineup,
+)
+from repro.join.planner import ALGORITHMS
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import SlotJoinTask, run_slot_join_task
@@ -32,18 +46,12 @@ from repro.storage.faults import FaultConfig, RetryPolicy
 
 from .differential import assert_lineups_equal, lineup_inputs
 
-REFERENCE = ExecConfig(batch_size=0)
-
-CONFIGS = [
-    ExecConfig(batch_size=batch_size, flat_index=flat_index, sanitize=sanitize)
-    for batch_size, flat_index, sanitize in itertools.product(
-        (0, 1024), (False, True), (False, True)
-    )
-]
+REFERENCE = ExecConfig()
 
 #: (configuration, single-height line-up?)
-CELLS = [(cfg, False) for cfg in CONFIGS] + [
-    (ExecConfig(batch_size=batch_size), True) for batch_size in (0, 1024)
+CELLS = [
+    (ExecConfig(sanitize=sanitize), single_height)
+    for sanitize, single_height in itertools.product((False, True), (False, True))
 ]
 
 #: fan-out mode -> (run_lineup kwargs, shard count of the reference run)
@@ -57,8 +65,7 @@ MODES = {
 def cell_id(cell):
     cfg, single_height = cell
     return (
-        f"{'SH' if single_height else 'MH'}-batch{cfg.batch_size}-"
-        f"{'flat' if cfg.flat_index else 'pointer'}-"
+        f"{'SH' if single_height else 'MH'}-"
         f"{'sanitized' if cfg.sanitize else 'plain'}"
     )
 
@@ -87,25 +94,207 @@ def reference(single_height, shards):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
-def test_every_cell_equals_the_scalar_serial_reference(cell, mode):
+def test_every_cell_equals_the_serial_reference(cell, mode):
     cfg, single_height = cell
     mode_kwargs, reference_shards = MODES[mode]
     metrics = MetricsRegistry()
     actual = lineup(single_height, cfg, metrics=metrics, **mode_kwargs)
     expected = reference(single_height, reference_shards)
     assert_lineups_equal(actual, expected, f"under {cfg} / {mode}")
-    gauges = metrics.as_dict()
-    assert gauges["batch.size"] == float(cfg.batch_size)
-    assert gauges["flat.index"] == float(cfg.flat_index)
-    assert gauges["sanitize.enabled"] == float(cfg.sanitize)
+    assert metrics.as_dict()["sanitize.enabled"] == float(cfg.sanitize)
 
 
+# ----------------------------------------------------------------------
+# the golden table: the reference's I/O, as literals
+# ----------------------------------------------------------------------
+#: per line-up algorithm: (prep_io, join_io, buffer hits, buffer misses,
+#: false hits, results); each I/O as (reads, writes, random reads,
+#: allocations)
+GOLDEN = {
+    False: [
+        ("INLJN", (41, 55, 33, 62), (386, 7, 239, 0), 321, 427, 0, 710),
+        ("STACKTREE", (48, 45, 38, 50), (25, 5, 22, 0), 46, 73, 0, 710),
+        ("ADB+", (73, 104, 64, 111), (54, 7, 49, 0), 109, 127, 0, 710),
+        ("MHCJ+Rollup", (0, 0, 0, 0), (62, 37, 28, 37), 35, 62, 31290, 710),
+        ("VPJ", (0, 0, 0, 0), (75, 48, 59, 48), 36, 75, 0, 710),
+    ],
+    True: [
+        ("INLJN", (41, 55, 33, 62), (39, 6, 30, 0), 101, 80, 0, 19),
+        ("STACKTREE", (29, 25, 22, 30), (16, 5, 9, 0), 27, 45, 0, 19),
+        ("ADB+", (43, 60, 38, 69), (27, 6, 20, 0), 92, 70, 0, 19),
+        ("SHCJ", (0, 0, 0, 0), (16, 0, 1, 0), 0, 16, 0, 19),
+        ("VPJ", (0, 0, 0, 0), (16, 0, 1, 0), 0, 16, 0, 19),
+    ],
+}
+
+#: INLJN with the descendant set as outer: the interval-tree stab path,
+#: which the line-up's smaller-set heuristic does not take on these inputs
+GOLDEN_STAB = {
+    False: ((11, 93, 1, 101), (2047, 8, 1886, 0), 637, 2058, 0, 710),
+    True: ((2, 9, 1, 17), (527, 8, 463, 0), 1311, 529, 0, 19),
+}
+
+
+def golden_row(report):
+    def io(snapshot):
+        return (
+            snapshot.reads,
+            snapshot.writes,
+            snapshot.random_reads,
+            snapshot.allocations,
+        )
+
+    return (
+        io(report.prep_io),
+        io(report.join_io),
+        report.buffer_hits,
+        report.buffer_misses,
+        report.false_hits,
+        report.result_count,
+    )
+
+
+@pytest.mark.parametrize("single_height", [False, True], ids=["MH", "SH"])
+def test_reference_io_matches_the_golden_table(single_height):
+    actual = [
+        (result.name, *golden_row(result.report))
+        for result in reference(single_height, 0).results
+    ]
+    assert actual == GOLDEN[single_height]
+
+
+@pytest.mark.parametrize("single_height", [False, True], ids=["MH", "SH"])
+def test_stab_probe_io_matches_the_golden_row(single_height):
+    a_codes, d_codes, tree_height = lineup_inputs(single_height)
+    bench = Workbench.create(8, 128)
+    ancestors = materialize(bench.bufmgr, a_codes, tree_height, "matrix.A")
+    descendants = materialize(bench.bufmgr, d_codes, tree_height, "matrix.D")
+    report = run_algorithm(
+        IndexNestedLoopJoin(force_outer="D"),
+        ancestors,
+        descendants,
+        JoinSink("collect"),
+    )
+    assert golden_row(report) == GOLDEN_STAB[single_height]
+
+
+#: the line-ups again in a 64-page pool: every input fits, so the
+#: in-memory arms of SHCJ, MHCJ+Rollup and VPJ run instead of the
+#: spilling ones the 8-page table pins
+GOLDEN_IN_MEMORY = {
+    False: [
+        ("INLJN", (14, 0, 1, 48), (11, 0, 1, 0), 697, 25, 0, 710),
+        ("STACKTREE", (25, 0, 1, 25), (0, 0, 0, 0), 48, 25, 0, 710),
+        ("ADB+", (25, 25, 1, 86), (24, 1, 3, 0), 141, 49, 0, 710),
+        ("MHCJ+Rollup", (0, 0, 0, 0), (25, 0, 1, 0), 0, 25, 31290, 710),
+        ("VPJ", (0, 0, 0, 0), (25, 0, 1, 0), 0, 25, 0, 710),
+    ],
+    True: [
+        ("INLJN", (14, 0, 1, 48), (2, 0, 1, 0), 139, 16, 0, 19),
+        ("STACKTREE", (16, 0, 1, 16), (0, 0, 0, 0), 30, 16, 0, 19),
+        ("ADB+", (16, 3, 1, 55), (3, 0, 1, 0), 117, 19, 0, 19),
+        ("SHCJ", (0, 0, 0, 0), (16, 0, 1, 0), 0, 16, 0, 19),
+        ("VPJ", (0, 0, 0, 0), (16, 0, 1, 0), 0, 16, 0, 19),
+    ],
+}
+
+
+@pytest.mark.parametrize("single_height", [False, True], ids=["MH", "SH"])
+def test_in_memory_lineup_io_matches_the_golden_table(single_height):
+    a_codes, d_codes, tree_height = lineup_inputs(single_height)
+    result = run_lineup(
+        "matrix",
+        a_codes,
+        d_codes,
+        tree_height,
+        buffer_pages=64,
+        page_size=128,
+        algorithms=make_lineup(single_height),
+        collect=True,
+    )
+    actual = [(r.name, *golden_row(r.report)) for r in result.results]
+    assert actual == GOLDEN_IN_MEMORY[single_height]
+
+
+def run_solo(name, single_height):
+    """One registered operator, cold, on the line-up's 8-page bench."""
+    a_codes, d_codes, tree_height = lineup_inputs(single_height)
+    bench = Workbench.create(8, 128)
+    ancestors = materialize(bench.bufmgr, a_codes, tree_height, "matrix.A")
+    descendants = materialize(bench.bufmgr, d_codes, tree_height, "matrix.D")
+    sink = JoinSink("collect")
+    report = run_algorithm(ALGORITHMS[name](), ancestors, descendants, sink)
+    assert bench.bufmgr.num_pinned == 0
+    return report, sink.pairs
+
+
+#: registered operators no line-up runs, on the line-up inputs
+GOLDEN_OFF_LINEUP = {
+    ("MH", "MPMGJN"): ((48, 45, 38, 50), (41, 5, 19, 0), 125, 89, 0, 710),
+    ("MH", "MHCJ"): ((0, 0, 0, 0), (361, 91, 129, 32), 0, 361, 0, 710),
+    ("MH", "BNL"): ((0, 0, 0, 0), (39, 0, 3, 0), 0, 39, 0, 710),
+    ("SH", "MPMGJN"): ((29, 25, 22, 30), (15, 5, 9, 0), 29, 44, 0, 19),
+    ("SH", "MHCJ"): ((0, 0, 0, 0), (16, 4, 5, 4), 7, 16, 0, 19),
+    ("SH", "MHCJ+Rollup"): ((0, 0, 0, 0), (16, 0, 1, 0), 0, 16, 0, 19),
+    ("SH", "BNL"): ((0, 0, 0, 0), (16, 0, 1, 0), 0, 16, 0, 19),
+}
+
+
+@pytest.mark.parametrize(
+    "lineup_name, name", GOLDEN_OFF_LINEUP, ids="-".join
+)
+def test_off_lineup_io_matches_the_golden_row(lineup_name, name):
+    report, _pairs = run_solo(name, lineup_name == "SH")
+    assert golden_row(report) == GOLDEN_OFF_LINEUP[lineup_name, name]
+
+
+def emit_digest(pairs):
+    """A fingerprint of the result pairs *in emit order*."""
+    digest = hashlib.blake2b(digest_size=8)
+    for pair in pairs:
+        digest.update(struct.pack("<QQ", *pair))
+    return digest.hexdigest()
+
+
+#: (result count, emit-order digest) per registered operator: not just
+#: the multiset of pairs but the order each operator emits them in
+GOLDEN_EMIT_ORDER = {
+    ("MH", "STACKTREE"): (710, "34a04303d8da0c18"),
+    ("MH", "MPMGJN"): (710, "369f111707c94832"),
+    ("MH", "INLJN"): (710, "d07a1bd13e2bc2f5"),
+    ("MH", "ADB+"): (710, "34a04303d8da0c18"),
+    ("MH", "MHCJ"): (710, "413b1cfb8a245472"),
+    ("MH", "MHCJ+Rollup"): (710, "5e415e84fa17ffb8"),
+    ("MH", "VPJ"): (710, "e2ce0d5b23523d11"),
+    ("MH", "BNL"): (710, "46aca11e95395990"),
+    ("SH", "STACKTREE"): (19, "43428047a683e8c3"),
+    ("SH", "MPMGJN"): (19, "43428047a683e8c3"),
+    ("SH", "INLJN"): (19, "29f7591289159566"),
+    ("SH", "ADB+"): (19, "43428047a683e8c3"),
+    ("SH", "SHCJ"): (19, "ac6aa24cf144b4ee"),
+    ("SH", "MHCJ"): (19, "ac6aa24cf144b4ee"),
+    ("SH", "MHCJ+Rollup"): (19, "ac6aa24cf144b4ee"),
+    ("SH", "VPJ"): (19, "ac6aa24cf144b4ee"),
+    ("SH", "BNL"): (19, "ac6aa24cf144b4ee"),
+}
+
+
+@pytest.mark.parametrize("lineup_name, name", GOLDEN_EMIT_ORDER, ids="-".join)
+def test_emit_order_matches_the_golden_digest(lineup_name, name):
+    _report, pairs = run_solo(name, lineup_name == "SH")
+    assert (len(pairs), emit_digest(pairs)) == GOLDEN_EMIT_ORDER[
+        lineup_name, name
+    ]
+
+
+# ----------------------------------------------------------------------
+# gauges
+# ----------------------------------------------------------------------
 def test_exec_defaults_to_the_callers_scope():
     metrics = MetricsRegistry()
-    with exec_scope(batch_size=256, flat_index=True):
+    with exec_scope(sanitize=True):
         lineup(False, None, metrics=metrics)
-    assert metrics.gauge("batch.size").value == 256.0
-    assert metrics.gauge("flat.index").value == 1.0
+    assert metrics.gauge("sanitize.enabled").value == 1.0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -135,8 +324,6 @@ def test_bench_gauges_recorded_in_every_mode(mode):
         if name.startswith(("buffer.", "faults.", "batch.", "flat.", "sanitize."))
     }
     assert names == {
-        "batch.size",
-        "flat.index",
         "sanitize.enabled",
         "buffer.hits",
         "buffer.misses",
@@ -180,7 +367,8 @@ def _run_and_observe(task):
 
 def test_non_default_config_reaches_process_worker_without_module_state():
     a_codes, d_codes, tree_height = lineup_inputs()
-    shipped = ExecConfig(batch_size=7, flat_index=True, sanitize=True)
+    before = current()
+    shipped = ExecConfig(sanitize=not before.sanitize)
     task = SlotJoinTask(
         label="ship",
         algorithm="INLJN",
@@ -195,8 +383,6 @@ def test_non_default_config_reaches_process_worker_without_module_state():
         traced=False,
         exec=shipped,
     )
-    before = current()
-    assert before != shipped
     pool = WorkerPool(2, mode="process")
     try:
         future = pool.submit(_run_and_observe, task)

@@ -483,6 +483,75 @@ class TestVpjFallbackCleanup:
 
 
 # ----------------------------------------------------------------------
+# regression: prepared intermediates are freed, faulted or not
+# ----------------------------------------------------------------------
+#: operators whose ``_prepare`` builds scratch pages: on-the-fly indexes
+#: (INLJN with either outer, ADB+) or sorted copies (MPMGJN, Stack-Tree)
+PREPARING = {
+    "INLJN-outer-A": lambda: IndexNestedLoopJoin(force_outer="A"),
+    "INLJN-outer-D": lambda: IndexNestedLoopJoin(force_outer="D"),
+    "ADB+": AncDesBPlusJoin,
+    "MPMGJN": MPMGJoin,
+    "STACKTREE": StackTreeDescJoin,
+}
+
+
+class TestPreparedIntermediatesFreed:
+    """INLJN's and ADB+'s on-the-fly indexes used to be dropped by
+    reference only — the index classes had no ``destroy`` — so every run
+    left the index pages allocated.  And ``JoinAlgorithm.run`` cleaned
+    up only after a successful execute, so a fault mid-join also leaked
+    MPMGJN's and Stack-Tree's sorted copies.  Both a normal run and a
+    permanent read fault during execute must return the disk to its
+    pre-join page count."""
+
+    def bench(self):
+        tree = random_tree(400, max_fanout=5, seed=37)
+        encoding = binarize(tree)
+        rng = random.Random(13)
+        # unsorted inputs: the merge joins sort on the fly
+        a_codes = rng.sample(tree.codes, 150)
+        d_codes = rng.sample(tree.codes, 220)
+        injector = FaultInjector(seed=CHAOS_SEED)
+        disk = DiskManager(page_size=128, checksums=True, faults=injector)
+        bufmgr = BufferManager(disk, 8)
+        a_set = ElementSet.from_codes(bufmgr, a_codes, encoding.tree_height, "A")
+        d_set = ElementSet.from_codes(bufmgr, d_codes, encoding.tree_height, "D")
+        bufmgr.flush_all()
+        bufmgr.evict_all()
+        return injector, disk, bufmgr, a_set, d_set
+
+    @pytest.mark.parametrize("name", sorted(PREPARING))
+    def test_normal_run_frees_every_scratch_page(self, name):
+        _injector, disk, bufmgr, a_set, d_set = self.bench()
+        baseline = disk.num_allocated
+        report = PREPARING[name]().run(a_set, d_set, JoinSink("count"))
+        assert report.prep_io.allocations > 0  # it did build scratch pages
+        assert bufmgr.num_pinned == 0
+        assert disk.num_allocated == baseline
+
+    @pytest.mark.parametrize("name", sorted(PREPARING))
+    def test_fault_during_execute_frees_every_scratch_page(self, name):
+        _injector, _disk, _bufmgr, a_set, d_set = self.bench()
+        quiet = PREPARING[name]().run(a_set, d_set, JoinSink("count"))
+        assert quiet.join_io.reads > 1
+        # the same deterministic run on a fresh bench, with a permanent
+        # read error scheduled inside the execute phase's reads
+        injector, disk, bufmgr, a_set, d_set = self.bench()
+        baseline = disk.num_allocated
+        injector.schedule(
+            "read-error",
+            at=quiet.prep_io.reads + quiet.join_io.reads // 2,
+            permanent=True,
+        )
+        with pytest.raises(PermanentIOError):
+            PREPARING[name]().run(a_set, d_set, JoinSink("count"))
+        assert injector.stats.scheduled_fired == 1
+        assert bufmgr.num_pinned == 0
+        assert disk.num_allocated == baseline
+
+
+# ----------------------------------------------------------------------
 # regression: a failed path query must not leak its intermediates
 # ----------------------------------------------------------------------
 #: (forced direction, document, three-tag path, the tag step 2 reads

@@ -6,11 +6,9 @@ codes, which :class:`repro.join.statistics.SetStatistics` does by its
 own loop (the oracle).
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import pbitree as pt
-from repro.core.execconfig import exec_scope
 from repro.join.planner import SetProperties
 from repro.join.statistics import SetStatistics
 from repro.sort.external_sort import external_sort_set
@@ -69,15 +67,13 @@ class TestPositionHistogram:
 
 
 class TestEveryConstructorCarriesIt:
-    def single_height_set(self, batch_size):
+    def single_height_set(self):
         bufmgr = BufferManager(DiskManager(page_size=128), 8)
         codes = [pt.g_code(alpha, 9, 12) for alpha in range(0, 400, 3)]
-        with exec_scope(batch_size=batch_size):
-            return ElementSet.from_codes(bufmgr, codes, 12, "S")
+        return ElementSet.from_codes(bufmgr, codes, 12, "S")
 
-    @pytest.mark.parametrize("batch_size", [0, 1024], ids=["scalar", "batched"])
-    def test_from_codes_fills_it_while_writing(self, batch_size):
-        elements = self.single_height_set(batch_size)
+    def test_from_codes_fills_it_while_writing(self):
+        elements = self.single_height_set()
         assert elements.histogram.counts == SetStatistics.from_set(
             elements
         ).position_counts
@@ -87,7 +83,7 @@ class TestEveryConstructorCarriesIt:
         """The sorted copy holds the same codes and a view the same
         pages, so both keep the histogram — and a sorted single-height
         set still plans as single-height without a rescan."""
-        elements = self.single_height_set(1024)
+        elements = self.single_height_set()
         ordered = external_sort_set(elements)
         view = elements.with_bufmgr(BufferManager(elements.bufmgr.disk, 8))
         for derived in (ordered, view):

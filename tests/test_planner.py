@@ -12,10 +12,7 @@ from repro import (
     BufferManager,
     DiskManager,
     ElementSet,
-    FlatIntervalTree,
-    FlatStartIndex,
     IndexNestedLoopJoin,
-    JoinSink,
     MultiHeightRollupJoin,
     PBiTreeJoinFramework,
     SetProperties,
@@ -30,7 +27,6 @@ from repro import (
 )
 from repro import ContainmentDatabase, QueryService
 from repro.core import pbitree as pt
-from repro.core.execconfig import exec_scope
 from repro.experiments.harness import Workbench, materialize, run_algorithm
 from repro.join.costmodel import CostModel
 from repro.join.inljn import build_interval_index, build_start_index
@@ -221,6 +217,27 @@ class TestIndexUsability:
         )
         assert sorted(pairs) == sorted(brute_force_join(a_codes, d_codes))
 
+    def test_planned_join_is_correct_with_a_stab_index(self):
+        """The other direction: outer D stabs the interval tree on A."""
+        tree = random_tree(220, seed=24)
+        encoding = binarize(tree)
+        rng = random.Random(5)
+        a_codes = rng.sample(tree.codes, 90)
+        d_codes = rng.sample(tree.codes, 120)
+        a_set, d_set = make_sets(a_codes, d_codes, encoding.tree_height, frames=32)
+        a_index = build_interval_index(a_set, a_set.bufmgr)
+        algorithm = choose_algorithm(
+            a_set, d_set, SetProperties(interval_index=a_index), SetProperties()
+        )
+        assert isinstance(algorithm, IndexNestedLoopJoin)
+        assert algorithm.force_outer == "D"
+        report, pairs = PBiTreeJoinFramework().join(
+            a_set, d_set, SetProperties(interval_index=a_index), SetProperties()
+        )
+        assert sorted(pairs) == sorted(brute_force_join(a_codes, d_codes))
+        assert report.result_count == len(pairs)
+        assert a_set.bufmgr.num_pinned == 0
+
 
 class TestPropertyInference:
     def test_sorted_flag_inferred_from_metadata(self):
@@ -265,90 +282,6 @@ class TestFrameworkFacade:
         assert report.result_count == len(
             brute_force_join(tree.codes[:50], tree.codes)
         )
-
-
-class TestFlatIndexPlanning:
-    """The Table-1 index cell must honour the flat-index switch: flat
-    static indexes qualify for the same INLJN plans as the pointer
-    oracle (they subclass it), are only *built* while the switch is on,
-    and wrong-direction flat indexes fall through exactly like
-    wrong-direction pointer indexes."""
-
-    def fixtures(self):
-        tree = random_tree(300, seed=20)
-        encoding = binarize(tree)
-        rng = random.Random(3)
-        a_codes = rng.sample(tree.codes, 100)
-        d_codes = rng.sample(tree.codes, 100)
-        return make_sets(a_codes, d_codes, encoding.tree_height, frames=32)
-
-    def test_flat_config_builds_flat_and_planner_probes_it(self):
-        a_set, d_set = self.fixtures()
-        with exec_scope(flat_index=True):
-            d_index = build_start_index(d_set, d_set.bufmgr)
-        assert isinstance(d_index, FlatStartIndex)
-        algorithm = choose_algorithm(
-            a_set, d_set, SetProperties(), SetProperties(start_index=d_index)
-        )
-        assert isinstance(algorithm, IndexNestedLoopJoin)
-        assert algorithm.d_index is d_index
-        assert algorithm.force_outer == "A"
-
-    def test_flat_stab_index_pins_outer_to_d(self):
-        a_set, d_set = self.fixtures()
-        with exec_scope(flat_index=True):
-            a_index = build_interval_index(a_set, a_set.bufmgr)
-        assert isinstance(a_index, FlatIntervalTree)
-        algorithm = choose_algorithm(
-            a_set, d_set, SetProperties(interval_index=a_index), SetProperties()
-        )
-        assert isinstance(algorithm, IndexNestedLoopJoin)
-        assert algorithm.a_index is a_index
-        assert algorithm.force_outer == "D"
-
-    def test_switch_off_builds_the_pointer_oracle(self):
-        a_set, d_set = self.fixtures()
-        with exec_scope(flat_index=False):
-            d_index = build_start_index(d_set, d_set.bufmgr)
-            a_index = build_interval_index(a_set, a_set.bufmgr)
-        assert not isinstance(d_index, FlatStartIndex)
-        assert not isinstance(a_index, FlatIntervalTree)
-
-    def test_wrong_direction_flat_indexes_fall_through(self):
-        """Flat a-Start + flat d-stab serve no probe direction — the
-        planner must take the unindexed cell, not an INLJN that would
-        rebuild indexes inside the operator."""
-        a_set, d_set = self.fixtures()
-        with exec_scope(flat_index=True):
-            a_start = build_start_index(a_set, a_set.bufmgr)
-            d_stab = build_interval_index(d_set, d_set.bufmgr)
-        chosen = plan(
-            a_set,
-            d_set,
-            SetProperties(start_index=a_start),
-            SetProperties(interval_index=d_stab),
-        )
-        assert_cell_argmin(chosen, "unsorted-unindexed", PARTITIONING)
-        assert chosen.estimates == plan(a_set, d_set).estimates
-        assert not isinstance(chosen.instantiate(), IndexNestedLoopJoin)
-
-    def test_planned_flat_join_matches_brute_force(self):
-        tree = random_tree(220, seed=24)
-        encoding = binarize(tree)
-        rng = random.Random(5)
-        a_codes = rng.sample(tree.codes, 90)
-        d_codes = rng.sample(tree.codes, 120)
-        a_set, d_set = make_sets(a_codes, d_codes, encoding.tree_height,
-                                 frames=32)
-        with exec_scope(flat_index=True):
-            d_index = build_start_index(d_set, d_set.bufmgr)
-        algorithm = choose_algorithm(
-            a_set, d_set, SetProperties(), SetProperties(start_index=d_index)
-        )
-        assert isinstance(algorithm, IndexNestedLoopJoin)
-        sink = JoinSink("collect")
-        algorithm.run(a_set, d_set, sink)
-        assert sorted(sink.pairs) == sorted(brute_force_join(a_codes, d_codes))
 
 
 class TestCells:
