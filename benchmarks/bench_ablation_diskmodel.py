@@ -14,7 +14,7 @@ from repro.experiments.harness import Workbench, make_algorithm, materialize, ru
 from repro.experiments.report import format_table
 from repro.workloads import synthetic as syn
 
-from .common import DEFAULT_BUFFER_PAGES, SEED, large_size, save_result, small_size
+from .common import DEFAULT_BUFFER_PAGES, SEED, large_size, save_result, scale, small_size
 
 PENALTIES = [1.0, 3.0, 10.0]
 ALGORITHMS = ["INLJN", "STACKTREE", "ADB+", "SHCJ", "VPJ"]
@@ -24,7 +24,9 @@ _REPORTS = {}
 
 def get_reports():
     if not _REPORTS:
-        spec = syn.spec_by_name("SLLH", large=large_size(), small=small_size())
+        spec = syn.spec_by_name(
+            "SLLH", large=large_size(scale()), small=small_size(scale())
+        )
         dataset = syn.generate(spec, seed=SEED)
         bench = Workbench.create(buffer_pages=DEFAULT_BUFFER_PAGES)
         a_set = materialize(bench.bufmgr, dataset.a_codes, dataset.tree_height, "A")

@@ -14,7 +14,7 @@ from repro.experiments.report import format_table
 from repro.join.mhcj import MultiHeightRollupJoin
 from repro.workloads import synthetic as syn
 
-from .common import DEFAULT_BUFFER_PAGES, SEED, large_size, save_result, small_size
+from .common import DEFAULT_BUFFER_PAGES, SEED, large_size, save_result, scale, small_size
 
 STRATEGIES = ["max", "median", "min"]
 DATASETS = ["MLLH", "MLLL", "MSSH"]
@@ -24,7 +24,9 @@ ROWS = []
 @pytest.mark.parametrize("dataset_name", DATASETS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_rollup_strategy(benchmark, dataset_name, strategy):
-    spec = syn.spec_by_name(dataset_name, large=large_size(), small=small_size())
+    spec = syn.spec_by_name(
+        dataset_name, large=large_size(scale()), small=small_size(scale())
+    )
     dataset = syn.generate(spec, seed=SEED)
     bench = Workbench.create(buffer_pages=DEFAULT_BUFFER_PAGES)
     a_set = materialize(bench.bufmgr, dataset.a_codes, dataset.tree_height, "A")

@@ -13,7 +13,7 @@ from repro.experiments.report import format_table
 from repro.join.xrstack import XRStackJoin
 from repro.workloads import synthetic as syn
 
-from .common import DEFAULT_BUFFER_PAGES, SEED, large_size, save_result, small_size
+from .common import DEFAULT_BUFFER_PAGES, SEED, large_size, save_result, scale, small_size
 
 DATASETS = ["SLSL", "MLSL", "SLLL"]
 CASES = [
@@ -27,7 +27,9 @@ _ENV = {}
 
 def get_sets(name):
     if name not in _ENV:
-        spec = syn.spec_by_name(name, large=large_size(), small=small_size())
+        spec = syn.spec_by_name(
+            name, large=large_size(scale()), small=small_size(scale())
+        )
         dataset = syn.generate(spec, seed=SEED)
         bench = Workbench.create(buffer_pages=DEFAULT_BUFFER_PAGES)
         _ENV[name] = (

@@ -1,8 +1,9 @@
 """Shared configuration and helpers for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper's Section 4
-and writes its rows to ``benchmarks/results/<name>.txt`` (in addition to
-pytest-benchmark's timing table).  Scale is controlled by the
+Every benchmark regenerates one table or figure and writes its rows to
+``benchmarks/results/<name>.txt`` (in addition to pytest-benchmark's
+timing table); the paper's Section 4 is the experiment table in
+:mod:`benchmarks.paper`.  Scale is controlled by the
 ``REPRO_BENCH_SCALE`` environment variable (default 1.0 = 50k/500
 element sets, the paper's 100:1 Large/Small ratio at laptop size).
 """
@@ -41,34 +42,18 @@ def paper_sizes() -> bool:
     return bool(os.environ.get("REPRO_BENCH_PAPER_SIZES"))
 
 
-def large_size() -> int:
-    return max(1000, int(50_000 * scale()))
+def large_size(factor: float) -> int:
+    return max(1000, int(50_000 * factor))
 
 
-def small_size() -> int:
-    return max(50, int(500 * scale()))
+def small_size(factor: float) -> int:
+    return max(50, int(500 * factor))
 
 
-def save_result(name: str, text: str) -> Path:
-    """Persist a rendered table under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+def save_result(name: str, text: str, directory: Path = RESULTS_DIR) -> Path:
+    """Persist a rendered table as ``<directory>/<name>.txt``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
     return path
-
-
-def lineup_row(lineup, partitioned_name: str):
-    """One Figure-6-style row: I/O of each side plus derived ratios."""
-    return {
-        "dataset": lineup.dataset,
-        "results": lineup.result_count,
-        "MIN_RGN": lineup.min_rgn_io,
-        "INLJN": lineup.by_name("INLJN").total_io,
-        "STACKTREE": lineup.by_name("STACKTREE").total_io,
-        "ADB+": lineup.by_name("ADB+").total_io,
-        partitioned_name: lineup.by_name(partitioned_name).total_io,
-        "VPJ": lineup.by_name("VPJ").total_io,
-        f"impr_{partitioned_name}": lineup.improvement_ratio(partitioned_name),
-        "impr_VPJ": lineup.improvement_ratio("VPJ"),
-    }

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate every table and figure of the paper in one run.
+"""Regenerate every table and figure of the paper's Section 4, without pytest.
 
-A pytest-free driver around :mod:`repro.experiments` for users who want
-the numbers without the benchmark harness::
+A thin CLI over the experiment table that ``benchmarks/bench_paper.py``
+runs (``benchmarks/paper.py``)::
 
-    python scripts/run_experiments.py               # default scale
-    python scripts/run_experiments.py --scale 0.3   # quicker
-    python scripts/run_experiments.py --only fig6a table2f
+    python scripts/run_experiments.py                     # default scale
+    python scripts/run_experiments.py --scale 0.3         # quicker
+    python scripts/run_experiments.py --only fig6a fig6e  # a subset
 
-Writes one text file per experiment into ``--out`` (default
-``experiment_output/``) and prints a summary.
+Writes and prints the same result files, into ``--out`` (default
+``experiment_output/``); ``REPRO_BENCH_PAPER_SIZES=1`` works as under
+pytest.  The paper's shape is reported, not asserted: below the default
+scale the data fits the buffer pool and partitioning has nothing to win.
 """
 
 from __future__ import annotations
@@ -19,195 +21,35 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from repro.core.binarize import binarize  # noqa: E402
-from repro.datatree.paths import select_by_tag  # noqa: E402
-from repro.experiments.harness import run_lineup  # noqa: E402
-from repro.experiments.report import format_ratio, format_table  # noqa: E402
-from repro.workloads import dblp, synthetic as syn, xmark  # noqa: E402
-
-BUFFER_PAGES = 50
-PAGE_SIZE = 1024
-SEED = 2003
-
-
-def sizes(scale: float) -> tuple[int, int]:
-    return max(1000, int(50_000 * scale)), max(50, int(500 * scale))
-
-
-def experiment_synthetic(single: bool, scale: float) -> str:
-    large, small = sizes(scale)
-    names = (
-        ["SLLH", "SLSH", "SSLH", "SSSH", "SLLL", "SLSL", "SSLL", "SSSL"]
-        if single
-        else ["MLLH", "MLSH", "MSLH", "MSSH", "MLLL", "MLSL", "MSLL", "MSSL"]
-    )
-    partitioned = "SHCJ" if single else "MHCJ+Rollup"
-    rows = []
-    for name in names:
-        dataset = syn.generate(
-            syn.spec_by_name(name, large=large, small=small), seed=SEED
-        )
-        lineup = run_lineup(
-            name, dataset.a_codes, dataset.d_codes, dataset.tree_height,
-            buffer_pages=BUFFER_PAGES, page_size=PAGE_SIZE,
-            single_height=single,
-        )
-        row = [
-            name,
-            lineup.result_count,
-            lineup.min_rgn_io,
-            lineup.by_name(partitioned).total_io,
-            lineup.by_name("VPJ").total_io,
-            format_ratio(lineup.improvement_ratio(partitioned)),
-            format_ratio(lineup.improvement_ratio("VPJ")),
-        ]
-        if not single:
-            row.append(lineup.by_name(partitioned).report.false_hits)
-        rows.append(row)
-    headers = ["Dataset", "#results", "MIN_RGN", partitioned, "VPJ",
-               f"{partitioned} impr", "VPJ impr"]
-    if not single:
-        headers.append("false hits")
-    title = (
-        "Table 2(e) + Figure 6(a): single-height datasets"
-        if single
-        else "Figure 6(b) + Table 2(f): multiple-height datasets"
-    )
-    return format_table(headers, rows, title=title)
-
-
-def experiment_document(kind: str, scale: float) -> str:
-    if kind == "xmark":
-        tree = xmark.generate_tree(scale=2.0 * scale, seed=SEED)
-        joins = xmark.XMARK_JOINS
-        title = "Table 2(c) + Figure 6(c): XMark-like joins"
-    else:
-        tree = dblp.generate_tree(
-            num_publications=max(2000, int(20_000 * scale)), seed=SEED
-        )
-        joins = dblp.DBLP_JOINS
-        title = "Table 2(d) + Figure 6(d): DBLP-like joins"
-    encoding = binarize(tree)
-    rows = []
-    for join in joins:
-        a_codes = select_by_tag(tree, join.anc_tag)
-        d_codes = select_by_tag(tree, join.desc_tag)
-        lineup = run_lineup(
-            join.name, a_codes, d_codes, encoding.tree_height,
-            buffer_pages=BUFFER_PAGES, page_size=PAGE_SIZE,
-            single_height=False,
-        )
-        rows.append(
-            [
-                join.name, len(a_codes), len(d_codes), lineup.result_count,
-                lineup.min_rgn_io,
-                lineup.by_name("MHCJ+Rollup").total_io,
-                lineup.by_name("VPJ").total_io,
-                format_ratio(lineup.improvement_ratio("MHCJ+Rollup")),
-                format_ratio(lineup.improvement_ratio("VPJ")),
-            ]
-        )
-    return format_table(
-        ["Join", "|A|", "|D|", "#results", "MIN_RGN", "Rollup", "VPJ",
-         "Rollup impr", "VPJ impr"],
-        rows,
-        title=title,
-    )
-
-
-def experiment_buffer_sweep(name: str, scale: float) -> str:
-    large, small = sizes(scale)
-    dataset = syn.generate(
-        syn.spec_by_name(name, large=large, small=small), seed=SEED
-    )
-    partitioned = "SHCJ" if name.startswith("S") else "MHCJ+Rollup"
-    per_page = (PAGE_SIZE - 8) // 8
-    smaller_pages = -(-min(len(dataset.a_codes), len(dataset.d_codes)) // per_page)
-    rows = []
-    for percent in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-        buffer_pages = max(3, int(smaller_pages * percent / 100))
-        lineup = run_lineup(
-            f"{name}@{percent}", dataset.a_codes, dataset.d_codes,
-            dataset.tree_height, buffer_pages=buffer_pages,
-            page_size=PAGE_SIZE, single_height=name.startswith("S"),
-        )
-        rows.append(
-            [f"{percent}%", buffer_pages, lineup.min_rgn_io,
-             lineup.by_name(partitioned).total_io,
-             lineup.by_name("VPJ").total_io]
-        )
-    figure = "6(e)" if name == "SLLL" else "6(f)"
-    return format_table(
-        ["P", "buffer pages", "MIN_RGN", partitioned, "VPJ"],
-        rows,
-        title=f"Figure {figure}: varying buffer size, {name}",
-    )
-
-
-def experiment_scalability(single: bool, scale: float) -> str:
-    base = max(500, int(6_000 * scale))
-    rows = []
-    for k in range(1, 9):
-        spec = syn.SyntheticSpec(
-            name=f"{'S' if single else 'M'}-{k}B",
-            a_size=k * base,
-            d_size=k * base,
-            a_heights=(6,) if single else (8, 9, 10),
-            d_heights=(2,) if single else tuple(range(1, 8)),
-            match_fraction=syn.LOW_MATCH_FRACTION,
-        )
-        dataset = syn.generate(spec, seed=SEED)
-        lineup = run_lineup(
-            spec.name, dataset.a_codes, dataset.d_codes, dataset.tree_height,
-            buffer_pages=BUFFER_PAGES, page_size=PAGE_SIZE,
-            single_height=single,
-        )
-        partitioned = "SHCJ" if single else "MHCJ+Rollup"
-        rows.append(
-            [f"{k}B", k * base, lineup.min_rgn_io,
-             lineup.by_name(partitioned).total_io,
-             lineup.by_name("VPJ").total_io]
-        )
-    figure = "6(g)" if single else "6(h)"
-    return format_table(
-        ["size", "|A|=|D|", "MIN_RGN", "partitioned", "VPJ"],
-        rows,
-        title=f"Figure {figure}: scalability",
-    )
-
-
-EXPERIMENTS = {
-    "fig6a": lambda scale: experiment_synthetic(True, scale),
-    "fig6b": lambda scale: experiment_synthetic(False, scale),
-    "fig6c": lambda scale: experiment_document("xmark", scale),
-    "fig6d": lambda scale: experiment_document("dblp", scale),
-    "fig6e": lambda scale: experiment_buffer_sweep("SLLL", scale),
-    "fig6f": lambda scale: experiment_buffer_sweep("MLLL", scale),
-    "fig6g": lambda scale: experiment_scalability(True, scale),
-    "fig6h": lambda scale: experiment_scalability(False, scale),
-}
+from benchmarks.paper import EXPERIMENTS, run, write  # noqa: E402
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--out", default="experiment_output")
-    parser.add_argument("--only", nargs="*", default=None,
-                        choices=sorted(EXPERIMENTS))
+    parser.add_argument("--only", nargs="*", default=None, choices=list(EXPERIMENTS))
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(exist_ok=True)
-    chosen = args.only or sorted(EXPERIMENTS)
-    for key in chosen:
+    written = 0
+    for key in args.only or EXPERIMENTS:
+        experiment = EXPERIMENTS[key]
         start = time.perf_counter()
-        text = EXPERIMENTS[key](args.scale)
-        elapsed = time.perf_counter() - start
-        (out_dir / f"{key}.txt").write_text(text + "\n")
-        print(f"{text}\n[{key}: {elapsed:.1f}s]\n")
-    print(f"wrote {len(chosen)} experiment files to {out_dir}/")
+        rows = run(experiment, args.scale)
+        written += len(write(experiment, rows, out_dir))
+        try:
+            experiment.check(rows)
+            shape = "the paper's shape holds"
+        except AssertionError as failure:
+            shape = f"the paper's shape does not hold: {failure}"
+        print(f"[{key}: {time.perf_counter() - start:.1f}s; {shape}]")
+    print(f"\nwrote {written} result files to {out_dir}/")
     return 0
 
 

@@ -281,6 +281,38 @@ class TestCLI:
         capsys.readouterr()
         assert rows[2] == rows[1] and len(rows[1]) == 5
 
+    def test_traced_bench_serial_and_pooled(self, tmp_path, monkeypatch, capsys):
+        """A traced line-up writes a BENCH summary that validates, span
+        JSON lines and a metrics dump; fanned over a 2-process pool it
+        reports the serial rows, wall time aside."""
+        import json
+
+        from repro.__main__ import main
+        from repro.obs.__main__ import main as validate
+        from repro.obs.export import spans_from_jsonl
+
+        monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)
+        rows = {}
+        for mode, extra in (("serial", []), ("pooled", ["--workers", "2"])):
+            trace, metrics, bench = (
+                tmp_path / f"{mode}.{name}"
+                for name in ("trace.jsonl", "metrics.json", "BENCH.json")
+            )
+            assert main([
+                "--trace", "--trace-out", str(trace), "--metrics-out", str(metrics),
+                "bench", "--dataset", "MSSL", "--large", "2000",
+                "--buffer-pages", "20", "--bench-out", str(bench), *extra,
+            ]) == 0
+            assert validate([str(bench)]) == 0
+            assert spans_from_jsonl(trace.read_text())
+            assert json.loads(metrics.read_text())
+            rows[mode] = [
+                {key: value for key, value in row.items() if key != "wall_seconds"}
+                for row in json.loads(bench.read_text())["algorithms"]
+            ]
+        capsys.readouterr()
+        assert rows["pooled"] == rows["serial"] and len(rows["serial"]) == 5
+
     def test_update_bench_unknown_codec(self, capsys):
         from repro.__main__ import main
 
