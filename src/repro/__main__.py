@@ -368,49 +368,39 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_update_bench(args: argparse.Namespace) -> int:
-    from .core.codec import available_codecs, get_codec
     from .join.base import JoinReport
     from .obs.export import bench_summary, write_bench_summary
     from .obs.metrics import MetricsRegistry
     from .workloads.updates import UpdateWorkloadSpec, run_update_workload
 
-    if args.codec == "all":
-        names = available_codecs()
-    else:
-        names = [n.strip() for n in args.codec.split(",") if n.strip()]
     try:
-        codecs = [get_codec(name) for name in names]
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+        spec = UpdateWorkloadSpec(
+            nodes=args.nodes,
+            updates=args.updates,
+            insert_ratio=args.insert_ratio,
+            hotspot=args.hotspot,
+            seed=args.seed,
+            buffer_pages=args.buffer_pages,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    spec = UpdateWorkloadSpec(
-        nodes=args.nodes,
-        updates=args.updates,
-        insert_ratio=args.insert_ratio,
-        hotspot=args.hotspot,
-        seed=args.seed,
-        buffer_pages=args.buffer_pages,
-    )
     metrics = MetricsRegistry()
-    results = [
-        run_update_workload(spec, codec, metrics=metrics) for codec in codecs
-    ]
+    result = run_update_workload(spec, metrics=metrics)
 
+    stats = result.stats
     print(
-        f"{'codec':<18} {'inserts':>8} {'deletes':>8} {'local_rl':>9} "
+        f"{'inserts':>8} {'deletes':>8} {'local_rl':>9} "
         f"{'relabelled':>11} {'growths':>8} {'rl/insert':>10} "
         f"{'skipped':>8} {'log_rec':>8} {'wall_ms':>9}"
     )
-    for result in results:
-        stats = result.stats
-        print(
-            f"{result.codec:<18} {stats['inserts']:>8} {stats['deletes']:>8} "
-            f"{stats['local_relabels']:>9} {stats['relabelled_nodes']:>11} "
-            f"{stats['tree_growths']:>8} {result.relabelled_per_insert:>10.3f} "
-            f"{result.skipped_inserts:>8} {result.log_records_applied:>8} "
-            f"{result.wall_seconds * 1000.0:>9.2f}"
-        )
+    print(
+        f"{stats['inserts']:>8} {stats['deletes']:>8} "
+        f"{stats['local_relabels']:>9} {stats['relabelled_nodes']:>11} "
+        f"{stats['tree_growths']:>8} {result.relabelled_per_insert:>10.3f} "
+        f"{result.skipped_inserts:>8} {result.log_records_applied:>8} "
+        f"{result.wall_seconds * 1000.0:>9.2f}"
+    )
     print(
         f"# update storm: {spec.nodes} initial nodes, {spec.updates} ops, "
         f"insert ratio {spec.insert_ratio}, hotspot {spec.hotspot}, "
@@ -420,25 +410,16 @@ def cmd_update_bench(args: argparse.Namespace) -> int:
 
     _emit_observability(args, None, metrics)
     if args.bench_out:
-        bench_metrics: dict[str, object] = {}
-        for result in results:
-            bench_metrics.update(result.as_metrics())
+        report = JoinReport(
+            algorithm="updates",
+            result_count=result.log_records_applied,
+            join_io=result.io,
+            wall_seconds=result.wall_seconds,
+        )
         summary = bench_summary(
             "update-bench",
-            [
-                (
-                    f"updates:{result.codec}",
-                    "update-storm",
-                    JoinReport(
-                        algorithm=f"updates:{result.codec}",
-                        result_count=result.log_records_applied,
-                        join_io=result.io,
-                        wall_seconds=result.wall_seconds,
-                    ),
-                )
-                for result in results
-            ],
-            metrics=bench_metrics,
+            [("updates", "update-storm", report)],
+            metrics=dict(result.as_metrics()),
         )
         write_bench_summary(summary, args.bench_out)
         print(f"# wrote {args.bench_out}", file=sys.stderr)
@@ -661,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
 
     upd = sub.add_parser(
         "update-bench",
-        help="relabel cost per insert across containment codecs",
+        help="relabel cost per insert under an update storm",
     )
     upd.add_argument(
         "--updates", type=int, default=1_000,
@@ -670,10 +651,6 @@ def main(argv: list[str] | None = None) -> int:
     upd.add_argument(
         "--nodes", type=int, default=400,
         help="initial document size (nodes)",
-    )
-    upd.add_argument(
-        "--codec", default="all",
-        help="comma-separated codec names, or 'all' (default)",
     )
     upd.add_argument(
         "--insert-ratio", type=float, default=0.7,

@@ -2,16 +2,6 @@
 
 from . import pbitree
 from .binarize import binarize, levels_for_tree, placement_k
-from .codec import (
-    ContainmentCodec,
-    MutableEncoding,
-    NestedIntervalCodec,
-    NestedIntervalEncoding,
-    PBiTreeCodec,
-    available_codecs,
-    get_codec,
-    register_codec,
-)
 from .encoding import EncodingError, PBiTreeEncoding
 from .execconfig import ExecConfig, exec_scope
 from .pbitree import Height, PBiCode, PrefixCode, RegionCode
@@ -41,12 +31,4 @@ __all__ = [
     "CodeSpaceError",
     "ChangeEvent",
     "ChangeListener",
-    "ContainmentCodec",
-    "MutableEncoding",
-    "PBiTreeCodec",
-    "NestedIntervalCodec",
-    "NestedIntervalEncoding",
-    "register_codec",
-    "available_codecs",
-    "get_codec",
 ]

@@ -12,12 +12,13 @@ planner and join operators together by hand:
   picks inside it);
 * create persistent indexes (B+-tree / interval tree / R-tree) that the
   planner then exploits;
-* apply updates (insert/delete elements) through the configured
-  containment codec (``codec="pbitree"`` virtual-node machinery or
-  ``codec="nested-intervals"``), with persisted element sets patched
-  in place by a per-document :class:`~repro.storage.DocumentStore`
-  instead of being rebuilt — only the (unmaintained) R-tree indexes
-  are still invalidated wholesale.
+* apply updates (insert/delete elements) through the §2.3.2
+  virtual-node machinery of
+  :class:`~repro.core.update.UpdatableEncoding`, with persisted
+  element sets patched in place by a per-document
+  :class:`~repro.storage.DocumentStore` instead of being rebuilt —
+  only the (unmaintained) R-tree indexes are still invalidated
+  wholesale.
 
 Example::
 
@@ -32,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .core.codec import ContainmentCodec, MutableEncoding, get_codec
+from .core.binarize import binarize
+from .core.update import UpdatableEncoding
 from .datatree.node import DataTree, NodeView
 from .datatree.paths import PathQuery
 from .datatree.xml_parser import parse_xml
@@ -60,7 +62,7 @@ class Document:
 
     name: str
     tree: DataTree
-    updatable: MutableEncoding
+    updatable: UpdatableEncoding
     store: DocumentStore
 
     @property
@@ -107,14 +109,8 @@ class ContainmentDatabase:
         checksums: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        codec: "str | ContainmentCodec" = "pbitree",
     ) -> None:
-        """``codec`` selects the containment encoding backend used by
-        :meth:`load_tree` — a registry name
-        (:func:`~repro.core.codec.available_codecs`) or a codec
-        instance; every join algorithm runs unchanged on any backend.
-
-        ``faults`` attaches a seeded fault injector to the underlying
+        """``faults`` attaches a seeded fault injector to the underlying
         disk (a :class:`FaultConfig` is wrapped automatically) and
         ``retry`` tunes the buffer pool's transient-fault retry policy.
         ``checksums`` defaults to on whenever faults are injected, so
@@ -136,36 +132,21 @@ class ContainmentDatabase:
         self.metrics = metrics
         if metrics is not None:
             metrics.attach_disk(self.disk)
-        self.codec = get_codec(codec) if isinstance(codec, str) else codec
         self._documents: dict[str, Document] = {}
         self._rtree_indexes: dict[tuple[str, str], RTree] = {}
 
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def load_xml(
-        self,
-        text: str,
-        name: str = "doc",
-        codec: "str | ContainmentCodec | None" = None,
-    ) -> Document:
+    def load_xml(self, text: str, name: str = "doc") -> Document:
         """Parse, encode and register an XML document."""
-        return self.load_tree(parse_xml(text), name, codec=codec)
+        return self.load_tree(parse_xml(text), name)
 
-    def load_tree(
-        self,
-        tree: DataTree,
-        name: str = "doc",
-        codec: "str | ContainmentCodec | None" = None,
-    ) -> Document:
-        """Encode and register ``tree`` (``codec`` overrides the default)."""
+    def load_tree(self, tree: DataTree, name: str = "doc") -> Document:
+        """PBiTree-encode ``tree`` in place and register it."""
         if name in self._documents:
             raise ValueError(f"document {name!r} already loaded")
-        if codec is None:
-            chosen = self.codec
-        else:
-            chosen = get_codec(codec) if isinstance(codec, str) else codec
-        encoding = chosen.encode(tree)
+        encoding = UpdatableEncoding(binarize(tree))
         document = Document(
             name=name,
             tree=tree,
@@ -396,5 +377,5 @@ class ContainmentDatabase:
     def __repr__(self) -> str:
         return (
             f"<ContainmentDatabase docs={len(self._documents)} "
-            f"codec={self.codec.name!r} buffer={self.bufmgr.num_pages}p>"
+            f"buffer={self.bufmgr.num_pages}p>"
         )

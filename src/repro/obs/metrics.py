@@ -217,18 +217,12 @@ class MetricsRegistry:
         self.gauge("buffer.resident").set(bufmgr.num_resident)
         self.gauge("buffer.pinned").set(bufmgr.num_pinned)
 
-    def record_update_stats(
-        self, stats: "UpdateStats", codec: str = ""
-    ) -> None:
-        """Relabelling work done by updates, as idempotent gauges.
-
-        ``codec`` scopes the names (``updates.<codec>.*``) so the
-        update benchmark can record both backends side by side.
-        """
-        prefix = f"updates.{codec}" if codec else "updates"
+    def record_update_stats(self, stats: "UpdateStats") -> None:
+        """Relabelling work done by updates, as idempotent gauges
+        (``updates.*``)."""
         for name, value in stats.as_dict().items():
-            self.gauge(f"{prefix}.{name}").set(float(value))
-        self.gauge(f"{prefix}.relabelled_per_insert").set(
+            self.gauge(f"updates.{name}").set(float(value))
+        self.gauge("updates.relabelled_per_insert").set(
             stats.relabelled_per_insert
         )
 

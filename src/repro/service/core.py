@@ -264,7 +264,6 @@ class QueryService:
         return (
             document.name,
             path,
-            self.db.codec.name,
             document.store.version,
             fingerprints,
             cells,

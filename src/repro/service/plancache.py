@@ -12,7 +12,6 @@ the stats-driven selection discipline of Table 1 (and of Bouros et
 al.'s revisit of containment-join selection):
 
 * the document and path;
-* the containment **codec** backing the document;
 * the **document-store version** — bumped every time buffered updates
   apply to pages (``DocumentStore.pending_updates`` draining), which is
   exactly when cached statistics go stale;
@@ -50,7 +49,6 @@ StepFingerprint = Tuple[int, int, Optional[str], frozenset[int]]
 PlanKey = Tuple[
     str,  # document name
     str,  # path
-    str,  # codec name
     int,  # document-store version
     Tuple[StepFingerprint, ...],
     Tuple[str, ...],  # per-step Table-1 cells

@@ -2,7 +2,7 @@
 
 :class:`DocumentStore` keeps the persisted :class:`ElementSet` pages of
 a document consistent with a live
-:class:`~repro.core.codec.MutableEncoding` as it mutates.  It
+:class:`~repro.core.update.UpdatableEncoding` as it mutates.  It
 subscribes to the encoding's :class:`~repro.core.update.ChangeEvent`
 stream, buffers the events as an **update log** (one queue per
 materialised tag), and applies them lazily — on the next
@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core import batch, pbitree
 from ..core.pbitree import PBiCode
-from ..core.update import ChangeEvent
+from ..core.update import ChangeEvent, UpdatableEncoding
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import page as page_layout
@@ -71,7 +71,6 @@ from .elementset import ElementSet
 from .histogram import PositionHistogram
 
 if TYPE_CHECKING:
-    from ..core.codec import MutableEncoding
     from ..index.bptree import BPlusTree
     from ..index.interval_tree import IntervalTree
 
@@ -123,7 +122,7 @@ class DocumentStore:
     def __init__(
         self,
         bufmgr: BufferManager,
-        encoding: "MutableEncoding",
+        encoding: UpdatableEncoding,
         name: str = "doc",
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,

@@ -5,9 +5,8 @@ live encoding wired to a :class:`~repro.storage.DocumentStore`, so the
 whole incremental pipeline is exercised: change events, the per-tag
 update log, page patches, and index retirement.  A ``hotspot`` fraction
 of inserts targets one fixed parent — repeatedly filling the same
-sibling level is what provokes local relabels under the PBiTree codec
-(and, by contrast, zero relabels under nested intervals), which is the
-comparison ``BENCH_updates.json`` reports.
+sibling level is what provokes the §2.3.2 local relabels, and
+``BENCH_updates.json`` reports what they cost per insert.
 
 The generator measures, it does not assert: correctness of the same
 op-stream is covered by the differential storm tests
@@ -21,7 +20,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..core.update import CodeSpaceError
+from ..core.binarize import binarize
+from ..core.update import CodeSpaceError, UpdatableEncoding
 from ..datatree.builder import random_tree
 from ..storage.buffer import BufferManager
 from ..storage.disk import DiskManager
@@ -29,7 +29,6 @@ from ..storage.docstore import DocumentStore
 from ..storage.stats import IOSnapshot
 
 if TYPE_CHECKING:
-    from ..core.codec import ContainmentCodec, MutableEncoding
     from ..obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -53,10 +52,11 @@ class UpdateWorkloadSpec:
     #: overflow there is what forces local relabels
     hotspot: float = 0.5
     #: hot-parent rotation width: after this many hot inserts a new hot
-    #: parent is drawn.  Bounding sibling growth keeps the
-    #: nested-interval paths (one unary segment per ordinal) inside the
-    #: 63-bit storage code space while still overflowing PBiTree
-    #: sibling levels repeatedly.
+    #: parent is drawn.  A dozen children overflow one parent's sibling
+    #: level a few times (each overflow doubles its ``2**k`` slots and
+    #: relabels the subtree one level deeper); rotating spreads those
+    #: relabels over the document instead of deepening one subtree a
+    #: level per doubling until the tree must grow.
     hot_width: int = 12
     tags: Sequence[str] = ("a", "b", "c", "d")
     seed: int = 0
@@ -64,8 +64,9 @@ class UpdateWorkloadSpec:
     #: once the encoding reaches this height, growth is switched off
     #: and growth-forcing inserts are retried under shallower parents
     #: (or skipped) — keeps every code inside the 63-bit record format
-    #: however depth-hungry the codec is (nested-interval paths spend
-    #: one unary segment per sibling ordinal)
+    #: however long the storm runs (every sibling-level overflow pushes
+    #: a subtree one level deeper, and one past the leaf level grows
+    #: the whole tree)
     max_height: int = 56
     page_size: int = 1024
     buffer_pages: int = 64
@@ -73,12 +74,21 @@ class UpdateWorkloadSpec:
     #: models a store that lags its document by a bounded window
     flush_every: int = 64
 
+    def __post_init__(self) -> None:
+        for name, low in (("nodes", 1), ("updates", 0), ("buffer_pages", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("insert_ratio", "hotspot"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+
 
 @dataclass
 class UpdateWorkloadResult:
-    """Everything measured about one codec's run of the workload."""
+    """Everything measured about one run of the workload."""
 
-    codec: str
     spec: UpdateWorkloadSpec
     #: final :meth:`~repro.core.update.UpdateStats.as_dict` payload
     stats: dict[str, int]
@@ -94,18 +104,17 @@ class UpdateWorkloadResult:
     io: IOSnapshot = field(default_factory=IOSnapshot)
 
     def as_metrics(self) -> dict[str, float]:
-        """Flat mapping for BENCH exports, keyed ``updates.<codec>.*``."""
-        prefix = f"updates.{self.codec}"
-        out = {f"{prefix}.{k}": float(v) for k, v in self.stats.items()}
-        out[f"{prefix}.relabelled_per_insert"] = self.relabelled_per_insert
-        out[f"{prefix}.log_records_applied"] = float(self.log_records_applied)
-        out[f"{prefix}.skipped_inserts"] = float(self.skipped_inserts)
-        out[f"{prefix}.operations"] = float(self.spec.updates)
+        """Flat mapping for BENCH exports, keyed ``updates.*``."""
+        out = {f"updates.{k}": float(v) for k, v in self.stats.items()}
+        out["updates.relabelled_per_insert"] = self.relabelled_per_insert
+        out["updates.log_records_applied"] = float(self.log_records_applied)
+        out["updates.skipped_inserts"] = float(self.skipped_inserts)
+        out["updates.operations"] = float(self.spec.updates)
         return out
 
 
 def _storm(
-    encoding: "MutableEncoding",
+    encoding: UpdatableEncoding,
     spec: UpdateWorkloadSpec,
     rng: random.Random,
     count: int,
@@ -148,10 +157,9 @@ def _storm(
 
 def run_update_workload(
     spec: UpdateWorkloadSpec,
-    codec: "ContainmentCodec",
     metrics: Optional["MetricsRegistry"] = None,
 ) -> UpdateWorkloadResult:
-    """Run one codec through the workload on a fresh storage bench.
+    """Run the workload on a fresh storage bench.
 
     Ends with a full :meth:`~repro.storage.DocumentStore.flush` and a
     :meth:`~repro.storage.DocumentStore.verify` of every materialised
@@ -160,10 +168,10 @@ def run_update_workload(
     """
     rng = random.Random(spec.seed)
     tree = random_tree(spec.nodes, seed=spec.seed, tags=tuple(spec.tags))
-    encoding = codec.encode(tree, min_height=spec.min_height)
+    encoding = UpdatableEncoding(binarize(tree, min_height=spec.min_height))
     disk = DiskManager(spec.page_size)
     bufmgr = BufferManager(disk, spec.buffer_pages)
-    store = DocumentStore(bufmgr, encoding, name=f"upd-{codec.name}")
+    store = DocumentStore(bufmgr, encoding, name="updates")
     for tag in sorted(set(spec.tags)):
         store.element_set(tag)
     disk.stats.reset()
@@ -185,7 +193,6 @@ def run_update_workload(
         store.verify(tag)
 
     result = UpdateWorkloadResult(
-        codec=codec.name,
         spec=spec,
         stats=encoding.stats.as_dict(),
         relabelled_per_insert=encoding.stats.relabelled_per_insert,
@@ -195,8 +202,6 @@ def run_update_workload(
         io=disk.stats.snapshot(),
     )
     if metrics is not None:
-        metrics.record_update_stats(encoding.stats, codec=codec.name)
-        metrics.counter(
-            f"updates.{codec.name}.log_records_applied"
-        ).inc(applied)
+        metrics.record_update_stats(encoding.stats)
+        metrics.counter("updates.log_records_applied").inc(applied)
     return result

@@ -266,6 +266,21 @@ class TestExecutionConfigSurface:
             (["repro.join.mpmgjn:MPMGJoin"], ["_merge_batched"]),
             (["repro.join.stacktree:StackTreeDescJoin"], ["_merge_batched"]),
             (["repro.storage.docstore:DocumentStore"], ["_incremental" + "_index"]),
+            # one encoding: the codec interface, its registry, the
+            # encoding protocol and the nested-interval backend
+            (
+                ["repro", "repro.core"],
+                [
+                    "Containment" + "Codec",
+                    "PBiTree" + "Codec",
+                    "NestedInterval" + "Codec",
+                    "NestedInterval" + "Encoding",
+                    "Mutable" + "Encoding",
+                    "register" + "_codec",
+                    "get" + "_codec",
+                    "available" + "_codecs",
+                ],
+            ),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
@@ -286,6 +301,27 @@ class TestExecutionConfigSurface:
         import importlib.util
 
         assert importlib.util.find_spec("repro.index." + "flat") is None
+
+    def test_codec_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.core." + "codec") is None
+
+    def test_update_surfaces_take_no_codec(self):
+        import inspect
+
+        from repro import ContainmentDatabase
+        from repro.obs import MetricsRegistry
+        from repro.workloads.updates import run_update_workload
+
+        for callable_ in (
+            ContainmentDatabase.__init__,
+            ContainmentDatabase.load_xml,
+            ContainmentDatabase.load_tree,
+            run_update_workload,
+            MetricsRegistry.record_update_stats,
+        ):
+            assert "codec" not in inspect.signature(callable_).parameters
 
     def test_readers_kept(self):
         from repro import exec_scope

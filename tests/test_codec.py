@@ -1,4 +1,5 @@
-"""Tests for the codec interface and the nested-intervals backend."""
+"""Both labellings against one contract: the engine's PBiTree encoding
+and the nested-interval oracle (``tests/oracles``)."""
 
 import random
 
@@ -6,45 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import pbitree as pt
-from repro.core.codec import (
-    NestedIntervalCodec,
-    NestedIntervalEncoding,
-    PBiTreeCodec,
-    available_codecs,
-    get_codec,
-)
 from repro.core.update import CodeSpaceError
 from repro.datatree.builder import random_tree, tree_from_spec
 
-ALL_CODECS = [PBiTreeCodec(), NestedIntervalCodec()]
+from .oracles import ENCODINGS, NestedIntervalEncoding
+
+BOTH = pytest.mark.parametrize(
+    "encode", list(ENCODINGS.values()), ids=list(ENCODINGS)
+)
 
 
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert available_codecs() == ["nested-intervals", "pbitree"]
-
-    def test_lookup_roundtrip(self):
-        for name in available_codecs():
-            assert get_codec(name).name == name
-
-    def test_unknown_codec_names_choices(self):
-        with pytest.raises(KeyError, match="nested-intervals"):
-            get_codec("morton")
-
-
-@pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+@BOTH
 class TestCodecContract:
-    """Both backends satisfy the same encode/update contract."""
+    """Both labellings satisfy the same encode/update contract."""
 
-    def test_encode_validates(self, codec):
+    def test_encode_validates(self, encode):
         tree = random_tree(120, seed=5)
-        encoding = codec.encode(tree)
+        encoding = encode(tree)
         encoding.validate()
         assert all(code >= 1 for code in tree.codes)
 
-    def test_ancestor_relation_matches_structure(self, codec):
+    def test_ancestor_relation_matches_structure(self, encode):
         tree = random_tree(90, seed=11)
-        codec.encode(tree)
+        encode(tree)
         rng = random.Random(11)
         for _ in range(300):
             u = rng.randrange(len(tree))
@@ -53,9 +38,9 @@ class TestCodecContract:
                 tree.codes[u], tree.codes[v]
             )
 
-    def test_update_storm_preserves_contract(self, codec):
+    def test_update_storm_preserves_contract(self, encode):
         tree = random_tree(40, seed=7)
-        encoding = codec.encode(tree)
+        encoding = encode(tree)
         rng = random.Random(7)
         for _ in range(150):
             live = [n for n in range(len(tree)) if encoding.is_alive(n)]
@@ -73,9 +58,9 @@ class TestCodecContract:
                 tree.codes[u], tree.codes[v]
             )
 
-    def test_disallowed_growth_is_atomic(self, codec):
+    def test_disallowed_growth_is_atomic(self, encode):
         tree = tree_from_spec(("root", [("leaf", [])]))
-        encoding = codec.encode(tree, allow_growth=False)
+        encoding = encode(tree, allow_growth=False)
         nodes_before = len(tree)
         parent = 1
         with pytest.raises(CodeSpaceError):
@@ -84,9 +69,9 @@ class TestCodecContract:
         assert encoding.stats.inserts == len(tree) - nodes_before
         encoding.validate()
 
-    def test_events_replay_to_live_code_map(self, codec):
+    def test_events_replay_to_live_code_map(self, encode):
         tree = random_tree(30, seed=3)
-        encoding = codec.encode(tree)
+        encoding = encode(tree)
         shadow = {
             tree.codes[n]: n
             for n in range(len(tree))
@@ -147,8 +132,9 @@ class TestNestedIntervalSpecifics:
             assert path >> shift == parent_path
 
     def test_inserts_never_relabel_existing_nodes(self):
-        """The codec-comparison headline: nested-interval inserts are
-        relabel-free — only projection growth (a global shift) occurs."""
+        """What makes the oracle independent: nested-interval inserts
+        are relabel-free — only projection growth (a global shift)
+        occurs."""
         tree = random_tree(40, seed=19)
         encoding = NestedIntervalEncoding(tree)
         paths_before = [encoding.path_of(n) for n in range(len(tree))]
@@ -214,17 +200,17 @@ class TestNestedIntervalSpecifics:
 
 
 class TestCodecJoinInterop:
-    """Every join algorithm runs unchanged on either backend."""
+    """A join over either labelling's codes matches brute force."""
 
-    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
-    def test_stacktree_join_matches_brute_force(self, codec):
+    @BOTH
+    def test_stacktree_join_matches_brute_force(self, encode):
         from repro import (
             BufferManager, DiskManager, ElementSet, JoinSink,
             StackTreeDescJoin, brute_force_join,
         )
 
         tree = random_tree(200, seed=23, tags=("a", "b", "c"))
-        encoding = codec.encode(tree)
+        encoding = encode(tree)
         rng = random.Random(23)
         for _ in range(100):
             live = [n for n in range(len(tree)) if encoding.is_alive(n)]

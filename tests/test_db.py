@@ -147,25 +147,17 @@ class TestUpdatesThroughDb:
             list(index.stab(1))
         assert len(db.query(doc, "//shelf//book")) == 4
 
-    def test_codec_selection_per_database_and_document(self):
-        db = ContainmentDatabase(codec="nested-intervals")
-        doc = db.load_xml(XML, name="lib")
-        assert type(doc.updatable).__name__ == "NestedIntervalEncoding"
-        doc2 = db.load_xml(XML, name="lib2", codec="pbitree")
-        assert type(doc2.updatable).__name__ == "UpdatableEncoding"
-        for d in (doc, doc2):
-            assert len(db.query(d, "//shelf//book")) == 3
+    def test_documents_carry_the_one_encoding(self):
+        from repro.core.update import UpdatableEncoding
 
-    def test_updates_through_db_on_nested_intervals(self):
-        db = ContainmentDatabase(codec="nested-intervals")
+        db = ContainmentDatabase()
+        assert not hasattr(db, "codec")
         doc = db.load_xml(XML, name="lib")
+        assert type(doc.updatable) is UpdatableEncoding
+        assert doc.store.encoding is doc.updatable
         shelf = next(doc.tree.iter_by_tag("shelf"))
-        book = db.insert_element(doc, shelf, "book")
-        db.insert_element(doc, book, "title")
-        assert doc.updatable.stats.relabelled_nodes == 0
+        db.insert_element(doc, shelf, "book")
         assert len(db.query(doc, "//shelf//book")) == 4
-        db.delete_element(doc, book)
-        assert len(db.query(doc, "//shelf//book")) == 3
 
 
 class TestCLI:
@@ -251,11 +243,12 @@ class TestCLI:
             "--bench-out", str(out_path),
         ]) == 0
         out = capsys.readouterr().out
-        # one table row per registered codec, both backends present
-        assert "pbitree" in out and "nested-intervals" in out
+        # a header and one row: there is one encoding
+        assert len(out.splitlines()) == 2
         summary = json.loads(out_path.read_text())
         assert validate_bench_summary(summary) == []
-        assert summary["metrics"]["updates.pbitree.operations"] == 120.0
+        assert summary["metrics"]["updates.operations"] == 120.0
+        assert [row["name"] for row in summary["algorithms"]] == ["updates"]
 
     def test_sharded_bench_is_shard_count_invariant(self, tmp_path, capsys):
         """``bench --shards`` end to end: the BENCH file validates and
@@ -313,11 +306,31 @@ class TestCLI:
         capsys.readouterr()
         assert rows["pooled"] == rows["serial"] and len(rows["serial"]) == 5
 
-    def test_update_bench_unknown_codec(self, capsys):
+    def test_update_bench_has_no_codec_option(self, capsys):
         from repro.__main__ import main
 
-        assert main(["update-bench", "--codec", "nope"]) == 1
-        assert "nope" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["update-bench", "--codec", "pbitree"])
+        assert exc.value.code == 2
+        assert "--codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--updates", "-3"], "updates"),
+            (["--insert-ratio", "1.5"], "insert_ratio"),
+            (["--hotspot", "-1"], "hotspot"),
+            (["--nodes", "0"], "nodes"),
+            (["--buffer-pages", "0"], "buffer_pages"),
+        ],
+    )
+    def test_update_bench_bad_arguments_fail_cleanly(self, extra, field, capsys):
+        from repro.__main__ import main
+
+        assert main(["update-bench", "--updates", "5", "--nodes", "20", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "extra,message",

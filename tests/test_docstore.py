@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.core import pbitree as pt
-from repro.core.codec import NestedIntervalCodec, PBiTreeCodec
 from repro.datatree.builder import random_tree, tree_from_spec
 from repro.experiments.harness import run_lineup
 from repro.index import StaleIndexError
@@ -20,16 +19,18 @@ from repro.storage import (
     UpdateLogRecord,
 )
 
-ALL_CODECS = [PBiTreeCodec(), NestedIntervalCodec()]
+from .oracles import ENCODINGS, pbitree_encoding
 
 
 def make_bench(page_size=256, num_pages=64):
     return BufferManager(DiskManager(page_size=page_size), num_pages=num_pages)
 
 
-def make_store(codec, num_nodes=60, seed=11, min_height=8, page_size=256):
+def make_store(
+    encode=pbitree_encoding, num_nodes=60, seed=11, min_height=8, page_size=256
+):
     tree = random_tree(num_nodes, seed=seed)
-    encoding = codec.encode(tree, min_height=min_height)
+    encoding = encode(tree, min_height=min_height)
     bufmgr = make_bench(page_size=page_size)
     return tree, encoding, DocumentStore(bufmgr, encoding, name="doc")
 
@@ -55,7 +56,7 @@ def run_storm(tree, encoding, rng, steps):
 
 class TestMaterialization:
     def test_matches_tree_tag_content_and_order(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         for tag in sorted(set(tree.tags)):
             elements = store.element_set(tag)
             assert elements.to_list() == live_codes_by_tag(tree, encoding, tag)
@@ -63,13 +64,13 @@ class TestMaterialization:
             store.verify(tag)
 
     def test_known_heights_exact(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         elements = store.element_set("a")
         expected = {pt.height_of(c) for c in live_codes_by_tag(tree, encoding, "a")}
         assert elements.heights() == expected
 
     def test_tag_materialized_after_updates_catches_up(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         run_storm(tree, encoding, random.Random(5), 60)
         # never touched before the storm: built from the current state
         for tag in sorted(set(tree.tags)):
@@ -80,7 +81,7 @@ class TestMaterialization:
 
 class TestPagePatches:
     def test_insert_appends_one_record(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         elements = store.element_set("a")
         before = len(elements)
         node = encoding.insert_child(tree.root, "a")
@@ -90,7 +91,7 @@ class TestPagePatches:
         store.verify("a")
 
     def test_delete_is_one_page_local_and_keeps_pages_dense(self):
-        tree, encoding, store = make_store(PBiTreeCodec(), num_nodes=120)
+        tree, encoding, store = make_store(num_nodes=120)
         elements = store.element_set("a")
         pages_before = elements.num_pages
         victims = [
@@ -110,7 +111,7 @@ class TestPagePatches:
         # forces local relabels without growing the file
         spec = ("r", [("a", [("a", [("a", [])])])])
         tree = tree_from_spec(spec)
-        encoding = PBiTreeCodec().encode(tree, min_height=10)
+        encoding = pbitree_encoding(tree, min_height=10)
         store = DocumentStore(make_bench(), encoding, name="doc")
         elements = store.element_set("a")
         pages_before = elements.num_pages
@@ -121,7 +122,7 @@ class TestPagePatches:
         assert store.element_set("a").num_pages >= pages_before
 
     def test_grow_rewrites_pages_without_adding_any(self):
-        tree, encoding, store = make_store(PBiTreeCodec(), num_nodes=120)
+        tree, encoding, store = make_store(num_nodes=120)
         elements = store.element_set("a")
         pages_before = elements.num_pages
         height_before = elements.tree_height
@@ -146,7 +147,7 @@ class TestPagePatches:
 
     def test_grow_past_code_space_raises(self):
         tree = tree_from_spec(("r", [("a", [])]))
-        encoding = PBiTreeCodec().encode(tree, min_height=60)
+        encoding = pbitree_encoding(tree, min_height=60)
         store = DocumentStore(make_bench(page_size=1024), encoding, name="doc")
         store.element_set("a")
         # a growth that would push codes past the 63-bit record format
@@ -157,7 +158,7 @@ class TestPagePatches:
 
 class TestIndexMaintenance:
     def test_pointer_bptree_is_patched_in_place(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         index = store.start_index("a")
         assert isinstance(index, BPlusTree)
         node = encoding.insert_child(tree.root, "a")
@@ -169,7 +170,7 @@ class TestIndexMaintenance:
         assert code not in list(index.search(pt.start_of(code)))
 
     def test_growth_retires_pointer_bptree(self):
-        tree, encoding, store = make_store(PBiTreeCodec(), min_height=4)
+        tree, encoding, store = make_store(min_height=4)
         index = store.start_index("a")
         grew = []
         encoding.listeners.append(
@@ -187,7 +188,7 @@ class TestIndexMaintenance:
             index.search(0)
 
     def test_interval_index_retired_on_any_update(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         index = store.interval_index("a")
         node = encoding.insert_child(tree.root, "a")
         fresh = store.interval_index("a")
@@ -201,7 +202,7 @@ class TestIndexMaintenance:
     def test_rebuild_counters_recorded(self):
         metrics = MetricsRegistry()
         tree = random_tree(60, seed=11)
-        encoding = PBiTreeCodec().encode(tree, min_height=8)
+        encoding = pbitree_encoding(tree, min_height=8)
         store = DocumentStore(
             make_bench(), encoding, name="doc", metrics=metrics
         )
@@ -213,12 +214,13 @@ class TestIndexMaintenance:
         assert values["docstore.index_rebuilds.interval"] == 1
 
 
-@pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+@pytest.mark.parametrize("encode", list(ENCODINGS.values()), ids=list(ENCODINGS))
 class TestStormOracle:
-    """Differential oracle: the maintained store vs a fresh rebuild."""
+    """Differential oracle: the maintained store vs a fresh rebuild,
+    driven by the engine's encoding and by the nested-interval oracle."""
 
-    def test_storm_store_matches_encoding(self, codec):
-        tree, encoding, store = make_store(codec, num_nodes=40, seed=3)
+    def test_storm_store_matches_encoding(self, encode):
+        tree, encoding, store = make_store(encode, num_nodes=40, seed=3)
         for tag in sorted(set(tree.tags)):
             store.element_set(tag)
         run_storm(tree, encoding, random.Random(7), 200)
@@ -229,8 +231,8 @@ class TestStormOracle:
                 live_codes_by_tag(tree, encoding, tag)
             )
 
-    def test_compact_restores_fresh_layout(self, codec):
-        tree, encoding, store = make_store(codec, num_nodes=40, seed=3)
+    def test_compact_restores_fresh_layout(self, encode):
+        tree, encoding, store = make_store(encode, num_nodes=40, seed=3)
         for tag in sorted(set(tree.tags)):
             store.element_set(tag)
         run_storm(tree, encoding, random.Random(9), 150)
@@ -246,12 +248,12 @@ class TestStormOracle:
             assert list(elements.scan_pages()) == list(fresh.scan_pages())
             assert elements.known_heights == fresh.known_heights
 
-    def test_lineup_reports_identical_to_rebuild(self, codec):
+    def test_lineup_reports_identical_to_rebuild(self, encode):
         """Figure 6(b) acceptance: after an update storm, the standard
         algorithm line-up produces field-for-field identical JoinReports
         whether the inputs come from the incrementally-maintained store
         or a from-scratch rebuild."""
-        tree, encoding, store = make_store(codec, num_nodes=50, seed=21)
+        tree, encoding, store = make_store(encode, num_nodes=50, seed=21)
         for tag in sorted(set(tree.tags)):
             store.element_set(tag)
         run_storm(tree, encoding, random.Random(21), 120)
@@ -294,7 +296,7 @@ class TestStormOracle:
 
 class TestLogLifecycle:
     def test_flush_drains_all_tags(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         for tag in sorted(set(tree.tags)):
             store.element_set(tag)
         encoding.insert_child(tree.root, "a")
@@ -305,14 +307,14 @@ class TestLogLifecycle:
         assert store.pending_updates() == 0
 
     def test_detach_stops_logging(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         store.element_set("a")
         store.detach()
         encoding.insert_child(tree.root, "a")
         assert store.pending_updates() == 0
 
     def test_repr_mentions_pending(self):
-        tree, encoding, store = make_store(PBiTreeCodec())
+        tree, encoding, store = make_store()
         store.element_set("a")
         encoding.insert_child(tree.root, "a")
         assert "pending=1" in repr(store)

@@ -23,9 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import pbitree as pt
 from repro.core.binarize import binarize
-from repro.core.codec import NestedIntervalCodec, PBiTreeCodec
 from repro.core.update import UpdatableEncoding
 from repro.datatree.builder import random_tree
+
+from .oracles import ENCODINGS
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -215,20 +216,18 @@ def assert_histogram_is_fresh(elements):
     assert elements.histogram.counts == SetStatistics.from_set(elements).position_counts
 
 
-@pytest.mark.parametrize(
-    "codec", [PBiTreeCodec(), NestedIntervalCodec()], ids=lambda c: c.name
-)
+@pytest.mark.parametrize("encode", list(ENCODINGS.values()), ids=list(ENCODINGS))
 class TestStorageBackedStorm:
     """Inserts/deletes/growth interleaved with containment joins over
     the persisted element sets, differentially checked against a
     from-scratch rebuild after every burst."""
 
-    def test_joins_between_bursts_match_rebuild(self, codec):
+    def test_joins_between_bursts_match_rebuild(self, encode):
         from repro import BufferManager, DiskManager, JoinSink, StackTreeDescJoin
         from repro.storage import DocumentStore, ElementSet
 
         tree = random_tree(50, seed=31, tags=("a", "b", "c"))
-        encoding = codec.encode(tree, min_height=8)
+        encoding = encode(tree, min_height=8)
         bufmgr = BufferManager(DiskManager(page_size=512), 48)
         store = DocumentStore(bufmgr, encoding, name="storm")
         for tag in ("a", "b", "c"):
@@ -261,7 +260,7 @@ class TestStorageBackedStorm:
             )
             assert sorted(sink.pairs) == expected, f"burst {burst} diverged"
 
-    def test_chaos_faults_mid_update_storm(self, codec):
+    def test_chaos_faults_mid_update_storm(self, encode):
         """Transient read/write faults while the update log is being
         applied: the buffer pool retries absorb every fault and the
         patched pages stay byte-equivalent to a clean rebuild."""
@@ -275,7 +274,7 @@ class TestStorageBackedStorm:
         )
 
         tree = random_tree(40, seed=17, tags=("a", "b"))
-        encoding = codec.encode(tree, min_height=8)
+        encoding = encode(tree, min_height=8)
         injector = FaultInjector(
             FaultConfig(
                 seed=CHAOS_SEED + 17,
@@ -321,7 +320,7 @@ class TestStorageBackedStorm:
     )
     @settings(max_examples=12, deadline=None)
     def test_maintained_histogram_equals_a_fresh_scan(
-        self, codec, seed, initial, hot, steps
+        self, encode, seed, initial, hot, steps
     ):
         """Inserts, deletes, and the relabels and growths a hot parent
         forces (small trees start below six levels, where a grow moves
@@ -330,7 +329,7 @@ class TestStorageBackedStorm:
         from repro.storage import BufferManager, DiskManager, DocumentStore
 
         tree = random_tree(initial, seed=seed, tags=("a", "b", "c"))
-        encoding = codec.encode(tree)
+        encoding = encode(tree)
         store = DocumentStore(
             BufferManager(DiskManager(page_size=128), 16), encoding, name="hist"
         )
@@ -343,7 +342,7 @@ class TestStorageBackedStorm:
             store.verify(tag)
             assert_histogram_is_fresh(store.element_set(tag))
 
-    def test_histogram_moves_only_after_its_page_patch(self, codec):
+    def test_histogram_moves_only_after_its_page_patch(self, encode):
         """A permanent fault stops a drain mid-log.  The histogram moves
         with the directory, after a record's page patch succeeded, so
         the two still agree at the fault; the retried drain applies the
@@ -358,7 +357,7 @@ class TestStorageBackedStorm:
         from repro.storage.histogram import PositionHistogram
 
         tree = random_tree(40, seed=23, tags=("a", "b"))
-        encoding = codec.encode(tree, min_height=8)
+        encoding = encode(tree, min_height=8)
         injector = FaultInjector(seed=CHAOS_SEED + 23)
         # tiny pages, tiny pool: a drain pins pages the pool evicted
         disk = DiskManager(page_size=64)
