@@ -299,6 +299,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except KeyError:
         print(f"error: unknown dataset {args.dataset!r}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(
+            f"error: --large {args.large} --small {args.small}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     data = generate(spec, seed=args.seed)
     if args.algorithms:
         algorithms = [

@@ -22,7 +22,7 @@ then three extended slices), and a list prefix is cut with one binary
 search per page — ``bisect_right`` over the ascending start column, a
 descending-order cut over the end column — instead of a tuple decode
 and comparison per stored interval.  A cached page still costs one
-real buffer access (pin and release), and an evicted one is re-read
+real buffer access (a ``touch``), and an evicted one is re-read
 from disk, so a probe's I/O and buffer accounting is that of decoding
 every visited page afresh.
 """
@@ -55,20 +55,6 @@ _NODE_HEADER = 8  # reuse record-page header layout: count + reserved
 
 #: one interval-list page decoded: start, end and payload columns
 _Columns = tuple[list[int], list[int], list[int]]
-
-
-def _touch(bufmgr: BufferManager, page_id: int) -> None:
-    """Pin and immediately release one page (a decoded-cache hit).
-
-    The hit must still cost exactly one buffer access, so cached probes
-    keep the hit/miss and I/O accounting of a fresh decode.  The pin is
-    real: an evicted page is re-read from disk here.
-    """
-    bufmgr.pin(page_id)
-    try:
-        pass  # nothing can fail between pin and release
-    finally:
-        bufmgr.unpin(page_id)
 
 
 def _descending_cut(ends: list[int], point: int, lo: int, hi: int) -> int:
@@ -233,7 +219,7 @@ class IntervalTree(StaleGuard):
         page_id = self._node_pages[page_index]
         nodes = self._node_cache.get(page_id)
         if nodes is not None:
-            _touch(self.bufmgr, page_id)
+            self.bufmgr.touch(page_id)
             return nodes[slot]
         frame = self.bufmgr.pin(page_id)
         try:
@@ -254,7 +240,7 @@ class IntervalTree(StaleGuard):
         cached = self._list_cache.get(page_index)
         if cached is not None:
             try:
-                _touch(heap.bufmgr, heap.page_ids[page_index])
+                heap.bufmgr.touch(heap.page_ids[page_index])
             except StorageFault as fault:
                 # the annotation an uncached read_page_array adds
                 fault.add_context(f"heap file {heap.name!r} page {page_index}")

@@ -153,12 +153,12 @@ class IndexNestedLoopJoin(JoinAlgorithm):
     def _probe_descendant_index(
         ancestors: ElementSet, index: BPlusTree, sink: JoinSink
     ) -> None:
-        """Bulk-collect each range scan's candidates, then verify them
+        """Bulk-collect each range probe's candidates, then verify them
         with one ``descendants_in`` kernel call per ancestor."""
         emit = sink.emit
         for a_page in ancestors.scan_pages():
             for a_code, (start, end) in zip(a_page, batch.regions(a_page)):
-                candidates = [value for _key, value in index.range_scan(start, end)]
+                candidates = index.range_values(start, end)
                 for d_code in batch.descendants_in(a_code, candidates):
                     emit(a_code, d_code)
 

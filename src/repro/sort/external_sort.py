@@ -14,8 +14,8 @@ implementation:
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Iterator, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..core import batch, pbitree
 from ..storage.buffer import BufferManager
@@ -71,9 +71,9 @@ def external_sort(
     ``destroy_input`` is set, the input file (and intermediate runs) are
     deallocated as soon as they have been consumed.  ``run_sort``
     optionally replaces the per-record ``key`` callback for the initial
-    in-memory run sort; ``bulk_key`` optionally replaces it in the merge
-    passes (one kernel call per input page instead of one Python call
-    per record).  Both must produce exactly the order ``key`` defines.
+    in-memory run sort; ``bulk_key`` optionally replaces the merge
+    passes' per-page ``key`` map (one kernel call per input page).  Both
+    must produce exactly the order ``key`` defines.
     """
     bufmgr = heap.bufmgr
     budget = buffer_pages if buffer_pages is not None else bufmgr.num_pages
@@ -158,14 +158,6 @@ def _merge_pass(
     return merged
 
 
-def _decorated_scan(
-    run: HeapFile, bulk_key: BulkKeyFunc
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Scan a run as ``(key, record)`` pairs, keys computed per page."""
-    for page in run.scan_pages():
-        yield from zip(bulk_key(page), page)
-
-
 def _merge_runs(
     bufmgr: BufferManager,
     runs: Sequence[HeapFile],
@@ -174,28 +166,78 @@ def _merge_runs(
     name: str,
     bulk_key: Optional[BulkKeyFunc] = None,
 ) -> HeapFile:
-    """k-way merge; one page of each run is resident at a time."""
+    """k-way block merge; one page of each run is resident at a time.
+
+    Each step finds the current page whose last key comes first (ties:
+    the lowest run) — the page a record-at-a-time merge exhausts next —
+    writes every buffered record ordered up to that key with one
+    ``append_many``, then reads that run's next page.  Records leave in
+    (key, run, position) order, so equal keys keep their run order,
+    and output rolls and input reads interleave exactly as in a
+    record-at-a-time merge.
+    """
+    keys_of = bulk_key or (lambda page: list(map(key, page)))
     output = HeapFile(bufmgr, codec, name=f"{name}[merge]")
     writer = output.open_writer()
+    scans = [run.scan_pages() for run in runs]
     try:
-        if bulk_key is not None:
-            # decorate page-at-a-time; equal keys fall back to record
-            # comparison, which is fine (an integer bulk_key may only
-            # tie on identical records)
-            decorated = heapq.merge(
-                *(_decorated_scan(run, bulk_key) for run in runs)
-            )
-            for _merge_key, record in decorated:
-                writer.append(record)
-        else:
-            merged = heapq.merge(*(run.scan() for run in runs), key=key)
-            for record in merged:
-                writer.append(record)
+        # per live run, in run order: its scan, current page, the
+        # page's keys and the next unmerged position
+        heads: list[list[Any]] = []
+        for scan in scans:
+            page = _next_page(scan)
+            if page is not None:
+                heads.append([scan, page, keys_of(page), 0])
+        while heads:
+            lasts = [head[2][-1] for head in heads]
+            owner = lasts.index(min(lasts))
+            bound = lasts[owner]
+            records: list[tuple[int, ...]] = []
+            keys: list[Any] = []
+            segments = 0
+            for index, head in enumerate(heads):
+                _scan, page, page_keys, position = head
+                if index < owner:
+                    cut = bisect_right(page_keys, bound, position)
+                elif index > owner:
+                    cut = bisect_left(page_keys, bound, position)
+                else:
+                    cut = len(page_keys)
+                if cut > position:
+                    records.extend(page[position:cut])
+                    keys.extend(page_keys[position:cut])
+                    head[3] = cut
+                    segments += 1
+            if segments > 1:
+                # stable: equal keys stay in run, then position, order
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                records = [records[i] for i in order]
+            writer.append_many(records)
+            head = heads[owner]
+            page = _next_page(head[0])
+            if page is None:
+                del heads[owner]
+            else:
+                head[1:] = [page, keys_of(page), 0]
     finally:
         # close even when a run scan faults, or the pinned output page
         # leaks and masks the fault during run cleanup
-        writer.close()
+        try:
+            writer.close()
+        finally:
+            for scan in scans:
+                scan.close()
     return output
+
+
+def _next_page(
+    scan: Iterator[list[tuple[int, ...]]],
+) -> Optional[list[tuple[int, ...]]]:
+    """The run's next non-empty page (the previous one is unpinned)."""
+    for page in scan:
+        if page:
+            return page
+    return None
 
 
 def external_sort_set(

@@ -72,6 +72,17 @@ class SyntheticSpec:
     d_heights: tuple[int, ...]     # node heights of the descendant set
     match_fraction: float          # matched descendants / min(|A|, |D|)
 
+    def __post_init__(self) -> None:
+        if self.a_size < 1 or self.d_size < 1:
+            raise ValueError(
+                f"set sizes must be >= 1, got |A| = {self.a_size}, "
+                f"|D| = {self.d_size}"
+            )
+        if not 0.0 <= self.match_fraction <= 1.0:
+            raise ValueError(
+                f"match_fraction must be in [0, 1], got {self.match_fraction}"
+            )
+
     @property
     def multi_height(self) -> bool:
         return len(self.a_heights) > 1 or len(self.d_heights) > 1

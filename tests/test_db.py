@@ -338,6 +338,11 @@ class TestCLI:
             (["--workers", "0"], "workers must be >= 1"),
             (["--workers", "-2", "--shards", "2"], "workers must be >= 1"),
             (["--algorithms", "SHCJ"], "SHCJ requires a single-height"),
+            (["--dataset", "SLSL", "--small", "0"], "--small 0: set sizes"),
+            (["--dataset", "SLSL", "--small", "-3"], "--small -3: set sizes"),
+            (["--dataset", "MLSH", "--large", "0"], "--large 0 --small"),
+            (["--dataset", "MLSH", "--large", "-2"], "--large -2 --small"),
+            (["--dataset", "SLLH", "--large", "0"], "--large 0 --small"),
         ],
     )
     def test_bench_bad_arguments_fail_cleanly(self, extra, message, capsys):

@@ -112,6 +112,30 @@ def run_cold(
 # ----------------------------------------------------------------------
 # tentpole guarantee 1: transient faults never change the answer
 # ----------------------------------------------------------------------
+def chaos_injector(seed: int) -> FaultInjector:
+    """The transient chaos schedule: :data:`TRANSIENT_FAULTS` at ``seed``."""
+    injector = FaultInjector(FaultConfig(seed=seed, **TRANSIENT_FAULTS))
+    # floor of one guaranteed fault: small joins (SHCJ's modal-height
+    # ancestor side is a couple of pages) can draw zero faults from
+    # the rates alone under an unlucky rotating seed
+    injector.schedule("read-error", at=2)
+    return injector
+
+
+#: (fault seed, algorithm) pairs whose chaos schedule fails one page
+#: read four times running, exhausting the default retry budget
+EXHAUSTING_SCHEDULES = [
+    (6, "INLJN"),
+    (6, "MHCJ"),
+    (32, "INLJN"),
+    (32, "MPMGJN"),
+    (32, "Stack-Tree"),
+    (32, "Anc_Des_B+"),
+    (32, "MHCJ+Rollup"),
+    (32, "VPJ"),
+]
+
+
 class TestTransientChaos:
     @pytest.mark.parametrize("name,cls", ALGORITHMS, ids=ALGORITHM_IDS)
     @pytest.mark.parametrize("seed_offset", [0, 1, 2])
@@ -119,15 +143,18 @@ class TestTransientChaos:
         a_codes, d_codes, tree_height = make_inputs(name)
         baseline, _disk, _report = run_cold(cls(), a_codes, d_codes, tree_height)
 
-        injector = FaultInjector(
-            FaultConfig(seed=CHAOS_SEED + seed_offset, **TRANSIENT_FAULTS)
-        )
-        # floor of one guaranteed fault: small joins (SHCJ's modal-height
-        # ancestor side is a couple of pages) can draw zero faults from
-        # the rates alone under an unlucky rotating seed
-        injector.schedule("read-error", at=2)
+        injector = chaos_injector(CHAOS_SEED + seed_offset)
+        # 5 % read errors plus 3 % torn pages can fail one read four
+        # times running (fault seeds 6 and 32 do); the doubled budget
+        # absorbs every rotating seed, and the default budget's give-up
+        # is pinned by test_default_budget_exhaustion_is_typed
         chaotic, disk, report = run_cold(
-            cls(), a_codes, d_codes, tree_height, faults=injector
+            cls(),
+            a_codes,
+            d_codes,
+            tree_height,
+            faults=injector,
+            retry=RetryPolicy(max_attempts=8),
         )
         assert chaotic == baseline, (
             f"{name} changed its output under transient faults "
@@ -141,6 +168,21 @@ class TestTransientChaos:
         assert disk.stats.retries > 0
         assert disk.stats.giveups == 0
         assert report.total_io.retries == disk.stats.retries
+
+    @pytest.mark.parametrize("fault_seed,name", EXHAUSTING_SCHEDULES)
+    def test_default_budget_exhaustion_is_typed(self, fault_seed, name):
+        """At the default 4-attempt budget these schedules give up: a
+        typed fault naming the page, never a truncated answer."""
+        cls = dict(ALGORITHMS)[name]
+        a_codes, d_codes, tree_height = make_inputs(name)
+        with pytest.raises(PermanentIOError) as info:
+            run_cold(
+                cls(), a_codes, d_codes, tree_height,
+                faults=chaos_injector(fault_seed),
+            )
+        assert info.value.page_id is not None
+        assert info.value.operation == "read"
+        assert "after 4 attempts" in str(info.value)
 
     @pytest.mark.parametrize("name,cls", ALGORITHMS, ids=ALGORITHM_IDS)
     def test_scheduled_torn_read_is_retried(self, name, cls):
