@@ -125,6 +125,11 @@ class UpdatableEncoding:
         self.allow_growth = allow_growth
         self.stats = UpdateStats()
         self._alive = [True] * len(self.tree)
+        #: ``is_alive(node)``: the tombstone list's own item getter, so
+        #: the per-node liveness test (query filters, docstore scans,
+        #: workload drivers) costs a C call, not a Python frame.
+        #: ``_alive`` is only ever mutated in place, never rebound.
+        self.is_alive: Callable[[int], bool] = self._alive.__getitem__
         self._occupied: dict[int, int] = {
             self.tree.codes[node]: node for node in range(len(self.tree))
         }
@@ -138,9 +143,6 @@ class UpdatableEncoding:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def is_alive(self, node: int) -> bool:
-        return self._alive[node]
-
     def node_of(self, code: int) -> Optional[int]:
         return self._occupied.get(code)
 
