@@ -24,12 +24,13 @@ from __future__ import annotations
 import copy
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from ..storage.buffer import BufferManager
 from .staleness import StaleGuard
 
-__all__ = ["BPlusTree"]
+__all__ = ["BPlusTree", "LeafCursor"]
 
 _LEAF, _INTERNAL = 0, 1
 _NO_PAGE = 0xFFFFFFFF
@@ -37,6 +38,7 @@ _HEADER = struct.Struct("<BxHI")     # type, pad, count, link/child0
 _LEAF_ENTRY = struct.Struct("<QQ")   # key, value
 _INT_ENTRY = struct.Struct("<QII")   # key, child, pad
 _HEADER_SIZE = 8
+_MAX_KEY = (1 << 64) - 1
 
 
 class _Node:
@@ -51,13 +53,6 @@ class _Node:
         self.values: list[int] = []      # leaf payloads
         self.children: list[int] = []    # internal: len(keys) + 1 page ids
         self.next_leaf: int | None = None
-
-
-def _leaf_cut(keys: list[int], position: int, hi: int, include_hi: bool = True) -> int:
-    """End of a leaf's in-range run from ``position``: the first key past
-    ``hi``.  A range walk stops in this leaf when the cut falls short of
-    ``len(keys)`` and reads the next leaf otherwise."""
-    return (bisect_right if include_hi else bisect_left)(keys, hi, position)
 
 
 class BPlusTree(StaleGuard):
@@ -201,41 +196,50 @@ class BPlusTree(StaleGuard):
         name: str = "",
         fill_factor: float = 1.0,
     ) -> "BPlusTree":
-        """Build a tree bottom-up from (key, value) pairs sorted by key."""
+        """Build a tree bottom-up from (key, value) pairs sorted by key.
+
+        Leaves fill a leaf per step: pull the leaf's first entry,
+        allocate its page, write the previous leaf, then pull the rest
+        with ``islice`` — the order in which an entry-at-a-time load
+        reads the source's pages and allocates and writes its own.  A
+        failed load (unsorted input, a storage fault) frees its pages.
+        """
         if not 0.1 <= fill_factor <= 1.0:
             raise ValueError("fill factor must be in [0.1, 1.0]")
         tree = cls(bufmgr, name)
         per_leaf = max(2, int(tree.leaf_capacity * fill_factor))
-        leaves: list[tuple[int, int]] = []  # (first key, page id)
-
-        node: _Node | None = None
-        last_key: int | None = None
-        for key, value in entries:
-            if last_key is not None and key < last_key:
-                raise ValueError("bulk_load input must be sorted by key")
-            last_key = key
-            if node is None or len(node.keys) >= per_leaf:
-                fresh = tree._new_node(is_leaf=True)
-                if node is not None:
-                    node.next_leaf = fresh.page_id
-                    tree._write_node(node)
-                node = fresh
-                leaves.append((key, node.page_id))
-            node.keys.append(key)
-            node.values.append(value)
-            tree.num_entries += 1
-        if node is not None:
-            tree._write_node(node)
-
-        if not leaves:
-            return tree
-        tree.height = 1
-        level = leaves
         per_internal = max(2, int(tree.internal_capacity * fill_factor))
-        while len(level) > 1:
-            level = tree._build_internal_level(level, per_internal)
+        source = iter(entries)
+        level: list[tuple[int, int]] = []  # (first key, page id)
+        node: _Node | None = None
+        try:
+            for first in source:
+                previous = node
+                node = tree._new_node(is_leaf=True)
+                if previous is not None:
+                    previous.next_leaf = node.page_id
+                    tree._write_node(previous)
+                chunk = [first, *islice(source, per_leaf - 1)]
+                keys = [key for key, _value in chunk]
+                if keys != sorted(keys) or (
+                    previous is not None and keys[0] < previous.keys[-1]
+                ):
+                    raise ValueError("bulk_load input must be sorted by key")
+                node.keys = keys
+                node.values = [value for _key, value in chunk]
+                tree.num_entries += len(chunk)
+                level.append((keys[0], node.page_id))
+            if node is not None:
+                tree._write_node(node)
+            while len(level) > 1:
+                level = tree._build_internal_level(level, per_internal)
+                tree.height += 1
+        except BaseException:
+            tree.destroy()
+            raise
+        if level:
             tree.height += 1
-        tree.root_page = level[0][1]
+            tree.root_page = level[0][1]
         return tree
 
     def _build_internal_level(
@@ -380,29 +384,48 @@ class BPlusTree(StaleGuard):
 
     def search(self, key: int) -> list[int]:
         """All values stored under exactly ``key``."""
-        return self.range_values(key, key)
+        return self.range_values_many(((key, key),))[0]
 
     def range_values(self, lo: int, hi: int) -> list[int]:
-        """Values of every entry with ``lo <= key <= hi``, in key order.
+        """Values of every entry with ``lo <= key <= hi``, in key order."""
+        return self.range_values_many(((lo, hi),))[0]
 
-        The eager twin of :meth:`range_scan` (the INLJN probe): the
-        whole probe runs under one ``probe_guard`` and cuts each leaf
-        with the same :func:`_leaf_cut`, so it reads exactly the nodes a
-        drained ``range_scan(lo, hi)`` reads, in the same order.
+    def range_values_many(
+        self, ranges: Iterable[tuple[int, int]]
+    ) -> list[list[int]]:
+        """:meth:`range_values` of each ``(lo, hi)``, as one batch.
+
+        The INLJN probe of a whole outer page: every range descends
+        from the root and walks the leaf chain until a key passes
+        ``hi``, reading exactly the nodes, in the order, that a drained
+        ``range_scan(lo, hi)`` per range reads.  The batch runs under
+        one ``probe_guard``, so a retire waits for all of it.
         """
+        results: list[list[int]] = []
         with self.probe_guard():
-            node = self._descend_to_leaf(lo)
-            if node is None:
-                return []
-            position = bisect_left(node.keys, lo)
-            values: list[int] = []
-            while True:
-                cut = _leaf_cut(node.keys, position, hi)
-                values += node.values[position:cut]
-                if cut < len(node.keys) or node.next_leaf is None:
-                    return values
-                node = self._read_node(node.next_leaf)
-                position = 0
+            root = self.root_page
+            cached = self._node_cache.get
+            touch = self.bufmgr.touch
+            read = self._read_node
+            for lo, hi in ranges:
+                values: list[int] = []
+                results.append(values)
+                page_id = root
+                while page_id is not None:
+                    node = cached(page_id)
+                    if node is None:
+                        node = read(page_id)
+                    else:
+                        touch(page_id)
+                    keys = node.keys
+                    if not node.is_leaf:
+                        page_id = node.children[bisect_left(keys, lo)]
+                        continue
+                    position = bisect_left(keys, lo)
+                    cut = bisect_right(keys, hi, position)
+                    values += node.values[position:cut]
+                    page_id = node.next_leaf if cut == len(keys) else None
+        return results
 
     def range_scan(
         self,
@@ -413,46 +436,29 @@ class BPlusTree(StaleGuard):
     ) -> Iterator[tuple[int, int]]:
         """Yield (key, value) pairs with ``lo <= key <= hi`` (bounds optional).
 
-        Lazy, but guarded leaf-at-a-time: each leaf's in-range entries
-        are collected under :meth:`~repro.index.staleness.StaleGuard.
-        probe_guard`, and the walk to the next leaf re-enters it — so a
-        ``mark_stale`` landing while the generator is suspended makes
-        the next leaf access raise
-        :class:`~repro.index.staleness.StaleIndexError` instead of the
-        scan silently completing with pre-retirement entries.  Pages
-        are still read at the same pull points as before (the next
-        leaf is only fetched once the consumer drains the current
-        one), so the I/O ledger is unchanged.
+        A generator over a :class:`LeafCursor`: the next leaf is read
+        (under the guard) only once the consumer has drained the
+        current one's in-range entries, so a ``mark_stale`` landing
+        while the generator is suspended raises at the next leaf.
         """
-        with self.probe_guard():
-            node = self._descend_to_leaf(lo)
-        if node is None:
-            return
-        position = (bisect_left if include_lo else bisect_right)(node.keys, lo)
+        cursor = LeafCursor(self)
+        cursor.seek(lo, include_lo)
+        cut_at = bisect_right if include_hi else bisect_left
         while True:
-            with self.probe_guard():
-                cut = _leaf_cut(node.keys, position, hi, include_hi)
-                batch = list(zip(node.keys[position:cut], node.values[position:cut]))
-                done = cut < len(node.keys)
-            yield from batch
-            if done:
+            keys, position = cursor.keys, cursor.position
+            cut = cut_at(keys, hi, position)
+            yield from zip(keys[position:cut], cursor.values[position:cut])
+            if cut < len(keys) or not cursor.next_leaf():
                 return
-            with self.probe_guard():
-                if node.next_leaf is None:
-                    return
-                node = self._read_node(node.next_leaf)
-            position = 0
 
     def first_geq(self, key: int) -> tuple[int, int] | None:
-        """The smallest entry with key >= ``key`` (the ADB+ skip probe)."""
-        for entry in self.range_scan(key, hi=(1 << 64) - 1):
-            return entry
-        return None
+        """The smallest entry with key >= ``key``."""
+        return next(self.range_scan(key, _MAX_KEY), None)
 
     def scan_all(self) -> Iterator[tuple[int, int]]:
         """Full in-order scan."""
         if self.num_entries:
-            yield from self.range_scan(0, (1 << 64) - 1)
+            yield from self.range_scan(0, _MAX_KEY)
 
     def __len__(self) -> int:
         return self.num_entries
@@ -462,3 +468,53 @@ class BPlusTree(StaleGuard):
             f"<BPlusTree {self.name!r} entries={self.num_entries} "
             f"height={self.height} nodes={self.num_nodes}>"
         )
+
+
+class LeafCursor:
+    """A position in a tree's leaf chain, moved a leaf at a time.
+
+    ``keys`` / ``values`` are the current leaf's decoded lists (the
+    node cache's: read only), empty past the chain's end; ``position``
+    is the next entry.  :meth:`seek` descends and :meth:`next_leaf`
+    reads the next leaf, each under ``probe_guard``; the owner decides
+    when.  Every leaf entered is cut at the seek bound, so duplicates
+    of an exclusive ``lo`` past the first leaf stay excluded.
+    """
+
+    __slots__ = ("tree", "keys", "values", "position", "_next", "_lo", "_include_lo")
+
+    def __init__(self, tree: BPlusTree) -> None:
+        self.tree = tree
+        self.keys: Sequence[int] = []
+        self.values: Sequence[int] = []
+        self.position = 0
+        self._next: int | None = None
+        self._lo = 0
+        self._include_lo = True
+
+    def seek(self, lo: int, include_lo: bool = True) -> None:
+        """Land on the leftmost leaf that may hold ``lo``, at its first
+        key ``>= lo`` (``> lo`` when ``include_lo`` is false)."""
+        self._lo = lo
+        self._include_lo = include_lo
+        tree = self.tree
+        with tree.probe_guard():
+            self._enter(tree._descend_to_leaf(lo))
+
+    def next_leaf(self) -> bool:
+        """Read the next leaf; False (and empty) at the end of the chain."""
+        with self.tree.probe_guard():
+            page_id = self._next
+            self._enter(None if page_id is None else self.tree._read_node(page_id))
+        return page_id is not None
+
+    def _enter(self, node: _Node | None) -> None:
+        if node is None:
+            self.keys = self.values = []
+            self.position = 0
+            self._next = None
+        else:
+            self.keys, self.values = node.keys, node.values
+            cut = bisect_left if self._include_lo else bisect_right
+            self.position = cut(node.keys, self._lo)
+            self._next = node.next_leaf

@@ -24,46 +24,82 @@ freed after the join.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, cast
+from typing import Callable, Optional, Sequence, cast
 
-from ..core import pbitree
+from ..core import batch
 from ..core.pbitree import PBiCode, RegionCode
-from ..index.bptree import BPlusTree
+from ..index.bptree import BPlusTree, LeafCursor
 from ..storage.buffer import BufferManager
 from .base import JoinAlgorithm, JoinReport, JoinSink
+from .cursor import PageArrays
 from .inljn import build_start_index
+from .stacktree import stack_merge
 
 __all__ = ["AncDesBPlusJoin"]
 
-_MAX_KEY = (1 << 64) - 1
 
+class _IndexCursor(LeafCursor):
+    """Leaf cursor over a Start index that always rests on an entry.
 
-class _IndexCursor:
-    """Forward cursor over a B+-tree's leaf entries with leapfrogging."""
+    ``keys`` are region starts and ``values`` codes; ``doc_keys`` and
+    ``ends`` are the leaf's packed document-order keys and region ends,
+    computed once per leaf (a skip landing back in the same leaf reuses
+    them: the node cache hands back the same lists).  A cursor landing
+    past a leaf's last entry reads on at once — the pull points of a
+    lazy ``range_scan``.
+    """
 
-    __slots__ = ("index", "_iter", "current", "probes")
+    __slots__ = ("doc_keys", "ends", "probes", "_derived_from")
 
     def __init__(self, index: BPlusTree) -> None:
-        self.index = index
-        # a Start index stores (region start, element code) leaf entries
-        self._iter = cast(
-            "Iterator[tuple[RegionCode, PBiCode]]", index.scan_all()
-        )
-        self.current: Optional[tuple[RegionCode, PBiCode]] = None
+        super().__init__(index)
+        self.doc_keys: Sequence[int] = []
+        self.ends: Sequence[int] = []
         self.probes = 0
-        self.advance()
+        self._derived_from: Optional[Sequence[int]] = None
+        if index.num_entries:
+            self.seek(0)
+            self._settle()
+
+    @property
+    def current(self) -> Optional[tuple[RegionCode, PBiCode]]:
+        """``(start, code)`` under the cursor, or None when exhausted."""
+        position = self.position
+        if position < len(self.keys):
+            return cast(
+                "tuple[RegionCode, PBiCode]",
+                (self.keys[position], self.values[position]),
+            )
+        return None
 
     def advance(self) -> None:
-        self.current = next(self._iter, None)
+        self.position += 1
+        self._settle()
 
     def skip_to(self, key: int) -> None:
         """Jump to the first entry with ``Start >= key`` (index descent)."""
         self.probes += 1
-        self._iter = cast(
-            "Iterator[tuple[RegionCode, PBiCode]]",
-            self.index.range_scan(key, _MAX_KEY),
+        self.seek(key)
+        self._settle()
+
+    def arrays(self) -> PageArrays:
+        codes = cast("Sequence[PBiCode]", self.values)
+        return (
+            self.position, len(codes), codes, self.doc_keys, self.keys,
+            self.ends,
         )
-        self.advance()
+
+    def step(self) -> None:
+        self.position = len(self.keys)
+        self._settle()
+
+    def _settle(self) -> None:
+        while self.position == len(self.keys) and self.next_leaf():
+            pass
+        if self.values is not self._derived_from:
+            self._derived_from = self.values
+            self.doc_keys = batch.doc_order_keys(self.values)
+            self.ends = batch.ends(self.values)
 
 
 class AncDesBPlusJoin(JoinAlgorithm):
@@ -83,63 +119,45 @@ class AncDesBPlusJoin(JoinAlgorithm):
     def _prepare(self, ancestors, descendants, bufmgr):
         a_index = self.a_index
         d_index = self.d_index
-        if a_index is None:
-            with self.trace("adb.build_index", side="A"):
-                a_index = build_start_index(ancestors, bufmgr)
-            self._built.append(a_index)
-        if d_index is None:
-            with self.trace("adb.build_index", side="D"):
-                d_index = build_start_index(descendants, bufmgr)
-            self._built.append(d_index)
+        try:
+            if a_index is None:
+                with self.trace("adb.build_index", side="A"):
+                    a_index = build_start_index(ancestors, bufmgr)
+                self._built.append(a_index)
+            if d_index is None:
+                with self.trace("adb.build_index", side="D"):
+                    d_index = build_start_index(descendants, bufmgr)
+                self._built.append(d_index)
+        except BaseException:
+            # no prepared state reaches _cleanup: free A's index here
+            self._cleanup(None, ancestors, descendants)
+            raise
         return a_index, d_index
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         a_index, d_index = prepared
-        emit = sink.emit
-        doc_key = pbitree.doc_order_key
-        end_of = pbitree.end_of
-
         merge_span = self.trace("adb.merge")
         with merge_span:
-            a_cursor = _IndexCursor(a_index)
-            d_cursor = _IndexCursor(d_index)
-            stack: list[tuple[RegionCode, PBiCode]] = []  # (end, code)
-
-            while d_cursor.current is not None:
-                if not stack and a_cursor.current is None:
-                    break  # no ancestor can match remaining descendants
-                if not stack and a_cursor.current is not None:
-                    a_start, a_code = a_cursor.current
-                    d_start, _d_code = d_cursor.current
-                    a_end = end_of(a_code)
-                    if a_end < d_start:
-                        a_cursor.skip_to(a_end + 1)
-                        continue
-                    if d_start < a_start:
-                        d_cursor.skip_to(a_start)
-                        continue
-                a_entry = a_cursor.current
-                d_start, d_code = d_cursor.current
-                if a_entry is not None and doc_key(a_entry[1]) <= doc_key(d_code):
-                    a_start, a_code = a_entry
-                    while stack and stack[-1][0] < a_start:
-                        stack.pop()
-                    stack.append((end_of(a_code), a_code))
-                    a_cursor.advance()
-                else:
-                    while stack and stack[-1][0] < d_start:
-                        stack.pop()
-                    for _end, s_code in stack:
-                        if s_code != d_code:
-                            emit(s_code, d_code)
-                    d_cursor.advance()
-            merge_span.set("a_probes", a_cursor.probes)
-            merge_span.set("d_probes", d_cursor.probes)
+            a_probes, d_probes = self._merge(a_index, d_index, sink.emit)
+            merge_span.set("a_probes", a_probes)
+            merge_span.set("d_probes", d_probes)
         report = JoinReport(algorithm=self.name, result_count=sink.count)
-        report.notes = (
-            f"index probes: A={a_cursor.probes} D={d_cursor.probes}"
-        )
+        report.notes = f"index probes: A={a_probes} D={d_probes}"
         return report
+
+    @staticmethod
+    def _merge(
+        a_index: BPlusTree,
+        d_index: BPlusTree,
+        emit: Callable[[PBiCode, PBiCode], None],
+    ) -> tuple[int, int]:
+        """The Stack-Tree-Desc merge over the two indexes' leaves, with
+        index skips while the stack is empty; returns the (A, D) skip
+        counts."""
+        a = _IndexCursor(a_index)
+        d = _IndexCursor(d_index)
+        stack_merge(a, d, emit, skips=(a.skip_to, d.skip_to))
+        return a.probes, d.probes
 
     def _cleanup(self, prepared, ancestors, descendants) -> None:
         # on-the-fly indexes are scratch space: free their pages

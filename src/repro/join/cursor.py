@@ -6,24 +6,41 @@ over (page index, slot) positions.  Restoring to a page that has been
 evicted re-reads it through the buffer pool — which is precisely how the
 re-scanning cost of MPMGJN becomes visible in the I/O counters.
 
-The merge joins consume runs of codes with ``seek`` over the cached
-per-page ``page_starts``/``page_doc_keys`` arrays instead of one
-``advance()`` call per element.  Every page is loaded through the one
-``_load_page`` path, in scan order, so I/O and buffer accounting are
-those of an element-at-a-time scan; only the Python-level per-element
-overhead disappears.
+The merge joins work over the cached per-page ``page_starts`` /
+``page_doc_keys`` / ``page_ends`` arrays instead of one ``advance()``
+call per element: MPMGJN bisects them and ``seek``-s, Stack-Tree-Desc
+takes all of them with ``arrays()`` and ``step()``-s once a page is
+drained (the :class:`PageCursor` protocol).  Every page is loaded
+through the one ``_load_page`` path, in scan order, so I/O and buffer
+accounting are those of an element-at-a-time scan; only the
+Python-level per-element overhead disappears.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, cast
+from typing import Optional, Protocol, Sequence, cast
 
 from ..core import batch
 from ..core.pbitree import PBiCode
 from ..storage.elementset import ElementSet
 from ..storage.faults import StorageFault
 
-__all__ = ["SetCursor"]
+__all__ = ["PageArrays", "PageCursor", "SetCursor"]
+
+#: a merge cursor's position and current page: length, codes, packed
+#: doc keys, starts and ends (length 0 once the cursor is exhausted)
+PageArrays = tuple[
+    int, int, Sequence[PBiCode], Sequence[int], Sequence[int], Sequence[int]
+]
+
+
+class PageCursor(Protocol):
+    """What the Stack-Tree merge steps through: ``step`` loads the next
+    non-empty page once the current one is drained."""
+
+    def arrays(self) -> PageArrays: ...
+
+    def step(self) -> None: ...
 
 
 class SetCursor:
@@ -36,6 +53,7 @@ class SetCursor:
         "_page",
         "_starts",
         "_doc_keys",
+        "_ends",
         "current",
     )
 
@@ -46,6 +64,7 @@ class SetCursor:
         self._page: Optional[Sequence[PBiCode]] = None
         self._starts: Optional[Sequence[int]] = None
         self._doc_keys: Optional[Sequence[int]] = None
+        self._ends: Optional[Sequence[int]] = None
         #: code under the cursor, or None when exhausted
         self.current: Optional[PBiCode] = None
         self.advance()
@@ -54,6 +73,7 @@ class SetCursor:
         heap = self.elements.heap
         self._starts = None
         self._doc_keys = None
+        self._ends = None
         if self._page_index < heap.num_pages:
             try:
                 # element-set heaps store single-code rows, so the
@@ -110,6 +130,26 @@ class SetCursor:
             self._starts = batch.starts(self._page)
         return self._starts
 
+    def page_ends(self) -> Sequence[int]:
+        """Region-``End`` of every code on the current page (cached)."""
+        if self._ends is None:
+            assert self._page is not None
+            self._ends = batch.ends(self._page)
+        return self._ends
+
+    def arrays(self) -> PageArrays:
+        page = self._page
+        if page is None:
+            return 0, 0, (), (), (), ()
+        return (
+            self._slot, len(page), page, self.page_doc_keys(),
+            self.page_starts(), self.page_ends(),
+        )
+
+    def step(self) -> None:
+        assert self._page is not None
+        self.seek(len(self._page))
+
     def page_doc_keys(self) -> Sequence[int]:
         """Packed document-order key of every current-page code (cached).
 
@@ -155,7 +195,3 @@ class SetCursor:
             self.current = self._page[slot]
         else:
             self.current = None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.current is None

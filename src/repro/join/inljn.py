@@ -21,6 +21,7 @@ in the join report, and the index's pages are freed after the join.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from ..core import batch, pbitree
@@ -46,20 +47,26 @@ __all__ = [
 def build_start_index(
     elements: ElementSet, bufmgr: BufferManager, name: str = ""
 ) -> BPlusTree:
-    """B+-tree on region ``Start`` (value = code), built by sort + bulk load."""
+    """B+-tree on region ``Start`` (value = code), built by sort + bulk load.
+
+    A failed build frees the sorted copy (and ``bulk_load`` its partial
+    tree), so only the input's pages remain allocated.
+    """
     sorted_set = external_sort_set(elements)
-
-    def entries():
-        # one starts() kernel call per page; the zipped ints are
-        # materialised while the page is pinned
-        for fields in sorted_set.scan_code_arrays():
-            yield from zip(batch.starts(fields), fields)
-
-    index = BPlusTree.bulk_load(
-        bufmgr, entries(), name=name or f"{elements.name}.start"
+    pages = sorted_set.scan_code_arrays()
+    # one starts() kernel call per page; the zipped ints are pulled
+    # while the page is pinned (the next page is pinned only once the
+    # load has drained this page's zip)
+    entries = chain.from_iterable(
+        zip(batch.starts(fields), fields) for fields in pages
     )
-    sorted_set.destroy()
-    return index
+    try:
+        return BPlusTree.bulk_load(
+            bufmgr, entries, name=name or f"{elements.name}.start"
+        )
+    finally:
+        pages.close()  # unpin the page a failed load stopped on
+        sorted_set.destroy()
 
 
 def build_interval_index(
@@ -153,13 +160,15 @@ class IndexNestedLoopJoin(JoinAlgorithm):
     def _probe_descendant_index(
         ancestors: ElementSet, index: BPlusTree, sink: JoinSink
     ) -> None:
-        """Bulk-collect each range probe's candidates, then verify them
-        with one ``descendants_in`` kernel call per ancestor."""
+        """Probe a whole outer page's regions with one
+        ``range_values_many`` batch, then verify each ancestor's
+        candidates with one ``descendants_in`` kernel call."""
         emit = sink.emit
+        probe = index.range_values_many
+        descendants_in = batch.descendants_in
         for a_page in ancestors.scan_pages():
-            for a_code, (start, end) in zip(a_page, batch.regions(a_page)):
-                candidates = index.range_values(start, end)
-                for d_code in batch.descendants_in(a_code, candidates):
+            for a_code, candidates in zip(a_page, probe(batch.regions(a_page))):
+                for d_code in descendants_in(a_code, candidates):
                     emit(a_code, d_code)
 
     @staticmethod

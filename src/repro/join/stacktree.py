@@ -16,24 +16,23 @@ Two variants, as in the original paper:
 PBiTree adaptation: ``Start``/``End`` are computed on the fly from the
 codes (Lemma 3) and the document-order tie (equal starts on a leftmost
 chain) is broken by height so ancestors are consumed first.
-Stack-Tree-Desc consumes runs through the batched kernels;
+Stack-Tree-Desc merges over per-page code/key/start/end lists;
 Stack-Tree-Anc, whose per-entry lists make the bookkeeping per
 element anyway, steps one element at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Callable
+from typing import Callable, Optional
 
-from ..core import batch, pbitree
+from ..core import pbitree
 from ..core.pbitree import PBiCode, RegionCode
 from ..storage.buffer import BufferManager
 from .base import JoinAlgorithm, JoinReport, JoinSink
-from .cursor import SetCursor
+from .cursor import PageCursor, SetCursor
 from .mpmgjn import ensure_sorted
 
-__all__ = ["StackTreeDescJoin", "StackTreeAncJoin"]
+__all__ = ["StackTreeDescJoin", "StackTreeAncJoin", "stack_merge"]
 
 
 class _StackTreeBase(JoinAlgorithm):
@@ -52,6 +51,68 @@ class _StackTreeBase(JoinAlgorithm):
             sorted_d.destroy()
 
 
+def stack_merge(
+    a: PageCursor,
+    d: PageCursor,
+    emit: Callable[[PBiCode, PBiCode], None],
+    skips: Optional[tuple[Callable[[int], None], Callable[[int], None]]] = None,
+) -> None:
+    """Stack-Tree-Desc as a two-pointer merge over the current A and D page.
+
+    Works on each page's code, packed doc-key, start and end lists;
+    packed keys are order- and tie-equivalent to ``doc_order_key``
+    tuples, so every push/emit decision is the element-at-a-time one.
+    A cursor steps only when its page is drained, so pages load where
+    an element-at-a-time merge loads them.  ``skips`` (Anc_Des_B+: the
+    A and D index cursors' ``skip_to``) are tried whenever the stack is
+    empty: the merge ends once A is exhausted, and otherwise leapfrogs
+    A past an ancestor that ends before ``d`` starts, or D up to an
+    ancestor that starts after ``d``.
+    """
+    ends: list[int] = []  # the stack, bottom first
+    codes: list[PBiCode] = []
+    ai, an, a_codes, a_keys, a_starts, a_ends = a.arrays()
+    di, dn, d_codes, d_keys, d_starts, _ = d.arrays()
+    while di < dn:
+        if skips is not None and not ends:
+            if ai == an:
+                break  # no ancestor can match the remaining descendants
+            if a_ends[ai] < d_starts[di]:
+                skips[0](a_ends[ai] + 1)
+                ai, an, a_codes, a_keys, a_starts, a_ends = a.arrays()
+                continue
+            if d_starts[di] < a_starts[ai]:
+                skips[1](a_starts[ai])
+                di, dn, d_codes, d_keys, d_starts, _ = d.arrays()
+                continue
+        # push the ancestors at or before d (the stack is then not
+        # empty, so no skip falls inside the run)
+        d_key = d_keys[di]
+        while ai < an and a_keys[ai] <= d_key:
+            a_start = a_starts[ai]
+            while ends and ends[-1] < a_start:
+                ends.pop()
+                codes.pop()
+            ends.append(a_ends[ai])
+            codes.append(a_codes[ai])
+            ai += 1
+            if ai == an:
+                a.step()
+                ai, an, a_codes, a_keys, a_starts, a_ends = a.arrays()
+        d_start = d_starts[di]
+        while ends and ends[-1] < d_start:
+            ends.pop()
+            codes.pop()
+        d_code = d_codes[di]
+        for s_code in codes:
+            if s_code != d_code:
+                emit(s_code, d_code)
+        di += 1
+        if di == dn:
+            d.step()
+            di, dn, d_codes, d_keys, d_starts, _ = d.arrays()
+
+
 class StackTreeDescJoin(_StackTreeBase):
     """Stack-Tree-Desc: output sorted by descendant."""
 
@@ -63,65 +124,7 @@ class StackTreeDescJoin(_StackTreeBase):
             self._merge(SetCursor(sorted_a), SetCursor(sorted_d), sink.emit)
         return JoinReport(algorithm=self.name, result_count=sink.count)
 
-    @staticmethod
-    def _merge(
-        a_cursor: SetCursor,
-        d_cursor: SetCursor,
-        emit: Callable[[PBiCode, PBiCode], None],
-    ) -> None:
-        """Consume ancestor/descendant *runs* instead of single elements.
-
-        Each iteration bisects the cached packed doc-key arrays to find
-        the whole run of ancestors at or before the current descendant
-        (one push loop over zipped code/start/end slices) or the whole
-        run of descendants before the next ancestor (one drain loop).
-        Packed keys are order- and tie-equivalent to ``doc_order_key``
-        tuples, so run boundaries fall exactly where element-at-a-time
-        comparisons would flip.
-        """
-        # (end, code), top = innermost
-        stack: list[tuple[RegionCode, PBiCode]] = []
-        while d_cursor.current is not None:
-            if a_cursor.current is not None:
-                d_key = d_cursor.page_doc_keys()[d_cursor.slot]
-                a_keys = a_cursor.page_doc_keys()
-                i = a_cursor.slot
-                j = bisect_right(a_keys, d_key, lo=i)
-                if j > i:
-                    # push the ancestor run a_page[i:j]
-                    a_page = a_cursor.page
-                    assert a_page is not None
-                    run_starts = a_cursor.page_starts()[i:j]
-                    run = a_page[i:j]
-                    for a_code, a_start, a_end in zip(
-                        run, run_starts, batch.ends(run)
-                    ):
-                        while stack and stack[-1][0] < a_start:
-                            stack.pop()
-                        stack.append((RegionCode(a_end), a_code))
-                    a_cursor.seek(j)
-                    continue
-                # a_keys[i] > d_key: a descendant run comes next
-                a_key: int | None = a_keys[i]
-            else:
-                a_key = None
-            d_page = d_cursor.page
-            assert d_page is not None
-            d_keys = d_cursor.page_doc_keys()
-            d_starts = d_cursor.page_starts()
-            i = d_cursor.slot
-            j = (
-                bisect_left(d_keys, a_key, lo=i)
-                if a_key is not None
-                else len(d_keys)
-            )
-            for d_code, d_start in zip(d_page[i:j], d_starts[i:j]):
-                while stack and stack[-1][0] < d_start:
-                    stack.pop()
-                for _end, s_code in stack:
-                    if s_code != d_code:
-                        emit(s_code, d_code)
-            d_cursor.seek(j)
+    _merge = staticmethod(stack_merge)
 
 
 class _AncStackEntry:

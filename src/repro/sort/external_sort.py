@@ -107,19 +107,24 @@ def _build_runs(
     runs: list[HeapFile] = []
     buffered: list[tuple[int, ...]] = []
     pages_in_memory = 0
-    for records in heap.scan_pages():
-        buffered.extend(records)
-        pages_in_memory += 1
-        if pages_in_memory >= budget:
+    try:
+        for records in heap.scan_pages():
+            buffered.extend(records)
+            pages_in_memory += 1
+            if pages_in_memory >= budget:
+                runs.append(
+                    _write_run(bufmgr, heap, buffered, key, len(runs), run_sort)
+                )
+                buffered = []
+                pages_in_memory = 0
+        if buffered:
             runs.append(
                 _write_run(bufmgr, heap, buffered, key, len(runs), run_sort)
             )
-            buffered = []
-            pages_in_memory = 0
-    if buffered:
-        runs.append(
-            _write_run(bufmgr, heap, buffered, key, len(runs), run_sort)
-        )
+    except BaseException:
+        for run in runs:
+            run.destroy()
+        raise
     return runs
 
 
@@ -150,11 +155,18 @@ def _merge_pass(
     bulk_key: Optional[BulkKeyFunc] = None,
 ) -> list[HeapFile]:
     merged: list[HeapFile] = []
-    for group_start in range(0, len(runs), fan_in):
-        group = runs[group_start:group_start + fan_in]
-        merged.append(_merge_runs(bufmgr, group, key, codec, name, bulk_key))
-        for run in group:
+    try:
+        for group_start in range(0, len(runs), fan_in):
+            group = runs[group_start:group_start + fan_in]
+            merged.append(
+                _merge_runs(bufmgr, group, key, codec, name, bulk_key)
+            )
+            for run in group:
+                run.destroy()
+    except BaseException:
+        for run in runs + merged:  # a destroyed run is empty
             run.destroy()
+        raise
     return merged
 
 
@@ -219,14 +231,18 @@ def _merge_runs(
                 del heads[owner]
             else:
                 head[1:] = [page, keys_of(page), 0]
-    finally:
+    except BaseException:
         # close even when a run scan faults, or the pinned output page
-        # leaks and masks the fault during run cleanup
+        # leaks and masks the fault during run cleanup; then free the
+        # partial output
         try:
             writer.close()
         finally:
             for scan in scans:
                 scan.close()
+            output.destroy()
+        raise
+    writer.close()
     return output
 
 

@@ -113,12 +113,7 @@ class BufferManager:
             frame.pin_count += 1
             self._hit(frame)
             return frame
-        self.misses += 1
-        recycled = self._make_room()
-        data = self._read_with_retry(page_id, recycled)
-        frame = Frame(page_id, data)
-        self._frames[page_id] = frame
-        return frame
+        return self._load(page_id)
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         """Release one pin; mark the frame dirty if the caller wrote it."""
@@ -143,12 +138,22 @@ class BufferManager:
         """
         frame = self._frames.get(page_id)
         if frame is None:
-            self.pin(page_id)
-            self.unpin(page_id)
-            return
-        self._hit(frame)
-        if frame.pin_count == 0:
-            sanitize.check_unpin_to_zero(self.views, page_id)
+            frame = self._load(page_id)
+            frame.pin_count = 0
+        else:
+            self._hit(frame)
+            if frame.pin_count:
+                return
+        sanitize.check_unpin_to_zero(self.views, page_id)
+
+    def _load(self, page_id: int) -> Frame:
+        """What a miss costs, for pin and touch: room for the page (a
+        victim write-back), its read, and a frame pinned once."""
+        self.misses += 1
+        recycled = self._make_room()
+        frame = Frame(page_id, self._read_with_retry(page_id, recycled))
+        self._frames[page_id] = frame
+        return frame
 
     def _hit(self, frame: Frame) -> None:
         """What a buffer hit costs: the count and the replacement

@@ -11,7 +11,7 @@ data tree by tag.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, cast
+from typing import Generator, Iterable, Iterator, Optional, Sequence, cast
 
 from ..core import pbitree
 from ..core.pbitree import Height, PBiCode
@@ -153,7 +153,9 @@ class ElementSet:
         for fields in self.heap.scan_page_arrays():
             yield cast("list[PBiCode]", list(fields))
 
-    def scan_code_arrays(self, copy: bool = False) -> Iterator[Sequence[PBiCode]]:
+    def scan_code_arrays(
+        self, copy: bool = False
+    ) -> Generator[Sequence[PBiCode], None, None]:
         """Yield each page's codes as a zero-copy ``Q``-cast view.
 
         Element-set heaps store one code per record, so the flat field

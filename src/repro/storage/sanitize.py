@@ -210,12 +210,16 @@ def borrowed(
 # buffer-pool hooks
 # ---------------------------------------------------------------------------
 def check_unpin_to_zero(registry: ViewRegistry, page_id: int) -> None:
-    """Reject dropping the last pin of a page with live declared borrows."""
-    if not sanitize_enabled():
-        return
-    labels = registry.live_labels(page_id)
-    if labels:
-        raise UseAfterUnpinError(page_id, labels)
+    """Reject dropping the last pin of a page with live declared borrows.
+
+    Hot path (every ``unpin`` and ``touch`` to zero): the registry is
+    almost always empty, so its emptiness is tested before the
+    context-variable read of :func:`sanitize_enabled`.
+    """
+    if registry._live and sanitize_enabled():
+        labels = registry.live_labels(page_id)
+        if labels:
+            raise UseAfterUnpinError(page_id, labels)
 
 
 def check_evict(

@@ -110,17 +110,22 @@ def merge_runs(
     """``external_sort``'s ``_merge_runs``, one record at a time."""
     output = HeapFile(bufmgr, codec, name=f"{name}[merge]")
     writer = RecordHeapWriter(output)
+    if bulk_key is not None:
+        scans = [_decorated_scan(run, bulk_key) for run in runs]
+        merged = (record for _key, record in heapq.merge(*scans))
+    else:
+        scans = [run.scan() for run in runs]
+        merged = heapq.merge(*scans, key=key)
+    completed = False
     try:
-        if bulk_key is not None:
-            decorated = heapq.merge(
-                *(_decorated_scan(run, bulk_key) for run in runs)
-            )
-            for _merge_key, record in decorated:
-                writer.append(record)
-        else:
-            merged = heapq.merge(*(run.scan() for run in runs), key=key)
-            for record in merged:
-                writer.append(record)
+        for record in merged:
+            writer.append(record)
+        completed = True
     finally:
         writer.close()
+        if not completed:
+            # a failed merge unpins its inputs and frees its output
+            for scan in scans:
+                scan.close()
+            output.destroy()
     return output

@@ -127,6 +127,50 @@ class TestSearch:
             assert list(tree.range_scan(key, key)) == want
 
 
+class TestExclusiveBoundsAcrossLeaves:
+    """Every leaf a scan enters is cut at ``lo``: an exclusive ``lo``
+    whose duplicates run past the first leaf used to leak them from the
+    second leaf on (only the landing leaf was cut with bisect_right)."""
+
+    def test_exclusive_lo_skips_duplicates_past_the_first_leaf(self):
+        _disk, bufmgr = make_env(page_size=128)  # 7 entries per leaf
+        keys = [1, 2, 3] + [5] * 12 + [6, 7]
+        tree = BPlusTree.bulk_load(bufmgr, [(k, i) for i, k in enumerate(keys)])
+        assert [k for k, _v in tree.range_scan(5, 7, include_lo=False)] == [6, 7]
+
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 20)), min_size=1, max_size=12
+        ),
+        bounds=st.tuples(st.integers(-1, 13), st.integers(-1, 13)),
+        bulk=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_all_bound_combinations_match_sorted_list(self, runs, bounds, bulk):
+        """Runs of up to 20 equal keys straddle 7-entry leaves; all four
+        bound combinations, with the bounds on or between the keys."""
+        _disk, bufmgr = make_env(page_size=128)
+        keys = sorted(key for key, length in runs for _ in range(length))
+        entries = [(k, i) for i, k in enumerate(keys)]
+        if bulk:
+            tree = BPlusTree.bulk_load(bufmgr, entries)
+        else:
+            tree = BPlusTree(bufmgr)
+            for key, value in entries:
+                tree.insert(key, value)
+        lo, hi = max(0, min(bounds)), max(0, max(bounds))
+        for include_lo in (True, False):
+            for include_hi in (True, False):
+                expected = [
+                    k
+                    for k, _v in entries
+                    if (lo <= k if include_lo else lo < k)
+                    and (k <= hi if include_hi else k < hi)
+                ]
+                scanned = tree.range_scan(lo, hi, include_lo, include_hi)
+                assert [k for k, _v in scanned] == expected, (include_lo, include_hi)
+
+
 class TestIOBehaviour:
     def test_probe_cost_is_height(self):
         disk, bufmgr = make_env(frames=4, page_size=128)

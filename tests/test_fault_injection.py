@@ -44,6 +44,8 @@ from repro import (
     random_tree,
 )
 from repro.core import pbitree as pt
+from repro.index.bptree import BPlusTree
+from repro.join.inljn import build_start_index
 from repro.storage.disk import PageCorruptionError
 
 #: rotating chaos seed — CI sets this; defaults to a fixed reproducible run
@@ -591,6 +593,65 @@ class TestPreparedIntermediatesFreed:
         assert injector.stats.scheduled_fired == 1
         assert bufmgr.num_pinned == 0
         assert disk.num_allocated == baseline
+
+    @pytest.mark.parametrize("name", ["ADB+", "INLJN-outer-A"])
+    def test_fault_during_index_build_frees_every_scratch_page(self, name):
+        """Nothing is prepared yet, so ``_cleanup`` never runs: each
+        build frees itself, and ADB+ frees A's index when D's fails."""
+        _injector, _disk, _bufmgr, a_set, d_set = self.bench()
+        reads = PREPARING[name]().run(a_set, d_set, JoinSink("count")).prep_io.reads
+        for at in range(1, reads + 1, max(1, reads // 16)):
+            injector, disk, bufmgr, a_set, d_set = self.bench()
+            baseline = disk.num_allocated
+            injector.schedule("read-error", at=at, permanent=True)
+            with pytest.raises(PermanentIOError):
+                PREPARING[name]().run(a_set, d_set, JoinSink("count"))
+            assert bufmgr.num_pinned == 0, at
+            assert disk.num_allocated == baseline, at
+
+
+class TestFailedIndexBuildFreesPages:
+    """A failed Start-index build used to leak: ``bulk_load`` rejecting
+    unsorted input left its node pages allocated (and dirty), and a
+    permanent read fault inside ``build_start_index`` left the external
+    sort's runs, the sorted copy and the partial tree behind."""
+
+    def bench(self, injector=None):
+        disk = DiskManager(page_size=128, checksums=True, faults=injector)
+        bufmgr = BufferManager(disk, 8)
+        rng = random.Random(CHAOS_SEED)
+        codes = rng.sample(range(1, 1 << 12), 400)
+        elements = ElementSet.from_codes(bufmgr, codes, 12, "S")
+        bufmgr.flush_all()
+        bufmgr.evict_all()
+        disk.stats.reset()
+        return disk, bufmgr, elements
+
+    def test_rejected_input_frees_its_nodes(self):
+        disk = DiskManager(page_size=128)
+        bufmgr = BufferManager(disk, 8)
+        entries = [(key, key) for key in range(30)] + [(5, 5)]
+        with pytest.raises(ValueError):
+            BPlusTree.bulk_load(bufmgr, entries)
+        assert disk.num_allocated == 0
+        assert bufmgr.num_pinned == 0
+        assert not any(frame.dirty for frame in bufmgr._frames.values())
+
+    def test_read_fault_at_every_read_frees_every_page(self):
+        disk, bufmgr, elements = self.bench()
+        build_start_index(elements, bufmgr).destroy()
+        reads = disk.stats.reads
+        assert reads > 2 * elements.num_pages  # sort passes + the load's scan
+        for at in range(1, reads + 1):
+            injector = FaultInjector(seed=0)
+            disk, bufmgr, elements = self.bench(injector)
+            baseline = disk.num_allocated
+            injector.schedule("read-error", at=at, permanent=True)
+            with pytest.raises(PermanentIOError):
+                build_start_index(elements, bufmgr)
+            assert injector.stats.scheduled_fired == 1
+            assert bufmgr.num_pinned == 0, at
+            assert disk.num_allocated == baseline, at
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Page-at-a-time storage paths are I/O-identical to record-at-a-time ones.
+"""Page-at-a-time storage and join paths are I/O-identical to
+record-at-a-time ones.
 
 The heap writer packs a page once, at roll or close; the external sort
 merges runs a block at a time; cached index pages cost one
-``BufferManager.touch``; INLJN probes the B+-tree through the eager
-``range_values``.  Each is checked against its record-at-a-time
-reference (``tests/oracles/record_merge.py``, ``pin`` + ``unpin``,
-``range_scan``) on the full transfer log — every read, allocation and
-write with the written bytes, in order — plus the final page images,
-the ``IOSnapshot`` and the buffer hits/misses.
+``BufferManager.touch``.  INLJN probes a whole outer page with one
+``range_values_many`` batch, Stack-Tree-Desc and Anc_Des_B+ merge over
+page and leaf arrays, and ``BPlusTree.bulk_load`` fills a leaf per
+step.  Each is checked against its record-at-a-time reference
+(``tests/oracles/record_merge.py``, ``tests/oracles/record_joins.py``,
+``pin`` + ``unpin``) on the full transfer log — every read, allocation
+and write with the written bytes, in order — plus the final page
+images, the ``IOSnapshot``, the buffer hits/misses and, for the joins,
+the emitted pair sequence.
 """
 
 from __future__ import annotations
@@ -24,12 +28,16 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import pbitree
 from repro.core.execconfig import exec_scope
 from repro.experiments.harness import materialize, run_algorithm
 from repro.index.bptree import BPlusTree
 from repro.index.staleness import StaleIndexError
-from repro.join.base import JoinSink
+from repro.join.ancdes_b import AncDesBPlusJoin
+from repro.join.base import JoinAlgorithm, JoinSink
+from repro.join.inljn import IndexNestedLoopJoin, build_start_index
 from repro.join.planner import make_algorithm
+from repro.join.stacktree import StackTreeDescJoin
 from repro.sort.external_sort import external_sort, external_sort_set
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskManager
@@ -46,6 +54,7 @@ from repro.storage.record import CODE, PAIR, TRIPLE, RecordCodec
 from repro.storage.sanitize import UseAfterUnpinError
 from repro.workloads import synthetic as syn
 
+from .oracles import record_joins
 from .oracles.record_merge import RecordHeapWriter, merge_runs
 
 PAGE_SIZE = 128
@@ -538,7 +547,7 @@ class TestTouch:
 
 
 # ----------------------------------------------------------------------
-# range_values vs range_scan
+# range_values_many vs one lazy range_scan per range
 # ----------------------------------------------------------------------
 def _entries(keys: list[int], drop: int) -> tuple[list, list]:
     """(key, value) entries sorted by key, and every ``drop``-th of them
@@ -568,22 +577,29 @@ class TestRangeValues:
         drop=st.sampled_from([0, 2, 3]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_range_values_is_drained_range_scan(self, keys, bounds, bulk, drop):
+    def test_batch_is_one_drained_scan_per_range(self, keys, bounds, bulk, drop):
         """Duplicates straddle leaves (7 entries per 128-byte leaf); the
-        probes read the same nodes in the same order, cold or cached."""
+        batch, the engine's leaf-walk scan and the oracle's lazy scan
+        read the same nodes in the same order, cold or cached."""
 
         def prepare(bufmgr):
             return _tree(bufmgr, keys, bulk, drop)
 
-        def eager(_bufmgr, tree):
-            return [tree.range_values(lo, hi) for lo, hi in bounds]
+        def batched(_bufmgr, tree):
+            return tree.range_values_many(bounds)
 
-        def lazy(_bufmgr, tree):
+        def walked(_bufmgr, tree):
             return [[v for _k, v in tree.range_scan(lo, hi)] for lo, hi in bounds]
 
-        fast = traced(eager, prepare=prepare, frames=3)
-        slow = traced(lazy, prepare=prepare, frames=3)
-        assert_same_io(fast, slow)
+        def oracle(_bufmgr, tree):
+            return [
+                [v for _k, v in record_joins.range_scan(tree, lo, hi)]
+                for lo, hi in bounds
+            ]
+
+        fast = traced(batched, prepare=prepare, frames=3)
+        assert_same_io(fast, traced(walked, prepare=prepare, frames=3))
+        assert_same_io(fast, traced(oracle, prepare=prepare, frames=3))
         entries, dropped = _entries(keys, drop)
         live = sorted(set(entries) - set(dropped))
         for (lo, hi), values in zip(bounds, fast.outcome):
@@ -591,22 +607,33 @@ class TestRangeValues:
                 value for key, value in live if lo <= key <= hi
             )
 
-    def test_search_uses_range_values(self):
+    def test_search_and_range_values_are_one_range_batches(self):
         bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 8)
         tree = _tree(bufmgr, [5] * 30 + [6] * 3, bulk=True, drop=0)
         assert sorted(tree.search(5)) == list(range(30))
         assert tree.search(4) == []
+        assert tree.range_values(5, 6) == tree.range_values_many([(5, 6)])[0]
+        assert tree.range_values_many([]) == []
+        empty = BPlusTree(bufmgr, name="empty")
+        assert empty.range_values_many([(0, 9), (3, 4)]) == [[], []]
 
-    def test_retire_blocks_behind_running_probe(self):
+    def test_retire_blocks_behind_running_batch(self):
+        """``mark_stale`` issued while a batch is mid-way (blocked on its
+        fifth node access, inside the second range) waits for the whole
+        batch, which answers from the fresh tree."""
         bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 64)
         tree = _tree(bufmgr, list(range(300)), bulk=True, drop=0)
-        expected = tree.range_values(0, 299)  # decodes every node
+        ranges = [(0, 99), (100, 199), (200, 299), (17, 17)]
+        expected = tree.range_values_many(ranges)  # decodes every node
         started, release, retired = (threading.Event() for _ in range(3))
         results: dict = {}
         touch = bufmgr.touch
+        touches = 0
 
         def blocking_touch(page_id: int) -> None:
-            if not started.is_set():
+            nonlocal touches
+            touches += 1
+            if touches == 5:
                 started.set()
                 release.wait(5.0)
             touch(page_id)
@@ -614,7 +641,7 @@ class TestRangeValues:
         bufmgr.touch = blocking_touch
 
         def prober():
-            results["probe"] = tree.range_values(0, 299)
+            results["probe"] = tree.range_values_many(ranges)
 
         def retirer():
             started.wait(5.0)
@@ -633,4 +660,237 @@ class TestRangeValues:
         assert retired.is_set()
         assert results["probe"] == expected
         with pytest.raises(StaleIndexError):
-            tree.range_values(0, 10)
+            tree.range_values_many(ranges[:1])
+
+
+# ----------------------------------------------------------------------
+# page-local join loops vs their element-at-a-time oracles
+# ----------------------------------------------------------------------
+#: the three operators whose inner loops run over page / leaf arrays
+#: (INLJN with A as the outer relation: the B+-tree probe path)
+LOOP_OPERATORS: dict[str, Callable[[], JoinAlgorithm]] = {
+    "INLJN": lambda: IndexNestedLoopJoin(force_outer="A"),
+    "STACKTREE": StackTreeDescJoin,
+    "ADB+": AncDesBPlusJoin,
+}
+#: codes of a height-8 PBiTree: small enough that random sets share
+#: region starts along leftmost chains (8, 4, 2 and 1 all start at 1)
+#: and nest several deep; sizes are uniform over 0-120 (empty included)
+HEIGHT = 8
+codes_8 = st.builds(
+    lambda size, seed: random.Random(seed).sample(range(1, 1 << HEIGHT), size),
+    st.integers(0, 120),
+    st.integers(0, 2**32),
+)
+
+
+@contextmanager
+def element_at_a_time():
+    """Swap the element-at-a-time join loops and bulk load into the engine."""
+    swaps = [
+        (IndexNestedLoopJoin, "_probe_descendant_index",
+         staticmethod(record_joins.probe_descendant_index)),
+        (StackTreeDescJoin, "_merge", staticmethod(record_joins.stacktree_merge)),
+        (AncDesBPlusJoin, "_merge", staticmethod(record_joins.adb_merge)),
+        (BPlusTree, "bulk_load", classmethod(record_joins.bulk_load)),
+    ]
+    with ExitStack() as stack:
+        for owner, name, oracle in swaps:
+            stack.enter_context(patch.object(owner, name, oracle))
+        yield
+
+
+def both_loops(action, **kwargs) -> tuple[Trace, Trace]:
+    paged = traced(action, **kwargs)
+    with element_at_a_time():
+        reference = traced(action, **kwargs)
+    return paged, reference
+
+
+def _sets(a_codes, d_codes, height=HEIGHT):
+    def prepare(bufmgr):
+        return (
+            materialize(bufmgr, a_codes, height, "A"),
+            materialize(bufmgr, d_codes, height, "D"),
+        )
+
+    return prepare
+
+
+def _join(operator: Callable[[], JoinAlgorithm]):
+    def action(_bufmgr, sets):
+        sink = JoinSink("collect")
+        run_algorithm(operator(), *sets, sink)
+        return sink.pairs  # in emit order
+
+    return action
+
+
+def _expected(a_codes, d_codes) -> list:
+    return sorted(
+        (a, d) for a in a_codes for d in d_codes if pbitree.is_ancestor(a, d)
+    )
+
+
+class TestJoinLoops:
+    @given(
+        name=st.sampled_from(sorted(LOOP_OPERATORS)),
+        a_codes=codes_8,
+        d_codes=codes_8,
+        frames=st.integers(3, 8),
+        policy=st.sampled_from(["lru", "clock"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_io_and_pairs(self, name, a_codes, d_codes, frames, policy):
+        """Leftmost-chain ties, overlapping and empty sides, 3-8 frames."""
+        paged, reference = both_loops(
+            _join(LOOP_OPERATORS[name]), prepare=_sets(a_codes, d_codes),
+            frames=frames, policy=policy,
+        )
+        assert_same_io(paged, reference)
+        assert sorted(paged.outcome) == _expected(a_codes, d_codes)
+
+    @given(
+        a_codes=codes_8,
+        d_codes=codes_8,
+        a_cut=st.tuples(st.integers(0, 120), st.integers(0, 120)),
+        d_cut=st.tuples(st.integers(0, 120), st.integers(0, 120)),
+        frames=st.integers(3, 8),
+        policy=st.sampled_from(["lru", "clock"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adb_over_emptied_leaves(
+        self, a_codes, d_codes, a_cut, d_cut, frames, policy
+    ):
+        """Pre-built indexes that lost a contiguous stretch of entries
+        (whole leaves emptied, kept in the chain) and every third one:
+        the leaf cursor walks and skips through the empty leaves."""
+
+        def index(bufmgr, codes, cut):
+            entries, dropped = _start_entries(codes, cut)
+            tree = BPlusTree.bulk_load(bufmgr, entries)
+            for key, value in dropped:
+                assert tree.delete(key, value)
+            return tree
+
+        a_live, d_live = _live(a_codes, a_cut), _live(d_codes, d_cut)
+
+        def prepare(bufmgr):
+            indexes = (index(bufmgr, a_codes, a_cut), index(bufmgr, d_codes, d_cut))
+            return _sets(a_live, d_live)(bufmgr), indexes
+
+        def action(_bufmgr, state):
+            sets, indexes = state
+            sink = JoinSink("collect")
+            run_algorithm(AncDesBPlusJoin(*indexes), *sets, sink)
+            return sink.pairs
+
+        paged, reference = both_loops(
+            action, prepare=prepare, frames=frames, policy=policy
+        )
+        assert_same_io(paged, reference)
+        assert sorted(paged.outcome) == _expected(a_live, d_live)
+
+    @pytest.mark.parametrize("name", sorted(LOOP_OPERATORS))
+    @pytest.mark.parametrize("dataset", ["SLLH", "MLLH"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_transient_chaos(self, name, dataset, seed):
+        spec = syn.spec_by_name(dataset, large=1200, small=40)
+        data = syn.generate(spec, seed=11)
+
+        def faults():
+            return FaultInjector(
+                FaultConfig(
+                    seed=seed, read_error_rate=0.03, write_error_rate=0.02,
+                    torn_page_rate=0.01,
+                )
+            )
+
+        paged, reference = both_loops(
+            _join(LOOP_OPERATORS[name]),
+            prepare=_sets(data.a_codes, data.d_codes, data.tree_height),
+            frames=8, faults=faults,
+        )
+        assert_same_io(paged, reference)
+        assert len(paged.outcome) == data.num_results
+
+    @pytest.mark.parametrize("name", sorted(LOOP_OPERATORS))
+    def test_permanent_read_fault_sweep(self, name):
+        """A permanent read error at points spread over the whole run
+        (build, then mid-page probes and merges): the same typed error
+        after the same transfer-log prefix, nothing pinned or leaked."""
+        spec = syn.spec_by_name("MLLH", large=600, small=30)
+        data = syn.generate(spec, seed=5)
+        prepare = _sets(data.a_codes, data.d_codes, data.tree_height)
+        clean = traced(_join(LOOP_OPERATORS[name]), prepare=prepare, frames=6)
+        reads = clean.io.reads
+        for at in sorted({1, 2, *range(3, reads, max(1, reads // 9)), reads}):
+
+            def faults(at=at):
+                injector = FaultInjector(seed=0)
+                injector.schedule("read-error", at=at, permanent=True)
+                return injector
+
+            paged, reference = both_loops(
+                _join(LOOP_OPERATORS[name]), prepare=prepare, frames=6,
+                faults=faults,
+            )
+            assert paged.outcome[0] == "PermanentIOError", at
+            assert_same_io(paged, reference)
+            assert paged.transfers == clean.transfers[: len(paged.transfers)]
+
+
+def _start_entries(codes, cut) -> tuple[list, list]:
+    """A Start index's entries in document order (an ancestor before
+    the leftmost-chain descendants sharing its start), and the stretch
+    ``entries[lo:hi]`` plus every third entry from ``hi`` on to delete."""
+    entries = [
+        (pbitree.start_of(c), c) for c in sorted(codes, key=pbitree.doc_order_key)
+    ]
+    lo, hi = sorted(cut)
+    return entries, entries[lo:hi] + entries[hi::3]
+
+
+def _live(codes, cut) -> list:
+    entries, dropped = _start_entries(codes, cut)
+    gone = {code for _start, code in dropped}
+    return [code for code in codes if code not in gone]
+
+
+class TestLeafBulkLoad:
+    @given(
+        count=st.integers(0, 300),
+        seed=st.integers(0, 2**32),
+        frames=st.integers(3, 8),
+        policy=st.sampled_from(["lru", "clock"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_build_start_index_identical(self, count, seed, frames, policy):
+        """Source-page reads, leaf allocations and leaf writes interleave
+        as in the entry-at-a-time load (start ties included)."""
+        rng = random.Random(seed)
+        codes = rng.sample(range(1, 1 << 10), count)
+
+        def action(bufmgr, elements):
+            tree = build_start_index(elements, bufmgr)
+            return tree.height, tree.num_entries, list(tree.scan_all())
+
+        paged, reference = both_loops(
+            action, prepare=lambda bufmgr: materialize(bufmgr, codes, 10, "S"),
+            frames=frames, policy=policy,
+        )
+        assert_same_io(paged, reference)
+        assert paged.outcome[2] == _start_entries(codes, (0, 0))[0]
+
+    @pytest.mark.parametrize("fill_factor", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 49, 50, 300])
+    def test_bulk_load_identical(self, fill_factor, count):
+        entries = [(key // 3, key) for key in range(count)]
+
+        def action(bufmgr, _state):
+            tree = BPlusTree.bulk_load(bufmgr, iter(entries), fill_factor=fill_factor)
+            return tree.height, tree.root_page, list(tree.scan_all())
+
+        paged, reference = both_loops(action, frames=3)
+        assert_same_io(paged, reference)
+        assert paged.outcome[2] == entries

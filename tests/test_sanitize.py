@@ -112,6 +112,22 @@ class TestSwitch:
             assert sanitize.sanitize_enabled()
         assert sanitize.sanitize_enabled() == before
 
+    def test_unpin_check_raises_only_with_live_borrows_under_the_sanitizer(self):
+        """The registry is tested before the mode: a live borrow raises
+        exactly when the sanitizer is on, an empty registry never."""
+        registry = ViewRegistry()
+        with exec_scope(sanitize=True):
+            sanitize.check_unpin_to_zero(registry, 3)
+        registry.register(3, "held")
+        registry.register(4, "other page")
+        with exec_scope(sanitize=False):
+            sanitize.check_unpin_to_zero(registry, 3)
+        with exec_scope(sanitize=True):
+            sanitize.check_unpin_to_zero(registry, 5)  # no borrow of page 5
+            with pytest.raises(UseAfterUnpinError) as caught:
+                sanitize.check_unpin_to_zero(registry, 3)
+        assert caught.value.page_id == 3 and caught.value.labels == ("held",)
+
     def test_errors_are_not_storage_faults(self):
         from repro.storage.faults import StorageFault
 
