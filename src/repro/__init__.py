@@ -26,7 +26,6 @@ Quickstart::
 from .core import pbitree
 from .core.binarize import binarize
 from .core.encoding import PBiTreeEncoding
-from .core.execconfig import ExecConfig, exec_scope
 from .datatree.builder import random_tree, tree_from_spec
 from .datatree.node import DataTree
 from .datatree.paths import PathQuery, brute_force_join, select_by_tag
@@ -105,8 +104,6 @@ __all__ = [
     "PBiTreeJoinFramework",
     "SetProperties",
     "choose_algorithm",
-    "ExecConfig",
-    "exec_scope",
     "UpdatableEncoding",
     "ContainmentDatabase",
     "RTreeProbeJoin",

@@ -3,13 +3,12 @@
 Commands:
 
 * ``encode FILE.xml`` — parse + binarize, print the code table;
-* ``query FILE.xml //a//b`` — evaluate a path query, print matches;
-* ``explain FILE.xml //a//b`` — print the plan of every join step;
+* ``query SOURCE //a//b`` — evaluate a path query over an XML file
+  and print matches; ``--explain`` prints the plan of every join step,
+  ``--image`` queries a saved image, ``--remote`` a running server;
 * ``stats FILE.xml`` — document and coding-space statistics;
 * ``save FILE.xml IMAGE`` — encode and persist element sets to a
   disk image;
-* ``image-query IMAGE //a//b`` — run a path query against a saved
-  image (no XML parsing, pure storage-engine work);
 * ``shard-build FILE.xml DIR`` — encode and persist element sets as a
   sharded corpus (per-shard disk images + shard map; docs/sharding.md);
 * ``bench`` — run an algorithm line-up over a synthetic Table-2
@@ -18,8 +17,7 @@ Commands:
   layout instead (shards are a line-up tier: ``query`` and ``serve``
   run every path through the one pipeline);
 * ``serve`` — run the multi-tenant query server over a loaded corpus
-  (see docs/service.md);
-* ``remote-query`` — send one path query to a running server.
+  (see docs/service.md).
 
 Global observability flags (before the command): ``--trace`` prints the
 span-tree cost breakdown, ``--trace-out FILE`` dumps it as JSON lines,
@@ -41,15 +39,12 @@ __all__ = [
     "main",
     "cmd_encode",
     "cmd_query",
-    "cmd_explain",
     "cmd_stats",
     "cmd_save",
-    "cmd_image_query",
     "cmd_shard_build",
     "cmd_bench",
     "cmd_update_bench",
     "cmd_serve",
-    "cmd_remote_query",
 ]
 
 
@@ -81,6 +76,15 @@ def _emit_observability(args: argparse.Namespace, tracer, metrics) -> None:
             json.dump(metrics.as_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"# wrote metrics to {args.metrics_out}", file=sys.stderr)
+
+
+def _write_bench(args: argparse.Namespace, name: str, rows, metrics) -> None:
+    """Write a schema-checked BENCH summary to ``--bench-out``, if set."""
+    from .obs.export import bench_summary, write_bench_summary
+
+    if args.bench_out:
+        write_bench_summary(bench_summary(name, rows, metrics=metrics), args.bench_out)
+        print(f"# wrote {args.bench_out}", file=sys.stderr)
 
 
 def _load(path: str):
@@ -122,8 +126,45 @@ def _fault_injector(args: argparse.Namespace):
     )
 
 
+#: ``query`` modes besides the default (``xml``: run over an XML file)
+_QUERY_MODES = {
+    "explain": "print the plan of every join step instead of running it",
+    "image": "SOURCE is a saved image (see save)",
+    "remote": "SOURCE is a document on a running server (see serve)",
+}
+
+#: ``query`` option -> (type, default, the modes it applies to, help);
+#: given outside its modes it is an argparse error, never ignored
+_QUERY_OPTIONS = {
+    "--buffer-pages": (int, 64, ("xml", "explain", "image"), "buffer pool pages"),
+    "--fault-seed": (int, 0, ("xml",), "seed for the storage fault injector"),
+    "--fault-read-rate": (float, 0.0, ("xml",), "transient-error odds per page read"),
+    "--fault-write-rate": (float, 0.0, ("xml",), "transient-error odds per page write"),
+    "--fault-torn-rate": (float, 0.0, ("xml",), "torn-page odds per page read"),
+    "--host": (str, "127.0.0.1", ("remote",), "server host"),
+    "--port": (int, 7723, ("remote",), "server port"),
+    "--tenant": (str, "default", ("remote",), "tenant the query runs as"),
+}
+
+
+def _check_query_options(parser: argparse.ArgumentParser, args) -> None:
+    """Reject options the chosen mode does not read; fill defaults."""
+    mode = next((mode for mode in _QUERY_MODES if getattr(args, mode)), "xml")
+    for flag, (_kind, default, modes, _help) in _QUERY_OPTIONS.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif mode not in modes:
+            parser.error(f"{flag} applies only to {'/'.join(modes)} queries")
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     from .obs.metrics import MetricsRegistry
+
+    if args.image:
+        return _query_image(args)
+    if args.remote:
+        return _query_remote(args)
 
     faults = _fault_injector(args)
     tracer = _make_tracer(args)
@@ -134,7 +175,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         tracer=tracer,
         metrics=metrics,
     )
-    doc = db.load_tree(_load(args.file), name=args.file)
+    doc = db.load_tree(_load(args.source), name=args.source)
+    if args.explain:
+        print(db.explain(doc, args.path))
+        return 0
     result = db.query(doc, args.path)
     for node in result:
         print(f"node {node.id}: <{node.tag}> code={node.code}")
@@ -159,11 +203,61 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
-    db = ContainmentDatabase(buffer_pages=args.buffer_pages)
-    doc = db.load_tree(_load(args.file), name=args.file)
-    print(db.explain(doc, args.path))
+def _query_image(args: argparse.Namespace) -> int:
+    from .datatree.paths import PathQuery
+    from .join.pipeline import PathPipeline
+    from .storage.persist import load_image
+
+    image = load_image(args.source, buffer_pages=args.buffer_pages)
+    query = PathQuery(args.path)
+    try:
+        steps = [image.element_sets[tag] for tag in query.steps]
+    except KeyError as exc:
+        print(f"error: element set {exc} not in the image "
+              f"(available: {', '.join(sorted(image.element_sets))})",
+              file=sys.stderr)
+        return 1
+    result = PathPipeline(image.bufmgr).execute(steps)
+    for code in result.codes:
+        print(code)
+    print(
+        f"# {len(result.codes)} matches, direction={result.direction}, "
+        f"{result.total_io} page I/Os",
+        file=sys.stderr,
+    )
     return 0
+
+
+def _query_remote(args: argparse.Namespace) -> int:
+    from .service import ServiceClient
+
+    with ServiceClient(args.host, args.port) as client:
+        # query_all follows continuation cursors, so result sets past
+        # the wire cap still print in full
+        response = client.query_all(
+            args.source, args.path, tenant=args.tenant
+        )
+    status = response.get("status")
+    if status == "ok":
+        for code in response.get("codes", []):
+            print(code)
+        print(
+            f"# {response.get('count')} matches, "
+            f"direction={response.get('direction')}, "
+            f"cache_hit={response.get('cache_hit')}, "
+            f"planning_io={response.get('planning_io')}",
+            file=sys.stderr,
+        )
+        return 0
+    if status == "rejected":
+        print(
+            f"# rejected ({response.get('code')}): {response.get('error')} "
+            f"— retry after {response.get('retry_after')}s",
+            file=sys.stderr,
+        )
+        return 2
+    print(f"# error: {response.get('error')}", file=sys.stderr)
+    return 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -186,30 +280,30 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_tagged(args: argparse.Namespace):
+    """Parse ``args.file``; return the tree, its PBiTree height and the
+    ``--tags`` list (default: every element tag, not ``@``/``#``)."""
+    tree = _load(args.file)
+    if args.tags:
+        tags = [tag.strip() for tag in args.tags.split(",") if tag.strip()]
+    else:
+        tags = sorted(t for t in tree.tag_counts() if not t.startswith(("@", "#")))
+    return tree, binarize(tree).tree_height, tags
+
+
 def cmd_save(args: argparse.Namespace) -> int:
-    from .core.binarize import binarize as _binarize
     from .storage.buffer import BufferManager
     from .storage.disk import DiskManager
     from .storage.elementset import ElementSet
     from .storage.persist import save_image
 
-    tree = _load(args.file)
-    encoding = _binarize(tree)
+    tree, height, wanted = _load_tagged(args)
     disk = DiskManager()
     bufmgr = BufferManager(disk, 64)
-    wanted = (
-        [tag.strip() for tag in args.tags.split(",") if tag.strip()]
-        if args.tags
-        else sorted(
-            tag for tag in tree.tag_counts()
-            if not tag.startswith(("@", "#"))
-        )
-    )
-    element_sets = {}
-    for tag in wanted:
-        element_sets[tag] = ElementSet.from_tree_tag(
-            bufmgr, tree, tag, encoding.tree_height, name=tag
-        )
+    element_sets = {
+        tag: ElementSet.from_tree_tag(bufmgr, tree, tag, height, name=tag)
+        for tag in wanted
+    }
     bufmgr.flush_all()
     save_image(disk, args.image, element_sets)
     print(
@@ -219,56 +313,19 @@ def cmd_save(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_image_query(args: argparse.Namespace) -> int:
-    from .datatree.paths import PathQuery
-    from .join.pipeline import PathPipeline
-    from .storage.persist import load_image
-
-    image = load_image(args.image, buffer_pages=args.buffer_pages)
-    query = PathQuery(args.path)
-    try:
-        steps = [image.element_sets[tag] for tag in query.steps]
-    except KeyError as exc:
-        print(f"error: element set {exc} not in the image "
-              f"(available: {', '.join(sorted(image.element_sets))})",
-              file=sys.stderr)
-        return 1
-    result = PathPipeline(image.bufmgr).execute(steps)
-    for code in result.codes:
-        print(code)
-    print(
-        f"# {len(result.codes)} matches, direction={result.direction}, "
-        f"{result.total_io} page I/Os",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def cmd_shard_build(args: argparse.Namespace) -> int:
-    from .core.binarize import binarize as _binarize
     from .shard import ShardedCorpus
 
-    tree = _load(args.file)
-    encoding = _binarize(tree)
-    wanted = (
-        [tag.strip() for tag in args.tags.split(",") if tag.strip()]
-        if args.tags
-        else sorted(
-            tag for tag in tree.tag_counts()
-            if not tag.startswith(("@", "#"))
-        )
-    )
+    tree, height, wanted = _load_tagged(args)
     corpus = ShardedCorpus(
-        encoding.tree_height,
+        height,
         args.shards,
         level=args.level,
         page_size=args.page_size,
         buffer_pages=args.buffer_pages,
     )
     for tag in wanted:
-        corpus.add_set(
-            tag, [tree.codes[node] for node in tree.iter_by_tag(tag)]
-        )
+        corpus.add_set(tag, [tree.codes[node] for node in tree.iter_by_tag(tag)])
     corpus.save(args.directory)
     print(
         f"sharded {len(wanted)} element sets over {corpus.num_shards} "
@@ -284,14 +341,13 @@ def cmd_shard_build(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .core.execconfig import current
     from .experiments.harness import (
         REGION_ALGORITHMS,
         make_lineup,
         run_lineup,
     )
-    from .obs.export import bench_summary, write_bench_summary
     from .obs.metrics import MetricsRegistry
+    from .storage.sanitize import sanitize_enabled, sanitized
     from .workloads.synthetic import generate, spec_by_name
 
     try:
@@ -316,20 +372,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     metrics = MetricsRegistry()
     try:
-        lineup = run_lineup(
-            args.dataset,
-            data.a_codes,
-            data.d_codes,
-            data.tree_height,
-            buffer_pages=args.buffer_pages,
-            algorithms=algorithms,
-            tracer=tracer,
-            metrics=metrics,
-            workers=args.workers,
-            exec=current().override(sanitize=args.sanitize),
-            shards=args.shards,
-            shard_level=args.shard_level,
-        )
+        with sanitized(args.sanitize or sanitize_enabled()):
+            lineup = run_lineup(
+                args.dataset,
+                data.a_codes,
+                data.d_codes,
+                data.tree_height,
+                buffer_pages=args.buffer_pages,
+                algorithms=algorithms,
+                tracer=tracer,
+                metrics=metrics,
+                workers=args.workers,
+                shards=args.shards,
+                shard_level=args.shard_level,
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -359,23 +415,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     _emit_observability(args, tracer, metrics)
-    if args.bench_out:
-        summary = bench_summary(
-            f"bench-{args.dataset}",
-            [
-                (result.name, args.dataset, result.report)
-                for result in lineup.results
-            ],
-            metrics=metrics.as_dict(),
-        )
-        write_bench_summary(summary, args.bench_out)
-        print(f"# wrote {args.bench_out}", file=sys.stderr)
+    _write_bench(
+        args,
+        f"bench-{args.dataset}",
+        [(result.name, args.dataset, result.report) for result in lineup.results],
+        metrics.as_dict(),
+    )
     return 0
 
 
 def cmd_update_bench(args: argparse.Namespace) -> int:
     from .join.base import JoinReport
-    from .obs.export import bench_summary, write_bench_summary
     from .obs.metrics import MetricsRegistry
     from .workloads.updates import UpdateWorkloadSpec, run_update_workload
 
@@ -415,20 +465,14 @@ def cmd_update_bench(args: argparse.Namespace) -> int:
     )
 
     _emit_observability(args, None, metrics)
-    if args.bench_out:
-        report = JoinReport(
-            algorithm="updates",
-            result_count=result.log_records_applied,
-            join_io=result.io,
-            wall_seconds=result.wall_seconds,
-        )
-        summary = bench_summary(
-            "update-bench",
-            [("updates", "update-storm", report)],
-            metrics=dict(result.as_metrics()),
-        )
-        write_bench_summary(summary, args.bench_out)
-        print(f"# wrote {args.bench_out}", file=sys.stderr)
+    report = JoinReport(
+        algorithm="updates",
+        result_count=result.log_records_applied,
+        join_io=result.io,
+        wall_seconds=result.wall_seconds,
+    )
+    rows = [("updates", "update-storm", report)]
+    _write_bench(args, "update-bench", rows, dict(result.as_metrics()))
     return 0
 
 
@@ -477,38 +521,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_remote_query(args: argparse.Namespace) -> int:
-    from .service import ServiceClient
-
-    with ServiceClient(args.host, args.port) as client:
-        # query_all follows continuation cursors, so result sets past
-        # the wire cap still print in full
-        response = client.query_all(
-            args.document, args.path, tenant=args.tenant
-        )
-    status = response.get("status")
-    if status == "ok":
-        for code in response.get("codes", []):
-            print(code)
-        print(
-            f"# {response.get('count')} matches, "
-            f"direction={response.get('direction')}, "
-            f"cache_hit={response.get('cache_hit')}, "
-            f"planning_io={response.get('planning_io')}",
-            file=sys.stderr,
-        )
-        return 0
-    if status == "rejected":
-        print(
-            f"# rejected ({response.get('code')}): {response.get('error')} "
-            f"— retry after {response.get('retry_after')}s",
-            file=sys.stderr,
-        )
-        return 2
-    print(f"# error: {response.get('error')}", file=sys.stderr)
-    return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -534,32 +546,16 @@ def main(argv: list[str] | None = None) -> int:
     enc.set_defaults(func=cmd_encode)
 
     qry = sub.add_parser("query", help="run a //a//b path query")
-    qry.add_argument("file")
+    qry.add_argument("source", help="an XML file, an image or a document name")
     qry.add_argument("path")
-    qry.add_argument("--buffer-pages", type=int, default=64)
-    qry.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the storage fault injector",
-    )
-    qry.add_argument(
-        "--fault-read-rate", type=float, default=0.0,
-        help="probability of a transient error per page read",
-    )
-    qry.add_argument(
-        "--fault-write-rate", type=float, default=0.0,
-        help="probability of a transient error per page write",
-    )
-    qry.add_argument(
-        "--fault-torn-rate", type=float, default=0.0,
-        help="probability of a torn (checksum-failing) page read",
-    )
+    how = qry.add_mutually_exclusive_group()
+    for mode, text in _QUERY_MODES.items():
+        how.add_argument(f"--{mode}", action="store_true", help=text)
+    for flag, (kind, default, modes, text) in _QUERY_OPTIONS.items():
+        qry.add_argument(
+            flag, type=kind, help=f"{text} ({'/'.join(modes)}; default {default})"
+        )
     qry.set_defaults(func=cmd_query)
-
-    exp = sub.add_parser("explain", help="show the plan of every join step")
-    exp.add_argument("file")
-    exp.add_argument("path")
-    exp.add_argument("--buffer-pages", type=int, default=64)
-    exp.set_defaults(func=cmd_explain)
 
     sts = sub.add_parser("stats", help="document / coding statistics")
     sts.add_argument("file")
@@ -571,12 +567,6 @@ def main(argv: list[str] | None = None) -> int:
     sav.add_argument("image")
     sav.add_argument("--tags", default="", help="comma-separated (default: all)")
     sav.set_defaults(func=cmd_save)
-
-    imq = sub.add_parser("image-query", help="query a saved image")
-    imq.add_argument("image")
-    imq.add_argument("path")
-    imq.add_argument("--buffer-pages", type=int, default=64)
-    imq.set_defaults(func=cmd_image_query)
 
     shb = sub.add_parser(
         "shard-build",
@@ -629,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         "slot with --shards) on each; default 1 = serial",
     )
     bch.add_argument(
-        "--sanitize", action="store_true", default=None,
+        "--sanitize", action="store_true",
         help="run under the view-lifetime sanitizer: borrowed page "
         "views are tracked and use-after-unpin raises "
         "(default: REPRO_SANITIZE or off)",
@@ -707,17 +697,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     srv.set_defaults(func=cmd_serve)
 
-    rmq = sub.add_parser(
-        "remote-query", help="send one path query to a running server"
-    )
-    rmq.add_argument("document")
-    rmq.add_argument("path")
-    rmq.add_argument("--host", default="127.0.0.1")
-    rmq.add_argument("--port", type=int, default=7723)
-    rmq.add_argument("--tenant", default="default")
-    rmq.set_defaults(func=cmd_remote_query)
-
     args = parser.parse_args(argv)
+    if args.command == "query":
+        _check_query_options(qry, args)
     return args.func(args)
 
 

@@ -3,7 +3,6 @@
 from . import pbitree
 from .binarize import binarize, levels_for_tree, placement_k
 from .encoding import EncodingError, PBiTreeEncoding
-from .execconfig import ExecConfig, exec_scope
 from .pbitree import Height, PBiCode, PrefixCode, RegionCode
 from .update import (
     ChangeEvent,
@@ -24,8 +23,6 @@ __all__ = [
     "placement_k",
     "PBiTreeEncoding",
     "EncodingError",
-    "ExecConfig",
-    "exec_scope",
     "UpdatableEncoding",
     "UpdateStats",
     "CodeSpaceError",

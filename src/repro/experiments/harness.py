@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
-from ..core.execconfig import ExecConfig, current, exec_scope
 from ..join.base import JoinAlgorithm, JoinReport, JoinSink
 from ..join.planner import make_algorithm
 from ..obs.metrics import MetricsRegistry
@@ -38,6 +37,7 @@ from ..storage.buffer import BufferManager
 from ..storage.disk import DiskManager
 from ..storage.elementset import ElementSet
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
+from ..storage.sanitize import sanitize_enabled
 
 __all__ = [
     "REGION_ALGORITHMS",
@@ -227,7 +227,6 @@ def run_lineup(
     metrics: Optional[MetricsRegistry] = None,
     workers: int = 1,
     parallel_mode: Optional[str] = None,
-    exec: Optional[ExecConfig] = None,
     shards: int = 0,
     shard_level: Optional[int] = None,
 ) -> LineupResult:
@@ -254,11 +253,10 @@ def run_lineup(
     fresh one from it).  ``workers < 1`` or an unknown mode name raises
     :class:`ValueError` before any work.
 
-    ``exec`` pins the execution configuration (the sanitizer —
-    :class:`~repro.core.execconfig.ExecConfig`) for the whole line-up,
-    workers included; ``None`` keeps the caller's current one.  No
-    value of it changes a report, only wall time.  The effective value
-    is recorded as the ``sanitize.enabled`` gauge.
+    The line-up runs in the caller's sanitizer mode
+    (:func:`~repro.storage.sanitize.sanitized`), workers included.  It
+    changes no report, only wall time, and is recorded as the
+    ``sanitize.enabled`` gauge.
 
     ``shards > 0`` runs every algorithm scatter-gather over a
     :class:`~repro.shard.corpus.ShardedCorpus` partitioned at
@@ -276,9 +274,9 @@ def run_lineup(
     check_pool_args(workers, parallel_mode)
     for name in algorithms:
         make_algorithm(name)  # reject unknown names before any work
-    cfg = current() if exec is None else exec
+    sanitize = sanitize_enabled()
     if metrics is not None:
-        metrics.gauge("sanitize.enabled").set(1.0 if cfg.sanitize else 0.0)
+        metrics.gauge("sanitize.enabled").set(1.0 if sanitize else 0.0)
     pooled = shards > 0 or workers > 1
     if pooled and isinstance(faults, FaultInjector):
         raise ValueError(
@@ -323,7 +321,7 @@ def run_lineup(
                 faults=faults,  # type: ignore[arg-type]  # checked above
                 retry=retry,
                 traced=tracer is not None and tracer.enabled,
-                exec=cfg,
+                sanitize=sanitize,
             )
             for name in algorithms
         ]
@@ -367,18 +365,16 @@ def run_lineup(
                 faults=faults,
                 retry=retry,
                 tracer=tracer,
-                exec=cfg,
             )
             benches.extend(executor.slot_benches)
             yield name, report
 
     runs = sharded() if shards > 0 else fanned() if workers > 1 else serial()
     lineup = LineupResult(dataset=dataset_name)
-    with exec_scope(cfg):
-        for name, report in runs:
-            lineup.results.append(AlgorithmResult(name=name, report=report))
-            if metrics is not None:
-                metrics.record_report(report, dataset=dataset_name)
+    for name, report in runs:
+        lineup.results.append(AlgorithmResult(name=name, report=report))
+        if metrics is not None:
+            metrics.record_report(report, dataset=dataset_name)
     if metrics is not None:
         _record_bench_gauges(metrics, benches)
     counts = {result.report.result_count for result in lineup.results}

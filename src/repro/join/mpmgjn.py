@@ -7,7 +7,8 @@ behaviour stack-tree joins were invented to avoid, kept here as the
 sort-merge representative of Section 3.1.
 
 When an input is not already sorted it is sorted on the fly by
-external merge sort (preparation I/O reported separately).
+external merge sort (preparation I/O reported separately);
+:class:`SortedInputsJoin` does that for every merge join.
 """
 
 from __future__ import annotations
@@ -21,33 +22,46 @@ from ..storage.elementset import ElementSet, SortOrder
 from .base import JoinAlgorithm, JoinReport, JoinSink
 from .cursor import SetCursor
 
-__all__ = ["MPMGJoin", "ensure_sorted"]
+__all__ = ["MPMGJoin", "SortedInputsJoin"]
 
 
-def ensure_sorted(
-    elements: ElementSet, bufmgr: BufferManager
-) -> tuple[ElementSet, bool]:
-    """Return a document-order-sorted version of the set.
+class SortedInputsJoin(JoinAlgorithm):
+    """A merge join over document-ordered inputs.
 
-    The second element of the result tells whether a temporary sorted
-    copy was created (and should be destroyed by the caller).
+    ``_prepare`` sorts each unsorted side under a ``sort_span`` span;
+    ``_cleanup`` destroys the sorted copies.  When D's sort raises, no
+    prepared state reaches ``_cleanup``, so ``_prepare`` frees A's copy
+    itself.
     """
-    if elements.sorted_by == SortOrder.START:
-        return elements, False
-    return external_sort_set(elements), True
+
+    sort_span = "mpmgjn.sort"
+
+    def _prepare(self, ancestors, descendants, bufmgr):
+        sorted_a = self._sorted(ancestors, "A")
+        try:
+            sorted_d = self._sorted(descendants, "D")
+        except BaseException:
+            self._cleanup((sorted_a, descendants), ancestors, descendants)
+            raise
+        return sorted_a, sorted_d
+
+    def _sorted(self, elements: ElementSet, side: str) -> ElementSet:
+        """``elements`` itself when in document order, else a sorted copy."""
+        with self.trace(self.sort_span, side=side):
+            if elements.sorted_by == SortOrder.START:
+                return elements
+            return external_sort_set(elements)
+
+    def _cleanup(self, prepared, ancestors, descendants) -> None:
+        for copy, original in zip(prepared, (ancestors, descendants)):
+            if copy is not original:
+                copy.destroy()
 
 
-class MPMGJoin(JoinAlgorithm):
+class MPMGJoin(SortedInputsJoin):
     """Multiple Predicate Merge Join over document-ordered inputs."""
 
     name = "MPMGJN"
-
-    def _prepare(self, ancestors, descendants, bufmgr):
-        with self.trace("mpmgjn.sort", side="A"):
-            sorted_a, temp_a = ensure_sorted(ancestors, bufmgr)
-        with self.trace("mpmgjn.sort", side="D"):
-            sorted_d, temp_d = ensure_sorted(descendants, bufmgr)
-        return sorted_a, temp_a, sorted_d, temp_d
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         """Merge via per-page binary search instead of per-code stepping.
@@ -61,7 +75,7 @@ class MPMGJoin(JoinAlgorithm):
         so each rewind re-reads exactly the pages of the re-scanned
         segment — the I/O that defines MPMGJN's cost profile.
         """
-        sorted_a, _temp_a, sorted_d, _temp_d = prepared
+        sorted_a, sorted_d = prepared
         emit = sink.emit
 
         with self.trace("mpmgjn.merge"):
@@ -91,10 +105,3 @@ class MPMGJoin(JoinAlgorithm):
                     # rewind: the next ancestor may contain this segment
                     d_cursor.restore(mark)
         return JoinReport(algorithm=self.name, result_count=sink.count)
-
-    def _cleanup(self, prepared, ancestors, descendants) -> None:
-        sorted_a, temp_a, sorted_d, temp_d = prepared
-        if temp_a:
-            sorted_a.destroy()
-        if temp_d:
-            sorted_d.destroy()

@@ -28,27 +28,11 @@ from typing import Callable, Optional
 from ..core import pbitree
 from ..core.pbitree import PBiCode, RegionCode
 from ..storage.buffer import BufferManager
-from .base import JoinAlgorithm, JoinReport, JoinSink
+from .base import JoinReport, JoinSink
 from .cursor import PageCursor, SetCursor
-from .mpmgjn import ensure_sorted
+from .mpmgjn import SortedInputsJoin
 
 __all__ = ["StackTreeDescJoin", "StackTreeAncJoin", "stack_merge"]
-
-
-class _StackTreeBase(JoinAlgorithm):
-    def _prepare(self, ancestors, descendants, bufmgr):
-        with self.trace("stacktree.sort", side="A"):
-            sorted_a, temp_a = ensure_sorted(ancestors, bufmgr)
-        with self.trace("stacktree.sort", side="D"):
-            sorted_d, temp_d = ensure_sorted(descendants, bufmgr)
-        return sorted_a, temp_a, sorted_d, temp_d
-
-    def _cleanup(self, prepared, ancestors, descendants) -> None:
-        sorted_a, temp_a, sorted_d, temp_d = prepared
-        if temp_a:
-            sorted_a.destroy()
-        if temp_d:
-            sorted_d.destroy()
 
 
 def stack_merge(
@@ -113,13 +97,14 @@ def stack_merge(
             di, dn, d_codes, d_keys, d_starts, _ = d.arrays()
 
 
-class StackTreeDescJoin(_StackTreeBase):
+class StackTreeDescJoin(SortedInputsJoin):
     """Stack-Tree-Desc: output sorted by descendant."""
 
     name = "STACKTREE"
+    sort_span = "stacktree.sort"
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
-        sorted_a, _ta, sorted_d, _td = prepared
+        sorted_a, sorted_d = prepared
         with self.trace("stacktree.merge"):
             self._merge(SetCursor(sorted_a), SetCursor(sorted_d), sink.emit)
         return JoinReport(algorithm=self.name, result_count=sink.count)
@@ -139,7 +124,7 @@ class _AncStackEntry:
         self.inherit_list: list[tuple[PBiCode, PBiCode]] = []
 
 
-class StackTreeAncJoin(_StackTreeBase):
+class StackTreeAncJoin(SortedInputsJoin):
     """Stack-Tree-Anc: output sorted by ancestor.
 
     A result pair cannot be emitted when its descendant arrives,
@@ -151,9 +136,10 @@ class StackTreeAncJoin(_StackTreeBase):
     """
 
     name = "STACKTREE-ANC"
+    sort_span = "stacktree.sort"
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
-        sorted_a, _ta, sorted_d, _td = prepared
+        sorted_a, sorted_d = prepared
         doc_key = pbitree.doc_order_key
         end_of = pbitree.end_of
         start_of = pbitree.start_of

@@ -13,7 +13,7 @@ count (see docs/parallel.md).  Everything defaults to serial
 """
 
 from .fanout import run_cold_joins
-from .pool import PARALLEL_MODE_ENV, WorkerPool
+from .pool import WorkerPool
 from .tasks import (
     SlotJoinTask,
     SlotTaskResult,
@@ -24,7 +24,6 @@ from .tasks import (
 
 __all__ = [
     "run_cold_joins",
-    "PARALLEL_MODE_ENV",
     "WorkerPool",
     "SlotJoinTask",
     "SlotTaskResult",

@@ -18,25 +18,18 @@ Two modes:
 * ``"inline"`` — tasks run eagerly in the parent at submit time.  This
   is the deterministic single-process reference the differential tests
   compare against, and the automatic fallback everywhere else.
-
-``REPRO_PARALLEL_MODE`` overrides the mode for a whole process tree —
-handy for forcing ``inline`` in constrained CI sandboxes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Callable, Optional, TypeVar
 
-__all__ = ["WorkerPool", "PARALLEL_MODE_ENV", "check_pool_args"]
+__all__ = ["WorkerPool", "check_pool_args"]
 
 _TaskT = TypeVar("_TaskT")
 _ResultT = TypeVar("_ResultT")
-
-#: environment variable overriding the pool mode ("process" / "inline")
-PARALLEL_MODE_ENV = "REPRO_PARALLEL_MODE"
 
 _MODES = ("process", "inline")
 
@@ -44,8 +37,7 @@ _MODES = ("process", "inline")
 def check_pool_args(workers: int, mode: Optional[str]) -> None:
     """Reject a worker count below 1 or an unknown mode name.
 
-    ``mode=None`` passes: it means "``REPRO_PARALLEL_MODE``, else
-    process", resolved when a pool is built.
+    ``mode=None`` passes: it means ``"process"``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -76,11 +68,9 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, mode: Optional[str] = None) -> None:
-        if mode is None:
-            mode = os.environ.get(PARALLEL_MODE_ENV) or "process"
         check_pool_args(workers, mode)
         self.workers = workers
-        self.mode = "inline" if workers == 1 else mode
+        self.mode = "inline" if workers == 1 else mode or "process"
         self._executor: Optional[ProcessPoolExecutor] = None
         self._broken = False
 

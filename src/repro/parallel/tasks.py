@@ -13,8 +13,8 @@ fault payloads — :class:`~repro.storage.faults.StorageFault` instances
 themselves use keyword-only constructors and do not round-trip through
 pickle.
 
-Every task is frozen and built from ints, strings, lists of ints and
-frozen configs — safe for both ``fork`` and ``spawn`` start methods.
+Every task is frozen and built from ints, strings, bools, lists of
+ints and frozen configs — safe for both ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Optional, TypedDict
 
-from ..core.execconfig import ExecConfig, exec_scope
 from ..obs.export import trace_to_jsonl
 from ..obs.tracer import Tracer
 from ..storage.faults import (
@@ -32,6 +31,7 @@ from ..storage.faults import (
     StorageFault,
     TransientIOError,
 )
+from ..storage.sanitize import sanitized
 
 if TYPE_CHECKING:
     from ..experiments.harness import Workbench
@@ -133,8 +133,8 @@ class SlotJoinTask:
     of a sharded scatter-gather join.
 
     The worker builds its own complete workbench from the shipped
-    codes, runs under ``exec`` (the parent's execution configuration,
-    shipped because workers do not share the parent's context), and
+    codes, runs sanitized when ``sanitize`` is set (the parent's
+    mode, shipped because workers do not share its context), and
     sends back structured fault payloads plus — when ``collect`` is
     set — the emitted pairs.  ``label`` feeds heap names and the trace
     span: the dataset name for a line-up run; for a slot it must be
@@ -158,7 +158,7 @@ class SlotJoinTask:
     faults: Optional[FaultConfig]
     retry: Optional[RetryPolicy]
     traced: bool
-    exec: ExecConfig = ExecConfig()
+    sanitize: bool = False
 
 
 def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
@@ -173,7 +173,7 @@ def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
     tracer = Tracer() if task.traced else None
     report = None
     fault: Optional[dict[str, Any]] = None
-    with exec_scope(task.exec):
+    with sanitized(task.sanitize):
         bench = Workbench.create(
             task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
         )

@@ -12,7 +12,7 @@ tier.  It layers, bottom-up:
   query a session-private disk view + buffer pool so the existing
   single-threaded join machinery runs correctly in parallel;
 * :mod:`.server` / :mod:`.client` — a JSON-lines TCP protocol
-  (``python -m repro serve`` / ``remote-query``).
+  (``python -m repro serve`` / ``query --remote``).
 
 See ``docs/service.md`` for the architecture and guarantees.
 """

@@ -42,7 +42,6 @@ import zlib
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from ..core.execconfig import ExecConfig, current
 from ..join.base import JoinReport
 from ..join.planner import make_algorithm
 from ..obs.tracer import Tracer
@@ -50,6 +49,7 @@ from ..parallel.fanout import run_cold_joins
 from ..parallel.pool import check_pool_args
 from ..parallel.tasks import BenchGauges, SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
+from ..storage.sanitize import sanitize_enabled
 from ..storage.stats import IOSnapshot
 from .corpus import ShardedCorpus
 
@@ -101,7 +101,6 @@ class ShardedJoinExecutor:
         faults: "FaultInjector | FaultConfig | None" = None,
         retry: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        exec: Optional[ExecConfig] = None,
     ) -> tuple[JoinReport, Optional[list[tuple[int, int]]]]:
         """Join two sets registered on the corpus (by tag) shard-parallel;
         returns (merged report, pairs).
@@ -110,9 +109,8 @@ class ShardedJoinExecutor:
         against its owned ``descendants`` codes, read back through the
         owning shard's pool.  ``pairs`` is the gathered result set when
         ``collect`` is set
-        (concatenated in slot order), else ``None``.  ``exec`` defaults
-        to the caller's current execution configuration, mirroring the
-        line-up harness; every slot bench runs under it.
+        (concatenated in slot order), else ``None``.  Every slot bench
+        runs in the caller's sanitizer mode, as in the line-up harness.
         """
         if isinstance(faults, FaultInjector):
             raise ValueError(
@@ -128,7 +126,7 @@ class ShardedJoinExecutor:
         d_slots = [corpus.slot_descendant_codes(descendants, slot) for slot in slots]
         prefix = f"{dataset}." if dataset else ""
         traced = tracer is not None and tracer.enabled
-        cfg = current() if exec is None else exec
+        sanitize = sanitize_enabled()
         started = time.perf_counter()
         tasks = [
             SlotJoinTask(
@@ -143,7 +141,7 @@ class ShardedJoinExecutor:
                 faults=slot_fault_config(faults, dataset, algorithm, slot),
                 retry=retry,
                 traced=traced,
-                exec=cfg,
+                sanitize=sanitize,
             )
             for slot in range(corpus.num_slots)
             # an empty side joins to nothing; purge (VPJ-style)

@@ -29,6 +29,7 @@ from .sanitize import (
     ViewRegistry,
     ViewSanitizerError,
     sanitize_enabled,
+    sanitized,
 )
 from .stats import IOSnapshot, IOStats
 
@@ -68,6 +69,7 @@ __all__ = [
     "LiveViewAtEvictError",
     "ViewRegistry",
     "sanitize_enabled",
+    "sanitized",
     "IOStats",
     "IOSnapshot",
 ]

@@ -34,10 +34,12 @@ static side is :mod:`repro.analysis.view_escape`):
   loud garbage instead of codes that happen to join.
 
 The mode is off by default and adds one predicate call per unpin when
-off.  It is the ``sanitize`` value of the execution configuration
-(:mod:`repro.core.execconfig`): enable it with ``REPRO_SANITIZE=1`` or
-``exec_scope(sanitize=True)``; parallel tasks carry the configuration
-explicitly, so worker benches are sanitized too.
+off.  It is one ``ContextVar[bool]``: its default is parsed once from
+``REPRO_SANITIZE`` (a typo is a :class:`ValueError`, never a silent
+fallback), and :func:`sanitized` pins it for the calling *context*
+only, so one thread's or tenant's scope cannot flip another's.  Worker
+processes do not share the parent's context: a pooled task carries the
+bool (``SlotJoinTask.sanitize``) and the worker runs under it.
 Sanitized runs do no extra disk I/O, so ``JoinReport`` accounting stays
 field-for-field identical to unsanitized runs (the execution matrix
 holds them equal).
@@ -50,10 +52,10 @@ fault-tolerance layer.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Sequence
-
-from ..core.execconfig import current
 
 __all__ = [
     "POISON_BYTE",
@@ -62,6 +64,7 @@ __all__ = [
     "LiveViewAtEvictError",
     "ViewRegistry",
     "sanitize_enabled",
+    "sanitized",
     "borrowed",
     "check_unpin_to_zero",
     "check_evict",
@@ -117,9 +120,43 @@ class LiveViewAtEvictError(ViewSanitizerError):
         self.labels = tuple(labels)
 
 
-def sanitize_enabled() -> bool:
-    """Whether the view-lifetime sanitizer is active (default off)."""
-    return current().sanitize
+_TRUE = ("1", "true", "on", "yes")
+_FALSE = ("0", "false", "off", "no")
+
+
+def _parse_switch(raw: str) -> bool:
+    """A ``REPRO_SANITIZE`` value: blank is off, a typo is an error (a
+    ``REPRO_SANITIZE=ture`` must fail the run, not leave it unsanitized)."""
+    raw = raw.strip()
+    if raw.lower() in _TRUE:
+        return True
+    if raw.lower() in _FALSE + ("",):
+        return False
+    raise ValueError(
+        f"REPRO_SANITIZE={raw!r}: expected one of {'/'.join(_TRUE)} "
+        f"or {'/'.join(_FALSE)}"
+    )
+
+
+#: the process default is the variable's default, so a context with no
+#: scope active (a fresh thread, a worker process) sees it
+_enabled: ContextVar[bool] = ContextVar(
+    "repro_sanitize", default=_parse_switch(os.environ.get("REPRO_SANITIZE", ""))
+)
+
+#: whether the sanitizer is active in the calling context (bound
+#: directly to the variable's ``get``: readers sit on hot paths)
+sanitize_enabled = _enabled.get
+
+
+@contextmanager
+def sanitized(on: bool = True) -> Iterator[None]:
+    """Pin the sanitizer on (or off) for the calling context only."""
+    token = _enabled.set(on)
+    try:
+        yield
+    finally:
+        _enabled.reset(token)
 
 
 # ---------------------------------------------------------------------------

@@ -151,14 +151,15 @@ class TestElementSetLifecycle:
 
 
 class TestExecutionConfigSurface:
-    """One ExecConfig replaced three switch trios and a task copy."""
+    """One sanitizer switch replaced three switch trios, a task copy and
+    then the one-field execution configuration."""
 
-    def test_new_names_exported(self):
-        import repro
-        from repro.core import ExecConfig, exec_scope
+    def test_switch_lives_in_the_sanitizer(self):
+        from repro import storage
+        from repro.storage import sanitize
 
-        assert repro.ExecConfig is ExecConfig
-        assert repro.exec_scope is exec_scope
+        assert storage.sanitize_enabled is sanitize.sanitize_enabled
+        assert storage.sanitized is sanitize.sanitized
 
     # names are assembled so a repo-wide grep for the removed spellings
     # stays empty (the ISSUE's acceptance check covers tests/ too)
@@ -236,7 +237,7 @@ class TestExecutionConfigSurface:
             # one execution mode: the batch and flat-index switches, the
             # scalar loops and the second probe path of each index
             (
-                ["repro.core.execconfig"],
+                ["repro.storage.sanitize"],
                 ["DEFAULT_" + "BATCH_SIZE", "_parse" + "_size"],
             ),
             (
@@ -281,6 +282,10 @@ class TestExecutionConfigSurface:
                     "available" + "_codecs",
                 ],
             ),
+            # one sanitizer switch, one pool default
+            (["repro", "repro.core"], ["Exec" + "Config", "exec" + "_scope"]),
+            (["repro.parallel", "repro.parallel.pool"], ["PARALLEL" + "_MODE_ENV"]),
+            (["repro.storage.sanitize"], ["current"]),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
@@ -307,6 +312,11 @@ class TestExecutionConfigSurface:
 
         assert importlib.util.find_spec("repro.core." + "codec") is None
 
+    def test_execconfig_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.core." + "execconfig") is None
+
     def test_update_surfaces_take_no_codec(self):
         import inspect
 
@@ -324,13 +334,12 @@ class TestExecutionConfigSurface:
             assert "codec" not in inspect.signature(callable_).parameters
 
     def test_readers_kept(self):
-        from repro import exec_scope
-        from repro.storage.sanitize import sanitize_enabled
+        from repro.storage.sanitize import sanitize_enabled, sanitized
 
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             assert sanitize_enabled()
 
-    def test_one_exec_parameter_replaces_three(self):
+    def test_tasks_carry_a_bool_and_runs_take_no_exec(self):
         import dataclasses
         import inspect
 
@@ -338,13 +347,15 @@ class TestExecutionConfigSurface:
         from repro.parallel.tasks import SlotJoinTask
         from repro.shard import ShardedJoinExecutor
 
-        gone = {"batch" + "_size", "flat" + "_index", "sanitize"}
+        gone = {"exec", "batch" + "_size", "flat" + "_index"}
         for params in (
             set(inspect.signature(run_lineup).parameters),
             set(inspect.signature(ShardedJoinExecutor.run).parameters),
-            {field.name for field in dataclasses.fields(SlotJoinTask)},
         ):
-            assert "exec" in params and not params & gone
+            assert not params & (gone | {"sanitize"})
+        fields = {field.name for field in dataclasses.fields(SlotJoinTask)}
+        assert "sanitize" in fields and not fields & gone
+        assert SlotJoinTask.__dataclass_fields__["sanitize"].default is False
 
 
 class TestOneParallelScope:

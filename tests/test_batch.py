@@ -26,9 +26,9 @@ from repro import (
     RetryPolicy,
 )
 from repro.core import batch, pbitree as pt
-from repro.core.execconfig import exec_scope
 from repro.join.cursor import SetCursor
 from repro.storage.record import CODE, MAX_CODE_BITS, PAIR, RecordCodec
+from repro.storage.sanitize import sanitized
 
 MAX_CODE = (1 << MAX_CODE_BITS) - 1
 
@@ -255,7 +255,7 @@ class TestFrameRecycling:
         # Buffer recycling only exists with the view sanitizer off:
         # under REPRO_SANITIZE=1 evicted buffers are poisoned and
         # retired instead of reused, so pin the mode explicitly.
-        with exec_scope(sanitize=False):
+        with sanitized(False):
             disk = DiskManager(page_size=64)
             bufmgr = BufferManager(disk, 2)
             pages = []

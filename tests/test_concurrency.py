@@ -8,9 +8,9 @@ Each class pins one fix:
   ones that pass on a lucky interleaving.
 * :class:`TestScopeIsolation` — the execution switches used to be
   module globals, so one thread's scope leaked into every other thread
-  mid-query.  ``exec_scope`` is a contextvar: two threads holding
-  *opposing* configurations must each see their own, and the process
-  default must survive both.
+  mid-query.  The sanitizer switch is a contextvar (``sanitized``): two
+  threads holding *opposing* modes must each see their own, and the
+  process default must survive both.
 * :class:`TestStaleGuardAtomicity` — retire/probe had a TOCTOU: a
   probe could pass ``_check_fresh`` and then read pre-update answers
   after a concurrent ``mark_stale``.  Check-and-probe is now one
@@ -25,14 +25,13 @@ import threading
 
 import pytest
 
-from repro.core.execconfig import ExecConfig, current, exec_scope
 from repro.index.bptree import BPlusTree
 from repro.index.interval_tree import IntervalTree
 from repro.index.staleness import StaleGuard, StaleIndexError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskManager
-from repro.storage.sanitize import sanitize_enabled
+from repro.storage.sanitize import sanitize_enabled, sanitized
 
 THREADS = 8
 ROUNDS = 2_000
@@ -125,34 +124,32 @@ class TestMetricsHammer:
 
 class TestScopeIsolation:
     def test_opposing_scopes(self):
-        default = current()
-        on_cfg = ExecConfig(sanitize=True)
-        off_cfg = ExecConfig(sanitize=False)
+        default = sanitize_enabled()
         barrier = threading.Barrier(2)
         observed = {}
 
-        def hold(key, cfg):
+        def hold(key, on):
             def body():
-                with exec_scope(cfg):
+                with sanitized(on):
                     barrier.wait()  # both threads are now inside their scope
-                    observed[key] = (current(), sanitize_enabled())
+                    observed[key] = sanitize_enabled()
                     barrier.wait()
 
             return body
 
-        run_threads([hold("on", on_cfg), hold("off", off_cfg)])
-        assert observed == {"on": (on_cfg, True), "off": (off_cfg, False)}
-        assert current() == default
+        run_threads([hold("on", True), hold("off", False)])
+        assert observed == {"on": True, "off": False}
+        assert sanitize_enabled() == default
 
     def test_scope_does_not_leak_to_spawned_default(self):
         # a thread started *outside* any scope sees the process default
-        default = current()
+        default = sanitize_enabled()
         observed = {}
 
         def probe():
-            observed["value"] = current()
+            observed["value"] = sanitize_enabled()
 
-        with exec_scope(sanitize=not default.sanitize):
+        with sanitized(not default):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()

@@ -184,7 +184,7 @@ class TestCLI:
     def test_explain(self, xml_file, capsys):
         from repro.__main__ import main
 
-        assert main(["explain", xml_file, "//shelf//book"]) == 0
+        assert main(["query", "--explain", xml_file, "//shelf//book"]) == 0
         assert "plan" in capsys.readouterr().out
 
     def test_stats(self, xml_file, capsys):
@@ -200,7 +200,7 @@ class TestCLI:
         image = str(tmp_path / "lib.pbit")
         assert main(["save", xml_file, image]) == 0
         capsys.readouterr()
-        assert main(["image-query", image, "//shelf//title"]) == 0
+        assert main(["query", "--image", image, "//shelf//title"]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 3  # three titles
 
@@ -210,7 +210,7 @@ class TestCLI:
         image = str(tmp_path / "partial.pbit")
         assert main(["save", xml_file, image, "--tags", "book,title"]) == 0
         capsys.readouterr()
-        assert main(["image-query", image, "//book//title"]) == 0
+        assert main(["query", "--image", image, "//book//title"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
     def test_image_query_unknown_tag_fails_cleanly(
@@ -221,8 +221,56 @@ class TestCLI:
         image = str(tmp_path / "lib.pbit")
         main(["save", xml_file, image, "--tags", "book"])
         capsys.readouterr()
-        assert main(["image-query", image, "//book//nothing"]) == 1
-        assert "not in the image" in capsys.readouterr().err
+        assert main(["query", "--image", image, "//book//nothing"]) == 1
+        err = capsys.readouterr().err
+        assert "not in the image" in err and "(available: book)" in err
+
+    def test_remote_query(self, capsys):
+        from repro.__main__ import main
+        from repro.service import QueryService, ServerThread
+
+        db = ContainmentDatabase()
+        db.load_xml(XML, name="lib")
+        with ServerThread(QueryService(db)) as server:
+            argv = ["query", "--remote", "lib", "//shelf//title",
+                    "--port", str(server.port), "--tenant", "alice"]
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert len(out.strip().splitlines()) == 3
+            assert "# 3 matches" in err
+            argv[2] = "no-such-document"
+            assert main(argv) == 1
+            assert "# error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--image", "--fault-read-rate", "0.1"],
+            ["--remote", "--fault-seed", "3"],
+            ["--remote", "--buffer-pages", "8"],
+            ["--explain", "--fault-torn-rate", "0.1"],
+            ["--explain", "--image"],
+            ["--image", "--remote"],
+            ["--port", "7723"],
+            ["--image", "--tenant", "alice"],
+        ],
+    )
+    def test_query_flag_outside_its_source_exits_2(self, xml_file, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["query", xml_file, "//shelf//book", *argv])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["explain", "image-query", "remote-query"])
+    def test_folded_query_commands_are_gone(self, xml_file, command, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, xml_file, "//shelf//book"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_extended_query_through_cli(self, xml_file, capsys):
         from repro.__main__ import main
@@ -274,7 +322,7 @@ class TestCLI:
         capsys.readouterr()
         assert rows[2] == rows[1] and len(rows[1]) == 5
 
-    def test_traced_bench_serial_and_pooled(self, tmp_path, monkeypatch, capsys):
+    def test_traced_bench_serial_and_pooled(self, tmp_path, capsys):
         """A traced line-up writes a BENCH summary that validates, span
         JSON lines and a metrics dump; fanned over a 2-process pool it
         reports the serial rows, wall time aside."""
@@ -284,7 +332,6 @@ class TestCLI:
         from repro.obs.__main__ import main as validate
         from repro.obs.export import spans_from_jsonl
 
-        monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)
         rows = {}
         for mode, extra in (("serial", []), ("pooled", ["--workers", "2"])):
             trace, metrics, bench = (

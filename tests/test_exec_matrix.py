@@ -1,8 +1,7 @@
 """The execution-mode matrix: one line-up, every configuration.
 
-No value of :class:`~repro.core.execconfig.ExecConfig` and no fan-out
-mode may change what a join computes or what it reads — only how fast.
-Every cell of
+Neither the view-lifetime sanitizer nor a fan-out mode may change what
+a join computes or what it reads — only how fast.  Every cell of
 
     {sanitize off | on} x {Figure 6(b) | Figure 6(a) line-up}
         x {serial, workers=2, shards=2}
@@ -21,6 +20,7 @@ pin the same row in a pool large enough for the in-memory arms, for the
 registered operators no line-up runs, and each operator's emit order.
 """
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -29,7 +29,6 @@ import struct
 import pytest
 
 from repro import IndexNestedLoopJoin, JoinSink
-from repro.core.execconfig import ExecConfig, current, exec_scope
 from repro.experiments import harness
 from repro.experiments.harness import (
     Workbench,
@@ -43,14 +42,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import SlotJoinTask, run_slot_join_task
 from repro.storage.faults import FaultConfig, RetryPolicy
+from repro.storage.sanitize import sanitize_enabled, sanitized
 
 from .differential import assert_lineups_equal, lineup_inputs
 
-REFERENCE = ExecConfig()
-
-#: (configuration, single-height line-up?)
+#: (sanitized?, single-height line-up?)
 CELLS = [
-    (ExecConfig(sanitize=sanitize), single_height)
+    (sanitize, single_height)
     for sanitize, single_height in itertools.product((False, True), (False, True))
 ]
 
@@ -63,45 +61,47 @@ MODES = {
 
 
 def cell_id(cell):
-    cfg, single_height = cell
+    sanitize, single_height = cell
     return (
         f"{'SH' if single_height else 'MH'}-"
-        f"{'sanitized' if cfg.sanitize else 'plain'}"
+        f"{'sanitized' if sanitize else 'plain'}"
     )
 
 
-def lineup(single_height, cfg, metrics=None, **mode):
+def lineup(single_height, sanitize, metrics=None, **mode):
+    """The matrix line-up, sanitized or not (``None``: the caller's mode)."""
     a_codes, d_codes, tree_height = lineup_inputs(single_height)
-    return run_lineup(
-        "matrix",
-        a_codes,
-        d_codes,
-        tree_height,
-        buffer_pages=8,
-        page_size=128,
-        algorithms=make_lineup(single_height),
-        collect=True,
-        metrics=metrics,
-        exec=cfg,
-        **mode,
-    )
+    scope = contextlib.nullcontext() if sanitize is None else sanitized(sanitize)
+    with scope:
+        return run_lineup(
+            "matrix",
+            a_codes,
+            d_codes,
+            tree_height,
+            buffer_pages=8,
+            page_size=128,
+            algorithms=make_lineup(single_height),
+            collect=True,
+            metrics=metrics,
+            **mode,
+        )
 
 
 @functools.lru_cache(maxsize=None)
 def reference(single_height, shards):
-    return lineup(single_height, REFERENCE, shards=shards)
+    return lineup(single_height, False, shards=shards)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_every_cell_equals_the_serial_reference(cell, mode):
-    cfg, single_height = cell
+    sanitize, single_height = cell
     mode_kwargs, reference_shards = MODES[mode]
     metrics = MetricsRegistry()
-    actual = lineup(single_height, cfg, metrics=metrics, **mode_kwargs)
+    actual = lineup(single_height, sanitize, metrics=metrics, **mode_kwargs)
     expected = reference(single_height, reference_shards)
-    assert_lineups_equal(actual, expected, f"under {cfg} / {mode}")
-    assert metrics.as_dict()["sanitize.enabled"] == float(cfg.sanitize)
+    assert_lineups_equal(actual, expected, f"under sanitize={sanitize} / {mode}")
+    assert metrics.as_dict()["sanitize.enabled"] == float(sanitize)
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +290,9 @@ def test_emit_order_matches_the_golden_digest(lineup_name, name):
 # ----------------------------------------------------------------------
 # gauges
 # ----------------------------------------------------------------------
-def test_exec_defaults_to_the_callers_scope():
+def test_sanitize_defaults_to_the_callers_scope():
     metrics = MetricsRegistry()
-    with exec_scope(sanitize=True):
+    with sanitized(True):
         lineup(False, None, metrics=metrics)
     assert metrics.gauge("sanitize.enabled").value == 1.0
 
@@ -345,16 +345,16 @@ def test_bench_gauges_recorded_in_every_mode(mode):
 
 
 # ----------------------------------------------------------------------
-# the configuration reaches process workers as task data
+# the sanitizer mode reaches process workers as task data
 # ----------------------------------------------------------------------
 def _run_and_observe(task):
-    """Worker side: run the task, report the configuration the join ran
-    under and the one left behind afterwards."""
+    """Worker side: run the task, report the mode the join ran under
+    and the one left behind afterwards."""
     seen = []
     original = harness.run_algorithm
 
     def spy(*args, **kwargs):
-        seen.append(current())
+        seen.append(sanitize_enabled())
         return original(*args, **kwargs)
 
     harness.run_algorithm = spy  # this (forked) process only
@@ -362,13 +362,13 @@ def _run_and_observe(task):
         result = run_slot_join_task(task)
     finally:
         harness.run_algorithm = original
-    return seen, current(), result["report"].result_count
+    return seen, sanitize_enabled(), result["report"].result_count
 
 
-def test_non_default_config_reaches_process_worker_without_module_state():
+def test_non_default_mode_reaches_process_worker_without_module_state():
     a_codes, d_codes, tree_height = lineup_inputs()
-    before = current()
-    shipped = ExecConfig(sanitize=not before.sanitize)
+    before = sanitize_enabled()
+    shipped = not before
     task = SlotJoinTask(
         label="ship",
         algorithm="INLJN",
@@ -381,7 +381,7 @@ def test_non_default_config_reaches_process_worker_without_module_state():
         faults=None,
         retry=None,
         traced=False,
-        exec=shipped,
+        sanitize=shipped,
     )
     pool = WorkerPool(2, mode="process")
     try:
@@ -389,7 +389,7 @@ def test_non_default_config_reaches_process_worker_without_module_state():
         seen, after, count = pool.resolve(future, _run_and_observe, task)
     finally:
         pool.close()
-    assert seen == [shipped]  # the join ran under the task's config ...
+    assert seen == [shipped]  # the join ran under the task's mode ...
     assert after == before  # ... which was scoped, not written anywhere
-    assert current() == before
+    assert sanitize_enabled() == before
     assert count == reference(False, 0).result_count

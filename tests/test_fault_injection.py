@@ -46,6 +46,7 @@ from repro import (
 from repro.core import pbitree as pt
 from repro.index.bptree import BPlusTree
 from repro.join.inljn import build_start_index
+from repro.sort.external_sort import external_sort_set
 from repro.storage.disk import PageCorruptionError
 
 #: rotating chaos seed — CI sets this; defaults to a fixed reproducible run
@@ -593,6 +594,29 @@ class TestPreparedIntermediatesFreed:
         assert injector.stats.scheduled_fired == 1
         assert bufmgr.num_pinned == 0
         assert disk.num_allocated == baseline
+
+    @pytest.mark.parametrize("name", ["MPMGJN", "STACKTREE"])
+    def test_fault_during_d_sort_frees_a_sorted_copy(self, name):
+        """The merge joins sort A, then D.  Nothing is prepared when D's
+        sort raises, so ``_cleanup`` never runs: A's sorted copy must be
+        freed by the prepare step itself."""
+        _injector, disk, _bufmgr, a_set, d_set = self.bench()
+        external_sort_set(a_set).destroy()
+        a_reads = disk.stats.reads
+        _injector, _disk, _bufmgr, a_set, d_set = self.bench()
+        report = PREPARING[name]().run(a_set, d_set, JoinSink("count"))
+        prep_reads = report.prep_io.reads
+        assert prep_reads > a_reads + 1  # D's sort reads pages too
+        step = max(1, (prep_reads - a_reads) // 16)
+        for at in range(a_reads + 1, prep_reads + 1, step):
+            injector, disk, bufmgr, a_set, d_set = self.bench()
+            baseline = disk.num_allocated
+            injector.schedule("read-error", at=at, permanent=True)
+            with pytest.raises(PermanentIOError):
+                PREPARING[name]().run(a_set, d_set, JoinSink("count"))
+            assert injector.stats.scheduled_fired == 1
+            assert bufmgr.num_pinned == 0, at
+            assert disk.num_allocated == baseline, at
 
     @pytest.mark.parametrize("name", ["ADB+", "INLJN-outer-A"])
     def test_fault_during_index_build_frees_every_scratch_page(self, name):

@@ -29,7 +29,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import pbitree
-from repro.core.execconfig import exec_scope
 from repro.experiments.harness import materialize, run_algorithm
 from repro.index.bptree import BPlusTree
 from repro.index.staleness import StaleIndexError
@@ -51,7 +50,7 @@ from repro.storage.faults import (
 from repro.storage.heapfile import HeapFile
 from repro.storage.page import page_capacity
 from repro.storage.record import CODE, PAIR, TRIPLE, RecordCodec
-from repro.storage.sanitize import UseAfterUnpinError
+from repro.storage.sanitize import UseAfterUnpinError, sanitized
 from repro.workloads import synthetic as syn
 
 from .oracles import record_joins
@@ -506,7 +505,7 @@ class TestTouch:
 
     @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_touch_with_live_borrow_raises_like_unpin(self, policy):
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             fused, paired = _pool(policy, 3, 4), _pool(policy, 3, 4)
             for bufmgr in (fused, paired):
                 bufmgr.pin(2)
@@ -523,7 +522,7 @@ class TestTouch:
 
     def test_touch_of_pinned_page_tolerates_borrow(self):
         """Not the last pin: no unpin-to-zero, so no sanitizer error."""
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             bufmgr = _pool("lru", 3, 4)
             bufmgr.pin(1)
             ticket = bufmgr.views.register(1, "held")

@@ -36,7 +36,6 @@ from repro.join.planner import make_algorithm
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.parallel import (
-    PARALLEL_MODE_ENV,
     SlotJoinTask,
     WorkerPool,
     fault_from_payload,
@@ -149,10 +148,9 @@ class TestWorkerPool:
         assert pool.resolve(future, lambda task: task * 2, 21) == 42
         pool.close()
 
-    def test_env_override_forces_inline(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_MODE_ENV, "inline")
-        pool = WorkerPool(4)
-        assert pool.mode == "inline"
+    def test_default_mode_is_process(self):
+        pool = WorkerPool(4)  # the executor starts lazily: nothing forks
+        assert pool.mode == "process"
         pool.close()
 
     def test_inline_exception_propagates(self):

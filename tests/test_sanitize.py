@@ -14,17 +14,23 @@ pins both directions of the contract:
   tests/test_exec_matrix.py).
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import BufferManager, DiskManager, ElementSet
-from repro.core.execconfig import exec_scope
 from repro.storage import page as page_layout
 from repro.storage import sanitize
 from repro.storage.heapfile import HeapFile
 from repro.storage.record import CODE
 from repro.storage.sanitize import (
     POISON_BYTE,
+    _parse_switch,
+    sanitized,
     LiveViewAtEvictError,
     UseAfterUnpinError,
     ViewRegistry,
@@ -102,27 +108,73 @@ class TestViewRegistry:
 # ----------------------------------------------------------------------
 # the mode switch
 # ----------------------------------------------------------------------
+def _enabled_in_a_fresh_process(raw):
+    """``sanitize_enabled()`` of a new interpreter with REPRO_SANITIZE=raw."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, REPRO_SANITIZE=raw, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "from repro.storage.sanitize import sanitize_enabled; "
+         "print(sanitize_enabled())"],
+        env=env, capture_output=True, text=True,
+    )
+
+
 class TestSwitch:
+    def test_unset_and_blank_are_off(self):
+        assert _parse_switch("") is False
+        assert _parse_switch(" ") is False
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("1", True), ("true", True), ("ON", True), ("yes", True),
+            ("0", False), ("false", False), ("off", False), ("No", False),
+        ],
+    )
+    def test_switch_spellings(self, raw, expected):
+        assert _parse_switch(raw) is expected
+
+    @pytest.mark.parametrize("raw", ["ture", "maybe"])
+    def test_malformed_value_names_the_variable(self, raw):
+        with pytest.raises(ValueError, match="REPRO_SANITIZE") as excinfo:
+            _parse_switch(raw)
+        assert raw in str(excinfo.value) and "expected" in str(excinfo.value)
+
+    def test_process_default_comes_from_the_environment(self):
+        assert _enabled_in_a_fresh_process("1").stdout.strip() == "True"
+        assert _enabled_in_a_fresh_process("off").stdout.strip() == "False"
+        failed = _enabled_in_a_fresh_process("ture")
+        assert failed.returncode != 0
+        assert "ValueError: REPRO_SANITIZE='ture'" in failed.stderr
+
     def test_scope_restores_previous_state(self):
         before = sanitize.sanitize_enabled()
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             assert sanitize.sanitize_enabled()
-            with exec_scope(sanitize=False):
+            with sanitized(False):
                 assert not sanitize.sanitize_enabled()
             assert sanitize.sanitize_enabled()
+        assert sanitize.sanitize_enabled() == before
+
+    def test_scope_restores_on_error(self):
+        before = sanitize.sanitize_enabled()
+        with pytest.raises(RuntimeError):
+            with sanitized(not before):
+                raise RuntimeError("boom")
         assert sanitize.sanitize_enabled() == before
 
     def test_unpin_check_raises_only_with_live_borrows_under_the_sanitizer(self):
         """The registry is tested before the mode: a live borrow raises
         exactly when the sanitizer is on, an empty registry never."""
         registry = ViewRegistry()
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             sanitize.check_unpin_to_zero(registry, 3)
         registry.register(3, "held")
         registry.register(4, "other page")
-        with exec_scope(sanitize=False):
+        with sanitized(False):
             sanitize.check_unpin_to_zero(registry, 3)
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             sanitize.check_unpin_to_zero(registry, 5)  # no borrow of page 5
             with pytest.raises(UseAfterUnpinError) as caught:
                 sanitize.check_unpin_to_zero(registry, 3)
@@ -141,7 +193,7 @@ class TestSwitch:
 # ----------------------------------------------------------------------
 class TestDeclaredBorrows:
     def test_unpin_to_zero_with_live_borrow_raises(self):
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 2)
             frame = bufmgr.new_page()
             bufmgr.views.register(frame.page_id, "stray-borrow")
@@ -151,7 +203,7 @@ class TestDeclaredBorrows:
             assert "stray-borrow" in excinfo.value.labels
 
     def test_nested_pin_tolerates_borrow_until_last_unpin(self):
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 2)
             frame = bufmgr.new_page()
             bufmgr.pin(frame.page_id)  # second pin
@@ -168,7 +220,7 @@ class TestDeclaredBorrows:
         # the frame buffer: it survives the exporter's release, but the
         # buffer probe refuses to retire the frame under it.
         bufmgr, heap = build_heap(3, 2)
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             kept = []
             with pytest.raises(LiveViewAtEvictError):
                 for fields in heap.scan_page_arrays():
@@ -183,7 +235,7 @@ class TestLeakedViewDetection:
     @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_leaked_view_raises_on_eviction(self, policy):
         bufmgr, heap = build_heap(5, 2, policy=policy)
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             view = leak_view(bufmgr, heap, 0)
             with pytest.raises(LiveViewAtEvictError) as excinfo:
                 churn(bufmgr, heap, skip_index=0)
@@ -205,7 +257,7 @@ class TestLeakedViewDetection:
             pool_size = num_pages - 1
         leak_index %= num_pages
         bufmgr, heap = build_heap(num_pages, pool_size, policy=policy)
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             view = leak_view(bufmgr, heap, leak_index)
             with pytest.raises(LiveViewAtEvictError):
                 churn(bufmgr, heap, skip_index=leak_index)
@@ -216,7 +268,7 @@ class TestLeakedViewDetection:
         # sanitizer the same leak raises nothing — the view survives
         # and reads another page's codes out of the recycled buffer.
         bufmgr, heap = build_heap(5, 2)
-        with exec_scope(sanitize=False):
+        with sanitized(False):
             view = leak_view(bufmgr, heap, 0)
             original = list(view)
             assert original[0] == 1
@@ -234,7 +286,7 @@ class TestLeakedViewDetection:
 
     def test_sanitized_view_is_revoked_on_generator_resume(self):
         bufmgr, heap = build_heap(3, 2)
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             leaked = None
             for fields in heap.scan_page_arrays():
                 if leaked is None:
@@ -249,7 +301,7 @@ class TestLeakedViewDetection:
 # ----------------------------------------------------------------------
 class TestPoisoning:
     def test_retired_buffer_is_poisoned(self):
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 2)
             frame = bufmgr.new_page()
             frame.data[:] = bytes([7]) * PAGE_SIZE
@@ -259,7 +311,7 @@ class TestPoisoning:
             assert set(alias) == {POISON_BYTE}
 
     def test_recycle_path_poisons_and_never_reuses(self):
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             bufmgr, heap = build_heap(4, 2)
             bufmgr.pin(heap.page_ids[0])
             alias = bufmgr._frames[heap.page_ids[0]].data
@@ -278,7 +330,7 @@ class TestPoisoning:
         # A clean sanitized scan: every page decodes to its true codes,
         # nothing ever reads poison, and the pool drains without error.
         bufmgr, heap = build_heap(4, 2)
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             seen = []
             for fields in heap.scan_page_arrays():
                 seen.extend(fields)
@@ -286,7 +338,7 @@ class TestPoisoning:
             bufmgr.evict_all()
 
     def test_poison_noop_when_disabled(self):
-        with exec_scope(sanitize=False):
+        with sanitized(False):
             data = bytearray(b"\x01" * 8)
             sanitize.poison(data)
             assert data == b"\x01" * 8
@@ -299,7 +351,7 @@ class TestCopyEscapeHatch:
     @pytest.mark.parametrize("enabled", [False, True])
     def test_copied_pages_outlive_the_scan(self, enabled):
         bufmgr, heap = build_heap(4, 2)
-        with exec_scope(sanitize=enabled):
+        with sanitized(enabled):
             pages = list(heap.scan_page_arrays(copy=True))
             bufmgr.evict_all()  # no live views: clean drain
             flat = [value for fields in pages for value in fields]
@@ -309,7 +361,7 @@ class TestCopyEscapeHatch:
         bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 3)
         codes = [(1 << 40) + 2 * i + 1 for i in range(3 * CAPACITY)]
         elements = ElementSet.from_codes(bufmgr, codes, 62, "T")
-        with exec_scope(sanitize=True):
+        with sanitized(True):
             pages = list(elements.scan_code_arrays(copy=True))
             bufmgr.flush_all()
             bufmgr.evict_all()
