@@ -347,7 +347,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         run_lineup,
     )
     from .obs.metrics import MetricsRegistry
-    from .storage.sanitize import sanitize_enabled, sanitized
     from .workloads.synthetic import generate, spec_by_name
 
     try:
@@ -372,20 +371,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     metrics = MetricsRegistry()
     try:
-        with sanitized(args.sanitize or sanitize_enabled()):
-            lineup = run_lineup(
-                args.dataset,
-                data.a_codes,
-                data.d_codes,
-                data.tree_height,
-                buffer_pages=args.buffer_pages,
-                algorithms=algorithms,
-                tracer=tracer,
-                metrics=metrics,
-                workers=args.workers,
-                shards=args.shards,
-                shard_level=args.shard_level,
-            )
+        lineup = run_lineup(
+            args.dataset,
+            data.a_codes,
+            data.d_codes,
+            data.tree_height,
+            buffer_pages=args.buffer_pages,
+            algorithms=algorithms,
+            tracer=tracer,
+            metrics=metrics,
+            workers=args.workers,
+            shards=args.shards,
+            shard_level=args.shard_level,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -617,12 +615,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=1,
         help="worker processes: one cold join per algorithm (or per "
         "slot with --shards) on each; default 1 = serial",
-    )
-    bch.add_argument(
-        "--sanitize", action="store_true",
-        help="run under the view-lifetime sanitizer: borrowed page "
-        "views are tracked and use-after-unpin raises "
-        "(default: REPRO_SANITIZE or off)",
     )
     bch.add_argument(
         "--shards", type=int, default=0,

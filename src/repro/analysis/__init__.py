@@ -23,11 +23,10 @@ Checkers
 ``annotations``
     The public API must be fully annotated so the ``PBiCode`` /
     ``RegionCode`` / ``PrefixCode`` domain separation is enforceable.
-``view-escape``
-    Zero-copy page-array views (the batched hot path's borrows of
-    pinned frames) must not be stored, returned, yielded or captured
-    past their pin; take ownership with ``owned_u64_array`` or
-    ``copy=True`` instead.
+``frame-escape``
+    No view of a buffer frame leaves the decode helpers: ``memoryview``
+    / ``.cast`` calls stay in an explicit module allowlist, and a
+    frame's ``.data`` is never returned, yielded or stored.
 ``span-discipline``
     Tracer spans must be entered and closed on every path — the
     pin-discipline leak shape applied to the observability layer.

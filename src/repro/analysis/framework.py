@@ -197,13 +197,13 @@ def all_checkers() -> list[Checker]:
     from .annotations import AnnotationChecker
     from .code_domain import CodeDomainChecker
     from .exports import ExportChecker
+    from .frame_escape import FrameEscapeChecker
     from .pin_discipline import PinDisciplineChecker
     from .span_discipline import SpanDisciplineChecker
-    from .view_escape import ViewEscapeChecker
 
     return [
         PinDisciplineChecker(),
-        ViewEscapeChecker(),
+        FrameEscapeChecker(),
         SpanDisciplineChecker(),
         CodeDomainChecker(),
         ExportChecker(),

@@ -37,7 +37,6 @@ from ..storage.buffer import BufferManager
 from ..storage.disk import DiskManager
 from ..storage.elementset import ElementSet
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
-from ..storage.sanitize import sanitize_enabled
 
 __all__ = [
     "REGION_ALGORITHMS",
@@ -253,11 +252,6 @@ def run_lineup(
     fresh one from it).  ``workers < 1`` or an unknown mode name raises
     :class:`ValueError` before any work.
 
-    The line-up runs in the caller's sanitizer mode
-    (:func:`~repro.storage.sanitize.sanitized`), workers included.  It
-    changes no report, only wall time, and is recorded as the
-    ``sanitize.enabled`` gauge.
-
     ``shards > 0`` runs every algorithm scatter-gather over a
     :class:`~repro.shard.corpus.ShardedCorpus` partitioned at
     ``shard_level`` (default: :func:`~repro.shard.corpus.
@@ -274,9 +268,6 @@ def run_lineup(
     check_pool_args(workers, parallel_mode)
     for name in algorithms:
         make_algorithm(name)  # reject unknown names before any work
-    sanitize = sanitize_enabled()
-    if metrics is not None:
-        metrics.gauge("sanitize.enabled").set(1.0 if sanitize else 0.0)
     pooled = shards > 0 or workers > 1
     if pooled and isinstance(faults, FaultInjector):
         raise ValueError(
@@ -321,7 +312,6 @@ def run_lineup(
                 faults=faults,  # type: ignore[arg-type]  # checked above
                 retry=retry,
                 traced=tracer is not None and tracer.enabled,
-                sanitize=sanitize,
             )
             for name in algorithms
         ]

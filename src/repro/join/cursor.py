@@ -77,12 +77,8 @@ class SetCursor:
         if self._page_index < heap.num_pages:
             try:
                 # element-set heaps store single-code rows, so the
-                # page's flat field array (copied out of the pin by
-                # read_page_array) is its code array; the cursor caches
-                # it past the unpin, which is legal only because
-                # read_page_array returns an owned copy — its borrow of
-                # the raw view is registered with the sanitizer inside
-                # the pin window
+                # page's flat field array is its code array; it is an
+                # owned copy, so the cursor may cache it past the unpin
                 self._page = cast(
                     "Sequence[PBiCode]", heap.read_page_array(self._page_index)
                 )

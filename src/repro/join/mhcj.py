@@ -346,9 +346,7 @@ class MultiHeightRollupJoin(JoinAlgorithm):
             # file, which is what makes the 3(||A|| + ||D||) cost hold.
             report.partitions = 1
 
-            # one rollup_pairs kernel call per page over the zero-copy
-            # code view (consumed within the iteration, so the pin
-            # lifetime holds)
+            # one rollup_pairs kernel call per page of codes
             rolled_pages = (
                 batch.rollup_pairs(codes, target)
                 for codes in ancestors.scan_code_arrays()

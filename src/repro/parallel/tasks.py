@@ -31,7 +31,6 @@ from ..storage.faults import (
     StorageFault,
     TransientIOError,
 )
-from ..storage.sanitize import sanitized
 
 if TYPE_CHECKING:
     from ..experiments.harness import Workbench
@@ -133,13 +132,12 @@ class SlotJoinTask:
     of a sharded scatter-gather join.
 
     The worker builds its own complete workbench from the shipped
-    codes, runs sanitized when ``sanitize`` is set (the parent's
-    mode, shipped because workers do not share its context), and
-    sends back structured fault payloads plus — when ``collect`` is
-    set — the emitted pairs.  ``label`` feeds heap names and the trace
-    span: the dataset name for a line-up run; for a slot it must be
-    derived from the *slot* alone (never the shard or worker), so the
-    slot's report is identical however slots are grouped or scheduled.
+    codes and sends back structured fault payloads plus — when
+    ``collect`` is set — the emitted pairs.  ``label`` feeds heap names
+    and the trace span: the dataset name for a line-up run; for a slot
+    it must be derived from the *slot* alone (never the shard or
+    worker), so the slot's report is identical however slots are
+    grouped or scheduled.
 
     ``faults`` must be a (picklable, frozen) :class:`FaultConfig`, not
     a live injector: the worker builds a fresh seeded injector from it,
@@ -158,7 +156,6 @@ class SlotJoinTask:
     faults: Optional[FaultConfig]
     retry: Optional[RetryPolicy]
     traced: bool
-    sanitize: bool = False
 
 
 def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
@@ -173,23 +170,20 @@ def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
     tracer = Tracer() if task.traced else None
     report = None
     fault: Optional[dict[str, Any]] = None
-    with sanitized(task.sanitize):
-        bench = Workbench.create(
-            task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
-        )
-        ancestors = materialize(
-            bench.bufmgr, task.a_codes, task.tree_height, f"{task.label}.A"
-        )
-        descendants = materialize(
-            bench.bufmgr, task.d_codes, task.tree_height, f"{task.label}.D"
-        )
-        algorithm = make_algorithm(task.algorithm)
-        try:
-            report = run_algorithm(
-                algorithm, ancestors, descendants, sink, tracer=tracer
-            )
-        except StorageFault as exc:
-            fault = fault_to_payload(exc)
+    bench = Workbench.create(
+        task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
+    )
+    ancestors = materialize(
+        bench.bufmgr, task.a_codes, task.tree_height, f"{task.label}.A"
+    )
+    descendants = materialize(
+        bench.bufmgr, task.d_codes, task.tree_height, f"{task.label}.D"
+    )
+    algorithm = make_algorithm(task.algorithm)
+    try:
+        report = run_algorithm(algorithm, ancestors, descendants, sink, tracer=tracer)
+    except StorageFault as exc:
+        fault = fault_to_payload(exc)
     pairs: Optional[list[tuple[int, int]]] = None
     if report is not None:
         # the trace is shipped as JSON lines (span objects hold a tracer

@@ -49,7 +49,6 @@ from ..parallel.fanout import run_cold_joins
 from ..parallel.pool import check_pool_args
 from ..parallel.tasks import BenchGauges, SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
-from ..storage.sanitize import sanitize_enabled
 from ..storage.stats import IOSnapshot
 from .corpus import ShardedCorpus
 
@@ -109,8 +108,7 @@ class ShardedJoinExecutor:
         against its owned ``descendants`` codes, read back through the
         owning shard's pool.  ``pairs`` is the gathered result set when
         ``collect`` is set
-        (concatenated in slot order), else ``None``.  Every slot bench
-        runs in the caller's sanitizer mode, as in the line-up harness.
+        (concatenated in slot order), else ``None``.
         """
         if isinstance(faults, FaultInjector):
             raise ValueError(
@@ -126,7 +124,6 @@ class ShardedJoinExecutor:
         d_slots = [corpus.slot_descendant_codes(descendants, slot) for slot in slots]
         prefix = f"{dataset}." if dataset else ""
         traced = tracer is not None and tracer.enabled
-        sanitize = sanitize_enabled()
         started = time.perf_counter()
         tasks = [
             SlotJoinTask(
@@ -141,7 +138,6 @@ class ShardedJoinExecutor:
                 faults=slot_fault_config(faults, dataset, algorithm, slot),
                 retry=retry,
                 traced=traced,
-                sanitize=sanitize,
             )
             for slot in range(corpus.num_slots)
             # an empty side joins to nothing; purge (VPJ-style)

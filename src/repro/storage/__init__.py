@@ -22,15 +22,7 @@ from .persist import ImageFormatError, LoadedImage, load_image, save_image
 from .docstore import DocumentStore, UpdateLogRecord
 from .elementset import ElementSet, SortOrder
 from .heapfile import HeapFile, HeapFileWriter
-from .record import CODE, PAIR, TRIPLE, RecordCodec, owned_u64_array
-from .sanitize import (
-    LiveViewAtEvictError,
-    UseAfterUnpinError,
-    ViewRegistry,
-    ViewSanitizerError,
-    sanitize_enabled,
-    sanitized,
-)
+from .record import CODE, PAIR, TRIPLE, RecordCodec
 from .stats import IOSnapshot, IOStats
 
 __all__ = [
@@ -63,13 +55,6 @@ __all__ = [
     "CODE",
     "PAIR",
     "TRIPLE",
-    "owned_u64_array",
-    "ViewSanitizerError",
-    "UseAfterUnpinError",
-    "LiveViewAtEvictError",
-    "ViewRegistry",
-    "sanitize_enabled",
-    "sanitized",
     "IOStats",
     "IOSnapshot",
 ]

@@ -22,7 +22,6 @@ import time
 from collections import OrderedDict
 from typing import Optional
 
-from . import sanitize
 from .disk import DiskManager, PageCorruptionError
 from .faults import (
     DEFAULT_RETRY_POLICY,
@@ -98,10 +97,6 @@ class BufferManager:
         self.misses = 0
         #: template for zero-filling recycled frame buffers in one memcpy
         self._zero_page = bytes(disk.page_size)
-        #: shadow table of live page-view borrows (the view-lifetime
-        #: sanitizer, see :mod:`repro.storage.sanitize`; empty and
-        #: never consulted unless ``REPRO_SANITIZE`` is on)
-        self.views = sanitize.ViewRegistry()
 
     # ------------------------------------------------------------------
     # public interface
@@ -123,28 +118,20 @@ class BufferManager:
         frame.pin_count -= 1
         if dirty:
             frame.dirty = True
-        if frame.pin_count == 0:
-            # sanitizer: once the pin count hits zero the frame is a
-            # replacement candidate, so no declared borrow may survive
-            sanitize.check_unpin_to_zero(self.views, page_id)
 
     def touch(self, page_id: int) -> None:
-        """``pin`` + ``unpin`` in one call: one buffer access, no borrow.
+        """``pin`` + ``unpin`` in one call: one buffer access.
 
         What a decoded-page cache pays on a hit so its accounting stays
-        that of a fresh decode: the same hit/miss count, replacement
-        bookkeeping and sanitizer check as the pair, and a miss really
-        reads the page back in.
+        that of a fresh decode: the same hit/miss count and replacement
+        bookkeeping as the pair, and a miss really reads the page back
+        in.
         """
         frame = self._frames.get(page_id)
         if frame is None:
-            frame = self._load(page_id)
-            frame.pin_count = 0
+            self._load(page_id).pin_count = 0
         else:
             self._hit(frame)
-            if frame.pin_count:
-                return
-        sanitize.check_unpin_to_zero(self.views, page_id)
 
     def _load(self, page_id: int) -> Frame:
         """What a miss costs, for pin and touch: room for the page (a
@@ -198,10 +185,8 @@ class BufferManager:
         for page_id in list(self._frames):
             frame = self._frames[page_id]
             if frame.pin_count == 0:
-                sanitize.check_evict(self.views, page_id, frame.data, "evict")
                 self.flush_page(page_id)
                 del self._frames[page_id]
-                sanitize.poison(frame.data)
         self._clock_hand = 0
 
     def discard_page(self, page_id: int) -> None:
@@ -210,9 +195,7 @@ class BufferManager:
         if frame is not None:
             if frame.pin_count > 0:
                 raise ValueError(f"page {page_id} is pinned")
-            sanitize.check_evict(self.views, page_id, frame.data, "discard")
             del self._frames[page_id]
-            sanitize.poison(frame.data)
 
     # ------------------------------------------------------------------
     @property
@@ -302,25 +285,16 @@ class BufferManager:
         The returned ``bytearray`` is recycled as the incoming frame's
         buffer, making a steady-state miss allocation-free (one slice-
         assignment copy of the page image, no fresh page-sized object).
-        Zero-copy page views are only held while a page is pinned, and
-        pinned frames are never victims, so recycling cannot mutate a
-        live view.  Under ``REPRO_SANITIZE`` that claim is enforced
-        rather than assumed: the victim's buffer is probed for leaked
-        views, then poisoned and *not* recycled, so the incoming page
-        always gets a fresh buffer and any stale alias keeps reading
-        poison instead of the next page's bytes.
+        Every page decode copies out of its frame, so no reader holds a
+        view of the buffer being reused.
         """
         if len(self._frames) < self.num_pages:
             return None
         victim = self._choose_victim()
         frame = self._frames[victim]
-        sanitize.check_evict(self.views, victim, frame.data, "recycle")
         if frame.dirty:
             self._write_with_retry(victim, bytes(frame.data))
         del self._frames[victim]
-        if sanitize.sanitize_enabled():
-            sanitize.poison(frame.data)
-            return None
         return frame.data
 
     def _choose_victim(self) -> int:

@@ -401,8 +401,6 @@ class DocumentStore:
             try:
                 fields = page_layout.read_record_array(frame.data, codec)
                 grown = batch.grow_codes(fields, delta)
-                if isinstance(fields, memoryview):
-                    fields.release()
                 offset = page_layout.PAGE_HEADER_SIZE
                 for code in grown:
                     codec.pack_into(frame.data, offset, (code,))

@@ -146,27 +146,20 @@ class ElementSet:
     def scan_pages(self) -> Iterator[list[PBiCode]]:
         """Yield the code list of each page.
 
-        The list is built in one pass from the page's zero-copy field
-        view (a single C-level loop), not a tuple per record; stored
-        codes are PBiCode by the from_codes invariant.
+        The list is built in one pass from the page's field array (a
+        single C-level loop), not a tuple per record; stored codes are
+        PBiCode by the from_codes invariant.
         """
         for fields in self.heap.scan_page_arrays():
-            yield cast("list[PBiCode]", list(fields))
+            yield cast("list[PBiCode]", fields.tolist())
 
-    def scan_code_arrays(
-        self, copy: bool = False
-    ) -> Generator[Sequence[PBiCode], None, None]:
-        """Yield each page's codes as a zero-copy ``Q``-cast view.
+    def scan_code_arrays(self) -> Generator[Sequence[PBiCode], None, None]:
+        """Yield each page's codes as an owned ``array("Q")``.
 
         Element-set heaps store one code per record, so the flat field
-        view *is* the page's code array.  The default is a borrow with
-        :meth:`HeapFile.scan_page_arrays`'s contract — valid only
-        within the loop iteration, revoked on resume under
-        ``REPRO_SANITIZE`` — while ``copy=True`` yields owning
-        ``array("Q")`` pages that may be kept (one extra memcpy per
-        page, no extra I/O).
+        array *is* the page's code array; it may be kept past the scan.
         """
-        for fields in self.heap.scan_page_arrays(copy=copy):
+        for fields in self.heap.scan_page_arrays():
             yield cast("Sequence[PBiCode]", fields)
 
     def to_list(self) -> list[PBiCode]:

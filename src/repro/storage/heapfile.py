@@ -8,15 +8,19 @@ All access goes through the buffer manager, one pinned page at a time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from array import array
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import page as page_layout
-from . import sanitize
 from .buffer import BufferManager
 from .faults import StorageFault
-from .record import RecordCodec, owned_u64_array
+from .record import RecordCodec
 
 __all__ = ["HeapFile", "HeapFileWriter"]
+
+#: one decoded page: a record list or a flat field array
+_Page = TypeVar("_Page")
+_Decode = Callable[[bytearray, RecordCodec], _Page]
 
 
 class HeapFile:
@@ -125,41 +129,21 @@ class HeapFile:
         A storage fault aborts the scan (annotated with the file name);
         it never yields a truncated tail silently.
         """
-        bufmgr = self.bufmgr
-        codec = self.codec
-        for position, page_id in enumerate(self.page_ids):
-            try:
-                frame = bufmgr.pin(page_id)
-            except StorageFault as fault:
-                fault.add_context(
-                    f"heap file {self.name!r} page {position}/{self.num_pages}"
-                )
-                raise
-            try:
-                yield page_layout.read_records(frame.data, codec)
-            finally:
-                bufmgr.unpin(page_id)
+        return self._scan(page_layout.read_records)
 
-    def scan_page_arrays(self, copy: bool = False) -> Iterator[Sequence[int]]:
-        """Yield each page's flat field array in order (zero-copy decode).
+    def scan_page_arrays(self) -> Iterator["array[int]"]:
+        """Yield each page's flat field array in order (batched decode).
 
-        **Borrow contract.**  With ``copy=False`` (the default) the
-        yielded value is a *borrow*: a ``memoryview("Q")`` aliasing the
-        pinned frame, valid from the ``yield`` until this generator is
-        resumed for the next page — at that point the pin is released,
-        the frame becomes a replacement candidate, and under
-        ``REPRO_SANITIZE`` the view itself is revoked (any later access
-        raises ``ValueError``).  Consume the view inside the loop body;
-        a consumer that needs the array past its iteration must either
-        copy it (``repro.storage.record.owned_u64_array``) or pass
-        ``copy=True``, which yields owning ``array("Q")`` objects with
-        no lifetime constraint, mirroring :meth:`read_page_array`.
-
-        Page-access order, pin discipline and fault annotation are
-        identical to :meth:`scan_pages`, so the I/O accounting of a
-        batched scan is byte-identical to the scalar one — ``copy=True``
-        adds one memcpy per page and no I/O.
+        Each array is owned (one memcpy out of the frame), so it may be
+        kept past the scan.  Page-access order, pin discipline and fault
+        annotation are those of :meth:`scan_pages`, so the I/O
+        accounting of a batched scan is identical to the scalar one.
         """
+        return self._scan(page_layout.read_record_array)
+
+    def _scan(self, decode: _Decode[_Page]) -> Iterator[_Page]:
+        """Pin each page in order and yield ``decode`` of it, keeping
+        the pin until the consumer asks for the next page."""
         bufmgr = self.bufmgr
         codec = self.codec
         for position, page_id in enumerate(self.page_ids):
@@ -171,47 +155,19 @@ class HeapFile:
                 )
                 raise
             try:
-                fields = page_layout.read_record_array(frame.data, codec)
-                if copy:
-                    yield owned_u64_array(fields)
-                    # help the evict-time probe: the borrow itself must
-                    # not outlive this iteration's pin in a local
-                    if isinstance(fields, memoryview):
-                        fields.release()
-                elif sanitize.sanitize_enabled():
-                    with sanitize.borrowed(
-                        bufmgr.views,
-                        page_id,
-                        f"scan_page_arrays({self.name!r})",
-                        view=fields,
-                    ):
-                        yield fields
-                else:
-                    yield fields
+                yield decode(frame.data, codec)
             finally:
                 bufmgr.unpin(page_id)
 
     def read_page(self, index: int) -> list[tuple[int, ...]]:
         """Decode one page by position in the file."""
-        page_id = self.page_ids[index]
-        try:
-            frame = self.bufmgr.pin(page_id)
-        except StorageFault as fault:
-            fault.add_context(f"heap file {self.name!r} page {index}")
-            raise
-        try:
-            return page_layout.read_records(frame.data, self.codec)
-        finally:
-            self.bufmgr.unpin(page_id)
+        return self._read(index, page_layout.read_records)
 
     def read_page_array(self, index: int) -> "array[int]":
-        """One page's flat field array, copied so it outlives the pin.
+        """One page's flat field array (owned, like the scan's)."""
+        return self._read(index, page_layout.read_record_array)
 
-        The copy is a single ``memcpy`` into an ``array("Q")`` — cursors
-        cache whole pages past the unpin (frames may be evicted and
-        their buffers recycled underneath a borrowed view), so unlike
-        :meth:`scan_page_arrays` this cannot hand out the raw view.
-        """
+    def _read(self, index: int, decode: _Decode[_Page]) -> _Page:
         page_id = self.page_ids[index]
         try:
             frame = self.bufmgr.pin(page_id)
@@ -219,14 +175,7 @@ class HeapFile:
             fault.add_context(f"heap file {self.name!r} page {index}")
             raise
         try:
-            fields = page_layout.read_record_array(frame.data, self.codec)
-            with sanitize.borrowed(
-                self.bufmgr.views,
-                page_id,
-                f"read_page_array({self.name!r})",
-                view=fields,
-            ):
-                return owned_u64_array(fields)
+            return decode(frame.data, self.codec)
         finally:
             self.bufmgr.unpin(page_id)
 

@@ -14,7 +14,7 @@ hot paths stay allocation-free.
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from array import array
 
 from .record import RecordCodec
 
@@ -69,14 +69,11 @@ def read_records(data: bytes | bytearray, codec: RecordCodec) -> list[tuple[int,
     return list(codec.iter_unpack(memoryview(data)[PAGE_HEADER_SIZE:], count))
 
 
-def read_record_array(
-    data: bytes | bytearray, codec: RecordCodec
-) -> "Sequence[int]":
-    """Zero-copy flat field view of a page (the batched decode path).
+def read_record_array(data: bytes | bytearray, codec: RecordCodec) -> "array[int]":
+    """A page's flat field array, owned (the batched decode path).
 
-    One ``memoryview.cast("Q")`` over the payload instead of one tuple
-    per record.  The view aliases the frame's buffer — valid only while
-    the page stays pinned; see :meth:`RecordCodec.unpack_array`.
+    One memcpy of the payload into an ``array("Q")`` instead of one
+    tuple per record; see :meth:`RecordCodec.unpack_array`.
     """
     count = get_record_count(data)
     return codec.unpack_array(memoryview(data)[PAGE_HEADER_SIZE:], count)

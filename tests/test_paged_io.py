@@ -50,7 +50,6 @@ from repro.storage.faults import (
 from repro.storage.heapfile import HeapFile
 from repro.storage.page import page_capacity
 from repro.storage.record import CODE, PAIR, TRIPLE, RecordCodec
-from repro.storage.sanitize import UseAfterUnpinError, sanitized
 from repro.workloads import synthetic as syn
 
 from .oracles import record_joins
@@ -502,34 +501,6 @@ class TestTouch:
                 paired.pin(page_id)
                 paired.unpin(page_id)
             assert _pool_state(fused) == _pool_state(paired)
-
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_touch_with_live_borrow_raises_like_unpin(self, policy):
-        with sanitized(True):
-            fused, paired = _pool(policy, 3, 4), _pool(policy, 3, 4)
-            for bufmgr in (fused, paired):
-                bufmgr.pin(2)
-                bufmgr.unpin(2)
-                bufmgr.views.register(2, "live-borrow")
-            with pytest.raises(UseAfterUnpinError) as touched:
-                fused.touch(2)
-            paired.pin(2)
-            with pytest.raises(UseAfterUnpinError) as unpinned:
-                paired.unpin(2)
-            assert touched.value.page_id == unpinned.value.page_id == 2
-            assert touched.value.labels == unpinned.value.labels
-            assert _pool_state(fused) == _pool_state(paired)
-
-    def test_touch_of_pinned_page_tolerates_borrow(self):
-        """Not the last pin: no unpin-to-zero, so no sanitizer error."""
-        with sanitized(True):
-            bufmgr = _pool("lru", 3, 4)
-            bufmgr.pin(1)
-            ticket = bufmgr.views.register(1, "held")
-            bufmgr.touch(1)
-            bufmgr.views.release(1, ticket)
-            bufmgr.unpin(1)
-            assert bufmgr.hits == 1 and bufmgr.misses == 1
 
     def test_touch_miss_failure_leaves_no_pin(self):
         disk = DiskManager(page_size=PAGE_SIZE, checksums=True)
