@@ -37,13 +37,13 @@ from .join.inljn import IndexNestedLoopJoin
 from .join.mhcj import MultiHeightJoin, MultiHeightRollupJoin
 from .join.mpmgjn import MPMGJoin
 from .join.nested_loop import BlockNestedLoopJoin
+from .join.pipeline import estimate_join_cardinality
 from .join.planner import PBiTreeJoinFramework, SetProperties, choose_algorithm
 from .join.shcj import SingleHeightJoin
 from .join.stacktree import StackTreeAncJoin, StackTreeDescJoin
 from .core.update import UpdatableEncoding
 from .db import ContainmentDatabase
 from .join.spatial import RTreeProbeJoin, SynchronizedRTreeJoin
-from .join.statistics import SetStatistics, estimate_join_cardinality
 from .join.vpj import VerticalPartitionJoin
 from .join.xrstack import XRStackJoin
 from .obs.metrics import MetricsRegistry
@@ -108,7 +108,6 @@ __all__ = [
     "ContainmentDatabase",
     "RTreeProbeJoin",
     "SynchronizedRTreeJoin",
-    "SetStatistics",
     "estimate_join_cardinality",
     "Tracer",
     "NullTracer",

@@ -177,7 +177,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     )
     doc = db.load_tree(_load(args.source), name=args.source)
     if args.explain:
-        print(db.explain(doc, args.path))
+        try:
+            print(db.explain(doc, args.path))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 0
     result = db.query(doc, args.path)
     for node in result:

@@ -302,35 +302,51 @@ class ContainmentDatabase:
         return out
 
     def explain(self, document: Document, path: str) -> str:
-        """The plan of every step of a path, listed top-down.
+        """The direction :meth:`query` takes, then the plan of every
+        join step of a path, listed top-down.
 
-        Each step is planned over its two *base* sets exactly as
-        :meth:`query` plans a join of those two sets (same properties,
-        same pool, no I/O) and rendered by
+        The header names the direction ``query(direction=None)`` runs
+        and both estimates (:func:`~repro.join.pipeline.plan_direction`
+        over the steps' histograms).  Each step is planned over its two
+        *base* sets exactly as :meth:`query` plans a join of those two
+        sets (same properties, same pool, no I/O) and rendered by
         :func:`repro.join.planner.explain`.  Only the first join a query
-        runs sees two base sets: step 1 when it runs top-down, the last
-        step listed when :meth:`query` (``direction=None``) estimates
-        bottom-up to be cheaper.  Every later join takes a shrunken
-        intermediate on one side and is re-planned at run time from its
-        metadata (fewer pages, maybe a single height, no index), so it
-        can run a different plan than the one listed; those steps are
-        marked.
+        runs sees two base sets: step 1 top-down, the last step listed
+        bottom-up.  Every later join takes a shrunken intermediate on
+        one side and is re-planned at run time from its metadata (fewer
+        pages, maybe a single height, no index), so it can run a
+        different plan than the one listed; those steps are marked.
+        Extended syntax (child axis, predicates), which :meth:`query`
+        runs through :class:`~repro.datatree.xpath.XPath`, raises
+        ``ValueError``.
         """
+        from .join.pipeline import plan_direction
+
+        if self._is_extended_path(path):
+            raise ValueError(f"explain covers //a//b//c chains only, not {path!r}")
         tags = PathQuery(path).steps
-        sides = list(zip(tags, *self.step_inputs(document, tags)))
+        steps, props = self.step_inputs(document, tags)
+        if len(steps) == 1:
+            return f"step //{tags[0]}: scans one set and runs no join"
+        direction, top_down, bottom_up = plan_direction([s.histogram for s in steps])
+        header = (
+            f"{direction} order (estimated join input: top-down {top_down:.0f}, "
+            f"bottom-up {bottom_up:.0f} codes)"
+        )
+        if direction == "bottom-up":
+            header += "; the run starts from the last step"
+        first = 0 if direction == "top-down" else len(steps) - 2
+        sides = list(zip(tags, steps, props))
         chunks = []
-        for (a_tag, a_set, a_props), (d_tag, d_set, d_props) in zip(
-            sides, sides[1:]
+        for index, ((a_tag, a_set, a_props), (d_tag, d_set, d_props)) in enumerate(
+            zip(sides, sides[1:])
         ):
-            note = " (base sets; re-planned at run time)" if chunks else ""
+            note = "" if index == first else " (base sets; re-planned at run time)"
             chunks.append(
                 f"step //{a_tag} <| //{d_tag}{note}: "
                 + explain(a_set, d_set, a_props, d_props)
             )
-        return (
-            "top-down order; a bottom-up run starts from the last step\n"
-            + "\n\n".join(chunks)
-        )
+        return header + "\n" + "\n\n".join(chunks)
 
     # ------------------------------------------------------------------
     # updates

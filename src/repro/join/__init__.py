@@ -8,7 +8,12 @@ from .inljn import (
     build_start_index,
     build_xr_index,
 )
-from .pipeline import PathPipeline, PipelineResult, plan_direction
+from .pipeline import (
+    PathPipeline,
+    PipelineResult,
+    estimate_join_cardinality,
+    plan_direction,
+)
 from .proximity import common_ancestor_join, sibling_pairs, window_join
 from .mhcj import MultiHeightJoin, MultiHeightRollupJoin, choose_rollup_height
 from .mpmgjn import MPMGJoin
@@ -22,11 +27,10 @@ from .planner import (
     make_algorithm,
     plan,
 )
-from .shcj import SingleHeightJoin, single_height_of
+from .shcj import SingleHeightJoin
 from .stacktree import StackTreeAncJoin, StackTreeDescJoin
 from .costmodel import CostEstimate, CostInputs, CostModel
 from .spatial import RTreeProbeJoin, SynchronizedRTreeJoin, build_point_rtree
-from .statistics import SetStatistics, estimate_join_cardinality
 from .vpj import VerticalPartitionJoin, memory_containment_join
 from .xrstack import XRStackJoin
 
@@ -42,6 +46,7 @@ __all__ = [
     "PathPipeline",
     "PipelineResult",
     "plan_direction",
+    "estimate_join_cardinality",
     "common_ancestor_join",
     "window_join",
     "sibling_pairs",
@@ -51,7 +56,6 @@ __all__ = [
     "StackTreeAncJoin",
     "AncDesBPlusJoin",
     "SingleHeightJoin",
-    "single_height_of",
     "MultiHeightJoin",
     "MultiHeightRollupJoin",
     "choose_rollup_height",
@@ -67,8 +71,6 @@ __all__ = [
     "RTreeProbeJoin",
     "SynchronizedRTreeJoin",
     "build_point_rtree",
-    "SetStatistics",
-    "estimate_join_cardinality",
     "CostModel",
     "CostInputs",
     "CostEstimate",

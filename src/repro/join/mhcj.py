@@ -334,7 +334,7 @@ class MultiHeightRollupJoin(JoinAlgorithm):
             return report
 
         # The heights are set metadata; pick the target.
-        heights = ancestors.heights()
+        heights = ancestors.known_heights
         target = self.target_height
         if target is None:
             target = choose_rollup_height(sorted(heights), self.strategy)

@@ -11,11 +11,11 @@ workloads).  The joins can be evaluated in different orders:
   sweep recovers the surviving t_n elements.
 
 Both are semijoin programs with the same answer; their costs differ by
-the intermediate cardinalities, which :mod:`repro.join.statistics` can
-estimate before running anything.  :class:`PathPipeline` plans the
-direction from the estimates — built from the positional histograms
-the element sets carry, so planning reads no page — and executes the
-chain, reporting each step.
+the intermediate cardinalities.  :func:`plan_direction` estimates them
+straight off the positional histogram every element set carries
+(:class:`~repro.storage.histogram.PositionHistogram`, paper Section 6),
+so planning reads no page; :class:`PathPipeline` runs the chain in the
+cheaper direction and reports each step.
 """
 
 from __future__ import annotations
@@ -23,17 +23,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..core import pbitree
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
+from ..storage.histogram import PositionHistogram, slice_shift
 from .base import JoinReport, JoinSink
 from .planner import SetProperties, choose_algorithm
-from .statistics import SetStatistics, estimate_join_cardinality
 
-__all__ = ["PathPipeline", "PipelineResult", "plan_direction"]
+__all__ = [
+    "PathPipeline",
+    "PipelineResult",
+    "estimate_join_cardinality",
+    "plan_direction",
+]
 
 #: per-step planner properties; ``None`` = infer from set metadata
 StepProperties = Sequence[Optional[SetProperties]]
+
+#: one chain step as the planner sees it: ``(count, cells)``, its number
+#: of codes and its ``(height, slice) -> count`` cells — a histogram's
+#: own, or a copy shrunk to the estimated survivors of the join before
+_Cells = dict[tuple[int, int], int]
+_Step = tuple[int, _Cells]
 
 
 @dataclass
@@ -50,59 +62,128 @@ class PipelineResult:
         return sum(report.total_pages for report in self.reports)
 
 
-def plan_direction(step_stats: Sequence[SetStatistics]) -> tuple[str, float, float]:
+def plan_direction(
+    histograms: Sequence[PositionHistogram],
+) -> tuple[str, float, float]:
     """Choose top-down vs bottom-up from estimated intermediate sizes.
 
-    Returns ``(direction, top_down_cost, bottom_up_cost)`` where the
-    costs are the sums of estimated *input* cardinalities each join in
-    the chain would see (a proxy for pages touched).
+    ``histograms`` are the steps' in path order, all of one PBiTree
+    (else ``ValueError``).  Returns ``(direction, top_down_cost,
+    bottom_up_cost)``: each cost sums the estimated *input*
+    cardinalities of the chain's joins (a proxy for pages).
     """
-    if len(step_stats) < 2:
+    if len(histograms) < 2:
         return "top-down", 0.0, 0.0
-
-    top_down = 0.0
-    current = step_stats[0]
-    for nxt in step_stats[1:]:
-        top_down += current.count + nxt.count
-        survivors = min(
-            float(nxt.count), estimate_join_cardinality(current, nxt)
-        )
-        current = _shrunk(nxt, survivors)
-
-    bottom_up = 0.0
-    current = step_stats[-1]
-    for prev in reversed(step_stats[:-1]):
-        bottom_up += current.count + prev.count
-        matched_pairs = estimate_join_cardinality(prev, current)
-        survivors = min(float(prev.count), matched_pairs)
-        current = _shrunk(prev, survivors)
+    tree_height, steps = _steps(histograms)
+    top_down = _sweep(steps, tree_height, bottom_up=False)
     # bottom-up needs the final recovery sweep over the last tag
-    bottom_up += step_stats[-1].count
-
+    bottom_up = _sweep(steps, tree_height, bottom_up=True) + steps[-1][0]
     direction = "top-down" if top_down <= bottom_up else "bottom-up"
     return direction, top_down, bottom_up
 
 
-def _shrunk(stats: SetStatistics, survivors: float) -> SetStatistics:
-    """Scale a statistics object to an estimated survivor count."""
-    if stats.count == 0:
-        return stats
-    ratio = max(0.0, min(1.0, survivors / stats.count))
-    scaled = SetStatistics(
-        count=int(round(stats.count * ratio)),
-        min_code=stats.min_code,
-        max_code=stats.max_code,
-        tree_height=stats.tree_height,
-    )
-    scaled.height_counts = {
-        height: max(1, int(round(count * ratio)))
-        for height, count in stats.height_counts.items()
+def estimate_join_cardinality(a: PositionHistogram, d: PositionHistogram) -> float:
+    """Expected |A <| D| from the two sets' positional histograms.
+
+    Per ancestor height ``h`` and slice ``s``, a descendant in ``s``
+    below ``h`` has exactly one ancestor slot at ``h`` (``F`` is a
+    function); that slot lies in the same slice (slices are wider than
+    any realistic subtree stride) and is occupied with probability
+    ``|A_{h,s}| / slots_h(s)``.  Histograms of different PBiTrees raise
+    ``ValueError``: their slices do not line up.
+    """
+    tree_height, (a_step, d_step) = _steps([a, d])
+    return _positional_estimate(a_step, d_step, tree_height)
+
+
+def _steps(histograms: Sequence[PositionHistogram]) -> tuple[int, list[_Step]]:
+    """The histograms' one tree height, and each histogram as a step."""
+    heights = {histogram.tree_height for histogram in histograms}
+    if len(heights) != 1:
+        raise ValueError(
+            "cannot estimate a join of sets from different PBiTrees "
+            f"(H={sorted(heights)})"
+        )
+    return heights.pop(), [(sum(h.counts.values()), h.counts) for h in histograms]
+
+
+def _sweep(steps: list[_Step], tree_height: int, bottom_up: bool) -> float:
+    """Join the chain in one direction, each join keeping the estimated
+    survivors of the step it moves to; returns the summed input sizes."""
+    order = steps[::-1] if bottom_up else steps
+    cost = 0.0
+    current = order[0]
+    for step in order[1:]:
+        cost += current[0] + step[0]
+        ancestors, descendants = (step, current) if bottom_up else (current, step)
+        matched = _positional_estimate(ancestors, descendants, tree_height)
+        current = _shrunk(step, min(float(step[0]), matched))
+    return cost
+
+
+def _shrunk(step: _Step, survivors: float) -> _Step:
+    """Scale a step to an estimated survivor count.  Each cell keeps at
+    least one code, so a step shrunk to ``count == 0`` still has cells."""
+    count, cells = step
+    if count == 0:
+        return step
+    ratio = max(0.0, min(1.0, survivors / count))
+    return int(round(count * ratio)), {
+        key: max(1, int(round(cell * ratio))) for key, cell in cells.items()
     }
-    scaled.position_counts = {
-        key: max(1, int(round(count * ratio)))
-        for key, count in stats.position_counts.items()
-    }
-    return scaled
+
+
+def _slots_at_height(span_size: int, height: int) -> int:
+    """How many PBiTree nodes of ``height`` exist inside a code range.
+
+    Nodes of one height form an arithmetic progression with stride
+    ``2**(height+1)``; this density argument is what the PBiTree's
+    regular structure buys over an arbitrary region coding.
+    """
+    return max(1, span_size >> (height + 1))
+
+
+def _slice_counts_below(cells: _Cells, height: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for (h, slice_index), count in cells.items():
+        if h < height:
+            out[slice_index] = out.get(slice_index, 0) + count
+    return out
+
+
+def _positional_estimate(a: _Step, d: _Step, tree_height: int) -> float:
+    # the zero test is on the counts: a shrunk step keeps its cells
+    if not a[0] or not d[0]:
+        return 0.0
+    shift = slice_shift(tree_height)
+    slice_size = 1 << shift
+
+    # group A's positional counts by height
+    a_by_height: dict[int, dict[int, int]] = {}
+    for (height, slice_index), count in a[1].items():
+        a_by_height.setdefault(height, {})[slice_index] = count
+
+    expected = 0.0
+    for height, slices in a_by_height.items():
+        d_slices = _slice_counts_below(d[1], height)
+        if not d_slices:
+            continue
+        if height < shift:
+            # the ancestor slot of a descendant stays inside its slice
+            slots = _slots_at_height(slice_size, height)
+            for slice_index, a_count in slices.items():
+                d_count = d_slices.get(slice_index, 0)
+                if d_count:
+                    expected += min(1.0, a_count / slots) * d_count
+        else:
+            # the whole slice shares ONE ancestor node at this height;
+            # its slice index is F applied to slice indices (slices are
+            # codes shifted right, and F commutes with the shift here)
+            for slice_index, d_count in d_slices.items():
+                anchor_slice = pbitree.f_ancestor(slice_index, height - shift)
+                a_count = slices.get(anchor_slice, 0)
+                expected += min(1.0, float(a_count)) * d_count
+    return expected
 
 
 class PathPipeline:
@@ -153,7 +234,7 @@ class PathPipeline:
         else:
             with self.tracer.span("pipeline.plan", steps=len(steps)):
                 direction, td_cost, bu_cost = plan_direction(
-                    [SetStatistics.from_histogram(step.histogram) for step in steps]
+                    [step.histogram for step in steps]
                 )
         estimated = td_cost if direction == "top-down" else bu_cost
 

@@ -20,21 +20,11 @@ from typing import Optional
 
 from ..core import batch, pbitree
 from ..storage.buffer import BufferManager
-from ..storage.elementset import ElementSet
 from ..storage.record import CODE
 from .base import JoinAlgorithm, JoinReport, JoinSink
 from .hash_join import grace_hash_join, in_memory_hash_join_codes
 
-__all__ = ["SingleHeightJoin", "single_height_of"]
-
-
-def single_height_of(elements: ElementSet) -> Optional[int]:
-    """The unique height of the set's nodes, or None if mixed/empty
-    (read off the set's histogram: no scan)."""
-    heights = elements.heights()
-    if len(heights) == 1:
-        return heights.pop()
-    return None
+__all__ = ["SingleHeightJoin"]
 
 
 class SingleHeightJoin(JoinAlgorithm):
@@ -50,13 +40,13 @@ class SingleHeightJoin(JoinAlgorithm):
     def _prepare(self, ancestors, descendants, bufmgr):
         height = self.height
         if height is None:
-            heights = ancestors.heights()
+            heights = ancestors.known_heights
             if len(heights) != 1:
                 raise ValueError(
                     f"SHCJ requires a single-height ancestor set, "
                     f"found heights {sorted(heights)} — use MHCJ"
                 )
-            height = heights.pop()
+            (height,) = heights
         return ancestors, descendants, height
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:

@@ -1,9 +1,9 @@
 """Plan cache for the query service: skip re-planning warm paths.
 
-A miss now costs microseconds and no I/O: the direction decision reads
-:class:`~repro.join.statistics.SetStatistics` off the positional
-histograms every element set carries (the ``pipeline.plan`` span;
-``planning_io`` is 0 whether the plan was cached or not).  What a hit
+A miss now costs microseconds and no I/O: the direction decision
+(:func:`repro.join.pipeline.plan_direction`) reads the positional
+histograms every element set carries directly (the ``pipeline.plan``
+span; ``planning_io`` is 0 whether the plan was cached or not).  What a hit
 still saves is that arithmetic, for a service answering the same
 handful of paths thousands of times over a corpus that changes rarely.
 

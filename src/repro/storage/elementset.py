@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator, Iterable, Iterator, Optional, Sequence, cast
 
 from ..core import pbitree
-from ..core.pbitree import Height, PBiCode
+from ..core.pbitree import PBiCode
 from ..datatree.node import DataTree
 from .buffer import BufferManager
 from .heapfile import HeapFile
@@ -166,10 +166,6 @@ class ElementSet:
         return list(self.scan())
 
     # ------------------------------------------------------------------
-    def heights(self) -> set[Height]:
-        """Distinct node heights present, as a fresh set."""
-        return {Height(h) for h in self.known_heights}
-
     def sorted_copy(self, order: str = SortOrder.START) -> "ElementSet":
         """In-memory sorted copy — tests/examples only.
 

@@ -103,6 +103,56 @@ class TestQueries:
         assert text.count("step //") == 2
         assert "VPJ" in text
 
+    def test_explain_names_the_direction_query_takes(self):
+        """On a rare-tail document the header says bottom-up, with both
+        estimates, and the pipeline agrees; the first join a bottom-up
+        run takes is the last listed step, so only the others are
+        marked."""
+        from repro.join.pipeline import PathPipeline, plan_direction
+
+        tree = tree_from_spec(
+            ("root", [("a", [("b", [("rare", [])])])]
+             + [("a", [("b", [])]) for _ in range(200)])
+        )
+        db = ContainmentDatabase()
+        doc = db.load_tree(tree, name="rare")
+        text = db.explain(doc, "//a//b//rare")
+        header, steps = text.split("\n", 1)
+        assert header == (
+            "bottom-up order (estimated join input: top-down 603, "
+            "bottom-up 404 codes); the run starts from the last step"
+        )
+        assert steps.count("re-planned at run time") == 1
+        assert "step //a <| //b (base sets; re-planned" in steps
+        assert "step //b <| //rare: " in steps
+        sets, _props = db.step_inputs(doc, ["a", "b", "rare"])
+        assert plan_direction([s.histogram for s in sets])[0] == "bottom-up"
+        assert PathPipeline(db.bufmgr).execute(sets).direction == "bottom-up"
+
+    def test_explain_top_down_header(self):
+        db = ContainmentDatabase()
+        doc = db.load_xml(XML, name="lib")
+        header = db.explain(doc, "//shelf//book//title").splitlines()[0]
+        assert header.startswith("top-down order (estimated join input: top-down ")
+        assert "starts from the last step" not in header
+
+    def test_explain_single_step_runs_no_join(self):
+        db = ContainmentDatabase()
+        doc = db.load_xml(XML, name="lib")
+        assert db.explain(doc, "//book") == (
+            "step //book: scans one set and runs no join"
+        )
+
+    @pytest.mark.parametrize("path", ["//shelf/book", "//book[title]"])
+    def test_explain_rejects_extended_syntax(self, path):
+        """``query`` runs these through XPath; explain has no plan for
+        them and says which form it covers."""
+        db = ContainmentDatabase()
+        doc = db.load_xml(XML, name="lib")
+        assert len(db.query(doc, path)) > 0
+        with pytest.raises(ValueError, match="//a//b//c"):
+            db.explain(doc, path)
+
 
 class TestUpdatesThroughDb:
     def test_insert_then_query(self):
@@ -186,6 +236,23 @@ class TestCLI:
 
         assert main(["query", "--explain", xml_file, "//shelf//book"]) == 0
         assert "plan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path", ["//shelf/book", "//book[title]"])
+    def test_explain_extended_syntax_exits_2(self, xml_file, path, capsys):
+        """No traceback and no empty plan: one error line, exit 2."""
+        from repro.__main__ import main
+
+        assert main(["query", "--explain", xml_file, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: explain covers")
+        assert path in captured.err
+
+    def test_explain_single_step(self, xml_file, capsys):
+        from repro.__main__ import main
+
+        assert main(["query", "--explain", xml_file, "//book"]) == 0
+        assert "runs no join" in capsys.readouterr().out
 
     def test_stats(self, xml_file, capsys):
         from repro.__main__ import main

@@ -67,7 +67,7 @@ class TestMaterialization:
         tree, encoding, store = make_store()
         elements = store.element_set("a")
         expected = {pt.height_of(c) for c in live_codes_by_tag(tree, encoding, "a")}
-        assert elements.heights() == expected
+        assert elements.known_heights == expected
 
     def test_tag_materialized_after_updates_catches_up(self):
         tree, encoding, store = make_store()

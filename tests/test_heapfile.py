@@ -92,8 +92,7 @@ class TestElementSet:
         codes = [4, 12, 20, 6]
         elements = ElementSet.from_codes(bufmgr, codes, tree_height=5, name="s")
         assert elements.to_list() == codes
-        assert elements.known_heights == {pt.height_of(c) for c in codes}
-        assert elements.heights() == {1, 2}
+        assert elements.known_heights == {pt.height_of(c) for c in codes} == {1, 2}
 
     def test_from_tree_tag(self):
         from repro.core.binarize import binarize

@@ -2,18 +2,19 @@
 
 Its maintenance rules — one count per insert/delete, ``(h, s) -> (h +
 delta, s')`` per grow — must agree with building it afresh from the
-codes, which :class:`repro.join.statistics.SetStatistics` does by its
-own loop (the oracle).
+codes, which :mod:`tests.oracles.histogram` does with a scan and a
+``Counter`` (the oracle).
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import pbitree as pt
 from repro.join.planner import SetProperties
-from repro.join.statistics import SetStatistics
 from repro.sort.external_sort import external_sort_set
 from repro.storage import BufferManager, DiskManager, ElementSet
 from repro.storage.histogram import NUM_SLICES, PositionHistogram
+
+from .oracles.histogram import position_counts, scanned_counts
 
 
 @st.composite
@@ -28,12 +29,10 @@ def coded_sets(draw):
 class TestPositionHistogram:
     @given(coded_sets())
     @settings(max_examples=60)
-    def test_of_codes_matches_the_statistics_oracle(self, coded):
+    def test_of_codes_matches_the_counting_oracle(self, coded):
         tree_height, codes = coded
         histogram = PositionHistogram.of_codes(codes, tree_height)
-        assert histogram.counts == SetStatistics.from_codes(
-            codes, tree_height
-        ).position_counts
+        assert histogram.counts == position_counts(codes, tree_height)
         assert histogram.heights() == {pt.height_of(code) for code in codes}
         assert all(s < NUM_SLICES for _h, s in histogram.counts)
 
@@ -74,9 +73,7 @@ class TestEveryConstructorCarriesIt:
 
     def test_from_codes_fills_it_while_writing(self):
         elements = self.single_height_set()
-        assert elements.histogram.counts == SetStatistics.from_set(
-            elements
-        ).position_counts
+        assert elements.histogram.counts == scanned_counts(elements)
         assert elements.known_heights == {pt.height_of(pt.g_code(0, 9, 12))}
 
     def test_sorted_output_and_views_keep_it(self):

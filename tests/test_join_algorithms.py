@@ -26,7 +26,6 @@ from repro import (
 )
 from repro.core import pbitree as pt
 from repro.join.mhcj import choose_rollup_height
-from repro.join.shcj import single_height_of
 from repro.workloads import synthetic as syn
 
 
@@ -100,7 +99,7 @@ class TestSHCJ:
         _disk, a_set, d_set = make_sets(
             tree.codes, tree.codes, encoding.tree_height
         )
-        if len(a_set.heights()) > 1:
+        if len(a_set.known_heights) > 1:
             with pytest.raises(ValueError):
                 SingleHeightJoin().run(a_set, d_set, JoinSink("count"))
 
@@ -114,12 +113,17 @@ class TestSHCJ:
         assert report.result_count == ds.num_results
         assert report.false_hits == 0
 
-    def test_single_height_of_helper(self):
+    def test_height_discovered_from_known_heights(self):
+        """Without ``height=`` SHCJ takes the one height the set's
+        histogram knows."""
         spec = syn.spec_by_name("SSSL", large=2000, small=200)
         ds = syn.generate(spec, seed=4)
         _disk, a_set, d_set = make_sets(ds.a_codes, ds.d_codes, ds.tree_height)
-        assert single_height_of(a_set) == spec.a_heights[0]
-        assert single_height_of(d_set) == spec.d_heights[0]
+        assert a_set.known_heights == {spec.a_heights[0]}
+        assert d_set.known_heights == {spec.d_heights[0]}
+        report = SingleHeightJoin().run(a_set, d_set, JoinSink("count"))
+        assert report.result_count == ds.num_results
+        assert report.false_hits == 0
 
     def test_descendants_at_or_above_height_filtered(self):
         """F(d, h) for height(d) >= h is not an ancestor: must not match."""
@@ -142,7 +146,7 @@ class TestMHCJ:
         a_codes = rng.sample(tree.codes, 300)
         _disk, a_set, d_set = make_sets(a_codes, tree.codes, encoding.tree_height)
         report = MultiHeightJoin().run(a_set, d_set, JoinSink("count"))
-        assert report.partitions == len(a_set.heights())
+        assert report.partitions == len(a_set.known_heights)
 
     def test_more_partitions_costs_more_descendant_scans(self):
         """MHCJ re-reads D once per height class: cost grows with k."""

@@ -13,10 +13,12 @@ from repro import (
 )
 from repro.core import pbitree as pt
 from repro.datatree.builder import tree_from_spec
+from repro.datatree.node import DataTree
 from repro.datatree.paths import PathQuery
+from repro.join import pipeline as pipeline_module
 from repro.join.pipeline import PathPipeline, plan_direction
 from repro.join.proximity import common_ancestor_join, sibling_pairs, window_join
-from repro.join.statistics import SetStatistics
+from repro.storage.histogram import PositionHistogram
 
 
 def build_sets(tree, encoding, tags, frames=32):
@@ -26,6 +28,65 @@ def build_sets(tree, encoding, tags, frames=32):
         ElementSet.from_tree_tag(bufmgr, tree, tag, encoding.tree_height)
         for tag in tags
     ]
+
+
+def rare_tail_tree():
+    """200 a/b chains; only one b has the rare descendant."""
+    return tree_from_spec(
+        ("root", [
+            ("a", [("b", [("rare", [])])]),
+        ] + [("a", [("b", [])]) for _ in range(200)])
+    )
+
+
+def selective_head_tree(n):
+    """One a over the full a/b/c chain beside ``n`` b/c decoys (the
+    selective-head shape of bench_pipeline_direction.py)."""
+    tree = DataTree()
+    root = tree.add_root("root")
+    b = tree.add_child(tree.add_child(root, "a"), "b")
+    tree.add_child(b, "c")
+    for _ in range(n):
+        tree.add_child(tree.add_child(root, "b"), "c")
+    return tree
+
+
+def selective_tail_tree(n):
+    """``n`` a/b chains, only the first with a c (the selective-tail
+    shape of bench_pipeline_direction.py)."""
+    tree = DataTree()
+    root = tree.add_root("root")
+    for index in range(n):
+        b = tree.add_child(tree.add_child(root, "a"), "b")
+        if index == 0:
+            tree.add_child(b, "c")
+    return tree
+
+
+#: (case id, tree builder, step tags, the planner's (direction,
+#: top-down, bottom-up)) as literals: a refactor of the planner must
+#: not move them; a change to the estimator edits them on purpose
+GOLDEN_DIRECTIONS = [
+    ("//a//b", "random", ("a", "b"), ("top-down", 1018.0, 1541.0)),
+    ("//a//b//c", "random", ("a", "b", "c"), ("top-down", 2059.0, 2291.0)),
+    ("//b//d", "random", ("b", "d"), ("top-down", 987.0, 1451.0)),
+    ("//c//d", "random", ("c", "d"), ("top-down", 982.0, 1446.0)),
+    ("//a//c//d", "random", ("a", "c", "d"), ("top-down", 1995.0, 2459.0)),
+    ("//d//a//b//c", "random", ("d", "a", "b", "c"), ("top-down", 2985.0, 3158.0)),
+    ("rare-tail", "rare-tail", ("a", "b", "rare"), ("bottom-up", 603.0, 404.0)),
+    ("selective-head", "head", ("a", "b", "c"), ("top-down", 4003.0, 7996.0)),
+    ("selective-tail", "tail", ("a", "b", "c"), ("bottom-up", 5993.0, 4002.0)),
+]
+
+GOLDEN_TREES = {
+    # the ledger corpus's shape, unlabelled: 2,000 nodes, fanout <= 5
+    "random": lambda: random_tree(
+        2000, max_fanout=5, seed=2003, tags=("a", "b", "c", "d")
+    ),
+    "rare-tail": rare_tail_tree,
+    "head": lambda: selective_head_tree(2000),
+    "tail": lambda: selective_tail_tree(2000),
+}
 
 
 class TestPathPipeline:
@@ -68,26 +129,43 @@ class TestPathPipeline:
 
     def test_direction_planning_prefers_selective_end(self):
         """A tiny final set should pull the plan bottom-up."""
-        tree = tree_from_spec(
-            ("root", [
-                ("a", [("b", [("rare", [])])]),
-            ] + [("a", [("b", [])]) for _ in range(200)])
-        )
+        tree = rare_tail_tree()
         encoding = binarize(tree)
-        stats = [
-            SetStatistics.from_codes(
+        histograms = [
+            PositionHistogram.of_codes(
                 [tree.codes[n] for n in tree.iter_by_tag(tag)],
                 encoding.tree_height,
             )
             for tag in ("a", "b", "rare")
         ]
-        direction, top_down, bottom_up = plan_direction(stats)
+        direction, top_down, bottom_up = plan_direction(histograms)
         assert bottom_up < top_down
         assert direction == "bottom-up"
 
     def test_direction_planning_single_step(self):
-        stats = [SetStatistics.from_codes([4])]
-        assert plan_direction(stats)[0] == "top-down"
+        assert plan_direction([PositionHistogram.of_codes([4], 3)]) == (
+            "top-down", 0.0, 0.0
+        )
+
+    def test_direction_planning_rejects_mixed_trees(self):
+        """Histograms of different PBiTree heights do not line up."""
+        histograms = [
+            PositionHistogram.of_codes([4], 3),
+            PositionHistogram.of_codes([2], 3),
+            PositionHistogram.of_codes([1, 3], 4),
+        ]
+        with pytest.raises(ValueError, match="different PBiTrees"):
+            plan_direction(histograms)
+
+    def test_shrunk_step_keeps_its_cells_at_count_zero(self):
+        """A step shrunk below half a survivor keeps one code per cell,
+        and the next estimate tests the count, not the cells."""
+        ancestor, descendant = (1, {(2, 4): 1}), (1, {(0, 1): 1})  # codes 4, 1; H=3
+        shrunk = pipeline_module._shrunk(ancestor, 0.4)
+        assert shrunk == (0, {(2, 4): 1})
+        assert pipeline_module._positional_estimate(shrunk, descendant, 3) == 0.0
+        assert pipeline_module._positional_estimate(ancestor, descendant, 3) == 1.0
+        assert pipeline_module._shrunk((0, {}), 5.0) == (0, {})
 
     def test_step_props_steer_the_planner(self):
         """What the caller knows about a base set (here: an index)
@@ -110,6 +188,35 @@ class TestPathPipeline:
         assert result.codes == sorted(query.evaluate_navigational(tree))
         with pytest.raises(ValueError):
             PathPipeline(bufmgr, props[:1]).execute(sets)
+
+
+class TestGoldenDirections:
+    """The direction and both estimates the planner gives each query,
+    read through the pipeline's own call of :func:`plan_direction`."""
+
+    @pytest.mark.parametrize(
+        "builder, tags, expected",
+        [case[1:] for case in GOLDEN_DIRECTIONS],
+        ids=[case[0] for case in GOLDEN_DIRECTIONS],
+    )
+    def test_planned_direction_and_estimates(
+        self, monkeypatch, builder, tags, expected
+    ):
+        tree = GOLDEN_TREES[builder]()
+        bufmgr, sets = build_sets(tree, binarize(tree), tags)
+        planned = []
+        plan = pipeline_module.plan_direction
+
+        def recorded(inputs):
+            planned.append(plan(inputs))
+            return planned[-1]
+
+        monkeypatch.setattr(pipeline_module, "plan_direction", recorded)
+        result = PathPipeline(bufmgr).execute(sets)
+        assert planned == [expected]
+        assert result.direction == expected[0]
+        path = PathQuery("//" + "//".join(tags))
+        assert result.codes == sorted(path.evaluate_navigational(tree))
 
 
 class TestCommonAncestorJoin:

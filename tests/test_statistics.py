@@ -1,72 +1,32 @@
-"""Tests for set statistics and the cost model (the planner that ranks
-with it is covered in test_planner.py)."""
+"""Tests for join-cardinality estimation over the positional histograms
+and for the cost model (the planner that ranks with it is covered in
+test_planner.py)."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
 
+from repro.core import pbitree as pt
 from repro.join.costmodel import CostInputs, CostModel
-from repro.join.statistics import SetStatistics, estimate_join_cardinality
+from repro.join.pipeline import estimate_join_cardinality
+from repro.storage.histogram import PositionHistogram
 from repro.workloads import synthetic as syn
-
-
-class TestSetStatistics:
-    def test_from_codes(self):
-        stats = SetStatistics.from_codes([4, 12, 20, 6])
-        assert stats.count == 4
-        assert stats.height_counts == {2: 3, 1: 1}
-        assert stats.min_code == 4 and stats.max_code == 20
-        assert stats.heights == [1, 2]
-        assert stats.num_heights == 2
-
-    def test_empty(self):
-        stats = SetStatistics.from_codes([])
-        assert stats.count == 0
-        assert stats.span == (0, 0)
-
-    def test_span_covers_regions(self):
-        stats = SetStatistics.from_codes([20])  # region (17, 23)
-        assert stats.span == (17, 23)
-
-    def test_count_at_or_below(self):
-        stats = SetStatistics.from_codes([1, 2, 4, 8])
-        assert stats.count_at_or_below(0) == 1
-        assert stats.count_at_or_below(2) == 3
-        assert stats.count_at_or_below(99) == 4
-
-    def test_merge(self):
-        left = SetStatistics.from_codes([4, 6])
-        right = SetStatistics.from_codes([20])
-        merged = left.merge(right)
-        assert merged.count == 3
-        assert merged.max_code == 20
-        assert merged.height_counts[2] == 2
-
-    @given(st.lists(st.integers(1, 2**30), min_size=1, max_size=200))
-    @settings(max_examples=25)
-    def test_consistency(self, codes):
-        stats = SetStatistics.from_codes(codes)
-        assert stats.count == len(codes)
-        assert sum(stats.height_counts.values()) == len(codes)
-        assert stats.min_code == min(codes)
-        assert stats.max_code == max(codes)
 
 
 class TestCardinalityEstimation:
     def synth(self, name, large=5000, small=200, seed=0):
         dataset = syn.generate(syn.spec_by_name(name, large=large, small=small), seed)
         return (
-            SetStatistics.from_codes(dataset.a_codes, dataset.tree_height),
-            SetStatistics.from_codes(dataset.d_codes, dataset.tree_height),
+            PositionHistogram.of_codes(dataset.a_codes, dataset.tree_height),
+            PositionHistogram.of_codes(dataset.d_codes, dataset.tree_height),
             dataset.num_results,
         )
 
     def test_empty_sets_estimate_zero(self):
-        empty = SetStatistics.from_codes([])
-        full = SetStatistics.from_codes([4, 6])
+        empty = PositionHistogram.of_codes([], 3)
+        full = PositionHistogram.of_codes([4, 6], 3)
         assert estimate_join_cardinality(empty, full) == 0.0
         assert estimate_join_cardinality(full, empty) == 0.0
 
     def test_high_beats_low_selectivity(self):
-        _a_h, _d_h, high = self.synth("SLLH")
         a_h, d_h, _n = self.synth("SLLH")
         a_l, d_l, _n = self.synth("SLLL")
         assert estimate_join_cardinality(a_h, d_h) > estimate_join_cardinality(
@@ -77,31 +37,21 @@ class TestCardinalityEstimation:
         """The estimator should land within ~10x of truth on the
         synthetic workloads (it assumes uniform placement)."""
         for name in ("SLLH", "SLLL", "SSSH", "MSSH"):
-            a_stats, d_stats, actual = self.synth(name)
-            estimate = estimate_join_cardinality(a_stats, d_stats)
+            a_hist, d_hist, actual = self.synth(name)
+            estimate = estimate_join_cardinality(a_hist, d_hist)
             if actual:
                 assert actual / 30 <= max(estimate, 1) <= actual * 30, (
                     name, estimate, actual
                 )
 
-    def test_disjoint_spans_estimate_zero(self):
-        a_stats = SetStatistics.from_codes([4])       # region (1, 7)
-        d_stats = SetStatistics.from_codes([1 << 20])  # far away
-        assert estimate_join_cardinality(a_stats, d_stats) == 0.0
-
-    def test_span_fallback_without_tree_height(self):
-        """Stats built blind still produce a positive estimate."""
-        ds = syn.generate(syn.spec_by_name("SLLH", large=2000, small=200), 0)
-        a_stats = SetStatistics.from_codes(ds.a_codes)
-        d_stats = SetStatistics.from_codes(ds.d_codes)
-        assert not a_stats.position_counts
-        assert estimate_join_cardinality(a_stats, d_stats) > 0
+    def test_disjoint_placement_estimates_zero(self):
+        a_hist = PositionHistogram.of_codes([4], 21)        # region (1, 7)
+        d_hist = PositionHistogram.of_codes([1 << 20], 21)  # far away
+        assert estimate_join_cardinality(a_hist, d_hist) == 0.0
 
     def test_positional_histogram_captures_placement(self):
         """Descendants concentrated under the ancestors estimate much
         higher than the same counts spread elsewhere."""
-        from repro.core import pbitree as pt
-
         tree_height = 20
         anc = [pt.g_code(alpha, 5, tree_height) for alpha in range(8)]
         under = [
@@ -114,14 +64,27 @@ class TestCardinalityEstimation:
             pt.g_code((1 << (level - 1)) + i, level, tree_height)
             for i in range(len(under))
         ]
-        a_stats = SetStatistics.from_codes(anc, tree_height)
+        a_hist = PositionHistogram.of_codes(anc, tree_height)
         near = estimate_join_cardinality(
-            a_stats, SetStatistics.from_codes(under, tree_height)
+            a_hist, PositionHistogram.of_codes(under, tree_height)
         )
         far = estimate_join_cardinality(
-            a_stats, SetStatistics.from_codes(away, tree_height)
+            a_hist, PositionHistogram.of_codes(away, tree_height)
         )
         assert near > far
+
+    def test_different_trees_raise(self):
+        """Slices of two PBiTree heights do not line up: no estimate,
+        even when one side is empty."""
+        with pytest.raises(ValueError, match="different PBiTrees"):
+            estimate_join_cardinality(
+                PositionHistogram.of_codes([4], 3),
+                PositionHistogram.of_codes([1, 3], 4),
+            )
+        with pytest.raises(ValueError, match="different PBiTrees"):
+            estimate_join_cardinality(
+                PositionHistogram(3), PositionHistogram.of_codes([1, 3], 4)
+            )
 
 
 def make_inputs(a_codes, d_codes, buffer_pages=50, records_per_page=127):
@@ -132,7 +95,7 @@ def make_inputs(a_codes, d_codes, buffer_pages=50, records_per_page=127):
         a_count=len(a_codes),
         d_count=len(d_codes),
         a_pair_pages=2 * -(-len(a_codes) // records_per_page),
-        a_heights=len(SetStatistics.from_codes(a_codes).height_counts),
+        a_heights=len({pt.height_of(code) for code in a_codes}),
     )
 
 

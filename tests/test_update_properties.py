@@ -27,6 +27,7 @@ from repro.core.update import UpdatableEncoding
 from repro.datatree.builder import random_tree
 
 from .oracles import ENCODINGS
+from .oracles.histogram import scanned_counts
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -211,9 +212,7 @@ def tagged_storm(updatable, tree, rng, hot, steps, tags=("a", "b", "c")):
 
 def assert_histogram_is_fresh(elements):
     """The maintained positional histogram equals a full scan's."""
-    from repro.join.statistics import SetStatistics
-
-    assert elements.histogram.counts == SetStatistics.from_set(elements).position_counts
+    assert elements.histogram.counts == scanned_counts(elements)
 
 
 @pytest.mark.parametrize("encode", list(ENCODINGS.values()), ids=list(ENCODINGS))
