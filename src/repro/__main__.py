@@ -186,10 +186,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     result = db.query(doc, args.path)
     for node in result:
         print(f"node {node.id}: <{node.tag}> code={node.code}")
+    # a //t1//t2 path step is a semijoin; extended syntax joins pairs
+    counted = "pairs" if db._is_extended_path(args.path) else "survivors"
     for index, report in enumerate(result.reports, 1):
         print(
             f"# step {index}: {report.algorithm}, "
-            f"{report.result_count} pairs, {report.total_pages} page I/Os",
+            f"{report.result_count} {counted}, {report.total_pages} page I/Os",
             file=sys.stderr,
         )
     print(f"# {len(result)} matches", file=sys.stderr)

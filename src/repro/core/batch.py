@@ -57,6 +57,7 @@ __all__ = [
     "ancestors_in",
     "count_matches",
     "region_probe",
+    "region_semi",
     "build_height_tables",
     "height_probe",
     "height_class_probe",
@@ -274,6 +275,63 @@ def region_probe(
                 emit(a, d)
 
 
+def region_semi(
+    a_codes: Sequence[int],
+    d_sorted: Sequence[int],
+    survivors: set[int],
+    keep_ancestors: bool,
+    dedup_above_height: Optional[int] = None,
+    seen_high: Optional[set[int]] = None,
+) -> None:
+    """Algorithm 6, D-fits branch, as a semijoin over one ancestor batch.
+
+    Adds to ``survivors`` exactly the codes :func:`region_probe`'s pairs
+    project to: their descendants, or with ``keep_ancestors`` their
+    ancestors.  An ancestor's region ``[lo, hi)`` in ``d_sorted`` is
+    found with two binary searches; a third cuts ``a`` itself out of it
+    and the rest goes in with one C-level ``set.update``.  A kept
+    ancestor needs a code other than itself in the region, which a
+    sorted run has iff its first or last code differs from ``a``.
+    Keeping descendants, an ancestor inside the region last taken is a
+    descendant of that ancestor and adds nothing, so it is skipped, and
+    ``dedup_above_height`` / ``seen_high`` skip repeated replicated
+    ancestors as in :func:`region_probe`.
+    """
+    if keep_ancestors:
+        add = survivors.add
+        for a in a_codes:
+            if a in survivors:
+                continue
+            b = a & -a
+            lo = bisect_left(d_sorted, a - b + 1)
+            hi = bisect_right(d_sorted, a + b - 1, lo)
+            if lo < hi and (d_sorted[lo] != a or d_sorted[hi - 1] != a):
+                add(a)
+        return
+    update = survivors.update
+    threshold = None if dedup_above_height is None else 1 << dedup_above_height
+    if seen_high is None:
+        seen_high = set()
+    # the region of the last ancestor taken (regions nest or are disjoint)
+    cover_lo = cover_hi = 0
+    for a in a_codes:
+        if cover_lo <= a <= cover_hi:
+            continue
+        b = a & -a
+        if threshold is not None and b > threshold:
+            if a in seen_high:
+                continue
+            seen_high.add(a)
+        cover_lo, cover_hi = a - b + 1, a + b - 1
+        lo = bisect_left(d_sorted, cover_lo)
+        hi = bisect_right(d_sorted, cover_hi, lo)
+        mid = bisect_left(d_sorted, a, lo, hi)
+        update(d_sorted[lo:mid])
+        if mid < hi and d_sorted[mid] == a:
+            mid = bisect_right(d_sorted, a, mid, hi)
+        update(d_sorted[mid:hi])
+
+
 def build_height_tables(
     codes: Sequence[int], tables: dict[int, set[int]]
 ) -> None:
@@ -296,11 +354,13 @@ def height_probe(
     order: Sequence[int],
     d_codes: Sequence[int],
     emit: EmitFn,
+    first_only: bool = False,
 ) -> None:
     """Algorithm 6, A-fits branch, over one descendant batch.
 
     ``order`` is the probe order of the heights (descending); probing
-    stops at the descendant's own height.  The
+    stops at the descendant's own height, or with ``first_only`` at its
+    first ancestor (a semijoin keeping descendants needs no more).  The
     per-height ``F`` masks are precomputed once per batch.
     """
     masks = [(h, -(1 << (h + 1)), 1 << h) for h in order]
@@ -312,6 +372,8 @@ def height_probe(
             anc = (d & keep) | bit
             if anc in by_height[h]:
                 emit(anc, d)
+                if first_only:
+                    break
 
 
 def height_class_probe(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..core.pbitree import PBiCode
 from ..obs.tracer import NULL_TRACER, Span, Tracer
@@ -23,7 +23,10 @@ from ..storage.elementset import ElementSet
 from ..storage.faults import StorageFault
 from ..storage.stats import IOSnapshot
 
-__all__ = ["JoinSink", "JoinReport", "JoinAlgorithm"]
+__all__ = ["JoinSink", "JoinReport", "JoinAlgorithm", "SINK_MODES"]
+
+#: ``JoinSink`` modes: all pairs, a pair count, or one side's survivors
+SINK_MODES = ("collect", "count", "semi-d", "semi-a")
 
 
 class JoinSink:
@@ -32,28 +35,57 @@ class JoinSink:
     ``mode='count'`` only counts pairs (used by the benchmarks so that
     materialisation cost — identical across algorithms — never skews a
     comparison); ``mode='collect'`` keeps the pairs for verification.
+    The two existential modes keep one side of each pair:
+    ``'semi-d'`` the distinct matched descendants, ``'semi-a'`` the
+    distinct matched ancestors, in :attr:`survivors`; their ``count``
+    is the number of survivors, not of pairs.  ``emit(a_code, d_code)``
+    is correct in every mode; an operator may also add survivors
+    straight to the set (its semijoin fast path).
     """
 
-    __slots__ = ("count", "pairs", "_collect")
+    __slots__ = ("mode", "pairs", "survivors", "emit", "_tally")
 
     def __init__(self, mode: str = "collect") -> None:
-        if mode not in ("collect", "count"):
+        if mode not in SINK_MODES:
             raise ValueError(f"unknown sink mode {mode!r}")
-        self.count = 0
-        self._collect = mode == "collect"
+        self.mode = mode
         self.pairs: list[tuple[PBiCode, PBiCode]] = []
+        self.survivors: set[int] = set()
+        self._tally = [0]
+        self.emit: Callable[[PBiCode, PBiCode], None] = self._emitter()
 
-    def emit(self, a_code: PBiCode, d_code: PBiCode) -> None:
-        self.count += 1
-        if self._collect:
-            self.pairs.append((a_code, d_code))
+    def _emitter(self) -> Callable[[PBiCode, PBiCode], None]:
+        # the closures hold the containers, not the sink: a sink is
+        # never a reference cycle, so it dies with its last reference
+        if self.mode == "count":
+            tally = self._tally
+
+            def count_pair(a_code: PBiCode, d_code: PBiCode) -> None:
+                tally[0] += 1
+
+            return count_pair
+        if self.mode == "collect":
+            append = self.pairs.append
+            return lambda a_code, d_code: append((a_code, d_code))
+        add = self.survivors.add
+        if self.mode == "semi-d":
+            return lambda a_code, d_code: add(d_code)
+        return lambda a_code, d_code: add(a_code)
+
+    @property
+    def count(self) -> int:
+        if self.mode == "collect":
+            return len(self.pairs)
+        if self.mode == "count":
+            return self._tally[0]
+        return len(self.survivors)
 
     def emit_many(self, pairs: Iterable[tuple[PBiCode, PBiCode]]) -> None:
-        if self._collect:
+        if self.mode == "collect":
             self.pairs.extend(pairs)
-            self.count = len(self.pairs)
         else:
-            self.count += sum(1 for _ in pairs)
+            for a_code, d_code in pairs:
+                self.emit(a_code, d_code)
 
 
 @dataclass
@@ -163,7 +195,8 @@ class JoinAlgorithm:
             fault.algorithm = self.name
             fault.add_context(
                 f"join {ancestors.name or 'A'} <| {descendants.name or 'D'} "
-                f"after {sink.count} pairs"
+                f"after {sink.count} "
+                f"{'pairs' if sink.mode in ('collect', 'count') else 'survivors'}"
             )
             raise
         finally:

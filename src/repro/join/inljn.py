@@ -162,12 +162,17 @@ class IndexNestedLoopJoin(JoinAlgorithm):
     ) -> None:
         """Probe a whole outer page's regions with one
         ``range_values_many`` batch, then verify each ancestor's
-        candidates with one ``descendants_in`` kernel call."""
+        candidates with one ``descendants_in`` kernel call (a ``semi-d``
+        sink takes them with one ``set.update``)."""
         emit = sink.emit
         probe = index.range_values_many
         descendants_in = batch.descendants_in
+        keep_d = sink.survivors.update if sink.mode == "semi-d" else None
         for a_page in ancestors.scan_pages():
             for a_code, candidates in zip(a_page, probe(batch.regions(a_page))):
+                if keep_d is not None:
+                    keep_d(descendants_in(a_code, candidates))
+                    continue
                 for d_code in descendants_in(a_code, candidates):
                     emit(a_code, d_code)
 

@@ -16,10 +16,18 @@ straight off the positional histogram every element set carries
 (:class:`~repro.storage.histogram.PositionHistogram`, paper Section 6),
 so planning reads no page; :class:`PathPipeline` runs the chain in the
 cheaper direction and reports each step.
+
+Each step runs as a semijoin: its sink (``JoinSink("semi-d")`` top-down,
+``"semi-a"`` in the bottom-up shrink) keeps the distinct survivors of
+one side, never a pair, and the step's ``result_count`` is their
+number.  Survivors that feed a later join are written as an element
+set, the input every operator reads; the last join's survivors are
+the answer, sorted, and are never written.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -144,10 +152,34 @@ def _slots_at_height(span_size: int, height: int) -> int:
 
 
 def _slice_counts_below(cells: _Cells, height: int) -> dict[int, int]:
+    """Per-slice counts of the cells below ``height``, keyed in the
+    cells' own order (the order :func:`_positional_estimate` sums in)."""
     out: dict[int, int] = {}
     for (h, slice_index), count in cells.items():
         if h < height:
             out[slice_index] = out.get(slice_index, 0) + count
+    return out
+
+
+def _counts_below_each(
+    cells: _Cells, heights: list[int]
+) -> dict[int, dict[int, int]]:
+    """:func:`_slice_counts_below` for each of ``heights``, from one
+    ascending sweep over the cells grouped by height (key order aside:
+    these dicts are only looked up)."""
+    by_height: dict[int, list[tuple[int, int]]] = {}
+    for (h, slice_index), count in cells.items():
+        by_height.setdefault(h, []).append((slice_index, count))
+    cell_heights = sorted(by_height)
+    running: dict[int, int] = {}
+    out: dict[int, dict[int, int]] = {}
+    taken = 0
+    for height in sorted(heights):
+        while taken < len(cell_heights) and cell_heights[taken] < height:
+            for slice_index, count in by_height[cell_heights[taken]]:
+                running[slice_index] = running.get(slice_index, 0) + count
+            taken += 1
+        out[height] = dict(running)
     return out
 
 
@@ -162,14 +194,18 @@ def _positional_estimate(a: _Step, d: _Step, tree_height: int) -> float:
     a_by_height: dict[int, dict[int, int]] = {}
     for (height, slice_index), count in a[1].items():
         a_by_height.setdefault(height, {})[slice_index] = count
+    # D's counts below each low ancestor height, read off D's cells once
+    below = _counts_below_each(d[1], [h for h in a_by_height if h < shift])
+    # the top heights sum in D's cell order; heights with the same D
+    # heights below them share one ordered scan
+    d_heights = sorted({h for h, _slice in d[1]})
+    top_counts: dict[int, dict[int, int]] = {}
 
     expected = 0.0
     for height, slices in a_by_height.items():
-        d_slices = _slice_counts_below(d[1], height)
-        if not d_slices:
-            continue
         if height < shift:
             # the ancestor slot of a descendant stays inside its slice
+            d_slices = below[height]
             slots = _slots_at_height(slice_size, height)
             for slice_index, a_count in slices.items():
                 d_count = d_slices.get(slice_index, 0)
@@ -179,7 +215,11 @@ def _positional_estimate(a: _Step, d: _Step, tree_height: int) -> float:
             # the whole slice shares ONE ancestor node at this height;
             # its slice index is F applied to slice indices (slices are
             # codes shifted right, and F commutes with the shift here)
-            for slice_index, d_count in d_slices.items():
+            cut = bisect_left(d_heights, height)
+            ordered = top_counts.get(cut)
+            if ordered is None:
+                ordered = top_counts[cut] = _slice_counts_below(d[1], height)
+            for slice_index, d_count in ordered.items():
                 anchor_slice = pbitree.f_ancestor(slice_index, height - shift)
                 a_count = slices.get(anchor_slice, 0)
                 expected += min(1.0, float(a_count)) * d_count
@@ -254,13 +294,16 @@ class PathPipeline:
         self,
         ancestors: ElementSet,
         descendants: ElementSet,
+        keep: str,
         a_props: Optional[SetProperties] = None,
         d_props: Optional[SetProperties] = None,
-    ) -> tuple[JoinReport, JoinSink]:
-        sink = JoinSink("collect")
+    ) -> tuple[JoinReport, set[int]]:
+        """One semijoin: ``keep`` is the sink mode, ``"semi-d"`` or
+        ``"semi-a"``; returns the report and the surviving codes."""
+        sink = JoinSink(keep)
         algorithm = choose_algorithm(ancestors, descendants, a_props, d_props)
         report = algorithm.run(ancestors, descendants, sink, tracer=self.tracer)
-        return report, sink
+        return report, sink.survivors
 
     def _materialize(self, codes, tree_height: int, name: str) -> ElementSet:
         return ElementSet.from_codes(
@@ -270,32 +313,36 @@ class PathPipeline:
     # Intermediates are destroyed in ``finally``: a step that raises (a
     # permanent fault, an exhausted pool) must not leave them allocated
     # on a disk that outlives the query — a service session's scratch
-    # pages live in the shared page table.
+    # pages live in the shared page table.  The last join's survivors
+    # are the answer and are never written.
     def _run_top_down(self, steps: Sequence[ElementSet], props: StepProperties):
         reports = []
         current = steps[0]
         temporary = False
+        matched: set[int] = set()
         try:
             for index, descendants in enumerate(steps[1:], 1):
-                report, sink = self._join_step(
+                report, matched = self._join_step(
                     current,
                     descendants,
+                    "semi-d",
                     None if temporary else props[0],
                     props[index],
                 )
                 reports.append(report)
-                matched = {d for _a, d in sink.pairs}
+                if index == len(steps) - 1:
+                    break
                 if temporary:
                     current.destroy()
+                    temporary = False
                 current = self._materialize(
                     matched, descendants.tree_height, f"pipe.td.{index}"
                 )
                 temporary = True
-            codes = sorted(current.scan())
         finally:
             if temporary:
                 current.destroy()
-        return codes, reports
+        return sorted(matched), reports
 
     def _run_bottom_up(self, steps: Sequence[ElementSet], props: StepProperties):
         reports = []
@@ -305,31 +352,22 @@ class PathPipeline:
         props = list(props)
         try:
             for index in range(len(steps) - 2, -1, -1):
-                report, sink = self._join_step(
+                report, matched = self._join_step(
                     survivors[index],
                     survivors[index + 1],
+                    "semi-a",
                     props[index],
                     props[index + 1],
                 )
                 reports.append(report)
-                matched = {a for a, _d in sink.pairs}
                 survivors[index] = self._materialize(
                     matched, steps[index].tree_height, f"pipe.bu.{index}"
                 )
                 props[index] = None
             # phase 2: recover the final-step elements with a top-down
-            # sweep through the shrunken sets (for a 2-step path phase 1
-            # already produced the only join needed, so this is a single
-            # join)
-            if len(steps) == 2:
-                report, sink = self._join_step(
-                    survivors[0], steps[-1], props[0], props[-1]
-                )
-                reports.append(report)
-                codes = sorted({d for _a, d in sink.pairs})
-            else:
-                codes, sweep_reports = self._run_top_down(survivors, props)
-                reports += sweep_reports
+            # sweep through the shrunken sets (one join for a 2-step path)
+            codes, sweep_reports = self._run_top_down(survivors, props)
+            reports += sweep_reports
         finally:
             for survivor, step in zip(survivors, steps):
                 if survivor is not step:

@@ -60,13 +60,17 @@ def memory_containment_join(
     partition); both are read exactly once: ``||A|| + ||D||`` I/O.
     ``dedup_above_height`` handles replicated ancestors brought
     together by a partition merge: streamed ancestors above that height
-    are processed only once.
+    are processed only once.  A semijoin sink (``semi-d`` / ``semi-a``)
+    takes each ancestor's surviving region with
+    :func:`~repro.core.batch.region_semi`, and a descendant stops
+    probing at its first ancestor.
     """
     a_files = _as_files(ancestors)
     d_files = _as_files(descendants)
     a_pages = sum(f.num_pages for f in a_files)
     d_pages = sum(f.num_pages for f in d_files)
     emit = sink.emit
+    semi = sink.mode in ("semi-d", "semi-a")
     # the per-element algebra is delegated to the verified kernels, one
     # call per page
     if d_pages <= a_pages:
@@ -78,9 +82,15 @@ def memory_containment_join(
         seen_high: set[int] = set()
         for heap in a_files:
             for fields in heap.scan_page_arrays():
-                batch.region_probe(
-                    fields, d_sorted, emit, dedup_above_height, seen_high
-                )
+                if semi:
+                    batch.region_semi(
+                        fields, d_sorted, sink.survivors,
+                        sink.mode == "semi-a", dedup_above_height, seen_high,
+                    )
+                else:
+                    batch.region_probe(
+                        fields, d_sorted, emit, dedup_above_height, seen_high
+                    )
     else:
         # hash sets de-duplicate replicated ancestors by construction
         by_height: dict[int, set[int]] = {}
@@ -90,7 +100,9 @@ def memory_containment_join(
         order = sorted(by_height, reverse=True)
         for heap in d_files:
             for fields in heap.scan_page_arrays():
-                batch.height_probe(by_height, order, fields, emit)
+                batch.height_probe(
+                    by_height, order, fields, emit, sink.mode == "semi-d"
+                )
 
 
 def _as_files(elements: "ElementSet | list[HeapFile]") -> list[HeapFile]:

@@ -15,7 +15,7 @@ from repro.core import pbitree as pt
 from repro.core.encoding import PBiTreeEncoding
 from repro.datatree.builder import tree_from_spec
 from repro.experiments.harness import Workbench, timed
-from repro.join.base import JoinReport
+from repro.join.base import SINK_MODES, JoinReport
 from repro.join.proximity import sibling_pairs
 from repro.storage.stats import IOSnapshot
 
@@ -44,6 +44,23 @@ class TestJoinSink:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             JoinSink("stream")
+
+    def test_semi_modes_keep_distinct_sides(self):
+        for mode, expected in (("semi-d", {2, 4}), ("semi-a", {1, 3})):
+            sink = JoinSink(mode)
+            for a_code, d_code in ((1, 2), (3, 2), (1, 4)):
+                sink.emit(a_code, d_code)
+            assert sink.survivors == expected
+            assert sink.count == 2 and sink.pairs == []
+
+    def test_emit_many_in_every_mode(self):
+        counts = {"collect": 3, "count": 3, "semi-d": 2, "semi-a": 2}
+        assert set(counts) == set(SINK_MODES)
+        for mode, count in counts.items():
+            sink = JoinSink(mode)
+            sink.emit_many(iter([(1, 2), (3, 2), (1, 4)]))
+            assert sink.count == count, mode
+            assert (sink.survivors == set()) == (mode in ("collect", "count"))
 
 
 class TestJoinReport:

@@ -231,6 +231,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.count("<title>") == 3
 
+    def test_query_step_lines_count_survivors(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        # one b under two nested a's: two pairs, one survivor per step
+        path = tmp_path / "nested.xml"
+        path.write_text("<r><a><a><b/></a></a><b/></r>")
+        assert main(["query", str(path), "//a//b"]) == 0
+        err = capsys.readouterr().err
+        assert "# step 1: " in err and ", 1 survivors, " in err
+        assert "# 1 matches" in err and " pairs" not in err
+
+    def test_extended_query_step_lines_count_pairs(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "nested.xml"
+        path.write_text("<r><a><b/><b/></a></r>")
+        assert main(["query", str(path), "//a/b"]) == 0
+        err = capsys.readouterr().err
+        assert ", 2 pairs, " in err and "survivors" not in err
+
     def test_explain(self, xml_file, capsys):
         from repro.__main__ import main
 

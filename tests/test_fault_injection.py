@@ -756,6 +756,67 @@ class TestQueryIntermediateCleanup:
         assert injector.stats.scheduled_fired == 1
         assert db.disk.num_allocated == baseline
 
+    # The final step's survivors are the answer and are never written,
+    # so a fault there must find every intermediate already gone or
+    # destroyed on the way out, and surface as the typed error — never
+    # as a partial answer.  The fault lands on the final join's first
+    # page read, counted off a clean run of the same query.
+    @staticmethod
+    def final_step_first_read(reads_seen, reports):
+        assert reports[-1].total_io.reads, "the final join must read a page"
+        return reads_seen - reports[-1].total_io.reads + 1
+
+    @pytest.mark.parametrize("direction", sorted(LEAK_CASES))
+    def test_db_query_final_step_fault_leaves_nothing(self, direction):
+        xml, path, _target = LEAK_CASES[direction]
+        clean = FaultInjector(seed=CHAOS_SEED)
+        db, doc = self.make_db(xml, path, faults=clean)
+        reads_before = clean.reads_seen
+        result = db.query(doc, path, direction=direction)
+        assert result.reports and len(result)
+        at = self.final_step_first_read(
+            clean.reads_seen - reads_before, result.reports
+        )
+
+        injector = FaultInjector(seed=CHAOS_SEED)
+        db, doc = self.make_db(xml, path, faults=injector)
+        baseline = db.disk.num_allocated
+        injector.schedule("read-error", at=at, permanent=True)
+        with pytest.raises(PermanentIOError) as excinfo:
+            db.query(doc, path, direction=direction)
+        assert injector.stats.scheduled_fired == 1
+        assert db.disk.num_allocated == baseline
+        assert "survivors" in str(excinfo.value)
+
+    @pytest.mark.parametrize("direction", sorted(LEAK_CASES))
+    def test_service_final_step_fault_leaves_nothing(self, direction):
+        from repro.service import QueryService
+
+        xml, path, _target = LEAK_CASES[direction]
+        db, doc = self.make_db(xml, path)
+        service = QueryService(db)
+        open_session = service._open_session
+        injectors = []
+
+        def counted_session(document, query_path):
+            session = open_session(document, query_path)
+            session.disk.set_faults(injectors[-1])
+            return session
+
+        service._open_session = counted_session
+        injectors.append(FaultInjector(seed=CHAOS_SEED))
+        outcome = service.execute("t", "doc", path, use_cache=False)
+        assert outcome.direction == direction and outcome.codes
+        at = self.final_step_first_read(injectors[-1].reads_seen, outcome.reports)
+
+        baseline = db.disk.num_allocated
+        injectors.append(FaultInjector(seed=CHAOS_SEED))
+        injectors[-1].schedule("read-error", at=at, permanent=True)
+        with pytest.raises(PermanentIOError):
+            service.execute("t", "doc", path, use_cache=False)
+        assert injectors[-1].stats.scheduled_fired == 1
+        assert db.disk.num_allocated == baseline
+
     def test_extended_query_releases_join_inputs(self):
         xml, _path, _target = LEAK_CASES["top-down"]
         injector = FaultInjector(seed=CHAOS_SEED)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     BufferManager,
@@ -16,9 +17,16 @@ from repro.datatree.builder import tree_from_spec
 from repro.datatree.node import DataTree
 from repro.datatree.paths import PathQuery
 from repro.join import pipeline as pipeline_module
-from repro.join.pipeline import PathPipeline, plan_direction
+from repro.join.pipeline import (
+    PathPipeline,
+    estimate_join_cardinality,
+    plan_direction,
+)
 from repro.join.proximity import common_ancestor_join, sibling_pairs, window_join
 from repro.storage.histogram import PositionHistogram
+
+from .oracles.path_walk import path_matches
+from .oracles.positional_estimate import positional_estimate
 
 
 def build_sets(tree, encoding, tags, frames=32):
@@ -190,6 +198,35 @@ class TestPathPipeline:
             PathPipeline(bufmgr, props[:1]).execute(sets)
 
 
+class TestEstimateSummationOrder:
+    """The estimator reads D's cells once per estimate, but its float
+    sum must add its terms in the per-height scan's order
+    (``tests/oracles/positional_estimate.py``): at tree heights past
+    ~35 a different order can move the last bit."""
+
+    @staticmethod
+    def random_cells(rng, tree_height):
+        cells = {}
+        for _ in range(rng.randrange(1, 40)):
+            height = rng.randrange(tree_height)
+            count = rng.randrange(1, 10**6)
+            cells[(height, rng.randrange(64))] = count
+        return cells
+
+    def test_bit_identical_to_the_per_height_scan(self):
+        # seed 4340's sum changes if the top heights add D's slices in
+        # reverse order; the rest are random cell orders and heights
+        for seed in (4340, *range(200)):
+            rng = random.Random(seed)
+            height = rng.randrange(30, 63)
+            a_cells = self.random_cells(rng, height)
+            d_cells = self.random_cells(rng, height)
+            estimate = estimate_join_cardinality(
+                PositionHistogram(height, a_cells), PositionHistogram(height, d_cells)
+            )
+            assert estimate == positional_estimate(a_cells, d_cells, height), seed
+
+
 class TestGoldenDirections:
     """The direction and both estimates the planner gives each query,
     read through the pipeline's own call of :func:`plan_direction`."""
@@ -307,3 +344,68 @@ class TestSiblingPairs:
         c2 = tree.codes[4]
         pairs = set(sibling_pairs([c1, c2], encoding.tree_height, max_placement=1))
         assert tuple(sorted((c1, c2))) not in pairs
+
+
+#: the parent-walk oracle's alphabet: three tags, so paths repeat tags
+ORACLE_TAGS = ("a", "b", "c")
+
+
+def pipeline_codes(tree, tags, direction, frames):
+    height = binarize(tree).tree_height
+    bufmgr = BufferManager(DiskManager(page_size=128), frames)
+    sets = [
+        ElementSet.from_tree_tag(bufmgr, tree, tag, height) for tag in tags
+    ]
+    before = bufmgr.disk.num_allocated
+    result = PathPipeline(bufmgr, direction=direction).execute(sets)
+    # every intermediate is gone, and the answer was never written
+    assert bufmgr.disk.num_allocated == before
+    return result
+
+
+class TestPipelineOracle:
+    @given(
+        num_nodes=st.integers(1, 300),
+        seed=st.integers(0, 10_000),
+        fanout=st.sampled_from([2, 3, 6]),
+        tags=st.lists(st.sampled_from(ORACLE_TAGS), min_size=2, max_size=4),
+        direction=st.sampled_from([None, "top-down", "bottom-up"]),
+        frames=st.sampled_from([8, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_codes_match_parent_walk(
+        self, num_nodes, seed, fanout, tags, direction, frames
+    ):
+        tree = random_tree(
+            num_nodes, max_fanout=fanout, seed=seed, tags=ORACLE_TAGS
+        )
+        result = pipeline_codes(tree, tags, direction, frames)
+        assert result.codes == path_matches(tree, tags)
+        assert len(result.reports) >= len(tags) - 1
+
+    def test_step_counts_are_survivors(self):
+        # one a over a chain of b's: //a//b has one survivor per b, and
+        # //b//b keeps every b that has a b above it
+        tree = DataTree()
+        node = tree.add_child(tree.add_root("r"), "a")
+        for _ in range(5):
+            node = tree.add_child(node, "b")
+        for tags, expected in ((("a", "b"), 5), (("b", "b"), 4)):
+            result = pipeline_codes(tree, tags, "top-down", 8)
+            assert result.reports[-1].result_count == len(result.codes) == expected
+
+    def test_bottom_up_phase_one_counts_ancestors(self):
+        tree = random_tree(400, max_fanout=4, seed=9, tags=ORACLE_TAGS)
+        result = pipeline_codes(tree, ("a", "b", "c"), "bottom-up", 8)
+        # phase 1 starts by keeping the b's with a c below them
+        b_above_c = set()
+        for node in tree.iter_by_tag("c"):
+            parent = tree.parents[node]
+            while parent >= 0:
+                if tree.tags[parent] == "b":
+                    b_above_c.add(parent)
+                parent = tree.parents[parent]
+        assert b_above_c
+        assert result.reports[0].result_count == len(b_above_c)
+        assert result.codes == path_matches(tree, ("a", "b", "c"))
+
