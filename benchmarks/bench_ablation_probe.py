@@ -4,7 +4,8 @@ The paper proposes a disk-based interval tree for probing the ancestor
 set with a point (plain B+-trees degenerate on compound keys); its
 footnote points at the authors' XR-tree [8] as a stronger alternative.
 This ablation runs INLJN in the descendant-outer direction with both
-stab structures over the same inputs.
+stab structures over the same inputs; each is built on the fly and
+charged to the join's preparation I/O.
 """
 
 import pytest
@@ -14,8 +15,11 @@ from repro.experiments.report import format_table
 from repro.join.inljn import IndexNestedLoopJoin
 from repro.workloads import synthetic as syn
 
+from .ablations.xrtree import XRProbeJoin
 from .common import DEFAULT_BUFFER_PAGES, SEED, save_result, scale
 
+#: the INLJN that builds each ancestor-side stab structure
+PROBES = {"interval": IndexNestedLoopJoin, "xr": XRProbeJoin}
 ROWS = []
 _ENV = {}
 
@@ -38,12 +42,12 @@ def get_env():
     return _ENV
 
 
-@pytest.mark.parametrize("probe", ["interval", "xr"])
+@pytest.mark.parametrize("probe", sorted(PROBES))
 def test_probe_structure(benchmark, probe):
     env = get_env()
 
     def run():
-        algorithm = IndexNestedLoopJoin(force_outer="D", ancestor_probe=probe)
+        algorithm = PROBES[probe](force_outer="D")
         return run_algorithm(algorithm, env["a"], env["d"])
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

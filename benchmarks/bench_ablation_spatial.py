@@ -12,9 +12,9 @@ import pytest
 
 from repro.experiments.harness import Workbench, make_algorithm, materialize, run_algorithm
 from repro.experiments.report import format_table
-from repro.join.spatial import RTreeProbeJoin, SynchronizedRTreeJoin
 from repro.workloads import synthetic as syn
 
+from .ablations.spatial import RTreeProbeJoin, SynchronizedRTreeJoin
 from .common import DEFAULT_BUFFER_PAGES, SEED, save_result, scale
 
 ROWS = []

@@ -10,9 +10,9 @@ import pytest
 
 from repro.experiments.harness import Workbench, make_algorithm, materialize, run_algorithm
 from repro.experiments.report import format_table
-from repro.join.xrstack import XRStackJoin
 from repro.workloads import synthetic as syn
 
+from .ablations.xrstack import XRStackJoin
 from .common import DEFAULT_BUFFER_PAGES, SEED, large_size, save_result, scale, small_size
 
 DATASETS = ["SLSL", "MLSL", "SLLL"]

@@ -43,9 +43,7 @@ from .join.shcj import SingleHeightJoin
 from .join.stacktree import StackTreeAncJoin, StackTreeDescJoin
 from .core.update import UpdatableEncoding
 from .db import ContainmentDatabase
-from .join.spatial import RTreeProbeJoin, SynchronizedRTreeJoin
 from .join.vpj import VerticalPartitionJoin
-from .join.xrstack import XRStackJoin
 from .obs.metrics import MetricsRegistry
 from .obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 from .service import (
@@ -100,14 +98,11 @@ __all__ = [
     "MultiHeightJoin",
     "MultiHeightRollupJoin",
     "VerticalPartitionJoin",
-    "XRStackJoin",
     "PBiTreeJoinFramework",
     "SetProperties",
     "choose_algorithm",
     "UpdatableEncoding",
     "ContainmentDatabase",
-    "RTreeProbeJoin",
-    "SynchronizedRTreeJoin",
     "estimate_join_cardinality",
     "Tracer",
     "NullTracer",

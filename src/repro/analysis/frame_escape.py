@@ -24,7 +24,8 @@ __all__ = ["FrameEscapeChecker", "VIEW_MODULES"]
 #: the modules that may take a memoryview of a frame
 VIEW_MODULES = (
     "storage/record.py", "storage/page.py",  # decode and patch helpers
-    "index/bptree.py", "index/interval_tree.py", "index/rtree.py",  # node readers
+    "index/bptree.py", "index/interval_tree.py",  # node readers
+    "ablations/rtree.py",  # the R-tree the spatial-join ablation builds
 )
 _CONTAINER_ADDS = {"append", "add", "insert", "extend", "setdefault"}
 #: nodes a value passes through unchanged on its way to a sink

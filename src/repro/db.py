@@ -10,15 +10,13 @@ planner and join operators together by hand:
   PathPipeline` over the document's element sets, each step planned by
   :mod:`repro.join.planner` (Table 1 picks the cell, the cost model
   picks inside it);
-* create persistent indexes (B+-tree / interval tree / R-tree) that the
-  planner then exploits;
+* create persistent indexes (B+-tree / interval tree) that the planner
+  then exploits;
 * apply updates (insert/delete elements) through the §2.3.2
   virtual-node machinery of
   :class:`~repro.core.update.UpdatableEncoding`, with persisted
   element sets patched in place by a per-document
-  :class:`~repro.storage.DocumentStore` instead of being rebuilt —
-  only the (unmaintained) R-tree indexes are still invalidated
-  wholesale.
+  :class:`~repro.storage.DocumentStore` instead of being rebuilt.
 
 Example::
 
@@ -40,10 +38,8 @@ from .datatree.paths import PathQuery
 from .datatree.xml_parser import parse_xml
 from .index.bptree import BPlusTree
 from .index.interval_tree import IntervalTree
-from .index.rtree import RTree
 from .join.base import JoinReport
 from .join.planner import SetProperties, choose_algorithm, explain
-from .join.spatial import build_point_rtree
 from .obs.metrics import MetricsRegistry
 from .obs.tracer import NULL_TRACER, Tracer
 from .storage.buffer import BufferManager
@@ -133,7 +129,6 @@ class ContainmentDatabase:
         if metrics is not None:
             metrics.attach_disk(self.disk)
         self._documents: dict[str, Document] = {}
-        self._rtree_indexes: dict[tuple[str, str], RTree] = {}
 
     # ------------------------------------------------------------------
     # loading
@@ -181,15 +176,6 @@ class ContainmentDatabase:
     def create_interval_index(self, document: Document, tag: str) -> IntervalTree:
         """Interval tree over regions (serves INLJN-ancestor probes)."""
         return document.store.interval_index(tag)
-
-    def create_rtree_index(self, document: Document, tag: str) -> RTree:
-        """R-tree over (Start, End) points (serves the spatial joins)."""
-        key = (document.name, tag)
-        if key not in self._rtree_indexes:
-            self._rtree_indexes[key] = build_point_rtree(
-                self.element_set(document, tag), self.bufmgr
-            )
-        return self._rtree_indexes[key]
 
     def step_inputs(
         self, document: Document, tags: list[str]
@@ -363,22 +349,12 @@ class ContainmentDatabase:
         The document store picks the mutation up from the encoding's
         change-event stream and patches the persisted element sets in
         place on next access; maintained indexes are patched or
-        retired-and-rebuilt per their contract.  Only the R-tree
-        indexes (no maintenance path) are invalidated wholesale.
+        retired-and-rebuilt per their contract.
         """
-        node = document.updatable.insert_child(parent, tag, text)
-        self._invalidate_rtrees(document)
-        return node
+        return document.updatable.insert_child(parent, tag, text)
 
     def delete_element(self, document: Document, node: int) -> int:
-        removed = document.updatable.delete_subtree(node)
-        if removed:
-            self._invalidate_rtrees(document)
-        return removed
-
-    def _invalidate_rtrees(self, document: Document) -> None:
-        for key in [k for k in self._rtree_indexes if k[0] == document.name]:
-            del self._rtree_indexes[key]
+        return document.updatable.delete_subtree(node)
 
     # ------------------------------------------------------------------
     @property

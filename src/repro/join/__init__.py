@@ -2,12 +2,7 @@
 
 from .ancdes_b import AncDesBPlusJoin
 from .base import JoinAlgorithm, JoinReport, JoinSink
-from .inljn import (
-    IndexNestedLoopJoin,
-    build_interval_index,
-    build_start_index,
-    build_xr_index,
-)
+from .inljn import IndexNestedLoopJoin, build_interval_index, build_start_index
 from .pipeline import (
     PathPipeline,
     PipelineResult,
@@ -30,9 +25,7 @@ from .planner import (
 from .shcj import SingleHeightJoin
 from .stacktree import StackTreeAncJoin, StackTreeDescJoin
 from .costmodel import CostEstimate, CostInputs, CostModel
-from .spatial import RTreeProbeJoin, SynchronizedRTreeJoin, build_point_rtree
 from .vpj import VerticalPartitionJoin, memory_containment_join
-from .xrstack import XRStackJoin
 
 __all__ = [
     "JoinAlgorithm",
@@ -42,7 +35,6 @@ __all__ = [
     "IndexNestedLoopJoin",
     "build_start_index",
     "build_interval_index",
-    "build_xr_index",
     "PathPipeline",
     "PipelineResult",
     "plan_direction",
@@ -50,7 +42,6 @@ __all__ = [
     "common_ancestor_join",
     "window_join",
     "sibling_pairs",
-    "XRStackJoin",
     "MPMGJoin",
     "StackTreeDescJoin",
     "StackTreeAncJoin",
@@ -68,9 +59,6 @@ __all__ = [
     "explain",
     "Plan",
     "make_algorithm",
-    "RTreeProbeJoin",
-    "SynchronizedRTreeJoin",
-    "build_point_rtree",
     "CostModel",
     "CostInputs",
     "CostEstimate",

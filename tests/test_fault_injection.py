@@ -20,6 +20,8 @@ from collections import Counter
 
 import pytest
 
+from benchmarks.ablations.spatial import RTreeProbeJoin, SynchronizedRTreeJoin
+from benchmarks.ablations.xrstack import XRStackJoin
 from repro import (
     AncDesBPlusJoin,
     BufferManager,
@@ -531,26 +533,33 @@ class TestVpjFallbackCleanup:
 # regression: prepared intermediates are freed, faulted or not
 # ----------------------------------------------------------------------
 #: operators whose ``_prepare`` builds scratch pages: on-the-fly indexes
-#: (INLJN with either outer, ADB+) or sorted copies (MPMGJN, Stack-Tree)
+#: (INLJN with either outer, ADB+, and the ablation benchmarks' R-tree
+#: and XR-stack joins) or sorted copies (MPMGJN, Stack-Tree)
 PREPARING = {
     "INLJN-outer-A": lambda: IndexNestedLoopJoin(force_outer="A"),
     "INLJN-outer-D": lambda: IndexNestedLoopJoin(force_outer="D"),
     "ADB+": AncDesBPlusJoin,
     "MPMGJN": MPMGJoin,
     "STACKTREE": StackTreeDescJoin,
+    "RTREE-INL": RTreeProbeJoin,
+    "RTREE-SYNC": SynchronizedRTreeJoin,
+    "XR-STACK": XRStackJoin,
 }
+#: an R-tree node needs room for four 40-byte entries
+PAGE_SIZE = {"RTREE-INL": 256, "RTREE-SYNC": 256}
 
 
 class TestPreparedIntermediatesFreed:
     """INLJN's and ADB+'s on-the-fly indexes used to be dropped by
     reference only — the index classes had no ``destroy`` — so every run
-    left the index pages allocated.  And ``JoinAlgorithm.run`` cleaned
-    up only after a successful execute, so a fault mid-join also leaked
-    MPMGJN's and Stack-Tree's sorted copies.  Both a normal run and a
-    permanent read fault during execute must return the disk to its
-    pre-join page count."""
+    left the index pages allocated; the R-tree and XR-stack joins did
+    the same until they freed what they built.  And ``JoinAlgorithm.run``
+    cleaned up only after a successful execute, so a fault mid-join also
+    leaked MPMGJN's and Stack-Tree's sorted copies.  Both a normal run
+    and a permanent read fault during execute must return the disk to
+    its pre-join page count."""
 
-    def bench(self):
+    def bench(self, name):
         tree = random_tree(400, max_fanout=5, seed=37)
         encoding = binarize(tree)
         rng = random.Random(13)
@@ -558,7 +567,9 @@ class TestPreparedIntermediatesFreed:
         a_codes = rng.sample(tree.codes, 150)
         d_codes = rng.sample(tree.codes, 220)
         injector = FaultInjector(seed=CHAOS_SEED)
-        disk = DiskManager(page_size=128, checksums=True, faults=injector)
+        disk = DiskManager(
+            page_size=PAGE_SIZE.get(name, 128), checksums=True, faults=injector
+        )
         bufmgr = BufferManager(disk, 8)
         a_set = ElementSet.from_codes(bufmgr, a_codes, encoding.tree_height, "A")
         d_set = ElementSet.from_codes(bufmgr, d_codes, encoding.tree_height, "D")
@@ -568,7 +579,7 @@ class TestPreparedIntermediatesFreed:
 
     @pytest.mark.parametrize("name", sorted(PREPARING))
     def test_normal_run_frees_every_scratch_page(self, name):
-        _injector, disk, bufmgr, a_set, d_set = self.bench()
+        _injector, disk, bufmgr, a_set, d_set = self.bench(name)
         baseline = disk.num_allocated
         report = PREPARING[name]().run(a_set, d_set, JoinSink("count"))
         assert report.prep_io.allocations > 0  # it did build scratch pages
@@ -577,12 +588,12 @@ class TestPreparedIntermediatesFreed:
 
     @pytest.mark.parametrize("name", sorted(PREPARING))
     def test_fault_during_execute_frees_every_scratch_page(self, name):
-        _injector, _disk, _bufmgr, a_set, d_set = self.bench()
+        _injector, _disk, _bufmgr, a_set, d_set = self.bench(name)
         quiet = PREPARING[name]().run(a_set, d_set, JoinSink("count"))
         assert quiet.join_io.reads > 1
         # the same deterministic run on a fresh bench, with a permanent
         # read error scheduled inside the execute phase's reads
-        injector, disk, bufmgr, a_set, d_set = self.bench()
+        injector, disk, bufmgr, a_set, d_set = self.bench(name)
         baseline = disk.num_allocated
         injector.schedule(
             "read-error",
@@ -600,16 +611,16 @@ class TestPreparedIntermediatesFreed:
         """The merge joins sort A, then D.  Nothing is prepared when D's
         sort raises, so ``_cleanup`` never runs: A's sorted copy must be
         freed by the prepare step itself."""
-        _injector, disk, _bufmgr, a_set, d_set = self.bench()
+        _injector, disk, _bufmgr, a_set, d_set = self.bench(name)
         external_sort_set(a_set).destroy()
         a_reads = disk.stats.reads
-        _injector, _disk, _bufmgr, a_set, d_set = self.bench()
+        _injector, _disk, _bufmgr, a_set, d_set = self.bench(name)
         report = PREPARING[name]().run(a_set, d_set, JoinSink("count"))
         prep_reads = report.prep_io.reads
         assert prep_reads > a_reads + 1  # D's sort reads pages too
         step = max(1, (prep_reads - a_reads) // 16)
         for at in range(a_reads + 1, prep_reads + 1, step):
-            injector, disk, bufmgr, a_set, d_set = self.bench()
+            injector, disk, bufmgr, a_set, d_set = self.bench(name)
             baseline = disk.num_allocated
             injector.schedule("read-error", at=at, permanent=True)
             with pytest.raises(PermanentIOError):
@@ -618,14 +629,18 @@ class TestPreparedIntermediatesFreed:
             assert bufmgr.num_pinned == 0, at
             assert disk.num_allocated == baseline, at
 
-    @pytest.mark.parametrize("name", ["ADB+", "INLJN-outer-A"])
+    @pytest.mark.parametrize(
+        "name", ["ADB+", "INLJN-outer-A", "RTREE-SYNC", "XR-STACK"]
+    )
     def test_fault_during_index_build_frees_every_scratch_page(self, name):
         """Nothing is prepared yet, so ``_cleanup`` never runs: each
-        build frees itself, and ADB+ frees A's index when D's fails."""
-        _injector, _disk, _bufmgr, a_set, d_set = self.bench()
+        build frees itself, and the operators that build two indexes
+        (ADB+, RTREE-SYNC, XR-STACK) free the first when the second
+        fails."""
+        _injector, _disk, _bufmgr, a_set, d_set = self.bench(name)
         reads = PREPARING[name]().run(a_set, d_set, JoinSink("count")).prep_io.reads
         for at in range(1, reads + 1, max(1, reads // 16)):
-            injector, disk, bufmgr, a_set, d_set = self.bench()
+            injector, disk, bufmgr, a_set, d_set = self.bench(name)
             baseline = disk.num_allocated
             injector.schedule("read-error", at=at, permanent=True)
             with pytest.raises(PermanentIOError):

@@ -257,6 +257,12 @@ class TestINLJN:
         IndexNestedLoopJoin(force_outer=outer).run(a_set, d_set, sink)
         assert sorted(sink.pairs) == sorted(brute_force_join(a_codes, d_codes))
 
+    @pytest.mark.parametrize("outer", ["a", "d", "", "both"])
+    def test_bad_forced_outer_rejected(self, outer):
+        # "d" once fell through to the size heuristic without an error
+        with pytest.raises(ValueError, match="force_outer"):
+            IndexNestedLoopJoin(force_outer=outer)
+
     def test_random_probe_reads_counted(self):
         spec = syn.spec_by_name("SSLH", large=5000, small=100)
         ds = syn.generate(spec, seed=6)

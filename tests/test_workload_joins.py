@@ -1,13 +1,15 @@
 """Cross-algorithm agreement on the *workload* trees.
 
 The synthetic correctness suite uses random trees; this one drives
-every algorithm (including the spatial pair) over joins extracted from
-the DBLP-like, XMark-like and text workloads — the shapes the paper's
-Section 4.2 runs — and checks pairwise agreement plus oracle equality.
+every algorithm (including ablation A3's spatial pair) over joins
+extracted from the DBLP-like, XMark-like and text workloads — the
+shapes the paper's Section 4.2 runs — and checks pairwise agreement
+plus oracle equality.
 """
 
 import pytest
 
+from benchmarks.ablations.spatial import RTreeProbeJoin, SynchronizedRTreeJoin
 from repro import (
     AncDesBPlusJoin,
     BlockNestedLoopJoin,
@@ -19,10 +21,8 @@ from repro import (
     MPMGJoin,
     MultiHeightJoin,
     MultiHeightRollupJoin,
-    RTreeProbeJoin,
     StackTreeAncJoin,
     StackTreeDescJoin,
-    SynchronizedRTreeJoin,
     VerticalPartitionJoin,
     binarize,
     brute_force_join,

@@ -1,10 +1,11 @@
-"""Tests for the XR-stack join (footnote [8])."""
+"""Tests for the XR-stack join (footnote [8]; ablation A9's code)."""
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.ablations.xrstack import XRStackJoin
+from benchmarks.ablations.xrtree import XRTree
 from repro import (
     BufferManager,
     DiskManager,
@@ -16,8 +17,7 @@ from repro import (
 )
 from repro.core import pbitree as pt
 from repro.join.ancdes_b import AncDesBPlusJoin
-from repro.join.inljn import build_start_index, build_xr_index
-from repro.join.xrstack import XRStackJoin
+from repro.join.inljn import build_start_index
 from repro.workloads import synthetic as syn
 
 
@@ -104,7 +104,7 @@ class TestSkipping:
         bufmgr = BufferManager(disk, 32)
         a_set = ElementSet.from_codes(bufmgr, tree.codes[:150], encoding.tree_height)
         d_set = ElementSet.from_codes(bufmgr, tree.codes[150:], encoding.tree_height)
-        a_index = build_xr_index(a_set, bufmgr)
+        a_index = XRTree.build(bufmgr, a_set.scan())
         d_index = build_start_index(d_set, bufmgr)
         report = XRStackJoin(a_index=a_index, d_index=d_index).run(
             a_set, d_set, JoinSink("count")

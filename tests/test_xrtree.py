@@ -1,10 +1,11 @@
-"""Tests for the XR-tree (footnote [8]: Jiang et al., ICDE 2003)."""
+"""Tests for the XR-tree (footnote [8]: Jiang et al., ICDE 2003) and
+INLJN probing it (ablation A6's code)."""
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.ablations.xrtree import XRProbeJoin, XRTree
 from repro import (
     BufferManager,
     DiskManager,
@@ -16,8 +17,6 @@ from repro import (
     random_tree,
 )
 from repro.core import pbitree as pt
-from repro.index.xrtree import XRTree
-from repro.join.inljn import build_xr_index
 
 
 def make_env(frames=32, page_size=256):
@@ -83,24 +82,15 @@ class TestStabQueries:
         assert total_in_lists == xr.num_stabbed
         assert xr.num_stabbed <= len(tree.codes)
 
-    def test_ancestors_of(self):
-        tree = random_tree(400, seed=7)
-        encoding = binarize(tree)
-        _disk, bufmgr = make_env()
+    def test_destroy_frees_tree_and_stab_lists(self):
+        tree = random_tree(800, seed=6)
+        binarize(tree)
+        disk, bufmgr = make_env(page_size=128)
         xr = XRTree.build(bufmgr, tree.codes)
-        rng = random.Random(7)
-        for _ in range(60):
-            probe = rng.choice(tree.codes)
-            want = sorted(
-                c for c in tree.codes if pt.is_ancestor(c, probe)
-            )
-            assert sorted(xr.ancestors_of(probe)) == want
-
-    def test_range_scan_delegates(self):
-        _disk, bufmgr = make_env()
-        xr = XRTree.build(bufmgr, [4, 6, 20])
-        keys = [key for key, _code in xr.range_scan(0, 100)]
-        assert keys == sorted(pt.start_of(c) for c in [4, 6, 20])
+        assert xr._stab_lists and disk.num_allocated > 0
+        xr.destroy()
+        assert disk.num_allocated == 0
+        assert list(xr.stab(pt.start_of(tree.codes[0]))) == []
 
 
 class TestXRProbeJoin:
@@ -114,8 +104,9 @@ class TestXRProbeJoin:
         a_set = ElementSet.from_codes(bufmgr, a_codes, encoding.tree_height)
         d_set = ElementSet.from_codes(bufmgr, d_codes, encoding.tree_height)
         sink = JoinSink("collect")
-        IndexNestedLoopJoin(ancestor_probe="xr").run(a_set, d_set, sink)
+        report = XRProbeJoin().run(a_set, d_set, sink)
         assert sorted(sink.pairs) == sorted(brute_force_join(a_codes, d_codes))
+        assert report.prep_io.allocations > 0  # the XR-tree build is prep
 
     def test_prebuilt_xr_index(self):
         tree = random_tree(300, seed=9)
@@ -123,15 +114,10 @@ class TestXRProbeJoin:
         _disk, bufmgr = make_env()
         a_set = ElementSet.from_codes(bufmgr, tree.codes, encoding.tree_height)
         d_set = ElementSet.from_codes(bufmgr, tree.codes[:10], encoding.tree_height)
-        index = build_xr_index(a_set, bufmgr)
-        report = IndexNestedLoopJoin(a_index=index).run(
-            a_set, d_set, JoinSink("count")
-        )
-        assert report.prep_io.total == 0
-
-    def test_bad_probe_kind_rejected(self):
-        with pytest.raises(ValueError):
-            IndexNestedLoopJoin(ancestor_probe="zkd")
+        index = XRTree.build(bufmgr, a_set.scan())
+        for algorithm in (IndexNestedLoopJoin, XRProbeJoin):
+            report = algorithm(a_index=index).run(a_set, d_set, JoinSink("count"))
+            assert report.prep_io.total == 0
 
 
 class TestIOBehaviour:
