@@ -33,6 +33,7 @@ import pytest
 from repro.core.pbitree import max_code
 from repro.experiments.harness import run_lineup
 from repro.obs.export import bench_summary, write_bench_summary
+from repro.shard import ShardedCorpus, ShardedJoinExecutor
 
 from .common import (
     DEFAULT_BUFFER_PAGES,
@@ -83,21 +84,37 @@ def unclustered_sets(size: int, height: int) -> tuple[list[int], list[int]]:
     return ancestors, descendants
 
 
-def run_sharded(a_codes, d_codes, height, *, shards, level, workers=1):
+def sharded_reports(
+    dataset, a_codes, d_codes, height, algorithms, *, shards, level
+):
+    """Build a ``shards``-shard corpus and scatter-gather every algorithm
+    over it serially; returns the merged reports and the wall time,
+    corpus build included."""
     started = time.perf_counter()
-    lineup = run_lineup(
-        "shard-sweep",
-        a_codes,
-        d_codes,
-        height,
-        buffer_pages=DEFAULT_BUFFER_PAGES,
-        page_size=DEFAULT_PAGE_SIZE,
-        algorithms=[ALGORITHM],
-        shards=shards,
-        shard_level=level,
-        workers=workers,
+    corpus = ShardedCorpus(height, shards, level=level, page_size=DEFAULT_PAGE_SIZE)
+    corpus.add_set("A", a_codes)
+    corpus.add_set("D", d_codes)
+    executor = ShardedJoinExecutor(corpus, workers=1)
+    reports = [
+        executor.run(
+            name,
+            "A",
+            "D",
+            dataset=dataset,
+            buffer_pages=DEFAULT_BUFFER_PAGES,
+            page_size=DEFAULT_PAGE_SIZE,
+        )[0]
+        for name in algorithms
+    ]
+    return reports, time.perf_counter() - started
+
+
+def run_sharded(a_codes, d_codes, height, *, shards, level):
+    reports, wall = sharded_reports(
+        "shard-sweep", a_codes, d_codes, height, [ALGORITHM],
+        shards=shards, level=level,
     )
-    return lineup.results[0].report, time.perf_counter() - started
+    return reports[0], wall
 
 
 def normalize(report):
@@ -219,29 +236,23 @@ def test_million_element_sets(benchmark):
     The completion contract is the point: the scatter-gather must
     climb to the paper's data scale without the monolithic join's
     buffer-pool collapse, and MHCJ+Rollup and VPJ must agree on the
-    result count (``run_lineup`` cross-checks every algorithm).
+    result count.
     """
     if not os.environ.get(MILLION_ENV):
         pytest.skip(f"set {MILLION_ENV}=1 to run the 1M-element rung")
     a_codes, d_codes = unclustered_sets(MILLION_SIZE, MILLION_HEIGHT)
 
-    def run():
-        started = time.perf_counter()
-        lineup = run_lineup(
-            "shard-1M",
-            a_codes,
-            d_codes,
-            MILLION_HEIGHT,
-            buffer_pages=DEFAULT_BUFFER_PAGES,
-            page_size=DEFAULT_PAGE_SIZE,
-            algorithms=[ALGORITHM, "VPJ"],
-            shards=4,
-            shard_level=MILLION_LEVEL,
-        )
-        return lineup, time.perf_counter() - started
-
-    lineup, wall = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert lineup.result_count > 0
+    algorithms = [ALGORITHM, "VPJ"]
+    reports, wall = benchmark.pedantic(
+        lambda: sharded_reports(
+            "shard-1M", a_codes, d_codes, MILLION_HEIGHT, algorithms,
+            shards=4, level=MILLION_LEVEL,
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    results = reports[0].result_count
+    assert results > 0 and all(r.result_count == results for r in reports)
     benchmark.extra_info.update(
         {"size": MILLION_SIZE, "level": MILLION_LEVEL, "wall_s": round(wall, 1)}
     )
@@ -249,11 +260,11 @@ def test_million_element_sets(benchmark):
         {
             "shard.million.wall_seconds": round(wall, 3),
             "shard.million.qps": round(2.0 / max(wall, 1e-9), 4),
-            "shard.million.results": lineup.result_count,
+            "shard.million.results": results,
         }
     )
-    for result in lineup.results:
-        BENCH_ROWS.append((f"{result.name}[4 shards]", "U-1M", result.report))
+    for name, report in zip(algorithms, reports):
+        BENCH_ROWS.append((f"{name}[4 shards]", "U-1M", report))
     ROWS.append(
         {
             "rung": "1M",
@@ -263,7 +274,7 @@ def test_million_element_sets(benchmark):
             "wall_ms": round(wall * 1000, 1),
             "mono_ms": "-",
             "qps": round(2.0 / max(wall, 1e-9), 4),
-            "results": lineup.result_count,
+            "results": results,
         }
     )
 

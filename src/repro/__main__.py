@@ -9,13 +9,8 @@ Commands:
 * ``stats FILE.xml`` — document and coding-space statistics;
 * ``save FILE.xml IMAGE`` — encode and persist element sets to a
   disk image;
-* ``shard-build FILE.xml DIR`` — encode and persist element sets as a
-  sharded corpus (per-shard disk images + shard map; docs/sharding.md);
-* ``bench`` — run an algorithm line-up over a synthetic Table-2
-  dataset and (optionally) emit a ``BENCH_*.json`` summary;
-  ``--shards N`` runs it scatter-gather over a level-``l`` sharded
-  layout instead (shards are a line-up tier: ``query`` and ``serve``
-  run every path through the one pipeline);
+* ``bench`` — run an algorithm line-up serially over a synthetic
+  Table-2 dataset and (optionally) emit a ``BENCH_*.json`` summary;
 * ``serve`` — run the multi-tenant query server over a loaded corpus
   (see docs/service.md).
 
@@ -41,7 +36,6 @@ __all__ = [
     "cmd_query",
     "cmd_stats",
     "cmd_save",
-    "cmd_shard_build",
     "cmd_bench",
     "cmd_update_bench",
     "cmd_serve",
@@ -286,24 +280,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_tagged(args: argparse.Namespace):
-    """Parse ``args.file``; return the tree, its PBiTree height and the
-    ``--tags`` list (default: every element tag, not ``@``/``#``)."""
-    tree = _load(args.file)
-    if args.tags:
-        tags = [tag.strip() for tag in args.tags.split(",") if tag.strip()]
-    else:
-        tags = sorted(t for t in tree.tag_counts() if not t.startswith(("@", "#")))
-    return tree, binarize(tree).tree_height, tags
-
-
 def cmd_save(args: argparse.Namespace) -> int:
     from .storage.buffer import BufferManager
     from .storage.disk import DiskManager
     from .storage.elementset import ElementSet
     from .storage.persist import save_image
 
-    tree, height, wanted = _load_tagged(args)
+    tree = _load(args.file)
+    height = binarize(tree).tree_height
+    if args.tags:
+        wanted = [tag.strip() for tag in args.tags.split(",") if tag.strip()]
+    else:  # every element tag, not the @attribute / #text pseudo-tags
+        wanted = sorted(t for t in tree.tag_counts() if not t.startswith(("@", "#")))
     disk = DiskManager()
     bufmgr = BufferManager(disk, 64)
     element_sets = {
@@ -316,33 +304,6 @@ def cmd_save(args: argparse.Namespace) -> int:
         f"saved {len(element_sets)} element sets "
         f"({disk.num_allocated} pages) to {args.image}"
     )
-    return 0
-
-
-def cmd_shard_build(args: argparse.Namespace) -> int:
-    from .shard import ShardedCorpus
-
-    tree, height, wanted = _load_tagged(args)
-    corpus = ShardedCorpus(
-        height,
-        args.shards,
-        level=args.level,
-        page_size=args.page_size,
-        buffer_pages=args.buffer_pages,
-    )
-    for tag in wanted:
-        corpus.add_set(tag, [tree.codes[node] for node in tree.iter_by_tag(tag)])
-    corpus.save(args.directory)
-    print(
-        f"sharded {len(wanted)} element sets over {corpus.num_shards} "
-        f"shards ({corpus.num_slots} level-{corpus.map.level} slots, "
-        f"H={corpus.tree_height}) into {args.directory}"
-    )
-    for index, store in enumerate(corpus.shards):
-        print(
-            f"  shard {index}: {store.disk.num_allocated} pages, "
-            f"{len(corpus.map.slots_of_shard(index))} slots"
-        )
     return 0
 
 
@@ -386,9 +347,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             algorithms=algorithms,
             tracer=tracer,
             metrics=metrics,
-            workers=args.workers,
-            shards=args.shards,
-            shard_level=args.shard_level,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -572,26 +530,6 @@ def main(argv: list[str] | None = None) -> int:
     sav.add_argument("--tags", default="", help="comma-separated (default: all)")
     sav.set_defaults(func=cmd_save)
 
-    shb = sub.add_parser(
-        "shard-build",
-        help="persist element sets as a sharded corpus directory",
-    )
-    shb.add_argument("file")
-    shb.add_argument("directory")
-    shb.add_argument(
-        "--shards", type=int, default=2, help="number of shards (>= 1)"
-    )
-    shb.add_argument(
-        "--level", type=int, default=None,
-        help="VPJ partitioning level l (default: auto from height/shards)",
-    )
-    shb.add_argument("--page-size", type=int, default=1024)
-    shb.add_argument("--buffer-pages", type=int, default=64)
-    shb.add_argument(
-        "--tags", default="", help="comma-separated (default: all)"
-    )
-    shb.set_defaults(func=cmd_shard_build)
-
     bch = sub.add_parser(
         "bench", help="run an algorithm line-up over a synthetic dataset"
     )
@@ -616,21 +554,6 @@ def main(argv: list[str] | None = None) -> int:
     bch.add_argument(
         "--bench-out", default="",
         help="write a schema-checked BENCH_*.json summary to this file",
-    )
-    bch.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes: one cold join per algorithm (or per "
-        "slot with --shards) on each; default 1 = serial",
-    )
-    bch.add_argument(
-        "--shards", type=int, default=0,
-        help="run the line-up scatter-gather over a level-l sharded "
-        "layout (0 = unsharded; merged reports are shard-count-"
-        "invariant, see docs/sharding.md)",
-    )
-    bch.add_argument(
-        "--shard-level", type=int, default=None,
-        help="VPJ partitioning level l for --shards (default: auto)",
     )
     bch.set_defaults(func=cmd_bench)
 

@@ -24,15 +24,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from ..join.base import JoinAlgorithm, JoinReport, JoinSink
 from ..join.planner import make_algorithm
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from ..parallel.fanout import run_cold_joins
-from ..parallel.pool import check_pool_args
-from ..parallel.tasks import BenchGauges, SlotJoinTask, bench_gauges
 from ..storage.buffer import BufferManager
 from ..storage.disk import DiskManager
 from ..storage.elementset import ElementSet
@@ -224,15 +221,12 @@ def run_lineup(
     retry: Optional[RetryPolicy] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    workers: int = 1,
-    parallel_mode: Optional[str] = None,
-    shards: int = 0,
-    shard_level: Optional[int] = None,
 ) -> LineupResult:
     """Run the standard line-up over one dataset, each algorithm cold.
 
-    With ``faults`` set the whole line-up runs under injection: a
-    transient-fault schedule must leave every algorithm's result
+    The algorithms run one after another on one workbench, as in the
+    paper.  With ``faults`` set the whole line-up runs under injection:
+    a transient-fault schedule must leave every algorithm's result
     unchanged (they are still cross-checked against each other), while
     a permanent fault aborts the line-up with a typed
     :class:`StorageFault` — never a silently wrong comparison.
@@ -240,133 +234,42 @@ def run_lineup(
     ``tracer`` collects one ``join.<name>`` span tree per algorithm;
     ``metrics`` accumulates per-algorithm counters (see
     :meth:`~repro.obs.metrics.MetricsRegistry.record_report`) plus the
-    final buffer-pool and fault gauges, summed over every bench the
-    line-up ran on.
-
-    ``workers > 1`` fans the per-algorithm runs out over a process
-    pool (``parallel_mode``: ``"process"`` or ``"inline"``, see
-    :class:`~repro.parallel.pool.WorkerPool`); each worker builds its
-    own cold workbench, so every report equals that algorithm's serial
-    report on a fresh bench (fault injection then requires a picklable
-    :class:`FaultConfig`, not a live injector — each worker seeds a
-    fresh one from it).  ``workers < 1`` or an unknown mode name raises
-    :class:`ValueError` before any work.
-
-    ``shards > 0`` runs every algorithm scatter-gather over a
-    :class:`~repro.shard.corpus.ShardedCorpus` partitioned at
-    ``shard_level`` (default: :func:`~repro.shard.corpus.
-    default_shard_level`); ``workers`` then fans *slots* (not
-    algorithms) over the pool.  Merged reports are shard-count
-    invariant — ``shards=1`` vs ``shards=N`` is a differential oracle
-    — but intentionally differ from an unsharded run (each slot runs
-    cold on a private bench; see :mod:`repro.shard.executor`).
+    bench's final buffer-pool and fault gauges.  An empty or unknown
+    algorithm name list raises :class:`ValueError` before any work.
+    Scatter-gather over shards is
+    :class:`~repro.shard.executor.ShardedJoinExecutor`'s job.
     """
     if algorithms is None:
         if single_height is None:
             raise ValueError("pass algorithms or single_height")
         algorithms = make_lineup(single_height)
-    check_pool_args(workers, parallel_mode)
+    if not algorithms:
+        raise ValueError("the line-up needs at least one algorithm")
     for name in algorithms:
         make_algorithm(name)  # reject unknown names before any work
-    pooled = shards > 0 or workers > 1
-    if pooled and isinstance(faults, FaultInjector):
-        raise ValueError(
-            "a live FaultInjector cannot be shipped to workers; pass its "
-            "FaultConfig instead (each worker seeds a fresh injector, "
-            "matching a serial run on a fresh bench)"
-        )
-    benches: list[BenchGauges] = []
-
-    # Each mode yields (name, report) in line-up order and leaves the
-    # final gauges of the benches it ran on in ``benches``.
-    def serial() -> Iterator[tuple[str, JoinReport]]:
-        bench = Workbench.create(
-            buffer_pages, page_size, faults=faults, retry=retry
-        )
-        ancestors = materialize(
-            bench.bufmgr, a_codes, tree_height, f"{dataset_name}.A"
-        )
-        descendants = materialize(
-            bench.bufmgr, d_codes, tree_height, f"{dataset_name}.D"
-        )
-        for name in algorithms:
-            algorithm = make_algorithm(name)
-            sink = JoinSink("collect") if collect else None
-            yield name, run_algorithm(
-                algorithm, ancestors, descendants, sink, tracer=tracer
-            )
-        benches.append(bench_gauges(bench))
-
-    def fanned() -> Iterator[tuple[str, JoinReport]]:
-        # a line-up run is a one-slot cold join labelled by the dataset
-        tasks = [
-            SlotJoinTask(
-                label=dataset_name,
-                algorithm=name,
-                a_codes=list(a_codes),
-                d_codes=list(d_codes),
-                tree_height=tree_height,
-                buffer_pages=buffer_pages,
-                page_size=page_size,
-                collect=collect,
-                faults=faults,  # type: ignore[arg-type]  # checked above
-                retry=retry,
-                traced=tracer is not None and tracer.enabled,
-            )
-            for name in algorithms
-        ]
-        payloads = run_cold_joins(
-            tasks,
-            workers,
-            parallel_mode,
-            tracer,
-            "parallel.fanout",
-            tasks=len(tasks),
-            workers=workers,
-        )
-        benches.extend(payloads)
-        for task, payload in zip(tasks, payloads):
-            yield task.algorithm, payload["report"]
-
-    def sharded() -> Iterator[tuple[str, JoinReport]]:
-        # the corpus is built once and reused across algorithms (slot
-        # extraction happens per run, but its I/O is charged to the
-        # corpus engines, not the reports — see the executor's contract)
-        from ..shard.corpus import ShardedCorpus
-        from ..shard.executor import ShardedJoinExecutor
-
-        corpus = ShardedCorpus(
-            tree_height, shards, level=shard_level, page_size=page_size
-        )
-        corpus.add_set("A", list(a_codes))
-        corpus.add_set("D", list(d_codes))
-        executor = ShardedJoinExecutor(
-            corpus, workers=workers, parallel_mode=parallel_mode
-        )
-        for name in algorithms:
-            report, _pairs = executor.run(
-                name,
-                "A",
-                "D",
-                dataset=dataset_name,
-                buffer_pages=buffer_pages,
-                page_size=page_size,
-                collect=collect,
-                faults=faults,
-                retry=retry,
-                tracer=tracer,
-            )
-            benches.extend(executor.slot_benches)
-            yield name, report
-
-    runs = sharded() if shards > 0 else fanned() if workers > 1 else serial()
+    bench = Workbench.create(buffer_pages, page_size, faults=faults, retry=retry)
+    ancestors = materialize(
+        bench.bufmgr, a_codes, tree_height, f"{dataset_name}.A"
+    )
+    descendants = materialize(
+        bench.bufmgr, d_codes, tree_height, f"{dataset_name}.D"
+    )
     lineup = LineupResult(dataset=dataset_name)
-    for name, report in runs:
+    for name in algorithms:
+        sink = JoinSink("collect") if collect else None
+        report = run_algorithm(
+            make_algorithm(name), ancestors, descendants, sink, tracer=tracer
+        )
         lineup.results.append(AlgorithmResult(name=name, report=report))
         if metrics is not None:
             metrics.record_report(report, dataset=dataset_name)
     if metrics is not None:
-        _record_bench_gauges(metrics, benches)
+        metrics.record_buffer(bench.bufmgr)
+        if bench.disk.faults is not None:
+            stats = bench.disk.faults.stats
+            metrics.gauge("faults.injected").set(stats.total_injected)
+            for key in ("read_errors", "write_errors", "torn_reads"):
+                metrics.gauge(f"faults.{key}").set(getattr(stats, key))
     counts = {result.report.result_count for result in lineup.results}
     if len(counts) != 1:
         raise AssertionError(
@@ -377,38 +280,6 @@ def run_lineup(
         )
     lineup.result_count = counts.pop()
     return lineup
-
-
-def _record_bench_gauges(
-    metrics: MetricsRegistry, benches: Sequence[BenchGauges]
-) -> None:
-    """Sum the benches' final buffer/fault gauges into the registry.
-
-    A serial line-up shares one bench; fanned out, each algorithm (or
-    slot) ran on its own, so the line-up-level gauges are the sums, with
-    the hit rate recomputed over the summed accesses.
-    """
-    buffer = {
-        key: sum(bench["buffer"][key] for bench in benches)
-        for key in ("hits", "misses", "resident", "pinned")
-    }
-    for key, value in buffer.items():
-        metrics.gauge(f"buffer.{key}").set(value)
-    accesses = buffer["hits"] + buffer["misses"]
-    metrics.gauge("buffer.hit_rate").set(
-        buffer["hits"] / accesses if accesses else 0.0
-    )
-    fault_stats = [b["fault_stats"] for b in benches if b["fault_stats"]]
-    if fault_stats:
-        faults = {
-            key: sum(stats[key] for stats in fault_stats)
-            for key in ("read_errors", "write_errors", "torn_reads", "latency_events")
-        }
-        # mirrors FaultStats.total_injected (scheduled faults are
-        # already counted under their kind)
-        metrics.gauge("faults.injected").set(sum(faults.values()))
-        for key in ("read_errors", "write_errors", "torn_reads"):
-            metrics.gauge(f"faults.{key}").set(faults[key])
 
 
 _T = TypeVar("_T")

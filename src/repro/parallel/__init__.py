@@ -1,15 +1,13 @@
 """Process-pool execution of independent cold joins.
 
 The one pooled unit is a :class:`~repro.parallel.tasks.SlotJoinTask`:
-one algorithm, cold, on a worker-private workbench.  The line-up
-harness ships one task per algorithm
-(:func:`~repro.experiments.harness.run_lineup` with ``workers > 1``) and
-the shard executor one task per level-``l`` slot;
+one algorithm, cold, on a worker-private workbench.  The shard
+executor (:class:`~repro.shard.executor.ShardedJoinExecutor`, the one
+scale-out entry) ships one task per level-``l`` slot;
 :func:`~repro.parallel.fanout.run_cold_joins` merges the results in
 submission order.  Each task's report equals the same algorithm run
 serially on a fresh bench, so reports are identical for every worker
-count (see docs/parallel.md).  Everything defaults to serial
-(``workers=1``); the CLI's ``--workers`` flag sets the width.
+count (see docs/parallel.md).
 """
 
 from .fanout import run_cold_joins

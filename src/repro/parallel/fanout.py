@@ -2,11 +2,11 @@
 
 :func:`run_cold_joins` fans whole cold joins
 (:class:`~repro.parallel.tasks.SlotJoinTask`) over a pool and merges
-them in *submission order*.  It is the one pooled path, shared by the
-line-up harness (one task per algorithm) and the shard executor (one
-task per slot).  Workers may finish in any order — the merge never
-observes completion order, so the returned payloads, the first raised
-fault and the attached span forest are identical run to run.
+them in *submission order*.  It is the one pooled path: the shard
+executor ships one task per slot.  Workers may finish in any order —
+the merge never observes completion order, so the returned payloads,
+the first raised fault and the attached span forest are identical run
+to run.
 
 Worker spans come back as JSON lines and are attached as children of
 one root span on the parent tracer; each worker ran on its own bench,
@@ -29,7 +29,10 @@ from .tasks import (
     run_slot_join_task,
 )
 
-__all__ = ["run_cold_joins"]
+__all__ = ["FANOUT_SPAN", "run_cold_joins"]
+
+#: name of the root span the worker span trees are attached under
+FANOUT_SPAN = "shard.fanout"
 
 
 def run_cold_joins(
@@ -37,7 +40,6 @@ def run_cold_joins(
     workers: int,
     mode: Optional[str],
     tracer: Optional[Tracer],
-    span_name: str,
     /,
     **span_attributes: object,
 ) -> list[SlotTaskResult]:
@@ -48,8 +50,8 @@ def run_cold_joins(
     :class:`~repro.storage.faults.StorageFault` is rebuilt typed in the
     parent and raised from the first faulted task in that order.  Worker
     span trees come back as JSON lines: they are attached under one
-    ``span_name`` root on the parent tracer, and each report's ``trace``
-    is re-pointed at its own ``join.<name>`` root.
+    :data:`FANOUT_SPAN` root on the parent tracer, and each report's
+    ``trace`` is re-pointed at its own ``join.<name>`` root.
     """
     pool = WorkerPool(workers, mode=mode)
     try:
@@ -61,7 +63,7 @@ def run_cold_joins(
     finally:
         pool.close()
     fan = (
-        tracer.span(span_name, **span_attributes)
+        tracer.span(FANOUT_SPAN, **span_attributes)
         if tracer is not None and tracer.enabled
         else nullcontext()
     )

@@ -1,10 +1,10 @@
 """Cold-join tasks: one algorithm, cold, on a worker-private bench.
 
-A :class:`SlotJoinTask` is the only unit of pooled work.  Both of its
-users — one algorithm of a line-up, one level-``l`` slot of a sharded
-join — are defined as "this algorithm, cold, on a fresh bench", so each
-worker builds its *own complete workbench* (disk + buffer pool) from
-the shipped codes and runs the ordinary serial operator on it.  A
+A :class:`SlotJoinTask` is the only unit of pooled work: one
+level-``l`` slot of a sharded join, defined as "this algorithm, cold,
+on a fresh bench", so each worker builds its *own complete workbench*
+(disk + buffer pool) from the shipped codes and runs the ordinary
+serial operator on it.  A
 task's page I/O is therefore exactly what the same run in the parent
 would charge (docs/parallel.md).  The worker sends the finished
 :class:`~repro.join.base.JoinReport` back (trace detached and shipped
@@ -19,9 +19,12 @@ ints and frozen configs — safe for both ``fork`` and ``spawn`` start methods.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Optional, TypedDict
+from dataclasses import dataclass
+from typing import Any, Optional, TypedDict
 
+from ..experiments.harness import Workbench, materialize, run_algorithm
+from ..join.base import JoinSink
+from ..join.planner import make_algorithm
 from ..obs.export import trace_to_jsonl
 from ..obs.tracer import Tracer
 from ..storage.faults import (
@@ -32,30 +35,16 @@ from ..storage.faults import (
     TransientIOError,
 )
 
-if TYPE_CHECKING:
-    from ..experiments.harness import Workbench
-
 __all__ = [
-    "BenchGauges",
     "SlotTaskResult",
     "SlotJoinTask",
     "run_slot_join_task",
-    "bench_gauges",
     "fault_to_payload",
     "fault_from_payload",
 ]
 
 
-class BenchGauges(TypedDict):
-    """Final state of one workbench (see :func:`bench_gauges`)."""
-
-    #: buffer-pool hits / misses / resident / pinned
-    buffer: dict[str, float]
-    #: injected-fault tallies, or ``None`` when no injector is attached
-    fault_stats: Optional[dict[str, int]]
-
-
-class SlotTaskResult(BenchGauges):
+class SlotTaskResult(TypedDict):
     """One algorithm's cold run on a worker-private workbench."""
 
     #: finished report (``trace`` detached), or ``None`` when faulted
@@ -112,32 +101,17 @@ def fault_from_payload(payload: dict[str, Any]) -> StorageFault:
     return fault
 
 
-def bench_gauges(bench: "Workbench") -> BenchGauges:
-    """Snapshot a bench's buffer-pool and injected-fault tallies."""
-    injector = bench.disk.faults
-    return BenchGauges(
-        buffer={
-            "hits": float(bench.bufmgr.hits),
-            "misses": float(bench.bufmgr.misses),
-            "resident": float(bench.bufmgr.num_resident),
-            "pinned": float(bench.bufmgr.num_pinned),
-        },
-        fault_stats=None if injector is None else asdict(injector.stats),
-    )
-
-
 @dataclass(frozen=True)
 class SlotJoinTask:
-    """One cold join: an algorithm of a line-up, or one level-``l`` slot
-    of a sharded scatter-gather join.
+    """One cold join: one level-``l`` slot of a sharded scatter-gather
+    join.
 
     The worker builds its own complete workbench from the shipped
     codes and sends back structured fault payloads plus — when
     ``collect`` is set — the emitted pairs.  ``label`` feeds heap names
-    and the trace span: the dataset name for a line-up run; for a slot
-    it must be derived from the *slot* alone (never the shard or
-    worker), so the slot's report is identical however slots are
-    grouped or scheduled.
+    and the trace span; it must be derived from the *slot* alone (never
+    the shard or worker), so the slot's report is identical however
+    slots are grouped or scheduled.
 
     ``faults`` must be a (picklable, frozen) :class:`FaultConfig`, not
     a live injector: the worker builds a fresh seeded injector from it,
@@ -160,12 +134,6 @@ class SlotJoinTask:
 
 def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
     """Run one cold join on a fresh workbench (worker side)."""
-    # imported lazily: the harness imports this module (through
-    # fanout), so a module-level import would be circular
-    from ..experiments.harness import Workbench, materialize, run_algorithm
-    from ..join.base import JoinSink
-    from ..join.planner import make_algorithm
-
     sink = JoinSink("collect" if task.collect else "count")
     tracer = Tracer() if task.traced else None
     report = None
@@ -196,5 +164,4 @@ def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
         pairs=pairs,
         fault=fault,
         trace=trace_to_jsonl(tracer) if tracer is not None else None,
-        **bench_gauges(bench),
     )

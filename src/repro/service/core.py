@@ -57,7 +57,7 @@ Every query runs the one path :meth:`ContainmentDatabase.query
 <repro.db.ContainmentDatabase.query>` runs — a
 :class:`~repro.join.pipeline.PathPipeline` over the document's element
 sets — so the service and the library execute identical algorithm
-sequences.  Shard-parallel execution lives in the line-up tier
+sequences.  Shard-parallel execution lives in the shard executor
 (:mod:`repro.shard`), not here.
 """
 

@@ -4,11 +4,11 @@ The paper's VPJ (vertical partitioning join, §5.3) partitions the
 coding space into subtrees rooted at level ``l`` and replicates
 ancestors across the partitions they span.  This package promotes
 that scatter rule from one join's in-memory phase to a *storage
-layout*: :class:`~repro.shard.corpus.ShardedCorpus` persists each
-element set as per-slot heap files spread over per-shard disks and
-buffer pools, and :class:`~repro.shard.executor.ShardedJoinExecutor`
-runs any existing join algorithm slot-by-slot through the
-:mod:`repro.parallel` worker pool, merging the per-slot
+layout*: :class:`~repro.shard.corpus.ShardedCorpus` lays each element
+set out as per-slot heap files spread over per-shard disks and buffer
+pools, and :class:`~repro.shard.executor.ShardedJoinExecutor` — the
+one scale-out entry — runs any existing join algorithm slot-by-slot
+through the :mod:`repro.parallel` worker pool, merging the per-slot
 :class:`~repro.join.base.JoinReport`s deterministically.
 
 The merged accounting is *shard-count-invariant*: the unit of work is
@@ -19,11 +19,10 @@ grouped onto shards or how many workers run them.  ``shards=1`` vs
 differential oracle.
 """
 
-from .corpus import SHARDMAP_FORMAT, ShardedCorpus, ShardMap, default_shard_level
+from .corpus import ShardedCorpus, ShardMap, default_shard_level
 from .executor import ShardedJoinExecutor
 
 __all__ = [
-    "SHARDMAP_FORMAT",
     "ShardMap",
     "ShardedCorpus",
     "ShardedJoinExecutor",

@@ -35,18 +35,13 @@ which engine a slot's pages live on (``shard_of_slot`` groups
 contiguous slot runs).  Everything a join observes — per-slot record
 sets, heap page layout, scan order — depends on the slot structure
 alone, which is why merged join accounting is shard-count-invariant.
-
-The layout persists as one disk image per shard plus a
-``shardmap.json`` routing table (format :data:`SHARDMAP_FORMAT`)
-recording the partitioning parameters and every slot file's page ids.
+The layout lives in memory only: it is built per run, never persisted.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..core.pbitree import (
     PBiCode,
@@ -59,19 +54,18 @@ from ..core.pbitree import (
 from ..storage.buffer import BufferManager
 from ..storage.disk import DiskManager
 from ..storage.heapfile import HeapFile
-from ..storage.persist import load_image, save_image
 from ..storage.record import CODE
 
 __all__ = [
-    "SHARDMAP_FORMAT",
     "ShardMap",
     "ShardStore",
     "ShardedCorpus",
     "default_shard_level",
 ]
 
-#: on-disk routing-table format identifier
-SHARDMAP_FORMAT = "repro.shardmap/v1"
+#: buffer pool pages of each shard's engine (slot extraction only: every
+#: slot join runs on its own cold bench)
+SHARD_BUFFER_PAGES = 64
 
 #: partitioning level used when the caller does not pick one (matches
 #: VPJ's default granularity: 2**3 slots gives useful parallelism
@@ -204,21 +198,12 @@ class ShardMap:
                     replica[slot].append(code)
         return owned, replica
 
-    # -- persistence ---------------------------------------------------
     def to_dict(self) -> dict[str, int]:
         return {
             "tree_height": self.tree_height,
             "level": self.level,
             "num_shards": self.num_shards,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, int]) -> "ShardMap":
-        return cls(
-            tree_height=int(payload["tree_height"]),
-            level=int(payload["level"]),
-            num_shards=int(payload["num_shards"]),
-        )
 
 
 @dataclass
@@ -248,21 +233,17 @@ class ShardedCorpus:
         num_shards: int,
         level: Optional[int] = None,
         page_size: int = 1024,
-        buffer_pages: int = 64,
     ) -> None:
         if level is None:
             level = default_shard_level(tree_height, num_shards)
         self.map = ShardMap(tree_height, level, num_shards)
-        self.page_size = page_size
-        self.buffer_pages = buffer_pages
-        self.shards: list[ShardStore] = [
-            self._new_store() for _ in range(num_shards)
-        ]
+        self.shards: list[ShardStore] = []
+        for _ in range(num_shards):
+            disk = DiskManager(page_size)
+            self.shards.append(
+                ShardStore(disk, BufferManager(disk, SHARD_BUFFER_PAGES))
+            )
         self._sets: dict[str, _ShardedSet] = {}
-
-    def _new_store(self) -> ShardStore:
-        disk = DiskManager(self.page_size)
-        return ShardStore(disk, BufferManager(disk, self.buffer_pages))
 
     # -- convenience ----------------------------------------------------
     @property
@@ -322,9 +303,6 @@ class ShardedCorpus:
         )
 
     # -- slot extraction ------------------------------------------------
-    def set_size(self, tag: str) -> int:
-        return self._sets[tag].num_records
-
     def slot_ancestor_codes(self, tag: str, slot: int) -> list[int]:
         """Slot input on the ancestor side: owned then replicated codes."""
         entry = self._sets[tag]
@@ -341,90 +319,6 @@ class ShardedCorpus:
         if heap is None:
             return []
         return [record[0] for record in heap.scan()]
-
-    # -- persistence ----------------------------------------------------
-    def save(self, directory: "str | Path") -> None:
-        """Persist as per-shard disk images plus ``shardmap.json``."""
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        for index, store in enumerate(self.shards):
-            store.bufmgr.flush_all()
-            save_image(store.disk, target / f"shard-{index:03d}.img")
-        sets_payload: dict[str, object] = {}
-        for tag, entry in sorted(self._sets.items()):
-            slots: dict[str, object] = {}
-            for slot in range(self.map.num_slots):
-                slots[str(slot)] = {
-                    "owned": _heap_payload(entry.owned[slot]),
-                    "replica": _heap_payload(entry.replica[slot]),
-                }
-            sets_payload[tag] = {
-                "num_records": entry.num_records,
-                "slots": slots,
-            }
-        payload = {
-            "format": SHARDMAP_FORMAT,
-            "map": self.map.to_dict(),
-            "page_size": self.page_size,
-            "buffer_pages": self.buffer_pages,
-            # shard pools are always LRU; the key keeps the v1 layout
-            "policy": "lru",
-            "sets": sets_payload,
-        }
-        with open(target / "shardmap.json", "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(
-        cls,
-        directory: "str | Path",
-        buffer_pages: Optional[int] = None,
-    ) -> "ShardedCorpus":
-        """Reconstruct a corpus saved by :meth:`save` (the stored
-        ``policy`` is ignored: shard pools are LRU)."""
-        source = Path(directory)
-        with open(source / "shardmap.json", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != SHARDMAP_FORMAT:
-            raise ValueError(
-                f"not a {SHARDMAP_FORMAT} routing table: "
-                f"{payload.get('format')!r}"
-            )
-        shard_map = ShardMap.from_dict(payload["map"])
-        corpus = cls.__new__(cls)
-        corpus.map = shard_map
-        corpus.page_size = int(payload["page_size"])
-        corpus.buffer_pages = (
-            int(payload["buffer_pages"]) if buffer_pages is None else buffer_pages
-        )
-        corpus.shards = []
-        for index in range(shard_map.num_shards):
-            image = load_image(
-                source / f"shard-{index:03d}.img",
-                buffer_pages=corpus.buffer_pages,
-            )
-            corpus.shards.append(ShardStore(image.disk, image.bufmgr))
-        corpus._sets = {}
-        for tag, entry_payload in payload["sets"].items():
-            entry = _ShardedSet(
-                tag=tag, num_records=int(entry_payload["num_records"])
-            )
-            slots = entry_payload["slots"]
-            for slot in range(shard_map.num_slots):
-                bufmgr = corpus.store_of_slot(slot).bufmgr
-                slot_payload = slots[str(slot)]
-                entry.owned.append(
-                    _heap_from_payload(
-                        bufmgr, f"{tag}.owned.{slot}", slot_payload["owned"]
-                    )
-                )
-                entry.replica.append(
-                    _heap_from_payload(
-                        bufmgr, f"{tag}.replica.{slot}", slot_payload["replica"]
-                    )
-                )
-            corpus._sets[tag] = entry
-        return corpus
 
     # -- observability --------------------------------------------------
     def stats(self) -> dict[str, object]:
@@ -454,21 +348,3 @@ class ShardedCorpus:
             "sets": per_set,
         }
 
-
-def _heap_payload(heap: Optional[HeapFile]) -> Optional[dict[str, object]]:
-    if heap is None:
-        return None
-    return {"page_ids": list(heap.page_ids), "num_records": heap.num_records}
-
-
-def _heap_from_payload(
-    bufmgr: BufferManager,
-    name: str,
-    payload: Optional[dict[str, Any]],
-) -> Optional[HeapFile]:
-    if payload is None:
-        return None
-    heap = HeapFile(bufmgr, CODE, name=name)
-    heap.page_ids = [int(page) for page in payload["page_ids"]]
-    heap.num_records = int(payload["num_records"])
-    return heap

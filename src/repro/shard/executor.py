@@ -7,10 +7,11 @@ workbench built from that slot's ancestor input (owned + replicated
 codes) and descendant input (owned codes) — fanned over the existing
 :class:`~repro.parallel.pool.WorkerPool`.  The per-slot
 :class:`~repro.join.base.JoinReport`s are merged field-wise in slot
-order.  Both sides are sets registered on the corpus by tag; the
-callers are the line-up harness (``run_lineup(shards=)``, ``bench
---shards``) and the perf ledger.  Path queries do not shard: they run
-the one :class:`~repro.join.pipeline.PathPipeline` (:mod:`repro.db`).
+order.  Both sides are sets registered on the corpus by tag.  The
+executor is the one scale-out entry (the perf ledger's
+``shard_scatter`` drives it); the line-up harness runs serially.  Path
+queries do not shard: they run the one
+:class:`~repro.join.pipeline.PathPipeline` (:mod:`repro.db`).
 
 Accounting contract (the differential oracle):
 
@@ -40,14 +41,14 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..join.base import JoinReport
 from ..join.planner import make_algorithm
 from ..obs.tracer import Tracer
 from ..parallel.fanout import run_cold_joins
 from ..parallel.pool import check_pool_args
-from ..parallel.tasks import BenchGauges, SlotJoinTask
+from ..parallel.tasks import SlotJoinTask
 from ..storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from ..storage.stats import IOSnapshot
 from .corpus import ShardedCorpus
@@ -83,9 +84,6 @@ class ShardedJoinExecutor:
         self.workers = corpus.num_shards if workers is None else workers
         check_pool_args(self.workers, parallel_mode)
         self.parallel_mode = parallel_mode
-        #: bench gauges of the most recent run's slots, in slot order
-        #: (what a caller folds into line-up-level buffer/fault metrics)
-        self.slot_benches: Sequence[BenchGauges] = ()
 
     # ------------------------------------------------------------------
     def run(
@@ -117,8 +115,14 @@ class ShardedJoinExecutor:
                 "fresh injector from a slot-derived seed)"
             )
         make_algorithm(algorithm)  # reject unknown names before spawning
-
         corpus = self.corpus
+        for tag in (ancestors, descendants):
+            if tag not in corpus.tags:
+                raise ValueError(
+                    f"set {tag!r} is not registered on the corpus "
+                    f"(registered: {', '.join(corpus.tags) or 'none'})"
+                )
+
         slots = range(corpus.num_slots)
         a_slots = [corpus.slot_ancestor_codes(ancestors, slot) for slot in slots]
         d_slots = [corpus.slot_descendant_codes(descendants, slot) for slot in slots]
@@ -148,15 +152,10 @@ class ShardedJoinExecutor:
             self.workers,
             self.parallel_mode,
             tracer,
-            "shard.fanout",
             slots=len(tasks),
             total_slots=corpus.num_slots,
             level=corpus.map.level,
         )
-        self.slot_benches = [
-            BenchGauges(buffer=p["buffer"], fault_stats=p["fault_stats"])
-            for p in payloads
-        ]
         reports: list[JoinReport] = [payload["report"] for payload in payloads]
         merged = JoinReport(
             algorithm=algorithm,

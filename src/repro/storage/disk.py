@@ -104,9 +104,6 @@ class DiskManager:
         # pages another session is concurrently reading — shared corpus
         # pages are read-only, scratch pages are session-private).
         self._lock = threading.RLock()
-        #: the root disk that owns page-id assignment; ``self`` for a
-        #: base disk, the base for a :class:`SessionDiskView`
-        self._shared: "DiskManager" = self
         if faults is not None:
             self.set_faults(faults)
 
@@ -137,6 +134,14 @@ class DiskManager:
         """
         self._observer = observer
 
+    @property
+    def _shared(self) -> "DiskManager":
+        """The root disk that owns page-id assignment: ``self`` for a
+        base disk, the base for a :class:`SessionDiskView`.  A property,
+        not an attribute, so a root disk holds no reference to itself
+        and is freed by reference counting alone."""
+        return self
+
     # ------------------------------------------------------------------
     def allocate(self, count: int = 1) -> int:
         """Allocate ``count`` contiguous pages; return the first page id.
@@ -166,7 +171,7 @@ class DiskManager:
 
     def deallocate(self, page_id: int) -> None:
         """Free one page (no I/O is charged, matching Minibase)."""
-        with self._shared._lock:
+        with self._lock:
             if page_id not in self._pages:
                 raise PageNotAllocatedError(page_id, "deallocate")
             del self._pages[page_id]
@@ -218,7 +223,7 @@ class DiskManager:
         if self.faults is not None:
             self.faults.on_write(page_id)
         stored = bytes(data)
-        with self._shared._lock:
+        with self._lock:
             self._pages[page_id] = stored
             if self.checksums:
                 self._checksums[page_id] = zlib.crc32(stored)
@@ -275,12 +280,16 @@ class SessionDiskView(DiskManager):
         self._next_page_id = 0  # unused: allocation delegates to _shared
         self.faults = None
         self._observer = None
-        self._lock = base._shared._lock
-        self._shared = base._shared
+        self._root = base._shared
+        self._lock = self._root._lock
         if faults is not None:
             self.set_faults(faults)
 
     @property
+    def _shared(self) -> DiskManager:
+        return self._root
+
+    @property
     def base(self) -> DiskManager:
         """The root disk this view was opened on."""
-        return self._shared
+        return self._root

@@ -56,6 +56,7 @@ behind the same accessor, so callers always receive a fresh index.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -137,12 +138,23 @@ class DocumentStore:
         #: the service plan cache keys on this to invalidate cached
         #: plans when the dataset a plan was costed against changes
         self.version = 0
-        encoding.listeners.append(self._on_change)
+        # the encoding holds the store weakly: a bound ``_on_change`` in
+        # its listeners would close a store -> encoding -> store cycle
+        # that only the cycle collector frees
+        on_change = weakref.WeakMethod(self._on_change)
+
+        def listener(event: ChangeEvent) -> None:
+            method = on_change()
+            if method is not None:
+                method(event)
+
+        self._listener = listener
+        encoding.listeners.append(listener)
 
     def detach(self) -> None:
         """Stop receiving change events (keeps the persisted state)."""
         try:
-            self.encoding.listeners.remove(self._on_change)
+            self.encoding.listeners.remove(self._listener)
         except ValueError:
             pass
 

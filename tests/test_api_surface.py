@@ -246,6 +246,27 @@ class TestExecutionConfigSurface:
                 ["_side_inputs", "extract", "run" + "_path", "plan" + "_step"],
             ),
             (["repro.shard.corpus:ShardedCorpus"], ["drop_set"]),
+            # one line-up loop: the pooled and sharded line-up modes, the
+            # gauges only they read and the write-only shard layout
+            (
+                ["repro.experiments.harness"],
+                ["_record_bench" + "_gauges", "Bench" + "Gauges"],
+            ),
+            (
+                ["repro.parallel", "repro.parallel.tasks"],
+                ["Bench" + "Gauges", "bench" + "_gauges"],
+            ),
+            (
+                ["repro.shard", "repro.shard.corpus"],
+                [
+                    "SHARDMAP" + "_FORMAT",
+                    "_heap" + "_payload",
+                    "_heap_from" + "_payload",
+                ],
+            ),
+            (["repro.shard.corpus:ShardedCorpus"], ["save", "load"]),
+            (["repro.shard.corpus:ShardMap"], ["from" + "_dict"]),
+            (["repro.__main__"], ["cmd_shard" + "_build"]),
             (["repro.join.planner"], ["plan_from" + "_metadata"]),
             (["repro.join.mhcj"], ["pair_pages"]),
             # one execution mode: the batch and flat-index switches, the
@@ -428,9 +449,9 @@ class TestOneParallelScope:
         run_params = set(inspect.signature(ShardedJoinExecutor.run).parameters)
         task_fields = {field.name for field in dataclasses.fields(SlotJoinTask)}
         assert not (run_params | task_fields) & self.GONE
-        # the line-up scope keeps its own width and mode, nothing more
+        # the line-up runs serially: it takes no width or mode either
         lineup = set(inspect.signature(run_lineup).parameters)
-        assert lineup & self.GONE == {"workers", "parallel_mode"}
+        assert not lineup & self.GONE
 
     def test_sink_merge_hooks_are_gone(self):
         for name in ("collects", "absorb"):
@@ -444,7 +465,7 @@ class TestOneParallelScope:
 
 
 class TestOneQueryPath:
-    """Path queries run one pipeline; shards are a line-up tier only."""
+    """Path queries run one pipeline; shards are an executor tier only."""
 
     def test_database_and_server_take_no_shard_settings(self, tmp_path):
         import inspect
@@ -470,7 +491,57 @@ class TestOneQueryPath:
         run = inspect.signature(ShardedJoinExecutor.run).parameters
         assert run["ancestors"].annotation == run["descendants"].annotation == "str"
         assert "policy" not in inspect.signature(ShardedCorpus).parameters
-        assert "policy" not in inspect.signature(ShardedCorpus.load).parameters
+
+
+class TestOneLineupLoop:
+    """``run_lineup`` is one serial loop; the shard executor is the only
+    scale-out entry and the shard layout is never persisted."""
+
+    def test_lineup_takes_no_fanout_parameters(self):
+        import inspect
+
+        from repro.experiments.harness import run_lineup
+
+        params = set(inspect.signature(run_lineup).parameters)
+        assert not params & {"workers", "parallel_mode", "shards", "shard_level"}
+        assert len(params) == 13
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--workers", "2"],
+            ["bench", "--shards", "2"],
+            ["bench", "--shard-level", "3"],
+            ["shard" + "-build", "doc.xml", "out"],
+        ],
+    )
+    def test_removed_cli_entries_exit_through_argparse(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_corpus_and_slot_results_carry_no_layout_or_gauges(self):
+        import inspect
+        import typing
+
+        from repro.parallel.tasks import SlotTaskResult
+        from repro.shard import ShardedCorpus, ShardedJoinExecutor
+
+        assert "buffer_pages" not in inspect.signature(ShardedCorpus).parameters
+        keys = set(typing.get_type_hints(SlotTaskResult))
+        assert keys == {"report", "pairs", "fault", "trace"}
+        executor = ShardedJoinExecutor(ShardedCorpus(5, 1), workers=1)
+        assert not hasattr(executor, "slot" + "_benches")
+
+    def test_fanout_names_its_span_itself(self):
+        import inspect
+
+        from repro.parallel import run_cold_joins
+
+        assert "span_name" not in inspect.signature(run_cold_joins).parameters
 
 
 class TestOnePlannerSurface:
@@ -529,7 +600,7 @@ class TestOnePlannerSurface:
 
         assert harness.make_algorithm is planner.make_algorithm
         assert executor.make_algorithm is planner.make_algorithm
-        assert not hasattr(tasks, "make_algorithm")  # imported lazily
+        assert tasks.make_algorithm is planner.make_algorithm
         for name, operator in planner.ALGORITHMS.items():
             assert type(planner.make_algorithm(name)) is operator
             assert operator.name == name

@@ -385,60 +385,28 @@ class TestCLI:
         assert summary["metrics"]["updates.operations"] == 120.0
         assert [row["name"] for row in summary["algorithms"]] == ["updates"]
 
-    def test_sharded_bench_is_shard_count_invariant(self, tmp_path, capsys):
-        """``bench --shards`` end to end: the BENCH file validates and
-        every per-algorithm row but wall time matches ``--shards 1``."""
-        import json
-
-        from repro.__main__ import main
-        from repro.obs.__main__ import main as validate
-
-        rows = {}
-        for shards in (1, 2):
-            out_path = tmp_path / f"BENCH_s{shards}.json"
-            assert main([
-                "bench", "--dataset", "MLLH", "--large", "2000", "--small", "40",
-                "--shards", str(shards), "--bench-out", str(out_path),
-            ]) == 0
-            assert validate([str(out_path)]) == 0
-            summary = json.loads(out_path.read_text())
-            rows[shards] = [
-                {key: value for key, value in row.items() if key != "wall_seconds"}
-                for row in summary["algorithms"]
-            ]
-        capsys.readouterr()
-        assert rows[2] == rows[1] and len(rows[1]) == 5
-
-    def test_traced_bench_serial_and_pooled(self, tmp_path, capsys):
+    def test_traced_bench(self, tmp_path, capsys):
         """A traced line-up writes a BENCH summary that validates, span
-        JSON lines and a metrics dump; fanned over a 2-process pool it
-        reports the serial rows, wall time aside."""
+        JSON lines and a metrics dump."""
         import json
 
         from repro.__main__ import main
         from repro.obs.__main__ import main as validate
         from repro.obs.export import spans_from_jsonl
 
-        rows = {}
-        for mode, extra in (("serial", []), ("pooled", ["--workers", "2"])):
-            trace, metrics, bench = (
-                tmp_path / f"{mode}.{name}"
-                for name in ("trace.jsonl", "metrics.json", "BENCH.json")
-            )
-            assert main([
-                "--trace", "--trace-out", str(trace), "--metrics-out", str(metrics),
-                "bench", "--dataset", "MSSL", "--large", "2000",
-                "--buffer-pages", "20", "--bench-out", str(bench), *extra,
-            ]) == 0
-            assert validate([str(bench)]) == 0
-            assert spans_from_jsonl(trace.read_text())
-            assert json.loads(metrics.read_text())
-            rows[mode] = [
-                {key: value for key, value in row.items() if key != "wall_seconds"}
-                for row in json.loads(bench.read_text())["algorithms"]
-            ]
+        trace, metrics, bench = (
+            tmp_path / name for name in ("trace.jsonl", "metrics.json", "BENCH.json")
+        )
+        assert main([
+            "--trace", "--trace-out", str(trace), "--metrics-out", str(metrics),
+            "bench", "--dataset", "MSSL", "--large", "2000",
+            "--buffer-pages", "20", "--bench-out", str(bench),
+        ]) == 0
+        assert validate([str(bench)]) == 0
+        assert spans_from_jsonl(trace.read_text())
+        assert json.loads(metrics.read_text())
+        assert len(json.loads(bench.read_text())["algorithms"]) == 5
         capsys.readouterr()
-        assert rows["pooled"] == rows["serial"] and len(rows["serial"]) == 5
 
     def test_update_bench_has_no_codec_option(self, capsys):
         from repro.__main__ import main
@@ -469,9 +437,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "extra,message",
         [
-            (["--workers", "0"], "workers must be >= 1"),
-            (["--workers", "-2", "--shards", "2"], "workers must be >= 1"),
             (["--algorithms", "SHCJ"], "SHCJ requires a single-height"),
+            (["--algorithms", ","], "at least one algorithm"),
             (["--dataset", "SLSL", "--small", "0"], "--small 0: set sizes"),
             (["--dataset", "SLSL", "--small", "-3"], "--small -3: set sizes"),
             (["--dataset", "MLSH", "--large", "0"], "--large 0 --small"),
@@ -481,7 +448,7 @@ class TestCLI:
     )
     def test_bench_bad_arguments_fail_cleanly(self, extra, message, capsys):
         """A bad value is an ``error:`` line and exit 1, not a traceback
-        and not a silent serial run."""
+        and not a traceback."""
         from repro.__main__ import main
 
         argv = ["bench", "--dataset", "MSSL", "--large", "300", "--small", "60"]
@@ -489,6 +456,30 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+
+class TestReferenceCounting:
+    def test_dropped_database_is_freed_without_the_cycle_collector(self):
+        """Neither the disk nor the document store sits in a reference
+        cycle: a dropped database and document are freed at once."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            db = ContainmentDatabase(buffer_pages=4, page_size=128)
+            doc = db.load_xml(XML, name="lib")
+            db.query(doc, "//shelf//title")
+            node = db.insert_element(doc, 1, "title")
+            db.query(doc, "//shelf//title")
+            db.delete_element(doc, node)
+            db.query(doc, "//shelf//title")
+            disk, store = weakref.ref(db.disk), weakref.ref(doc.store)
+            del db, doc
+            assert disk() is None and store() is None
+        finally:
+            gc.enable()
 
 
 class TestIOVisibility:

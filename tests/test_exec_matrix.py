@@ -3,12 +3,13 @@
 No fan-out mode may change what a join computes or what it reads —
 only how fast.  Every cell of
 
-    {Figure 6(b) | Figure 6(a) line-up} x {serial, workers=2, shards=2}
+    {Figure 6(b) | Figure 6(a) line-up} x {serial, shards=2}
 
-is held field-for-field equal to the serial reference.  (Sharded
-reports are comparable only to sharded ones — each slot runs cold on a
-private bench — so those cells compare against ``shards=1`` under the
-reference configuration.)
+is held field-for-field equal to its reference.  The serial cell is the
+reference itself; the ``shards=2`` cell runs each algorithm through
+:class:`~repro.shard.executor.ShardedJoinExecutor` and compares against
+a 1-shard executor run (sharded reports are comparable only to sharded
+ones — each slot runs cold on a private bench).
 
 The reference itself is pinned by a golden table: per algorithm, the
 prepare and join I/O, buffer hits and misses, false hits and result
@@ -35,48 +36,64 @@ from repro.experiments.harness import (
 )
 from repro.join.planner import ALGORITHMS
 from repro.obs.metrics import MetricsRegistry
+from repro.shard import ShardedCorpus, ShardedJoinExecutor
 from repro.storage.faults import FaultConfig, RetryPolicy
 
-from .differential import assert_lineups_equal, lineup_inputs
+from .differential import assert_reports_equal, lineup_inputs
 
-#: fan-out mode -> (run_lineup kwargs, shard count of the reference run)
-MODES = {
-    "serial": ({}, 0),
-    "workers=2": ({"workers": 2}, 0),
-    "shards=2": ({"shards": 2}, 1),
-}
+#: fan-out mode -> shard count of the run (0: the serial line-up) and
+#: of its reference
+MODES = {"serial": (0, 0), "shards=2": (2, 1)}
 
 
-def lineup(single_height, **mode):
-    """The matrix line-up."""
+def lineup(single_height, shards=0):
+    """The matrix line-up: ``(name, report, pairs)`` per algorithm, run
+    serially or scatter-gathered over ``shards`` shards."""
     a_codes, d_codes, tree_height = lineup_inputs(single_height)
-    return run_lineup(
-        "matrix",
-        a_codes,
-        d_codes,
-        tree_height,
-        buffer_pages=8,
-        page_size=128,
-        algorithms=make_lineup(single_height),
-        collect=True,
-        **mode,
-    )
+    names = make_lineup(single_height)
+    if not shards:
+        result = run_lineup(
+            "matrix",
+            a_codes,
+            d_codes,
+            tree_height,
+            buffer_pages=8,
+            page_size=128,
+            algorithms=names,
+            collect=True,
+        )
+        return [(r.name, r.report, None) for r in result.results]
+    corpus = ShardedCorpus(tree_height, shards, page_size=128)
+    corpus.add_set("A", a_codes)
+    corpus.add_set("D", d_codes)
+    executor = ShardedJoinExecutor(corpus, workers=1)
+    return [
+        (name, *executor.run(
+            name, "A", "D", dataset="matrix", buffer_pages=8, page_size=128,
+            collect=True,
+        ))
+        for name in names
+    ]
 
 
 @functools.lru_cache(maxsize=None)
 def reference(single_height, shards):
-    return lineup(single_height, shards=shards)
+    return lineup(single_height, shards)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(
     "single_height", [False, True], ids=["MH-plain", "SH-plain"]
 )
-def test_every_cell_equals_the_serial_reference(single_height, mode):
-    mode_kwargs, reference_shards = MODES[mode]
-    actual = lineup(single_height, **mode_kwargs)
+def test_every_cell_equals_its_reference(single_height, mode):
+    shards, reference_shards = MODES[mode]
+    actual = lineup(single_height, shards)
     expected = reference(single_height, reference_shards)
-    assert_lineups_equal(actual, expected, f"under {mode}")
+    assert [row[0] for row in actual] == [row[0] for row in expected]
+    for (_name, report, pairs), (_, e_report, e_pairs) in zip(actual, expected):
+        assert_reports_equal(report, e_report, f"under {mode}")
+        assert pairs == e_pairs
+    assert len({report.result_count for _name, report, _ in actual}) == 1
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +149,8 @@ def golden_row(report):
 @pytest.mark.parametrize("single_height", [False, True], ids=["MH", "SH"])
 def test_reference_io_matches_the_golden_table(single_height):
     actual = [
-        (result.name, *golden_row(result.report))
-        for result in reference(single_height, 0).results
+        (name, *golden_row(report))
+        for name, report, _pairs in reference(single_height, 0)
     ]
     assert actual == GOLDEN[single_height]
 
@@ -265,14 +282,10 @@ def test_emit_order_matches_the_golden_digest(lineup_name, name):
 # ----------------------------------------------------------------------
 # gauges
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", MODES)
-def test_bench_gauges_recorded_in_every_mode(mode):
-    """``shards=N`` used to drop the slot benches' buffer/fault gauges."""
+def test_bench_gauges_recorded():
+    """The line-up records its bench's buffer and fault gauges."""
     metrics = MetricsRegistry()
     a_codes, d_codes, tree_height = lineup_inputs()
-    kwargs = dict(MODES[mode][0])
-    if "workers" in kwargs:
-        kwargs["parallel_mode"] = "inline"
     run_lineup(
         "gauges",
         a_codes,
@@ -284,7 +297,6 @@ def test_bench_gauges_recorded_in_every_mode(mode):
         metrics=metrics,
         faults=FaultConfig(seed=5, read_error_rate=0.02),
         retry=RetryPolicy(max_attempts=8),
-        **kwargs,
     )
     names = {
         name

@@ -102,6 +102,11 @@ class TestRunLineup:
         with pytest.raises(ValueError):
             run_lineup("x", [1], [2], 5)
 
+    def test_empty_algorithm_list_rejected_before_any_work(self):
+        """Not an ``algorithms disagree`` assertion over zero results."""
+        with pytest.raises(ValueError, match="at least one algorithm"):
+            run_lineup("x", [1], [2], 5, algorithms=[])
+
     def test_explicit_algorithm_list(self):
         spec = syn.spec_by_name("SSSL", large=800, small=100)
         ds = syn.generate(spec, seed=4)

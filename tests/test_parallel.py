@@ -1,16 +1,15 @@
 """Unit and differential coverage of the parallel execution layer.
 
 The one pooled path is a cold join per task (``run_cold_joins`` over
-``SlotJoinTask``): a ``run_lineup(workers=N)`` line-up ships one task
-per algorithm, and every report must equal the serial line-up's.  The
-contract is *exact equivalence*: each pooled task returns the identical
-sorted pair set AND the identical page-I/O accounting as the same
-operator run serially on a fresh bench.  These tests enforce that
+``SlotJoinTask``), which the shard executor ships one slot at a time.
+The contract is *exact equivalence*: each pooled task returns the
+identical sorted pair set AND the identical page-I/O accounting as the
+same operator run serially on a fresh bench.  These tests enforce that
 bit-for-bit — pairs, ``prep_io``/``join_io`` snapshots, buffer
 hits/misses and false-hit counts — over synthetic and XMark workloads,
 with and without fault injection.  The suite also covers the pool, the
-fault payloads that carry worker faults back typed, and the line-up
-scope itself, including its argument checks.
+fault payloads that carry worker faults back typed, and the executor's
+argument checks.
 """
 
 import os
@@ -31,9 +30,7 @@ from repro import (
     binarize,
 )
 from repro.datatree.paths import select_by_tag
-from repro.experiments.harness import run_lineup
 from repro.join.planner import make_algorithm
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.parallel import (
     SlotJoinTask,
@@ -42,6 +39,8 @@ from repro.parallel import (
     fault_to_payload,
     run_cold_joins,
 )
+from repro.parallel.fanout import FANOUT_SPAN
+from repro.shard import ShardedCorpus, ShardedJoinExecutor
 from repro.workloads.synthetic import generate, spec_by_name
 from repro.workloads.xmark import generate_tree
 
@@ -70,7 +69,7 @@ def run_cold(
     retry=None,
     tracer=None,
 ):
-    """Serial operator on a fresh cold bench; returns (pairs, report, bufmgr)."""
+    """Serial operator on a fresh cold bench; returns (pairs, report)."""
     injector = None if faults is None else FaultInjector(faults)
     disk = DiskManager(
         page_size=PAGE_SIZE, checksums=faults is not None, faults=injector
@@ -83,7 +82,7 @@ def run_cold(
     disk.stats.reset()
     sink = JoinSink("collect")
     report = make_algorithm(name).run(a_set, d_set, sink, tracer=tracer)
-    return sorted(sink.pairs), report, bufmgr
+    return sorted(sink.pairs), report
 
 
 def run_pooled(
@@ -116,7 +115,7 @@ def run_pooled(
         )
         for name in ALGORITHMS
     ]
-    payloads = run_cold_joins(tasks, workers, mode, tracer, "parallel.fanout")
+    payloads = run_cold_joins(tasks, workers, mode, tracer)
     assert [p["report"].algorithm for p in payloads] == [
         make_algorithm(name).name for name in ALGORITHMS
     ]
@@ -125,15 +124,15 @@ def run_pooled(
 
 def assert_equivalent(serial, payload):
     """The whole contract: identical pairs AND identical accounting."""
-    s_pairs, s_report, s_buf = serial
+    s_pairs, s_report = serial
     p_report = payload["report"]
     assert sorted(payload["pairs"]) == s_pairs
     assert p_report.prep_io == s_report.prep_io
     assert p_report.join_io == s_report.join_io
     assert p_report.false_hits == s_report.false_hits
     assert p_report.result_count == s_report.result_count
-    assert (payload["buffer"]["hits"], payload["buffer"]["misses"]) == (
-        s_buf.hits, s_buf.misses
+    assert (p_report.buffer_hits, p_report.buffer_misses) == (
+        s_report.buffer_hits, s_report.buffer_misses
     )
 
 
@@ -292,7 +291,7 @@ class TestParallelTracing:
         assert p_root is not None and p_root.name == s_root.name
         assert p_root.io == s_root.io
         fanout = pooled_tracer.roots[-1]
-        assert fanout.name == "parallel.fanout"
+        assert fanout.name == FANOUT_SPAN == "shard.fanout"
         # the fanout span opens after every worker finished: no I/O on it
         assert fanout.io.total == 0
         # one worker root per task, in submission order
@@ -303,33 +302,15 @@ class TestParallelTracing:
 
 
 # ----------------------------------------------------------------------
-# lineup-scope parallelism
+# the executor's entry checks and fault handling
 # ----------------------------------------------------------------------
-class TestParallelLineup:
-    def lineups(self, **kwargs):
+class TestExecutorEntry:
+    def executor(self, **kwargs):
         data = dataset("MSSL", large=1500, small=300, seed=4)
-        return run_lineup(
-            "MSSL", data.a_codes, data.d_codes, data.tree_height,
-            buffer_pages=20, page_size=256, single_height=False, **kwargs,
-        )
-
-    def test_matches_serial_reports(self):
-        serial = self.lineups()
-        parallel = self.lineups(workers=2, parallel_mode="inline")
-        assert parallel.result_count == serial.result_count
-        for s, p in zip(serial.results, parallel.results):
-            assert p.name == s.name
-            assert p.report.result_count == s.report.result_count
-            assert p.report.total_io.reads == s.report.total_io.reads
-            assert p.report.total_io.writes == s.report.total_io.writes
-            assert (p.report.buffer_hits, p.report.buffer_misses) == (
-                s.report.buffer_hits, s.report.buffer_misses
-            )
-
-    def test_process_pool_smoke(self):
-        serial = self.lineups()
-        parallel = self.lineups(workers=2, parallel_mode="process")
-        assert parallel.result_count == serial.result_count
+        corpus = ShardedCorpus(data.tree_height, 2)
+        corpus.add_set("A", data.a_codes)
+        corpus.add_set("D", data.d_codes)
+        return ShardedJoinExecutor(corpus, **kwargs)
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -338,56 +319,31 @@ class TestParallelLineup:
             (dict(workers=-3), "workers must be >= 1"),
             (dict(workers=2, parallel_mode="bogus"), "unknown parallel mode"),
             (dict(parallel_mode="bogus"), "unknown parallel mode"),
-            (dict(workers=-2, shards=2), "workers must be >= 1"),
         ],
     )
     def test_bad_pool_arguments_rejected_at_entry(self, kwargs, match):
-        """Checked before any work, whichever path would have run —
-        never a silent serial run or a traceback from deep inside."""
+        """Checked before any work — never a silent serial run or a
+        traceback from deep inside."""
         with pytest.raises(ValueError, match=match):
-            self.lineups(**kwargs)
-
-    def test_live_injector_rejected(self):
-        with pytest.raises(ValueError, match="FaultConfig"):
-            self.lineups(
-                workers=2, parallel_mode="inline",
-                faults=FaultInjector(FaultConfig(seed=1)),
-            )
+            self.executor(**kwargs)
 
     def test_fault_config_accepted_and_absorbed(self):
-        config = FaultConfig(seed=CHAOS_SEED, read_error_rate=0.02)
-        serial = self.lineups(faults=config, retry=RetryPolicy(max_attempts=6))
-        parallel = self.lineups(
-            workers=2, parallel_mode="inline",
-            faults=config, retry=RetryPolicy(max_attempts=6),
+        executor = self.executor(workers=2, parallel_mode="inline")
+        clean, _ = executor.run("VPJ", "A", "D", page_size=256)
+        noisy, _ = executor.run(
+            "VPJ", "A", "D", page_size=256,
+            faults=FaultConfig(seed=CHAOS_SEED, read_error_rate=0.02),
+            retry=RetryPolicy(max_attempts=6),
         )
-        assert parallel.result_count == serial.result_count
+        assert noisy.result_count == clean.result_count
 
     def test_permanent_escalation_raises_typed_fault(self):
         """Workers ship faults back as payloads; the parent re-raises a
         typed StorageFault, never a pickling error or a silent zero."""
+        executor = self.executor(workers=2, parallel_mode="inline")
         with pytest.raises(StorageFault):
-            self.lineups(
-                workers=2, parallel_mode="inline",
+            executor.run(
+                "VPJ", "A", "D",
                 faults=FaultConfig(seed=CHAOS_SEED, read_error_rate=1.0),
                 retry=RetryPolicy(max_attempts=1),
             )
-
-    def test_metrics_and_traces_merged(self):
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        parallel = self.lineups(
-            workers=2, parallel_mode="inline",
-            tracer=tracer, metrics=metrics,
-        )
-        assert parallel.results and parallel.results[0].report.trace is not None
-        fanout_roots = [r for r in tracer.roots if r.name == "parallel.fanout"]
-        assert fanout_roots and fanout_roots[-1].children
-        # merged gauges are sums over the workers' pools, with the hit
-        # rate recomputed from the summed counts — not averaged
-        hits = metrics.gauge("buffer.hits").value
-        misses = metrics.gauge("buffer.misses").value
-        assert hits > 0 and misses > 0
-        assert metrics.gauge("buffer.hit_rate").value == pytest.approx(
-            hits / (hits + misses)
-        )

@@ -11,10 +11,10 @@ and under chaos seeds.
 
 Plus: a hypothesis property pinning the exactly-once pair coverage of
 the VPJ scatter rule (every containment pair meets in exactly one
-slot), routing-table unit coverage, save/load round-trips, and the
-line-up harness over real document tags.  Path queries do not shard
-(``db.query`` and the service run the one pipeline), so there is no
-database or service integration to test here.
+slot), routing-table unit coverage, and the executor over real
+document tags.  Path queries do not shard (``db.query`` and the service
+run the one pipeline), and the line-up harness runs serially, so the
+executor is the only entry to test here.
 """
 
 import os
@@ -25,10 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro import binarize, random_tree
 from repro.core.pbitree import is_ancestor, max_code
 from repro.datatree.paths import select_by_tag
-from repro.experiments.harness import run_lineup
 from repro.obs.tracer import Tracer
 from repro.shard import (
-    SHARDMAP_FORMAT,
     ShardedCorpus,
     ShardedJoinExecutor,
     ShardMap,
@@ -36,9 +34,9 @@ from repro.shard import (
 )
 from repro.shard.executor import slot_fault_config
 from repro.storage.faults import FaultConfig
-from repro.workloads.synthetic import generate, spec_by_name
+from repro.workloads.synthetic import count_results, generate, spec_by_name
 
-from .differential import assert_lineups_equal, normalize
+from .differential import normalize
 
 #: chaos seed rotates in CI like the fault-injection suite's
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -49,6 +47,14 @@ LINEUP = ["INLJN", "STACKTREE", "ADB+", "MHCJ+Rollup", "VPJ"]
 
 def dataset(name="MSSL", large=1500, small=300, seed=0):
     return generate(spec_by_name(name, large=large, small=small), seed=seed)
+
+
+def sharded(a_codes, d_codes, tree_height, shards, workers=1):
+    """An executor over a ``shards``-shard corpus holding sets A and D."""
+    corpus = ShardedCorpus(tree_height, shards)
+    corpus.add_set("A", a_codes)
+    corpus.add_set("D", d_codes)
+    return ShardedJoinExecutor(corpus, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +104,11 @@ class TestShardMap:
         with pytest.raises(ValueError):
             shard_map.scatter([int(max_code(5)) + 1])
 
-    def test_roundtrip_dict(self):
+    def test_to_dict(self):
         shard_map = ShardMap(tree_height=21, level=4, num_shards=3)
-        assert ShardMap.from_dict(shard_map.to_dict()) == shard_map
+        assert shard_map.to_dict() == {
+            "tree_height": 21, "level": 4, "num_shards": 3
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +173,7 @@ def test_every_code_routes_to_its_owner_shard(tree_height, level, num_shards):
 
 
 # ---------------------------------------------------------------------------
-# corpus layout + persistence
+# corpus layout
 # ---------------------------------------------------------------------------
 class TestShardedCorpus:
     def test_slot_extraction_matches_scatter(self):
@@ -186,51 +194,6 @@ class TestShardedCorpus:
         with pytest.raises(ValueError):
             corpus.add_set("A", [4])
 
-    def test_save_load_roundtrip(self, tmp_path):
-        data = dataset(large=500, small=120)
-        corpus = ShardedCorpus(data.tree_height, 3, level=3)
-        corpus.add_set("A", data.a_codes)
-        corpus.add_set("D", data.d_codes)
-        corpus.save(tmp_path / "c")
-
-        loaded = ShardedCorpus.load(tmp_path / "c")
-        assert loaded.map == corpus.map
-        assert loaded.tags == ["A", "D"]
-        assert loaded.set_size("A") == len(data.a_codes)
-        for tag in ("A", "D"):
-            for slot in range(corpus.num_slots):
-                assert loaded.slot_ancestor_codes(
-                    tag, slot
-                ) == corpus.slot_ancestor_codes(tag, slot)
-                assert loaded.slot_descendant_codes(
-                    tag, slot
-                ) == corpus.slot_descendant_codes(tag, slot)
-
-    def test_stored_policy_is_ignored_on_load(self, tmp_path):
-        """Shard pools are LRU; maps saved when the pool policy was a
-        setting still load, whatever policy they name."""
-        corpus = ShardedCorpus(10, 2)
-        corpus.add_set("A", [1, 2, 3])
-        corpus.save(tmp_path / "c")
-        shardmap = tmp_path / "c" / "shardmap.json"
-        assert '"policy": "lru"' in shardmap.read_text()
-        shardmap.write_text(
-            shardmap.read_text().replace('"policy": "lru"', '"policy": "clock"')
-        )
-        loaded = ShardedCorpus.load(tmp_path / "c")
-        assert loaded.set_size("A") == 3
-        assert {store.bufmgr.policy for store in loaded.shards} == {"lru"}
-
-    def test_load_rejects_wrong_format(self, tmp_path):
-        corpus = ShardedCorpus(10, 1)
-        corpus.save(tmp_path / "c")
-        shardmap = tmp_path / "c" / "shardmap.json"
-        shardmap.write_text(
-            shardmap.read_text().replace(SHARDMAP_FORMAT, "bogus/v0")
-        )
-        with pytest.raises(ValueError, match="routing table"):
-            ShardedCorpus.load(tmp_path / "c")
-
     def test_stats_counts_replication(self):
         data = dataset(large=500, small=120)
         corpus = ShardedCorpus(data.tree_height, 2)
@@ -243,33 +206,34 @@ class TestShardedCorpus:
 # ---------------------------------------------------------------------------
 # the differential oracle: shards=1 vs shards=N
 # ---------------------------------------------------------------------------
-def _sharded_reports(shards, workers=1, faults=None, collect=True, seed=0):
+def _sharded_reports(shards, workers=1, faults=None, seed=0):
+    """Every line-up algorithm scatter-gathered over ``shards`` shards:
+    normalized report and gathered pairs (in slot order) per name."""
     data = dataset(seed=seed)
-    lineup = run_lineup(
-        "MSSL",
-        data.a_codes,
-        data.d_codes,
-        data.tree_height,
-        algorithms=LINEUP,
-        collect=collect,
-        faults=faults,
-        workers=workers,
-        shards=shards,
+    executor = sharded(
+        data.a_codes, data.d_codes, data.tree_height, shards, workers
     )
-    return {r.name: normalize(r.report) for r in lineup.results}
+    runs = {}
+    for name in LINEUP:
+        report, pairs = executor.run(
+            name, "A", "D", dataset="MSSL", collect=True, faults=faults
+        )
+        runs[name] = (normalize(report), pairs)
+    assert len({report.result_count for report, _ in runs.values()}) == 1
+    return runs
 
 
 class TestShardDifferential:
-    def test_lineup_invariant_across_shard_counts(self):
+    def test_invariant_across_shard_counts(self):
         baseline = _sharded_reports(shards=1)
         for shards in (2, 4):
             assert _sharded_reports(shards=shards) == baseline
 
-    def test_lineup_invariant_with_workers(self):
+    def test_invariant_with_workers(self):
         baseline = _sharded_reports(shards=4, workers=1)
         assert _sharded_reports(shards=4, workers=2) == baseline
 
-    def test_lineup_invariant_under_chaos(self):
+    def test_invariant_under_chaos(self):
         chaos = FaultConfig(
             seed=CHAOS_SEED, read_error_rate=0.01, latency_rate=0.0
         )
@@ -285,10 +249,7 @@ class TestShardDifferential:
             for d_code in data.d_codes
             if a_code != d_code and is_ancestor(a_code, d_code)
         )
-        corpus = ShardedCorpus(data.tree_height, 2)
-        corpus.add_set("A", data.a_codes)
-        corpus.add_set("D", data.d_codes)
-        executor = ShardedJoinExecutor(corpus, workers=1)
+        executor = sharded(data.a_codes, data.d_codes, data.tree_height, 2)
         report, pairs = executor.run(
             "MHCJ+Rollup", "A", "D", dataset="MSSL", collect=True
         )
@@ -315,46 +276,51 @@ class TestExecutor:
         from repro.storage.faults import FaultInjector
 
         data = dataset(large=200, small=50)
-        corpus = ShardedCorpus(data.tree_height, 1)
-        corpus.add_set("A", data.a_codes)
-        corpus.add_set("D", data.d_codes)
-        executor = ShardedJoinExecutor(corpus)
+        executor = sharded(data.a_codes, data.d_codes, data.tree_height, 1)
         with pytest.raises(ValueError, match="unknown algorithm"):
             executor.run("NOPE", "A", "D")
         with pytest.raises(ValueError, match="FaultInjector"):
             executor.run(
                 "VPJ", "A", "D", faults=FaultInjector(FaultConfig(seed=1))
             )
+        # an unregistered tag names the registered ones, before any slot
+        # is read (not a bare KeyError from slot extraction)
+        for ancestors, descendants in (("Z", "D"), ("A", "Z")):
+            with pytest.raises(ValueError, match=r"'Z'.*registered: A, D"):
+                executor.run("VPJ", ancestors, descendants)
 
     def test_fanout_span_records_slots(self):
         data = dataset(large=400, small=100)
-        corpus = ShardedCorpus(data.tree_height, 2)
-        corpus.add_set("A", data.a_codes)
-        corpus.add_set("D", data.d_codes)
         tracer = Tracer()
-        executor = ShardedJoinExecutor(corpus, workers=1)
+        executor = sharded(data.a_codes, data.d_codes, data.tree_height, 2)
         executor.run("VPJ", "A", "D", dataset="x", tracer=tracer)
         fanout = [s for s in tracer.roots if s.name == "shard.fanout"]
         assert len(fanout) == 1
-        assert fanout[0].attributes["total_slots"] == corpus.num_slots
+        assert fanout[0].attributes["total_slots"] == executor.corpus.num_slots
         assert fanout[0].children  # per-slot trace roots grafted in
 
 
 # ---------------------------------------------------------------------------
-# the line-up harness on document tags
+# the executor on document tags
 # ---------------------------------------------------------------------------
-class TestShardedHarnessOnXml:
-    def test_lineup_on_document_tags(self):
-        """run_lineup over real document tag sets, sharded vs not."""
+class TestShardedExecutorOnXml:
+    def test_document_tags_invariant_across_shard_counts(self):
+        """Real document tag sets, 1 shard vs 4: equal reports and
+        pairs, and the in-memory result count."""
         tree = random_tree(600, max_fanout=4, seed=5)
         encoding = binarize(tree)
         a_codes = select_by_tag(tree, "a")
         d_codes = select_by_tag(tree, "b")
-        kwargs = dict(algorithms=["MHCJ+Rollup", "VPJ"], collect=True)
-        one = run_lineup(
-            "doc", a_codes, d_codes, encoding.tree_height, shards=1, **kwargs
-        )
-        four = run_lineup(
-            "doc", a_codes, d_codes, encoding.tree_height, shards=4, **kwargs
-        )
-        assert_lineups_equal(four, one)
+        runs = {}
+        for shards in (1, 4):
+            executor = sharded(a_codes, d_codes, encoding.tree_height, shards)
+            runs[shards] = [
+                (normalize(report), pairs)
+                for report, pairs in (
+                    executor.run(name, "A", "D", dataset="doc", collect=True)
+                    for name in ("MHCJ+Rollup", "VPJ")
+                )
+            ]
+        assert runs[4] == runs[1]
+        expected = count_results(a_codes, d_codes)
+        assert [report.result_count for report, _ in runs[1]] == [expected] * 2
