@@ -21,9 +21,10 @@ list, and finishes by scanning the leaf run of entries with
 there, every other candidate crosses a boundary on the path and is in
 a stab list.  Cost: ``O(log n + answer + leaf run)``.
 
-This gives INLJN a second disk-based option for probing the *ancestor*
-set (besides :mod:`repro.index.interval_tree`): :class:`XRProbeJoin`
-builds one on the fly, and the A6 ablation compares the two.
+This gives the stab-probing INLJN (:mod:`.stabprobe`) a second
+disk-based structure for the *ancestor* set (besides
+:mod:`repro.index.interval_tree`): :class:`XRProbeJoin` builds one on
+the fly, and the A6 ablation compares the two.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ from typing import Iterable, Iterator, cast
 from repro.core import pbitree
 from repro.core.pbitree import PBiCode, RegionCode
 from repro.index.bptree import BPlusTree
-from repro.join.inljn import IndexNestedLoopJoin
 from repro.storage.buffer import BufferManager
+from repro.storage.elementset import ElementSet
 from repro.storage.heapfile import HeapFile
 from repro.storage.record import TRIPLE
+
+from .stabprobe import StabProbeJoin
 
 __all__ = ["XRProbeJoin", "XRTree"]
 
@@ -186,18 +189,16 @@ class XRTree:
         )
 
 
-class XRProbeJoin(IndexNestedLoopJoin):
+class XRProbeJoin(StabProbeJoin):
     """INLJN probing the ancestor set with an on-the-fly XR-tree (A6).
 
     The build is charged to the join's preparation I/O, exactly as the
-    interval tree's is; the probe loop is INLJN's own."""
+    interval tree's is; the stab loop is the one
+    :class:`~.stabprobe.IntervalProbeJoin` runs."""
 
-    def _prepare(self, ancestors, descendants, bufmgr):
-        outer = self._outer_side(ancestors, descendants)
-        if outer == "A" or self.a_index is not None:
-            return super()._prepare(ancestors, descendants, bufmgr)
-        with self.trace("inljn.build", index="xr", side="A"):
-            self._built_index = XRTree.build(
-                bufmgr, ancestors.scan(), name=f"{ancestors.name}.xr"
-            )
-        return ancestors, descendants, outer
+    stab_kind = "xr"
+
+    def build_stab_index(
+        self, ancestors: ElementSet, bufmgr: BufferManager
+    ) -> XRTree:
+        return XRTree.build(bufmgr, ancestors.scan(), name=f"{ancestors.name}.xr")

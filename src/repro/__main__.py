@@ -208,8 +208,12 @@ def _query_image(args: argparse.Namespace) -> int:
     from .join.pipeline import PathPipeline
     from .storage.persist import load_image
 
+    try:
+        query = PathQuery(args.path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     image = load_image(args.source, buffer_pages=args.buffer_pages)
-    query = PathQuery(args.path)
     try:
         steps = [image.element_sets[tag] for tag in query.steps]
     except KeyError as exc:

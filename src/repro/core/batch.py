@@ -36,7 +36,7 @@ these kernels by name.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Optional, Sequence, cast
+from typing import Callable, Iterable, Optional, Sequence, cast
 
 from .pbitree import Height, PBiCode, PrefixCode, RegionCode
 
@@ -56,6 +56,7 @@ __all__ = [
     "descendants_in",
     "ancestors_in",
     "count_matches",
+    "ancestor_points",
     "region_probe",
     "region_semi",
     "build_height_tables",
@@ -234,6 +235,32 @@ def count_matches(anc: int, codes: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # join kernels (pure CPU; the operators' batched hot path)
 # ---------------------------------------------------------------------------
+def ancestor_points(
+    codes: Sequence[int], heights: Iterable[int]
+) -> tuple[list[tuple[PBiCode, PBiCode]], list[tuple[RegionCode, RegionCode]]]:
+    """INLJN's descendant-outer probes of one page (Property 1).
+
+    The ancestors of ``d`` among a set whose node heights are
+    ``heights`` can only be ``F(d, h)`` for the ``h`` above
+    ``height(d)``.  Returns one ``(F(d, h), d)`` candidate per such
+    ``(d, h)`` -- codes in input order, heights ascending -- and beside
+    it the point range ``(start(F), start(F))`` that finds ``F`` in a
+    Start index: ``start(F(d, h)) = (d & keep) + 1``.
+    """
+    masks = [(-(1 << (h + 1)), 1 << h, (1 << h) - 1) for h in sorted(heights)]
+    bases = [(d & keep, bit, d) for d in codes for keep, bit, low in masks if d & low]
+    return (
+        cast(
+            "list[tuple[PBiCode, PBiCode]]",
+            [(base | bit, d) for base, bit, d in bases],
+        ),
+        cast(
+            "list[tuple[RegionCode, RegionCode]]",
+            [(base + 1, base + 1) for base, _bit, _d in bases],
+        ),
+    )
+
+
 def region_probe(
     a_codes: Sequence[int],
     d_sorted: Sequence[int],

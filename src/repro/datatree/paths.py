@@ -14,12 +14,13 @@ This module provides:
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterable, Sequence
 
 from ..core import pbitree
 from .node import DataTree
 
-__all__ = ["select_by_tag", "PathQuery", "brute_force_join"]
+__all__ = ["select_by_tag", "PathQuery", "XPathSyntaxError", "brute_force_join"]
 
 JoinFunc = Callable[[Sequence[int], Sequence[int]], Iterable[tuple[int, int]]]
 
@@ -32,11 +33,24 @@ def select_by_tag(tree: DataTree, tag: str) -> list[int]:
     return [tree.codes[node] for node in tree.iter_by_tag(tag)]
 
 
+#: an element name as :func:`repro.datatree.xml_parser.parse_xml` reads
+#: one (``str.isalnum()`` characters, ``_``, ``-``, ``.`` and ``:``); the
+#: one tag rule of the parser, :class:`PathQuery` and the XPath grammar
+TAG_NAME = r"[\w.:-]+"
+_TAG = re.compile(TAG_NAME)
+
+
+class XPathSyntaxError(ValueError):
+    """Raised on unsupported or malformed path syntax."""
+
+
 class PathQuery:
     """A descendant-axis path query like ``//section//figure``.
 
     Only the containment (``//``) axis is supported — the operation the
-    paper addresses.  ``steps`` is the tag chain, outermost first.
+    paper addresses.  ``steps`` is the tag chain, outermost first; a
+    step that is not an element name (a child axis, a predicate, a
+    wildcard) raises :class:`XPathSyntaxError`.
     """
 
     def __init__(self, path: str) -> None:
@@ -46,9 +60,10 @@ class PathQuery:
         if not steps:
             raise ValueError(f"empty path: {path!r}")
         for step in steps:
-            if "/" in step:
-                raise ValueError(
-                    f"child axis ('/') not supported in step {step!r}"
+            if _TAG.fullmatch(step) is None:
+                raise XPathSyntaxError(
+                    f"step {step!r} of {path!r} is not an element name "
+                    "(only //name//name chains run as containment joins)"
                 )
         self.steps = steps
         self.path = path

@@ -10,10 +10,14 @@ standard entities.  It is a hand-written recursive-descent parser — no
 
 from __future__ import annotations
 
+import re
+
 from .node import DataTree
+from .paths import TAG_NAME
 
 __all__ = ["parse_xml", "XMLSyntaxError"]
 
+_NAME = re.compile(TAG_NAME)
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
 
@@ -52,13 +56,11 @@ class _Parser:
         self.pos += len(token)
 
     def _read_name(self) -> str:
-        start = self.pos
-        text, n = self.text, len(self.text)
-        while self.pos < n and (text[self.pos].isalnum() or text[self.pos] in "_-.:"):
-            self.pos += 1
-        if self.pos == start:
+        match = _NAME.match(self.text, self.pos)
+        if match is None:
             raise self._error("expected a name")
-        return text[start:self.pos]
+        self.pos = match.end()
+        return match.group()
 
     def _decode_entities(self, raw: str) -> str:
         if "&" not in raw:

@@ -23,7 +23,7 @@ Grammar::
     path       := step+
     step       := axis tag predicate*
     axis       := '//' | '/'
-    tag        := [-\\w.]+ | '*'
+    tag        := TAG_NAME | '*'    (see repro.datatree.paths)
     predicate  := '[' ('.//' | '') tag ']'
 """
 
@@ -35,19 +35,16 @@ from typing import Callable, Iterable, Sequence
 
 from ..core import pbitree
 from .node import DataTree
+from .paths import TAG_NAME, XPathSyntaxError
 
 __all__ = ["XPath", "Step", "Predicate", "is_parent_code", "XPathSyntaxError"]
 
 JoinFunc = Callable[[Sequence[int], Sequence[int]], Iterable[tuple[int, int]]]
 
 _TOKEN = re.compile(
-    r"(?P<axis>//|/)(?P<tag>\*|[-\w.]+)(?P<preds>(?:\[[^\]]*\])*)"
+    rf"(?P<axis>//|/)(?P<tag>\*|{TAG_NAME})(?P<preds>(?:\[[^\]]*\])*)"
 )
-_PRED = re.compile(r"\[(?P<axis>\.//)?(?P<tag>\*|[-\w.]+)\]")
-
-
-class XPathSyntaxError(ValueError):
-    """Raised on unsupported or malformed path syntax."""
+_PRED = re.compile(rf"\[(?P<axis>\.//)?(?P<tag>\*|{TAG_NAME})\]")
 
 
 @dataclass(frozen=True)

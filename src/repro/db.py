@@ -10,7 +10,7 @@ planner and join operators together by hand:
   PathPipeline` over the document's element sets, each step planned by
   :mod:`repro.join.planner` (Table 1 picks the cell, the cost model
   picks inside it);
-* create persistent indexes (B+-tree / interval tree) that the planner
+* create persistent Start indexes (B+-tree) that the planner
   then exploits;
 * apply updates (insert/delete elements) through the §2.3.2
   virtual-node machinery of
@@ -34,10 +34,9 @@ from typing import Iterator, Optional
 from .core.binarize import binarize
 from .core.update import UpdatableEncoding
 from .datatree.node import DataTree, NodeView
-from .datatree.paths import PathQuery
+from .datatree.paths import TAG_NAME, PathQuery
 from .datatree.xml_parser import parse_xml
 from .index.bptree import BPlusTree
-from .index.interval_tree import IntervalTree
 from .join.base import JoinReport
 from .join.planner import SetProperties, choose_algorithm, explain
 from .obs.metrics import MetricsRegistry
@@ -173,10 +172,6 @@ class ContainmentDatabase:
         """B+-tree on region Start (serves INLJN-descendant and ADB+)."""
         return document.store.start_index(tag)
 
-    def create_interval_index(self, document: Document, tag: str) -> IntervalTree:
-        """Interval tree over regions (serves INLJN-ancestor probes)."""
-        return document.store.interval_index(tag)
-
     def step_inputs(
         self, document: Document, tags: list[str]
     ) -> tuple[list[ElementSet], list[SetProperties]]:
@@ -186,11 +181,7 @@ class ContainmentDatabase:
         store = document.store
         steps = [store.element_set(tag) for tag in tags]
         props = [
-            SetProperties.of(
-                step,
-                store.peek_start_index(tag),
-                store.peek_interval_index(tag),
-            )
+            SetProperties.of(step, store.peek_start_index(tag))
             for tag, step in zip(tags, steps)
         ]
         return steps, props
@@ -243,7 +234,7 @@ class ContainmentDatabase:
         """True for syntax PathQuery cannot handle (child axis, [..], *)."""
         import re
 
-        return re.fullmatch(r"(//[-\w.]+)+", path) is None
+        return re.fullmatch(rf"(//{TAG_NAME})+", path) is None
 
     def _query_extended(self, document: Document, path: str) -> QueryResult:
         from .datatree.xpath import XPath

@@ -1,4 +1,4 @@
-"""Disk-based indexes: B+-tree and static interval tree."""
+"""Disk-based indexes: the Start B+-tree and a static interval tree."""
 
 from .bptree import BPlusTree
 from .interval_tree import IntervalTree

@@ -1,12 +1,18 @@
 """Paged static interval tree for stabbing queries over regions.
 
-INLJN needs to probe the *ancestor* set with a descendant's ``Start``
-point: report every ancestor region containing the point.  A B+-tree
-cannot answer this efficiently (the paper notes compound-key B+-trees
-cause many unnecessary node accesses), so — following the paper's
-proposal to use a disk-based interval tree [7] — this module provides a
-static (bulk-built) Edelsbrunner interval tree whose node directory and
-interval lists live on buffer-managed pages.
+The paper's INLJN probes the *ancestor* set with a descendant's
+``Start`` point: report every ancestor region containing the point.
+The paper notes compound-key B+-trees cause many unnecessary node
+accesses here and proposes a disk-based interval tree [7]; this module
+provides a static (bulk-built) Edelsbrunner interval tree whose node
+directory and interval lists live on buffer-managed pages.
+
+The engine's INLJN does not probe it: ``F(d, h)`` point lookups on a
+Start B+-tree find the same ancestors (:mod:`repro.join.inljn`).  The
+tree stays in the package because the perf ledger
+(``benchmarks/ledger/lineup.py``) times its build and stab probes, and
+ablation A6 (``benchmarks/bench_ablation_probe.py``) runs the
+paper-faithful INLJN over it.
 
 Structure: a balanced binary tree over midpoints of the region
 endpoints.  Each tree node stores the intervals containing its midpoint
@@ -29,7 +35,6 @@ every visited page afresh.
 
 from __future__ import annotations
 
-import copy
 import struct
 from bisect import bisect_right
 from operator import itemgetter
@@ -40,7 +45,6 @@ from ..storage.buffer import BufferManager
 from ..storage.faults import StorageFault
 from ..storage.heapfile import HeapFile
 from ..storage.record import TRIPLE
-from .staleness import StaleGuard
 
 __all__ = ["IntervalTree", "Interval"]
 
@@ -68,14 +72,11 @@ def _descending_cut(ends: list[int], point: int, lo: int, hi: int) -> int:
     return lo
 
 
-class IntervalTree(StaleGuard):
+class IntervalTree:
     """Static stabbing-query index over ``(start, end, payload)`` intervals.
 
-    Build-only: there is no incremental maintenance path.  When its
-    element set changes, the owner calls
-    :meth:`~repro.index.staleness.StaleGuard.mark_stale` and rebuilds;
-    stabbing a stale reference raises
-    :class:`~repro.index.staleness.StaleIndexError`.
+    Build-only: there is no incremental maintenance path, so a tree
+    describes the element set it was built from and nothing later.
     """
 
     def __init__(self, bufmgr: BufferManager, name: str = "") -> None:
@@ -95,32 +96,9 @@ class IntervalTree(StaleGuard):
         #: list-heap page position -> decoded columns of that page
         self._list_cache: dict[int, _Columns] = {}
 
-    # ------------------------------------------------------------------
-    # session views
-    # ------------------------------------------------------------------
-    def session_view(self, bufmgr: BufferManager) -> "IntervalTree":
-        """A read-only rebinding of this index onto another buffer pool.
-
-        Shares the base tree's node pages and interval-list heap (same
-        disk, same page ids) but pins them through ``bufmgr``, so a
-        session's stabbing probes never touch the owning document's
-        shared pool.  Probe-only by convention; staleness delegates to
-        the base via ``_stale_source``.
-        """
-        view = copy.copy(self)
-        view.bufmgr = bufmgr
-        view._stale_source = self
-        if self._lists is not None:
-            view._lists = self._lists.view(bufmgr)
-        # decode through the view's own pool
-        view._node_cache = {}
-        view._list_cache = {}
-        return view
-
     def destroy(self) -> None:
         """Free the node directory and the interval lists (no I/O
-        charged); the tree is empty afterwards.  Never destroy a
-        session view."""
+        charged); the tree is empty afterwards."""
         for page_id in self._node_pages:
             self.bufmgr.discard_page(page_id)
             self.bufmgr.disk.deallocate(page_id)
@@ -255,36 +233,29 @@ class IntervalTree(StaleGuard):
     # query
     # ------------------------------------------------------------------
     def stab(self, point: RegionCode) -> Iterator[Interval]:
-        """Every interval ``(start, end, payload)`` containing ``point``.
-
-        The whole probe runs under :meth:`probe_guard` — materialized
-        eagerly, so a concurrent ``mark_stale`` cannot slip in mid-walk
-        and let stale answers escape.
-        """
-        with self.probe_guard():
-            out: list[Interval] = []
-            for (starts, ends, payloads), lo, hi in self._cuts(point):
-                # stored triples carry the build()-time domain types
-                out.extend(
-                    cast(
-                        "Iterator[Interval]",
-                        zip(starts[lo:hi], ends[lo:hi], payloads[lo:hi]),
-                    )
+        """Every interval ``(start, end, payload)`` containing ``point``."""
+        out: list[Interval] = []
+        for (starts, ends, payloads), lo, hi in self._cuts(point):
+            # stored triples carry the build()-time domain types
+            out.extend(
+                cast(
+                    "Iterator[Interval]",
+                    zip(starts[lo:hi], ends[lo:hi], payloads[lo:hi]),
                 )
-            return iter(out)
+            )
+        return iter(out)
 
     def stab_codes(self, point: RegionCode) -> list[PBiCode]:
         """Payload codes of every interval containing ``point``.
 
-        The INLJN probe: the same page accesses as :meth:`stab`, but
-        each visited list page contributes one payload-column slice
+        The stab-INLJN probe: the same page accesses as :meth:`stab`,
+        but each visited list page contributes one payload-column slice
         instead of a tuple per interval.
         """
-        with self.probe_guard():
-            out: list[int] = []
-            for (_starts, _ends, payloads), lo, hi in self._cuts(point):
-                out.extend(payloads[lo:hi])
-            return cast("list[PBiCode]", out)
+        out: list[int] = []
+        for (_starts, _ends, payloads), lo, hi in self._cuts(point):
+            out.extend(payloads[lo:hi])
+        return cast("list[PBiCode]", out)
 
     def _cuts(self, point: int) -> Iterator[tuple[_Columns, int, int]]:
         """Walk root to leaf, yielding ``(columns, lo, hi)`` for every

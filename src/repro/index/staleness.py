@@ -1,12 +1,10 @@
-"""Staleness guard for static indexes.
+"""Staleness guard for retired indexes.
 
-The interval tree is *static by contract*: it is bulk-built over a
-snapshot of an element set and has no incremental maintenance path
-(its node directory is position-encoded).  When the underlying element
-set changes, the storage-backed update pipeline
-(:mod:`repro.storage.docstore`) marks it stale instead of patching it
-— and retires the B+-tree start index the same way when tree growth
-shifts every key; the owner rebuilds on next access.
+The storage-backed update pipeline (:mod:`repro.storage.docstore`)
+maintains the B+-tree start index in place, except when tree growth
+shifts every key (or a compaction rewrites the set): then it marks the
+index stale instead of patching it, and the owner rebuilds on next
+access.
 
 The guard exists for everyone *else*: a caller holding a reference to
 the pre-update index must get :class:`StaleIndexError` — loudly, on
@@ -50,7 +48,7 @@ __all__ = ["StaleIndexError", "StaleGuard"]
 
 
 class StaleIndexError(RuntimeError):
-    """A static index was probed after its element set changed."""
+    """A retired index was probed after its element set changed."""
 
 
 #: guards lazy creation of per-instance probe locks (the mixin has no
@@ -125,6 +123,6 @@ class StaleGuard:
         if reason is not None:
             raise StaleIndexError(
                 f"{type(self).__name__} is stale ({reason}); "
-                "static indexes are invalidate-and-rebuild — fetch a fresh "
+                "retired indexes are invalidate-and-rebuild — fetch a fresh "
                 "one from its owner instead of probing this reference"
             )

@@ -2,7 +2,7 @@
 
 from .ancdes_b import AncDesBPlusJoin
 from .base import JoinAlgorithm, JoinReport, JoinSink
-from .inljn import IndexNestedLoopJoin, build_interval_index, build_start_index
+from .inljn import IndexNestedLoopJoin, build_start_index
 from .pipeline import (
     PathPipeline,
     PipelineResult,
@@ -34,7 +34,6 @@ __all__ = [
     "BlockNestedLoopJoin",
     "IndexNestedLoopJoin",
     "build_start_index",
-    "build_interval_index",
     "PathPipeline",
     "PipelineResult",
     "plan_direction",

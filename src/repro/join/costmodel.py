@@ -146,10 +146,14 @@ class CostModel:
         )
 
     def inljn(self, inputs: CostInputs) -> CostEstimate:
-        """min over the two probe directions, as the paper's heuristic."""
+        """min over the two probe directions, as the paper's heuristic.
+
+        Both probe a Start B+-tree: A-outer with one range lookup per
+        ancestor, D-outer with one point lookup per ``F(d, h)``, priced
+        for every ancestor height (those above ``d`` are what run)."""
         a_outer = self._inljn_one_direction(
             outer_pages=inputs.a_pages,
-            outer_count=inputs.a_count,
+            lookups=inputs.a_count,
             inner_pages=inputs.d_pages,
             inner_count=inputs.d_count,
             inner_indexed=inputs.d_indexed,
@@ -157,7 +161,7 @@ class CostModel:
         )
         d_outer = self._inljn_one_direction(
             outer_pages=inputs.d_pages,
-            outer_count=inputs.d_count,
+            lookups=inputs.d_count * max(1, inputs.a_heights),
             inner_pages=inputs.a_pages,
             inner_count=inputs.a_count,
             inner_indexed=inputs.a_indexed,
@@ -166,17 +170,17 @@ class CostModel:
         return min(a_outer, d_outer, key=lambda e: (e.total, e.cpu))
 
     def _inljn_one_direction(
-        self, outer_pages, outer_count, inner_pages, inner_count,
+        self, outer_pages, lookups, inner_pages, inner_count,
         inner_indexed, buffer_pages,
     ) -> CostEstimate:
         height = self._index_height(inner_count)
         prep = 0.0
-        cpu = outer_count * self._compares(inner_count)
+        cpu = lookups * self._compares(inner_count)
         if not inner_indexed:
             # sort + bulk load the inner index on the fly
             prep = merge_cost_estimate(inner_pages, buffer_pages) + inner_pages
             cpu += self._sort_cpu(inner_count)
-        probes = outer_count * height
+        probes = lookups * height
         # a warm pool absorbs upper index levels: charge a fraction
         effective = probes * max(0.1, 1.0 - buffer_pages / max(1, inner_pages))
         index_pages = self._index_pages(inner_pages)

@@ -1,28 +1,33 @@
 """INLJN: index nested loop containment join (Section 3.1).
 
 Iterates over the *smaller* set (the paper's heuristic, minimising
-random index probes) and probes an index on the larger set:
+random index probes) and probes a **B+-tree on region Start** built
+over the larger set:
 
-* ancestor set smaller → probe a **B+-tree on D's region Start**: all
-  descendants of ``a`` have ``Start`` within ``a``'s region, so one
-  range scan per ancestor, each candidate verified in O(1) with
-  Lemma 1 (ties on ``Start`` make the ancestor itself land in the
-  range; verification removes it).
-* descendant set smaller → probe a **disk-based interval tree on A's
-  regions** with ``d.Start`` (a stabbing query), the structure the
-  paper proposes for this direction because a B+-tree on compound keys
-  degenerates.
+* ancestor set smaller → probe the index on D: all descendants of
+  ``a`` have ``Start`` within ``a``'s region, so one range scan per
+  ancestor, each candidate verified in O(1) with Lemma 1 (ties on
+  ``Start`` make the ancestor itself land in the range; verification
+  removes it).
+* descendant set smaller → probe the index on A by code algebra: the
+  ancestors of ``d`` in A are exactly ``F(d, h)`` for the heights ``h``
+  of A above ``d``'s (Property 1, heights read off A's histogram), so
+  each is one point lookup of ``start(F(d, h))``.  Codes sharing a
+  Start differ in height, so a hit is kept only when ``F`` itself is
+  among the returned codes.  The paper probes an interval tree on A's
+  regions here; the point lookups read fewer pages and need no second
+  index type (the interval-tree INLJN is ablation A6's baseline,
+  ``benchmarks/ablations/stabprobe.py``).
 
 When the required index does not exist, it is built on the fly (the
-"naive" setting of Section 4): external sort + B+-tree bulk load, or
-interval-tree bulk build.  That preparation I/O is reported separately
-in the join report, and the index's pages are freed after the join.
+"naive" setting of Section 4): external sort + B+-tree bulk load.  That
+preparation I/O is reported separately in the join report, and the
+index's pages are freed after the join.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Protocol
 
 from ..core import batch, pbitree
 from ..core.pbitree import PBiCode, RegionCode
@@ -35,19 +40,9 @@ from .base import JoinAlgorithm, JoinReport, JoinSink
 
 __all__ = [
     "IndexNestedLoopJoin",
-    "StabIndex",
     "build_start_index",
     "build_interval_index",
 ]
-
-
-class StabIndex(Protocol):
-    """An ancestor-side index INLJN can probe: an :class:`IntervalTree`
-    or any structure answering the same stabbing query."""
-
-    def stab_codes(self, point: RegionCode) -> list[PBiCode]: ...
-
-    def destroy(self) -> None: ...
 
 
 def build_start_index(
@@ -78,7 +73,13 @@ def build_start_index(
 def build_interval_index(
     elements: ElementSet, bufmgr: BufferManager, name: str = ""
 ) -> IntervalTree:
-    """Interval tree over the regions of an element set."""
+    """Interval tree over the regions of an element set.
+
+    The engine's INLJN never probes one; this builder and
+    :class:`IntervalTree` stay importable here because the perf ledger
+    (``benchmarks/ledger/lineup.py``) times their build and stab probes
+    for its ``index.interval_build_s`` / ``index.stab_probe_us`` metrics.
+    """
     intervals: list[tuple[RegionCode, RegionCode, PBiCode]] = []
     for code in elements.scan():
         start, end = pbitree.region_of(code)
@@ -96,12 +97,12 @@ class IndexNestedLoopJoin(JoinAlgorithm):
     def __init__(
         self,
         d_index: BPlusTree | None = None,
-        a_index: StabIndex | None = None,
+        a_index: BPlusTree | None = None,
         force_outer: str | None = None,
     ) -> None:
-        """Pre-built indexes may be supplied; otherwise they are built on
-        the fly during ``_prepare`` (and torn down afterwards): a
-        B+-tree on D's Start, or an interval tree on A's regions.
+        """Pre-built Start indexes on D and A may be supplied; otherwise
+        the inner side's is built on the fly during ``_prepare`` (and
+        torn down afterwards).
 
         ``force_outer`` pins the outer relation to ``'A'`` or ``'D'``
         instead of using the smaller-set heuristic (for the ablation
@@ -127,19 +128,20 @@ class IndexNestedLoopJoin(JoinAlgorithm):
             with self.trace("inljn.build", index="start", side="D"):
                 self._built_index = build_start_index(descendants, bufmgr)
         elif outer == "D" and self.a_index is None:
-            with self.trace("inljn.build", index="interval", side="A"):
-                self._built_index = build_interval_index(ancestors, bufmgr)
+            with self.trace("inljn.build", index="start", side="A"):
+                self._built_index = build_start_index(ancestors, bufmgr)
         return ancestors, descendants, outer
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         ancestors, descendants, outer = prepared
+        # `or` would skip a supplied index that is empty (len 0)
+        given = self.d_index if outer == "A" else self.a_index
+        index = self._built_index if given is None else given
         with self.trace("inljn.probe", outer=outer):
             if outer == "A":
-                index = self.d_index or self._built_index
                 self._probe_descendant_index(ancestors, index, sink)
             else:
-                index = self.a_index or self._built_index
-                self._probe_ancestor_index(descendants, index, sink)
+                self._probe_ancestor_points(ancestors, descendants, index, sink)
         return JoinReport(algorithm=self.name, result_count=sink.count)
 
     @staticmethod
@@ -163,15 +165,23 @@ class IndexNestedLoopJoin(JoinAlgorithm):
                     emit(a_code, d_code)
 
     @staticmethod
-    def _probe_ancestor_index(
-        descendants: ElementSet, index: StabIndex, sink: JoinSink
+    def _probe_ancestor_points(
+        ancestors: ElementSet,
+        descendants: ElementSet,
+        index: BPlusTree,
+        sink: JoinSink,
     ) -> None:
-        """Bulk starts per page; each descendant's stab candidates are
-        verified with one ``ancestors_in`` kernel call."""
+        """Turn a whole outer page into its ``F(d, h)`` candidates with
+        one ``ancestor_points`` kernel call and look them all up with
+        one ``range_values_many`` batch; a candidate is an ancestor iff
+        its lookup returns it."""
         emit = sink.emit
+        probe = index.range_values_many
+        heights = ancestors.known_heights
         for d_page in descendants.scan_pages():
-            for d_code, point in zip(d_page, batch.starts(d_page)):
-                for a_code in batch.ancestors_in(d_code, index.stab_codes(point)):
+            candidates, points = batch.ancestor_points(d_page, heights)
+            for (a_code, d_code), found in zip(candidates, probe(points)):
+                if a_code in found:
                     emit(a_code, d_code)
 
     def _cleanup(self, prepared, ancestors, descendants) -> None:

@@ -13,7 +13,7 @@ cell                  requires                candidates (tie order)
 ====================  ======================  ==========================
 sorted+indexed        both sorted + indexed   Anc_Des_B+
 sorted                both sorted             Stack-Tree
-indexed               a usable probe index    INLJN
+indexed               a Start index on D      INLJN
 single-height         single-height A         SHCJ
 unsorted-unindexed    —                       MHCJ+Rollup, VPJ
 ====================  ======================  ==========================
@@ -52,7 +52,6 @@ from typing import Collection, Optional
 
 from ..core.pbitree import Height
 from ..index.bptree import BPlusTree
-from ..index.interval_tree import IntervalTree
 from ..storage.elementset import ElementSet, SortOrder
 from .ancdes_b import AncDesBPlusJoin
 from .base import JoinAlgorithm, JoinReport, JoinSink
@@ -109,26 +108,21 @@ class SetProperties:
 
     sorted: bool = False
     start_index: Optional[BPlusTree] = None
-    interval_index: Optional[IntervalTree] = None
     single_height: Optional[Height] = None
 
     @property
     def indexed(self) -> bool:
-        return self.start_index is not None or self.interval_index is not None
+        return self.start_index is not None
 
     @classmethod
     def of(
-        cls,
-        elements: ElementSet,
-        start_index: Optional[BPlusTree] = None,
-        interval_index: Optional[IntervalTree] = None,
+        cls, elements: ElementSet, start_index: Optional[BPlusTree] = None
     ) -> "SetProperties":
-        """What ``elements``' metadata says, plus any indexes the caller
-        holds on it (an element set does not know its indexes)."""
+        """What ``elements``' metadata says, plus the Start index the
+        caller holds on it, if any (a set does not know its indexes)."""
         return cls(
             sorted=elements.sorted_by == SortOrder.START,
             start_index=start_index,
-            interval_index=interval_index,
             single_height=_only_height(elements.known_heights),
         )
 
@@ -148,10 +142,7 @@ _MODEL = CostModel()
 _CELLS = {
     "sorted+indexed": ("both inputs sorted and indexed", {"ADB+": _MODEL.adb}),
     "sorted": ("both inputs sorted", {"STACKTREE": _MODEL.stack_tree}),
-    "indexed": (
-        "a Start index on D or a stab index on A",
-        {"INLJN": _MODEL.inljn},
-    ),
+    "indexed": ("a Start index on D", {"INLJN": _MODEL.inljn}),
     # SHCJ ties VPJ on pages at every input, never reads more than
     # rollup, and has no false hits to verify: a one-candidate cell
     "single-height": ("single-height ancestors", {"SHCJ": _MODEL.shcj}),
@@ -169,12 +160,9 @@ def cell_of(a_props: SetProperties, d_props: SetProperties) -> str:
         return "sorted+indexed"
     if both_sorted:
         return "sorted"
-    # INLJN probes a Start B+-tree on D (outer = A) or a stab structure
-    # on A's regions (outer = D).  An input "indexed" only by the wrong
-    # index type for its side contributes nothing — picking INLJN on
-    # that evidence would run an index join with no usable index, so
-    # only a usable probe-side index counts.
-    if d_props.start_index is not None or a_props.interval_index is not None:
+    # INLJN's planned outer side is A, probing a Start index on D; a
+    # Start index on A alone (outer = D) does not select the cell
+    if d_props.start_index is not None:
         return "indexed"
     # neither sorted nor usably indexed: the paper's new territory
     if a_props.single_height is not None:
@@ -214,14 +202,9 @@ class Plan:
                 a_index=a_props.start_index, d_index=d_props.start_index
             )
         if name == "INLJN":
-            # the outer relation is pinned to the side the one existing
-            # index can serve; with both, the operator picks
-            d_start, a_stab = d_props.start_index, a_props.interval_index
-            pinned = None
-            if d_start is None or a_stab is None:
-                pinned = "A" if d_start is not None else "D"
+            # the cell holds only with D's Start index: probe it from A
             return IndexNestedLoopJoin(
-                d_index=d_start, a_index=a_stab, force_outer=pinned
+                d_index=d_props.start_index, force_outer="A"
             )
         if name == "SHCJ":
             return SingleHeightJoin(height=a_props.single_height)

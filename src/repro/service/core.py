@@ -44,8 +44,8 @@ given query always draws the same fault stream no matter how many
 other queries run beside it — fault behaviour is replayable under
 concurrency, which the differential suite relies on.
 
-Index-accelerated queries: when a document has persistent indexes
-(B+-tree / interval tree), the prepare phase peeks them under the
+Index-accelerated queries: when a document has a persistent index
+(the Start B+-tree), the prepare phase peeks them under the
 storage lock and the execute phase probes **session views**
 (``session_view``) — the same index pages rebound through the
 session's private buffer pool, with staleness delegated to the base
@@ -346,11 +346,7 @@ class QueryService:
                 return None if index is None else index.session_view(session)
 
             props = [
-                replace(
-                    base,
-                    start_index=rebound(base.start_index),
-                    interval_index=rebound(base.interval_index),
-                )
+                replace(base, start_index=rebound(base.start_index))
                 for base in base_props
             ]
             gate.reader_enter()

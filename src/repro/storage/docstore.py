@@ -47,11 +47,11 @@ and the retried drain applies the rest once.
 
 **Index maintenance.**  The B+-tree start index is maintained
 incrementally (``insert``/``delete``/relabel as delete+insert); tree
-growth shifts every key, so growth rebuilds it.  The interval tree is
-*static by contract* — any update marks it stale
-(:class:`~repro.index.staleness.StaleIndexError` on probe) and the
-store rebuilds it on next access.  Invalidate-and-rebuild is
-behind the same accessor, so callers always receive a fresh index.
+growth shifts every key, so growth retires it
+(:class:`~repro.index.staleness.StaleIndexError` on a later probe of
+the old reference) and the store rebuilds it on next access.
+Invalidate-and-rebuild is behind the same accessor, so callers always
+receive a fresh index.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .histogram import PositionHistogram
 
 if TYPE_CHECKING:
     from ..index.bptree import BPlusTree
-    from ..index.interval_tree import IntervalTree
 
 __all__ = ["UpdateLogRecord", "DocumentStore"]
 
@@ -100,7 +99,7 @@ class _TagStore:
 
     __slots__ = (
         "tag", "elements", "directory", "page_counts", "pending",
-        "grow_done", "start_index", "interval_index",
+        "grow_done", "start_index",
     )
 
     def __init__(self, tag: str, elements: ElementSet) -> None:
@@ -114,7 +113,6 @@ class _TagStore:
         #: pages already rewritten of an in-progress grow (resume point)
         self.grow_done = 0
         self.start_index: Optional["BPlusTree"] = None
-        self.interval_index: Optional["IntervalTree"] = None
 
 
 class DocumentStore:
@@ -315,7 +313,6 @@ class DocumentStore:
         store.elements.histogram.add(code)
         if store.start_index is not None:
             store.start_index.insert(pbitree.start_of(PBiCode(code)), code)
-        self._retire_interval_index(store, "insert")
 
     def _apply_delete(self, store: _TagStore, code: int) -> None:
         location = store.directory.get(code)
@@ -352,7 +349,6 @@ class DocumentStore:
         store.elements.histogram.add(code, -1)
         if store.start_index is not None:
             store.start_index.delete(pbitree.start_of(PBiCode(code)), code)
-        self._retire_interval_index(store, "delete")
 
     def _apply_relabel(
         self, store: _TagStore, moves: tuple[tuple[int, int], ...]
@@ -393,7 +389,6 @@ class DocumentStore:
             for old_code, new_code in moves:
                 index.delete(pbitree.start_of(PBiCode(old_code)), old_code)
                 index.insert(pbitree.start_of(PBiCode(new_code)), new_code)
-        self._retire_interval_index(store, "relabel")
 
     def _apply_grow(self, store: _TagStore, delta: int) -> None:
         """Streamed one-shift-per-record rewrite of every page."""
@@ -428,7 +423,6 @@ class DocumentStore:
         store.elements.histogram.grow(delta)  # also grows tree_height
         # every key of the start index shifted: growth rebuilds
         self._retire_start_index(store, f"tree growth by {delta}")
-        self._retire_interval_index(store, "tree growth")
 
     # ------------------------------------------------------------------
     # index maintenance
@@ -440,13 +434,6 @@ class DocumentStore:
             if self.metrics is not None:
                 self.metrics.counter("docstore.index_rebuilds.start").inc()
 
-    def _retire_interval_index(self, store: _TagStore, reason: str) -> None:
-        if store.interval_index is not None:
-            store.interval_index.mark_stale(reason)
-            store.interval_index = None
-            if self.metrics is not None:
-                self.metrics.counter("docstore.index_rebuilds.interval").inc()
-
     def start_index(self, tag: str) -> "BPlusTree":
         """Maintained B+-tree on region Start (rebuilt when retired)."""
         from ..join.inljn import build_start_index
@@ -455,17 +442,6 @@ class DocumentStore:
         if store.start_index is None:
             store.start_index = build_start_index(store.elements, self.bufmgr)
         return store.start_index
-
-    def interval_index(self, tag: str) -> "IntervalTree":
-        """Interval tree over regions (static: rebuilt after any update)."""
-        from ..join.inljn import build_interval_index
-
-        store = self._fresh_store(tag)
-        if store.interval_index is None:
-            store.interval_index = build_interval_index(
-                store.elements, self.bufmgr
-            )
-        return store.interval_index
 
     def peek_start_index(self, tag: str) -> Optional["BPlusTree"]:
         """The surviving start index, if any — never builds one.
@@ -476,12 +452,6 @@ class DocumentStore:
         if tag not in self._tags:
             return None
         return self._fresh_store(tag).start_index
-
-    def peek_interval_index(self, tag: str) -> Optional["IntervalTree"]:
-        """The surviving interval index, if any — never builds one."""
-        if tag not in self._tags:
-            return None
-        return self._fresh_store(tag).interval_index
 
     # ------------------------------------------------------------------
     # maintenance
@@ -503,7 +473,6 @@ class DocumentStore:
             store.pending.clear()
             store.grow_done = 0
             self._retire_start_index(store, "compaction")
-            self._retire_interval_index(store, "compaction")
             store.elements.destroy()
             del self._tags[name]
             self._fresh_store(name)

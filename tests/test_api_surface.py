@@ -246,6 +246,25 @@ class TestExecutionConfigSurface:
                 ["_side_inputs", "extract", "run" + "_path", "plan" + "_step"],
             ),
             (["repro.shard.corpus:ShardedCorpus"], ["drop_set"]),
+            # one ancestor probe: F(d, h) point lookups on the Start
+            # B+-tree, so no interval index on the query path
+            (["repro.db:ContainmentDatabase"], ["create_" + "interval_index"]),
+            (
+                ["repro.storage.docstore:DocumentStore"],
+                [
+                    "interval" + "_index",
+                    "peek_" + "interval_index",
+                    "_retire_" + "interval_index",
+                ],
+            ),
+            (["repro.join.planner:SetProperties"], ["interval" + "_index"]),
+            (["repro.join", "repro.join.inljn"], ["Stab" + "Index"]),
+            (["repro.join"], ["build_" + "interval_index"]),
+            (
+                ["repro.join.inljn:IndexNestedLoopJoin"],
+                ["_probe_" + "ancestor_index"],
+            ),
+            (["repro.index.interval_tree:IntervalTree"], ["session" + "_view"]),
             # one line-up loop: the pooled and sharded line-up modes, the
             # gauges only they read and the write-only shard layout
             (

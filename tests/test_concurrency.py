@@ -21,7 +21,6 @@ import threading
 import pytest
 
 from repro.index.bptree import BPlusTree
-from repro.index.interval_tree import IntervalTree
 from repro.index.staleness import StaleGuard, StaleIndexError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.buffer import BufferManager
@@ -237,12 +236,3 @@ class TestLazyScanRetire:
         scan = index.range_scan(0, 1 << 62)
         with pytest.raises(StaleIndexError):
             next(scan)
-
-    def test_bulk_stab_probe_after_retire_raises(self):
-        bufmgr = BufferManager(DiskManager(page_size=128), 32)
-        intervals = [(i, i + 40, i) for i in range(self.ENTRIES)]
-        index = IntervalTree.build(bufmgr, intervals, name="stab")
-        assert index.stab_codes(50)
-        index.mark_stale("element set changed")
-        with pytest.raises(StaleIndexError):
-            index.stab_codes(50)

@@ -111,7 +111,7 @@ class TestCpuTerm:
             def formula(inputs):
                 return model._inljn_one_direction(
                     outer_pages=getattr(inputs, f"{outer}_pages"),
-                    outer_count=getattr(inputs, f"{outer}_count"),
+                    lookups=getattr(inputs, f"{outer}_count"),
                     inner_pages=getattr(inputs, f"{inner}_pages"),
                     inner_count=getattr(inputs, f"{inner}_count"),
                     inner_indexed=indexed,

@@ -80,6 +80,27 @@ class TestQueries:
             got = sorted(node.code for node in db.query(doc, path))
             assert got == expected, path
 
+    @pytest.mark.parametrize("path, expected", [
+        ("//1a//b", ["x", "y"]),
+        ("//ns:s//-t//.u", ["z"]),
+        ("//1a/b", ["x"]),
+    ])
+    def test_every_parsed_tag_name_is_queryable(self, path, expected):
+        # the parser reads <1a>, <ns:s>, <-t>, <.u> as elements; chains
+        # of them run as joins, a child step through the extended branch
+        db = ContainmentDatabase()
+        doc = db.load_xml(
+            "<r><1a><b>x</b><c><b>y</b></c></1a>"
+            "<ns:s><-t><.u>z</.u></-t></ns:s></r>",
+            name="names",
+        )
+        result = db.query(doc, path)
+        texts = sorted(
+            child.text for node in result for child in node.children
+            if child.tag == "#text"
+        )
+        assert texts == expected
+
     def test_forced_direction(self):
         db = ContainmentDatabase()
         doc = db.load_xml(XML, name="lib")
@@ -183,20 +204,6 @@ class TestUpdatesThroughDb:
         assert db.create_start_index(doc, "book") is index
         assert len(db.query(doc, "//shelf//book")) == 4
 
-    def test_update_retires_interval_index(self):
-        from repro.index import StaleIndexError
-
-        db = ContainmentDatabase()
-        doc = db.load_xml(XML, name="lib")
-        index = db.create_interval_index(doc, "book")
-        shelf = next(doc.tree.iter_by_tag("shelf"))
-        db.insert_element(doc, shelf, "book")
-        # static by contract: old reference raises, accessor rebuilds
-        assert db.create_interval_index(doc, "book") is not index
-        with pytest.raises(StaleIndexError):
-            list(index.stab(1))
-        assert len(db.query(doc, "//shelf//book")) == 4
-
     def test_documents_carry_the_one_encoding(self):
         from repro.core.update import UpdatableEncoding
 
@@ -208,6 +215,17 @@ class TestUpdatesThroughDb:
         shelf = next(doc.tree.iter_by_tag("shelf"))
         db.insert_element(doc, shelf, "book")
         assert len(db.query(doc, "//shelf//book")) == 4
+
+
+#: paths whose first non-name step a //name//name chain cannot run,
+#: with that step as the error names it
+NON_NAME_STEPS = [
+    ("//a[b]", "a[b]"),
+    ("//a[.//b]", "a[."),
+    ("//a//*", "*"),
+    ("//a[b]//c", "a[b]"),
+    ("//a/b", "a/b"),
+]
 
 
 class TestCLI:
@@ -299,6 +317,23 @@ class TestCLI:
         capsys.readouterr()
         assert main(["query", "--image", image, "//book//title"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("path, step", NON_NAME_STEPS)
+    def test_image_query_rejects_a_non_name_step(
+        self, xml_file, tmp_path, capsys, path, step
+    ):
+        """An image holds one set per tag: a predicate, wildcard or
+        child step has none to look up, so exit 2 naming the step."""
+        from repro.__main__ import main
+
+        image = str(tmp_path / "lib.pbit")
+        main(["save", xml_file, image])
+        capsys.readouterr()
+        assert main(["query", "--image", image, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"step {step!r}" in captured.err
 
     def test_image_query_unknown_tag_fails_cleanly(
         self, xml_file, tmp_path, capsys

@@ -119,11 +119,12 @@ GOLDEN = {
     ],
 }
 
-#: INLJN with the descendant set as outer: the interval-tree stab path,
-#: which the line-up's smaller-set heuristic does not take on these inputs
+#: INLJN with the descendant set as outer: F(d, h) point lookups on a
+#: Start B+-tree over A, which the line-up's smaller-set heuristic does
+#: not take on these inputs
 GOLDEN_STAB = {
-    False: ((11, 93, 1, 101), (2047, 8, 1886, 0), 637, 2058, 0, 710),
-    True: ((2, 9, 1, 17), (527, 8, 463, 0), 1311, 529, 0, 19),
+    False: ((32, 42, 24, 49), (500, 6, 420, 0), 5398, 532, 0, 710),
+    True: ((2, 0, 1, 7), (15, 2, 4, 0), 250, 17, 0, 19),
 }
 
 

@@ -45,6 +45,25 @@ class TestPathQueryParsing:
         with pytest.raises(ValueError):
             PathQuery("//a/b")
 
+    @pytest.mark.parametrize("path, step", [
+        ("//a[b]", "a[b]"), ("//a[.//b]", "a[."), ("//a//*", "*"),
+        ("//a[b]//c", "a[b]"), ("//a/b", "a/b"),
+    ])
+    def test_non_name_step_raises_the_xpath_error_naming_it(self, path, step):
+        from repro.datatree.xpath import XPathSyntaxError
+
+        with pytest.raises(XPathSyntaxError) as raised:
+            PathQuery(path)
+        assert f"step {step!r}" in str(raised.value)
+        assert isinstance(raised.value, ValueError)
+
+    def test_every_name_the_xml_parser_reads_is_a_step(self):
+        # one tag rule: digit-, dash- and dot-leading names parse as
+        # elements, so they are steps too
+        assert PathQuery("//ns:a//b-c//d.e//_f//1a//-x//.y").steps == [
+            "ns:a", "b-c", "d.e", "_f", "1a", "-x", ".y"
+        ]
+
     def test_rejects_relative(self):
         with pytest.raises(ValueError):
             PathQuery("a//b")

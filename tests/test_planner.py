@@ -29,7 +29,7 @@ from repro import ContainmentDatabase, QueryService
 from repro.core import pbitree as pt
 from repro.experiments.harness import Workbench, materialize, run_algorithm
 from repro.join.costmodel import CostModel
-from repro.join.inljn import build_interval_index, build_start_index
+from repro.join.inljn import build_start_index
 from repro.join.mhcj import rolled_pair_pages
 from repro.join.planner import explain, make_algorithm, plan
 from repro.workloads import synthetic as syn
@@ -135,12 +135,11 @@ class TestTable1Matrix:
 
 
 class TestIndexUsability:
-    """Regression: the "indexed" column of Table 1 only counts an index
-    INLJN can actually probe — a Start B+-tree on D (outer = A) or a
-    stab structure on A (outer = D).  The planner used to treat any
-    index on either input as qualifying, returning an
-    ``IndexNestedLoopJoin(d_index=None, a_index=None)`` that silently
-    rebuilt both indexes from scratch inside the operator.
+    """Regression: the "indexed" column of Table 1 only counts the index
+    the planned INLJN probes — a Start B+-tree on D (outer = A).  The
+    planner used to treat any index on either input as qualifying,
+    returning an ``IndexNestedLoopJoin(d_index=None, a_index=None)``
+    that silently rebuilt both indexes from scratch inside the operator.
     """
 
     def fixtures(self):
@@ -151,17 +150,13 @@ class TestIndexUsability:
         d_codes = rng.sample(tree.codes, 100)
         return make_sets(a_codes, d_codes, encoding.tree_height, frames=32)
 
-    def test_wrong_type_indexes_fall_through_to_unindexed_cell(self):
-        """A Start index on A plus a stab index on D serve no INLJN
-        probe direction: plan exactly as if unindexed."""
+    def test_an_a_start_index_alone_falls_through_to_unindexed_cell(self):
+        """A Start index on A alone does not select the cell the
+        planner pins to outer = A: plan exactly as if unindexed."""
         a_set, d_set = self.fixtures()
         a_start = build_start_index(a_set, a_set.bufmgr)
-        d_stab = build_interval_index(d_set, d_set.bufmgr)
         chosen = plan(
-            a_set,
-            d_set,
-            SetProperties(start_index=a_start),
-            SetProperties(interval_index=d_stab),
+            a_set, d_set, SetProperties(start_index=a_start), SetProperties()
         )
         assert_cell_argmin(chosen, "unsorted-unindexed", PARTITIONING)
         assert chosen.estimates == plan(a_set, d_set).estimates
@@ -177,30 +172,19 @@ class TestIndexUsability:
         assert algorithm.d_index is d_index
         assert algorithm.force_outer == "A"
 
-    def test_a_stab_index_pins_outer_to_d(self):
+    def test_start_indexes_on_both_still_pin_outer_to_a(self):
         a_set, d_set = self.fixtures()
-        a_index = build_interval_index(a_set, a_set.bufmgr)
-        algorithm = choose_algorithm(
-            a_set, d_set, SetProperties(interval_index=a_index), SetProperties()
-        )
-        assert isinstance(algorithm, IndexNestedLoopJoin)
-        assert algorithm.a_index is a_index
-        assert algorithm.force_outer == "D"
-
-    def test_both_usable_indexes_unpinned(self):
-        a_set, d_set = self.fixtures()
-        a_index = build_interval_index(a_set, a_set.bufmgr)
+        a_index = build_start_index(a_set, a_set.bufmgr)
         d_index = build_start_index(d_set, d_set.bufmgr)
         algorithm = choose_algorithm(
             a_set,
             d_set,
-            SetProperties(interval_index=a_index),
+            SetProperties(start_index=a_index),
             SetProperties(start_index=d_index),
         )
         assert isinstance(algorithm, IndexNestedLoopJoin)
         assert algorithm.d_index is d_index
-        assert algorithm.a_index is a_index
-        assert algorithm.force_outer is None
+        assert algorithm.force_outer == "A"
 
     def test_planned_join_is_correct_with_single_usable_index(self):
         """End to end: the pinned-outer plan computes the right answer."""
@@ -216,27 +200,6 @@ class TestIndexUsability:
             a_set, d_set, SetProperties(), SetProperties(start_index=d_index)
         )
         assert sorted(pairs) == sorted(brute_force_join(a_codes, d_codes))
-
-    def test_planned_join_is_correct_with_a_stab_index(self):
-        """The other direction: outer D stabs the interval tree on A."""
-        tree = random_tree(220, seed=24)
-        encoding = binarize(tree)
-        rng = random.Random(5)
-        a_codes = rng.sample(tree.codes, 90)
-        d_codes = rng.sample(tree.codes, 120)
-        a_set, d_set = make_sets(a_codes, d_codes, encoding.tree_height, frames=32)
-        a_index = build_interval_index(a_set, a_set.bufmgr)
-        algorithm = choose_algorithm(
-            a_set, d_set, SetProperties(interval_index=a_index), SetProperties()
-        )
-        assert isinstance(algorithm, IndexNestedLoopJoin)
-        assert algorithm.force_outer == "D"
-        report, pairs = PBiTreeJoinFramework().join(
-            a_set, d_set, SetProperties(interval_index=a_index), SetProperties()
-        )
-        assert sorted(pairs) == sorted(brute_force_join(a_codes, d_codes))
-        assert report.result_count == len(pairs)
-        assert a_set.bufmgr.num_pinned == 0
 
 
 class TestPropertyInference:
@@ -320,7 +283,7 @@ class TestCells:
         index = build_start_index(a_set, a_set.bufmgr)
         props = SetProperties.of(a_set, start_index=index)
         assert props.single_height == 2 and not props.sorted
-        assert props.start_index is index and props.interval_index is None
+        assert props.start_index is index
         a_set.sorted_by = SortOrder.START
         assert SetProperties.of(a_set).sorted
 
@@ -579,8 +542,8 @@ class TestEveryCallerPlansTheSameWay:
             name="corpus",
         )
         if indexed:
+            db.create_start_index(doc, "b")
             db.create_start_index(doc, "d")
-            db.create_interval_index(doc, "a")
         return db, doc
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
@@ -595,10 +558,10 @@ class TestEveryCallerPlansTheSameWay:
         ran = [report.algorithm for report in result.reports]
         assert len(explained) == len(ran) == path.count("//") - 1
         if indexed:
-            # an index on a base set steers only the joins that set
-            # itself takes part in: the first step sees //a's stab
-            # index, every step into //d its Start index
-            assert ran[0] == "INLJN" or not path.startswith("//a")
+            # a Start index on a base set steers only the joins that
+            # set is the descendant side of: the first step into //b,
+            # every step into //d
+            assert ran[0] == "INLJN" or not path.startswith("//a//b")
             assert ran[-1] == "INLJN" or not path.endswith("//d")
         # on these paths every step runs the plan explain lists for it
         assert explained == ran

@@ -807,6 +807,45 @@ class TestResultPaging:
 
 
 # ----------------------------------------------------------------------
+#: paths whose first non-name step a //name//name chain cannot run,
+#: with that step as the error names it
+NON_NAME_STEPS = [
+    ("//a[b]", "a[b]"),
+    ("//a[.//b]", "a[."),
+    ("//a//*", "*"),
+    ("//a[b]//c", "a[b]"),
+    ("//a/b", "a/b"),
+]
+
+
+class TestNonNameSteps:
+    """The service runs //name//name chains only.  It used to take
+    ``a[b]`` or ``*`` for a tag, find no such element and answer ok
+    with 0 codes; a child step raised a bare ValueError."""
+
+    @pytest.mark.parametrize("path, step", NON_NAME_STEPS)
+    def test_in_process_raises_the_typed_error(self, path, step):
+        from repro.datatree.xpath import XPathSyntaxError
+
+        metrics = MetricsRegistry()
+        service = QueryService(make_db(), metrics=metrics)
+        with pytest.raises(XPathSyntaxError) as raised:
+            service.execute("t", "corpus", path)
+        assert f"step {step!r}" in str(raised.value)
+        assert counter_value(metrics, "service.tenant.t.errors") == 1
+
+    @pytest.mark.parametrize("path, step", NON_NAME_STEPS)
+    def test_wire_replies_with_an_error_status(self, path, step):
+        service = QueryService(make_db())
+        with ServerThread(service) as server:
+            with ServiceClient(port=server.port) as client:
+                response = client.query("corpus", path)
+        assert response["status"] == "error"
+        assert response["error"].startswith("XPathSyntaxError: ")
+        assert f"step {step!r}" in response["error"]
+
+
+# ----------------------------------------------------------------------
 class TestSessionIndexViews:
     """Persistent indexes probe through session pools (the v1 gap)."""
 
@@ -814,7 +853,7 @@ class TestSessionIndexViews:
         db = make_db()
         doc = db.document("corpus")
         db.create_start_index(doc, "b")
-        db.create_interval_index(doc, "a")
+        db.create_start_index(doc, "d")
         db.bufmgr.flush_all()
         return db
 
@@ -866,20 +905,22 @@ class TestSessionIndexViews:
         db = self.make_indexed_db()
         service = QueryService(db)
         doc = db.document("corpus")
+        index = doc.store.peek_start_index("b")
         indexed = service.execute("t", "corpus", "//a//b")
         assert indexed.reports[0].algorithm == "INLJN"
+        parent = next(doc.tree.iter_by_tag("a"))
         with service.exclusive("corpus") as locked:
-            db.insert_element(locked, 0, "a")
+            node = db.insert_element(locked, parent, "b")
         after = service.execute("t", "corpus", "//a//b")
-        # the insert retires a's interval index (it is static); the
-        # next prepare peeks the survivors and re-plans — no stale
-        # probe, and the new element is visible
-        assert doc.store.peek_interval_index("a") is None
+        # the insert patches b's Start index in place; the next prepare
+        # re-plans on it — no stale probe, and the new element is visible
+        assert doc.store.peek_start_index("b") is index
+        assert after.reports[0].algorithm == "INLJN"
         assert after.cache_hit is False
+        assert doc.tree.codes[node] in after.codes
         plain = QueryService(make_db())
         baseline = plain.execute("t", "corpus", "//a//b")
-        assert len(after.codes) >= len(baseline.codes)
-        assert set(baseline.codes) <= set(after.codes)
+        assert set(baseline.codes) < set(after.codes)
 
 
 # ----------------------------------------------------------------------
