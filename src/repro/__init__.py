@@ -28,7 +28,7 @@ from .core.binarize import binarize
 from .core.encoding import PBiTreeEncoding
 from .datatree.builder import random_tree, tree_from_spec
 from .datatree.node import DataTree
-from .datatree.paths import PathQuery, brute_force_join, select_by_tag
+from .datatree.paths import brute_force_join, select_by_tag
 from .datatree.xml_parser import parse_xml
 from .datatree.xpath import XPath
 from .join.ancdes_b import AncDesBPlusJoin
@@ -79,7 +79,6 @@ __all__ = [
     "tree_from_spec",
     "parse_xml",
     "XPath",
-    "PathQuery",
     "select_by_tag",
     "brute_force_join",
     "DiskManager",

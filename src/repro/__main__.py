@@ -180,12 +180,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     result = db.query(doc, args.path)
     for node in result:
         print(f"node {node.id}: <{node.tag}> code={node.code}")
-    # a //t1//t2 path step is a semijoin; extended syntax joins pairs
-    counted = "pairs" if db._is_extended_path(args.path) else "survivors"
+    # every path step is a semijoin: its result count is survivors
     for index, report in enumerate(result.reports, 1):
         print(
             f"# step {index}: {report.algorithm}, "
-            f"{report.result_count} {counted}, {report.total_pages} page I/Os",
+            f"{report.result_count} survivors, {report.total_pages} page I/Os",
             file=sys.stderr,
         )
     print(f"# {len(result)} matches", file=sys.stderr)
@@ -204,24 +203,36 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _query_image(args: argparse.Namespace) -> int:
-    from .datatree.paths import PathQuery
-    from .join.pipeline import PathPipeline
+    from .datatree.xpath import XPath
+    from .join.pipeline import NoParentMapError, PathPipeline, StepFilter
     from .storage.persist import load_image
 
     try:
-        query = PathQuery(args.path)
+        query = XPath(args.path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     image = load_image(args.source, buffer_pages=args.buffer_pages)
+    sets = image.element_sets
     try:
-        steps = [image.element_sets[tag] for tag in query.steps]
+        steps = [sets[tag] for tag in query.tags]
+        filters = [
+            [StepFilter(p.axis, sets[p.tag]) for p in step.predicates]
+            for step in query.steps
+        ]
     except KeyError as exc:
         print(f"error: element set {exc} not in the image "
-              f"(available: {', '.join(sorted(image.element_sets))})",
+              f"(available: {', '.join(sorted(sets))})",
               file=sys.stderr)
         return 1
-    result = PathPipeline(image.bufmgr).execute(steps)
+    try:
+        pipeline = PathPipeline(image.bufmgr, axes=query.axes, filters=filters)
+        result = pipeline.execute(steps)
+    except NoParentMapError:
+        print(f"error: {args.path!r} has a child step or [t] predicate, which "
+              "joins on parent codes; an image stores no parent map "
+              "(use //t or [.//t])", file=sys.stderr)
+        return 2
     for code in result.codes:
         print(code)
     print(

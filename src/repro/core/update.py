@@ -26,7 +26,7 @@ storms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..datatree.node import DataTree
 from . import pbitree
@@ -152,6 +152,19 @@ class UpdatableEncoding:
             for node in range(len(self.tree))
             if self._alive[node]
         ]
+
+    def parent_codes(self, codes: Sequence[int]) -> list[int]:
+        """The code of each live code's parent, ``0`` for the root or a
+        code no live node holds: the probe key of a child-axis step."""
+        node_of = self._occupied.get
+        parents = self.tree.parents
+        tree_codes = self.tree.codes
+        keys: list[int] = []
+        for code in codes:
+            node = node_of(code)
+            parent = -1 if node is None else parents[node]
+            keys.append(tree_codes[parent] if parent >= 0 else 0)
+        return keys
 
     def level_of(self, node: int) -> int:
         return pbitree.level_of(self.tree.codes[node], self.tree_height)

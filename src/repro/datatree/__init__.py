@@ -2,17 +2,16 @@
 
 from .builder import random_tree, tree_from_spec
 from .node import DataTree, NodeView
-from .paths import PathQuery, brute_force_join, select_by_tag
+from .paths import brute_force_join, select_by_tag
 from .serialize import to_xml
 from .xml_parser import XMLSyntaxError, parse_xml
-from .xpath import Predicate, Step, XPath, XPathSyntaxError, is_parent_code
+from .xpath import Predicate, Step, XPath, XPathSyntaxError
 
 __all__ = [
     "DataTree",
     "NodeView",
     "random_tree",
     "tree_from_spec",
-    "PathQuery",
     "brute_force_join",
     "select_by_tag",
     "to_xml",
@@ -22,5 +21,4 @@ __all__ = [
     "XPathSyntaxError",
     "Step",
     "Predicate",
-    "is_parent_code",
 ]

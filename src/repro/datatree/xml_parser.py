@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .node import DataTree
-from .paths import TAG_NAME
+from .xpath import TAG_NAME
 
 __all__ = ["parse_xml", "XMLSyntaxError"]
 

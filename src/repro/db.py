@@ -5,11 +5,12 @@ what an application uses instead of wiring disk, buffer pool, encoder,
 planner and join operators together by hand:
 
 * load XML text or a pre-built :class:`DataTree`;
-* run descendant-axis path queries (``//a//b//c``) as chains of
-  containment joins through one :class:`~repro.join.pipeline.
-  PathPipeline` over the document's element sets, each step planned by
-  :mod:`repro.join.planner` (Table 1 picks the cell, the cost model
-  picks inside it);
+* run path queries (``//a//b//c``, ``//a/b``, ``//a[b]//*``) as
+  chains of semijoins through one :class:`~repro.join.pipeline.
+  PathPipeline` over the document's element sets, each containment
+  step planned by :mod:`repro.join.planner` (Table 1 picks the cell,
+  the cost model picks inside it), each child step an equijoin on the
+  parent code;
 * create persistent Start indexes (B+-tree) that the planner
   then exploits;
 * apply updates (insert/delete elements) through the §2.3.2
@@ -34,11 +35,12 @@ from typing import Iterator, Optional
 from .core.binarize import binarize
 from .core.update import UpdatableEncoding
 from .datatree.node import DataTree, NodeView
-from .datatree.paths import TAG_NAME, PathQuery
+from .datatree.xpath import Predicate, XPath
 from .datatree.xml_parser import parse_xml
 from .index.bptree import BPlusTree
 from .join.base import JoinReport
-from .join.planner import SetProperties, choose_algorithm, explain
+from .join.pipeline import PathPipeline, StepFilter, plan_direction
+from .join.planner import SetProperties, explain
 from .obs.metrics import MetricsRegistry
 from .obs.tracer import NULL_TRACER, Tracer
 from .storage.buffer import BufferManager
@@ -89,6 +91,26 @@ class QueryResult:
         return sum(
             report.total_pages for report in self.reports
         )
+
+
+#: the mark of an explained join that a query re-plans at run time
+RE_PLANNED = " (base sets; re-planned at run time)"
+
+#: what explain says of a child step: there is no plan to choose
+CHILD_PLAN = (
+    "SHCJ on the parent code (A.code = parent(D.code), read off the "
+    "document's encoding): no false hits, no plan choice"
+)
+
+
+def _predicate_text(predicate: Predicate) -> str:
+    return f"[{'.//' if predicate.axis == 'descendant' else ''}{predicate.tag}]"
+
+
+def _explain_join(axis, a_set, d_set, a_props, d_props) -> str:
+    if axis == "child":
+        return CHILD_PLAN
+    return explain(a_set, d_set, a_props, d_props)
 
 
 class ContainmentDatabase:
@@ -186,6 +208,27 @@ class ContainmentDatabase:
         ]
         return steps, props
 
+    def path_inputs(
+        self, document: Document, path: XPath
+    ) -> tuple[list[ElementSet], list[SetProperties], list[list[StepFilter]]]:
+        """:meth:`step_inputs` for every step of ``path``, plus each
+        step's predicates, each a :class:`~repro.join.pipeline.
+        StepFilter` over its tag's set (``*`` reads the set of every
+        live element)."""
+        steps, props = self.step_inputs(document, path.tags)
+        filters = []
+        for step in path.steps:
+            sets, set_props = self.step_inputs(
+                document, [predicate.tag for predicate in step.predicates]
+            )
+            filters.append([
+                StepFilter(predicate.axis, elements, predicate_props)
+                for predicate, elements, predicate_props in zip(
+                    step.predicates, sets, set_props
+                )
+            ])
+        return steps, props, filters
+
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
@@ -195,28 +238,27 @@ class ContainmentDatabase:
         path: str,
         direction: Optional[str] = None,
     ) -> QueryResult:
-        """Evaluate a path query as a chain of containment joins.
+        """Evaluate a path query as a chain of semijoins.
 
-        Pure descendant-axis chains (``//a//b//c``) run through
-        :class:`PathPipeline`, which decides the join order (top-down
-        vs bottom-up) from estimated intermediate sizes unless
-        ``direction`` forces one.  Extended syntax — child axis
-        ``/a/b``, predicates ``//a[b]`` — is routed through the
-        :class:`~repro.datatree.xpath.XPath` evaluator (EA-joins via
-        the occupancy-set parent filter).
+        Every path of the grammar (:mod:`repro.datatree.xpath`:
+        descendant and child axes, ``[t]`` / ``[.//t]`` predicates,
+        ``*``) runs through one :class:`PathPipeline` over the
+        document's element sets.  Child steps join on the parent codes
+        of the document's live encoding; the pipeline decides the join
+        order (top-down vs bottom-up) from estimated intermediate sizes
+        unless ``direction`` forces one.  A malformed path raises
+        :class:`~repro.datatree.xpath.XPathSyntaxError`.
         """
-        from .join.pipeline import PathPipeline
-
-        if self._is_extended_path(path):
-            return self._query_extended(document, path)
-        steps, props = self.step_inputs(document, PathQuery(path).steps)
-        if len(steps) == 1:
-            codes = sorted(steps[0].scan())
-            nodes = self._decode(document, codes)
-            return QueryResult(nodes=nodes)
-
+        xpath = XPath(path)
+        steps, props, filters = self.path_inputs(document, xpath)
         pipeline = PathPipeline(
-            self.bufmgr, props, direction=direction, tracer=self.tracer
+            self.bufmgr,
+            props,
+            direction=direction,
+            tracer=self.tracer,
+            axes=xpath.axes,
+            filters=filters,
+            parent_codes=document.updatable.parent_codes,
         )
         with self.tracer.span("query", path=path):
             result = pipeline.execute(steps)
@@ -229,47 +271,6 @@ class ContainmentDatabase:
             reports=result.reports,
         )
 
-    @staticmethod
-    def _is_extended_path(path: str) -> bool:
-        """True for syntax PathQuery cannot handle (child axis, [..], *)."""
-        import re
-
-        return re.fullmatch(rf"(//{TAG_NAME})+", path) is None
-
-    def _query_extended(self, document: Document, path: str) -> QueryResult:
-        from .datatree.xpath import XPath
-
-        reports: list[JoinReport] = []
-
-        def join(a_codes, d_codes):
-            from .join.base import JoinSink
-
-            a_set = ElementSet.from_codes(
-                self.bufmgr, a_codes, document.tree_height, "xq.A"
-            )
-            try:
-                d_set = ElementSet.from_codes(
-                    self.bufmgr, d_codes, document.tree_height, "xq.D"
-                )
-                try:
-                    sink = JoinSink("collect")
-                    algorithm = choose_algorithm(a_set, d_set)
-                    report = algorithm.run(a_set, d_set, sink, tracer=self.tracer)
-                finally:
-                    d_set.destroy()
-            finally:
-                a_set.destroy()
-            reports.append(report)
-            if self.metrics is not None:
-                self.metrics.record_report(report, dataset=document.name)
-            return sink.pairs
-
-        xpath = XPath(path)
-        codes = xpath.evaluate_with_joins(
-            document.tree, join, alive=document.updatable.is_alive
-        )
-        return QueryResult(nodes=self._decode(document, codes), reports=reports)
-
     def _decode(self, document: Document, codes) -> list[NodeView]:
         out = []
         for code in codes:
@@ -280,31 +281,48 @@ class ContainmentDatabase:
 
     def explain(self, document: Document, path: str) -> str:
         """The direction :meth:`query` takes, then the plan of every
-        join step of a path, listed top-down.
+        join step of a path: predicates first (they run first), then
+        the chain, listed top-down.
 
         The header names the direction ``query(direction=None)`` runs
         and both estimates (:func:`~repro.join.pipeline.plan_direction`
-        over the steps' histograms).  Each step is planned over its two
-        *base* sets exactly as :meth:`query` plans a join of those two
-        sets (same properties, same pool, no I/O) and rendered by
-        :func:`repro.join.planner.explain`.  Only the first join a query
-        runs sees two base sets: step 1 top-down, the last step listed
-        bottom-up.  Every later join takes a shrunken intermediate on
-        one side and is re-planned at run time from its metadata (fewer
-        pages, maybe a single height, no index), so it can run a
-        different plan than the one listed; those steps are marked.
-        Extended syntax (child axis, predicates), which :meth:`query`
-        runs through :class:`~repro.datatree.xpath.XPath`, raises
-        ``ValueError``.
+        over the steps' histograms).  Each containment step is planned
+        over its two *base* sets exactly as :meth:`query` plans a join
+        of those two sets (same properties, same pool, no I/O) and
+        rendered by :func:`repro.join.planner.explain`; a child step or
+        ``[t]`` predicate always joins on the parent code.  Only the
+        first join a query runs sees two base sets: the first predicate
+        of a step, or (with no predicate on either side) step 1
+        top-down, the last step listed bottom-up.  Every later join
+        takes a shrunken intermediate on one side and is re-planned at
+        run time from its metadata (fewer pages, maybe a single height,
+        no index), so it can run a different plan than the one listed;
+        those steps are marked.
         """
-        from .join.pipeline import plan_direction
-
-        if self._is_extended_path(path):
-            raise ValueError(f"explain covers //a//b//c chains only, not {path!r}")
-        tags = PathQuery(path).steps
-        steps, props = self.step_inputs(document, tags)
+        xpath = XPath(path)
+        steps, props, filters = self.path_inputs(document, xpath)
+        labels, chunks = [], []
+        for step, a_set, a_props, step_filters in zip(
+            xpath.steps, steps, props, filters
+        ):
+            label = ("//" if step.axis == "descendant" else "/") + step.tag
+            for predicate, step_filter in zip(step.predicates, step_filters):
+                # the first predicate reads the base set, later ones
+                # the set the one before it shrank
+                note = RE_PLANNED if label.endswith("]") else ""
+                chunks.append(
+                    f"step {label} <| {_predicate_text(predicate)}{note}: "
+                    + _explain_join(
+                        step_filter.axis, a_set, step_filter.elements,
+                        a_props, step_filter.props,
+                    )
+                )
+                label += _predicate_text(predicate)
+            labels.append(label)
         if len(steps) == 1:
-            return f"step //{tags[0]}: scans one set and runs no join"
+            if not chunks:
+                return f"step {labels[0]}: scans one set and runs no join"
+            return "\n\n".join(chunks)
         direction, top_down, bottom_up = plan_direction([s.histogram for s in steps])
         header = (
             f"{direction} order (estimated join input: top-down {top_down:.0f}, "
@@ -313,15 +331,14 @@ class ContainmentDatabase:
         if direction == "bottom-up":
             header += "; the run starts from the last step"
         first = 0 if direction == "top-down" else len(steps) - 2
-        sides = list(zip(tags, steps, props))
-        chunks = []
-        for index, ((a_tag, a_set, a_props), (d_tag, d_set, d_props)) in enumerate(
-            zip(sides, sides[1:])
-        ):
-            note = "" if index == first else " (base sets; re-planned at run time)"
+        for index in range(len(steps) - 1):
+            base = index == first and not (filters[index] or filters[index + 1])
             chunks.append(
-                f"step //{a_tag} <| //{d_tag}{note}: "
-                + explain(a_set, d_set, a_props, d_props)
+                f"step {labels[index]} <| {labels[index + 1]}"
+                f"{'' if base else RE_PLANNED}: " + _explain_join(
+                    xpath.steps[index + 1].axis, steps[index], steps[index + 1],
+                    props[index], props[index + 1],
+                )
             )
         return header + "\n" + "\n\n".join(chunks)
 

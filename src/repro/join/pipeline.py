@@ -23,6 +23,14 @@ one side, never a pair, and the step's ``result_count`` is their
 number.  Survivors that feed a later join are written as an element
 set, the input every operator reads; the last join's survivors are
 the answer, sorted, and are never written.
+
+The same program runs the rest of the path grammar
+(:mod:`repro.datatree.xpath`).  A **child step** ``/t`` joins on the
+parent's code (SHCJ with the caller's ``parent_codes`` key) instead of
+a planned containment join; both directions are unchanged, and its
+direction estimate is the containment one, an upper bound.  A
+**predicate** ``[t]`` / ``[.//t]`` is a :class:`StepFilter`: a
+``semi-a`` step that shrinks its step's set before the chain runs.
 """
 
 from __future__ import annotations
@@ -37,11 +45,15 @@ from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from ..storage.histogram import PositionHistogram, slice_shift
 from .base import JoinReport, JoinSink
+from .hash_join import BulkKeyFunc
 from .planner import SetProperties, choose_algorithm
+from .shcj import SingleHeightJoin
 
 __all__ = [
+    "NoParentMapError",
     "PathPipeline",
     "PipelineResult",
+    "StepFilter",
     "estimate_join_cardinality",
     "plan_direction",
 ]
@@ -54,6 +66,22 @@ StepProperties = Sequence[Optional[SetProperties]]
 #: own, or a copy shrunk to the estimated survivors of the join before
 _Cells = dict[tuple[int, int], int]
 _Step = tuple[int, _Cells]
+
+
+class NoParentMapError(ValueError):
+    """A child step or ``[t]`` predicate met a pipeline built without
+    ``parent_codes`` (a saved image stores no parent map)."""
+
+
+@dataclass(frozen=True)
+class StepFilter:
+    """An existence predicate of one path step: keep the step's
+    elements with a child (``axis="child"``) or a descendant
+    (``"descendant"``) in ``elements``."""
+
+    axis: str
+    elements: ElementSet
+    props: Optional[SetProperties] = None
 
 
 @dataclass
@@ -235,6 +263,9 @@ class PathPipeline:
         props: Optional[StepProperties] = None,
         direction: Optional[str] = None,
         tracer: Optional[Tracer] = None,
+        axes: Optional[Sequence[str]] = None,
+        filters: Optional[Sequence[Sequence[StepFilter]]] = None,
+        parent_codes: Optional[BulkKeyFunc] = None,
     ) -> None:
         """``props`` parallels the ``steps`` later passed to
         :meth:`execute` with what the caller knows about each base set
@@ -244,7 +275,12 @@ class PathPipeline:
         materialises itself.  ``direction`` forces ``"top-down"``/
         ``"bottom-up"`` instead of estimating the cheaper order;
         ``tracer`` threads a span tree through planning and every join
-        step."""
+        step.  ``axes`` and ``filters`` parallel the steps too:
+        ``axes[i]`` says how step ``i`` joins step ``i - 1``
+        (``"descendant"``, the default, or ``"child"``; ``axes[0]`` is
+        not read) and ``filters[i]`` are step ``i``'s predicates.
+        ``parent_codes`` maps codes to their parents' codes (``0`` for
+        none), the key of every child step."""
         if direction not in (None, "top-down", "bottom-up"):
             raise ValueError(f"unknown direction {direction!r}")
         self.bufmgr = bufmgr
@@ -252,18 +288,32 @@ class PathPipeline:
         self.forced_direction = direction
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind(bufmgr)
+        self.axes = axes
+        self.filters = filters
+        self.parent_codes = parent_codes
 
     # ------------------------------------------------------------------
     def execute(self, steps: Sequence[ElementSet]) -> PipelineResult:
-        """Run the chain; ``steps`` are the per-tag element sets in path
-        order (outermost first).  Returns the final-step codes that have
-        the whole ancestor chain."""
+        """Run the path; ``steps`` are the per-tag element sets in path
+        order (outermost first).  Returns the final-step codes that
+        have the whole ancestor chain."""
         if not steps:
             raise ValueError("empty path")
-        props = self.props if self.props is not None else [None] * len(steps)
-        if len(props) != len(steps):
-            raise ValueError("props must parallel steps")
-        if len(steps) == 1:
+        count = len(steps)
+        props = list(self.props) if self.props is not None else [None] * count
+        axes = self.axes if self.axes is not None else ["descendant"] * count
+        filters = self.filters if self.filters is not None else [()] * count
+        if not len(props) == len(axes) == len(filters) == count:
+            raise ValueError("props, axes and filters must parallel steps")
+        step_axes = set(axes[1:]) | {f.axis for fs in filters for f in fs}
+        if not step_axes <= {"descendant", "child"}:
+            raise ValueError(f"unknown axis in {sorted(step_axes)}")
+        if "child" in step_axes and self.parent_codes is None:
+            raise NoParentMapError(
+                "a child step or [t] predicate joins on parent codes, and "
+                "this pipeline has no parent map"
+            )
+        if count == 1 and not filters[0]:
             return PipelineResult(
                 codes=sorted(steps[0].scan()), direction="top-down"
             )
@@ -272,20 +322,47 @@ class PathPipeline:
             direction = self.forced_direction
             td_cost = bu_cost = 0.0
         else:
-            with self.tracer.span("pipeline.plan", steps=len(steps)):
+            with self.tracer.span("pipeline.plan", steps=count):
                 direction, td_cost, bu_cost = plan_direction(
                     [step.histogram for step in steps]
                 )
         estimated = td_cost if direction == "top-down" else bu_cost
 
-        if direction == "top-down":
-            codes, reports = self._run_top_down(steps, props)
-        else:
-            codes, reports = self._run_bottom_up(steps, props)
+        # predicates shrink their step's set first; the filtered sets
+        # are the pipeline's own, so their ``props`` slot goes to None
+        steps = list(steps)
+        reports: list[JoinReport] = []
+        filtered: list[ElementSet] = []
+        try:
+            for index, step_filters in enumerate(filters):
+                for position, step_filter in enumerate(step_filters, 1):
+                    report, matched = self._join_step(
+                        steps[index],
+                        step_filter.elements,
+                        "semi-a",
+                        step_filter.axis,
+                        props[index],
+                        step_filter.props,
+                    )
+                    reports.append(report)
+                    if count == 1 and position == len(step_filters):
+                        return PipelineResult(
+                            sorted(matched), direction, reports, estimated
+                        )
+                    steps[index] = self._materialize(
+                        matched, steps[index].tree_height, f"pipe.filter.{index}"
+                    )
+                    filtered.append(steps[index])
+                    props[index] = None
+            run = self._run_top_down if direction == "top-down" else self._run_bottom_up
+            codes, chain_reports = run(steps, props, axes)
+        finally:
+            for elements in filtered:
+                elements.destroy()
         return PipelineResult(
             codes=codes,
             direction=direction,
-            reports=reports,
+            reports=reports + chain_reports,
             estimated_cost=estimated,
         )
 
@@ -295,13 +372,19 @@ class PathPipeline:
         ancestors: ElementSet,
         descendants: ElementSet,
         keep: str,
+        axis: str,
         a_props: Optional[SetProperties] = None,
         d_props: Optional[SetProperties] = None,
     ) -> tuple[JoinReport, set[int]]:
         """One semijoin: ``keep`` is the sink mode, ``"semi-d"`` or
-        ``"semi-a"``; returns the report and the surviving codes."""
+        ``"semi-a"``; a ``"child"`` ``axis`` joins on the parent code,
+        a ``"descendant"`` one runs the planned containment join.
+        Returns the report and the surviving codes."""
         sink = JoinSink(keep)
-        algorithm = choose_algorithm(ancestors, descendants, a_props, d_props)
+        if axis == "child":
+            algorithm = SingleHeightJoin(parent_codes=self.parent_codes)
+        else:
+            algorithm = choose_algorithm(ancestors, descendants, a_props, d_props)
         report = algorithm.run(ancestors, descendants, sink, tracer=self.tracer)
         return report, sink.survivors
 
@@ -315,7 +398,9 @@ class PathPipeline:
     # on a disk that outlives the query — a service session's scratch
     # pages live in the shared page table.  The last join's survivors
     # are the answer and are never written.
-    def _run_top_down(self, steps: Sequence[ElementSet], props: StepProperties):
+    def _run_top_down(
+        self, steps: Sequence[ElementSet], props: StepProperties, axes: Sequence[str]
+    ):
         reports = []
         current = steps[0]
         temporary = False
@@ -326,6 +411,7 @@ class PathPipeline:
                     current,
                     descendants,
                     "semi-d",
+                    axes[index],
                     None if temporary else props[0],
                     props[index],
                 )
@@ -344,7 +430,9 @@ class PathPipeline:
                 current.destroy()
         return sorted(matched), reports
 
-    def _run_bottom_up(self, steps: Sequence[ElementSet], props: StepProperties):
+    def _run_bottom_up(
+        self, steps: Sequence[ElementSet], props: StepProperties, axes: Sequence[str]
+    ):
         reports = []
         # phase 1: shrink ancestor sets right-to-left; a shrunken set is
         # the pipeline's own, so its slot in ``props`` goes back to None
@@ -356,6 +444,7 @@ class PathPipeline:
                     survivors[index],
                     survivors[index + 1],
                     "semi-a",
+                    axes[index + 1],
                     props[index],
                     props[index + 1],
                 )
@@ -366,7 +455,7 @@ class PathPipeline:
                 props[index] = None
             # phase 2: recover the final-step elements with a top-down
             # sweep through the shrunken sets (one join for a 2-step path)
-            codes, sweep_reports = self._run_top_down(survivors, props)
+            codes, sweep_reports = self._run_top_down(survivors, props, axes)
             reports += sweep_reports
         finally:
             for survivor, step in zip(survivors, steps):

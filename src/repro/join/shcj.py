@@ -12,6 +12,11 @@ A descendant at height >= ``h`` cannot have an ancestor at ``h``; its
 ``F`` value would be a non-ancestor node, so such records are filtered
 by the key function (returns ``None``) rather than verified later —
 SHCJ produces **no false hits**.
+
+A path's child step (``//a/b``) is the same equijoin with another key:
+``A.code = parent(D.code)``, the parent's code read off the document's
+live encoding (``parent_codes``).  It needs no single height and has
+no false hits either.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from ..core import batch, pbitree
 from ..storage.buffer import BufferManager
 from ..storage.record import CODE
 from .base import JoinAlgorithm, JoinReport, JoinSink
-from .hash_join import grace_hash_join, in_memory_hash_join_codes
+from .hash_join import BulkKeyFunc, grace_hash_join, in_memory_hash_join_codes
 
 __all__ = ["SingleHeightJoin"]
 
@@ -32,13 +37,23 @@ class SingleHeightJoin(JoinAlgorithm):
 
     name = "SHCJ"
 
-    def __init__(self, height: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        height: Optional[int] = None,
+        parent_codes: Optional[BulkKeyFunc] = None,
+    ) -> None:
         """``height`` is the (single) height of the ancestor set; when
-        omitted it is read off ``A``'s histogram."""
+        omitted it is read off ``A``'s histogram.  ``parent_codes``
+        (each code's parent code, ``0`` for none) makes this a child
+        step: ``D`` joins on its parents' codes, whatever ``A``'s
+        heights."""
         self.height = height
+        self.parent_codes = parent_codes
 
     def _prepare(self, ancestors, descendants, bufmgr):
         height = self.height
+        if self.parent_codes is not None:
+            return ancestors, descendants, height
         if height is None:
             heights = ancestors.known_heights
             if len(heights) != 1:
@@ -75,6 +90,13 @@ class SingleHeightJoin(JoinAlgorithm):
 
         def bulk_probe_keys(codes):
             return batch.probe_keys(codes, height)
+
+        parent_codes = self.parent_codes
+        if parent_codes is not None:
+            bulk_probe_keys = parent_codes
+
+            def probe_key(record: tuple[int, ...]) -> Optional[int]:
+                return parent_codes((record[0],))[0] or None
 
         # The build side is A (conventionally the smaller); if either
         # side fits in the pool an in-memory join over whole code pages

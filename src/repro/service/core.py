@@ -70,10 +70,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
-from ..datatree.paths import PathQuery
+from ..datatree.xpath import XPath
 from ..db import ContainmentDatabase, Document
 from ..join.base import JoinReport
-from ..join.pipeline import PathPipeline
+from ..join.pipeline import PathPipeline, StepFilter
 from ..join.planner import SetProperties, cell_of
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
@@ -314,7 +314,7 @@ class QueryService:
         self, tenant: str, document: str, path: str, use_cache: bool
     ) -> QueryOutcome:
         doc = self.db.document(document)
-        query = PathQuery(path)
+        query = XPath(path)
         gate = self._doc_gate(document)
 
         # -- prepare: shared-state access under the storage lock -------
@@ -329,7 +329,7 @@ class QueryService:
             # the element-set access drains the pending log, so the
             # index peeks behind it are pure cache reads: they surface
             # whichever persistent indexes survived the updates
-            base_steps, base_props = self.db.step_inputs(doc, query.steps)
+            base_steps, base_props, base_filters = self.db.path_inputs(doc, query)
             # session pools read the disk page table directly, so any
             # corpus page still dirty in the shared pool must hit the
             # table first (write-back is charged to the shared ledger,
@@ -342,12 +342,22 @@ class QueryService:
             # probing the base index would pin pages in the shared pool
             # from a concurrent execute phase (and charge the wrong
             # ledger).  Views delegate staleness to the base index.
-            def rebound(index):
-                return None if index is None else index.session_view(session)
+            def rebound(props: Optional[SetProperties]) -> Optional[SetProperties]:
+                if props is None or props.start_index is None:
+                    return props
+                return replace(
+                    props, start_index=props.start_index.session_view(session)
+                )
 
-            props = [
-                replace(base, start_index=rebound(base.start_index))
-                for base in base_props
+            props = [rebound(base) for base in base_props]
+            filters = [
+                [
+                    StepFilter(
+                        f.axis, f.elements.with_bufmgr(session), rebound(f.props)
+                    )
+                    for f in step_filters
+                ]
+                for step_filters in base_filters
             ]
             gate.reader_enter()
 
@@ -366,6 +376,9 @@ class QueryService:
                 props,
                 direction=cached.direction if cached is not None else None,
                 tracer=tracer,
+                axes=query.axes,
+                filters=filters,
+                parent_codes=doc.updatable.parent_codes,
             )
             try:
                 with tracer.span("service.query", tenant=tenant, path=path):

@@ -74,7 +74,11 @@ from .histogram import PositionHistogram
 if TYPE_CHECKING:
     from ..index.bptree import BPlusTree
 
-__all__ = ["UpdateLogRecord", "DocumentStore"]
+__all__ = ["UpdateLogRecord", "DocumentStore", "ALL"]
+
+#: the pseudo-tag of the set that holds every live element (a path's
+#: ``*`` step); maintained by the same log and page patches as a tag
+ALL = "*"
 
 
 @dataclass(frozen=True)
@@ -169,24 +173,21 @@ class DocumentStore:
         if self.metrics is not None:
             self.metrics.counter(f"docstore.events.{event.kind}").inc()
         tags = self.encoding.tree.tags
-        if event.kind == "insert":
-            store = self._tags.get(tags[event.node])
-            if store is not None:
-                store.pending.append(
-                    UpdateLogRecord("insert", code=event.new_code)
-                )
-        elif event.kind == "delete":
-            store = self._tags.get(tags[event.node])
-            if store is not None:
-                store.pending.append(
-                    UpdateLogRecord("delete", code=event.old_code)
-                )
+        if event.kind in ("insert", "delete"):
+            for tag in {tags[event.node], ALL}:
+                store = self._tags.get(tag)
+                if store is not None:
+                    store.pending.append(UpdateLogRecord(
+                        event.kind, code=event.new_code or event.old_code
+                    ))
         elif event.kind == "relabel":
             by_tag: dict[str, list[tuple[int, int]]] = {}
             for node, old_code, new_code in event.moves:
                 tag = tags[node]
                 if tag in self._tags:
                     by_tag.setdefault(tag, []).append((old_code, new_code))
+            if ALL in self._tags:
+                by_tag[ALL] = [(old, new) for _node, old, new in event.moves]
             for tag, moves in by_tag.items():
                 self._tags[tag].pending.append(
                     UpdateLogRecord("relabel", moves=tuple(moves))
@@ -227,14 +228,17 @@ class DocumentStore:
             self._apply(store)
         return store
 
-    def _materialize(self, tag: str) -> _TagStore:
+    def _live_codes(self, tag: str) -> list[int]:
+        """The live codes of ``tag`` (of every element for :data:`ALL`),
+        in document order."""
         encoding = self.encoding
         tree = encoding.tree
-        codes = [
-            tree.codes[node]
-            for node in tree.iter_by_tag(tag)
-            if encoding.is_alive(node)
-        ]
+        nodes = tree.iter_preorder() if tag == ALL else tree.iter_by_tag(tag)
+        return [tree.codes[node] for node in nodes if encoding.is_alive(node)]
+
+    def _materialize(self, tag: str) -> _TagStore:
+        encoding = self.encoding
+        codes = self._live_codes(tag)
         elements = ElementSet.from_codes(
             self.bufmgr,
             codes,
@@ -496,12 +500,7 @@ class DocumentStore:
             for slot, code in enumerate(codes):
                 scanned[code] = (page_index, slot)
         assert scanned == store.directory, "directory diverged from pages"
-        tree = self.encoding.tree
-        expected = sorted(
-            tree.codes[node]
-            for node in tree.iter_by_tag(tag)
-            if self.encoding.is_alive(node)
-        )
+        expected = sorted(self._live_codes(tag))
         assert sorted(scanned) == expected, (
             f"tag {tag!r}: persisted codes diverged from the encoding"
         )

@@ -350,6 +350,26 @@ class TestExecutionConfigSurface:
                 ],
             ),
             (["repro.storage.record"], ["owned_u64" + "_array"]),
+            # one path grammar, one evaluator: the descendant-only
+            # parser, the second (tree-walking) evaluator and its
+            # O(height) parent test
+            (["repro", "repro.datatree", "repro.datatree.paths"], ["Path" + "Query"]),
+            # the grammar's error and tag rule live with the grammar
+            (["repro.datatree.paths"], ["XPathSyntax" + "Error", "TAG" + "_NAME"]),
+            (["repro.datatree", "repro.datatree.xpath"], ["is_parent" + "_code"]),
+            (
+                ["repro.datatree.xpath:XPath"],
+                [
+                    "evaluate_with" + "_joins",
+                    "evaluate" + "_navigational",
+                    "_apply" + "_predicates",
+                    "_select" + "_codes",
+                ],
+            ),
+            (
+                ["repro.db:ContainmentDatabase"],
+                ["_query" + "_extended", "_is_extended" + "_path"],
+            ),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):

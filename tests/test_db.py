@@ -1,10 +1,14 @@
 """Tests for the ContainmentDatabase façade and the CLI."""
 
+import random
+
 import pytest
 
 from repro.db import ContainmentDatabase
-from repro.datatree.builder import tree_from_spec
+from repro.datatree.builder import random_tree, tree_from_spec
 from repro.workloads import dblp
+
+from .oracles.navigate import navigate
 
 XML = """
 <library>
@@ -73,11 +77,9 @@ class TestQueries:
         db = ContainmentDatabase(buffer_pages=16)
         tree = dblp.generate_tree(num_publications=300, seed=7)
         doc = db.load_tree(tree, name="dblp")
-        from repro.datatree.paths import PathQuery
-
         for path in ("//article//author", "//inproceedings//cite//label"):
-            expected = sorted(PathQuery(path).evaluate_navigational(tree))
-            got = sorted(node.code for node in db.query(doc, path))
+            expected = navigate(tree, path)
+            got = sorted(node.id for node in db.query(doc, path))
             assert got == expected, path
 
     @pytest.mark.parametrize("path, expected", [
@@ -87,7 +89,7 @@ class TestQueries:
     ])
     def test_every_parsed_tag_name_is_queryable(self, path, expected):
         # the parser reads <1a>, <ns:s>, <-t>, <.u> as elements; chains
-        # of them run as joins, a child step through the extended branch
+        # of them run as joins, a child step as a parent-code equijoin
         db = ContainmentDatabase()
         doc = db.load_xml(
             "<r><1a><b>x</b><c><b>y</b></c></1a>"
@@ -164,15 +166,27 @@ class TestQueries:
             "step //book: scans one set and runs no join"
         )
 
-    @pytest.mark.parametrize("path", ["//shelf/book", "//book[title]"])
-    def test_explain_rejects_extended_syntax(self, path):
-        """``query`` runs these through XPath; explain has no plan for
-        them and says which form it covers."""
+    @pytest.mark.parametrize("path, lines", [
+        ("//shelf/book", ["step //shelf <| /book: SHCJ on the parent code"]),
+        ("//book[title]", ["step //book <| [title]: SHCJ on the parent code"]),
+        ("//shelf[.//author]/book", [
+            "step //shelf <| [.//author]: cell ",
+            "step //shelf[.//author] <| /book (base sets; re-planned at run "
+            "time): SHCJ on the parent code",
+        ]),
+    ])
+    def test_explain_lists_child_and_predicate_steps(self, path, lines):
+        """Explain lists every step the pipeline runs: a child step or
+        ``[t]`` joins on the parent code, a ``[.//t]`` is planned like
+        any containment step, and each names what query then runs."""
         db = ContainmentDatabase()
         doc = db.load_xml(XML, name="lib")
-        assert len(db.query(doc, path)) > 0
-        with pytest.raises(ValueError, match="//a//b//c"):
-            db.explain(doc, path)
+        result = db.query(doc, path)
+        assert len(result) > 0
+        text = db.explain(doc, path)
+        for line in lines:
+            assert line in text, (line, text)
+        assert len(result.reports) == text.count("step /")
 
 
 class TestUpdatesThroughDb:
@@ -217,15 +231,9 @@ class TestUpdatesThroughDb:
         assert len(db.query(doc, "//shelf//book")) == 4
 
 
-#: paths whose first non-name step a //name//name chain cannot run,
-#: with that step as the error names it
-NON_NAME_STEPS = [
-    ("//a[b]", "a[b]"),
-    ("//a[.//b]", "a[."),
-    ("//a//*", "*"),
-    ("//a[b]//c", "a[b]"),
-    ("//a/b", "a/b"),
-]
+#: paths with a child step or ``[t]`` predicate: they join on parent
+#: codes, which a saved image does not store
+PARENT_MAP_PATHS = ["//shelf/book", "//book[title]", "//shelf[book]//title"]
 
 
 class TestCLI:
@@ -260,14 +268,14 @@ class TestCLI:
         assert "# step 1: " in err and ", 1 survivors, " in err
         assert "# 1 matches" in err and " pairs" not in err
 
-    def test_extended_query_step_lines_count_pairs(self, tmp_path, capsys):
+    def test_child_step_lines_count_survivors(self, tmp_path, capsys):
         from repro.__main__ import main
 
         path = tmp_path / "nested.xml"
         path.write_text("<r><a><b/><b/></a></r>")
         assert main(["query", str(path), "//a/b"]) == 0
         err = capsys.readouterr().err
-        assert ", 2 pairs, " in err and "survivors" not in err
+        assert ", 2 survivors, " in err and " pairs" not in err
 
     def test_explain(self, xml_file, capsys):
         from repro.__main__ import main
@@ -276,15 +284,21 @@ class TestCLI:
         assert "plan" in capsys.readouterr().out
 
     @pytest.mark.parametrize("path", ["//shelf/book", "//book[title]"])
-    def test_explain_extended_syntax_exits_2(self, xml_file, path, capsys):
-        """No traceback and no empty plan: one error line, exit 2."""
+    def test_explain_extended_syntax_lists_its_steps(self, xml_file, path, capsys):
         from repro.__main__ import main
 
-        assert main(["query", "--explain", xml_file, path]) == 2
+        assert main(["query", "--explain", xml_file, path]) == 0
+        captured = capsys.readouterr()
+        assert "SHCJ on the parent code" in captured.out
+        assert captured.err == ""
+
+    def test_explain_malformed_path_exits_2(self, xml_file, capsys):
+        from repro.__main__ import main
+
+        assert main(["query", "--explain", xml_file, "//book[title"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: explain covers")
-        assert path in captured.err
+        assert captured.err.startswith("error: cannot parse '//book[title'")
 
     def test_explain_single_step(self, xml_file, capsys):
         from repro.__main__ import main
@@ -318,12 +332,12 @@ class TestCLI:
         assert main(["query", "--image", image, "//book//title"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
-    @pytest.mark.parametrize("path, step", NON_NAME_STEPS)
-    def test_image_query_rejects_a_non_name_step(
-        self, xml_file, tmp_path, capsys, path, step
+    @pytest.mark.parametrize("path", PARENT_MAP_PATHS)
+    def test_image_query_rejects_a_parent_code_step(
+        self, xml_file, tmp_path, capsys, path
     ):
-        """An image holds one set per tag: a predicate, wildcard or
-        child step has none to look up, so exit 2 naming the step."""
+        """An image holds one set per tag and no parent map: a child
+        step or ``[t]`` exits 2 naming what is missing."""
         from repro.__main__ import main
 
         image = str(tmp_path / "lib.pbit")
@@ -333,7 +347,31 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-        assert f"step {step!r}" in captured.err
+        assert "parent map" in captured.err and path in captured.err
+
+    def test_image_query_runs_descendant_predicates(
+        self, xml_file, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        image = str(tmp_path / "lib.pbit")
+        main(["save", xml_file, image])
+        capsys.readouterr()
+        path = "//shelf[.//author]//title"
+        assert main(["query", "--image", image, path]) == 0
+        db = ContainmentDatabase()
+        expected = [n.code for n in db.query(db.load_xml(XML), path)]
+        assert capsys.readouterr().out.split() == [str(c) for c in expected]
+        assert len(expected) == 2
+
+    def test_image_query_has_no_wildcard_set(self, xml_file, tmp_path, capsys):
+        from repro.__main__ import main
+
+        image = str(tmp_path / "lib.pbit")
+        main(["save", xml_file, image])
+        capsys.readouterr()
+        assert main(["query", "--image", image, "//shelf//*"]) == 1
+        assert "element set '*' not in the image" in capsys.readouterr().err
 
     def test_image_query_unknown_tag_fails_cleanly(
         self, xml_file, tmp_path, capsys
@@ -491,6 +529,55 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+
+def storm(db, document, seed):
+    """Up to 30 seeded updates: 60 % inserts under a random live node,
+    the rest deletes of a random live non-root subtree."""
+    rng = random.Random(seed)
+    alive = document.updatable.is_alive
+    for _ in range(rng.randint(0, 30)):
+        live = [node for node in range(len(document.tree)) if alive(node)]
+        if rng.random() < 0.6 or len(live) < 3:
+            db.insert_element(document, rng.choice(live), rng.choice("abc"))
+        else:
+            db.delete_element(document, rng.choice(live[1:]))
+
+
+class TestExtendedPathsAfterUpdates:
+    """Child steps and predicates after an update storm.  The second
+    evaluator these paths used to take read deleted nodes' codes and
+    never checked a predicate witness for liveness."""
+
+    @pytest.mark.parametrize("seed, path, stale", [
+        # a live <a> took the code of a deleted <b> (node 71)
+        (2, "//*/b", 73),
+        # node 10 has no live b child
+        (4, "//a[b]", 10),
+    ])
+    def test_regression_seed(self, seed, path, stale):
+        db = ContainmentDatabase()
+        document = db.load_tree(random_tree(60, tags=("a", "b", "c"), seed=seed))
+        storm(db, document, seed)
+        got = sorted(node.id for node in db.query(document, path))
+        assert stale not in got
+        assert got == navigate(document.tree, path, document.updatable.is_alive)
+
+    def test_sixty_storms(self):
+        paths = ("//a/b", "//*/b", "//a[b]", "//a[.//b]", "//a//*",
+                 "//a[b]//c", "//a/b/c", "//*[c]/b")
+        for seed in range(60):
+            db = ContainmentDatabase(buffer_pages=8, page_size=128)
+            document = db.load_tree(
+                random_tree(60, tags=("a", "b", "c"), seed=seed)
+            )
+            for path in paths:  # materialise the sets the storm patches
+                db.query(document, path)
+            storm(db, document, seed)
+            alive = document.updatable.is_alive
+            for path in paths:
+                got = sorted(node.id for node in db.query(document, path))
+                assert got == navigate(document.tree, path, alive), (seed, path)
 
 
 class TestReferenceCounting:

@@ -15,7 +15,6 @@ from repro import (
     ElementSet,
     JoinSink,
     PBiTreeJoinFramework,
-    PathQuery,
     StackTreeDescJoin,
     binarize,
     parse_xml,
@@ -25,6 +24,7 @@ from repro.datatree.paths import brute_force_join, select_by_tag
 from repro.datatree.serialize import to_xml
 from repro.join.planner import choose_algorithm
 from repro.workloads import dblp, xmark
+from .oracles.navigate import navigate
 
 
 DOCUMENT = """
@@ -86,25 +86,26 @@ class TestMotivatingQuery:
         assert section_ids == {"1", "1.1"}
 
     def test_path_query_chain_through_framework(self):
+        """//book//section//figure as two framework joins over code
+        lists, each keeping its matched descendants, equals navigation."""
         tree, encoding, _sections, _figures = self.pipeline()
         bufmgr = _sections.bufmgr
-
-        def framework_join(a_codes, d_codes):
+        current = select_by_tag(tree, "book")
+        for tag in ("section", "figure"):
             a_set = ElementSet.from_codes(
-                bufmgr, a_codes, encoding.tree_height, "qa"
+                bufmgr, current, encoding.tree_height, "qa"
             )
             d_set = ElementSet.from_codes(
-                bufmgr, d_codes, encoding.tree_height, "qd"
+                bufmgr, select_by_tag(tree, tag), encoding.tree_height, "qd"
             )
             _report, pairs = PBiTreeJoinFramework().join(a_set, d_set)
             a_set.destroy()
             d_set.destroy()
-            return pairs
-
-        query = PathQuery("//book//section//figure")
-        via_joins = query.evaluate_with_joins(tree, framework_join)
-        navigational = sorted(query.evaluate_navigational(tree))
-        assert via_joins == navigational
+            current = sorted({d for _a, d in pairs})
+        navigational = sorted(
+            tree.codes[node] for node in navigate(tree, "//book//section//figure")
+        )
+        assert current == navigational
 
 
 class TestWorkloadRoundTrips:

@@ -1,11 +1,16 @@
-"""Tests for path-query decomposition into containment joins."""
+"""Tests for path-query decomposition into containment joins: the
+tag-set helpers, the grammar, and ``db.query`` against navigation."""
 
 import pytest
 
 from repro.core.binarize import binarize
 from repro.datatree.builder import random_tree, tree_from_spec
-from repro.datatree.paths import PathQuery, brute_force_join, select_by_tag
+from repro.datatree.paths import brute_force_join, select_by_tag
 from repro.datatree.xml_parser import parse_xml
+from repro.datatree.xpath import Predicate, Step, XPath, XPathSyntaxError
+from repro.db import ContainmentDatabase
+
+from .oracles.navigate import navigate
 
 
 def encoded_doc():
@@ -37,78 +42,75 @@ class TestSelectByTag:
         assert select_by_tag(encoded_doc(), "nope") == []
 
 
-class TestPathQueryParsing:
+class TestPathParsing:
+    """Every path is parsed by the one grammar (:class:`XPath`); what
+    the descendant-only parser refused, it now reads or rejects with
+    the one typed error."""
+
     def test_steps(self):
-        assert PathQuery("//a//b//c").steps == ["a", "b", "c"]
+        assert XPath("//a//b//c").tags == ["a", "b", "c"]
 
-    def test_rejects_child_axis(self):
-        with pytest.raises(ValueError):
-            PathQuery("//a/b")
-
-    @pytest.mark.parametrize("path, step", [
-        ("//a[b]", "a[b]"), ("//a[.//b]", "a[."), ("//a//*", "*"),
-        ("//a[b]//c", "a[b]"), ("//a/b", "a/b"),
+    @pytest.mark.parametrize("path, steps", [
+        ("//a[b]", [Step("descendant", "a", (Predicate("b"),))]),
+        ("//a[.//b]", [Step("descendant", "a", (Predicate("b", "descendant"),))]),
+        ("//a//*", [Step("descendant", "a"), Step("descendant", "*")]),
+        ("//a[b]//c", [
+            Step("descendant", "a", (Predicate("b"),)), Step("descendant", "c"),
+        ]),
+        ("//a/b", [Step("descendant", "a"), Step("child", "b")]),
     ])
-    def test_non_name_step_raises_the_xpath_error_naming_it(self, path, step):
-        from repro.datatree.xpath import XPathSyntaxError
+    def test_non_name_steps_parse(self, path, steps):
+        assert XPath(path).steps == steps
 
+    @pytest.mark.parametrize("path", ["a//b", "//"])
+    def test_rejects_relative_and_empty_with_the_typed_error(self, path):
         with pytest.raises(XPathSyntaxError) as raised:
-            PathQuery(path)
-        assert f"step {step!r}" in str(raised.value)
+            XPath(path)
         assert isinstance(raised.value, ValueError)
-
-    def test_every_name_the_xml_parser_reads_is_a_step(self):
-        # one tag rule: digit-, dash- and dot-leading names parse as
-        # elements, so they are steps too
-        assert PathQuery("//ns:a//b-c//d.e//_f//1a//-x//.y").steps == [
-            "ns:a", "b-c", "d.e", "_f", "1a", "-x", ".y"
-        ]
-
-    def test_rejects_relative(self):
-        with pytest.raises(ValueError):
-            PathQuery("a//b")
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PathQuery("//")
 
 
 class TestEvaluation:
+    def query(self, path):
+        db = ContainmentDatabase()
+        document = db.load_tree(encoded_doc())
+        return sorted(node.id for node in db.query(document, path)), document
+
     def test_paper_motivating_query_shape(self):
         """//section//figure finds figures inside sections only."""
-        tree = encoded_doc()
-        result = PathQuery("//section//figure").evaluate_navigational(tree)
-        assert len(result) == 2  # the appendix figure is excluded
+        assert len(navigate(encoded_doc(), "//section//figure")) == 2
+        got, document = self.query("//section//figure")
+        assert len(got) == 2  # the appendix figure is excluded
 
     def test_join_evaluation_matches_navigational(self):
-        tree = encoded_doc()
-        query = PathQuery("//section//figure")
-        nav = sorted(query.evaluate_navigational(tree))
-        joined = sorted(query.evaluate_with_joins(tree, brute_force_join))
-        assert nav == joined
+        got, document = self.query("//section//figure")
+        assert got == navigate(document.tree, "//section//figure")
 
     def test_three_step_chain(self):
-        tree = encoded_doc()
-        query = PathQuery("//doc//section//figure")
-        nav = sorted(query.evaluate_navigational(tree))
-        joined = sorted(query.evaluate_with_joins(tree, brute_force_join))
-        assert nav == joined and len(nav) == 2
+        got, document = self.query("//doc//section//figure")
+        nav = navigate(document.tree, "//doc//section//figure")
+        assert got == nav and len(nav) == 2
 
     def test_random_trees_agree(self):
         for seed in range(5):
             tree = random_tree(400, seed=seed, tags=("a", "b", "c"))
-            binarize(tree)
+            db = ContainmentDatabase()
+            document = db.load_tree(tree)
             for path in ("//a//b", "//b//c//a", "//c//c"):
-                query = PathQuery(path)
-                assert sorted(query.evaluate_navigational(tree)) == sorted(
-                    query.evaluate_with_joins(tree, brute_force_join)
+                assert sorted(n.id for n in db.query(document, path)) == (
+                    navigate(tree, path)
                 ), (seed, path)
 
-    def test_containment_join_pairs(self):
-        tree = encoded_doc()
-        pairs = PathQuery("//doc//section//figure").containment_join_pairs(tree)
-        assert len(pairs) == 2
-        (a1, d1), (a2, d2) = pairs
+    def test_step_inputs(self):
+        """The (ancestor set, descendant set) inputs of each join step
+        are the stored sets of the path's tags."""
+        db = ContainmentDatabase()
+        document = db.load_tree(encoded_doc())
+        steps, _props, filters = db.path_inputs(
+            document, XPath("//doc//section//figure")
+        )
+        assert [len(step) for step in steps] == [1, 2, 3]
+        assert filters == [[], [], []]
+        (a1, d1), (a2, d2) = zip(steps, steps[1:])
         assert len(a1) == 1 and len(d1) == 2
         assert len(a2) == 2 and len(d2) == 3
 

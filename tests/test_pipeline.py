@@ -15,7 +15,7 @@ from repro import (
 from repro.core import pbitree as pt
 from repro.datatree.builder import tree_from_spec
 from repro.datatree.node import DataTree
-from repro.datatree.paths import PathQuery
+from repro.datatree.xpath import XPath
 from repro.join import pipeline as pipeline_module
 from repro.join.pipeline import (
     PathPipeline,
@@ -107,13 +107,13 @@ class TestPathPipeline:
                 rng.randrange(100, 900), seed=trial, tags=("a", "b", "c", "d")
             )
             encoding = binarize(tree)
-            query = PathQuery(path)
-            expected = sorted(query.evaluate_navigational(tree))
-            bufmgr, sets = build_sets(tree, encoding, query.steps)
+            tags = XPath(path).tags
+            expected = path_matches(tree, tags)
+            bufmgr, sets = build_sets(tree, encoding, tags)
             pipeline = PathPipeline(bufmgr, direction=direction)
             result = pipeline.execute(sets)
             assert result.codes == expected, (trial, path, direction)
-            assert len(result.reports) >= len(query.steps) - 1
+            assert len(result.reports) >= len(tags) - 1
 
     def test_single_step(self):
         tree = random_tree(50, seed=2)
@@ -184,8 +184,7 @@ class TestPathPipeline:
 
         tree = random_tree(300, seed=3, tags=("a", "b"))
         encoding = binarize(tree)
-        query = PathQuery("//a//b")
-        bufmgr, sets = build_sets(tree, encoding, query.steps)
+        bufmgr, sets = build_sets(tree, encoding, ["a", "b"])
         assert PathPipeline(bufmgr).execute(sets).reports[0].algorithm != "INLJN"
         props = [
             SetProperties.of(sets[0]),
@@ -193,7 +192,7 @@ class TestPathPipeline:
         ]
         result = PathPipeline(bufmgr, props).execute(sets)
         assert {report.algorithm for report in result.reports} == {"INLJN"}
-        assert result.codes == sorted(query.evaluate_navigational(tree))
+        assert result.codes == path_matches(tree, ["a", "b"])
         with pytest.raises(ValueError):
             PathPipeline(bufmgr, props[:1]).execute(sets)
 
@@ -252,8 +251,7 @@ class TestGoldenDirections:
         result = PathPipeline(bufmgr).execute(sets)
         assert planned == [expected]
         assert result.direction == expected[0]
-        path = PathQuery("//" + "//".join(tags))
-        assert result.codes == sorted(path.evaluate_navigational(tree))
+        assert result.codes == path_matches(tree, tags)
 
 
 class TestCommonAncestorJoin:
