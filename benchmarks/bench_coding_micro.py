@@ -185,19 +185,36 @@ def test_bulk_prefix_conversion(benchmark, codes, size):
     record_per_element(benchmark, len(codes))
 
 
+@pytest.mark.parametrize("kernel", ["doc_order_keys", "codes_of_doc_keys"])
 @pytest.mark.parametrize("size", BATCH_SIZES, ids=BATCH_IDS)
-def test_bulk_doc_order_keys(benchmark, codes, size):
+def test_bulk_doc_order_keys(benchmark, codes, size, kernel):
+    """The external sort's decorate (codes -> keys) and undecorate
+    (keys -> codes) kernels."""
     chunks = chunked(codes, size)
+    if kernel == "codes_of_doc_keys":
+        chunks = [batch.doc_order_keys(chunk) for chunk in chunks]
+    convert = getattr(batch, kernel)
 
     def run():
         total = 0
         for chunk in chunks:
-            total += len(batch.doc_order_keys(chunk))
+            total += len(convert(chunk))
         return total
 
     assert benchmark(run) == len(codes)
     benchmark.extra_info["batch_size"] = size
+    benchmark.extra_info["kernel"] = kernel
     record_per_element(benchmark, len(codes))
+
+
+def test_sort_doc_order_run(benchmark, codes):
+    """One in-memory sort run of the external sort: 6,300 codes, the
+    records of 50 pages of 1 KiB."""
+    run = codes[:6300]
+    assert benchmark(batch.sort_doc_order, run) == sorted(
+        run, key=pt.doc_order_key
+    )
+    record_per_element(benchmark, len(run))
 
 
 @pytest.mark.parametrize("size", BATCH_SIZES, ids=BATCH_IDS)

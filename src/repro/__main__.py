@@ -296,6 +296,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_save(args: argparse.Namespace) -> int:
+    from .datatree.node import is_element_tag
     from .storage.buffer import BufferManager
     from .storage.disk import DiskManager
     from .storage.elementset import ElementSet
@@ -306,7 +307,7 @@ def cmd_save(args: argparse.Namespace) -> int:
     if args.tags:
         wanted = [tag.strip() for tag in args.tags.split(",") if tag.strip()]
     else:  # every element tag, not the @attribute / #text pseudo-tags
-        wanted = sorted(t for t in tree.tag_counts() if not t.startswith(("@", "#")))
+        wanted = sorted(filter(is_element_tag, tree.tag_counts()))
     disk = DiskManager()
     bufmgr = BufferManager(disk, 64)
     element_sets = {

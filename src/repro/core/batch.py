@@ -15,10 +15,15 @@ instead of once per element:
 * ``start(c) = c - (c & -c) + 1``, ``end(c) = c + (c & -c) - 1``  (Lemma 3)
 * ``prefix(c)            = c // (c & -c)``              (Lemma 4)
 
-The packed document-order key ``start << 6 | (63 - height)`` is
-order-equivalent to the tuple ``(start, -height)`` because heights fit
-in 6 bits (``MAX_CODE_BITS = 63`` bounds them at 62) and the mapping
-``-h -> 63 - h`` is strictly increasing.
+The document-order key ``(c & (c - 1)) << 64 | (2**64 - 1 - c)`` is
+order-equivalent to the tuple ``(start, -height)`` and invertible.
+``c & (c - 1)`` clears the lowest set bit, which is ``start(c) - 1``
+(Lemma 3).  Codes that share a Start lie on one left spine, where the
+larger code is the higher node, so the complemented code in the low
+64 bits breaks those ties ancestor-first; and, since codes fit in 63
+bits, it gives the code back (:func:`codes_of_doc_keys`).  So the
+external sort and the merge joins order plain ints and never carry a
+code beside its key.
 
 Exactness contract: every kernel applies the scalar identities of
 :mod:`.pbitree` (Property 1/2, Lemmas 1, 3 and 4) — same results, in
@@ -51,6 +56,7 @@ __all__ = [
     "regions",
     "prefixes",
     "doc_order_keys",
+    "codes_of_doc_keys",
     "sort_doc_order",
     "range_filter",
     "descendants_in",
@@ -154,30 +160,35 @@ def prefixes(codes: Sequence[int]) -> list[PrefixCode]:
     return cast("list[PrefixCode]", [c // (c & -c) for c in codes])
 
 
-def doc_order_keys(codes: Sequence[int]) -> list[int]:
-    """Bulk packed document-order keys.
+#: the low 64 bits of a doc-order key: the complemented code
+_KEY_LOW = (1 << 64) - 1
 
-    ``start << 6 | (63 - height)`` sorts identically to the scalar
-    ``doc_order_key`` tuple ``(start, -height)``: heights are bounded
-    by 62 (``MAX_CODE_BITS``), so ``63 - height`` occupies 6 bits and
-    is strictly increasing in ``-height``.
+
+def doc_order_keys(codes: Sequence[int]) -> list[int]:
+    """Bulk invertible document-order keys.
+
+    ``(c & (c - 1)) << 64 | (2**64 - 1 - c)`` sorts identically to the
+    scalar ``doc_order_key`` tuple ``(start, -height)``: the high part
+    is ``start(c) - 1``, and among codes with one Start (a left spine)
+    the higher node has the larger code, hence the smaller low part.
+    Equal keys mean equal codes.
     """
-    return [(c - b + 1) << 6 | (63 - (b.bit_length() - 1)) for c in codes for b in (c & -c,)]
+    low = _KEY_LOW
+    return [(c & (c - 1)) << 64 | (low - c) for c in codes]
+
+
+def codes_of_doc_keys(keys: Sequence[int]) -> list[PBiCode]:
+    """The codes :func:`doc_order_keys` made ``keys`` from, in order."""
+    low = _KEY_LOW
+    return cast("list[PBiCode]", [low - (k & low) for k in keys])
 
 
 def sort_doc_order(codes: Sequence[int]) -> list[PBiCode]:
-    """Sort codes into document order via the packed key.
-
-    The packed key is a bijection of the code, so equal keys mean equal
-    codes and the sort is trivially stable on distinct elements.
-    """
-    decorated = sorted(
-        (c - b + 1) << 70 | (63 - (b.bit_length() - 1)) << 64 | c
-        for c in codes
-        for b in (c & -c,)
-    )
-    low = (1 << 64) - 1
-    return cast("list[PBiCode]", [k & low for k in decorated])
+    """Sort codes into document order: decorate, sort the plain int
+    keys, undecorate."""
+    keys = doc_order_keys(codes)
+    keys.sort()
+    return codes_of_doc_keys(keys)
 
 
 def range_filter(

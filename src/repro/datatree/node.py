@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional
 
-__all__ = ["DataTree", "NodeView"]
+__all__ = ["DataTree", "NodeView", "is_element_tag"]
+
+
+def is_element_tag(tag: str) -> bool:
+    """Whether ``tag`` names an element, not one of the parser's
+    ``@name`` attribute or ``#text`` pseudo-nodes (what ``*`` skips)."""
+    return not tag.startswith(("@", "#"))
 
 
 class DataTree:

@@ -42,7 +42,7 @@ class _IndexCursor(LeafCursor):
     """Leaf cursor over a Start index that always rests on an entry.
 
     ``keys`` are region starts and ``values`` codes; ``doc_keys`` and
-    ``ends`` are the leaf's packed document-order keys and region ends,
+    ``ends`` are the leaf's document-order keys and region ends,
     computed once per leaf (a skip landing back in the same leaf reuses
     them: the node cache hands back the same lists).  A cursor landing
     past a leaf's last entry reads on at once — the pull points of a

@@ -147,9 +147,9 @@ class SetCursor:
         self.seek(len(self._page))
 
     def page_doc_keys(self) -> Sequence[int]:
-        """Packed document-order key of every current-page code (cached).
+        """Document-order key of every current-page code (cached).
 
-        The packed keys are order- and tie-equivalent to the scalar
+        The keys are order- and tie-equivalent to the scalar
         ``doc_order_key`` tuples (see :func:`repro.core.batch.doc_order_keys`),
         so bisecting them reproduces tuple-comparison decisions exactly.
         """

@@ -43,8 +43,8 @@ def stack_merge(
 ) -> None:
     """Stack-Tree-Desc as a two-pointer merge over the current A and D page.
 
-    Works on each page's code, packed doc-key, start and end lists;
-    packed keys are order- and tie-equivalent to ``doc_order_key``
+    Works on each page's code, doc-key, start and end lists; the
+    doc keys are order- and tie-equivalent to ``doc_order_key``
     tuples, so every push/emit decision is the element-at-a-time one.
     A cursor steps only when its page is drained, so pages load where
     an element-at-a-time merge loads them.  ``skips`` (Anc_Des_B+: the

@@ -298,9 +298,7 @@ class ShardedCorpus:
     ) -> Optional[HeapFile]:
         if not codes:
             return None
-        return HeapFile.from_records(
-            bufmgr, CODE, [(code,) for code in codes], name=name
-        )
+        return HeapFile.from_fields(bufmgr, CODE, codes, name=name)
 
     # -- slot extraction ------------------------------------------------
     def slot_ancestor_codes(self, tag: str, slot: int) -> list[int]:

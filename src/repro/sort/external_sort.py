@@ -1,4 +1,4 @@
-"""External merge sort over heap files.
+"""External merge sort of element sets into document order.
 
 The cost of sorting two unsorted element sets on the fly is what the
 paper charges the region-code algorithms with (Section 3.4.1 / 4): an
@@ -10,117 +10,83 @@ implementation:
   memory, write a run);
 * merges up to ``b - 1`` runs at a time, one input page pinned per run
   plus one output page, until a single run remains.
+
+It sorts plain ints: every code read off a page is decorated with its
+invertible document-order key (:func:`repro.core.batch.doc_order_keys`),
+the keys are sorted and merged, and the codes written back are read
+off the keys (:func:`repro.core.batch.codes_of_doc_keys`).
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
-from ..core import batch, pbitree
+from ..core import batch
 from ..storage.buffer import BufferManager
 from ..storage.elementset import ElementSet
 from ..storage.heapfile import HeapFile
+from ..storage.record import RecordCodec
 
-__all__ = [
-    "bulk_doc_order_keys",
-    "external_sort",
-    "external_sort_set",
-    "merge_cost_estimate",
-    "sort_codes_doc_order",
-]
-
-KeyFunc = Callable[[tuple[int, ...]], object]
-#: in-place-equivalent run sorter: takes the buffered records, returns
-#: them sorted by the same order ``key`` defines
-RunSortFunc = Callable[[list[tuple[int, ...]]], list[tuple[int, ...]]]
-#: page-at-a-time merge keys: takes one page of records, returns one
-#: order-equivalent integer key per record
-BulkKeyFunc = Callable[[list[tuple[int, ...]]], list[int]]
+__all__ = ["external_sort_set", "merge_cost_estimate"]
 
 
-def sort_codes_doc_order(
-    records: list[tuple[int, ...]],
-) -> list[tuple[int, ...]]:
-    """Run sorter for single-code records in document order.
-
-    Decorate-sort-undecorate through the packed doc-order key (one
-    kernel call) instead of a Python ``key`` callback per record.  The
-    packed key orders and ties exactly like ``doc_order_key`` tuples,
-    so runs come out identical to the scalar sort's.
-    """
-    return [(c,) for c in batch.sort_doc_order([r[0] for r in records])]
-
-
-def bulk_doc_order_keys(records: list[tuple[int, ...]]) -> list[int]:
-    """Bulk merge keys for single-code records in document order."""
-    return batch.doc_order_keys([record[0] for record in records])
-
-
-def external_sort(
-    heap: HeapFile,
-    key: KeyFunc,
+def external_sort_set(
+    elements: ElementSet,
     buffer_pages: int | None = None,
     destroy_input: bool = False,
-    run_sort: Optional[RunSortFunc] = None,
-    bulk_key: Optional[BulkKeyFunc] = None,
-) -> HeapFile:
-    """Sort ``heap`` by ``key`` using at most ``buffer_pages`` frames.
+) -> ElementSet:
+    """Sort an element set into document (start) order.
 
-    Returns a new heap file holding the sorted records.  When
-    ``destroy_input`` is set, the input file (and intermediate runs) are
-    deallocated as soon as they have been consumed.  ``run_sort``
-    optionally replaces the per-record ``key`` callback for the initial
-    in-memory run sort; ``bulk_key`` optionally replaces the merge
-    passes' per-page ``key`` map (one kernel call per input page).  Both
-    must produce exactly the order ``key`` defines.
+    This is the "custom sorting routine" of Section 3.1: codes are
+    converted to region order on the fly inside the sort key.  Uses at
+    most ``buffer_pages`` frames; with ``destroy_input`` the input heap
+    (and each intermediate run) is deallocated as soon as it has been
+    consumed.  The output holds the same codes, so it inherits the
+    input's histogram.
     """
+    heap = elements.heap
     bufmgr = heap.bufmgr
     budget = buffer_pages if buffer_pages is not None else bufmgr.num_pages
     budget = min(budget, bufmgr.num_pages)
     if budget < 3:
         raise ValueError("external sort needs at least 3 buffer pages")
 
-    runs = _build_runs(heap, key, budget, run_sort)
+    runs = _build_runs(heap, budget)
     if destroy_input:
         heap.destroy()
     fan_in = budget - 1
     while len(runs) > 1:
-        runs = _merge_pass(
-            bufmgr, runs, key, fan_in, heap.codec, heap.name, bulk_key
-        )
-    if not runs:
-        return HeapFile(bufmgr, heap.codec, name=f"{heap.name}[sorted]")
-    result = runs[0]
-    result.name = f"{heap.name}[sorted]"
-    return result
+        runs = _merge_pass(bufmgr, runs, fan_in, heap.codec, heap.name)
+    if runs:
+        result = runs[0]
+        result.name = f"{heap.name}[sorted]"
+    else:
+        result = HeapFile(bufmgr, heap.codec, name=f"{heap.name}[sorted]")
+    return ElementSet(
+        result,
+        elements.histogram.copy(),
+        name=f"{elements.name}[sorted]",
+        sorted_by="start",
+    )
 
 
-def _build_runs(
-    heap: HeapFile,
-    key: KeyFunc,
-    budget: int,
-    run_sort: Optional[RunSortFunc] = None,
-) -> list[HeapFile]:
-    """Read ``budget`` pages at a time, sort in memory, write runs."""
-    bufmgr = heap.bufmgr
+def _build_runs(heap: HeapFile, budget: int) -> list[HeapFile]:
+    """Read ``budget`` pages at a time, sort their codes, write runs."""
     runs: list[HeapFile] = []
-    buffered: list[tuple[int, ...]] = []
+    codes: "array[int]" = array("Q")
     pages_in_memory = 0
     try:
-        for records in heap.scan_pages():
-            buffered.extend(records)
+        for page in heap.scan_page_arrays():
+            codes += page
             pages_in_memory += 1
             if pages_in_memory >= budget:
-                runs.append(
-                    _write_run(bufmgr, heap, buffered, key, len(runs), run_sort)
-                )
-                buffered = []
+                runs.append(_write_run(heap, codes, len(runs)))
+                codes = array("Q")
                 pages_in_memory = 0
-        if buffered:
-            runs.append(
-                _write_run(bufmgr, heap, buffered, key, len(runs), run_sort)
-            )
+        if codes:
+            runs.append(_write_run(heap, codes, len(runs)))
     except BaseException:
         for run in runs:
             run.destroy()
@@ -128,39 +94,27 @@ def _build_runs(
     return runs
 
 
-def _write_run(
-    bufmgr: BufferManager,
-    heap: HeapFile,
-    records: list[tuple[int, ...]],
-    key: KeyFunc,
-    run_index: int,
-    run_sort: Optional[RunSortFunc] = None,
-) -> HeapFile:
-    if run_sort is not None:
-        records = run_sort(records)
-    else:
-        records.sort(key=key)
-    return HeapFile.from_records(
-        bufmgr, heap.codec, records, name=f"{heap.name}[run{run_index}]"
+def _write_run(heap: HeapFile, codes: "array[int]", run_index: int) -> HeapFile:
+    return HeapFile.from_fields(
+        heap.bufmgr,
+        heap.codec,
+        batch.sort_doc_order(codes),
+        name=f"{heap.name}[run{run_index}]",
     )
 
 
 def _merge_pass(
     bufmgr: BufferManager,
     runs: list[HeapFile],
-    key: KeyFunc,
     fan_in: int,
-    codec,
+    codec: RecordCodec,
     name: str,
-    bulk_key: Optional[BulkKeyFunc] = None,
 ) -> list[HeapFile]:
     merged: list[HeapFile] = []
     try:
         for group_start in range(0, len(runs), fan_in):
             group = runs[group_start:group_start + fan_in]
-            merged.append(
-                _merge_runs(bufmgr, group, key, codec, name, bulk_key)
-            )
+            merged.append(_merge_runs(bufmgr, group, codec, name))
             for run in group:
                 run.destroy()
     except BaseException:
@@ -173,42 +127,38 @@ def _merge_pass(
 def _merge_runs(
     bufmgr: BufferManager,
     runs: Sequence[HeapFile],
-    key: KeyFunc,
-    codec,
+    codec: RecordCodec,
     name: str,
-    bulk_key: Optional[BulkKeyFunc] = None,
 ) -> HeapFile:
     """k-way block merge; one page of each run is resident at a time.
 
     Each step finds the current page whose last key comes first (ties:
     the lowest run) — the page a record-at-a-time merge exhausts next —
-    writes every buffered record ordered up to that key with one
-    ``append_many``, then reads that run's next page.  Records leave in
-    (key, run, position) order, so equal keys keep their run order,
+    writes every buffered code ordered up to that key with one
+    ``append_fields``, then reads that run's next page.  Equal keys
+    are equal codes, so the order within a step is the sorted keys',
     and output rolls and input reads interleave exactly as in a
     record-at-a-time merge.
     """
-    keys_of = bulk_key or (lambda page: list(map(key, page)))
     output = HeapFile(bufmgr, codec, name=f"{name}[merge]")
     writer = output.open_writer()
-    scans = [run.scan_pages() for run in runs]
+    scans = [run.scan_page_arrays() for run in runs]
     try:
-        # per live run, in run order: its scan, current page, the
-        # page's keys and the next unmerged position
+        # per live run, in run order: its scan, its current page's
+        # keys and the next unmerged position
         heads: list[list[Any]] = []
         for scan in scans:
-            page = _next_page(scan)
-            if page is not None:
-                heads.append([scan, page, keys_of(page), 0])
+            keys = _next_page_keys(scan)
+            if keys is not None:
+                heads.append([scan, keys, 0])
         while heads:
-            lasts = [head[2][-1] for head in heads]
+            lasts = [head[1][-1] for head in heads]
             owner = lasts.index(min(lasts))
             bound = lasts[owner]
-            records: list[tuple[int, ...]] = []
-            keys: list[Any] = []
+            step: list[int] = []
             segments = 0
             for index, head in enumerate(heads):
-                _scan, page, page_keys, position = head
+                _scan, page_keys, position = head
                 if index < owner:
                     cut = bisect_right(page_keys, bound, position)
                 elif index > owner:
@@ -216,21 +166,18 @@ def _merge_runs(
                 else:
                     cut = len(page_keys)
                 if cut > position:
-                    records.extend(page[position:cut])
-                    keys.extend(page_keys[position:cut])
-                    head[3] = cut
+                    step += page_keys[position:cut]
+                    head[2] = cut
                     segments += 1
             if segments > 1:
-                # stable: equal keys stay in run, then position, order
-                order = sorted(range(len(keys)), key=keys.__getitem__)
-                records = [records[i] for i in order]
-            writer.append_many(records)
+                step.sort()
+            writer.append_fields(batch.codes_of_doc_keys(step))
             head = heads[owner]
-            page = _next_page(head[0])
-            if page is None:
+            keys = _next_page_keys(head[0])
+            if keys is None:
                 del heads[owner]
             else:
-                head[1:] = [page, keys_of(page), 0]
+                head[1:] = [keys, 0]
     except BaseException:
         # close even when a run scan faults, or the pinned output page
         # leaks and masks the fault during run cleanup; then free the
@@ -246,42 +193,13 @@ def _merge_runs(
     return output
 
 
-def _next_page(
-    scan: Iterator[list[tuple[int, ...]]],
-) -> Optional[list[tuple[int, ...]]]:
-    """The run's next non-empty page (the previous one is unpinned)."""
+def _next_page_keys(scan: Iterator[Sequence[int]]) -> Optional[list[int]]:
+    """The keys of the run's next non-empty page (the previous one is
+    unpinned)."""
     for page in scan:
         if page:
-            return page
+            return batch.doc_order_keys(page)
     return None
-
-
-def external_sort_set(
-    elements: ElementSet,
-    buffer_pages: int | None = None,
-    destroy_input: bool = False,
-) -> ElementSet:
-    """Sort an element set into document (start) order.
-
-    This is the "custom sorting routine" of Section 3.1: codes are
-    converted to region order on the fly inside the sort key.  The
-    output holds the same codes, so it inherits the input's histogram.
-    Runs are sorted and merged through the packed doc-order kernels.
-    """
-    sorted_heap = external_sort(
-        elements.heap,
-        key=lambda record: pbitree.doc_order_key(record[0]),
-        buffer_pages=buffer_pages,
-        destroy_input=destroy_input,
-        run_sort=sort_codes_doc_order,
-        bulk_key=bulk_doc_order_keys,
-    )
-    return ElementSet(
-        sorted_heap,
-        elements.histogram.copy(),
-        name=f"{elements.name}[sorted]",
-        sorted_by="start",
-    )
 
 
 def merge_cost_estimate(num_pages: int, buffer_pages: int) -> int:

@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING, Optional
 from ..core import batch, pbitree
 from ..core.pbitree import PBiCode
 from ..core.update import ChangeEvent, UpdatableEncoding
+from ..datatree.node import is_element_tag
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import page as page_layout
@@ -174,7 +175,9 @@ class DocumentStore:
             self.metrics.counter(f"docstore.events.{event.kind}").inc()
         tags = self.encoding.tree.tags
         if event.kind in ("insert", "delete"):
-            for tag in {tags[event.node], ALL}:
+            node_tag = tags[event.node]
+            names = {node_tag, ALL} if is_element_tag(node_tag) else {node_tag}
+            for tag in names:
                 store = self._tags.get(tag)
                 if store is not None:
                     store.pending.append(UpdateLogRecord(
@@ -187,7 +190,13 @@ class DocumentStore:
                 if tag in self._tags:
                     by_tag.setdefault(tag, []).append((old_code, new_code))
             if ALL in self._tags:
-                by_tag[ALL] = [(old, new) for _node, old, new in event.moves]
+                moved = [
+                    (old, new)
+                    for node, old, new in event.moves
+                    if is_element_tag(tags[node])
+                ]
+                if moved:
+                    by_tag[ALL] = moved
             for tag, moves in by_tag.items():
                 self._tags[tag].pending.append(
                     UpdateLogRecord("relabel", moves=tuple(moves))
@@ -211,8 +220,19 @@ class DocumentStore:
 
         First access materialises from the live encoding; later
         accesses apply any buffered update log first, so the returned
-        set always reflects every mutation made so far.
+        set always reflects every mutation made so far.  A tag with no
+        live element gets a fresh empty set that the store does not
+        keep: a path naming a tag the document lacks must not leave a
+        set (and its update log) behind.
         """
+        if tag not in self._tags:
+            codes = self._live_codes(tag)
+            if not codes:
+                return ElementSet.from_codes(
+                    self.bufmgr, codes, self.encoding.tree_height,
+                    name=f"{self.name}//{tag}",
+                )
+            self._tags[tag] = self._materialize(tag, codes)
         return self._fresh_store(tag).elements
 
     def tags(self) -> list[str]:
@@ -222,23 +242,28 @@ class DocumentStore:
     def _fresh_store(self, tag: str) -> _TagStore:
         store = self._tags.get(tag)
         if store is None:
-            store = self._materialize(tag)
+            store = self._materialize(tag, self._live_codes(tag))
             self._tags[tag] = store
         elif store.pending:
             self._apply(store)
         return store
 
     def _live_codes(self, tag: str) -> list[int]:
-        """The live codes of ``tag`` (of every element for :data:`ALL`),
-        in document order."""
+        """The live codes of ``tag`` (of every element for :data:`ALL`,
+        not the ``@name`` / ``#text`` pseudo-nodes), in document order."""
         encoding = self.encoding
         tree = encoding.tree
-        nodes = tree.iter_preorder() if tag == ALL else tree.iter_by_tag(tag)
+        if tag == ALL:
+            tags = tree.tags
+            nodes = (n for n in tree.iter_preorder() if is_element_tag(tags[n]))
+        elif tag in tree.tags:
+            nodes = tree.iter_by_tag(tag)
+        else:
+            return []
         return [tree.codes[node] for node in nodes if encoding.is_alive(node)]
 
-    def _materialize(self, tag: str) -> _TagStore:
+    def _materialize(self, tag: str, codes: list[int]) -> _TagStore:
         encoding = self.encoding
-        codes = self._live_codes(tag)
         elements = ElementSet.from_codes(
             self.bufmgr,
             codes,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Iterator, Optional, Sequence, cast
 
-from ..core import pbitree
+from ..core import batch
 from ..core.pbitree import PBiCode
 from ..datatree.node import DataTree
 from .buffer import BufferManager
@@ -81,12 +81,10 @@ class ElementSet:
                 "storage code space (Section 2.3.3: pathologically deep trees "
                 "need a wider record format)"
             )
-        # materialised list → bulk page packing in the heap writer
+        # materialised list → flat-field page packing in the heap writer
         code_list = list(codes)
         histogram = PositionHistogram.of_codes(code_list, tree_height)
-        heap = HeapFile.from_records(
-            bufmgr, CODE, [(code,) for code in code_list], name=name
-        )
+        heap = HeapFile.from_fields(bufmgr, CODE, code_list, name=name)
         return cls(heap, histogram, name=name, sorted_by=sorted_by)
 
     @classmethod
@@ -172,8 +170,11 @@ class ElementSet:
         Real operators use :mod:`repro.sort.external_sort`, which charges
         the I/O the paper's analysis assigns to on-the-fly sorting.
         """
-        key = pbitree.doc_order_key if order == SortOrder.START else None
-        codes = sorted(self.scan(), key=key)
+        codes = self.to_list()
+        if order == SortOrder.START:
+            codes = batch.sort_doc_order(codes)
+        else:
+            codes.sort()
         return ElementSet.from_codes(
             self.bufmgr,
             codes,

@@ -8,8 +8,10 @@ All access goes through the buffer manager, one pinned page at a time.
 
 from __future__ import annotations
 
+import struct
 from array import array
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import page as page_layout
 from .buffer import BufferManager
@@ -59,14 +61,42 @@ class HeapFile:
         written heap is destroyed before the error propagates — the
         caller never learns this heap existed, so it must not leak.
         """
-        heap = cls(bufmgr, codec, name)
-        writer = heap.open_writer()
-        try:
+        def fill(writer: "HeapFileWriter") -> None:
             if isinstance(records, Sequence):
                 writer.append_many(records)
             else:
                 for record in records:
                     writer.append(record)
+
+        return cls._build(bufmgr, codec, name, fill)
+
+    @classmethod
+    def from_fields(
+        cls,
+        bufmgr: BufferManager,
+        codec: RecordCodec,
+        fields: Sequence[int],
+        name: str = "",
+    ) -> "HeapFile":
+        """:meth:`from_records` for records given as one flat field
+        sequence (``codec.arity`` fields per record): the same pages,
+        bytes and I/O, with no tuple per record."""
+        return cls._build(
+            bufmgr, codec, name, lambda writer: writer.append_fields(fields)
+        )
+
+    @classmethod
+    def _build(
+        cls,
+        bufmgr: BufferManager,
+        codec: RecordCodec,
+        name: str,
+        fill: Callable[["HeapFileWriter"], None],
+    ) -> "HeapFile":
+        heap = cls(bufmgr, codec, name)
+        writer = heap.open_writer()
+        try:
+            fill(writer)
         except BaseException:
             writer.close()
             heap.destroy()
@@ -201,9 +231,14 @@ class HeapFile:
 class HeapFileWriter:
     """Appender that keeps exactly one output page pinned.
 
-    Records collect in a pending list and are packed into the pinned
-    frame once per page, by one :meth:`RecordCodec.pack_many`, when the
-    page rolls or the writer closes.  The pin, roll, link and write
+    Records collect as flat fields in a pending list and are packed
+    into the pinned frame once per page, by one
+    :meth:`RecordCodec.pack_fields`, when the page rolls or the writer
+    closes.  Records arrive as tuples (:meth:`append`,
+    :meth:`append_many`) or as one flat field sequence
+    (:meth:`append_fields`); a tuple of the wrong arity fails the pack
+    of its page with ``struct.error``, even where the page's field
+    count adds up.  The pin, roll, link and write
     sequence is that of packing each record on arrival, and so are the
     pages: the frame stays pinned from the page's first record to its
     roll, so no eviction writes it early.  (An explicit ``flush_all``
@@ -216,8 +251,13 @@ class HeapFileWriter:
         self._frame = None
         self._count = 0
         self._offset = page_layout.PAGE_HEADER_SIZE
-        #: records of the current page not yet packed into its frame
-        self._pending: list[Sequence[int]] = []
+        #: fields of the current page's records not yet packed into
+        #: its frame, and how many records the frame already holds
+        self._pending: list[int] = []
+        self._packed = 0
+        #: the first record of the current page with the wrong arity
+        self._malformed: Optional[Sequence[int]] = None
+        self._arity = heap.codec.arity
         self._closed = False
         if resume and heap.page_ids:
             page_id = heap.page_ids[-1]
@@ -227,7 +267,7 @@ class HeapFileWriter:
                 count = page_layout.get_record_count(frame.data)
                 if count < heap.capacity:
                     self._frame = frame
-                    self._count = count
+                    self._count = self._packed = count
                     self._offset = (
                         page_layout.PAGE_HEADER_SIZE
                         + count * heap.codec.record_size
@@ -257,7 +297,7 @@ class HeapFileWriter:
                 finally:
                     heap.bufmgr.unpin(prev, dirty=True)
         heap.page_ids.append(self._frame.page_id)
-        self._count = 0
+        self._count = self._packed = 0
         self._offset = page_layout.PAGE_HEADER_SIZE
 
     def append(self, record: Sequence[int]) -> None:
@@ -265,7 +305,9 @@ class HeapFileWriter:
             raise ValueError("writer is closed")
         if self._frame is None or self._count >= self.heap.capacity:
             self._start_page()
-        self._pending.append(record)
+        if len(record) != self._arity and self._malformed is None:
+            self._malformed = record
+        self._pending.extend(record)
         self._count += 1
         self.heap.num_records += 1
 
@@ -275,17 +317,46 @@ class HeapFileWriter:
         performed page I/O mid-append would see a different access
         interleaving than per-record appends.
         """
+        arity = self._arity
+
+        def take(start: int, stop: int) -> None:
+            chunk = records[start:stop]
+            if self._malformed is None and set(map(len, chunk)) != {arity}:
+                self._malformed = next(r for r in chunk if len(r) != arity)
+            self._pending.extend(chain.from_iterable(chunk))
+
+        self._fill(len(records), take)
+
+    def append_fields(self, fields: Sequence[int]) -> None:
+        """Append records given as one flat field sequence, ``arity``
+        fields per record; identical to :meth:`append_many` of the
+        records they spell."""
+        arity = self._arity
+        total, rest = divmod(len(fields), arity)
+        if rest:
+            raise ValueError(
+                f"{len(fields)} fields are not whole records of {arity}"
+            )
+        self._fill(
+            total,
+            lambda start, stop: self._pending.extend(
+                fields[start * arity : stop * arity]
+            ),
+        )
+
+    def _fill(self, total: int, take: Callable[[int, int], None]) -> None:
+        """Append ``total`` records, one page at a time: ``take(start,
+        stop)`` moves records ``[start, stop)`` into the pending list."""
         if self._closed:
             raise ValueError("writer is closed")
         heap = self.heap
         capacity = heap.capacity
         position = 0
-        total = len(records)
         while position < total:
             if self._frame is None or self._count >= capacity:
                 self._start_page()
             fit = min(capacity - self._count, total - position)
-            self._pending.extend(records[position : position + fit])
+            take(position, position + fit)
             self._count += fit
             heap.num_records += fit
             position += fit
@@ -296,17 +367,23 @@ class HeapFileWriter:
             return
         self._frame = None
         pending, self._pending = self._pending, []
+        malformed, self._malformed = self._malformed, None
         count = self._count
         try:
-            if pending:
+            if count > self._packed:
                 try:
-                    payload = self.heap.codec.pack_many(pending)
+                    if malformed is not None:
+                        raise struct.error(
+                            f"record {tuple(malformed)!r} has "
+                            f"{len(malformed)} fields, expected {self._arity}"
+                        )
+                    payload = self.heap.codec.pack_fields(pending)
                 except BaseException:
                     # a record that does not pack drops the page's
                     # pending records: the page and num_records keep
                     # what the heap held before them
-                    count -= len(pending)
-                    self.heap.num_records -= len(pending)
+                    self.heap.num_records -= count - self._packed
+                    count = self._packed
                     raise
                 frame.data[self._offset : self._offset + len(payload)] = payload
         finally:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "RecordCodec",
@@ -55,28 +54,14 @@ class RecordCodec:
         view = memoryview(payload)[: count * self.record_size]
         return self._struct.iter_unpack(view)
 
-    def pack_many(self, records: Iterable[Sequence[int]]) -> bytes:
-        """Pack records into one payload with a single ``struct`` call.
+    def pack_fields(self, fields: Sequence[int]) -> bytes:
+        """Pack a flat field sequence (records' fields in order) with a
+        single ``struct`` call.
 
-        The fields are flattened (a list comprehension for one-field
-        records, ``chain.from_iterable`` otherwise) and packed by one
-        explicitly little-endian format, so the bytes equal the
-        concatenated per-record :meth:`pack` results on any host.  A
-        record of the wrong arity raises ``struct.error``, as
-        :meth:`pack` does, even where the field counts add up.
+        One explicitly little-endian format, so the bytes equal the
+        concatenated per-record :meth:`pack` results on any host; a
+        value outside the u64 range raises ``struct.error``.
         """
-        if not isinstance(records, (list, tuple)):
-            records = list(records)
-        arity = self.arity
-        if records and set(map(len, records)) != {arity}:
-            bad = next(record for record in records if len(record) != arity)
-            raise struct.error(
-                f"record {tuple(bad)!r} has {len(bad)} fields, expected {arity}"
-            )
-        if arity == 1:
-            fields = [field for (field,) in records]
-        else:
-            fields = list(chain.from_iterable(records))
         return struct.pack(f"<{len(fields)}Q", *fields)
 
     def unpack_array(

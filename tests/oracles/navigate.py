@@ -27,7 +27,8 @@ def navigate(
 
     ``alive(node)`` restricts the walk to the live nodes of an updated
     document (``UpdatableEncoding.is_alive``); without it every node of
-    ``tree`` counts.  ``*`` matches any node.
+    ``tree`` counts.  ``*`` matches any element: not the parser's
+    ``@name`` attribute and ``#text`` pseudo-nodes, as in XPath.
     """
     xpath = path if isinstance(path, XPath) else XPath(path)
     live = alive if alive is not None else (lambda node: True)
@@ -44,7 +45,9 @@ def navigate(
         return children(node) if name == "child" else descendants(node)
 
     def matches(node: int, tag: str) -> bool:
-        return tag == "*" or tree.tags[node] == tag
+        if tag == "*":
+            return not tree.tags[node].startswith(("@", "#"))
+        return tree.tags[node] == tag
 
     def holds(node: int, predicate: Predicate) -> bool:
         return any(

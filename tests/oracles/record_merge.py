@@ -2,18 +2,19 @@
 
 :class:`RecordHeapWriter` packs each record into its pinned output page
 as it arrives, and :func:`merge_runs` merges sorted runs with
-``heapq.merge``, one ``append`` per record.  The engine's
-:class:`~repro.storage.heapfile.HeapFileWriter` (one ``pack_many`` per
-page) and block merge must reproduce their page ids, page bytes, I/O
-counters and buffer hits/misses exactly; ``tests/test_paged_io.py``
-swaps these in and compares.
+``heapq.merge`` over ``(doc-order key, code)`` pairs, one ``append``
+per code.  The engine's :class:`~repro.storage.heapfile.HeapFileWriter`
+(one ``pack_fields`` per page) and block merge must reproduce their
+page ids, page bytes, I/O counters and buffer hits/misses exactly;
+``tests/test_paged_io.py`` swaps these in and compares.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
+from repro.core import batch
 from repro.storage import page as page_layout
 from repro.storage.buffer import BufferManager
 from repro.storage.heapfile import HeapFile
@@ -75,6 +76,15 @@ class RecordHeapWriter:
         for record in records:
             self.append(record)
 
+    def append_fields(self, fields: Sequence[int]) -> None:
+        arity = self.heap.codec.arity
+        if len(fields) % arity:
+            raise ValueError(
+                f"{len(fields)} fields are not whole records of {arity}"
+            )
+        for start in range(0, len(fields), arity):
+            self.append(tuple(fields[start:start + arity]))
+
     def _finish_page(self) -> None:
         if self._frame is not None:
             page_layout.set_record_count(self._frame.data, self._count)
@@ -88,38 +98,26 @@ class RecordHeapWriter:
             self._closed = True
 
 
-BulkKey = Callable[[list[tuple[int, ...]]], list[int]]
-
-
-def _decorated_scan(
-    run: HeapFile, bulk_key: BulkKey
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Scan a run as ``(key, record)`` pairs, keys computed per page."""
-    for page in run.scan_pages():
-        yield from zip(bulk_key(page), page)
+def _decorated_scan(run: HeapFile) -> Iterator[tuple[int, int]]:
+    """Scan a run as ``(doc-order key, code)`` pairs."""
+    for codes in run.scan_page_arrays():
+        yield from zip(batch.doc_order_keys(codes), codes)
 
 
 def merge_runs(
     bufmgr: BufferManager,
     runs: Sequence[HeapFile],
-    key: Callable[[tuple[int, ...]], object],
     codec: RecordCodec,
     name: str,
-    bulk_key: Optional[BulkKey] = None,
 ) -> HeapFile:
-    """``external_sort``'s ``_merge_runs``, one record at a time."""
+    """``external_sort``'s ``_merge_runs``, one code at a time."""
     output = HeapFile(bufmgr, codec, name=f"{name}[merge]")
     writer = RecordHeapWriter(output)
-    if bulk_key is not None:
-        scans = [_decorated_scan(run, bulk_key) for run in runs]
-        merged = (record for _key, record in heapq.merge(*scans))
-    else:
-        scans = [run.scan() for run in runs]
-        merged = heapq.merge(*scans, key=key)
+    scans = [_decorated_scan(run) for run in runs]
     completed = False
     try:
-        for record in merged:
-            writer.append(record)
+        for _key, code in heapq.merge(*scans):
+            writer.append((code,))
         completed = True
     finally:
         writer.close()

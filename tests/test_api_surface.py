@@ -370,6 +370,22 @@ class TestExecutionConfigSurface:
                 ["repro.db:ContainmentDatabase"],
                 ["_query" + "_extended", "_is_extended" + "_path"],
             ),
+            # the external sort sorts code sets by one invertible key:
+            # the generic keyed tuple sort and its hooks are gone
+            (
+                ["repro.sort.external_sort"],
+                [
+                    "external" + "_sort",
+                    "sort_codes" + "_doc_order",
+                    "bulk_doc" + "_order_keys",
+                    "Key" + "Func",
+                    "RunSort" + "Func",
+                    "BulkKey" + "Func",
+                ],
+            ),
+            (["repro.sort"], ["sort_codes" + "_doc_order", "bulk_doc" + "_order_keys"]),
+            # the heap writer packs flat fields: one packer
+            (["repro.storage.record:RecordCodec"], ["pack" + "_many"]),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):

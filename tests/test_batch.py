@@ -48,6 +48,27 @@ code_arrays = st.lists(
 )
 
 
+
+@st.composite
+def spine_arrays(draw):
+    """Codes salted with whole left spines (codes sharing one Start)
+    and duplicates, shuffled."""
+    codes = draw(code_arrays)
+    tops = st.one_of(
+        st.integers(1, MAX_CODE),
+        st.integers(1, 62).map(lambda height: 1 << height),
+        st.integers(1, 1 << 20).map(lambda high: high << 40),
+    )
+    for code in draw(st.lists(tops, max_size=3)):
+        while code & 1 == 0:
+            codes.append(code)
+            code -= (code & -code) >> 1  # its left child
+        codes.append(code)
+    if codes:
+        codes += draw(st.lists(st.sampled_from(codes), max_size=10))
+    return draw(st.permutations(codes))
+
+
 # ----------------------------------------------------------------------
 # kernel vs scalar pbitree oracle
 # ----------------------------------------------------------------------
@@ -92,7 +113,32 @@ class TestKernelsMatchScalar:
             assert (pa < pb) == (ta < tb)
             assert (pa == pb) == (ta == tb)
 
-    @given(codes=code_arrays)
+    @given(codes=spine_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_doc_order_keys_order_like_tuples_on_spines(self, codes):
+        """Every pair, left-spine ties and duplicates included."""
+        keyed = list(zip(batch.doc_order_keys(codes), map(pt.doc_order_key, codes)))
+        for (ka, ta), (kb, tb) in itertools.combinations(keyed, 2):
+            assert (ka < kb) == (ta < tb)
+            assert (ka == kb) == (ta == tb)
+
+    @given(codes=spine_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_doc_order_keys_invert(self, codes):
+        keys = batch.doc_order_keys(codes)
+        assert batch.codes_of_doc_keys(keys) == codes
+        assert all(0 <= key < 1 << 127 for key in keys)
+
+    def test_doc_order_keys_at_the_code_bound(self):
+        codes = [MAX_CODE, 1 << 62, 1, (1 << 62) + (1 << 61), 1 << 61]
+        keys = batch.doc_order_keys(codes)
+        assert batch.codes_of_doc_keys(keys) == codes
+        # the root and its left spine share Start 1: ancestors first
+        assert batch.sort_doc_order(codes) == [
+            1 << 62, 1 << 61, 1, (1 << 62) + (1 << 61), MAX_CODE,
+        ]
+
+    @given(codes=spine_arrays())
     @settings(max_examples=60, deadline=None)
     def test_sort_doc_order(self, codes):
         assert batch.sort_doc_order(codes) == sorted(
@@ -129,43 +175,39 @@ class TestRecordDecode:
         arity=st.sampled_from([1, 2, 3]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_pack_many_unpack_array_roundtrip(self, codes, arity):
+    def test_pack_fields_unpack_array_roundtrip(self, codes, arity):
         codec = RecordCodec(arity)
         records = [
             tuple(codes[i : i + arity])
             for i in range(0, len(codes) - arity + 1, arity)
         ]
-        payload = codec.pack_many(records)
+        fields = [field for r in records for field in r]
+        payload = codec.pack_fields(fields)
         assert payload == b"".join(codec.pack(r) for r in records)
-        flat = codec.unpack_array(payload, len(records))
-        assert list(flat) == [field for r in records for field in r]
+        assert list(codec.unpack_array(payload, len(records))) == fields
 
     def test_unpack_array_is_owned(self):
-        payload = bytearray(CODE.pack_many([(7,), (9,)]))
+        payload = bytearray(CODE.pack_fields([7, 9]))
         fields = CODE.unpack_array(payload, 2)
         payload[0] = 8  # mutating the page leaves the decoded array alone
         assert isinstance(fields, array)
         assert fields.tolist() == [7, 9]
 
-    def test_pack_many_accepts_generator(self):
-        records = [(i, i + 1) for i in range(5)]
-        assert PAIR.pack_many(iter(records)) == PAIR.pack_many(records)
-
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_unpack_array_reads_only_count_records(self, count):
-        payload = PAIR.pack_many([(1, 2), (3, 4), (5, 6), (7, 8)])
+        payload = PAIR.pack_fields([1, 2, 3, 4, 5, 6, 7, 8])
         assert PAIR.unpack_array(payload, count).tolist() == list(
             range(1, 2 * count + 1)
         )
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_unpack_array_accepts_any_buffer(self, wrap):
-        payload = wrap(TRIPLE.pack_many([(1, 2, 3), (MAX_CODE, 0, 9)]))
+        payload = wrap(TRIPLE.pack_fields([1, 2, 3, MAX_CODE, 0, 9]))
         assert TRIPLE.unpack_array(payload, 2).tolist() == [1, 2, 3, MAX_CODE, 0, 9]
 
     def test_big_endian_fallback_swaps_every_field(self, monkeypatch):
         codes = [1, 0x0102030405060708, MAX_CODE]
-        payload = CODE.pack_many([(c,) for c in codes])
+        payload = CODE.pack_fields(codes)
         monkeypatch.setattr(record, "_NATIVE_LE", not record._NATIVE_LE)
         swapped = CODE.unpack_array(payload, len(codes)).tolist()
         monkeypatch.undo()

@@ -50,6 +50,40 @@ class TestElementSets:
         db = ContainmentDatabase()
         doc = db.load_xml(XML, name="lib")
         assert len(db.element_set(doc, "nothing")) == 0
+        assert "nothing" not in doc.store.tags()
+
+    def test_star_set_holds_elements_only(self):
+        db = ContainmentDatabase()
+        doc = db.load_xml(XML, name="lib")
+        stored = db.element_set(doc, "*")
+        tags = doc.tree.tags
+        assert sorted(stored.to_list()) == sorted(
+            doc.tree.codes[n] for n in range(len(tags))
+            if not tags[n].startswith(("@", "#"))
+        )
+        nodes = db.query(doc, "//shelf//*")
+        assert len(nodes) == 8
+        assert not [n for n in nodes if n.tag.startswith(("@", "#"))]
+        doc.store.verify("*")
+
+    def test_star_set_patched_past_pseudo_nodes(self):
+        """Inserts, relabels, growth and deletes around ``@id`` and
+        ``#text`` nodes keep the stored ``*`` set to the elements."""
+        db = ContainmentDatabase(buffer_pages=4, page_size=128)
+        doc = db.load_xml(XML, name="lib")
+        db.element_set(doc, "*")
+        tree = doc.tree
+        shelf = next(tree.iter_by_tag("shelf"))
+        for index in range(40):
+            db.insert_element(doc, shelf if index % 2 else 0, "book")
+        db.insert_element(doc, shelf, "@id")
+        db.delete_element(doc, next(tree.iter_by_tag("box")))
+        doc.store.verify("*")
+        alive = doc.updatable.is_alive
+        for path in ("//*", "//shelf//*", "//library/*"):
+            assert sorted(n.code for n in db.query(doc, path)) == sorted(
+                tree.codes[n] for n in navigate(tree, path, alive)
+            )
 
 
 class TestQueries:

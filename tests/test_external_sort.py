@@ -4,16 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import pbitree as pt
-from repro.sort.external_sort import (
-    external_sort,
-    external_sort_set,
-    merge_cost_estimate,
-)
+from repro.sort.external_sort import external_sort_set, merge_cost_estimate
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskManager
 from repro.storage.elementset import ElementSet, SortOrder
-from repro.storage.heapfile import HeapFile
-from repro.storage.record import CODE
 
 
 def make_env(frames=4, page_size=128):
@@ -21,65 +15,61 @@ def make_env(frames=4, page_size=128):
     return disk, BufferManager(disk, frames)
 
 
+def doc_order(codes):
+    return sorted(codes, key=pt.doc_order_key)
+
+
 class TestExternalSort:
-    @given(st.lists(st.integers(0, 2**40), max_size=800), st.integers(3, 8))
+    @given(st.lists(st.integers(1, 2**40), max_size=800), st.integers(3, 8))
     @settings(max_examples=20, deadline=None)
-    def test_matches_builtin_sorted(self, values, frames):
+    def test_matches_builtin_sorted(self, codes, frames):
         _disk, bufmgr = make_env(frames=frames)
-        heap = HeapFile.from_records(bufmgr, CODE, [(v,) for v in values])
-        result = external_sort(heap, key=lambda r: r[0])
-        assert [r[0] for r in result.scan()] == sorted(values)
+        elements = ElementSet.from_codes(bufmgr, codes, 41)
+        result = external_sort_set(elements)
+        assert result.to_list() == doc_order(codes)
+        assert len(result) == len(codes)
 
     def test_multi_pass_merge(self):
         """Enough runs to force more than one merge pass (fan-in 2)."""
         _disk, bufmgr = make_env(frames=3, page_size=128)
-        values = list(range(1000, 0, -1))
-        heap = HeapFile.from_records(bufmgr, CODE, [(v,) for v in values])
-        result = external_sort(heap, key=lambda r: r[0], buffer_pages=3)
-        assert [r[0] for r in result.scan()] == sorted(values)
-
-    def test_stability_on_equal_keys(self):
-        from repro.storage.record import PAIR
-        _disk, bufmgr = make_env()
-        records = [(1, i) for i in range(100)] + [(0, i) for i in range(100)]
-        heap = HeapFile.from_records(bufmgr, PAIR, records)
-        result = external_sort(heap, key=lambda r: r[0])
-        got = list(result.scan())
-        assert got[:100] == [(0, i) for i in range(100)]
-        assert got[100:] == [(1, i) for i in range(100)]
+        codes = list(range(1000, 0, -1))
+        elements = ElementSet.from_codes(bufmgr, codes, 10)
+        result = external_sort_set(elements, buffer_pages=3)
+        assert result.to_list() == doc_order(codes)
 
     def test_empty_input(self):
         _disk, bufmgr = make_env()
-        heap = HeapFile(bufmgr, CODE)
-        result = external_sort(heap, key=lambda r: r[0])
-        assert list(result.scan()) == []
+        elements = ElementSet.from_codes(bufmgr, [], 5)
+        result = external_sort_set(elements)
+        assert result.to_list() == []
+        assert result.num_pages == 0
 
     def test_destroy_input(self):
         disk, bufmgr = make_env()
-        heap = HeapFile.from_records(bufmgr, CODE, [(v,) for v in range(200)])
-        result = external_sort(heap, key=lambda r: r[0], destroy_input=True)
-        assert heap.num_pages == 0
+        elements = ElementSet.from_codes(bufmgr, range(1, 201), 8)
+        result = external_sort_set(elements, destroy_input=True)
+        assert elements.heap.num_pages == 0
         assert len(result) == 200
         # only the sorted output remains allocated
         assert disk.num_allocated == result.num_pages
 
     def test_too_few_buffers_rejected(self):
         _disk, bufmgr = make_env(frames=4)
-        heap = HeapFile(bufmgr, CODE)
+        elements = ElementSet.from_codes(bufmgr, [], 5)
         with pytest.raises(ValueError):
-            external_sort(heap, key=lambda r: r[0], buffer_pages=2)
+            external_sort_set(elements, buffer_pages=2)
 
     def test_io_charged(self):
         """Sorting from cold data costs at least 2 x pages (read+write)."""
         disk, bufmgr = make_env(frames=3, page_size=128)
-        heap = HeapFile.from_records(bufmgr, CODE, [(v,) for v in range(600)])
+        elements = ElementSet.from_codes(bufmgr, range(1, 601), 10)
         bufmgr.flush_all()
         bufmgr.evict_all()
         disk.stats.reset()
-        external_sort(heap, key=lambda r: r[0], buffer_pages=3)
+        external_sort_set(elements, buffer_pages=3)
         snapshot = disk.stats.snapshot()
-        assert snapshot.reads >= heap.num_pages
-        assert snapshot.writes >= heap.num_pages
+        assert snapshot.reads >= elements.num_pages
+        assert snapshot.writes >= elements.num_pages
 
 
 class TestExternalSortSet:

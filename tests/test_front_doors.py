@@ -163,3 +163,64 @@ def test_every_door_agrees(doors, nodes, tree_seed, updates, stored, path):
         assert status == 2 and "parent map" in image_error
     else:
         assert status == 0 and image_codes == expected
+
+
+#: a document with ``@id`` attribute and ``#text`` pseudo-nodes
+LIBRARY = """
+<library>
+  <shelf id="top">
+    <book><title>Alpha</title><author>X</author></book>
+    <book><title>Beta</title></book>
+  </shelf>
+  <shelf id="bottom">
+    <box><book><title>Gamma</title></book></box>
+  </shelf>
+</library>
+"""
+
+
+def test_star_selects_elements_only(doors):
+    """``*`` skips the parser's ``@name`` and ``#text`` pseudo-nodes at
+    every door (``//shelf//*`` returned ``@id`` and ``#text`` nodes
+    when the ``"*"`` set held every node)."""
+    db, service, client, _image, numbers = doors
+    name = f"doc{next(numbers)}"
+    document = db.load_xml(LIBRARY, name=name)
+    tree = document.tree
+    for path in ("//shelf//*", "//*", "//book/*", "//shelf[*]", "//*[.//*]//*"):
+        expected = sorted(tree.codes[node] for node in navigate(tree, path))
+        assert [node.code for node in db.query(document, path)] == expected
+        assert service.execute("t", name, path).codes == expected
+        assert client.query_all(name, path)["codes"] == expected
+    tags = sorted(node.tag for node in db.query(document, "//shelf//*"))
+    assert tags == ["author", "book", "book", "book", "box"] + ["title"] * 3
+
+
+def test_absent_tags_leave_no_set_behind(doors):
+    """A path naming a tag the document lacks answers empty and keeps
+    nothing (500 such queries used to store 500 empty sets, each
+    logging every later tree growth)."""
+    db, service, client, _image, numbers = doors
+    name = f"doc{next(numbers)}"
+    document = db.load_tree(random_tree(200, tags=TAGS, seed=5), name=name)
+    store = document.store
+    db.query(document, "//a//b")
+    kept = store.tags()
+    for index in range(500):
+        assert service.execute("t", name, f"//a//zz{index}").codes == []
+    for path in ("//a//zz0", "//zz1//a", "//a/zz2", "//a[zz3]", "//a[.//zz4]//b"):
+        assert db.query(document, path).nodes == []
+        assert service.execute("t", name, path).codes == []
+        reply = client.query_all(name, path)
+        assert reply["status"] == "ok" and reply["codes"] == []
+    assert store.tags() == kept
+    # the tag appearing later is found from the live encoding
+    tree = document.tree
+    db.insert_element(document, next(tree.iter_by_tag("a")), "zz0")
+    expected = sorted(
+        tree.codes[node]
+        for node in navigate(tree, "//a//zz0", document.updatable.is_alive)
+    )
+    assert len(expected) == 1
+    assert [node.code for node in db.query(document, "//a//zz0")] == expected
+    assert service.execute("t", name, "//a//zz0").codes == expected

@@ -37,7 +37,7 @@ from repro.join.base import JoinAlgorithm, JoinSink
 from repro.join.inljn import IndexNestedLoopJoin, build_start_index
 from repro.join.planner import make_algorithm
 from repro.join.stacktree import StackTreeDescJoin
-from repro.sort.external_sort import external_sort, external_sort_set
+from repro.sort.external_sort import external_sort_set
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskManager
 from repro.storage.elementset import ElementSet
@@ -149,41 +149,52 @@ def both(action, **kwargs) -> tuple[Trace, Trace]:
 # ----------------------------------------------------------------------
 # block merge vs heapq.merge
 # ----------------------------------------------------------------------
+def _spine_codes(rng: random.Random, count: int, height: int) -> list[int]:
+    """``count`` codes from a small pool salted with left spines (codes
+    sharing a Start), so merge steps tie across runs and across a run's
+    page boundaries."""
+    pool = set()
+    for _ in range(1 + count // 20):
+        code = rng.randint(1, (1 << height) - 1)
+        pool.add(code)
+        while code & 1 == 0:  # walk down the left spine
+            code -= (code & -code) >> 1
+            pool.add(code)
+    ordered = sorted(pool)
+    return [rng.choice(ordered) for _ in range(count)]
+
+
 class TestBlockMerge:
     @given(
-        count=st.integers(0, 500),
-        top=st.integers(0, 40),
+        count=st.integers(0, 600),
         seed=st.integers(0, 2**32),
         frames=st.integers(3, 8),
         policy=st.sampled_from(["lru", "clock"]),
         destroy_input=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_generic_key_with_equal_keys_across_runs(
-        self, count, top, seed, frames, policy, destroy_input
+    def test_duplicates_and_spines_across_runs(
+        self, count, seed, frames, policy, destroy_input
     ):
-        """Few distinct keys: merge steps tie across runs and across a
-        run's page boundaries; the payload field shows the tie order."""
         rng = random.Random(seed)
-        records = [(rng.randint(0, top), position) for position in range(count)]
+        codes = _spine_codes(rng, count, 12)
 
         def prepare(bufmgr):
-            return HeapFile.from_records(bufmgr, PAIR, records, name="in")
+            return ElementSet.from_codes(bufmgr, codes, 12, "S")
 
-        def action(bufmgr, heap):
-            result = external_sort(
-                heap,
-                key=lambda record: record[0],
-                buffer_pages=frames,
-                destroy_input=destroy_input,
+        def action(bufmgr, elements):
+            pages = elements.heap.num_pages
+            result = external_sort_set(
+                elements, buffer_pages=frames, destroy_input=destroy_input
             )
-            return result.page_ids, list(result.scan())
+            assert elements.heap.num_pages == (0 if destroy_input else pages)
+            return result.heap.page_ids, result.to_list()
 
         paged, reference = both(
             action, prepare=prepare, frames=frames, policy=policy
         )
         assert_same_io(paged, reference)
-        assert paged.outcome[1] == sorted(records, key=lambda r: r[0])
+        assert paged.outcome[1] == sorted(codes, key=pbitree.doc_order_key)
 
     @given(
         count=st.integers(0, 600),
@@ -191,13 +202,14 @@ class TestBlockMerge:
         frames=st.integers(3, 8),
     )
     @settings(max_examples=30, deadline=None)
-    def test_bulk_doc_order_key(self, count, seed, frames):
-        """``external_sort_set``: run_sort + bulk_key, duplicates kept."""
+    def test_random_codes(self, count, seed, frames):
+        """Codes up to the 63-bit storage bound, duplicates kept."""
         rng = random.Random(seed)
-        codes = [rng.randint(1, (1 << 12) - 1) for _ in range(count)]
+        codes = [rng.randint(1, (1 << 63) - 1) for _ in range(count)]
+        codes += codes[: count // 4]
 
         def prepare(bufmgr):
-            return ElementSet.from_codes(bufmgr, codes, 12, "S")
+            return ElementSet.from_codes(bufmgr, codes, 63, "S")
 
         def action(bufmgr, elements):
             result = external_sort_set(elements, buffer_pages=frames)
@@ -205,34 +217,34 @@ class TestBlockMerge:
 
         paged, reference = both(action, prepare=prepare, frames=frames)
         assert_same_io(paged, reference)
+        assert paged.outcome[1] == sorted(codes, key=pbitree.doc_order_key)
 
     def test_multi_pass_merge_fan_in_two(self):
-        records = [(value,) for value in range(1500, 0, -1)]
-        pages = -(-len(records) // page_capacity(PAGE_SIZE, CODE.record_size))
+        codes = list(range(1500, 0, -1))
+        pages = -(-len(codes) // page_capacity(PAGE_SIZE, CODE.record_size))
 
         def prepare(bufmgr):
-            return HeapFile.from_records(bufmgr, CODE, records)
+            return ElementSet.from_codes(bufmgr, codes, 11, "S")
 
-        def action(bufmgr, heap):
-            result = external_sort(heap, key=lambda r: r[0], buffer_pages=3)
-            return list(result.scan())
+        def action(bufmgr, elements):
+            return external_sort_set(elements, buffer_pages=3).to_list()
 
         paged, reference = both(action, prepare=prepare, frames=3)
         assert_same_io(paged, reference)
-        assert paged.outcome == sorted(records)
+        assert paged.outcome == sorted(codes, key=pbitree.doc_order_key)
         # 3-page runs merged two at a time: several merge passes
         assert paged.io.writes > 4 * pages
 
     def test_read_fault_mid_merge_is_typed_and_leaks_no_pin(self):
-        records = [((value * 7919) % 1000,) for value in range(1000)]
+        codes = [(value * 7919) % 1000 + 1 for value in range(1000)]
 
         def prepare(bufmgr):
-            return HeapFile.from_records(bufmgr, CODE, records)
+            return ElementSet.from_codes(bufmgr, codes, 10, "S")
 
-        def action(bufmgr, heap):
-            return list(external_sort(heap, key=lambda r: r[0]).scan())
+        def action(bufmgr, elements):
+            return external_sort_set(elements).to_list()
 
-        pages = -(-len(records) // page_capacity(PAGE_SIZE, CODE.record_size))
+        pages = -(-len(codes) // page_capacity(PAGE_SIZE, CODE.record_size))
 
         def faults():
             injector = FaultInjector(seed=3)
@@ -253,21 +265,47 @@ class TestBlockMerge:
 class TestPackedWriter:
     @pytest.mark.parametrize("codec", [CODE, PAIR, TRIPLE], ids=["1", "2", "3"])
     @pytest.mark.parametrize("count", [0, 1, 7, 8, 15, 16, 17, 200])
-    @pytest.mark.parametrize("lazy", [False, True], ids=["list", "iter"])
-    def test_from_records_bytes_identical(self, codec, count, lazy):
+    @pytest.mark.parametrize("source", ["list", "iter", "fields"])
+    def test_from_records_bytes_identical(self, codec, count, source):
+        """Tuples in a list (``append_many``), one at a time
+        (``append``) or as one flat field list (``from_fields``)."""
         records = [
             tuple((i * 2654435761 + f) % (1 << 63) for f in range(codec.arity))
             for i in range(count)
         ]
 
         def action(bufmgr, _state):
-            source = iter(records) if lazy else records
-            heap = HeapFile.from_records(bufmgr, codec, source)
+            if source == "fields":
+                fields = [field for record in records for field in record]
+                heap = HeapFile.from_fields(bufmgr, codec, fields)
+            else:
+                rows = iter(records) if source == "iter" else records
+                heap = HeapFile.from_records(bufmgr, codec, rows)
             return heap.page_ids, list(heap.scan())
 
         paged, reference = both(action, frames=3)
         assert_same_io(paged, reference)
         assert paged.outcome[1] == records
+
+    @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 200])
+    def test_element_set_from_codes_bytes_identical(self, count):
+        codes = [(i * 2654435761) % (1 << 20) + 1 for i in range(count)]
+
+        def action(bufmgr, _state):
+            elements = ElementSet.from_codes(bufmgr, codes, 20, "S")
+            return elements.heap.page_ids, elements.to_list()
+
+        paged, reference = both(action, frames=3)
+        assert_same_io(paged, reference)
+        assert paged.outcome[1] == codes
+
+    def test_append_fields_rejects_partial_records(self):
+        bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 4)
+        heap = HeapFile(bufmgr, PAIR)
+        with heap.open_writer() as writer:
+            with pytest.raises(ValueError):
+                writer.append_fields([1, 2, 3])
+        assert len(heap) == 0
 
     @given(
         chunks=st.lists(st.integers(0, 20), min_size=1, max_size=12),
@@ -383,7 +421,8 @@ class TestPackedWriter:
         assert_same_io(paged, reference)
 
 
-class TestPackMany:
+class TestPackChecks:
+    @pytest.mark.parametrize("bulk", [False, True], ids=["append", "append_many"])
     @pytest.mark.parametrize(
         "arity, records",
         [
@@ -396,15 +435,24 @@ class TestPackMany:
             (3, [(1, 2), (3, 4, 5, 6)]),
         ],
     )
-    def test_wrong_arity_rejected(self, arity, records):
+    def test_wrong_arity_rejected(self, arity, records, bulk):
+        bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 4)
+        heap = HeapFile(bufmgr, RecordCodec(arity))
+        writer = heap.open_writer()
+        if bulk:
+            writer.append_many(records)
+        else:
+            for record in records:
+                writer.append(record)
         with pytest.raises(struct.error):
-            RecordCodec(arity).pack_many(records)
+            writer.close()
+        assert heap.num_records == 0 and list(heap.scan()) == []
 
     def test_out_of_range_rejected(self):
         with pytest.raises(struct.error):
-            CODE.pack_many([(1 << 64,)])
+            CODE.pack_fields([1 << 64])
         with pytest.raises(struct.error):
-            PAIR.pack_many([(1, -1)])
+            PAIR.pack_fields([1, -1])
 
 
 class TestWriterRejectsBadRecord:

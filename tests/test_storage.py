@@ -159,7 +159,7 @@ class TestRecordCodec:
     @given(st.lists(st.tuples(st.integers(0, 2**63), st.integers(0, 2**63)), max_size=50))
     @settings(max_examples=25)
     def test_pack_roundtrip(self, records):
-        blob = PAIR.pack_many(records)
+        blob = PAIR.pack_fields([field for record in records for field in record])
         assert list(PAIR.iter_unpack(blob, len(records))) == records
 
     def test_pack_into_offsets(self):
