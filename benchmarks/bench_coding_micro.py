@@ -33,7 +33,10 @@ BATCH_IDS = ["64", "256", "1024", "page"]
 
 
 def record_per_element(benchmark, count):
-    """Report the per-element cost next to the whole-array timing."""
+    """Report the per-element cost next to the whole-array timing
+    (nothing to report when timing is off, under ``--benchmark-disable``)."""
+    if benchmark.stats is None:
+        return
     benchmark.extra_info["elements"] = count
     benchmark.extra_info["ns_per_element"] = round(
         benchmark.stats.stats.mean / count * 1e9, 2

@@ -476,7 +476,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = QueryService(
         db,
         max_in_flight=args.max_in_flight,
-        session_pages=args.session_pages,
         default_quota=quota,
         plan_cache_size=args.plan_cache,
     )
@@ -486,8 +485,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"# serving {args.name!r} on {server.host}:{server.port} "
-            f"(max_in_flight={args.max_in_flight}, "
-            f"session_pages={service.session_pages})",
+            f"(max_in_flight={args.max_in_flight})",
             file=sys.stderr,
         )
         await server.serve_forever()
@@ -618,11 +616,8 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("--buffer-pages", type=int, default=64)
     srv.add_argument(
         "--max-in-flight", type=int, default=4,
-        help="global concurrent-join ceiling (bounds frame memory)",
-    )
-    srv.add_argument(
-        "--session-pages", type=int, default=None,
-        help="buffer pages per session pool (default: --buffer-pages)",
+        help="admitted queries at once, running or waiting (queries "
+        "run one at a time; more are refused with backpressure)",
     )
     srv.add_argument(
         "--tenant-max-in-flight", type=int, default=0,

@@ -21,7 +21,6 @@ top-down insertion with node splits.
 
 from __future__ import annotations
 
-import copy
 import struct
 from bisect import bisect_left, bisect_right
 from itertools import islice
@@ -86,31 +85,10 @@ class BPlusTree(StaleGuard):
     def num_nodes(self) -> int:
         return len(self._page_ids)
 
-    # ------------------------------------------------------------------
-    # session views
-    # ------------------------------------------------------------------
-    def session_view(self, bufmgr: BufferManager) -> "BPlusTree":
-        """A read-only rebinding of this index onto another buffer pool.
-
-        The view shares the base index's pages (same disk, same page
-        ids) but pins them through ``bufmgr`` — a session's private
-        pool — so concurrent probes from different sessions never race
-        on the owning document's shared pool.  Views are probe-only by
-        convention: never insert into, delete from, or destroy one.
-        Staleness is shared with the base via ``_stale_source``: when
-        the update pipeline retires the base, every view raises too.
-        """
-        view = copy.copy(self)
-        view.bufmgr = bufmgr
-        view._stale_source = self
-        # decode through the view's own pool
-        view._node_cache = {}
-        return view
-
     def destroy(self) -> None:
         """Free every node page (no I/O charged, like
         :meth:`~repro.storage.heapfile.HeapFile.destroy`); the tree is
-        empty afterwards.  Never destroy a session view."""
+        empty afterwards."""
         for page_id in self._page_ids:
             self.bufmgr.discard_page(page_id)
             self.bufmgr.disk.deallocate(page_id)
@@ -346,8 +324,8 @@ class BPlusTree(StaleGuard):
         ``key`` are disambiguated by ``value``; with several identical
         ``(key, value)`` entries one arbitrary instance is removed.
         """
-        with self.probe_guard():
-            node = self._descend_to_leaf(key)
+        self.check_fresh()
+        node = self._descend_to_leaf(key)
         while node is not None:
             pos = bisect_left(node.keys, key)
             while pos < len(node.keys) and node.keys[pos] == key:
@@ -372,7 +350,7 @@ class BPlusTree(StaleGuard):
         Descends with ``bisect_left``: duplicate keys may straddle a
         node boundary (the separator equals the key), and a range scan
         must start at the *first* duplicate — the forward leaf chain
-        picks up the rest.  Callers hold ``probe_guard``.
+        picks up the rest.  Callers check freshness first.
         """
         if self.root_page is None:
             return None
@@ -398,33 +376,33 @@ class BPlusTree(StaleGuard):
         The INLJN probe of a whole outer page: every range descends
         from the root and walks the leaf chain until a key passes
         ``hi``, reading exactly the nodes, in the order, that a drained
-        ``range_scan(lo, hi)`` per range reads.  The batch runs under
-        one ``probe_guard``, so a retire waits for all of it.
+        ``range_scan(lo, hi)`` per range reads.  Freshness is checked
+        once, for the whole batch.
         """
+        self.check_fresh()
         results: list[list[int]] = []
-        with self.probe_guard():
-            root = self.root_page
-            cached = self._node_cache.get
-            touch = self.bufmgr.touch
-            read = self._read_node
-            for lo, hi in ranges:
-                values: list[int] = []
-                results.append(values)
-                page_id = root
-                while page_id is not None:
-                    node = cached(page_id)
-                    if node is None:
-                        node = read(page_id)
-                    else:
-                        touch(page_id)
-                    keys = node.keys
-                    if not node.is_leaf:
-                        page_id = node.children[bisect_left(keys, lo)]
-                        continue
-                    position = bisect_left(keys, lo)
-                    cut = bisect_right(keys, hi, position)
-                    values += node.values[position:cut]
-                    page_id = node.next_leaf if cut == len(keys) else None
+        root = self.root_page
+        cached = self._node_cache.get
+        touch = self.bufmgr.touch
+        read = self._read_node
+        for lo, hi in ranges:
+            values: list[int] = []
+            results.append(values)
+            page_id = root
+            while page_id is not None:
+                node = cached(page_id)
+                if node is None:
+                    node = read(page_id)
+                else:
+                    touch(page_id)
+                keys = node.keys
+                if not node.is_leaf:
+                    page_id = node.children[bisect_left(keys, lo)]
+                    continue
+                position = bisect_left(keys, lo)
+                cut = bisect_right(keys, hi, position)
+                values += node.values[position:cut]
+                page_id = node.next_leaf if cut == len(keys) else None
         return results
 
     def range_scan(
@@ -437,8 +415,8 @@ class BPlusTree(StaleGuard):
         """Yield (key, value) pairs with ``lo <= key <= hi`` (bounds optional).
 
         A generator over a :class:`LeafCursor`: the next leaf is read
-        (under the guard) only once the consumer has drained the
-        current one's in-range entries, so a ``mark_stale`` landing
+        (after a freshness check) only once the consumer has drained
+        the current one's in-range entries, so a ``mark_stale`` landing
         while the generator is suspended raises at the next leaf.
         """
         cursor = LeafCursor(self)
@@ -476,9 +454,10 @@ class LeafCursor:
     ``keys`` / ``values`` are the current leaf's decoded lists (the
     node cache's: read only), empty past the chain's end; ``position``
     is the next entry.  :meth:`seek` descends and :meth:`next_leaf`
-    reads the next leaf, each under ``probe_guard``; the owner decides
-    when.  Every leaf entered is cut at the seek bound, so duplicates
-    of an exclusive ``lo`` past the first leaf stay excluded.
+    reads the next leaf, each after a freshness check; the owner
+    decides when.  Every leaf entered is cut at the seek bound, so
+    duplicates of an exclusive ``lo`` past the first leaf stay
+    excluded.
     """
 
     __slots__ = ("tree", "keys", "values", "position", "_next", "_lo", "_include_lo")
@@ -498,14 +477,14 @@ class LeafCursor:
         self._lo = lo
         self._include_lo = include_lo
         tree = self.tree
-        with tree.probe_guard():
-            self._enter(tree._descend_to_leaf(lo))
+        tree.check_fresh()
+        self._enter(tree._descend_to_leaf(lo))
 
     def next_leaf(self) -> bool:
         """Read the next leaf; False (and empty) at the end of the chain."""
-        with self.tree.probe_guard():
-            page_id = self._next
-            self._enter(None if page_id is None else self.tree._read_node(page_id))
+        self.tree.check_fresh()
+        page_id = self._next
+        self._enter(None if page_id is None else self.tree._read_node(page_id))
         return page_id is not None
 
     def _enter(self, node: _Node | None) -> None:

@@ -395,8 +395,8 @@ class PathPipeline:
 
     # Intermediates are destroyed in ``finally``: a step that raises (a
     # permanent fault, an exhausted pool) must not leave them allocated
-    # on a disk that outlives the query — a service session's scratch
-    # pages live in the shared page table.  The last join's survivors
+    # on a disk that outlives the query — a service query's scratch
+    # pages live on the database's own disk.  The last join's survivors
     # are the answer and are never written.
     def _run_top_down(
         self, steps: Sequence[ElementSet], props: StepProperties, axes: Sequence[str]

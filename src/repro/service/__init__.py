@@ -8,9 +8,9 @@ tier.  It layers, bottom-up:
   backpressure rejections;
 * :mod:`.plancache` — stats-fingerprint-keyed plan reuse that skips
   the pipeline's planning scan on warm paths;
-* :mod:`.core` — :class:`QueryService`, which gives each admitted
-  query a session-private disk view + buffer pool so the existing
-  single-threaded join machinery runs correctly in parallel;
+* :mod:`.core` — :class:`QueryService`, which runs each admitted
+  query start to finish under one storage lock, on the database's
+  own disk and buffer pool;
 * :mod:`.server` / :mod:`.client` — a JSON-lines TCP protocol
   (``python -m repro serve`` / ``query --remote``).
 

@@ -1,12 +1,11 @@
 """Admission control for the multi-tenant query service.
 
-The buffer pool is the scarce resource: every admitted query opens a
-session-private pool over the shared page table, so the number of
-in-flight joins bounds total frame memory.  The controller enforces
-that bound *before* a query touches storage, converting overload into
-typed, retryable rejections instead of letting
-:class:`~repro.storage.buffer.BufferPoolExhaustedError` (or worse, an
-OOM) escape to a client mid-join:
+Admitted queries run one at a time under the service's storage lock,
+so every admitted query but one is waiting for it: the in-flight bound
+caps that queue, and with it how long a request can wait.  The
+controller enforces the bound *before* a query touches storage,
+converting overload into typed, retryable rejections instead of an
+ever-longer wait:
 
 * **Backpressure** — the global in-flight limit is reached.  The
   client receives :class:`BackpressureRejection` with a ``retry_after``
@@ -57,7 +56,7 @@ class ServiceRejection(Exception):
 
 
 class BackpressureRejection(ServiceRejection):
-    """The service is at its global in-flight join limit."""
+    """The service is at its global in-flight query limit."""
 
     code = "backpressure"
 
@@ -82,12 +81,11 @@ class TenantQuota:
 
 
 class AdmissionController:
-    """Bounds in-flight joins against buffer-pool capacity.
+    """Bounds the admitted queries: the one running plus the waiting.
 
-    ``max_in_flight`` is the global concurrency ceiling — the service
-    sizes it so that ``max_in_flight * session_pool_pages`` stays
-    within the memory budget.  ``quotas`` maps tenant name to
-    :class:`TenantQuota`; unknown tenants get ``default_quota``.
+    ``max_in_flight`` is the global ceiling.  ``quotas`` maps tenant
+    name to :class:`TenantQuota`; unknown tenants get
+    ``default_quota``.
     """
 
     def __init__(
@@ -141,7 +139,7 @@ class AdmissionController:
                 self.metrics.counter(f"service.tenant.{tenant}.rejected").inc()
                 raise BackpressureRejection(
                     f"service at capacity ({self.max_in_flight} in-flight "
-                    "joins); retry later",
+                    "queries); retry later",
                     retry_after=self.retry_after,
                 )
             quota = self.quota_for(tenant)

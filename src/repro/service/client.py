@@ -3,7 +3,7 @@
 A thin socket wrapper over the protocol documented in
 :mod:`repro.service.server`.  One client holds one connection; it is
 not itself thread-safe — the load generator opens one per worker
-thread, which also exercises the server's concurrent sessions.
+thread, which also exercises the server's concurrent connections.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""TCP front end: an asyncio acceptor over a thread-pool of joins.
+"""TCP front end: an asyncio acceptor over a thread pool of requests.
 
 The wire protocol is JSON lines (one request object per line, one
 response object per line, UTF-8):
@@ -31,15 +31,20 @@ Responses always carry ``status``:
 * ``{"status": "rejected", "code": "backpressure"|"quota",
   "retry_after": seconds, "error": msg}`` — typed backpressure, the
   client should retry after the hint;
-* ``{"status": "error", "error": msg}`` — the query failed; the
-  connection stays usable.
+* ``{"status": "error", "error": msg}`` — the request failed (a
+  malformed line, bytes that are not UTF-8, an unknown op, a query
+  error); the connection stays usable.  A request line longer than
+  :data:`MAX_LINE_BYTES` gets this reply too, and then the server
+  closes the connection.
 
-The asyncio loop only parses lines and schedules; every query runs in
-a :class:`~concurrent.futures.ThreadPoolExecutor` worker via
-:meth:`~repro.service.core.QueryService.execute`, whose admission
-controller — not the socket layer — decides how many joins are
-actually in flight.  :class:`ServerThread` hosts the whole loop in a
-daemon thread for tests, benchmarks and the CLI.
+The asyncio loop only parses lines and schedules; every query is
+handed to a :class:`~concurrent.futures.ThreadPoolExecutor` worker
+(``max_in_flight + 2`` of them) that calls
+:meth:`~repro.service.core.QueryService.execute`.  Its admission
+controller — not the socket layer — decides how many queries are
+admitted; the admitted ones run one at a time under the service's
+storage lock.  :class:`ServerThread` hosts the whole loop in a daemon
+thread for tests, benchmarks and the CLI.
 """
 
 from __future__ import annotations
@@ -55,7 +60,13 @@ from ..join.base import JoinReport
 from .admission import ServiceRejection
 from .core import QueryOutcome, QueryService
 
-__all__ = ["ContainmentServer", "ServerThread", "MAX_CURSORS", "MAX_WIRE_CODES"]
+__all__ = [
+    "ContainmentServer",
+    "ServerThread",
+    "MAX_CURSORS",
+    "MAX_LINE_BYTES",
+    "MAX_WIRE_CODES",
+]
 
 #: result codes included inline in a query (or page) response; larger
 #: result sets continue through connection-scoped ``page`` cursors
@@ -64,6 +75,11 @@ MAX_WIRE_CODES = 1000
 #: paging cursors kept per connection; opening more evicts the oldest
 #: (bounds the undelivered-codes memory a client can park serverside)
 MAX_CURSORS = 8
+
+#: longest request line read, its newline not counted (asyncio's
+#: default stream limit); a longer one is answered with an error and
+#: the connection closed
+MAX_LINE_BYTES = 2**16
 
 
 class _ConnectionState:
@@ -133,6 +149,25 @@ def _ok_payload(
     return payload
 
 
+async def _reply(writer: asyncio.StreamWriter, response: dict[str, object]) -> None:
+    writer.write(json.dumps(response, sort_keys=True).encode() + b"\n")
+    await writer.drain()
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Drop input through the next newline (or to end of input), a
+    buffer at a time: closing with the rest of an overlong line unread
+    could reset the connection before the client reads the reply."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as overrun:
+            await reader.readexactly(overrun.consumed)
+
+
 class ContainmentServer:
     """Asyncio TCP server over one :class:`QueryService`."""
 
@@ -141,27 +176,24 @@ class ContainmentServer:
         service: QueryService,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port
-        self._workers = (
-            max_workers
-            if max_workers is not None
-            else service.admission.max_in_flight + 2
-        )
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting; resolves the actual port."""
+        # two threads beyond the admission bound, so admission (not
+        # the pool) sees and refuses concurrent arrivals past it
         self._executor = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="repro-join"
+            max_workers=self.service.admission.max_in_flight + 2,
+            thread_name_prefix="repro-join",
         )
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_LINE_BYTES
         )
         sockets = self._server.sockets or []
         if sockets:
@@ -191,18 +223,28 @@ class ContainmentServer:
         state = _ConnectionState()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as eof:
+                    line = eof.partial  # an unterminated last line, or b""
+                except asyncio.LimitOverrunError:
+                    await _reply(writer, {
+                        "status": "error",
+                        "error": f"request line longer than {MAX_LINE_BYTES}"
+                        " bytes; closing the connection",
+                    })
+                    await _skip_line(reader)
+                    break
                 if not line:
                     break
                 response = await self._dispatch(line, state)
                 if response is None:  # clean close requested
                     break
-                writer.write(
-                    json.dumps(response, sort_keys=True).encode() + b"\n"
-                )
-                await writer.drain()
-        except asyncio.CancelledError:
-            pass  # server shutdown reaps idle connections; just drop it
+                await _reply(writer, response)
+        except (asyncio.CancelledError, ConnectionError):
+            # server shutdown reaps idle connections, and a client that
+            # reset its socket is gone: drop the connection either way
+            pass
         finally:
             writer.close()
             try:
@@ -215,7 +257,9 @@ class ContainmentServer:
     ) -> Optional[dict[str, object]]:
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bytes that are not UTF-8 as well as bad
+            # JSON; RecursionError, arrays nested past the parser's depth
             return {"status": "error", "error": f"bad request line: {exc}"}
         if not isinstance(request, dict):
             return {"status": "error", "error": "request must be an object"}
@@ -289,11 +333,8 @@ class ServerThread:
         service: QueryService,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_workers: Optional[int] = None,
     ) -> None:
-        self.server = ContainmentServer(
-            service, host=host, port=port, max_workers=max_workers
-        )
+        self.server = ContainmentServer(service, host=host, port=port)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()

@@ -12,7 +12,6 @@ deterministically for chaos testing.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from typing import Callable, Optional
 
@@ -25,7 +24,6 @@ IOObserver = Callable[[str, int], None]
 
 __all__ = [
     "DiskManager",
-    "SessionDiskView",
     "DEFAULT_PAGE_SIZE",
     "IOObserver",
     "PageNotAllocatedError",
@@ -98,12 +96,6 @@ class DiskManager:
         self._next_page_id = 0
         self.faults: Optional[FaultInjector] = None
         self._observer: Optional[IOObserver] = None
-        # structural lock: guards page-id assignment and the page/crc
-        # dicts against concurrent session views.  Reads stay lock-free
-        # (dict lookups are atomic under the GIL; sessions never write
-        # pages another session is concurrently reading — shared corpus
-        # pages are read-only, scratch pages are session-private).
-        self._lock = threading.RLock()
         if faults is not None:
             self.set_faults(faults)
 
@@ -134,36 +126,19 @@ class DiskManager:
         """
         self._observer = observer
 
-    @property
-    def _shared(self) -> "DiskManager":
-        """The root disk that owns page-id assignment: ``self`` for a
-        base disk, the base for a :class:`SessionDiskView`.  A property,
-        not an attribute, so a root disk holds no reference to itself
-        and is freed by reference counting alone."""
-        return self
-
     # ------------------------------------------------------------------
     def allocate(self, count: int = 1) -> int:
-        """Allocate ``count`` contiguous pages; return the first page id.
-
-        Page-id assignment and page-table insertion happen atomically
-        on the shared root disk, so concurrent session views never
-        hand out overlapping ids; the allocation I/O is charged to
-        *this* disk's (possibly session-private) stats.
-        """
+        """Allocate ``count`` contiguous pages; return the first page id."""
         if count < 1:
             raise ValueError("must allocate at least one page")
-        shared = self._shared
         zero = bytes(self.page_size)
         zero_crc = zlib.crc32(zero) if self.checksums else 0
-        with shared._lock:
-            first = shared._next_page_id
-            shared._next_page_id = first + count
-            for page_id in range(first, first + count):
-                self._pages[page_id] = zero
-                if self.checksums:
-                    self._checksums[page_id] = zero_crc
+        first = self._next_page_id
+        self._next_page_id = first + count
         for page_id in range(first, first + count):
+            self._pages[page_id] = zero
+            if self.checksums:
+                self._checksums[page_id] = zero_crc
             self.stats.record_allocation()
             if self._observer is not None:
                 self._observer("allocate", page_id)
@@ -171,11 +146,10 @@ class DiskManager:
 
     def deallocate(self, page_id: int) -> None:
         """Free one page (no I/O is charged, matching Minibase)."""
-        with self._lock:
-            if page_id not in self._pages:
-                raise PageNotAllocatedError(page_id, "deallocate")
-            del self._pages[page_id]
-            self._checksums.pop(page_id, None)
+        if page_id not in self._pages:
+            raise PageNotAllocatedError(page_id, "deallocate")
+        del self._pages[page_id]
+        self._checksums.pop(page_id, None)
 
     def read(self, page_id: int) -> bytes:
         """Read one page, charging one (possibly random) page read.
@@ -223,10 +197,9 @@ class DiskManager:
         if self.faults is not None:
             self.faults.on_write(page_id)
         stored = bytes(data)
-        with self._lock:
-            self._pages[page_id] = stored
-            if self.checksums:
-                self._checksums[page_id] = zlib.crc32(stored)
+        self._pages[page_id] = stored
+        if self.checksums:
+            self._checksums[page_id] = zlib.crc32(stored)
         self.stats.record_write(page_id)
         if self._observer is not None:
             self._observer("write", page_id)
@@ -238,58 +211,3 @@ class DiskManager:
 
     def is_allocated(self, page_id: int) -> bool:
         return page_id in self._pages
-
-    # ------------------------------------------------------------------
-    def session_view(
-        self, faults: Optional[FaultInjector] = None
-    ) -> "SessionDiskView":
-        """A per-session view over this disk's pages.
-
-        The view shares the page table (concurrent sessions see the
-        same corpus and allocate from the same id space, atomically)
-        but carries its *own* :class:`IOStats`, observer and fault
-        injector — so each session's :class:`~repro.join.base.
-        JoinReport` I/O deltas and chaos fault stream are isolated from
-        every other in-flight query.  Without this, concurrent queries
-        snapshotting one shared ``disk.stats`` corrupt each other's
-        before/after deltas.
-        """
-        return SessionDiskView(self, faults=faults)
-
-
-class SessionDiskView(DiskManager):
-    """A :class:`DiskManager` facade with session-private accounting.
-
-    Aliases the base disk's page and checksum tables — page content
-    and allocation are global — while ``stats``, ``faults`` and the
-    transfer observer are private to this view.  Structural mutation
-    goes through the root disk's lock (``_shared``), so any number of
-    views can allocate and write concurrently.
-    """
-
-    def __init__(
-        self,
-        base: DiskManager,
-        faults: Optional[FaultInjector] = None,
-    ) -> None:
-        self.page_size = base.page_size
-        self.checksums = base.checksums
-        self.stats = IOStats()
-        self._pages = base._pages
-        self._checksums = base._checksums
-        self._next_page_id = 0  # unused: allocation delegates to _shared
-        self.faults = None
-        self._observer = None
-        self._root = base._shared
-        self._lock = self._root._lock
-        if faults is not None:
-            self.set_faults(faults)
-
-    @property
-    def _shared(self) -> DiskManager:
-        return self._root
-
-    @property
-    def base(self) -> DiskManager:
-        """The root disk this view was opened on."""
-        return self._root

@@ -107,23 +107,6 @@ class ElementSet:
             bufmgr, codes, tree_height, name=name or f"//{tag}"
         )
 
-    def with_bufmgr(self, bufmgr: BufferManager) -> "ElementSet":
-        """A read view of this set pinned through ``bufmgr``.
-
-        Used by the service tier: each session rebinds the shared
-        corpus sets to its private buffer pool (over a
-        :class:`~repro.storage.disk.SessionDiskView`), so concurrent
-        queries read the same pages with isolated I/O accounting.
-        Metadata (sort order, the histogram) carries over, copied like
-        the page-id list; the view must not be destroyed.
-        """
-        return ElementSet(
-            self.heap.view(bufmgr),
-            self.histogram.copy(),
-            name=self.name,
-            sorted_by=self.sorted_by,
-        )
-
     # ------------------------------------------------------------------
     @property
     def bufmgr(self) -> BufferManager:

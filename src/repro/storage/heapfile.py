@@ -104,22 +104,6 @@ class HeapFile:
         writer.close()
         return heap
 
-    def view(self, bufmgr: BufferManager) -> "HeapFile":
-        """A read view of this heap through another buffer manager.
-
-        Shares the page content (``bufmgr`` must sit on a disk view of
-        the same page table) but pins through the session's own pool,
-        so concurrent readers never contend for frames or corrupt each
-        other's hit/miss accounting.  The page-id list is copied so the
-        base growing (an appender) never bleeds into a session
-        mid-query.  Views are read-only by convention: never
-        ``destroy()`` one — the pages belong to the base file.
-        """
-        clone = HeapFile(bufmgr, self.codec, self.name)
-        clone.page_ids = list(self.page_ids)
-        clone.num_records = self.num_records
-        return clone
-
     def open_writer(self, resume: bool = False) -> "HeapFileWriter":
         """An appender holding one pinned output page.
 

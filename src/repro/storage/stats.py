@@ -107,6 +107,11 @@ class IOStats:
         self.writes += 1
         self._head = page_id
 
+    def park_head(self) -> None:
+        """Forget where the head is: the next read is a seek, as on a
+        fresh disk."""
+        self._head = -2
+
     def record_allocation(self) -> None:
         self.allocations += 1
 

@@ -1,7 +1,7 @@
 """Element-at-a-time join loops: the I/O oracle for the page-local ones.
 
 :func:`probe_descendant_index` probes INLJN's Start index once per
-ancestor with a separately guarded :func:`range_values`;
+ancestor with a separately checked :func:`range_values`;
 :func:`stacktree_merge` consumes Stack-Tree-Desc runs with one
 ``seek`` per run; :func:`adb_merge` drives Anc_Des_B+ through
 :class:`IndexCursor`, a cursor over the lazy :func:`range_scan`
@@ -43,43 +43,42 @@ Emit = Callable[[int, int], None]
 # B+-tree: one probe, one lazy scan, one entry at a time
 # ----------------------------------------------------------------------
 def range_values(tree: BPlusTree, lo: int, hi: int) -> list[int]:
-    """Values with ``lo <= key <= hi``: one guarded descent and walk."""
-    with tree.probe_guard():
-        node = tree._descend_to_leaf(lo)
-        if node is None:
-            return []
-        position = bisect_left(node.keys, lo)
-        values: list[int] = []
-        while True:
-            cut = bisect_right(node.keys, hi, position)
-            values += node.values[position:cut]
-            if cut < len(node.keys) or node.next_leaf is None:
-                return values
-            node = tree._read_node(node.next_leaf)
-            position = 0
+    """Values with ``lo <= key <= hi``: one checked descent and walk."""
+    tree.check_fresh()
+    node = tree._descend_to_leaf(lo)
+    if node is None:
+        return []
+    position = bisect_left(node.keys, lo)
+    values: list[int] = []
+    while True:
+        cut = bisect_right(node.keys, hi, position)
+        values += node.values[position:cut]
+        if cut < len(node.keys) or node.next_leaf is None:
+            return values
+        node = tree._read_node(node.next_leaf)
+        position = 0
 
 
 def range_scan(tree: BPlusTree, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """Lazy ``(key, value)`` walk over ``lo <= key <= hi``: a leaf's
-    entries are cut under the guard, and the next leaf is read (under
-    the guard) when the consumer pulls past the last of them."""
-    with tree.probe_guard():
-        node = tree._descend_to_leaf(lo)
+    """Lazy ``(key, value)`` walk over ``lo <= key <= hi``: freshness
+    is checked before the descent and before the next leaf is read,
+    when the consumer pulls past the last entry of a leaf."""
+    tree.check_fresh()
+    node = tree._descend_to_leaf(lo)
     if node is None:
         return
     position = bisect_left(node.keys, lo)
     while True:
-        with tree.probe_guard():
-            cut = bisect_right(node.keys, hi, position)
-            entries = list(zip(node.keys[position:cut], node.values[position:cut]))
-            done = cut < len(node.keys)
+        cut = bisect_right(node.keys, hi, position)
+        entries = list(zip(node.keys[position:cut], node.values[position:cut]))
+        done = cut < len(node.keys)
         yield from entries
         if done:
             return
-        with tree.probe_guard():
-            if node.next_leaf is None:
-                return
-            node = tree._read_node(node.next_leaf)
+        tree.check_fresh()
+        if node.next_leaf is None:
+            return
+        node = tree._read_node(node.next_leaf)
         position = 0
 
 
@@ -136,7 +135,7 @@ def bulk_load(
 def probe_descendant_index(
     ancestors: ElementSet, index: BPlusTree, sink: JoinSink
 ) -> None:
-    """INLJN, outer A: one guarded range probe per ancestor."""
+    """INLJN, outer A: one checked range probe per ancestor."""
     for a_page in ancestors.scan_pages():
         for a_code, (start, end) in zip(a_page, batch.regions(a_page)):
             for d_code in batch.descendants_in(a_code, range_values(index, start, end)):

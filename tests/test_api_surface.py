@@ -386,6 +386,30 @@ class TestExecutionConfigSurface:
             (["repro.sort"], ["sort_codes" + "_doc_order", "bulk_doc" + "_order_keys"]),
             # the heap writer packs flat fields: one packer
             (["repro.storage.record:RecordCodec"], ["pack" + "_many"]),
+            # one query at a time over the shared pool: the session
+            # isolation stack and the probe lock
+            (["repro.storage", "repro.storage.disk"], ["Session" + "DiskView"]),
+            (["repro.storage.disk:DiskManager"], ["session" + "_view", "_shared"]),
+            (["repro.storage.heapfile:HeapFile"], ["view"]),
+            (["repro.storage.elementset:ElementSet"], ["with" + "_bufmgr"]),
+            (["repro.index.bptree:BPlusTree"], ["session" + "_view", "probe" + "_guard"]),
+            (
+                ["repro.index.staleness:StaleGuard"],
+                [
+                    "probe" + "_guard",
+                    "_probe" + "_lock",
+                    "_ensure" + "_lock",
+                    "_stale" + "_source",
+                    "_guard" + "_root",
+                    "_check" + "_fresh",
+                ],
+            ),
+            (["repro.index.staleness"], ["_guard_init" + "_lock"]),
+            (["repro.service.core"], ["_Doc" + "Gate"]),
+            (
+                ["repro.service.core:QueryService"],
+                ["_doc" + "_gate", "_open" + "_session"],
+            ),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
@@ -791,3 +815,34 @@ class TestNoAblationEngineCode:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestOneQueryAtATime:
+    """The service runs each query under its storage lock on the
+    database's own pool: no session pool to size, no worker count."""
+
+    def test_service_and_servers_take_no_session_or_worker_knobs(self):
+        import inspect
+
+        from repro.service import ContainmentServer, QueryService, ServerThread
+
+        service = inspect.signature(QueryService).parameters
+        assert "session" + "_pages" not in service
+        assert service["max_in_flight"].default == 4
+        for server in (ContainmentServer, ServerThread):
+            assert list(inspect.signature(server).parameters) == [
+                "service", "host", "port"
+            ]
+
+    def test_disk_holds_no_lock(self):
+        from repro.storage.disk import DiskManager
+
+        assert not hasattr(DiskManager(), "_lock")
+
+    def test_serve_takes_no_session_pages(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--session" + "-pages", "8"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

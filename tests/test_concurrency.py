@@ -6,14 +6,14 @@ Each class pins one fix:
   histograms were plain ``+=`` read-modify-write; N threads hammering
   one registry must produce *exact* totals, not approximately-right
   ones that pass on a lucky interleaving.
-* :class:`TestStaleGuardAtomicity` — retire/probe had a TOCTOU: a
-  probe could pass ``_check_fresh`` and then read pre-update answers
-  after a concurrent ``mark_stale``.  Check-and-probe is now one
-  critical section.
+* :class:`TestStaleGuardAtomicity` — a probe of a retired index
+  raises instead of answering from pre-update pages.  (Queries and
+  updates are serialized by the service's storage lock, so a retire
+  never lands inside a probe.)
 * :class:`TestLazyScanRetire` — the lazy ``range_scan`` generators
-  only held the guard during the descent, so a retire landing
-  mid-scan let the leaf-chain walk silently complete with
-  pre-retirement entries; the guard is now taken leaf-at-a-time.
+  only checked freshness at the descent, so a retire landing mid-scan
+  let the leaf-chain walk silently complete with pre-retirement
+  entries; freshness is now checked leaf-at-a-time.
 """
 
 import threading
@@ -116,18 +116,14 @@ class TestMetricsHammer:
 
 
 class _GuardedIndex(StaleGuard):
-    """Minimal probe host: the probe body runs under probe_guard."""
+    """Minimal probe host: the probe checks freshness first."""
 
     def __init__(self):
         self.answer = "fresh"
 
-    def probe(self, started=None, release=None):
-        with self.probe_guard():
-            if started is not None:
-                started.set()
-            if release is not None:
-                release.wait(5.0)
-            return self.answer
+    def probe(self):
+        self.check_fresh()
+        return self.answer
 
 
 class TestStaleGuardAtomicity:
@@ -139,76 +135,17 @@ class TestStaleGuardAtomicity:
         with pytest.raises(StaleIndexError, match="element set changed"):
             index.probe()
 
-    def test_retire_blocks_until_inflight_probe_finishes(self):
-        index = _GuardedIndex()
-        started = threading.Event()
-        release = threading.Event()
-        retired = threading.Event()
-        results = {}
-
-        def prober():
-            results["probe"] = index.probe(started=started, release=release)
-
-        def retirer():
-            started.wait(5.0)
-            index.mark_stale("concurrent update")
-            retired.set()
-
-        probe_thread = threading.Thread(target=prober)
-        retire_thread = threading.Thread(target=retirer)
-        probe_thread.start()
-        retire_thread.start()
-        started.wait(5.0)
-        # the probe is mid-flight holding the guard: mark_stale must
-        # block rather than retire the index under the probe's feet
-        assert not retired.wait(0.2)
-        release.set()
-        probe_thread.join(5.0)
-        retire_thread.join(5.0)
-        assert retired.is_set()
-        # the in-flight probe completed against the still-fresh index...
-        assert results["probe"] == "fresh"
-        # ...and every probe started after retirement raises
-        with pytest.raises(StaleIndexError):
-            index.probe()
-
-    def test_hammer_probes_against_retire(self):
-        # no probe may observe the index as fresh after mark_stale
-        # returned; under the old check-then-act window this flaked
-        index = _GuardedIndex()
-        barrier = threading.Barrier(THREADS + 1)
-        stop = threading.Event()
-        violations = []
-
-        def retirer():
-            barrier.wait()
-            index.mark_stale("hammer retire")
-            index.answer = "stale-data"  # probes must never return this
-            stop.set()
-
-        def prober():
-            barrier.wait()
-            while not stop.is_set():
-                try:
-                    if index.probe() == "stale-data":
-                        violations.append("read retired data")
-                except StaleIndexError:
-                    return
-
-        run_threads([prober] * THREADS + [retirer])
-        assert not violations
-
 
 # ----------------------------------------------------------------------
 class TestLazyScanRetire:
     """A lazy range scan must not silently outlive a retirement.
 
-    ``range_scan`` is a generator, so it cannot hold the probe guard
-    across consumer pulls the way the eager probes do; the fix takes
-    the guard leaf-at-a-time and re-checks freshness before every leaf
-    access.  Pre-fix, only the descent was guarded: a ``mark_stale``
-    landing while the scan was suspended let the leaf-chain walk run
-    to completion and silently yield pre-retirement answers.
+    ``range_scan`` is a generator, so one check at its first pull
+    does not cover the pulls after it; the fix re-checks freshness
+    before every leaf access.  Pre-fix, only the descent was checked:
+    a ``mark_stale`` landing while the scan was suspended let the
+    leaf-chain walk run to completion and silently yield
+    pre-retirement answers.
     """
 
     ENTRIES = 500  # page_size=128 -> ~7 leaf entries/page, many leaves

@@ -717,9 +717,8 @@ class TestQueryIntermediateCleanup:
     """``PathPipeline`` used to destroy its intermediate sets only when
     every step succeeded, and ``db.query``'s extended-syntax joins their
     ``xq.A`` / ``xq.D`` sets likewise.  A permanent fault mid-path then
-    left those pages allocated for good — on the database disk itself
-    when the query ran in a service session, whose scratch pages live in
-    the shared page table."""
+    left those pages allocated for good — on the database disk itself,
+    where a service query's scratch pages live too."""
 
     def make_db(self, xml, path, faults=None):
         db = ContainmentDatabase(page_size=128, buffer_pages=4, faults=faults)
@@ -758,14 +757,7 @@ class TestQueryIntermediateCleanup:
         page = db.element_set(doc, target).heap.page_ids[0]
         injector = FaultInjector(seed=CHAOS_SEED)
         injector.schedule("read-error", page_id=page, permanent=True)
-        open_session = service._open_session
-
-        def faulty_session(document, query_path):
-            session = open_session(document, query_path)
-            session.disk.set_faults(injector)
-            return session
-
-        service._open_session = faulty_session
+        service._query_faults = lambda document, query_path: injector
         with pytest.raises(PermanentIOError):
             service.execute("t", "doc", path, use_cache=False)
         assert injector.stats.scheduled_fired == 1
@@ -810,15 +802,8 @@ class TestQueryIntermediateCleanup:
         xml, path, _target = LEAK_CASES[direction]
         db, doc = self.make_db(xml, path)
         service = QueryService(db)
-        open_session = service._open_session
         injectors = []
-
-        def counted_session(document, query_path):
-            session = open_session(document, query_path)
-            session.disk.set_faults(injectors[-1])
-            return session
-
-        service._open_session = counted_session
+        service._query_faults = lambda document, query_path: injectors[-1]
         injectors.append(FaultInjector(seed=CHAOS_SEED))
         outcome = service.execute("t", "doc", path, use_cache=False)
         assert outcome.direction == direction and outcome.codes

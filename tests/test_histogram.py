@@ -76,15 +76,13 @@ class TestEveryConstructorCarriesIt:
         assert elements.histogram.counts == scanned_counts(elements)
         assert elements.known_heights == {pt.height_of(pt.g_code(0, 9, 12))}
 
-    def test_sorted_output_and_views_keep_it(self):
-        """The sorted copy holds the same codes and a view the same
-        pages, so both keep the histogram — and a sorted single-height
-        set still plans as single-height without a rescan."""
+    def test_sorted_output_keeps_it(self):
+        """The sorted copy holds the same codes, so it keeps (a copy
+        of) the histogram — and a sorted single-height set still plans
+        as single-height without a rescan."""
         elements = self.single_height_set()
         ordered = external_sort_set(elements)
-        view = elements.with_bufmgr(BufferManager(elements.bufmgr.disk, 8))
-        for derived in (ordered, view):
-            assert derived.histogram == elements.histogram
-            assert derived.histogram is not elements.histogram
+        assert ordered.histogram == elements.histogram
+        assert ordered.histogram is not elements.histogram
         assert SetProperties.of(ordered).single_height == 2
         assert SetProperties.of(ordered).sorted

@@ -13,21 +13,28 @@ Coverage map:
   errors), saturation behaviour (typed backpressure, never an escaped
   ``BufferPoolExhaustedError``);
 * the wire — JSON-lines protocol end-to-end over a real TCP socket;
-* the threaded differential suite — N concurrent Figure 6(b)-style
-  queries produce ``JoinReport``s field-for-field identical to the
-  same queries run serially, with and without chaos fault injection
-  (seed replayable via ``REPRO_CHAOS_SEED``, like the other chaos
-  suites);
-* update/query isolation — sessions read the shared page table live,
-  so ``exclusive()`` and update-draining prepares must quiesce a
-  document's in-flight execute phases before patching pages; every
-  answer produced during an update storm matches some committed
-  version of the document; mid-join backpressure conversion keeps the
-  global and per-tenant rejection counters consistent; the wire
-  rejects tenant names that could forge metric keys.
+* the concurrent-clients differential suite — Figure 6(b)-style
+  queries from threads calling ``execute`` and from TCP clients at
+  once produce ``JoinReport``s field-for-field identical to the same
+  queries run serially, with and without chaos fault injection (seed
+  replayable via ``REPRO_CHAOS_SEED``, like the other chaos suites);
+  a query that dies mid-join leaves the shared pool and disk as a
+  fresh service would find them;
+* update/query serialization — queries run one at a time under the
+  storage lock, so ``exclusive()`` and update-draining queries wait
+  for a running query to finish; every answer produced during an
+  update storm matches some committed version of the document;
+  mid-join backpressure conversion keeps the global and per-tenant
+  rejection counters consistent; the wire rejects tenant names that
+  could forge metric keys, bytes that are not UTF-8 and overlong
+  lines with typed errors.
 """
 
+import json
+import logging
 import os
+import socket
+import struct
 import threading
 
 import pytest
@@ -49,7 +56,7 @@ from repro.service import (
     ServiceRejection,
     TenantQuota,
 )
-from repro.storage.faults import FaultConfig
+from repro.storage.faults import FaultConfig, FaultInjector, PermanentIOError
 
 from .differential import normalize
 
@@ -60,9 +67,9 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 PATHS = ["//a//b", "//a//b//c", "//b//d", "//c//d"]
 
 
-def make_db(metrics=None, checksums=False, nodes=800, seed=7):
+def make_db(metrics=None, checksums=False, nodes=800, seed=7, buffer_pages=64):
     db = ContainmentDatabase(
-        buffer_pages=64, metrics=metrics, checksums=checksums
+        buffer_pages=buffer_pages, metrics=metrics, checksums=checksums
     )
     db.load_tree(random_tree(nodes, max_fanout=5, seed=seed), name="corpus")
     return db
@@ -248,7 +255,7 @@ class TestQueryService:
             version = doc.store.version
             db.insert_element(doc, 0, "b")
 
-        # the buffered update applies during the next prepare phase,
+        # the buffered update applies when the next query starts,
         # bumping the store version out from under the cached key
         after = service.execute("t", "corpus", "//a//b")
         assert not after.cache_hit
@@ -331,10 +338,27 @@ class TestQueryService:
             assert accounted == issued // 2
         assert counter_value(metrics, "service.errors") == 0
 
-    def test_session_pool_floor(self):
-        db = make_db()
-        with pytest.raises(ValueError):
-            QueryService(db, session_pages=2)
+
+def reset_after_sending(port, line):
+    """Send ``line``, then close with a TCP reset instead of a FIN."""
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.sendall(line)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def send_raw(client, line):
+    """Write raw bytes on a client's socket; decode the one reply."""
+    client._file.write(line)
+    client._file.flush()
+    return json.loads(client._file.readline())
+
+
+def asyncio_errors(caplog):
+    return [
+        record for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
 
 
 def outcome_nodes(db, outcome):
@@ -448,56 +472,151 @@ class TestWireProtocol:
 
                 assert client.ping() is True
 
+    @pytest.mark.parametrize(
+        "line",
+        [b'{"op":"\xff"}\n', b"\xc3\x28\n", b"[" * 60_000 + b"\n"],
+        ids=["bad-utf8-in-string", "bad-utf8-bare", "nested-past-parser-depth"],
+    )
+    def test_undecodable_line_is_a_typed_error(self, line, caplog):
+        """Bytes that are not UTF-8 raised ``UnicodeDecodeError`` (and
+        deep nesting ``RecursionError``) past the ``JSONDecodeError``
+        handler: the connection task died and the client got no reply."""
+        with ServerThread(QueryService(make_db())) as server:
+            with ServiceClient(port=server.port) as client:
+                reply = send_raw(client, line)
+                assert reply["status"] == "error"
+                assert reply["error"].startswith("bad request line")
+                assert client.ping() is True  # the same socket
+        assert not asyncio_errors(caplog)
+
+    def test_client_reset_mid_query_is_dropped_quietly(self, caplog):
+        """A client that reset its socket before its reply was written
+        made the handler raise ``ConnectionResetError``: an
+        unhandled-exception log per connection."""
+        query = b'{"op": "query", "document": "corpus", "path": "//a//b"}\n'
+        with ServerThread(QueryService(make_db(nodes=3000))) as server:
+            for _ in range(3):
+                reset_after_sending(server.port, query)
+            with ServiceClient(port=server.port) as client:
+                assert client.query("corpus", "//a//b")["status"] == "ok"
+        assert not asyncio_errors(caplog)
+
+    def test_overlong_line_is_answered_then_closed(self, caplog):
+        """A line past the stream limit raised ``ValueError`` out of the
+        connection handler: no reply, an unhandled-exception log."""
+        from repro.service.server import MAX_LINE_BYTES
+
+        line = b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n'
+        assert len(line) > MAX_LINE_BYTES
+        with ServerThread(QueryService(make_db())) as server:
+            with ServiceClient(port=server.port) as client:
+                reply = send_raw(client, line)
+                assert reply["status"] == "error"
+                assert str(MAX_LINE_BYTES) in reply["error"]
+                assert client._file.readline() == b""  # closed cleanly
+            with ServiceClient(port=server.port) as client:
+                assert client.ping() is True
+        assert not asyncio_errors(caplog)
+
 
 # ----------------------------------------------------------------------
 class TestThreadedDifferential:
-    """Concurrent reports must equal serial reports field-for-field."""
+    """Concurrent reports must equal serial reports field-for-field.
 
-    WORKERS = 6
+    Six threads call ``execute`` while two ``ServiceClient``s send the
+    same path mix over TCP.  Every query runs alone under the storage
+    lock, from a cold pool with the disk head parked, so neither the
+    interleaving nor the door changes a page count, a seek or a fault.
+    The pool is small enough to spill, so what one query leaves in it
+    would change the next one's hits and reads.
+    """
+
+    THREADS = 6
+    CLIENTS = 2
+    POOL = 12
 
     def _serial_and_concurrent(self, service):
         serial = {
             path: service.execute("serial", "corpus", path)
             for path in PATHS
         }
-        concurrent = {}
+        concurrent, wire = {}, {}
         lock = threading.Lock()
+        execute = service.execute
+
+        def recorded(tenant, document, path, use_cache=True):
+            # the server calls this too: wire queries' full reports
+            outcome = execute(tenant, document, path, use_cache)
+            with lock:
+                concurrent.setdefault(path, []).append(outcome)
+            return outcome
+
+        service.execute = recorded
 
         def worker(worker_id):
             def inner():
                 # each worker runs the full path mix, rotated so that
-                # different queries genuinely overlap in time
+                # different queries genuinely contend for the lock
                 for offset in range(len(PATHS)):
                     path = PATHS[(worker_id + offset) % len(PATHS)]
-                    outcome = service.execute(
-                        f"w{worker_id}", "corpus", path
-                    )
-                    with lock:
-                        concurrent.setdefault(path, []).append(outcome)
+                    service.execute(f"w{worker_id}", "corpus", path)
 
             return inner
 
-        run_threads([worker(i) for i in range(self.WORKERS)])
-        return serial, concurrent
+        def client(client_id, port):
+            def inner():
+                with ServiceClient(port=port) as connection:
+                    for offset in range(len(PATHS)):
+                        path = PATHS[(client_id + offset) % len(PATHS)]
+                        reply = connection.query_all(
+                            "corpus", path, tenant=f"c{client_id}"
+                        )
+                        with lock:
+                            wire.setdefault(path, []).append(reply)
 
-    def _assert_identical(self, serial, concurrent):
-        for path, outcomes in concurrent.items():
+            return inner
+
+        with ServerThread(service) as server:
+            run_threads(
+                [worker(i) for i in range(self.THREADS)]
+                + [client(i, server.port) for i in range(self.CLIENTS)]
+            )
+        return serial, concurrent, wire
+
+    def _assert_identical(self, serial, concurrent, wire):
+        assert sum(
+            r.total_io.reads for outcome in serial.values() for r in outcome.reports
+        ), "every page was resident: the differential would prove nothing"
+        for path in PATHS:
             baseline = serial[path]
             expected = [normalize(r) for r in baseline.reports]
-            assert len(outcomes) == self.WORKERS
-            for outcome in outcomes:
+            assert len(concurrent[path]) == self.THREADS + self.CLIENTS
+            for outcome in concurrent[path]:
                 assert outcome.codes == baseline.codes
                 assert outcome.direction == baseline.direction
                 assert outcome.planning_io == baseline.planning_io
                 assert [normalize(r) for r in outcome.reports] == expected
+            summaries = [
+                [r.algorithm, r.result_count, r.total_pages, r.false_hits]
+                for r in baseline.reports
+            ]
+            assert len(wire[path]) == self.CLIENTS
+            for reply in wire[path]:
+                assert reply["status"] == "ok"
+                assert reply["codes"] == baseline.codes
+                assert reply["direction"] == baseline.direction
+                assert [
+                    [r["algorithm"], r["result_count"], r["total_pages"],
+                     r["false_hits"]]
+                    for r in reply["reports"]
+                ] == summaries
 
     def test_concurrent_reports_equal_serial(self):
-        db = make_db()
+        db = make_db(buffer_pages=self.POOL)
         # plan cache off: every run plans cold, so reports are
         # byte-comparable between the serial and concurrent passes
         service = QueryService(db, max_in_flight=8, plan_cache_size=0)
-        serial, concurrent = self._serial_and_concurrent(service)
-        self._assert_identical(serial, concurrent)
+        self._assert_identical(*self._serial_and_concurrent(service))
 
     def test_concurrent_reports_equal_serial_under_chaos(self):
         chaos = FaultConfig(
@@ -505,12 +624,12 @@ class TestThreadedDifferential:
             read_error_rate=0.02,
             torn_page_rate=0.01,
         )
-        db = make_db(checksums=True)
+        db = make_db(checksums=True, buffer_pages=self.POOL)
         service = QueryService(
             db, max_in_flight=8, plan_cache_size=0, chaos=chaos
         )
-        serial, concurrent = self._serial_and_concurrent(service)
-        self._assert_identical(serial, concurrent)
+        serial, concurrent, wire = self._serial_and_concurrent(service)
+        self._assert_identical(serial, concurrent, wire)
         # chaos actually fired: the derived injectors saw traffic, and
         # the retries surface in the (identical) report I/O ledgers
         total_retries = sum(
@@ -539,14 +658,83 @@ class TestThreadedDifferential:
 
 
 # ----------------------------------------------------------------------
-class TestUpdateQueryIsolation:
-    """Mutation must quiesce a document's in-flight execute phases.
+class TestFailedQueryLeavesNoResidue:
+    """A query runs on the database's own pool and disk, so one that
+    dies mid-join must leave them as a fresh service finds them: no
+    pinned frame, the disk's own injector back in place, and the next
+    query's answer and reports those of a fresh service."""
 
-    Sessions read the shared page table *live* (views, not
-    snapshots), so ``exclusive()`` — and a prepare phase about to
-    drain a non-empty update log — must wait for every execute phase
-    on the document to finish before patching pages, or a running
-    join reads a torn mix of old and new pages.
+    PATH = "//a//b//c"
+
+    @staticmethod
+    def make_db_with_own_injector():
+        # a database with an injector of its own (firing nothing), so
+        # the test sees which injector the disk holds afterwards
+        db = ContainmentDatabase(buffer_pages=8, faults=FaultInjector(seed=CHAOS_SEED))
+        db.load_tree(random_tree(800, max_fanout=5, seed=7), name="corpus")
+        return db
+
+    def assert_clean(self, db, service, own_faults):
+        assert db.bufmgr.num_pinned == 0
+        assert db.disk.faults is own_faults
+        after = service.execute("t", "corpus", self.PATH)
+        fresh = QueryService(self.make_db_with_own_injector(), plan_cache_size=0).execute(
+            "t", "corpus", self.PATH
+        )
+        assert after.codes == fresh.codes
+        assert [normalize(r) for r in after.reports] == [
+            normalize(r) for r in fresh.reports
+        ]
+
+    def test_pipeline_error_between_steps(self, monkeypatch):
+        from repro.join.pipeline import PathPipeline
+
+        db = self.make_db_with_own_injector()
+        own = db.disk.faults
+        service = QueryService(db, plan_cache_size=0)
+        original = PathPipeline._join_step
+        calls = []
+
+        def second_step_fails(pipeline, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("pipeline failed after its first step")
+            return original(pipeline, *args, **kwargs)
+
+        monkeypatch.setattr(PathPipeline, "_join_step", second_step_fails)
+        with pytest.raises(RuntimeError, match="after its first step"):
+            service.execute("t", "corpus", self.PATH)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        self.assert_clean(db, service, own)
+
+    def test_permanent_read_error_mid_join(self):
+        db = self.make_db_with_own_injector()
+        own = db.disk.faults
+        service = QueryService(db, plan_cache_size=0)
+        counting = FaultInjector(seed=CHAOS_SEED)
+        service._query_faults = lambda document, path: counting
+        service.execute("t", "corpus", self.PATH)
+        assert counting.reads_seen > 2
+        failing = FaultInjector(seed=CHAOS_SEED)
+        failing.schedule("read-error", at=counting.reads_seen // 2, permanent=True)
+        service._query_faults = lambda document, path: failing
+        with pytest.raises(PermanentIOError):
+            service.execute("t", "corpus", self.PATH)
+        assert failing.stats.scheduled_fired == 1
+        del service._query_faults
+        self.assert_clean(db, service, own)
+
+
+# ----------------------------------------------------------------------
+class TestUpdateQueryIsolation:
+    """Mutation and queries are serialized.
+
+    A query reads the document's pages live, so ``exclusive()`` — and
+    a query about to drain a non-empty update log — must wait for a
+    running query to finish before patching pages, or the running join
+    reads a torn mix of old and new pages.  Both wait on the storage
+    lock the running query holds.
     """
 
     def _blockable_pipeline(self, monkeypatch):
@@ -585,7 +773,7 @@ class TestUpdateQueryIsolation:
         assert started.wait(5.0)
         update_thread = threading.Thread(target=updater)
         update_thread.start()
-        # the query is mid-execute holding a reader slot: exclusive()
+        # the query is mid-execute holding the storage lock: exclusive()
         # must not hand the document over while its pages are being read
         assert not entered.wait(0.3)
         release.set()
@@ -609,9 +797,9 @@ class TestUpdateQueryIsolation:
         first.start()
         assert started.wait(5.0)
         # an out-of-band update buffered while the first query executes
-        # (the raw API bypasses exclusive(); the prepare-side drain is
-        # the defense): the next query's prepare must wait for the
-        # first to finish before patching pages
+        # (the raw API bypasses exclusive(); the drain inside the lock
+        # is the defense): the next query must wait for the first to
+        # finish before patching pages
         version = doc.store.version
         db.insert_element(doc, 0, "b")
         assert doc.store.pending_updates() > 0
@@ -623,12 +811,12 @@ class TestUpdateQueryIsolation:
 
         second = threading.Thread(target=second_querier)
         second.start()
-        assert not done.wait(0.3), "prepare drained under a live reader"
+        assert not done.wait(0.3), "drained under a running query"
         release.set()
         first.join(10.0)
         second.join(10.0)
         assert done.is_set()
-        # the second query's prepare applied the buffered update
+        # the second query applied the buffered update
         assert doc.store.pending_updates() == 0
         assert doc.store.version > version
         assert outcomes["second"].count >= outcomes["first"].count
@@ -854,8 +1042,8 @@ class TestExtendedPaths:
 
 
 # ----------------------------------------------------------------------
-class TestSessionIndexViews:
-    """Persistent indexes probe through session pools (the v1 gap)."""
+class TestServiceIndexes:
+    """Persistent indexes reach the service's plans and probes."""
 
     def make_indexed_db(self):
         db = make_db()
@@ -920,7 +1108,7 @@ class TestSessionIndexViews:
         with service.exclusive("corpus") as locked:
             node = db.insert_element(locked, parent, "b")
         after = service.execute("t", "corpus", "//a//b")
-        # the insert patches b's Start index in place; the next prepare
+        # the insert patches b's Start index in place; the next query
         # re-plans on it — no stale probe, and the new element is visible
         assert doc.store.peek_start_index("b") is index
         assert after.reports[0].algorithm == "INLJN"
