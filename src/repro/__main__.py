@@ -10,7 +10,7 @@ Commands:
 * ``save FILE.xml IMAGE`` — encode and persist element sets to a
   disk image;
 * ``bench`` — run an algorithm line-up serially over a synthetic
-  Table-2 dataset and (optionally) emit a ``BENCH_*.json`` summary;
+  Table-2 dataset;
 * ``serve`` — run the multi-tenant query server over a loaded corpus
   (see docs/service.md).
 
@@ -37,7 +37,6 @@ __all__ = [
     "cmd_stats",
     "cmd_save",
     "cmd_bench",
-    "cmd_update_bench",
     "cmd_serve",
 ]
 
@@ -70,15 +69,6 @@ def _emit_observability(args: argparse.Namespace, tracer, metrics) -> None:
             json.dump(metrics.as_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"# wrote metrics to {args.metrics_out}", file=sys.stderr)
-
-
-def _write_bench(args: argparse.Namespace, name: str, rows, metrics) -> None:
-    """Write a schema-checked BENCH summary to ``--bench-out``, if set."""
-    from .obs.export import bench_summary, write_bench_summary
-
-    if args.bench_out:
-        write_bench_summary(bench_summary(name, rows, metrics=metrics), args.bench_out)
-        print(f"# wrote {args.bench_out}", file=sys.stderr)
 
 
 def _load(path: str):
@@ -393,64 +383,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     _emit_observability(args, tracer, metrics)
-    _write_bench(
-        args,
-        f"bench-{args.dataset}",
-        [(result.name, args.dataset, result.report) for result in lineup.results],
-        metrics.as_dict(),
-    )
-    return 0
-
-
-def cmd_update_bench(args: argparse.Namespace) -> int:
-    from .join.base import JoinReport
-    from .obs.metrics import MetricsRegistry
-    from .workloads.updates import UpdateWorkloadSpec, run_update_workload
-
-    try:
-        spec = UpdateWorkloadSpec(
-            nodes=args.nodes,
-            updates=args.updates,
-            insert_ratio=args.insert_ratio,
-            hotspot=args.hotspot,
-            seed=args.seed,
-            buffer_pages=args.buffer_pages,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    metrics = MetricsRegistry()
-    result = run_update_workload(spec, metrics=metrics)
-
-    stats = result.stats
-    print(
-        f"{'inserts':>8} {'deletes':>8} {'local_rl':>9} "
-        f"{'relabelled':>11} {'growths':>8} {'rl/insert':>10} "
-        f"{'skipped':>8} {'log_rec':>8} {'wall_ms':>9}"
-    )
-    print(
-        f"{stats['inserts']:>8} {stats['deletes']:>8} "
-        f"{stats['local_relabels']:>9} {stats['relabelled_nodes']:>11} "
-        f"{stats['tree_growths']:>8} {result.relabelled_per_insert:>10.3f} "
-        f"{result.skipped_inserts:>8} {result.log_records_applied:>8} "
-        f"{result.wall_seconds * 1000.0:>9.2f}"
-    )
-    print(
-        f"# update storm: {spec.nodes} initial nodes, {spec.updates} ops, "
-        f"insert ratio {spec.insert_ratio}, hotspot {spec.hotspot}, "
-        f"seed {spec.seed}",
-        file=sys.stderr,
-    )
-
-    _emit_observability(args, None, metrics)
-    report = JoinReport(
-        algorithm="updates",
-        result_count=result.log_records_applied,
-        join_io=result.io,
-        wall_seconds=result.wall_seconds,
-    )
-    rows = [("updates", "update-storm", report)]
-    _write_bench(args, "update-bench", rows, dict(result.as_metrics()))
     return 0
 
 
@@ -565,39 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         "--algorithms", default="",
         help="comma-separated algorithm names (default: the Figure-6 line-up)",
     )
-    bch.add_argument(
-        "--bench-out", default="",
-        help="write a schema-checked BENCH_*.json summary to this file",
-    )
     bch.set_defaults(func=cmd_bench)
-
-    upd = sub.add_parser(
-        "update-bench",
-        help="relabel cost per insert under an update storm",
-    )
-    upd.add_argument(
-        "--updates", type=int, default=1_000,
-        help="update operations in the storm",
-    )
-    upd.add_argument(
-        "--nodes", type=int, default=400,
-        help="initial document size (nodes)",
-    )
-    upd.add_argument(
-        "--insert-ratio", type=float, default=0.7,
-        help="fraction of operations that insert (rest delete)",
-    )
-    upd.add_argument(
-        "--hotspot", type=float, default=0.5,
-        help="fraction of inserts aimed at the rotating hot parent",
-    )
-    upd.add_argument("--buffer-pages", type=int, default=64)
-    upd.add_argument("--seed", type=int, default=0)
-    upd.add_argument(
-        "--bench-out", default="",
-        help="write a schema-checked BENCH_updates.json to this file",
-    )
-    upd.set_defaults(func=cmd_update_bench)
 
     srv = sub.add_parser(
         "serve", help="run the multi-tenant query server over a corpus"

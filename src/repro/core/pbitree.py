@@ -33,7 +33,7 @@ wrong-answer bug.  They are therefore *distinct static types*
 stays pure integer arithmetic.  Only this module (and :mod:`.encoding`)
 may mint them; everything outside ``core/`` converts between domains by
 calling the Lemma 3/4 helpers below — enforced by the ``code-domain``
-checker in :mod:`repro.analysis`.  A few hot one-line helpers return
+checker in ``tools/analysis``.  A few hot one-line helpers return
 the raw arithmetic under a ``type: ignore`` minting comment instead of
 calling the ``NewType`` constructor: the constructor is a real function
 call at runtime and would double their cost.

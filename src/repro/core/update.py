@@ -93,15 +93,6 @@ class UpdateStats:
         self.global_relabels = 0
         self.tree_growths = 0
 
-    def as_dict(self) -> dict[str, int]:
-        """Plain mapping for the metrics registry / BENCH exports."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    @property
-    def relabelled_per_insert(self) -> float:
-        """Amortised structural relabel cost (the update-bench headline)."""
-        return self.relabelled_nodes / self.inserts if self.inserts else 0.0
-
     def __repr__(self) -> str:
         return (
             f"<UpdateStats inserts={self.inserts} deletes={self.deletes} "

@@ -272,12 +272,11 @@ class ContainmentDatabase:
         )
 
     def _decode(self, document: Document, codes) -> list[NodeView]:
-        out = []
-        for code in codes:
-            node = document.updatable.node_of(code)
-            if node is not None:
-                out.append(document.tree.node(node))
-        return out
+        # every set a query reads is drained first, so each answer code
+        # is live: a stale one fails NodeView's range check instead of
+        # vanishing
+        node_of = document.updatable.node_of
+        return [document.tree.node(node_of(code)) for code in codes]  # type: ignore[arg-type]
 
     def explain(self, document: Document, path: str) -> str:
         """The direction :meth:`query` takes, then the plan of every

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["render_series", "render_grouped_bars"]
+__all__ = ["render_series"]
 
 _BAR = "#"
 
@@ -55,20 +55,3 @@ def render_series(
             )
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def render_grouped_bars(
-    rows: Sequence[tuple[str, float]],
-    title: str = "",
-    width: int = 48,
-) -> str:
-    """One bar per (label, value) row."""
-    if not rows:
-        raise ValueError("no rows")
-    peak = max(value for _label, value in rows) or 1.0
-    label_width = max(len(label) for label, _value in rows)
-    lines = [title] if title else []
-    for label, value in rows:
-        bar = _BAR * max(1 if value > 0 else 0, round(value / peak * width))
-        lines.append(f"{label:>{label_width}} |{bar:<{width}}| {value:g}")
-    return "\n".join(lines)

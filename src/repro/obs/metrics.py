@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, TypeVar, Union, cast
 from ..storage.stats import IOSnapshot
 
 if TYPE_CHECKING:
-    from ..core.update import UpdateStats
     from ..join.base import JoinReport
     from ..storage.buffer import BufferManager
     from ..storage.disk import DiskManager
@@ -216,15 +215,6 @@ class MetricsRegistry:
         self.gauge("buffer.hit_rate").set(bufmgr.hit_rate)
         self.gauge("buffer.resident").set(bufmgr.num_resident)
         self.gauge("buffer.pinned").set(bufmgr.num_pinned)
-
-    def record_update_stats(self, stats: "UpdateStats") -> None:
-        """Relabelling work done by updates, as idempotent gauges
-        (``updates.*``)."""
-        for name, value in stats.as_dict().items():
-            self.gauge(f"updates.{name}").set(float(value))
-        self.gauge("updates.relabelled_per_insert").set(
-            stats.relabelled_per_insert
-        )
 
     def record_report(self, report: "JoinReport", dataset: str = "") -> None:
         """Per-operator output cardinality and I/O from a join report."""

@@ -118,11 +118,6 @@ class AdmissionController:
         """Currently admitted queries (all tenants)."""
         return self._in_flight
 
-    def tenant_in_flight(self, tenant: str) -> int:
-        """Currently admitted queries for one tenant."""
-        with self._lock:
-            return self._tenant_in_flight.get(tenant, 0)
-
     # ------------------------------------------------------------------
     @contextmanager
     def admit(self, tenant: str) -> Iterator[None]:

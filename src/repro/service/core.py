@@ -273,16 +273,11 @@ class QueryService:
                         estimated_cost=result.estimated_cost,
                     ),
                 )
-            codes = [
-                code
-                for code in result.codes
-                if doc.updatable.node_of(code) is not None
-            ]
         return QueryOutcome(
             tenant=tenant,
             document=document,
             path=path,
-            codes=codes,
+            codes=result.codes,
             direction=result.direction,
             cache_hit=cached is not None,
             planning_io=0,

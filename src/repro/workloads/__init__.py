@@ -1,18 +1,13 @@
-"""Workload generators: synthetic Table-2 datasets, DBLP-like, XMark-like,
-and the update-heavy storm driving the incremental pipeline."""
+"""Workload generators: synthetic Table-2 datasets, DBLP-like, XMark-like
+and text documents."""
 
-from . import dblp, synthetic, textdoc, updates, xmark
+from . import dblp, synthetic, textdoc, xmark
 from .dblp import JoinSpec
-from .updates import UpdateWorkloadResult, UpdateWorkloadSpec, run_update_workload
 
 __all__ = [
     "synthetic",
     "dblp",
     "xmark",
     "textdoc",
-    "updates",
     "JoinSpec",
-    "UpdateWorkloadSpec",
-    "UpdateWorkloadResult",
-    "run_update_workload",
 ]

@@ -410,6 +410,29 @@ class TestExecutionConfigSurface:
                 ["repro.service.core:QueryService"],
                 ["_doc" + "_gate", "_open" + "_session"],
             ),
+            # the update-storm BENCH writer: the perf ledger's update_mix
+            # workload and BENCH files replaced it
+            (["repro.__main__"], ["cmd_update" + "_bench", "_write" + "_bench"]),
+            (
+                ["repro.workloads"],
+                [
+                    "updates",
+                    "Update" + "WorkloadSpec",
+                    "Update" + "WorkloadResult",
+                    "run_update" + "_workload",
+                ],
+            ),
+            (
+                ["repro.obs.metrics:MetricsRegistry", "repro.obs:MetricsRegistry"],
+                ["record_update" + "_stats"],
+            ),
+            (
+                ["repro.core.update:UpdateStats"],
+                ["relabelled_per" + "_insert", "as" + "_dict"],
+            ),
+            # public helpers nothing called
+            (["repro.service.admission:AdmissionController"], ["tenant_in" + "_flight"]),
+            (["repro.experiments.figures"], ["render_grouped" + "_bars"]),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):
@@ -445,25 +468,33 @@ class TestExecutionConfigSurface:
         import inspect
 
         from repro import ContainmentDatabase
-        from repro.obs import MetricsRegistry
-        from repro.workloads.updates import run_update_workload
 
         for callable_ in (
             ContainmentDatabase.__init__,
             ContainmentDatabase.load_xml,
             ContainmentDatabase.load_tree,
-            run_update_workload,
-            MetricsRegistry.record_update_stats,
         ):
             assert "codec" not in inspect.signature(callable_).parameters
 
     @pytest.mark.parametrize(
-        "module", ["repro.storage." + SANI + "tize", "repro.analysis.view" + "_escape"]
+        "module", ["repro.storage." + SANI + "tize", "tools.analysis.view" + "_escape"]
     )
     def test_view_checker_modules_are_gone(self, module):
         import importlib.util
 
         assert importlib.util.find_spec(module) is None
+
+    @pytest.mark.parametrize(
+        "module",
+        # the checkers are repo tooling (tools.analysis), not engine code;
+        # the update-storm writer is gone
+        ["repro." + "analysis", "repro.workloads." + "updates"],
+    )
+    def test_package_ships_only_the_engine(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
     def test_page_scans_take_no_arguments(self):
         import inspect

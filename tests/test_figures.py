@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.figures import render_grouped_bars, render_series
+from repro.experiments.figures import render_series
 
 
 class TestRenderSeries:
@@ -35,14 +35,3 @@ class TestRenderSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             render_series(["x", "y"], {"a": [1.0]})
-
-
-class TestGroupedBars:
-    def test_renders_each_row(self):
-        text = render_grouped_bars([("one", 10.0), ("two", 5.0)], title="h")
-        assert text.splitlines()[0] == "h"
-        assert "one" in text and "two" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            render_grouped_bars([])

@@ -210,7 +210,7 @@ class TestColumnProbe:
 def test_interval_tree_module_passes_pin_discipline():
     from pathlib import Path
 
-    from repro.analysis import all_checkers, run_checks
+    from tools.analysis import all_checkers, run_checks
 
     checkers = [c for c in all_checkers() if c.name == "pin-discipline"]
     assert checkers

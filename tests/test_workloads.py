@@ -178,92 +178,3 @@ class TestXMarkWorkload:
         parlists = select_by_tag(tree, "parlist")
         nested = brute_force_join(parlists, parlists)
         assert nested  # at least one parlist inside another
-
-
-class TestUpdateWorkload:
-    """The update-heavy storm generator driving the incremental pipeline."""
-
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.workloads.updates import (
-            UpdateWorkloadSpec,
-            run_update_workload,
-        )
-
-        return run_update_workload(UpdateWorkloadSpec(nodes=80, updates=150, seed=5))
-
-    def test_result_names_no_codec(self):
-        from repro.workloads.updates import UpdateWorkloadResult
-
-        assert "codec" not in UpdateWorkloadResult.__dataclass_fields__
-
-    def test_pbitree_pays_relabels(self, result):
-        assert result.stats["relabelled_nodes"] > 0
-        assert result.relabelled_per_insert > 0.0
-
-    def test_log_records_cover_every_operation(self, result):
-        stats = result.stats
-        applied = stats["inserts"] + stats["deletes"]
-        # relabels/growth log extra per-tag records on top
-        assert result.log_records_applied >= applied - result.skipped_inserts
-
-    def test_deterministic_given_seed(self):
-        from repro.workloads.updates import (
-            UpdateWorkloadSpec,
-            run_update_workload,
-        )
-
-        spec = UpdateWorkloadSpec(nodes=60, updates=100, seed=9)
-        first = run_update_workload(spec)
-        second = run_update_workload(spec)
-        assert first.stats == second.stats
-        assert first.log_records_applied == second.log_records_applied
-
-    def test_as_metrics_is_flat_and_update_scoped(self, result):
-        metrics = result.as_metrics()
-        assert all(key.startswith("updates.") for key in metrics)
-        assert all(key.count(".") == 1 for key in metrics)
-        assert all(isinstance(value, float) for value in metrics.values())
-        assert metrics["updates.operations"] == 150.0
-
-    def test_metrics_registry_gets_unscoped_update_gauges(self):
-        from repro.obs import MetricsRegistry
-        from repro.workloads.updates import (
-            UpdateWorkloadSpec,
-            run_update_workload,
-        )
-
-        metrics = MetricsRegistry()
-        result = run_update_workload(
-            UpdateWorkloadSpec(nodes=40, updates=30, seed=2), metrics=metrics
-        )
-        values = metrics.as_dict()
-        assert values["updates.inserts"] == result.stats["inserts"]
-        assert values["updates.log_records_applied"] == result.log_records_applied
-        assert not any(key.startswith("updates.pbitree") for key in values)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("nodes", 0),
-            ("updates", -3),
-            ("buffer_pages", 0),
-            ("insert_ratio", 1.5),
-            ("insert_ratio", -0.1),
-            ("hotspot", -1.0),
-            ("hotspot", 1.01),
-        ],
-    )
-    def test_spec_rejects_out_of_range_fields(self, field, value):
-        from repro.workloads.updates import UpdateWorkloadSpec
-
-        with pytest.raises(ValueError, match=field):
-            UpdateWorkloadSpec(**{field: value})
-
-    def test_spec_accepts_the_closed_bounds(self):
-        from repro.workloads.updates import UpdateWorkloadSpec
-
-        UpdateWorkloadSpec(
-            nodes=1, updates=0, buffer_pages=1, insert_ratio=0.0, hotspot=1.0
-        )
-        UpdateWorkloadSpec(insert_ratio=1.0, hotspot=0.0)
