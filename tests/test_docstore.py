@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core import pbitree as pt
+from repro.core.update import CodeSpaceError
 from repro.datatree.builder import random_tree, tree_from_spec
 from repro.experiments.harness import run_lineup
 from repro.index import StaleIndexError
@@ -282,6 +283,159 @@ class TestStormOracle:
         )
         assert from_store.result_count == from_rebuild.result_count
         assert normalize(from_store) == normalize(from_rebuild)
+
+
+@dataclasses.dataclass
+class HotspotStorm:
+    """What one :func:`run_hotspot_storm` did."""
+
+    applied: int = 0  # log records the periodic flushes applied
+    rejected: int = 0  # inserts that raised CodeSpaceError
+    skipped: int = 0  # inserts rejected under the root too
+    height_at_budget: int = 0  # tree height when growth was switched off
+
+
+def run_hotspot_storm(
+    tree, encoding, store, rng, steps, *, max_height, hot_width=12, flush_every=16
+):
+    """Inserts mixed with subtree deletes, half of the inserts aimed at a
+    rotating hot parent: filling one parent's sibling level over and
+    over is what forces PBiTree's local relabels and, one level past the
+    leaves, tree growth.  The store lags the document by at most
+    ``flush_every`` operations.  Once the tree reaches ``max_height``,
+    growth is switched off and an insert that would grow the tree is
+    retried under the root, or else skipped.
+    """
+    storm = HotspotStorm()
+    hot_parent, hot_count = tree.root, 0
+    for step in range(1, steps + 1):
+        live = [n for n in range(len(tree)) if encoding.is_alive(n)]
+        if not encoding.is_alive(hot_parent) or hot_count >= hot_width:
+            hot_parent, hot_count = rng.choice(live), 0
+        if encoding.allow_growth and encoding.tree_height >= max_height:
+            encoding.allow_growth = False
+            storm.height_at_budget = encoding.tree_height
+        if rng.random() < 0.7 or len(live) < 8:
+            if rng.random() < 0.5:
+                parent, hot_count = hot_parent, hot_count + 1
+            else:
+                parent = rng.choice(live)
+            tag = rng.choice("abcd")
+            for candidate in (parent, tree.root):
+                try:
+                    encoding.insert_child(candidate, tag)
+                    break
+                except CodeSpaceError:
+                    storm.rejected += 1
+            else:
+                storm.skipped += 1
+        else:
+            non_root = [n for n in live if tree.parents[n] >= 0]
+            encoding.delete_subtree(rng.choice(non_root))
+        if step % flush_every == 0:
+            storm.applied += store.flush()
+    storm.applied += store.flush()
+    return storm
+
+
+def make_storm_store(encode, seed):
+    tree, encoding, store = make_store(encode, num_nodes=60, seed=seed)
+    for tag in sorted(set(tree.tags) | set("abcd")):
+        store.element_set(tag)
+    return tree, encoding, store
+
+
+@pytest.mark.parametrize("encode", list(ENCODINGS.values()), ids=list(ENCODINGS))
+class TestHotspotStorm:
+    """A hot-parent storm under a height budget, with the store lagging
+    the document by a bounded window of operations."""
+
+    def test_store_matches_encoding(self, encode):
+        tree, encoding, store = make_storm_store(encode, seed=5)
+        run_hotspot_storm(
+            tree, encoding, store, random.Random(5), 200,
+            max_height=encoding.tree_height + 4,
+        )
+        encoding.validate()
+        for tag in store.tags():
+            store.verify(tag)
+            assert sorted(store.element_set(tag).scan()) == sorted(
+                live_codes_by_tag(tree, encoding, tag)
+            )
+
+    def test_hot_parent_relabels_only_under_pbitree(self, encode):
+        tree, encoding, store = make_storm_store(encode, seed=5)
+        run_hotspot_storm(
+            tree, encoding, store, random.Random(5), 200,
+            max_height=encoding.tree_height + 4,
+        )
+        if encode is pbitree_encoding:
+            # a full sibling level moves the parent's children one level
+            # deeper: a local relabel of that subtree
+            assert encoding.stats.local_relabels > 0
+            assert encoding.stats.relabelled_nodes > encoding.stats.local_relabels
+        else:
+            # nested intervals never move an existing node's path
+            assert encoding.stats.local_relabels == 0
+            assert encoding.stats.relabelled_nodes == 0
+
+    def test_flushes_apply_a_record_per_change(self, encode):
+        tree, encoding, store = make_storm_store(encode, seed=7)
+        kinds = []
+        encoding.listeners.append(lambda event: kinds.append(event.kind))
+        storm = run_hotspot_storm(
+            tree, encoding, store, random.Random(7), 150,
+            max_height=encoding.tree_height + 4,
+        )
+        # every tag is materialised, so each insert and each deleted
+        # node logs a record; relabels and growths log more per tag
+        assert storm.applied >= kinds.count("insert") + kinds.count("delete")
+        assert store.pending_updates() == 0
+
+    def test_height_budget_stops_growth(self, encode):
+        tree, encoding, store = make_storm_store(encode, seed=3)
+        height = encoding.tree_height
+        # at the budget from the first operation: no insert may grow
+        storm = run_hotspot_storm(
+            tree, encoding, store, random.Random(3), 300, max_height=height
+        )
+        assert not encoding.allow_growth
+        assert storm.height_at_budget == encoding.tree_height == height
+        assert encoding.stats.tree_growths == 0
+        assert storm.rejected > storm.skipped > 0
+        # a rejected insert logged nothing the pages now disagree with
+        encoding.validate()
+        for tag in store.tags():
+            store.verify(tag)
+
+    def test_stats_count_the_change_events(self, encode):
+        tree, encoding, store = make_storm_store(encode, seed=9)
+        kinds = []
+        encoding.listeners.append(lambda event: kinds.append(event.kind))
+        run_hotspot_storm(
+            tree, encoding, store, random.Random(9), 200,
+            max_height=encoding.tree_height + 4,
+        )
+        stats = encoding.stats
+        assert stats.inserts == kinds.count("insert")
+        assert stats.local_relabels == kinds.count("relabel")
+        assert stats.tree_growths == stats.global_relabels == kinds.count("grow")
+        assert 0 < stats.deletes <= kinds.count("delete")
+
+    def test_deterministic_given_seed(self, encode):
+        def storm_once():
+            tree, encoding, store = make_storm_store(encode, seed=4)
+            storm = run_hotspot_storm(
+                tree, encoding, store, random.Random(4), 150,
+                max_height=encoding.tree_height + 2,
+            )
+            pages = {
+                tag: list(store.element_set(tag).scan_pages())
+                for tag in store.tags()
+            }
+            return repr(encoding.stats), storm, pages
+
+        assert storm_once() == storm_once()
 
 
 class TestLogLifecycle:
