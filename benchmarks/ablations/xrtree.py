@@ -30,6 +30,7 @@ the fly, and the A6 ablation compares the two.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable, Iterator, cast
 
 from repro.core import pbitree
@@ -99,8 +100,11 @@ class XRTree:
         for node_page, items in buffered.items():
             # end-descending order lets queries stop early
             items.sort(key=lambda item: -item[1])
-            self._stab_lists[node_page] = HeapFile.from_records(
-                self.bufmgr, TRIPLE, items, name=f"{self.name}.stab.{node_page}"
+            self._stab_lists[node_page] = HeapFile.from_fields(
+                self.bufmgr,
+                TRIPLE,
+                list(chain.from_iterable(items)),
+                name=f"{self.name}.stab.{node_page}",
             )
 
     def _find_spanning_node(self, start: int, end: int) -> int | None:
@@ -143,10 +147,14 @@ class XRTree:
             stab_list = self._stab_lists.get(page_id)
             if stab_list is not None:
                 # stab-list heaps store (start, end, code) triples in
-                # the build()-time domains
+                # the build()-time domains; the scan stays unnamed, so
+                # a break drops it and the pin on its page
                 for start, end, code in cast(
                     "Iterator[tuple[RegionCode, RegionCode, PBiCode]]",
-                    stab_list.scan(),
+                    chain.from_iterable(
+                        zip(fields[0::3], fields[1::3], fields[2::3])
+                        for fields in stab_list.scan_page_arrays()
+                    ),
                 ):
                     if end < point:
                         break  # list is end-descending: nothing else fits

@@ -96,10 +96,9 @@ def rollup(codes: Sequence[int], height: int) -> list[PBiCode]:
     return cast("list[PBiCode]", [(c & keep) | bit for c in codes])
 
 
-def rollup_pairs(
-    codes: Sequence[int], height: int
-) -> list[tuple[PBiCode, PBiCode]]:
-    """Bulk ``(effective, original)`` pairs for the MHCJ rollup.
+def rollup_pairs(codes: Sequence[int], height: int) -> list[PBiCode]:
+    """Bulk ``(effective, original)`` pair records for the MHCJ rollup,
+    as one flat field list ``[e0, o0, e1, o1, ...]``.
 
     ``effective`` is ``F(c, height)`` for codes strictly below the
     target height and the code itself otherwise — exactly the serial
@@ -109,19 +108,19 @@ def rollup_pairs(
     keep = -(1 << (height + 1))
     bit = 1 << height
     low = (1 << height) - 1
-    return cast(
-        "list[tuple[PBiCode, PBiCode]]",
-        [((c & keep) | bit, c) if c & low else (c, c) for c in codes],
-    )
+    fields = [0] * (2 * len(codes))
+    fields[0::2] = [(c & keep) | bit if c & low else c for c in codes]
+    fields[1::2] = codes
+    return cast("list[PBiCode]", fields)
 
 
 def probe_keys(codes: Sequence[int], height: int) -> list[int]:
     """Bulk SHCJ probe keys: ``F(c, height)``, or 0 for filtered codes.
 
     A descendant at height >= ``height`` cannot have an ancestor at
-    ``height``; the scalar key function returns ``None`` for it.  Codes
-    are positive, so 0 is a safe in-band "no key" sentinel that keeps
-    the kernel a single comprehension.
+    ``height``, so it gets no key.  Codes are positive, so 0 is a safe
+    in-band "no key" sentinel that keeps the kernel a single
+    comprehension.
     """
     keep = -(1 << (height + 1))
     bit = 1 << height

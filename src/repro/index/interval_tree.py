@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Sequence, cast
 
@@ -143,15 +144,15 @@ class IntervalTree:
             lefts = [iv for iv in items if iv[1] < mid]
             rights = [iv for iv in items if iv[0] > mid]
 
-            # itemgetter keys and bulk appends: same stable order (and
-            # page layout) as per-record appends, far fewer bytecodes
+            # itemgetter keys and flat-field appends: same stable order
+            # (and page layout) as per-record appends, far fewer bytecodes
             left_sorted = sorted(here, key=itemgetter(0))
             right_sorted = sorted(here, key=itemgetter(1), reverse=True)
             l_off = offset[0]
-            writer.append_many(left_sorted)
+            writer.append_fields(list(chain.from_iterable(left_sorted)))
             offset[0] += len(left_sorted)
             r_off = offset[0]
-            writer.append_many(right_sorted)
+            writer.append_fields(list(chain.from_iterable(right_sorted)))
             offset[0] += len(right_sorted)
 
             index = len(nodes)

@@ -4,16 +4,18 @@ SHCJ reduces a containment join to the equijoin
 ``A JOIN D ON A.code = F(D.code, h)`` (Algorithm 2); this module
 provides the two standard evaluation strategies:
 
-* :func:`in_memory_hash_join` — build side fits in the buffer: build a
-  hash table over it, stream the probe side (I/O ``||A|| + ||D||``);
+* :func:`in_memory_hash_join_codes` — build side fits in the buffer:
+  build a hash table over it, stream the probe side (I/O
+  ``||A|| + ||D||``);
 * :class:`GracePartitioner` / :func:`grace_hash_join` — neither fits:
   hash-partition both inputs into ``k`` co-buckets (one page of output
-  buffer per bucket), then join bucket pairs in memory
-  (I/O ``3(||A|| + ||D||)``, the figure the paper quotes).
+  buffer per bucket), then join each bucket pair with the caller's
+  in-memory join (I/O ``3(||A|| + ||D||)``, the figure the paper
+  quotes).
 
-Keys are computed on the fly from the stored records by caller-supplied
-key functions, so the ``F`` conversion never touches disk — the paper's
-central efficiency argument for PBiTree codes.
+Inputs are pages of flat field arrays, and keys are computed on the
+fly, one bulk-key call per page, so the ``F`` conversion never touches
+disk — the paper's central efficiency argument for PBiTree codes.
 """
 
 from __future__ import annotations
@@ -25,55 +27,16 @@ from ..storage.heapfile import HeapFile
 from ..storage.record import RecordCodec
 
 __all__ = [
-    "in_memory_hash_join",
+    "BulkKeyFunc",
     "in_memory_hash_join_codes",
     "GracePartitioner",
     "grace_hash_join",
 ]
 
-Record = tuple[int, ...]
-KeyFunc = Callable[[Record], Optional[int]]
-EmitFunc = Callable[[Record, Record], None]
-#: bulk key function: one call per page of codes, one key per code,
-#: ``0`` marking a filtered record (codes are >= 1, so 0 is in-band)
+#: bulk key function: one call per page of field arrays, one key per
+#: record, ``0`` marking a filtered record (codes are >= 1, so 0 is
+#: in-band)
 BulkKeyFunc = Callable[[Sequence[int]], Sequence[int]]
-
-
-def in_memory_hash_join(
-    build_pages: Iterable[Sequence[Record]],
-    probe_pages: Iterable[Sequence[Record]],
-    build_key: KeyFunc,
-    probe_key: KeyFunc,
-    emit: EmitFunc,
-) -> None:
-    """Classic build/probe hash join over page streams.
-
-    Key functions may return ``None`` to drop a record (SHCJ uses this
-    for descendants at or above the ancestor height, whose ``F`` value
-    is meaningless).  ``emit(build_record, probe_record)`` is called for
-    every key match.
-    """
-    table: dict[int, list[Record]] = {}
-    for page in build_pages:
-        for record in page:
-            key = build_key(record)
-            if key is None:
-                continue
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [record]
-            else:
-                bucket.append(record)
-    get = table.get
-    for page in probe_pages:
-        for record in page:
-            key = probe_key(record)
-            if key is None:
-                continue
-            bucket = get(key)
-            if bucket is not None:
-                for build_record in bucket:
-                    emit(build_record, record)
 
 
 def in_memory_hash_join_codes(
@@ -83,16 +46,14 @@ def in_memory_hash_join_codes(
     probe_keys: BulkKeyFunc,
     emit: Callable[[int, int], None],
 ) -> None:
-    """Batched build/probe hash join over pages of single-code records.
+    """Build/probe hash join over pages of single-code records.
 
-    The bulk-key variant of :func:`in_memory_hash_join`: keys for a
-    whole page are computed by one kernel call (see
-    :mod:`repro.core.batch`) instead of one Python call per record.  A
-    key of ``0`` marks a filtered record — PBiTree codes are >= 1, so
-    ``0`` can never be a build key and filtered probe records miss the
-    table without an explicit branch.  Bucket insertion order, probe
-    order and emit order are identical to the scalar function's, so the
-    two are drop-in interchangeable.
+    Keys for a whole page are computed by one kernel call (see
+    :mod:`repro.core.batch`).  A key of ``0`` marks a filtered record —
+    PBiTree codes are >= 1, so ``0`` can never be a build key and
+    filtered probe records miss the table without an explicit branch.
+    ``emit(build_code, probe_code)`` runs for every key match, in probe
+    order, and within one probe record in build order.
     """
     table: dict[int, list[int]] = {}
     for codes in build_pages:
@@ -114,7 +75,7 @@ def in_memory_hash_join_codes(
 
 
 class GracePartitioner:
-    """Hash-partition a record stream into ``k`` heap files.
+    """Hash-partition pages of records into ``k`` heap files.
 
     Holds one output page per partition (so ``k`` must leave room in
     the buffer pool for at least one input page: ``k <= b - 1``).
@@ -135,28 +96,35 @@ class GracePartitioner:
                 f"buffer pages, pool has {bufmgr.num_pages}"
             )
         self.num_partitions = num_partitions
+        self.arity = codec.arity
         self.files = [
             HeapFile(bufmgr, codec, name=f"{name}[{i}]")
             for i in range(num_partitions)
         ]
 
     def partition(
-        self, pages: Iterable[Sequence[Record]], key: KeyFunc
+        self, pages: Iterable[Sequence[int]], keys: BulkKeyFunc
     ) -> list[HeapFile]:
-        """Distribute records by ``hash(key) % k``; drops ``None`` keys."""
+        """Distribute each page's records by the hash of their key;
+        records keyed ``0`` are dropped.
+
+        ``pages`` are flat field arrays (``arity`` fields per record)
+        and ``keys(page)`` gives one key per record.
+        """
         writers = [heap.open_writer() for heap in self.files]
         k = self.num_partitions
+        arity = self.arity
         try:
-            for page in pages:
-                for record in page:
-                    value = key(record)
-                    if value is None:
-                        continue
-                    # multiplicative hash decorrelates the low bits that
-                    # the F() rollup makes constant within a height class
-                    writers[(value * 0x9E3779B97F4A7C15 >> 32) % k].append(
-                        record
-                    )
+            for fields in pages:
+                records = zip(*[iter(fields)] * arity)
+                for key, record in zip(keys(fields), records):
+                    if key:
+                        # multiplicative hash decorrelates the low bits
+                        # that the F() rollup makes constant within a
+                        # height class
+                        writers[(key * 0x9E3779B97F4A7C15 >> 32) % k].append(
+                            record
+                        )
         finally:
             # close even when the input scan faults: each writer holds a
             # pinned output page, and leaving it pinned would make the
@@ -172,13 +140,13 @@ class GracePartitioner:
 
 def grace_hash_join(
     bufmgr: BufferManager,
-    build_pages: Iterable[Sequence[Record]],
-    probe_pages: Iterable[Sequence[Record]],
+    build_pages: Iterable[Sequence[int]],
+    probe_pages: Iterable[Sequence[int]],
     build_codec: RecordCodec,
     probe_codec: RecordCodec,
-    build_key: KeyFunc,
-    probe_key: KeyFunc,
-    emit: EmitFunc,
+    build_keys: BulkKeyFunc,
+    probe_keys: BulkKeyFunc,
+    join_buckets: Callable[[HeapFile, HeapFile], None],
     num_partitions: Optional[int] = None,
     name: str = "grace",
     build_pages_hint: Optional[int] = None,
@@ -188,9 +156,10 @@ def grace_hash_join(
     ``build_pages_hint`` (the build side's page count) lets the join
     pick the smallest partition count whose buckets fit in memory.
 
-    Both inputs are hash-partitioned on their join keys, then each
-    bucket pair is joined with :func:`in_memory_hash_join`.  Records
-    whose key function returns ``None`` never reach a partition, so the
+    Both inputs are hash-partitioned on their join keys, then
+    ``join_buckets(build_file, probe_file)`` joins each non-empty bucket
+    pair — with the same code the caller runs when a side fits in
+    memory.  Records keyed ``0`` never reach a partition, so the
     partitioning pass doubles as a filter.
     """
     if num_partitions is not None:
@@ -206,18 +175,11 @@ def grace_hash_join(
     build_part = GracePartitioner(bufmgr, build_codec, k, name=f"{name}.build")
     probe_part = GracePartitioner(bufmgr, probe_codec, k, name=f"{name}.probe")
     try:
-        build_files = build_part.partition(build_pages, build_key)
-        probe_files = probe_part.partition(probe_pages, probe_key)
+        build_files = build_part.partition(build_pages, build_keys)
+        probe_files = probe_part.partition(probe_pages, probe_keys)
         for build_file, probe_file in zip(build_files, probe_files):
-            if not len(build_file) or not len(probe_file):
-                continue
-            in_memory_hash_join(
-                build_file.scan_pages(),
-                probe_file.scan_pages(),
-                build_key,
-                probe_key,
-                emit,
-            )
+            if len(build_file) and len(probe_file):
+                join_buckets(build_file, probe_file)
     finally:
         build_part.destroy()
         probe_part.destroy()

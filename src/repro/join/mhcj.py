@@ -109,62 +109,63 @@ def rollup_candidate_pairs(
     return pairs / (1 << max(0, -spread))
 
 
+def _effective_keys(fields: Sequence[int]) -> Sequence[int]:
+    """Bulk key of a page of ``(effective, original)`` pair records."""
+    return fields[0::2]
+
+
+def _probe_height_class(
+    a_pages: Iterable[Sequence[int]],
+    d_pages: Iterable[Sequence[int]],
+    height: int,
+    emit: Callable[[int, int], None],
+) -> int:
+    """Join pair pages that fit the pool with descendant code pages;
+    returns the false hits.
+
+    Builds ``effective -> originals`` (bucket insertion order = scan
+    order), then probes each descendant page with one verified-kernel
+    call.
+    """
+    table: dict[int, list[int]] = {}
+    for fields in a_pages:
+        pairs = iter(fields)
+        for effective, original in zip(pairs, pairs):
+            bucket = table.get(effective)
+            if bucket is None:
+                table[effective] = [original]
+            else:
+                bucket.append(original)
+    return sum(
+        batch.height_class_probe(table, height, d_codes, emit)
+        for d_codes in d_pages
+    )
+
+
 def _join_height_class(
-    a_pages: Iterable[Sequence[tuple[int, ...]]],
+    a_pages: Iterable[Sequence[int]],
     a_num_pages: int,
     descendants: ElementSet,
     height: int,
     sink: JoinSink,
     bufmgr: BufferManager,
     report: JoinReport,
-) -> None:
-    """SHCJ body over (effective, original) ancestor pair records.
+) -> str:
+    """SHCJ body over pages of ``(effective, original)`` pair records
+    (flat field arrays); returns the arm it ran, named as in SHCJ's
+    notes.
 
     ``effective`` is the (possibly rolled) code at ``height``; matches
     through rolled records are verified against the original code and
     misses are counted in ``report.false_hits``.
     """
-    height_of = pbitree.height_of
-    f_ancestor = pbitree.f_ancestor
-    is_ancestor = pbitree.is_ancestor
     emit = sink.emit
-
-    def build_key(record: tuple[int, ...]) -> Optional[int]:
-        return record[0]
-
-    def probe_key(record: tuple[int, ...]) -> Optional[int]:
-        code = record[0]
-        if height_of(code) >= height:
-            return None
-        return f_ancestor(code, height)
-
-    def emit_pair(a_record, d_record) -> None:
-        effective, original = a_record
-        d_code = d_record[0]
-        if effective == original:
-            emit(original, d_code)
-        elif is_ancestor(original, d_code):
-            emit(original, d_code)
-        else:
-            report.false_hits += 1
-
     if a_num_pages <= bufmgr.num_pages - 2:
-        # build effective -> originals (bucket insertion order = scan
-        # order), then probe each descendant page with one
-        # verified-kernel call
-        table: dict[int, list[int]] = {}
-        for page in a_pages:
-            for effective, original in page:
-                bucket = table.get(effective)
-                if bucket is None:
-                    table[effective] = [original]
-                else:
-                    bucket.append(original)
-        for d_codes in descendants.scan_code_arrays():
-            report.false_hits += batch.height_class_probe(
-                table, height, d_codes, emit
-            )
-    elif descendants.num_pages <= bufmgr.num_pages - 2:
+        report.false_hits += _probe_height_class(
+            a_pages, descendants.scan_code_arrays(), height, emit
+        )
+        return "in-memory (A fits)"
+    if descendants.num_pages <= bufmgr.num_pages - 2:
         # build F-key -> descendants with one bulk-key call per page,
         # probe with the ancestor pairs; rolled matches are verified a
         # whole bucket at a time
@@ -180,8 +181,9 @@ def _join_height_class(
                 else:
                     d_bucket.append(d_code)
         get = d_table.get
-        for page in a_pages:
-            for effective, original in page:
+        for fields in a_pages:
+            pairs = iter(fields)
+            for effective, original in zip(pairs, pairs):
                 d_bucket = get(effective)
                 if d_bucket is None:
                     continue
@@ -193,19 +195,27 @@ def _join_height_class(
                     for d_code in matched:
                         emit(original, d_code)
                     report.false_hits += len(d_bucket) - len(matched)
-    else:
-        grace_hash_join(
-            bufmgr,
-            a_pages,
-            descendants.heap.scan_pages(),
-            PAIR,
-            CODE,
-            build_key,
-            probe_key,
-            emit_pair,
-            name=f"mhcj.h{height}",
-            build_pages_hint=a_num_pages,
+        return "in-memory (D fits)"
+
+    # each bucket pair is joined by the A-fits code above
+    def join_buckets(a_file: HeapFile, d_file: HeapFile) -> None:
+        report.false_hits += _probe_height_class(
+            a_file.scan_page_arrays(), d_file.scan_page_arrays(), height, emit
         )
+
+    grace_hash_join(
+        bufmgr,
+        a_pages,
+        descendants.scan_code_arrays(),
+        PAIR,
+        CODE,
+        _effective_keys,
+        lambda codes: batch.probe_keys(codes, height),
+        join_buckets,
+        name=f"mhcj.h{height}",
+        build_pages_hint=a_num_pages,
+    )
+    return "grace"
 
 
 def _partition_by_height(
@@ -270,19 +280,13 @@ def _join_partitions(
 
             def pages():
                 for heap in files:
-                    yield from heap.scan_pages()
+                    yield from heap.scan_page_arrays()
 
             num_pages = sum(heap.num_pages for heap in files)
-            with trace("mhcj.join_height", height=height):
-                _join_height_class(
-                    pages(),
-                    num_pages,
-                    descendants,
-                    height,
-                    sink,
-                    bufmgr,
-                    report,
-                )
+            with trace("mhcj.join_height", height=height) as span:
+                span.set("mode", _join_height_class(
+                    pages(), num_pages, descendants, height, sink, bufmgr, report
+                ))
     finally:
         for files in partitions.values():
             for heap in files:
@@ -346,13 +350,14 @@ class MultiHeightRollupJoin(JoinAlgorithm):
             # file, which is what makes the 3(||A|| + ||D||) cost hold.
             report.partitions = 1
 
-            # one rollup_pairs kernel call per page of codes
+            # one rollup_pairs kernel call per page of codes, each
+            # giving the page's flat (effective, original) fields
             rolled_pages = (
                 batch.rollup_pairs(codes, target)
                 for codes in ancestors.scan_code_arrays()
             )
-            with self.trace("mhcj.rollup", target_height=target):
-                _join_height_class(
+            with self.trace("mhcj.rollup", target_height=target) as span:
+                span.set("mode", _join_height_class(
                     rolled_pages,
                     rolled_pair_pages(ancestors),
                     descendants,
@@ -360,7 +365,7 @@ class MultiHeightRollupJoin(JoinAlgorithm):
                     sink,
                     bufmgr,
                     report,
-                )
+                ))
         else:
             # General case: write rolled pair records, partitioned by
             # effective height (nodes above the target keep their own

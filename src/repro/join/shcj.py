@@ -10,7 +10,7 @@ hash join at ``3(||A|| + ||D||)`` otherwise.
 
 A descendant at height >= ``h`` cannot have an ancestor at ``h``; its
 ``F`` value would be a non-ancestor node, so such records are filtered
-by the key function (returns ``None``) rather than verified later —
+by the bulk key function (key ``0``) rather than verified later —
 SHCJ produces **no false hits**.
 
 A path's child step (``//a/b``) is the same equijoin with another key:
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core import batch, pbitree
+from ..core import batch
 from ..storage.buffer import BufferManager
 from ..storage.record import CODE
 from .base import JoinAlgorithm, JoinReport, JoinSink
@@ -68,49 +68,30 @@ class SingleHeightJoin(JoinAlgorithm):
         ancestors, descendants, height = prepared
         report = JoinReport(algorithm=self.name, result_count=0)
 
-        height_of = pbitree.height_of
-        f_ancestor = pbitree.f_ancestor
-
-        def probe_key(record: tuple[int, ...]) -> Optional[int]:
-            code = record[0]
-            if height_of(code) >= height:
-                return None
-            return f_ancestor(code, height)
-
-        def build_key(record: tuple[int, ...]) -> Optional[int]:
-            return record[0]
-
         emit = sink.emit
-
-        def emit_pair(a_record, d_record) -> None:
-            emit(a_record[0], d_record[0])
 
         def identity_keys(codes):
             return codes
 
-        def bulk_probe_keys(codes):
+        def probe_keys(codes):
             return batch.probe_keys(codes, height)
 
-        parent_codes = self.parent_codes
-        if parent_codes is not None:
-            bulk_probe_keys = parent_codes
+        if self.parent_codes is not None:
+            probe_keys = self.parent_codes
 
-            def probe_key(record: tuple[int, ...]) -> Optional[int]:
-                return parent_codes((record[0],))[0] or None
+        def join_in_memory(a_pages, d_pages) -> None:
+            in_memory_hash_join_codes(
+                a_pages, d_pages, identity_keys, probe_keys, emit
+            )
 
         # The build side is A (conventionally the smaller); if either
         # side fits in the pool an in-memory join over whole code pages
-        # avoids partitioning.  The grace branch keys records one at a
-        # time: partitioning is writer-bound, and the bucket joins reuse
-        # the per-record key functions over the partition files.
+        # avoids partitioning.  Grace joins each bucket pair with the
+        # A-fits join.
         if ancestors.num_pages <= bufmgr.num_pages - 2:
             with self.trace("shcj.probe", mode="in-memory", build="A"):
-                in_memory_hash_join_codes(
-                    ancestors.scan_code_arrays(),
-                    descendants.scan_code_arrays(),
-                    identity_keys,
-                    bulk_probe_keys,
-                    emit,
+                join_in_memory(
+                    ancestors.scan_code_arrays(), descendants.scan_code_arrays()
                 )
             report.notes = "in-memory (A fits)"
         elif descendants.num_pages <= bufmgr.num_pages - 2:
@@ -119,7 +100,7 @@ class SingleHeightJoin(JoinAlgorithm):
                 in_memory_hash_join_codes(
                     descendants.scan_code_arrays(),
                     ancestors.scan_code_arrays(),
-                    bulk_probe_keys,
+                    probe_keys,
                     identity_keys,
                     lambda d_code, a_code: emit(a_code, d_code),
                 )
@@ -128,13 +109,15 @@ class SingleHeightJoin(JoinAlgorithm):
             with self.trace("shcj.grace") as grace_span:
                 partitions = grace_hash_join(
                     bufmgr,
-                    ancestors.heap.scan_pages(),
-                    descendants.heap.scan_pages(),
+                    ancestors.scan_code_arrays(),
+                    descendants.scan_code_arrays(),
                     CODE,
                     CODE,
-                    build_key,
-                    probe_key,
-                    emit_pair,
+                    identity_keys,
+                    probe_keys,
+                    lambda a_file, d_file: join_in_memory(
+                        a_file.scan_page_arrays(), d_file.scan_page_arrays()
+                    ),
                     name="shcj",
                     build_pages_hint=ancestors.num_pages,
                 )

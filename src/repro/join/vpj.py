@@ -288,10 +288,10 @@ class VerticalPartitionJoin(JoinAlgorithm):
         # document-ordered data these are the extremes of the whole set,
         # so their LCA is (close to) the set's true branch point; for
         # shuffled data any pages do.
-        codes = [record[0] for record in nonempty[0].read_page(0)]
+        codes = nonempty[0].read_page_array(0).tolist()
         last = nonempty[-1]
         if last.num_pages > 1 or last is not nonempty[0]:
-            codes += [record[0] for record in last.read_page(last.num_pages - 1)]
+            codes += last.read_page_array(last.num_pages - 1)
         if not codes:
             return 0
         lca = codes[0]
@@ -431,9 +431,9 @@ class VerticalPartitionJoin(JoinAlgorithm):
 
         try:
             for heap in files:
-                for records in heap.scan_pages():
-                    for record in records:
-                        code = record[0]
+                for codes in heap.scan_page_arrays():
+                    for code in codes:
+                        record = (code,)
                         height = height_of(code)
                         if height <= anchor_height:
                             anchor = f_ancestor(code, anchor_height)
@@ -509,19 +509,9 @@ def _concat_as_set(
     ``dedup`` drops replicated ancestor copies; safe here because the
     fallback joins a whole partition at once.
     """
+    codes = [
+        code for heap in files for page in heap.scan_page_arrays() for code in page
+    ]
     if dedup:
-        seen: set[int] = set()
-
-        def codes():
-            for heap in files:
-                for record in heap.scan():
-                    if record[0] not in seen:
-                        seen.add(record[0])
-                        yield record[0]
-    else:
-        def codes():
-            for heap in files:
-                for record in heap.scan():
-                    yield record[0]
-
-    return ElementSet.from_codes(bufmgr, codes(), tree_height, name=name)
+        codes = list(dict.fromkeys(codes))
+    return ElementSet.from_codes(bufmgr, codes, tree_height, name=name)

@@ -9,7 +9,8 @@ ever-longer wait:
 
 * **Backpressure** — the global in-flight limit is reached.  The
   client receives :class:`BackpressureRejection` with a ``retry_after``
-  hint sized to the service's observed latency.
+  hint: the controller's fixed ``retry_after``,
+  :data:`DEFAULT_RETRY_AFTER` (0.05 s) unless configured.
 * **Quota** — a tenant exceeded its own concurrency or total-query
   allowance (:class:`TenantQuota`).  Other tenants are unaffected;
   that is the point of per-tenant admission.

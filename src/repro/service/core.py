@@ -15,7 +15,9 @@ database's own disk and buffer pool:
    path :meth:`ContainmentDatabase.query
    <repro.db.ContainmentDatabase.query>` runs — with a per-query
    :class:`~repro.obs.tracer.Tracer`;
-5. codes of elements deleted since they were stored are dropped.
+5. the last step's survivors are the answer, returned as codes and not
+   filtered: step 1's drain leaves only live elements in the sets, and
+   a stale code raises where it is decoded instead of being dropped.
 
 Requests that arrive while the lock is held wait on it.  Overload and
 tenant limits are handled before that by the

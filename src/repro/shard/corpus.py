@@ -307,7 +307,8 @@ class ShardedCorpus:
         codes: list[int] = []
         for heap in (entry.owned[slot], entry.replica[slot]):
             if heap is not None:
-                codes.extend(record[0] for record in heap.scan())
+                for page in heap.scan_page_arrays():
+                    codes.extend(page)
         return codes
 
     def slot_descendant_codes(self, tag: str, slot: int) -> list[int]:
@@ -316,7 +317,7 @@ class ShardedCorpus:
         heap = entry.owned[slot]
         if heap is None:
             return []
-        return [record[0] for record in heap.scan()]
+        return [code for page in heap.scan_page_arrays() for code in page]
 
     # -- observability --------------------------------------------------
     def stats(self) -> dict[str, object]:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import page as page_layout
 from .buffer import BufferManager
@@ -19,10 +18,6 @@ from .faults import StorageFault
 from .record import RecordCodec
 
 __all__ = ["HeapFile", "HeapFileWriter"]
-
-#: one decoded page: a record list or a flat field array
-_Page = TypeVar("_Page")
-_Decode = Callable[[bytearray, RecordCodec], _Page]
 
 
 class HeapFile:
@@ -47,30 +42,6 @@ class HeapFile:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_records(
-        cls,
-        bufmgr: BufferManager,
-        codec: RecordCodec,
-        records: Iterable[Sequence[int]],
-        name: str = "",
-    ) -> "HeapFile":
-        """Materialise ``records`` into a new heap file (charged as writes).
-
-        If the source iterable raises mid-build (e.g. an injected
-        storage fault while scanning another file), the partially
-        written heap is destroyed before the error propagates — the
-        caller never learns this heap existed, so it must not leak.
-        """
-        def fill(writer: "HeapFileWriter") -> None:
-            if isinstance(records, Sequence):
-                writer.append_many(records)
-            else:
-                for record in records:
-                    writer.append(record)
-
-        return cls._build(bufmgr, codec, name, fill)
-
-    @classmethod
     def from_fields(
         cls,
         bufmgr: BufferManager,
@@ -78,9 +49,15 @@ class HeapFile:
         fields: Sequence[int],
         name: str = "",
     ) -> "HeapFile":
-        """:meth:`from_records` for records given as one flat field
-        sequence (``codec.arity`` fields per record): the same pages,
-        bytes and I/O, with no tuple per record."""
+        """Materialise records given as one flat field sequence
+        (``codec.arity`` fields per record) into a new heap file
+        (charged as writes).
+
+        If writing faults (e.g. an injected storage fault evicting a
+        dirty page), the partially written heap is destroyed before the
+        error propagates: the caller never learns this heap existed, so
+        it must not leak.
+        """
         return cls._build(
             bufmgr, codec, name, lambda writer: writer.append_fields(fields)
         )
@@ -114,14 +91,6 @@ class HeapFile:
         """
         return HeapFileWriter(self, resume=resume)
 
-    def append_all(self, records: Iterable[Sequence[int]]) -> None:
-        writer = self.open_writer()
-        try:
-            for record in records:
-                writer.append(record)
-        finally:
-            writer.close()
-
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
@@ -132,32 +101,15 @@ class HeapFile:
     def __len__(self) -> int:
         return self.num_records
 
-    def scan(self) -> Iterator[tuple[int, ...]]:
-        """Yield every record in file order (one pinned page at a time)."""
-        for records in self.scan_pages():
-            yield from records
-
-    def scan_pages(self) -> Iterator[list[tuple[int, ...]]]:
-        """Yield the decoded record list of each page in order.
-
-        A storage fault aborts the scan (annotated with the file name);
-        it never yields a truncated tail silently.
-        """
-        return self._scan(page_layout.read_records)
-
     def scan_page_arrays(self) -> Iterator["array[int]"]:
-        """Yield each page's flat field array in order (batched decode).
+        """Yield each page's flat field array in order.
 
         Each array is owned (one memcpy out of the frame), so it may be
-        kept past the scan.  Page-access order, pin discipline and fault
-        annotation are those of :meth:`scan_pages`, so the I/O
-        accounting of a batched scan is identical to the scalar one.
+        kept past the scan.  The pin on a page is held until the
+        consumer asks for the next one.  A storage fault aborts the
+        scan (annotated with the file name); it never yields a
+        truncated tail silently.
         """
-        return self._scan(page_layout.read_record_array)
-
-    def _scan(self, decode: _Decode[_Page]) -> Iterator[_Page]:
-        """Pin each page in order and yield ``decode`` of it, keeping
-        the pin until the consumer asks for the next page."""
         bufmgr = self.bufmgr
         codec = self.codec
         for position, page_id in enumerate(self.page_ids):
@@ -169,19 +121,13 @@ class HeapFile:
                 )
                 raise
             try:
-                yield decode(frame.data, codec)
+                yield page_layout.read_record_array(frame.data, codec)
             finally:
                 bufmgr.unpin(page_id)
 
-    def read_page(self, index: int) -> list[tuple[int, ...]]:
-        """Decode one page by position in the file."""
-        return self._read(index, page_layout.read_records)
-
     def read_page_array(self, index: int) -> "array[int]":
-        """One page's flat field array (owned, like the scan's)."""
-        return self._read(index, page_layout.read_record_array)
-
-    def _read(self, index: int, decode: _Decode[_Page]) -> _Page:
+        """One page's flat field array by position (owned, like the
+        scan's)."""
         page_id = self.page_ids[index]
         try:
             frame = self.bufmgr.pin(page_id)
@@ -189,7 +135,7 @@ class HeapFile:
             fault.add_context(f"heap file {self.name!r} page {index}")
             raise
         try:
-            return decode(frame.data, self.codec)
+            return page_layout.read_record_array(frame.data, self.codec)
         finally:
             self.bufmgr.unpin(page_id)
 
@@ -218,11 +164,10 @@ class HeapFileWriter:
     Records collect as flat fields in a pending list and are packed
     into the pinned frame once per page, by one
     :meth:`RecordCodec.pack_fields`, when the page rolls or the writer
-    closes.  Records arrive as tuples (:meth:`append`,
-    :meth:`append_many`) or as one flat field sequence
-    (:meth:`append_fields`); a tuple of the wrong arity fails the pack
-    of its page with ``struct.error``, even where the page's field
-    count adds up.  The pin, roll, link and write
+    closes.  Records arrive one at a time (:meth:`append`) or as one
+    flat field sequence (:meth:`append_fields`); a record of the wrong
+    arity fails the pack of its page with ``struct.error``, even where
+    the page's field count adds up.  The pin, roll, link and write
     sequence is that of packing each record on arrival, and so are the
     pages: the frame stays pinned from the page's first record to its
     roll, so no eviction writes it early.  (An explicit ``flush_all``
@@ -295,26 +240,10 @@ class HeapFileWriter:
         self._count += 1
         self.heap.num_records += 1
 
-    def append_many(self, records: Sequence[Sequence[int]]) -> None:
-        """Append a materialised record list; identical to :meth:`append`
-        per record.  Takes a sequence, not a lazy iterable: a source that
-        performed page I/O mid-append would see a different access
-        interleaving than per-record appends.
-        """
-        arity = self._arity
-
-        def take(start: int, stop: int) -> None:
-            chunk = records[start:stop]
-            if self._malformed is None and set(map(len, chunk)) != {arity}:
-                self._malformed = next(r for r in chunk if len(r) != arity)
-            self._pending.extend(chain.from_iterable(chunk))
-
-        self._fill(len(records), take)
-
     def append_fields(self, fields: Sequence[int]) -> None:
         """Append records given as one flat field sequence, ``arity``
-        fields per record; identical to :meth:`append_many` of the
-        records they spell."""
+        fields per record; identical to :meth:`append` of each record
+        they spell."""
         arity = self._arity
         total, rest = divmod(len(fields), arity)
         if rest:

@@ -25,9 +25,7 @@ __all__ = [
     "set_record_count",
     "get_next_page",
     "set_next_page",
-    "read_records",
     "read_record_array",
-    "write_records",
 ]
 
 PAGE_HEADER_SIZE = 8
@@ -63,28 +61,12 @@ def set_next_page(data: bytearray, page_id: int | None) -> None:
     struct.pack_into("<I", data, 4, _NO_NEXT if page_id is None else page_id)
 
 
-def read_records(data: bytes | bytearray, codec: RecordCodec) -> list[tuple[int, ...]]:
-    """Decode all records on a page."""
-    count = get_record_count(data)
-    return list(codec.iter_unpack(memoryview(data)[PAGE_HEADER_SIZE:], count))
-
-
 def read_record_array(data: bytes | bytearray, codec: RecordCodec) -> "array[int]":
-    """A page's flat field array, owned (the batched decode path).
+    """A page's flat field array, owned: the one page decode.
 
-    One memcpy of the payload into an ``array("Q")`` instead of one
-    tuple per record; see :meth:`RecordCodec.unpack_array`.
+    One memcpy of the payload into an ``array("Q")``; see
+    :meth:`RecordCodec.unpack_array`.
     """
     count = get_record_count(data)
     return codec.unpack_array(memoryview(data)[PAGE_HEADER_SIZE:], count)
 
-
-def write_records(
-    data: bytearray, codec: RecordCodec, records: list[tuple[int, ...]]
-) -> None:
-    """Overwrite a page with ``records`` (must fit)."""
-    offset = PAGE_HEADER_SIZE
-    for record in records:
-        codec.pack_into(data, offset, record)
-        offset += codec.record_size
-    set_record_count(data, len(records))

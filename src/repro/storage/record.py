@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "RecordCodec",
@@ -40,27 +40,19 @@ class RecordCodec:
         self._struct = struct.Struct("<" + "Q" * arity)
         self.record_size = self._struct.size
 
-    def pack(self, record: Sequence[int]) -> bytes:
-        return self._struct.pack(*record)
-
     def unpack(self, data: bytes, offset: int = 0) -> tuple[int, ...]:
         return self._struct.unpack_from(data, offset)
 
     def pack_into(self, buffer: bytearray, offset: int, record: Sequence[int]) -> None:
         self._struct.pack_into(buffer, offset, *record)
 
-    def iter_unpack(self, payload: bytes | bytearray, count: int) -> Iterator[tuple[int, ...]]:
-        """Decode the first ``count`` records from a page payload."""
-        view = memoryview(payload)[: count * self.record_size]
-        return self._struct.iter_unpack(view)
-
     def pack_fields(self, fields: Sequence[int]) -> bytes:
         """Pack a flat field sequence (records' fields in order) with a
         single ``struct`` call.
 
         One explicitly little-endian format, so the bytes equal the
-        concatenated per-record :meth:`pack` results on any host; a
-        value outside the u64 range raises ``struct.error``.
+        concatenated per-record :meth:`pack_into` results on any host;
+        a value outside the u64 range raises ``struct.error``.
         """
         return struct.pack(f"<{len(fields)}Q", *fields)
 

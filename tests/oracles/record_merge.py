@@ -72,10 +72,6 @@ class RecordHeapWriter:
         self._count += 1
         heap.num_records += 1
 
-    def append_many(self, records: Sequence[Sequence[int]]) -> None:
-        for record in records:
-            self.append(record)
-
     def append_fields(self, fields: Sequence[int]) -> None:
         arity = self.heap.codec.arity
         if len(fields) % arity:

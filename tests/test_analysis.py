@@ -149,7 +149,7 @@ def test_frame_mutation_borrowed_heap_scan(tmp_path: Path) -> None:
     # is clean; the one-line mutation turns it red.
     text = (REPO_ROOT / "src/repro/storage/heapfile.py").read_text()
     assert _frame_findings(tmp_path, "storage/heapfile.py", text) == []
-    decode = "yield decode(frame.data, codec)"
+    decode = "yield page_layout.read_record_array(frame.data, codec)"
     assert text.count(decode) == 1
     mutant = text.replace(decode, 'yield memoryview(frame.data)[8:].cast("Q")')
     findings = _frame_findings(tmp_path, "storage/heapfile.py", mutant)
@@ -162,7 +162,7 @@ def test_frame_mutation_borrowed_heap_scan(tmp_path: Path) -> None:
 def test_frame_mutation_kept_buffer(tmp_path: Path, line: str) -> None:
     # appended to the real heap file as a method of HeapFile
     text = (REPO_ROOT / "src/repro/storage/heapfile.py").read_text()
-    anchor = "    def read_page(self, index: int)"
+    anchor = "    def read_page_array(self, index: int)"
     mutant = text.replace(
         anchor, f"    def leak(self, frame):\n        {line}\n\n{anchor}"
     )

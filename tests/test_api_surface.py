@@ -433,6 +433,33 @@ class TestExecutionConfigSurface:
             # public helpers nothing called
             (["repro.service.admission:AdmissionController"], ["tenant_in" + "_flight"]),
             (["repro.experiments.figures"], ["render_grouped" + "_bars"]),
+            # a heap page is read only as a flat field array, and the
+            # writer takes records one at a time or as flat fields
+            (
+                ["repro.storage.heapfile:HeapFile"],
+                [
+                    "scan",
+                    "scan" + "_pages",
+                    "read" + "_page",
+                    "from" + "_records",
+                    "append" + "_all",
+                ],
+            ),
+            (["repro.storage.heapfile:HeapFileWriter"], ["append" + "_many"]),
+            (["repro.storage.heapfile"], ["_Dec" + "ode", "_Pa" + "ge"]),
+            (["repro.storage.page"], ["read" + "_records", "write" + "_records"]),
+            (["repro.storage.record:RecordCodec"], ["iter" + "_unpack", "pack"]),
+            # one equijoin: the bulk-key hash join, in memory and per
+            # Grace bucket pair
+            (
+                ["repro.join.hash_join"],
+                [
+                    "in_memory" + "_hash_join",
+                    "Rec" + "ord",
+                    "Key" + "Func",
+                    "Emit" + "Func",
+                ],
+            ),
         ],
     )
     def test_removed_names_are_gone(self, modules, names):

@@ -89,14 +89,18 @@ class TestKernelsMatchScalar:
         assert batch.rollup(eligible, height) == [
             pt.f_ancestor(c, height) for c in eligible
         ]
+        # flat (effective, original) fields, one pair per code
         assert batch.rollup_pairs(codes, height) == [
-            (pt.f_ancestor(c, height), c)
-            if pt.height_of(c) < height
-            else (c, c)
+            field
             for c in codes
+            for field in (
+                (pt.f_ancestor(c, height), c)
+                if pt.height_of(c) < height
+                else (c, c)
+            )
         ]
         # SHCJ probe keys: F(c, height) below the class, 0 (no key) at
-        # or above it — the scalar key function returns None there
+        # or above it
         assert batch.probe_keys(codes, height) == [
             pt.f_ancestor(c, height) if pt.height_of(c) < height else 0
             for c in codes
@@ -183,7 +187,10 @@ class TestRecordDecode:
         ]
         fields = [field for r in records for field in r]
         payload = codec.pack_fields(fields)
-        assert payload == b"".join(codec.pack(r) for r in records)
+        per_record = bytearray(len(records) * codec.record_size)
+        for index, r in enumerate(records):
+            codec.pack_into(per_record, index * codec.record_size, r)
+        assert payload == per_record
         assert list(codec.unpack_array(payload, len(records))) == fields
 
     def test_unpack_array_is_owned(self):
@@ -220,11 +227,13 @@ class TestRecordDecode:
     @pytest.mark.parametrize("codec", [CODE, PAIR, TRIPLE], ids=lambda c: c.arity)
     def test_read_record_array_is_owned(self, codec):
         data = bytearray(128)
-        records = [tuple(range(i, i + codec.arity)) for i in range(3)]
-        page.write_records(data, codec, records)
+        expected = [f for i in range(3) for f in range(i, i + codec.arity)]
+        payload = codec.pack_fields(expected)
+        data[page.PAGE_HEADER_SIZE : page.PAGE_HEADER_SIZE + len(payload)] = payload
+        page.set_record_count(data, 3)
         fields = page.read_record_array(data, codec)
         data[:] = bytes(len(data))  # the frame is zeroed for reuse
-        assert fields.tolist() == [f for r in records for f in r]
+        assert fields.tolist() == expected
 
 
 def make_set(codes, tree_height, frames=8, page_size=128, name="S"):

@@ -7,6 +7,7 @@ from repro.core import pbitree as pt
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskManager
 from repro.storage.elementset import ElementSet, SortOrder
+from repro.storage.faults import FaultInjector, PermanentIOError
 from repro.storage.heapfile import HeapFile
 from repro.storage.record import CODE, PAIR
 
@@ -16,28 +17,38 @@ def make_env(frames=8, page_size=128):
     return disk, BufferManager(disk, frames)
 
 
+def fields_of(heap: HeapFile) -> list[int]:
+    """Every field of ``heap`` in file order, off the page arrays."""
+    return [field for page in heap.scan_page_arrays() for field in page]
+
+
 class TestHeapFile:
     @given(st.lists(st.integers(0, 2**63), max_size=500))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip(self, values):
         _disk, bufmgr = make_env()
-        heap = HeapFile.from_records(bufmgr, CODE, [(v,) for v in values])
-        assert [r[0] for r in heap.scan()] == values
+        heap = HeapFile.from_fields(bufmgr, CODE, values)
+        assert fields_of(heap) == values
         assert len(heap) == len(values)
 
     def test_page_count(self):
         _disk, bufmgr = make_env(page_size=128)
         capacity = (128 - 8) // 8  # 15 records/page
-        heap = HeapFile.from_records(bufmgr, CODE, [(i,) for i in range(31)])
+        heap = HeapFile.from_fields(bufmgr, CODE, range(31))
         assert heap.capacity == capacity
         assert heap.num_pages == 3  # 15 + 15 + 1
 
-    def test_read_page(self):
+    def test_read_page_array(self):
         _disk, bufmgr = make_env()
-        heap = HeapFile.from_records(bufmgr, PAIR, [(i, i * 2) for i in range(40)])
-        first = heap.read_page(0)
-        assert first[0] == (0, 0)
-        assert heap.read_page(heap.num_pages - 1)[-1] == (39, 78)
+        fields = [f for i in range(40) for f in (i, i * 2)]
+        heap = HeapFile.from_fields(bufmgr, PAIR, fields)
+        assert heap.read_page_array(0)[:2].tolist() == [0, 0]
+        assert heap.read_page_array(heap.num_pages - 1)[-2:].tolist() == [39, 78]
+        assert [
+            field
+            for index in range(heap.num_pages)
+            for field in heap.read_page_array(index)
+        ] == fields
 
     def test_writer_context_manager(self):
         _disk, bufmgr = make_env()
@@ -45,7 +56,7 @@ class TestHeapFile:
         with heap.open_writer() as writer:
             writer.append((1,))
             writer.append((2,))
-        assert [r[0] for r in heap.scan()] == [1, 2]
+        assert fields_of(heap) == [1, 2]
 
     def test_append_after_close_rejected(self):
         _disk, bufmgr = make_env()
@@ -54,16 +65,19 @@ class TestHeapFile:
         writer.close()
         with pytest.raises(ValueError):
             writer.append((1,))
+        with pytest.raises(ValueError):
+            writer.append_fields([1])
 
     def test_writer_leaves_no_pins(self):
         _disk, bufmgr = make_env()
         heap = HeapFile(bufmgr, CODE)
-        heap.append_all([(i,) for i in range(100)])
+        with heap.open_writer() as writer:
+            writer.append_fields(range(100))
         assert bufmgr.num_pinned == 0
 
     def test_destroy_releases_pages(self):
         disk, bufmgr = make_env()
-        heap = HeapFile.from_records(bufmgr, CODE, [(i,) for i in range(100)])
+        heap = HeapFile.from_fields(bufmgr, CODE, range(100))
         pages = heap.num_pages
         assert disk.num_allocated == pages
         heap.destroy()
@@ -72,17 +86,37 @@ class TestHeapFile:
 
     def test_scan_faults_pages_once_per_scan(self):
         disk, bufmgr = make_env(frames=2, page_size=128)
-        heap = HeapFile.from_records(bufmgr, CODE, [(i,) for i in range(100)])
+        heap = HeapFile.from_fields(bufmgr, CODE, range(100))
         bufmgr.flush_all()
         bufmgr.evict_all()
         disk.stats.reset()
-        list(heap.scan())
+        fields_of(heap)
         assert disk.stats.reads == heap.num_pages
+
+    @pytest.mark.parametrize("read", ["scan", "by_position"])
+    def test_read_fault_names_file_and_page(self, read):
+        """A fault reading page 1 propagates typed, names the heap file
+        and the page, and leaves no pin behind."""
+        disk, bufmgr = make_env(frames=2, page_size=128)
+        heap = HeapFile.from_fields(bufmgr, CODE, range(100), name="H")
+        bufmgr.flush_all()
+        bufmgr.evict_all()
+        injector = FaultInjector(seed=0)
+        injector.schedule("read-error", at=2, permanent=True)
+        disk.set_faults(injector)
+        with pytest.raises(PermanentIOError) as info:
+            if read == "scan":
+                fields_of(heap)
+            else:
+                for index in range(heap.num_pages):
+                    heap.read_page_array(index)
+        assert "heap file 'H' page 1" in str(info.value)
+        assert bufmgr.num_pinned == 0
 
     def test_empty_scan(self):
         _disk, bufmgr = make_env()
         heap = HeapFile(bufmgr, CODE)
-        assert list(heap.scan()) == []
+        assert fields_of(heap) == []
         assert heap.num_pages == 0
 
 

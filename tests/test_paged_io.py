@@ -138,6 +138,11 @@ def assert_same_io(paged: Trace, reference: Trace) -> None:
     assert paged.pinned == reference.pinned == 0
 
 
+def fields_of(heap: HeapFile) -> list[int]:
+    """Every field of ``heap`` in file order, off the page arrays."""
+    return [field for page in heap.scan_page_arrays() for field in page]
+
+
 def both(action, **kwargs) -> tuple[Trace, Trace]:
     paged = traced(action, **kwargs)
     with record_at_a_time():
@@ -264,27 +269,56 @@ class TestBlockMerge:
 class TestPackedWriter:
     @pytest.mark.parametrize("codec", [CODE, PAIR, TRIPLE], ids=["1", "2", "3"])
     @pytest.mark.parametrize("count", [0, 1, 7, 8, 15, 16, 17, 200])
-    @pytest.mark.parametrize("source", ["list", "iter", "fields"])
-    def test_from_records_bytes_identical(self, codec, count, source):
-        """Tuples in a list (``append_many``), one at a time
-        (``append``) or as one flat field list (``from_fields``)."""
+    @pytest.mark.parametrize("source", ["append", "fields"])
+    def test_writer_bytes_identical(self, codec, count, source):
+        """Records one at a time (``append``) or as one flat field list
+        (``from_fields``): each matches the per-record packing oracle,
+        so the two write entries match each other."""
         records = [
             tuple((i * 2654435761 + f) % (1 << 63) for f in range(codec.arity))
             for i in range(count)
         ]
+        fields = [field for record in records for field in record]
 
         def action(bufmgr, _state):
             if source == "fields":
-                fields = [field for record in records for field in record]
                 heap = HeapFile.from_fields(bufmgr, codec, fields)
             else:
-                rows = iter(records) if source == "iter" else records
-                heap = HeapFile.from_records(bufmgr, codec, rows)
-            return heap.page_ids, list(heap.scan())
+                heap = HeapFile(bufmgr, codec)
+                writer = heap.open_writer()
+                for record in records:
+                    writer.append(record)
+                writer.close()
+            return heap.page_ids, fields_of(heap)
 
         paged, reference = both(action, frames=3)
         assert_same_io(paged, reference)
-        assert paged.outcome[1] == records
+        assert paged.outcome[1] == fields
+
+    @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 200])
+    def test_append_and_append_fields_write_the_same_pages(self, count):
+        """The two write entries side by side on the engine's writer:
+        same page bytes and the same I/O."""
+        fields = [(i * 2654435761) % (1 << 63) for i in range(2 * count)]
+
+        def write(bulk: bool):
+            def action(bufmgr, _state):
+                heap = HeapFile(bufmgr, PAIR)
+                writer = heap.open_writer()
+                if bulk:
+                    writer.append_fields(fields)
+                else:
+                    for start in range(0, len(fields), 2):
+                        writer.append(fields[start : start + 2])
+                writer.close()
+                return heap.page_ids, fields_of(heap)
+
+            return action
+
+        appended = traced(write(False), frames=3)
+        bulk = traced(write(True), frames=3)
+        assert_same_io(appended, bulk)
+        assert appended.outcome[1] == fields
 
     @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 200])
     def test_element_set_from_codes_bytes_identical(self, count):
@@ -320,21 +354,23 @@ class TestPackedWriter:
             other = HeapFile(bufmgr, CODE, name="churn")
             value = 0
             for size in chunks:
-                batch = [(value + i,) for i in range(size)]
+                batch = list(range(value, value + size))
                 value += size
                 writer = heap.open_writer(resume=True)
                 if bulk:
-                    writer.append_many(batch)
+                    writer.append_fields(batch)
                 else:
-                    for record in batch:
-                        writer.append(record)
+                    for code in batch:
+                        writer.append((code,))
                 writer.close()
-                other.append_all([(size,)] * (size * 3))
-            return heap.page_ids, list(heap.scan()), len(heap)
+                churn = other.open_writer()
+                churn.append_fields([size] * (size * 3))
+                churn.close()
+            return heap.page_ids, fields_of(heap), len(heap)
 
         paged, reference = both(action, frames=3)
         assert_same_io(paged, reference)
-        assert paged.outcome[1] == [(v,) for v in range(sum(chunks))]
+        assert paged.outcome[1] == list(range(sum(chunks)))
 
     def test_docstore_inserts_resume_identical(self):
         """The update pipeline appends each insert through a resumed
@@ -399,16 +435,22 @@ class TestPackedWriter:
         assert len(paged.outcome[0]) == data.num_results
 
     @pytest.mark.parametrize("at", [1, 2, 5])
-    @pytest.mark.parametrize("lazy", [False, True], ids=["list", "iter"])
-    def test_write_fault_mid_append(self, at, lazy):
+    @pytest.mark.parametrize("source", ["append", "fields"])
+    def test_write_fault_mid_append(self, at, source):
         """A victim write failing while the writer rolls a page: same
-        typed fault at the same transfer, partial heap freed, no pin
-        left behind."""
-        records = [(i,) for i in range(400)]
+        typed fault at the same transfer and no pin left behind
+        (``from_fields`` also frees its partial heap)."""
 
         def action(bufmgr, _state):
-            source = iter(records) if lazy else records
-            HeapFile.from_records(bufmgr, CODE, source)
+            if source == "fields":
+                HeapFile.from_fields(bufmgr, CODE, range(400))
+                return
+            writer = HeapFile(bufmgr, CODE).open_writer()
+            try:
+                for code in range(400):
+                    writer.append((code,))
+            finally:
+                writer.close()
 
         def faults():
             injector = FaultInjector(seed=1)
@@ -421,7 +463,6 @@ class TestPackedWriter:
 
 
 class TestPackChecks:
-    @pytest.mark.parametrize("bulk", [False, True], ids=["append", "append_many"])
     @pytest.mark.parametrize(
         "arity, records",
         [
@@ -434,18 +475,15 @@ class TestPackChecks:
             (3, [(1, 2), (3, 4, 5, 6)]),
         ],
     )
-    def test_wrong_arity_rejected(self, arity, records, bulk):
+    def test_wrong_arity_rejected(self, arity, records):
         bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 4)
         heap = HeapFile(bufmgr, RecordCodec(arity))
         writer = heap.open_writer()
-        if bulk:
-            writer.append_many(records)
-        else:
-            for record in records:
-                writer.append(record)
+        for record in records:
+            writer.append(record)
         with pytest.raises(struct.error):
             writer.close()
-        assert heap.num_records == 0 and list(heap.scan()) == []
+        assert heap.num_records == 0 and fields_of(heap) == []
 
     def test_out_of_range_rejected(self):
         with pytest.raises(struct.error):
@@ -458,9 +496,12 @@ class TestWriterRejectsBadRecord:
     """A record that does not pack fails the roll or close that packs its
     page, and the heap keeps what it held before that page's records."""
 
+    #: five (i, i) pair records
+    FIELDS = [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+
     def _heap(self) -> HeapFile:
         bufmgr = BufferManager(DiskManager(page_size=PAGE_SIZE), 4)
-        return HeapFile.from_records(bufmgr, PAIR, [(i, i) for i in range(5)])
+        return HeapFile.from_fields(bufmgr, PAIR, self.FIELDS)
 
     @pytest.mark.parametrize("resume", [False, True])
     def test_failed_close_keeps_pages_and_count_in_step(self, resume):
@@ -471,7 +512,7 @@ class TestWriterRejectsBadRecord:
         with pytest.raises(struct.error):
             writer.close()
         assert heap.num_records == 5
-        assert list(heap.scan()) == [(i, i) for i in range(5)]
+        assert fields_of(heap) == self.FIELDS
         assert heap.bufmgr.num_pinned == 0
 
     def test_failed_roll_raises_at_the_append_that_rolls(self):
@@ -485,7 +526,7 @@ class TestWriterRejectsBadRecord:
             writer.append((7, 7))
         writer.close()
         assert heap.num_records == 5
-        assert list(heap.scan()) == [(i, i) for i in range(5)]
+        assert fields_of(heap) == self.FIELDS
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +536,7 @@ def _pool(policy: str, frames: int, pages: int) -> BufferManager:
     disk = DiskManager(page_size=PAGE_SIZE)
     bufmgr = BufferManager(disk, frames, policy=policy)
     for value in range(pages):
-        heap = HeapFile.from_records(bufmgr, CODE, [(value,)])
+        heap = HeapFile.from_fields(bufmgr, CODE, [value])
         assert heap.page_ids == [value]
     bufmgr.flush_all()
     bufmgr.evict_all()
@@ -552,7 +593,7 @@ class TestTouch:
     def test_touch_miss_failure_leaves_no_pin(self):
         disk = DiskManager(page_size=PAGE_SIZE, checksums=True)
         bufmgr = BufferManager(disk, 2)
-        HeapFile.from_records(bufmgr, CODE, [(1,)])
+        HeapFile.from_fields(bufmgr, CODE, [1])
         bufmgr.flush_all()
         bufmgr.evict_all()
         injector = FaultInjector(seed=0)
